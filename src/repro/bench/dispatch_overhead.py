@@ -103,7 +103,6 @@ def _populated_runtime(n_lanes: int, depth: int) -> ServingRuntime:
         [worker],
         max_batch_size=8,
         max_coalesce_delay_s=0.0,
-        max_lanes_per_servable=n_lanes + 8,
     )
     published = testbed.management.publish(testbed.token, zoo[SERVABLE])
     runtime.place(zoo[SERVABLE], published.build.image)
@@ -196,7 +195,6 @@ def _cycle_runtime(n_lanes: int, depth: int, tracer) -> ServingRuntime:
         [worker],
         max_batch_size=8,
         max_coalesce_delay_s=0.0,
-        max_lanes_per_servable=n_lanes + 8,
         tracer=tracer,
     )
     published = testbed.management.publish(testbed.token, zoo[SERVABLE])

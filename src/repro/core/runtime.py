@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.metrics import StageLatencyCollector
@@ -169,12 +170,9 @@ class ServingRuntime:
         How long (virtual time) a tenant lane may sit empty and idle
         before it is garbage-collected from the per-servable topic scan.
         Thousands of churning tenants would otherwise grow
-        ``_lanes`` — and every ``_next_window`` scan — forever.
-    max_lanes_per_servable:
-        Soft bound on tracked lanes per servable: when a submit would
-        exceed it, an immediate GC pass reclaims idle lanes first. The
-        bound is advisory (live lanes are never dropped), but it keeps
-        the per-servable topic scan proportional to *active* tenants.
+        ``_lanes`` forever. Collection runs whenever a new lane is
+        tracked and on a half-TTL sweep of the serve loop; either costs
+        O(lanes actually past the TTL), so there is no bound to tune.
     tracer:
         Optional :class:`~repro.core.telemetry.Tracer`. When attached,
         every request gets a span tree (``dispatch_window`` →
@@ -194,7 +192,6 @@ class ServingRuntime:
         max_coalesce_delay_s: float = 0.010,
         stage_metrics: StageLatencyCollector | None = None,
         lane_idle_ttl_s: float = 5.0,
-        max_lanes_per_servable: int = 64,
         tracer=None,
     ) -> None:
         if not workers:
@@ -208,8 +205,6 @@ class ServingRuntime:
             raise ServingRuntimeError("max_coalesce_delay_s must be >= 0")
         if lane_idle_ttl_s <= 0:
             raise ServingRuntimeError("lane_idle_ttl_s must be > 0")
-        if max_lanes_per_servable < 1:
-            raise ServingRuntimeError("max_lanes_per_servable must be >= 1")
         self.clock = clock
         self.queue = queue
         self.workers = list(workers)
@@ -224,10 +219,13 @@ class ServingRuntime:
         #: tenant's batchmates.
         self._lanes: dict[str, set[str]] = {}
         self.lane_idle_ttl_s = lane_idle_ttl_s
-        self.max_lanes_per_servable = max_lanes_per_servable
-        #: Last submit/claim activity per (servable, lane) — the idle
-        #: clock that lane GC reads.
-        self._lane_active: dict[tuple[str, str], float] = {}
+        #: Last submit/claim activity per (servable, tenant lane) — the
+        #: idle clock that lane GC reads, kept **in idle order**: every
+        #: write moves the lane to the young end (:meth:`_touch_lane`)
+        #: and the virtual clock is monotone, so the old end holds the
+        #: longest-idle lane and GC stops at the first one whose TTL has
+        #: not lapsed. The never-collected default lane is not tracked.
+        self._lane_active: OrderedDict[tuple[str, str], float] = OrderedDict()
         self._next_lane_gc = clock.now() + lane_idle_ttl_s
         self.lanes_collected = 0
         #: Per worker: the virtual time its last provisioning/placement
@@ -236,6 +234,9 @@ class ServingRuntime:
         self._specs: dict[str, PlacementSpec] = {}
         self._down: set[str] = set()
         self._pending: list[_PendingBatch] = []
+        #: topic -> batches claimed off it that are parked on
+        #: ``_pending``; moved where ``_pending`` gains and loses them.
+        self._pending_by_topic: dict[str, int] = {}
         self._seq = itertools.count(1)
         # -- event indices (see "serve-loop event indices" in
         # docs/ARCHITECTURE.md). The queue's ready-set listener marks
@@ -458,7 +459,6 @@ class ServingRuntime:
         # recovered queue; lanes that were empty at the crash re-create
         # themselves on the next submit.
         lanes = self._lanes.setdefault(servable.name, {"requests"})
-        now = self.clock.now()
         for topic in sorted(self.queue.topics()):
             parts = topic.split("/", 2)
             if len(parts) != 3 or parts[0] != "servable":
@@ -468,7 +468,7 @@ class ServingRuntime:
                 continue
             lanes.add(lane)
             self._owned_topics.add(topic)
-            self._lane_active[(name, lane)] = now
+            self._touch_lane(name, lane)
             depth += self.queue.ready_count(topic)
             self._dirty.add(topic)
         self._ready_depth[servable.name] = depth
@@ -713,13 +713,9 @@ class ServingRuntime:
         lane = "requests" if request.tenant is None else f"tenant-{request.tenant}"
         lanes = self._lanes.setdefault(name, {"requests"})
         if lane not in lanes:
-            if len(lanes) >= self.max_lanes_per_servable:
-                # Over the scan bound: reclaim idle lanes before tracking
-                # a new one (live lanes are never dropped — the bound is
-                # soft).
-                self._gc_servable_lanes(
-                    name, self.clock.now(), self._pending_topics()
-                )
+            # Tenant churn pays for its own cleanup: tracking a new lane
+            # first drops whatever lanes have idled out.
+            self._collect_idle_lanes(self.clock.now())
             lanes.add(lane)
             # A newly tracked lane makes its topic visible to the
             # dispatch scan; messages put there directly (not via
@@ -732,7 +728,7 @@ class ServingRuntime:
                     self._ready_depth.get(name, 0) + preexisting
                 )
                 self._dirty.add(topic)
-        self._lane_active[(name, lane)] = self.clock.now()
+        self._touch_lane(name, lane)
         # Gateway-less traffic gets its trace opened lazily at
         # settlement (or dead-letter), keyed off the message's enqueue
         # time — no per-request tracer work or live Trace object while
@@ -762,44 +758,49 @@ class ServingRuntime:
         nothing claimed off it is still in flight (queued or parked on
         the pending list), and its last submit/claim activity is older
         than ``lane_idle_ttl_s``. The default ``"requests"`` lane is
-        never collected. Returns the number of lanes dropped.
+        never collected. Returns the number of lanes dropped. Costs
+        O(lanes idle past the TTL), however many are tracked.
         """
-        now = self.clock.now() if now is None else now
-        pending_topics = self._pending_topics()
-        return sum(
-            self._gc_servable_lanes(name, now, pending_topics)
-            for name in list(self._lanes)
-        )
+        return self._collect_idle_lanes(self.clock.now() if now is None else now)
 
-    def _pending_topics(self) -> set[str]:
-        """Topics with messages parked on the in-flight pending list."""
-        return {m.topic for batch in self._pending for m in batch.messages}
+    def _touch_lane(self, name: str, lane: str) -> None:
+        """Stamp submit/claim activity on a tenant lane: restart its idle
+        clock and move it to the young end of the idle order."""
+        if lane == "requests":
+            return
+        key = (name, lane)
+        self._lane_active[key] = self.clock.now()
+        self._lane_active.move_to_end(key)
 
-    def _gc_servable_lanes(
-        self, name: str, now: float, pending_topics: set[str]
-    ) -> int:
-        lanes = self._lanes.get(name)
-        if not lanes:
-            return 0
-        dropped = 0
-        for lane in sorted(lanes):
-            if lane == "requests":
-                continue
+    def _collect_idle_lanes(self, now: float) -> int:
+        """Walk lanes from the longest idle, dropping the collectable
+        ones, and stop at the first lane still inside its TTL.
+
+        O(lanes past the TTL): an idle-out lane that is still blocked —
+        ready work, a parked batch, or a claim stranded in flight by a
+        crashed consumer — is stepped over, so it neither goes nor
+        shields the collectable lanes queued behind it.
+        """
+        collectable = []
+        for (name, lane), active in self._lane_active.items():
+            if now - active < self.lane_idle_ttl_s:
+                break
             topic = servable_topic(name, lane=lane)
-            if self.queue.ready_count(topic):
+            if (
+                self.queue.ready_count(topic)
+                or topic in self._pending_by_topic
+                or self.queue.inflight_count_for(topic)
+            ):
                 continue
-            if topic in pending_topics or self.queue.inflight_count_for(topic):
-                continue
-            if now - self._lane_active.get((name, lane), now) < self.lane_idle_ttl_s:
-                continue
-            lanes.discard(lane)
-            self._lane_active.pop((name, lane), None)
+            collectable.append((name, lane, topic))
+        for name, lane, topic in collectable:
+            self._lanes[name].discard(lane)
+            del self._lane_active[(name, lane)]
             # A collected lane is empty and settled, so the indices hold
             # no live state for it — only drop topic ownership.
             self._owned_topics.discard(topic)
-            dropped += 1
-        self.lanes_collected += dropped
-        return dropped
+        self.lanes_collected += len(collectable)
+        return len(collectable)
 
     def queue_depth(self, servable_name: str) -> int:
         """Ready requests for a servable across all of its queue lanes.
@@ -1113,7 +1114,7 @@ class ServingRuntime:
         servable_name = head.body.servable_name
         now = self.clock.now()
         # Claiming is lane activity: an active tenant's lane never GCs.
-        self._lane_active[(servable_name, topic.split("/", 2)[1])] = now
+        self._touch_lane(servable_name, topic.split("/", 2)[1])
         # Resolve routing before claiming so a routing failure leaves the
         # messages ready (not stranded in flight awaiting expiry).
         worker, _ = self._route(servable_name, now)
@@ -1217,6 +1218,7 @@ class ServingRuntime:
                 only_pod,
                 messages[0].enqueued_at,
             )
+        self._pending_by_topic[topic] = self._pending_by_topic.get(topic, 0) + 1
         self._pending.append(
             _PendingBatch(
                 completed_at=worker.clock.now(),
@@ -1318,6 +1320,13 @@ class ServingRuntime:
             return []
         done_ids = {id(p) for p in done}
         self._pending = [p for p in self._pending if id(p) not in done_ids]
+        for batch in done:
+            topic = batch.messages[0].topic
+            left = self._pending_by_topic[topic] - 1
+            if left:
+                self._pending_by_topic[topic] = left
+            else:
+                del self._pending_by_topic[topic]
         done.sort(key=lambda p: (p.completed_at, p.seq))
         if self.chaos is not None:
             self.chaos.trip("pre_settle")

@@ -85,7 +85,16 @@ class TaskQueue:
         self.visibility_timeout_s = visibility_timeout_s
         self.max_deliveries = max_deliveries
         self._ready: dict[str, deque[QueuedMessage]] = {}
+        #: delivery tag -> claimed message, **in claim order**: entries
+        #: are only ever appended (under a fresh tag, stamped with the
+        #: monotone virtual clock) or removed, so iteration runs from
+        #: the oldest ``claimed_at`` — the first claim to expire — to
+        #: the newest. The expiry sweep and the next-expiry peek walk
+        #: from the front and stop early instead of filtering the table.
         self._inflight: dict[int, QueuedMessage] = {}
+        #: topic -> claimed-but-unsettled messages on it; moved wherever
+        #: ``_inflight`` gains or loses an entry.
+        self._inflight_by_topic: dict[str, int] = {}
         self._dead: list[QueuedMessage] = []
         # Plain-int id cursors (not itertools.count): dump_state must
         # export them and load_state re-seed them for crash recovery.
@@ -222,7 +231,23 @@ class TaskQueue:
         msg.delivery_tag = self._next_tag
         self._next_tag += 1
         self._inflight[msg.delivery_tag] = msg
+        self._inflight_by_topic[msg.topic] = (
+            self._inflight_by_topic.get(msg.topic, 0) + 1
+        )
         self._notify(msg.topic, -1)
+        return msg
+
+    def _settle_claim(self, delivery_tag: int) -> QueuedMessage:
+        """Take a claim out of the in-flight table (ack and nack both
+        end one); raises :class:`UnknownDelivery` for a tag not in it."""
+        msg = self._inflight.pop(delivery_tag, None)
+        if msg is None:
+            raise UnknownDelivery(delivery_tag)
+        left = self._inflight_by_topic[msg.topic] - 1
+        if left:
+            self._inflight_by_topic[msg.topic] = left
+        else:
+            del self._inflight_by_topic[msg.topic]
         return msg
 
     def _journal_claim(self, topic: str, msgs: list[QueuedMessage]) -> None:
@@ -240,18 +265,14 @@ class TaskQueue:
 
     def ack(self, delivery_tag: int) -> None:
         """Settle a claimed message; it will never be redelivered."""
-        msg = self._inflight.pop(delivery_tag, None)
-        if msg is None:
-            raise UnknownDelivery(delivery_tag)
+        self._settle_claim(delivery_tag)
         self.total_acked += 1
         if self.journal is not None:
             self.journal.append("ack", {"delivery_tag": delivery_tag})
 
     def nack(self, delivery_tag: int, requeue: bool = True) -> None:
         """Return a claimed message to the queue (or dead-letter it)."""
-        msg = self._inflight.pop(delivery_tag, None)
-        if msg is None:
-            raise UnknownDelivery(delivery_tag)
+        msg = self._settle_claim(delivery_tag)
         msg.claimed_at = None
         msg.delivery_tag = None
         requeued = requeue and msg.deliveries < self.max_deliveries
@@ -324,13 +345,14 @@ class TaskQueue:
         now = self.clock.now()
         # Small epsilon guards against float accumulation on the virtual
         # clock making `now - claimed_at` land just under the timeout.
-        epsilon = 1e-9
-        expired = [
-            tag
-            for tag, msg in self._inflight.items()
-            if msg.claimed_at is not None
-            and now - msg.claimed_at >= self.visibility_timeout_s - epsilon
-        ]
+        threshold = self.visibility_timeout_s - 1e-9
+        expired = []
+        for tag, msg in self._inflight.items():
+            # Claim order is expiry order: nothing past the first live
+            # claim can have lapsed.
+            if now - msg.claimed_at < threshold:
+                break
+            expired.append(tag)
         for tag in expired:
             self.nack(tag, requeue=True)
         return len(expired)
@@ -476,18 +498,14 @@ class TaskQueue:
 
         Event-driven consumers sleep until this moment to pick up work
         abandoned by a crashed claimant; ``None`` when nothing relevant
-        is in flight. ``topics`` restricts the scan to the caller's own
-        channels on a shared queue.
+        is in flight. ``topics`` restricts the answer to the caller's own
+        channels on a shared queue: the oldest claim on one of them, found
+        by walking past whatever older claims other consumers hold.
         """
-        claimed = [
-            msg.claimed_at
-            for msg in self._inflight.values()
-            if msg.claimed_at is not None
-            and (topics is None or msg.topic in topics)
-        ]
-        if not claimed:
-            return None
-        return min(claimed) + self.visibility_timeout_s
+        for msg in self._inflight.values():
+            if topics is None or msg.topic in topics:
+                return msg.claimed_at + self.visibility_timeout_s
+        return None
 
     @property
     def inflight_count(self) -> int:
@@ -502,7 +520,7 @@ class TaskQueue:
         visibility timeout hasn't lapsed) must not be garbage-collected,
         or the redelivered messages would land on an unscanned topic.
         """
-        return sum(1 for msg in self._inflight.values() if msg.topic == topic)
+        return self._inflight_by_topic.get(topic, 0)
 
     @property
     def dead_letters(self) -> list[QueuedMessage]:

@@ -12,6 +12,13 @@ from repro.durability import (
     CrashPlan,
     FileDurableStore,
     InMemoryDurableStore,
+    Journal,
+    SimulatedCrash,
+)
+
+from tests.core.lane_oracles import (
+    assert_inflight_index_consistent,
+    assert_lane_index_consistent,
 )
 
 from .conftest import alternating_arrivals, build_chaos_harness
@@ -19,10 +26,38 @@ from .conftest import alternating_arrivals, build_chaos_harness
 N_ARRIVALS = 30
 
 
+def assert_indices_consistent(harness):
+    """The queue's in-flight index and the runtime's lane-lifecycle
+    index agree with brute-force passes over the state they summarize."""
+    queue, runtime = harness.queue, harness.runtime
+    assert_inflight_index_consistent(queue, topic_sets=[runtime._owned_topics])
+    assert_lane_index_consistent(runtime)
+    for name in runtime.placement():
+        assert runtime.queue_depth(name) == sum(
+            queue.ready_count(topic)
+            for topic in runtime._owned_topics
+            if topic.endswith(f"/{name}")
+        )
+
+
+def check_indices_after_every_restart(harness):
+    """Cross-check the indices the moment each recovery hands over: a
+    queue rebuilt by ``materialize_queue`` and a runtime re-tracking
+    lanes in ``adopt_placement`` must come up consistent."""
+    recover = harness._recover
+
+    def recover_and_check():
+        recover()
+        assert_indices_consistent(harness)
+
+    harness._recover = recover_and_check
+
+
 def run_sweep_point(zoo, store, point, snapshot_every=256, after_trips=3):
     harness, tokens = build_chaos_harness(
         zoo, store, snapshot_every_records=snapshot_every
     )
+    check_indices_after_every_restart(harness)
     arrivals = alternating_arrivals(tokens, n=N_ARRIVALS)
     outcome = harness.run(
         arrivals, plans=(CrashPlan(point, after_trips=after_trips),)
@@ -69,6 +104,9 @@ def assert_invariants(harness, outcome, point):
         recovery["dead_open"]
     )
 
+    # The drained stack's indices are back to empty-and-consistent.
+    assert_indices_consistent(harness)
+
 
 @pytest.mark.parametrize(
     "point", [p for p in INJECTION_POINTS if p != "mid_snapshot"]
@@ -93,6 +131,43 @@ def test_crash_mid_snapshot_dedupes_the_seam(chaos_zoo, tmp_path):
     recovery = outcome.recoveries[0]
     assert recovery["snapshot_used"]
     assert recovery["seam_overlap"] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug (benchmarks/e2e/README.md open observation 1): the "
+    "gateway journals `settle` before it hands the result over, so a crash "
+    "at the snapshot seam inside that append loses the result",
+)
+def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
+    chaos_zoo, monkeypatch
+):
+    # Cadence and trip count chosen so that the append which triggers
+    # the crashed snapshot is a gateway `settle` record.
+    crashed_on = []
+    append = Journal.append
+
+    def recording_append(journal, op, data):
+        try:
+            return append(journal, op, data)
+        except SimulatedCrash:
+            crashed_on.append(op)
+            raise
+
+    monkeypatch.setattr(Journal, "append", recording_append)
+    harness, outcome = run_sweep_point(
+        chaos_zoo,
+        InMemoryDurableStore(),
+        "mid_snapshot",
+        snapshot_every=20,
+        after_trips=2,
+    )
+    if crashed_on != ["settle"]:
+        # Not an expected failure: the scenario no longer lands on the
+        # seam it pins and needs re-aiming.
+        pytest.fail(f"crash landed on {crashed_on}, not on a settle record")
+    assert_invariants(harness, outcome, "mid_snapshot")
 
 
 def test_serial_crashes_across_multiple_points(chaos_zoo):

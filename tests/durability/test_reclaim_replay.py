@@ -18,6 +18,10 @@ from repro.durability import (
 )
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
+from tests.core.lane_oracles import (
+    assert_inflight_index_consistent,
+    checked_expire_inflight,
+)
 
 
 def build_queue(clock, store, *, visibility_timeout_s=5.0, max_deliveries=3):
@@ -50,8 +54,10 @@ def test_replayed_release_is_idempotent_with_visibility_reclaim():
         state, clock, visibility_timeout_s=5.0, max_deliveries=3
     )
 
-    # The reclaim pass finds a clean in-flight table — zero re-releases.
-    assert recovered.expire_inflight() == 0
+    # The reclaim pass finds a clean in-flight table — zero re-releases —
+    # and the rebuilt queue's in-flight index agrees that it is empty.
+    assert_inflight_index_consistent(recovered)
+    assert checked_expire_inflight(recovered) == 0
     assert recovered.ready_count("t") == 1
     assert len(recovered) == 1
 
@@ -61,6 +67,7 @@ def test_replayed_release_is_idempotent_with_visibility_reclaim():
     assert msg.deliveries == 2
     assert recovered.ready_count("t") == 0
     assert recovered.inflight_count == 1
+    assert_inflight_index_consistent(recovered)
     assert recovered.dump_state()["total_redelivered"] == 1
 
 

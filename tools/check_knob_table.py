@@ -64,10 +64,7 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         "repro.core.runtime.ServingRuntime",
         ["max_coalesce_delay_s"],
     ),
-    "`lane_idle_ttl_s` / `max_lanes_per_servable`": (
-        "repro.core.runtime.ServingRuntime",
-        ["lane_idle_ttl_s", "max_lanes_per_servable"],
-    ),
+    "`lane_idle_ttl_s`": ("repro.core.runtime.ServingRuntime", ["lane_idle_ttl_s"]),
     "`drain_deadline_s`": (
         "repro.gateway.gateway.ServingGateway",
         ["drain_deadline_s"],

@@ -46,21 +46,6 @@ class Journal:
         from the state it just replayed); a fresh one by default.
     """
 
-    #: Journal record ops understood by the fold (see
-    #: :mod:`repro.durability.state` for the taxonomy).
-    OPS = (
-        "baseline",
-        "put",
-        "claim",
-        "ack",
-        "nack",
-        "withdraw",
-        "restore",
-        "admit",
-        "settle",
-        "recover",
-    )
-
     def __init__(
         self,
         store,
@@ -78,9 +63,23 @@ class Journal:
         self.records_appended = 0
         self.snapshots_taken = 0
 
-    # Body encoding rides on the journal so callers (the queue) need no
-    # import of durability internals.
+    # Body encoding rides on the journal so callers (the gateway) need
+    # no import of durability internals.
     encode_body = staticmethod(codec.encode_body)
+
+    def body_fields(self, body) -> dict:
+        """The fields of a ``put`` record that describe its body.
+
+        While a request's ``admit`` is open its body is already on the
+        journal, encoded at admission: the put carries just the uuid
+        and the ``dispatch_tag`` stamped since — the one thing the
+        queued body has that the admitted one lacks. Any other body
+        (a direct submit, a put after the settle) is encoded here.
+        """
+        uuid = getattr(body, "task_uuid", None)
+        if uuid in self.state.open:
+            return {"task_uuid": uuid, "dispatch_tag": body.dispatch_tag}
+        return {"task_uuid": uuid, "body": self.encode_body(body)}
 
     @property
     def last_seq(self) -> int:

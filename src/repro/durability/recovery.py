@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.durability import codec
-from repro.durability.codec import JournalCorruption
+from repro.durability.codec import FormatMismatch, JournalCorruption
 from repro.durability.journal import Journal
 from repro.durability.state import SystemState
 from repro.messaging.queue import TaskQueue
@@ -80,10 +80,11 @@ def load_state(store) -> tuple[SystemState, RecoveryReport]:
     """Fold the store's snapshot + journal into a :class:`SystemState`.
 
     Loud-failure contract: a mid-journal undecodable record, a CRC
-    mismatch, a sequence gap, or two *different* records claiming the
-    same sequence all raise :class:`JournalCorruption`. Only a torn
-    final line is tolerated (flagged on the report) — it is the one
-    corruption a crash legitimately produces.
+    mismatch, a sequence gap, another format version, or two *different*
+    records claiming the same sequence all raise
+    :class:`JournalCorruption`. Only a torn final line is tolerated
+    (flagged on the report) — it is the one corruption a crash
+    legitimately produces.
     """
     report = RecoveryReport()
     raw_snapshot = store.read_snapshot()
@@ -101,6 +102,8 @@ def load_state(store) -> tuple[SystemState, RecoveryReport]:
     for i, line in enumerate(lines):
         try:
             seq, op, data = codec.decode_record(line)
+        except FormatMismatch:
+            raise  # an intact record of another version is no torn write
         except JournalCorruption:
             if i == len(lines) - 1:
                 report.truncated_tail = True
@@ -211,16 +214,7 @@ def materialize_queue(
             "run begin_recovery first"
         )
 
-    def message_doc(mid: int) -> dict:
-        msg = state.messages[mid]
-        return {
-            "message_id": msg["message_id"],
-            "topic": msg["topic"],
-            "enqueued_at": msg["enqueued_at"],
-            "deliveries": msg["deliveries"],
-            "body": codec.decode_body(msg["body"]),
-        }
-
+    decode = codec.decode_body
     queue = TaskQueue(
         clock,
         visibility_timeout_s=visibility_timeout_s,
@@ -229,11 +223,11 @@ def materialize_queue(
     queue.load_state(
         {
             "ready": {
-                topic: [message_doc(mid) for mid in state.ready[topic]]
+                topic: [state.message_doc(mid, decode) for mid in state.ready[topic]]
                 for topic in sorted(state.ready)
                 if state.ready[topic]
             },
-            "dead": [message_doc(mid) for mid in state.dead],
+            "dead": [state.message_doc(mid, decode) for mid in state.dead],
             "total_enqueued": state.total_enqueued,
             "total_acked": state.total_acked,
             "total_redelivered": state.total_redelivered,

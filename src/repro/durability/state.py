@@ -11,7 +11,10 @@ every journal offset is an operation boundary):
 
 =============  =================================================================
 ``baseline``   seed counters/id cursors when a journal attaches to a queue
-``put``        one message enqueued (``counted`` False for back-dated re-puts)
+``put``        one message enqueued (``counted`` False for back-dated re-puts);
+               holds the encoded ``body`` only when no open ``admit`` does —
+               a gateway-admitted request's put carries ``dispatch_tag``
+               instead and the fold takes the body from the open entry
 ``claim``      one ``claim``/``claim_many`` call — all its ``[mid, tag]`` pairs
 ``ack``        one delivery settled forever
 ``nack``       one delivery returned (``outcome`` ``"requeued"``/``"dead"``)
@@ -33,9 +36,9 @@ chaos suite asserts.
 
 from __future__ import annotations
 
-from repro.durability.codec import JournalCorruption
+from repro.durability.codec import FormatMismatch, JournalCorruption
 
-DOC_VERSION = 1
+DOC_VERSION = 2
 
 
 class SystemState:
@@ -43,8 +46,10 @@ class SystemState:
 
     def __init__(self) -> None:
         #: message_id -> {message_id, topic, enqueued_at, deliveries,
-        #: task_uuid, body (encoded)}. Acked messages are deleted; dead
-        #: ones are kept (the dead-letter list holds real messages).
+        #: task_uuid, body (encoded)}, plus ``dispatch_tag`` when the
+        #: body is the admit record's (encoded before the gateway
+        #: stamped the tag). Acked messages are deleted; dead ones are
+        #: kept (the dead-letter list holds real messages).
         self.messages: dict[int, dict] = {}
         #: topic -> message_ids in FIFO order (index 0 = head).
         self.ready: dict[str, list[int]] = {}
@@ -81,10 +86,10 @@ class SystemState:
             raise JournalCorruption(
                 f"record seq={seq} applied after seq={self.last_seq}"
             )
-        handler = getattr(self, f"_apply_{op}", None)
+        handler = _HANDLERS.get(op)
         if handler is None:
             raise JournalCorruption(f"unknown journal op {op!r} at seq={seq}")
-        handler(seq, data)
+        handler(self, seq, data)
         self.last_seq = seq
 
     def _apply_baseline(self, seq: int, data: dict) -> None:
@@ -98,21 +103,29 @@ class SystemState:
     def _apply_put(self, seq: int, data: dict) -> None:
         mid = data["message_id"]
         topic = data["topic"]
-        self.messages[mid] = {
+        entry = self.open.get(data["task_uuid"] or "")
+        msg = self.messages[mid] = {
             "message_id": mid,
             "topic": topic,
             "enqueued_at": data["enqueued_at"],
             "deliveries": 0,
             "task_uuid": data["task_uuid"],
-            "body": data["body"],
         }
+        if "body" in data:
+            msg["body"] = data["body"]
+        elif entry is not None:
+            msg["body"] = entry["body"]
+            msg["dispatch_tag"] = data["dispatch_tag"]
+        else:
+            raise JournalCorruption(
+                f"put at seq={seq} has no body and no open admit to take one from"
+            )
         self.ready.setdefault(topic, []).append(mid)
         if data["counted"]:
             self.total_enqueued += 1
             self.topic_enqueued[topic] = self.topic_enqueued.get(topic, 0) + 1
         if mid >= self.next_message_id:
             self.next_message_id = mid + 1
-        entry = self.open.get(data["task_uuid"] or "")
         if entry is not None:
             entry["enqueued_at"] = data["enqueued_at"]
 
@@ -233,7 +246,10 @@ class SystemState:
     def from_doc(cls, doc: dict) -> SystemState:
         """Rebuild a state from :meth:`to_doc` output."""
         if doc.get("v") != DOC_VERSION:
-            raise JournalCorruption(f"unknown snapshot version {doc.get('v')!r}")
+            raise FormatMismatch(
+                f"snapshot has format version {doc.get('v')!r}, "
+                f"expected {DOC_VERSION}"
+            )
         state = cls()
         state.messages = {m["message_id"]: dict(m) for m in doc["messages"]}
         state.ready = {t: list(m) for t, m in doc["ready"].items()}
@@ -251,33 +267,39 @@ class SystemState:
         state.last_seq = doc["last_seq"]
         return state
 
-    # -- equivalence probe --------------------------------------------------------
+    # -- live views ---------------------------------------------------------------
+    def message_doc(self, mid: int, decode_body) -> dict:
+        """One message in the shape :meth:`repro.messaging.queue.
+        TaskQueue.dump_state` / ``load_state`` use, body decoded and
+        carrying the ``dispatch_tag`` the live message held."""
+        m = self.messages[mid]
+        body = decode_body(m["body"])
+        if "dispatch_tag" in m:
+            body.dispatch_tag = m["dispatch_tag"]
+        return {
+            "message_id": m["message_id"],
+            "topic": m["topic"],
+            "enqueued_at": m["enqueued_at"],
+            "deliveries": m["deliveries"],
+            "body": body,
+        }
+
     def fingerprint(self, decode_body) -> dict:
         """Queue-observable state in the same shape as
         :meth:`repro.messaging.queue.TaskQueue.dump_state`, with bodies
         decoded — the equality probe the replay property test compares
         against a live never-crashed queue."""
-        def msg(mid: int) -> dict:
-            m = self.messages[mid]
-            return {
-                "message_id": m["message_id"],
-                "topic": m["topic"],
-                "enqueued_at": m["enqueued_at"],
-                "deliveries": m["deliveries"],
-                "body": decode_body(m["body"]),
-            }
-
         return {
             "ready": {
-                t: [msg(mid) for mid in mids]
+                t: [self.message_doc(mid, decode_body) for mid in mids]
                 for t, mids in sorted(self.ready.items())
                 if mids
             },
             "inflight": [
-                [tag, dict(msg(mid), claimed_at=claimed_at)]
+                [tag, dict(self.message_doc(mid, decode_body), claimed_at=claimed_at)]
                 for tag, (mid, claimed_at) in sorted(self.inflight.items())
             ],
-            "dead": [msg(mid) for mid in self.dead],
+            "dead": [self.message_doc(mid, decode_body) for mid in self.dead],
             "total_enqueued": self.total_enqueued,
             "total_acked": self.total_acked,
             "total_redelivered": self.total_redelivered,
@@ -285,3 +307,12 @@ class SystemState:
             "next_message_id": self.next_message_id,
             "next_tag": self.next_tag,
         }
+
+
+#: op -> fold handler, one per ``SystemState._apply_<op>`` method: the
+#: record taxonomy is exactly the set of handlers defined above.
+_HANDLERS = {
+    name[len("_apply_"):]: handler
+    for name, handler in vars(SystemState).items()
+    if name.startswith("_apply_")
+}

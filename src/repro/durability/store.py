@@ -86,7 +86,9 @@ class FileDurableStore(DurableStore):
     Layout: ``<dir>/journal.jsonl`` (one record line per append) and
     ``<dir>/snapshot.json`` (replaced atomically). A leftover
     ``snapshot.json.tmp`` from a crash mid-write is ignored on read and
-    overwritten on the next snapshot.
+    overwritten on the next snapshot. The journal is appended through
+    one handle, opened by the first append and flushed per record;
+    :meth:`close` releases it (a later append reopens).
     """
 
     JOURNAL = "journal.jsonl"
@@ -97,14 +99,22 @@ class FileDurableStore(DurableStore):
         os.makedirs(self.directory, exist_ok=True)
         self._journal_path = os.path.join(self.directory, self.JOURNAL)
         self._snapshot_path = os.path.join(self.directory, self.SNAPSHOT)
+        self._journal_fh = None
         self.appends = 0
         self.snapshots = 0
 
     def append(self, seq: int, line: str) -> None:
-        with open(self._journal_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        if self._journal_fh is None:
+            self._journal_fh = open(self._journal_path, "a", encoding="utf-8")
+        self._journal_fh.write(line + "\n")
+        self._journal_fh.flush()
         self.appends += 1
+
+    def close(self) -> None:
+        """Release the journal append handle."""
+        if self._journal_fh is not None:
+            self._journal_fh.close()
+            self._journal_fh = None
 
     def read_journal(self) -> list[str]:
         try:
@@ -147,6 +157,8 @@ class FileDurableStore(DurableStore):
                 fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        # The held handle would keep appending to the replaced file.
+        self.close()
         os.replace(journal_tmp, self._journal_path)
 
     def read_snapshot(self) -> str | None:

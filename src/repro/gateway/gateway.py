@@ -512,7 +512,9 @@ class ServingGateway:
     def _journal_admit(self, request: TaskRequest, policy, arrived: float) -> None:
         """Durably record one admission grant (write-ahead: before the
         lane entry exists, so a crash on the very next instruction still
-        restores the request)."""
+        restores the request). The request's body is encoded here and
+        nowhere else: its later queue ``put`` records only add the
+        ``dispatch_tag`` stamped at release."""
         if self.journal is None:
             return
         self.journal.append(

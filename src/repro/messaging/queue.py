@@ -183,8 +183,7 @@ class TaskQueue:
                     "message_id": msg.message_id,
                     "enqueued_at": msg.enqueued_at,
                     "counted": enqueued_at is None,
-                    "task_uuid": getattr(body, "task_uuid", None),
-                    "body": self.journal.encode_body(body),
+                    **self.journal.body_fields(body),
                 },
             )
         self._notify(topic, +1)
@@ -363,7 +362,7 @@ class TaskQueue:
 
         ``journal`` is duck-typed (see
         :class:`repro.durability.journal.Journal`): it must expose
-        ``append(op, data)``, ``encode_body(body)``, and
+        ``append(op, data)``, ``body_fields(body)``, and
         ``seed_baseline(...)``. With ``bootstrap`` (the default) the
         queue must hold no messages — its monotonic counters and id
         cursors are seeded into the journal as a ``baseline`` record so

@@ -8,6 +8,7 @@ from repro.core.tasks import TaskRequest
 from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
 from repro.durability import ChaosHarness
+from repro.durability.codec import decode_record
 from repro.gateway import TenantPolicy, TenantPolicyTable
 
 
@@ -69,4 +70,13 @@ def alternating_arrivals(tokens, n=30, rate_rps=200.0, servable="noop"):
     return [
         (i / rate_rps, toks[i % len(toks)], TaskRequest(servable, args=(i,)))
         for i in range(n)
+    ]
+
+
+def journal_records(store, op):
+    """The ``data`` of every ``op`` record on the store's journal, in order."""
+    return [
+        data
+        for _, rec_op, data in map(decode_record, store.read_journal())
+        if rec_op == op
     ]

@@ -26,6 +26,17 @@ from .conftest import alternating_arrivals, build_chaos_harness
 N_ARRIVALS = 30
 
 
+@pytest.fixture(params=["memory", "file"])
+def store(request, tmp_path):
+    """Each durable medium in turn: every sweep point runs on both."""
+    if request.param == "memory":
+        yield InMemoryDurableStore()
+    else:
+        file_store = FileDurableStore(str(tmp_path / "wal"))
+        yield file_store
+        file_store.close()
+
+
 def assert_indices_consistent(harness):
     """The queue's in-flight index and the runtime's lane-lifecycle
     index agree with brute-force passes over the state they summarize."""
@@ -111,18 +122,18 @@ def assert_invariants(harness, outcome, point):
 @pytest.mark.parametrize(
     "point", [p for p in INJECTION_POINTS if p != "mid_snapshot"]
 )
-def test_crash_and_recover_at_boundary(chaos_zoo, point):
-    harness, outcome = run_sweep_point(chaos_zoo, InMemoryDurableStore(), point)
+def test_crash_and_recover_at_boundary(chaos_zoo, store, point):
+    harness, outcome = run_sweep_point(chaos_zoo, store, point)
     assert_invariants(harness, outcome, point)
 
 
-def test_crash_mid_snapshot_dedupes_the_seam(chaos_zoo, tmp_path):
+def test_crash_mid_snapshot_dedupes_the_seam(chaos_zoo, store):
     # A small cadence forces a snapshot mid-run; the crash lands between
     # the snapshot write and the journal truncation, so recovery sees
     # the seam overlap and must dedupe it by sequence number.
     harness, outcome = run_sweep_point(
         chaos_zoo,
-        FileDurableStore(str(tmp_path / "wal")),
+        store,
         "mid_snapshot",
         snapshot_every=20,
         after_trips=1,
@@ -170,9 +181,9 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
     assert_invariants(harness, outcome, "mid_snapshot")
 
 
-def test_serial_crashes_across_multiple_points(chaos_zoo):
+def test_serial_crashes_across_multiple_points(chaos_zoo, store):
     """Several crashes in one run — one per incarnation, in plan order."""
-    harness, tokens = build_chaos_harness(chaos_zoo, InMemoryDurableStore())
+    harness, tokens = build_chaos_harness(chaos_zoo, store)
     arrivals = alternating_arrivals(tokens, n=N_ARRIVALS)
     plans = (
         CrashPlan("post_admission", after_trips=4),

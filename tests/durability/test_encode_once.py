@@ -1,0 +1,102 @@
+"""The journal's append path does each piece of work once: a request's
+body is pickled exactly once on its way through the stack, and a
+recovered queue still holds exactly what the crashed one held — the
+``dispatch_tag`` stamped after the body was encoded included."""
+
+from __future__ import annotations
+
+from unittest import mock
+
+from repro.core.tasks import TaskRequest
+from repro.durability import (
+    InMemoryDurableStore,
+    Journal,
+    begin_recovery,
+    codec,
+    gateway_restore_entries,
+    materialize_queue,
+)
+
+from .conftest import alternating_arrivals, build_chaos_harness, journal_records
+
+N_REQUESTS = 24
+
+
+def spy_on_encode_body():
+    """Count body encodings where the queue and the gateway reach them."""
+    return mock.patch.object(Journal, "encode_body", wraps=codec.encode_body)
+
+
+def test_gateway_admitted_requests_are_pickled_once_each(chaos_zoo):
+    store = InMemoryDurableStore()
+    harness, tokens = build_chaos_harness(chaos_zoo, store, snapshot_every_records=10**9)
+    arrivals = alternating_arrivals(tokens, n=N_REQUESTS)
+    with spy_on_encode_body() as encode_body:
+        outcome = harness.run(arrivals)
+    assert len(outcome.settled) == N_REQUESTS
+    encoded = [call.args[0].task_uuid for call in encode_body.call_args_list]
+    assert sorted(encoded) == sorted(req.task_uuid for _, _, req in arrivals)
+
+    # Same record count as ever; the put just no longer repeats the body.
+    puts = journal_records(store, "put")
+    assert len(journal_records(store, "admit")) == len(puts) == N_REQUESTS
+    assert all("body" not in put and put["dispatch_tag"] is not None for put in puts)
+
+
+def test_direct_submits_are_pickled_once_each_in_their_put(chaos_zoo):
+    store = InMemoryDurableStore()
+    harness, _ = build_chaos_harness(chaos_zoo, store, snapshot_every_records=10**9)
+    harness.start()
+    requests = [TaskRequest("noop", args=(i,)) for i in range(N_REQUESTS)]
+    with spy_on_encode_body() as encode_body:
+        for request in requests:
+            harness.runtime.submit(request)
+        harness.runtime.drain()
+    assert [call.args[0] for call in encode_body.call_args_list] == requests
+    puts = journal_records(store, "put")
+    assert [put["task_uuid"] for put in puts] == [r.task_uuid for r in requests]
+    assert all("dispatch_tag" not in put for put in puts)
+    assert [codec.decode_body(put["body"]) for put in puts] == requests
+
+
+def test_recovered_queue_carries_the_pre_crash_dispatch_tags(chaos_zoo):
+    store = InMemoryDurableStore()
+    harness, tokens = build_chaos_harness(chaos_zoo, store)
+    gateway = harness.start()
+    live_trace = object()  # unpicklable, like a live tracer's internals
+    for i in range(6):
+        request = TaskRequest("noop", args=(i,))
+        request.trace = live_trace
+        tenant = ("alice", "bob")[i % 2]
+        assert gateway.offer(request, token=tokens[tenant]).admitted
+
+    # Nothing is serving, so every release sits ready: three WFQ-tagged
+    # requests per tenant lane of the one servable.
+    crashed = harness.queue.dump_state()["ready"]
+    assert [len(msgs) for msgs in crashed.values()] == [3, 3]
+    tags = {
+        msg["body"].task_uuid: msg["body"].dispatch_tag
+        for msgs in crashed.values()
+        for msg in msgs
+    }
+    assert len(set(tags.values())) > 1 and None not in tags.values()
+
+    # Crash: the serving objects die, the store survives.
+    state, _journal, _report = begin_recovery(store)
+    recovered = materialize_queue(state, harness.clock).dump_state()["ready"]
+    assert list(recovered) == list(crashed)
+    for topic, msgs in recovered.items():
+        assert [m["body"].task_uuid for m in msgs] == [
+            m["body"].task_uuid for m in crashed[topic]
+        ]
+        for msg in msgs:
+            assert msg["body"].dispatch_tag == tags[msg["body"].task_uuid]
+            assert msg["body"].trace is None
+
+    # The gateway's own restore list is for lanes and slots, where the
+    # new scheduler re-stamps: it hands requests back untagged.
+    entries = gateway_restore_entries(state)
+    assert sorted(e["task_uuid"] for e in entries) == sorted(tags)
+    assert all(e["in_queue"] for e in entries)
+    assert all(e["request"].dispatch_tag is None for e in entries)
+    assert all(e["request"].trace is None for e in entries)

@@ -6,7 +6,8 @@ Tolerated (recover + flag): a torn final line, a byte-identical
 duplicate record, a snapshot/journal seam overlap. Fatal
 (:class:`JournalCorruption`): mid-journal garbage, a CRC/content
 mismatch, a sequence gap, two different records claiming one sequence,
-an unparseable snapshot document.
+an unparseable snapshot document, a record or snapshot written in an
+older format version.
 """
 
 from __future__ import annotations
@@ -139,6 +140,46 @@ def test_unparseable_snapshot_fails_loud(tmp_path):
     with open(snap, "w", encoding="utf-8") as fh:
         fh.write('{"v": 1, "messages": [truncated')
     with pytest.raises(JournalCorruption, match="unparseable snapshot"):
+        load_state(store)
+
+
+def as_format_v1(line):
+    """``line`` as a format-1 writer would have left it: intact, CRC
+    valid (the CRC covers ``rec`` only), version field 1."""
+    doc = json.loads(line)
+    doc["v"] = 1
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_v1_journal_fails_loud_naming_both_versions(tmp_path):
+    store, _, _ = seeded_store(tmp_path)
+    write_lines(store, [as_format_v1(line) for line in read_lines(store)])
+    with pytest.raises(JournalCorruption, match="format version 1, expected 2"):
+        load_state(store)
+
+
+def test_v1_final_record_is_not_mistaken_for_a_torn_tail(tmp_path):
+    # The last line is the one place recovery forgives corruption; an
+    # intact record of another version is not a tear and must not be
+    # dropped as one.
+    store, _, _ = seeded_store(tmp_path)
+    lines = read_lines(store)
+    lines[-1] = as_format_v1(lines[-1])
+    write_lines(store, lines)
+    with pytest.raises(JournalCorruption, match="format version 1, expected 2"):
+        load_state(store)
+
+
+def test_v1_snapshot_fails_loud_naming_both_versions(tmp_path):
+    store, journal, _ = seeded_store(tmp_path)
+    journal.snapshot_now()
+    snap = os.path.join(store.directory, FileDurableStore.SNAPSHOT)
+    with open(snap, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["v"] = 1
+    with open(snap, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(JournalCorruption, match="format version 1, expected 2"):
         load_state(store)
 
 

@@ -8,15 +8,25 @@ The probe is :meth:`SystemState.fingerprint` (the fold's view) against
 every operation. One journal record per public operation means offset
 ``k`` *is* the state after operation ``k`` — no sub-operation crash
 window exists by construction.
+
+The walk plays both producers: direct puts, whose record carries the
+body, and gateway-style admissions, whose ``admit`` record carries it
+while the put — and every back-dated re-put of a reclaimed request —
+carries only the ``dispatch_tag`` stamped since.
 """
 
 from __future__ import annotations
 
+import copy
+import json
+
 import pytest
 
+from repro.core.tasks import TaskRequest
 from repro.durability import (
     InMemoryDurableStore,
     Journal,
+    SystemState,
     decode_body,
     load_state,
 )
@@ -24,37 +34,82 @@ from repro.messaging.queue import QueueEmpty, TaskQueue
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import generator_from_seed
 
+from .conftest import journal_records
+
 TOPICS = ("servable/requests/alpha", "servable/tenant-t1/alpha", "beta")
 
 
 def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock):
     """Drive ``queue`` through ``n_ops`` random operations, returning
-    ``{journal_offset: dump_state}`` captured after each journaled op."""
+    ``{journal_offset: dump_state}`` captured after each journaled op.
+
+    Dumps are deep copies: a reclaimed request is re-stamped in place,
+    which must not reach back into the dumps of earlier offsets.
+    """
     rng = generator_from_seed(seed)
     withdrawn_held = []
-    dumps = {journal.last_seq: queue.dump_state()}
+    dumps = {journal.last_seq: copy.deepcopy(queue.dump_state())}
     body_i = 0
+
+    def random_topic():
+        return TOPICS[int(rng.integers(len(TOPICS)))]
+
+    def new_request(**fields):
+        # Explicit ids: the process-global counters would make two walks
+        # of one seed differ.
+        return TaskRequest(
+            "alpha",
+            args=(body_i,),
+            task_uuid=f"walk-{seed}-{body_i}",
+            sequence=body_i,
+            **fields,
+        )
+
+    def stamp(request):
+        request.dispatch_tag = float(rng.integers(1, 10_000)) / 8.0
+        return request
+
     for _ in range(n_ops):
         op = rng.choice(
-            ["put", "claim", "claim_many", "ack", "nack", "withdraw", "restore"],
-            p=[0.34, 0.14, 0.08, 0.16, 0.12, 0.08, 0.08],
+            [
+                "put", "admit_put", "claim", "claim_many", "ack", "nack",
+                "withdraw", "restore", "reput", "settle",
+            ],
+            p=[0.14, 0.20, 0.11, 0.07, 0.13, 0.10, 0.09, 0.04, 0.08, 0.04],
         )
         if rng.random() < 0.3:
             clock.advance(float(rng.integers(1, 50)) / 1000.0)
         try:
             if op == "put":
+                # A direct producer: plain payloads and hand-tagged
+                # requests alike journal their body in the put.
                 body_i += 1
-                queue.put(
-                    f"body-{seed}-{body_i}",
-                    topic=TOPICS[int(rng.integers(len(TOPICS)))],
+                body = f"body-{seed}-{body_i}"
+                if rng.random() < 0.4:
+                    body = stamp(new_request())
+                queue.put(body, topic=random_topic())
+            elif op == "admit_put":
+                # The gateway's order: admit (body encoded here, still
+                # untagged), then the release stamps the tag and puts.
+                body_i += 1
+                request = new_request(tenant="t1")
+                journal.append(
+                    "admit",
+                    {
+                        "task_uuid": request.task_uuid,
+                        "tenant": "t1",
+                        "servable": "alpha",
+                        "arrived_at": clock.now(),
+                        "weight": 1.0,
+                        "body": journal.encode_body(request),
+                    },
                 )
+                dumps[journal.last_seq] = copy.deepcopy(queue.dump_state())
+                queue.put(stamp(request), topic=random_topic())
             elif op == "claim":
-                queue.claim(TOPICS[int(rng.integers(len(TOPICS)))])
+                queue.claim(random_topic())
             elif op == "claim_many":
-                queue.claim_many(
-                    TOPICS[int(rng.integers(len(TOPICS)))],
-                    int(rng.integers(1, 5)),
-                )
+                queue.claim_many(random_topic(), int(rng.integers(1, 5)))
             elif op == "ack":
                 tags = sorted(queue._inflight)
                 if not tags:
@@ -66,13 +121,10 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                     continue
                 queue.nack(
                     tags[int(rng.integers(len(tags)))],
-                    requeue=bool(rng.random() < 0.8),
+                    requeue=bool(rng.random() < 0.65),
                 )
             elif op == "withdraw":
-                got = queue.withdraw_newest(
-                    TOPICS[int(rng.integers(len(TOPICS)))],
-                    int(rng.integers(1, 4)),
-                )
+                got = queue.withdraw_newest(random_topic(), int(rng.integers(1, 4)))
                 withdrawn_held.extend(got)
                 if not got:
                     continue  # nothing journaled, no new offset
@@ -82,13 +134,32 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                 queue.restore(
                     withdrawn_held.pop(int(rng.integers(len(withdrawn_held))))
                 )
+            elif op == "reput":
+                # A reclaimed request re-released: a back-dated,
+                # uncounted put of the same body under a fresh tag.
+                if not withdrawn_held:
+                    continue
+                message = withdrawn_held.pop(int(rng.integers(len(withdrawn_held))))
+                body = message.body
+                if isinstance(body, TaskRequest):
+                    stamp(body)
+                queue.put(body, topic=message.topic, enqueued_at=message.enqueued_at)
+            elif op == "settle":
+                # Any open request may settle — even one whose message
+                # is still queued (a result can outrun a redelivery).
+                uuids = list(journal.state.open)
+                if not uuids:
+                    continue
+                journal.append(
+                    "settle", {"task_uuid": uuids[int(rng.integers(len(uuids)))]}
+                )
         except QueueEmpty:
             continue
-        dumps[journal.last_seq] = queue.dump_state()
+        dumps[journal.last_seq] = copy.deepcopy(queue.dump_state())
     return dumps
 
 
-def build_walk(seed: int, n_ops: int = 120, snapshot_every: int = 10**9):
+def build_walk(seed: int, n_ops: int = 240, snapshot_every: int = 10**9):
     clock = VirtualClock()
     store = InMemoryDurableStore()
     journal = Journal(store, snapshot_every_records=snapshot_every)
@@ -101,9 +172,17 @@ def build_walk(seed: int, n_ops: int = 120, snapshot_every: int = 10**9):
 @pytest.mark.parametrize("seed", [7, 23, 1019])
 class TestReplayEquivalence:
     def test_shadow_fold_tracks_live_queue_exactly(self, seed):
-        _, journal, queue, dumps = build_walk(seed)
+        store, journal, queue, dumps = build_walk(seed)
         assert journal.state.fingerprint(decode_body) == queue.dump_state()
         assert journal.last_seq in dumps
+
+        # The walk really mixed both put shapes, re-puts and dead letters.
+        puts = journal_records(store, "put")
+        assert any("body" in put for put in puts)
+        assert any("body" not in put and put["counted"] for put in puts)
+        assert any("body" not in put and not put["counted"] for put in puts)
+        assert queue.dump_state()["dead"]
+        assert journal.state.settled
 
     def test_crash_at_every_journal_offset_replays_the_exact_state(self, seed):
         store, journal, queue, dumps = build_walk(seed)
@@ -118,6 +197,11 @@ class TestReplayEquivalence:
             assert report.records_replayed == offset
             assert state.fingerprint(decode_body) == dumps[offset], (
                 f"seed={seed} offset={offset}"
+            )
+            # ... and so does a snapshot taken at that offset.
+            reloaded = SystemState.from_doc(json.loads(json.dumps(state.to_doc())))
+            assert reloaded.fingerprint(decode_body) == dumps[offset], (
+                f"seed={seed} offset={offset} (snapshot round trip)"
             )
 
     def test_snapshot_cadence_changes_nothing(self, seed):
@@ -144,5 +228,6 @@ class TestReplayEquivalence:
         )
         journal.append("settle", {"task_uuid": "task-x"})
         state, _ = load_state(store)
-        assert state.settled == {"task-x": True}
-        assert state.open == {}
+        assert "task-x" in state.settled and "task-x" not in state.open
+        assert state.settled == journal.state.settled
+        assert state.open == journal.state.open

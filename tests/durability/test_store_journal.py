@@ -5,9 +5,14 @@ medium, and the queue's attach/dump/load surface."""
 
 from __future__ import annotations
 
+import builtins
 import json
+import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.tasks import TaskRequest
 from repro.durability import (
@@ -19,7 +24,7 @@ from repro.durability import (
     encode_body,
     load_state,
 )
-from repro.durability.codec import decode_record, encode_record
+from repro.durability.codec import FORMAT_VERSION, decode_record, encode_record
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
 
@@ -45,6 +50,64 @@ def test_record_codec_rejects_stale_crc():
         decode_record(tampered)
 
 
+def two_dump_line(seq, op, data):
+    """The reference form of a record line: dump ``rec`` for the CRC,
+    then dump the whole envelope (which serializes ``rec`` again)."""
+    rec = [seq, op, data]
+    crc = zlib.crc32(
+        json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    return json.dumps(
+        {"crc": crc, "rec": rec, "v": FORMAT_VERSION},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+GOLDEN_CORPUS = [
+    (1, "ack", {"delivery_tag": 43}),
+    (2, "settle", {"task_uuid": "tâche-é-日本語-\U0001f600"}),
+    (3, "claim", {"topic": "t", "claims": [[1, 2], [3, 4]], "claimed_at": 1e-07}),
+    (4, "put", {"zeta": 1.0, "alpha": {"m": [1e22, -0.0, 2.5e-300], "b": None}, "mid": True}),
+    (5, "recover", {"released": {"t/b": [2], "t/a": [9, 1]}, "dead": [], "dropped": []}),
+    (6, "put", {"body": "gAWV8AAAAA+/==", "quote\"d\\key": "line\nbreak\ttab"}),
+    (2**40, "baseline", {}),
+]
+
+
+@pytest.mark.parametrize("seq, op, data", GOLDEN_CORPUS)
+def test_record_line_equals_the_two_dump_form(seq, op, data):
+    # Non-ASCII text, exponent floats and dicts in unsorted insertion
+    # order: the spliced single dump must match the sorted-keys dump of
+    # the whole envelope byte for byte (the CRC contract rides on it).
+    line = encode_record(seq, op, data)
+    assert line == two_dump_line(seq, op, data)
+    assert decode_record(line) == (seq, op, data)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(
+    seq=st.integers(min_value=1),
+    op=st.text(),
+    data=st.dictionaries(st.text(), JSON_VALUES, max_size=5),
+)
+def test_record_codec_round_trips_any_json_data(seq, op, data):
+    line = encode_record(seq, op, data)
+    assert decode_record(line) == (seq, op, data)
+    assert line == two_dump_line(seq, op, data)
+
+
 def test_body_codec_round_trips_requests():
     request = TaskRequest("noop", args=(1, "x"), kwargs={"k": 2.5})
     decoded = decode_body(encode_body(request))
@@ -65,7 +128,7 @@ def test_body_codec_strips_trace_context():
 
 def test_corrupt_body_fails_loud():
     with pytest.raises(JournalCorruption, match="undecodable message body"):
-        decode_body("definitely-not-base64-zlib-pickle")
+        decode_body("definitely-not-a-base64-pickle")
 
 
 # -- journal write path -------------------------------------------------------
@@ -154,6 +217,30 @@ def test_file_store_persists_across_instances(tmp_path):
     state, report = load_state(reopened)
     assert report.snapshot_used
     assert state.fingerprint(decode_body) == queue.dump_state()
+
+
+def test_file_store_opens_its_journal_once_per_snapshot_interval(tmp_path):
+    store = FileDurableStore(str(tmp_path / "wal"))
+    with mock.patch.object(builtins, "open", wraps=open) as opened:
+
+        def append_opens():
+            return sum(c.args[1:2] == ("a",) for c in opened.call_args_list)
+
+        for seq in range(1, 6):
+            store.append(seq, encode_record(seq, "settle", {"task_uuid": f"u{seq}"}))
+            assert len(store.read_journal()) == seq  # flushed per record
+        assert append_opens() == 1
+
+        # The snapshot swaps the journal file; the handle must follow it.
+        store.write_snapshot("{}", 3)
+        store.append(6, encode_record(6, "settle", {"task_uuid": "u6"}))
+        assert append_opens() == 2
+    assert [decode_record(line)[0] for line in store.read_journal()] == [4, 5, 6]
+    store.close()
+    store.close()  # idempotent; a later append reopens
+    store.append(7, encode_record(7, "settle", {"task_uuid": "u7"}))
+    assert len(store.read_journal()) == 4
+    store.close()
 
 
 def test_file_store_empty_directory_reads_clean(tmp_path):

@@ -100,6 +100,13 @@ REGISTRY: dict[str, dict[str, dict]] = {
         "arms.chaos.crashes[0].at_s": {"min": 0.5, "max": 1.0, "rel_tol": 0.0},
         "arms.chaos.recoveries[0].restored_open": {"min": 1, "rel_tol": 0.0},
         "arms.chaos.recoveries[0].released": {"min": 1, "rel_tol": 0.0},
+        # The record stream itself: how many records, when snapshots
+        # fall, where the crashed journal ended. How a record is
+        # encoded may change; how many there are may not.
+        "arms.steady.journal.records_appended": {"equals": 1165, "rel_tol": 0.0},
+        "arms.steady.journal.snapshots_taken": {"equals": 18, "rel_tol": 0.0},
+        "arms.chaos.journal.last_seq": {"equals": 1147, "rel_tol": 0.0},
+        "arms.chaos.recoveries[0].records_replayed": {"equals": 0, "rel_tol": 0.0},
         # Bounded tail penalty: one restart downtime plus re-serve slack
         # (the committed params carry the same bound the bench asserts).
         "p99_penalty_s": {"min": 0.0, "max": 0.75, "rel_tol": 0.0},

@@ -96,12 +96,29 @@ ACCUMULATION_MODULES: frozenset[str] = frozenset(
 )
 
 #: Registered per-tick hot functions, ``relpath -> {Class.method, ...}``.
-#: PR 6 made these O(log n) / O(1); HOT001 flags new list/dict/set
-#: comprehensions and ``.copy()`` calls inside them so allocation creep
-#: needs a written justification, not just a quiet diff.
+#: PR 6 made the scheduling decisions O(log n) / O(1) and the timer-heap
+#: kernel made a serve-loop wake-up cost what is due, not what exists —
+#: the loop, settlement, routing and the gateway hooks it calls no
+#: longer rebuild a list or walk the fleet per wake-up. HOT001 flags new
+#: list/dict/set comprehensions and ``.copy()`` calls inside them so
+#: allocation creep needs a written justification, not just a quiet diff.
 HOT_FUNCTIONS: dict[str, frozenset[str]] = {
-    "core/runtime.py": frozenset({"ServingRuntime._next_window"}),
-    "gateway/gateway.py": frozenset({"ServingGateway._pump"}),
+    "core/runtime.py": frozenset(
+        {
+            "ServingRuntime._next_window",
+            "ServingRuntime.serve",
+            "ServingRuntime._settle",
+            "ServingRuntime._route",
+        }
+    ),
+    "gateway/gateway.py": frozenset(
+        {
+            "ServingGateway._pump",
+            "ServingGateway.on_tick",
+            "ServingGateway._derive_budget",
+            "ServingGateway.on_settled",
+        }
+    ),
     "gateway/scheduler.py": frozenset({"WeightedFairScheduler.dequeue_eligible"}),
     "core/fleet.py": frozenset({"FleetController.observe"}),
 }

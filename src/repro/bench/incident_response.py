@@ -144,22 +144,6 @@ def _gateway_over(
     )
 
 
-class _ControllerMux:
-    """Run several serve-loop controllers off the runtime's one slot."""
-
-    def __init__(self, *controllers) -> None:
-        self.controllers = controllers
-
-    def next_wakeup(self) -> float:
-        """Earliest wakeup any chained controller wants."""
-        return min(c.next_wakeup() for c in self.controllers)
-
-    def on_tick(self) -> None:
-        """Tick every chained controller in attach order."""
-        for controller in self.controllers:
-            controller.on_tick()
-
-
 def _phase_p95_ms(
     results, tenant: str, start: float, end: float, base: float
 ) -> float | None:
@@ -233,9 +217,10 @@ def _run_arm(seed: int, reactive: bool) -> dict:
         sampler=sampler,
         scrape_interval_s=SCRAPE_INTERVAL_S,
     )
-    # The controller self-attached at construction; chain the loop in
-    # *front* so each reconcile drains freshly evaluated transitions.
-    runtime.attach_controller(_ControllerMux(loop, controller))
+    # The controller self-attached at construction; re-attach with the
+    # loop in *front* so each reconcile drains freshly evaluated
+    # transitions.
+    runtime.attach_controller(loop, controller)
 
     fixed = sample_input(SERVABLE)
     duration = _duration_s()

@@ -223,22 +223,6 @@ class _HoldSteadyPolicy(FleetPolicy):
         )
 
 
-class _ControllerMux:
-    """Run several serve-loop controllers off the runtime's one slot."""
-
-    def __init__(self, *controllers) -> None:
-        self.controllers = controllers
-
-    def next_wakeup(self) -> float:
-        """Earliest wakeup any chained controller wants."""
-        return min(c.next_wakeup() for c in self.controllers)
-
-    def on_tick(self) -> None:
-        """Tick every chained controller in attach order."""
-        for controller in self.controllers:
-            controller.on_tick()
-
-
 def _run_telemetry_arm(seed: int) -> dict:
     """The contended arm re-run fully traced, with SLO burn monitoring.
 
@@ -266,9 +250,9 @@ def _run_telemetry_arm(seed: int) -> dict:
         slo_monitor=slo_monitor,
     )
     scaler = _MidRunScaleUp(testbed, runtime, SERVABLE, SCALE_UP_AT_S)
-    # The FleetController self-attached at construction; chain it with
-    # the mid-run scale-up behind the runtime's single controller slot.
-    runtime.attach_controller(_ControllerMux(scaler, controller))
+    # The FleetController self-attached at construction; re-attach it
+    # behind the mid-run scale-up.
+    runtime.attach_controller(scaler, controller)
     hub = build_hub(
         runtime=runtime,
         gateway=gateway,

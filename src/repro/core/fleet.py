@@ -397,9 +397,10 @@ class FleetController:
     """Reconciliation loop turning the static serving fleet elastic.
 
     Attach to a :class:`ServingRuntime` (done automatically on
-    construction); the serve loop then calls :meth:`on_tick` every
-    iteration and honours :meth:`next_wakeup`, so reconciles fire every
-    ``interval_s`` of virtual time while traffic flows. The controller
+    construction); the serve loop then keeps a timer at
+    :meth:`next_wakeup` and calls :meth:`on_tick` when it is due, so
+    reconciles fire every ``interval_s`` of virtual time while traffic
+    flows. The controller
     also runs standalone: advance the clock and call :meth:`reconcile`
     directly (benchmarks use this to cool the fleet down after a spike).
 

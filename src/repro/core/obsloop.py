@@ -797,9 +797,9 @@ class ReactiveSLOPolicy(FleetPolicy):
 class ObservabilityLoop:
     """Serve-loop controller that drives scrape → store → rule → react.
 
-    Attach to a :class:`~repro.core.runtime.ServingRuntime` (directly
-    or through a controller mux, alongside a
-    :class:`~repro.core.fleet.FleetController`). Every
+    Attach to a :class:`~repro.core.runtime.ServingRuntime`
+    (``runtime.attach_controller(loop, controller)`` puts it in front
+    of a :class:`~repro.core.fleet.FleetController`). Every
     ``scrape_interval_s`` of virtual time it:
 
     1. scrapes the hub into the :class:`SeriesStore`,
@@ -844,7 +844,8 @@ class ObservabilityLoop:
         return self._next_scrape
 
     def on_tick(self) -> None:
-        """Scrape if due (the serve loop calls this every iteration)."""
+        """Scrape if due (the serve loop calls this when
+        :meth:`next_wakeup` is reached)."""
         now = self.clock.now()
         if now + 1e-12 < self._next_scrape:
             return

@@ -47,10 +47,29 @@ from repro.core.task_manager import TaskManager
 from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
 from repro.messaging.queue import QueuedMessage, TaskQueue, servable_topic
 from repro.sim.clock import VirtualClock
+from repro.sim.events import EventLoop
 
 #: Epsilon for virtual-clock deadline comparisons (guards against float
 #: accumulation pushing a due window just past ``now``).
 _EPS = 1e-12
+
+#: The serve loop's phases, in the order one wake-up runs them; also the
+#: ``phase`` of each wake-up source's timer on :attr:`ServingRuntime.timers`
+#: (see "The serve loop's contract" in docs/ARCHITECTURE.md). Lane GC
+#: sits between the controller and settle phases but is a guard, not a
+#: timer, so it has no number.
+PHASE_EXPIRE = 0  # visibility expiry of claims a consumer abandoned
+PHASE_CONTROLLER = 1  # one timer per attached controller
+PHASE_SETTLE = 2  # completion of the earliest parked batch
+PHASE_INGRESS = 3  # the ingress' arrival cursor and drain deadline
+PHASE_ARRIVALS = 4  # the runtime's own arrival cursor
+PHASE_DISPATCH = 5  # next flush deadline / host-free time behind a due window
+_CONTROLLER = 1 << PHASE_CONTROLLER
+_SETTLE = 1 << PHASE_SETTLE
+_INGRESS = 1 << PHASE_INGRESS
+_ARRIVALS = 1 << PHASE_ARRIVALS
+_DISPATCH = 1 << PHASE_DISPATCH
+_ALL_PHASES = (1 << (PHASE_DISPATCH + 1)) - 1
 
 
 class ServingRuntimeError(RuntimeError):
@@ -233,12 +252,26 @@ class ServingRuntime:
         self._warm_at: dict[str, float] = {}
         self._specs: dict[str, PlacementSpec] = {}
         self._down: set[str] = set()
-        self._pending: list[_PendingBatch] = []
+        #: Bumped by every event that can move the fleet's capacity or a
+        #: servable's live-host list (:meth:`_fleet_changed`); read
+        #: through :meth:`fleet_epoch`.
+        self._fleet_epoch = 0
+        #: servable -> its live hosts in copy order; rebuilt on first use
+        #: after :meth:`_fleet_changed` cleared it.
+        self._live_hosts: dict[str, list[TaskManager]] = {}
+        #: Earliest warm-up deadline not yet reached (``inf`` when no
+        #: worker is warming). Not a wake-up source: the loop compares it
+        #: with ``now`` on whatever wake-up comes next.
+        self._next_warm = math.inf
+        #: Parked micro-batches as a heap of ``(completed_at, seq,
+        #: batch)``: the top is the next completion, and popping it in
+        #: order *is* the settlement order.
+        self._pending: list[tuple[float, int, _PendingBatch]] = []
         #: topic -> batches claimed off it that are parked on
         #: ``_pending``; moved where ``_pending`` gains and loses them.
         self._pending_by_topic: dict[str, int] = {}
         self._seq = itertools.count(1)
-        # -- event indices (see "serve-loop event indices" in
+        # -- event indices (see "The serve loop's contract" in
         # docs/ARCHITECTURE.md). The queue's ready-set listener marks
         # topics *dirty*; `_next_window` lazily re-derives each dirty
         # topic's authoritative window state (`_win`) and keeps two
@@ -259,16 +292,38 @@ class ServingRuntime:
         #: O(1) ready-depth counter per servable (replaces summing
         #: `ready_count` over every lane).
         self._ready_depth: dict[str, int] = {}
-        #: All topics this runtime owns, maintained incrementally
-        #: (place/submit add, lane GC removes) — `_topics()` built this
-        #: list from scratch every serve iteration.
-        self._owned_topics: set[str] = set()
+        #: Every topic this runtime owns -> its ``(servable, lane)``,
+        #: maintained incrementally (place/submit add, lane GC removes).
+        #: Membership is the queue listener's ownership test, and the
+        #: value saves the hot path from taking topic strings apart.
+        self._owned_topics: dict[str, tuple[str, str]] = {}
+        #: ``(servable, tenant)`` -> ``(lane, topic)`` for every tracked
+        #: lane (tenant ``None`` is the default lane), so a submit names
+        #: its lane and topic with one lookup. Never outlives the lane.
+        self._submit_lane: dict[tuple[str, str | None], tuple[str, str]] = {}
         queue.subscribe(self._on_queue_event)
         self.tracer = tracer
         if tracer is not None:
             queue.subscribe_dead_letter(self._on_dead_letter)
-        self._controller = None
+        # -- the serve loop's kernel: one timer heap, one timer per
+        # wake-up source, and the phases raised for the next pass.
+        #: Every future wake-up of :meth:`serve`, ordered ``(when,
+        #: phase, seq)``. Sources outside the runtime (the gateway's
+        #: arrival cursor and drain deadline) keep their own timers on it.
+        self.timers = EventLoop(clock)
+        self._arrival_timer = self.timers.timer(PHASE_ARRIVALS, name="arrivals")
+        self._settle_timer = self.timers.timer(PHASE_SETTLE, name="settle")
+        self._window_timer = self.timers.timer(PHASE_DISPATCH, name="window")
+        self._expiry_timer = self.timers.timer(PHASE_EXPIRE, name="expiry")
+        #: Bitmask of phases the next pass of :meth:`serve` must run
+        #: even without a due timer — raised by events, cleared by the
+        #: phase that serves them.
+        self._raised = _ALL_PHASES
+        self._controllers: tuple = ()
+        self._controller_timers: tuple = ()
         self._ingress = None
+        for worker in self.workers:
+            worker.watch_liveness(self._fleet_changed)
         #: Optional fault injector (chaos tests); trips named injection
         #: points on the dispatch and settlement paths.
         self.chaos = None
@@ -295,10 +350,12 @@ class ServingRuntime:
                 f"worker {worker.name!r} does not consume this runtime's queue"
             )
         self.workers.append(worker)
+        worker.watch_liveness(self._fleet_changed)
         # A provisioned worker may join with a cold start already
         # charged to its clock (container pull + start); it is warming
         # until global time catches up.
-        self._warm_at[worker.name] = worker.clock.now()
+        self._warm_at[worker.name] = warm_at = worker.clock.now()
+        self._next_warm = min(self._next_warm, warm_at)
         self._notify_fleet_change()
         return worker
 
@@ -331,6 +388,37 @@ class ServingRuntime:
         """
         return self._warm_at.get(worker.name, 0.0) > self.clock.now() + _EPS
 
+    def _fleet_changed(self) -> None:
+        """Fold one fleet event into what the serve loop caches.
+
+        Called for everything that can move the fleet's capacity or a
+        servable's live-host list: workers joining, leaving, flipping
+        liveness (``mark_down`` / ``mark_up`` / ``revive``, and a
+        worker's own ``crash`` / ``recover`` through
+        :meth:`TaskManager.watch_liveness`) or warming up, and host
+        lists gaining or shedding a copy. It only invalidates — the
+        epoch moves, the live-host lists are dropped, and the ingress
+        and dispatch phases are raised — so whatever depends on the
+        fleet is re-derived by the wake-up that sees the change, in
+        that phase's usual place.
+        """
+        self._fleet_epoch += 1
+        self._live_hosts.clear()
+        self._raised |= _INGRESS | _DISPATCH
+
+    def fleet_epoch(self, now: float) -> int:
+        """A counter that has moved iff, as of ``now``, the fleet's
+        capacity or a live-host list may have changed since it was last
+        read — a warm-up deadline that ``now`` has reached counts.
+
+        Whoever caches something derived from the fleet (the gateway's
+        live slot budget) keeps the epoch it derived at and compares,
+        instead of re-deriving per wake-up.
+        """
+        if now + _EPS >= self._next_warm:
+            self._warmed(now)
+        return self._fleet_epoch
+
     def _notify_fleet_change(self) -> None:
         """Tell the attached ingress the fleet's capacity moved.
 
@@ -339,8 +427,19 @@ class ServingRuntime:
         and liveness flips show up in admission headroom immediately
         instead of at the next settle.
         """
+        self._fleet_changed()
         if self._ingress is not None and hasattr(self._ingress, "on_fleet_change"):
             self._ingress.on_fleet_change()
+
+    def _warmed(self, now: float) -> None:
+        """The clock reached :attr:`_next_warm`: a worker finished its
+        cold start, which changes capacity like any other fleet event.
+        Find the next deadline still ahead."""
+        horizon = now + _EPS
+        self._next_warm = min(
+            (at for at in self._warm_at.values() if at > horizon), default=math.inf
+        )
+        self._fleet_changed()
 
     def free_at(self, worker: TaskManager) -> float:
         """When ``worker`` can accept its next batch.
@@ -395,12 +494,13 @@ class ServingRuntime:
             )
             self._mark_warming(worker)
         self._hosts[servable.name] = chosen
+        self._fleet_changed()
         # Seed the event indices: messages put on the default-lane topic
         # before placement predate the queue listener's visibility filter
         # (unplaced servables are not ours), so baseline the depth
         # counter from the queue and mark the topic dirty.
-        default_topic = servable_topic(servable.name)
-        self._owned_topics.add(default_topic)
+        self._lanes.setdefault(servable.name, {"requests"})
+        default_topic = self._own_lane(servable.name, None, "requests")
         self._ready_depth[servable.name] = self.queue.ready_count(default_topic)
         if self._ready_depth[servable.name]:
             self._dirty.add(default_topic)
@@ -444,14 +544,14 @@ class ServingRuntime:
                     f"for {servable.name!r}; use place() instead"
                 )
         self._hosts[servable.name] = chosen
+        self._fleet_changed()
         self._specs[servable.name] = PlacementSpec(
             servable=servable,
             image=image,
             executor_name=executor_name,
             replicas=replicas,
         )
-        default_topic = servable_topic(servable.name)
-        self._owned_topics.add(default_topic)
+        default_topic = self._own_lane(servable.name, None, "requests")
         depth = self.queue.ready_count(default_topic)
         if depth:
             self._dirty.add(default_topic)
@@ -467,7 +567,7 @@ class ServingRuntime:
             if name != servable.name or lane == "requests":
                 continue
             lanes.add(lane)
-            self._owned_topics.add(topic)
+            self._owned_topics[topic] = (name, lane)
             self._touch_lane(name, lane)
             depth += self.queue.ready_count(topic)
             self._dirty.add(topic)
@@ -506,6 +606,7 @@ class ServingRuntime:
         self._mark_warming(worker)
         self._warm_memo_cache(servable_name, hosts, worker)
         hosts.append(worker)
+        self._fleet_changed()
         return worker
 
     def _mark_warming(self, worker: TaskManager) -> None:
@@ -513,9 +614,10 @@ class ServingRuntime:
         clock; capacity planners exclude it until global time catches
         up (:meth:`is_warming`), and the budget re-derives now so the
         exclusion takes effect immediately."""
-        self._warm_at[worker.name] = max(
+        self._warm_at[worker.name] = warm_at = max(
             self._warm_at.get(worker.name, 0.0), worker.clock.now()
         )
+        self._next_warm = min(self._next_warm, warm_at)
         self._notify_fleet_change()
 
     def _warm_memo_cache(
@@ -567,6 +669,7 @@ class ServingRuntime:
             )
         match[0].unregister_servable(servable_name)
         hosts.remove(match[0])
+        self._fleet_changed()
 
     def placement(self) -> dict[str, list[str]]:
         """Servable name -> names of the workers hosting it."""
@@ -574,10 +677,14 @@ class ServingRuntime:
 
     def hosts(self, servable_name: str) -> list[TaskManager]:
         """The workers hosting ``servable_name`` (copy order preserved)."""
-        hosts = self._hosts.get(servable_name)
-        if hosts is None:
+        self.check_placed(servable_name)
+        return list(self._hosts[servable_name])
+
+    def check_placed(self, servable_name: str) -> None:
+        """Raise unless ``servable_name`` has a placement — the door
+        check of every submission path, without copying the host list."""
+        if servable_name not in self._hosts:
             raise ServingRuntimeError(f"servable {servable_name!r} is not placed")
-        return list(hosts)
 
     # -- worker liveness ----------------------------------------------------------
     def mark_down(self, worker_name: str) -> None:
@@ -637,45 +744,79 @@ class ServingRuntime:
             queue_depths={name: self.queue_depth(name) for name in self._hosts},
         )
 
+    def _live_hosts_of(self, servable_name: str) -> list[TaskManager]:
+        """Rebuild one servable's live-host list (copy order) after a
+        fleet event dropped it."""
+        self.check_placed(servable_name)
+        live = [w for w in self._hosts[servable_name] if self._is_live(w)]
+        self._live_hosts[servable_name] = live
+        return live
+
     def _route(self, servable_name: str, now: float) -> tuple[TaskManager | None, float]:
         """Pick a live host free at ``now``; also report the earliest time
-        any live host frees up (``inf`` when none is live)."""
-        best: tuple[float, int, TaskManager] | None = None
-        earliest_free = math.inf
-        for idx, worker in enumerate(self.hosts(servable_name)):
-            if not self._is_live(worker):
-                continue
-            free = self.free_at(worker)
-            earliest_free = min(earliest_free, free)
-            if free <= now + _EPS and (best is None or (free, idx) < best[:2]):
-                best = (free, idx, worker)
-        return (best[2] if best else None), earliest_free
+        any live host frees up (``inf`` when none is live).
+
+        Among free hosts the one that has been free longest wins, the
+        first in copy order on a tie. Liveness is not probed here: the
+        walk is over the servable's cached live-host list, which every
+        event that could change it invalidates (:meth:`_fleet_changed`).
+        """
+        hosts = self._live_hosts.get(servable_name)
+        if hosts is None:
+            hosts = self._live_hosts_of(servable_name)
+        horizon = now + _EPS
+        best = None
+        best_free = earliest_free = math.inf
+        for worker in hosts:
+            free = worker.clock.now()  # `free_at`, inlined
+            if free < earliest_free:
+                earliest_free = free
+            if free <= horizon and free < best_free:
+                best, best_free = worker, free
+        return best, earliest_free
 
     # -- control plane ------------------------------------------------------------
-    def attach_controller(self, controller) -> None:
-        """Hook a fleet controller into the serve loop.
+    def attach_controller(self, *controllers) -> None:
+        """Hook fleet controllers into the serve loop, replacing whatever
+        was attached before (no argument detaches them all).
 
-        The controller must expose ``on_tick()`` (called once per loop
-        iteration) and ``next_wakeup() -> float`` (folded into the loop's
-        sleep target so reconciles fire on schedule even when the data
-        plane is idle between arrivals).
+        Each controller must expose ``next_wakeup() -> float`` and
+        ``on_tick()``. The loop keeps one timer per controller at its
+        ``next_wakeup()`` and calls ``on_tick()`` when that time is
+        due — several due at one instant tick in the order given here
+        — then asks ``next_wakeup()`` again. Wake-ups are honoured
+        while the data plane has work or the ingress holds requests;
+        they do not keep an otherwise drained loop running.
         """
-        self._controller = controller
+        for timer in self._controller_timers:
+            timer.cancel()
+        self._controllers = controllers
+        self._controller_timers = tuple(
+            self.timers.timer(PHASE_CONTROLLER, name="controller") for _ in controllers
+        )
+        self._raised |= _CONTROLLER
 
     def attach_ingress(self, ingress) -> None:
         """Hook a request source (e.g. a serving gateway) into the loop.
 
         The ingress must expose:
 
-        * ``on_tick(now)`` — inject any arrivals due at ``now`` (via
-          :meth:`submit`) and release throttled work;
+        * ``on_tick(now)`` — called when something of the ingress' is
+          due: one of its timers, a settlement, or a fleet change.
+          Inject the arrivals due at ``now`` (via :meth:`submit`) and
+          release throttled work;
         * ``on_settled(results)`` — observe completed
           :class:`RuntimeResult` items (frees dispatch slots, settles
-          per-tenant in-flight accounting);
-        * ``next_event() -> float`` — earliest future virtual time the
-          ingress needs the loop awake (``inf`` when it is idle);
-        * ``pending() -> int`` — work the ingress still holds; the loop
-          refuses to exit while this is non-zero.
+          per-tenant in-flight accounting); always followed by
+          ``on_tick``;
+        * ``pending() -> int`` — work the ingress still holds; asked
+          only when the loop has run out of wake-ups, which it refuses
+          to treat as "drained" while this is non-zero.
+
+        The ingress is not polled for its next wake-up: it keeps timers
+        of phase :data:`PHASE_INGRESS` on :attr:`timers` and moves them
+        (:meth:`~repro.sim.events.EventLoop.reschedule`) whenever its
+        next due time changes.
 
         This is how admission-controlled traffic reaches the runtime
         without the runtime knowing about tenants: the gateway holds
@@ -683,6 +824,7 @@ class ServingRuntime:
         topics from ``on_tick``/``on_settled``.
         """
         self._ingress = ingress
+        self._raised |= _INGRESS
 
     def detach_ingress(self) -> None:
         """Unhook the request source from the serve loop."""
@@ -706,37 +848,53 @@ class ServingRuntime:
                 "the runtime coalesces single-item requests; submit items "
                 "individually instead of pre-formed batches"
             )
-        # Reject unplaced servables at the door: once enqueued they would
-        # poison the serve loop for every other topic.
-        self.hosts(request.servable_name)
         name = request.servable_name
-        lane = "requests" if request.tenant is None else f"tenant-{request.tenant}"
-        lanes = self._lanes.setdefault(name, {"requests"})
-        if lane not in lanes:
-            # Tenant churn pays for its own cleanup: tracking a new lane
-            # first drops whatever lanes have idled out.
-            self._collect_idle_lanes(self.clock.now())
-            lanes.add(lane)
-            # A newly tracked lane makes its topic visible to the
-            # dispatch scan; messages put there directly (not via
-            # submit) predate the listener filter, so baseline them in.
-            topic = servable_topic(name, lane=lane)
-            self._owned_topics.add(topic)
-            preexisting = self.queue.ready_count(topic)
-            if preexisting:
-                self._ready_depth[name] = (
-                    self._ready_depth.get(name, 0) + preexisting
-                )
-                self._dirty.add(topic)
+        entry = self._submit_lane.get((name, request.tenant))
+        if entry is None:
+            entry = self._track_lane(name, request.tenant)
+        lane, topic = entry
         self._touch_lane(name, lane)
         # Gateway-less traffic gets its trace opened lazily at
         # settlement (or dead-letter), keyed off the message's enqueue
         # time — no per-request tracer work or live Trace object while
         # the request waits. Admitted requests already carry a trace
         # the gateway began (with admission/lane-wait spans on it).
-        return self.queue.put(
-            request, topic=servable_topic(name, lane=lane), enqueued_at=enqueued_at
-        )
+        return self.queue.put(request, topic=topic, enqueued_at=enqueued_at)
+
+    def _own_lane(self, name: str, tenant: str | None, lane: str) -> str:
+        """Enter one lane of a placed servable into the topic tables;
+        returns its topic."""
+        topic = servable_topic(name, lane=lane)
+        self._owned_topics[topic] = (name, lane)
+        self._submit_lane[(name, tenant)] = (lane, topic)
+        return topic
+
+    def _track_lane(self, name: str, tenant: str | None) -> tuple[str, str]:
+        """First submit onto a lane the tables do not know: start
+        tracking it and return its ``(lane, topic)``."""
+        # Reject unplaced servables at the door: once enqueued they would
+        # poison the serve loop for every other topic.
+        self.check_placed(name)
+        lane = "requests" if tenant is None else f"tenant-{tenant}"
+        lanes = self._lanes.setdefault(name, {"requests"})
+        fresh = lane not in lanes
+        if fresh:
+            # Tenant churn pays for its own cleanup: tracking a new lane
+            # first drops whatever lanes have idled out.
+            self._collect_idle_lanes(self.clock.now())
+            lanes.add(lane)
+        topic = self._own_lane(name, tenant, lane)
+        if fresh:
+            # A newly tracked lane makes its topic visible to the
+            # dispatch scan; messages put there directly (not via
+            # submit) predate the listener filter, so baseline them in.
+            preexisting = self.queue.ready_count(topic)
+            if preexisting:
+                self._ready_depth[name] = (
+                    self._ready_depth.get(name, 0) + preexisting
+                )
+                self._dirty.add(topic)
+        return lane, topic
 
     def _on_dead_letter(self, message: QueuedMessage) -> None:
         """Close out the trace of a message that will never settle."""
@@ -797,8 +955,9 @@ class ServingRuntime:
             self._lanes[name].discard(lane)
             del self._lane_active[(name, lane)]
             # A collected lane is empty and settled, so the indices hold
-            # no live state for it — only drop topic ownership.
-            self._owned_topics.discard(topic)
+            # no live state for it — only drop it from the topic tables.
+            del self._owned_topics[topic]
+            self._submit_lane.pop((name, lane.removeprefix("tenant-")), None)
         self.lanes_collected += len(collectable)
         return len(collectable)
 
@@ -817,31 +976,16 @@ class ServingRuntime:
         )
 
     # -- coalescing loop ----------------------------------------------------------
-    def _flush_due(self, topic: str) -> float:
-        """When the coalescing window on ``topic`` must close.
+    def _flush_due(self, topic: str, head: QueuedMessage) -> float:
+        """When the coalescing window on ``topic`` (whose oldest ready
+        message is ``head``) must close.
 
         A full window is due at its head's enqueue time (i.e. now);
         otherwise the head may wait at most ``max_coalesce_delay_s``.
         """
-        head = self.queue.oldest_ready(topic)
-        assert head is not None
         if self.queue.ready_count(topic) >= self.max_batch_size:
             return head.enqueued_at
         return head.enqueued_at + self.max_coalesce_delay_s
-
-    def _topics(self) -> list[str]:
-        """The topics this runtime owns: one per placed servable per
-        lane it has seen (default lane plus any tenant lanes).
-
-        The queue is shared with other consumers (e.g. the Management
-        Service's sync lane) — the coalescing loop must never scan,
-        claim, or flush traffic it doesn't own.
-        """
-        return [
-            servable_topic(name, lane=lane)
-            for name in self._hosts
-            for lane in sorted(self._lanes.get(name, {"requests"}))
-        ]
 
     # -- event indices ------------------------------------------------------------
     def _on_queue_event(self, topic: str, delta: int) -> None:
@@ -852,16 +996,10 @@ class ServingRuntime:
         topic must stay invisible to the dispatch scan exactly as it was
         under the linear implementation.
         """
-        parts = topic.split("/", 2)
-        if len(parts) != 3 or parts[0] != "servable":
+        owned = self._owned_topics.get(topic)
+        if owned is None:
             return
-        lane, name = parts[1], parts[2]
-        if name not in self._hosts:
-            return
-        if lane != "requests":
-            lanes = self._lanes.get(name)
-            if lanes is None or lane not in lanes:
-                return
+        name = owned[0]
         self._ready_depth[name] = self._ready_depth.get(name, 0) + delta
         self._dirty.add(topic)
 
@@ -878,16 +1016,18 @@ class ServingRuntime:
             return
         for topic in self._dirty:
             head = self.queue.oldest_ready(topic)
-            if head is None:
+            owned = self._owned_topics.get(topic)
+            if head is None or owned is None:
+                # Drained — or collected with its last event unrefreshed.
                 self._win.pop(topic, None)
                 continue
             tag = getattr(head.body, "dispatch_tag", None)
             rank = (-math.inf) if tag is None else tag
-            state = (rank, self._flush_due(topic))
+            state = (rank, self._flush_due(topic, head))
             if self._win.get(topic) == state:
                 continue
             self._win[topic] = state
-            name = topic.split("/", 2)[2]
+            name = owned[0]
             if state[1] <= now + _EPS:
                 heapq.heappush(
                     self._due.setdefault(name, []), (state[0], state[1], topic)
@@ -1003,7 +1143,7 @@ class ServingRuntime:
                     routed = True
                 if worker is None and math.isinf(earliest_free):
                     continue
-                flush_at = self._flush_due(topic)
+                flush_at = self._flush_due(topic, head)
                 if flush_at <= now + _EPS:
                     if worker is not None:
                         tag = getattr(head.body, "dispatch_tag", None)
@@ -1114,7 +1254,7 @@ class ServingRuntime:
         servable_name = head.body.servable_name
         now = self.clock.now()
         # Claiming is lane activity: an active tenant's lane never GCs.
-        self._touch_lane(servable_name, topic.split("/", 2)[1])
+        self._touch_lane(servable_name, self._owned_topics[topic][1])
         # Resolve routing before claiming so a routing failure leaves the
         # messages ready (not stranded in flight awaiting expiry).
         worker, _ = self._route(servable_name, now)
@@ -1219,17 +1359,26 @@ class ServingRuntime:
                 messages[0].enqueued_at,
             )
         self._pending_by_topic[topic] = self._pending_by_topic.get(topic, 0) + 1
-        self._pending.append(
-            _PendingBatch(
-                completed_at=worker.clock.now(),
-                seq=seq,
-                worker_name=worker.name,
-                messages=messages,
-                requests=requests,
-                results=item_results,
-                trace_ctx=trace_ctx,
-            )
+        completed_at = worker.clock.now()
+        heapq.heappush(
+            self._pending,
+            (
+                completed_at,
+                seq,
+                _PendingBatch(
+                    completed_at=completed_at,
+                    seq=seq,
+                    worker_name=worker.name,
+                    messages=messages,
+                    requests=requests,
+                    results=item_results,
+                    trace_ctx=trace_ctx,
+                ),
+            ),
         )
+        # Only an earlier completion moves the settle timer; a later one
+        # waits its turn behind the top.
+        self.timers.reschedule(self._settle_timer, self._pending[0][0])
 
     def _settle_traces(self, batch: _PendingBatch, now: float) -> None:
         """Record every traced member's span tree and finish it.
@@ -1314,20 +1463,29 @@ class ServingRuntime:
         self, now: float, arrival_times: dict[str, float]
     ) -> list[RuntimeResult]:
         """Emit results for dispatched batches whose completion time has
-        been reached by the global clock."""
-        done = [p for p in self._pending if p.completed_at <= now + _EPS]
-        if not done:
-            return []
-        done_ids = {id(p) for p in done}
-        self._pending = [p for p in self._pending if id(p) not in done_ids]
-        for batch in done:
+        been reached by the global clock, in ``(completed_at, seq)``
+        order — the order the pending heap pops them in."""
+        pending = self._pending
+        horizon = now + _EPS
+        done: list[_PendingBatch] = []
+        while pending and pending[0][0] <= horizon:
+            batch = heapq.heappop(pending)[2]
+            done.append(batch)
             topic = batch.messages[0].topic
             left = self._pending_by_topic[topic] - 1
             if left:
                 self._pending_by_topic[topic] = left
             else:
                 del self._pending_by_topic[topic]
-        done.sort(key=lambda p: (p.completed_at, p.seq))
+        # The settle timer follows the heap's top whatever happened here
+        # — also after a pass that was cut short between the timer
+        # firing and this call.
+        if pending:
+            self.timers.reschedule(self._settle_timer, pending[0][0])
+        else:
+            self._settle_timer.cancel()
+        if not done:
+            return []
         if self.chaos is not None:
             self.chaos.trip("pre_settle")
         results: list[RuntimeResult] = []
@@ -1363,12 +1521,27 @@ class ServingRuntime:
         free, so concurrent workers drain a backlog in parallel.
         Arrivals whose time has already passed (the fleet was busy) are
         enqueued late — that backlog is exactly what grows batches under
-        load. An attached fleet controller ticks once per iteration and
-        its wakeups are honoured while work remains. Runs until the
-        schedule, the queue, and the in-flight batches are drained;
-        expired in-flight messages are redelivered along the way.
+        load. Runs until the schedule, the queue, and the in-flight
+        batches are drained; expired in-flight messages are redelivered
+        along the way.
+
+        **A wake-up costs what is due, not what exists.** Every source
+        of a future wake-up keeps its next due time on :attr:`timers`;
+        the loop sleeps to the earliest, collects every timer due at
+        that instant, and runs only the phases that have a due timer or
+        were raised by an event (a dirty topic, a fleet change, a
+        dispatch) — always in the same order: expire → controllers →
+        lane GC → settle → ingress → arrivals → dispatch, and again
+        from the top after each dispatch. Conditions that are not
+        wake-up sources (lane GC's sweep, a worker warming up) are O(1)
+        guards checked on whatever wake-up comes next. The contract is
+        spelled out in docs/ARCHITECTURE.md, "The serve loop's
+        contract".
         """
-        start = self.clock.now()
+        clock = self.clock
+        queue = self.queue
+        timers = self.timers
+        start = clock.now()
         schedule = sorted(
             ((start + offset, request) for offset, request in arrivals or []),
             key=lambda pair: pair[0],
@@ -1376,75 +1549,118 @@ class ServingRuntime:
         arrival_times: dict[str, float] = {}
         results: list[RuntimeResult] = []
         i = 0
+        if schedule:
+            timers.reschedule(self._arrival_timer, schedule[0][0])
+        else:
+            self._arrival_timer.cancel()
+        for timer in self._controller_timers:
+            # Whatever moved a controller's schedule between serves did
+            # not go through the loop: the first pass ticks every
+            # controller and asks each for its wake-up afresh.
+            timer.cancel()
+        # The first pass takes nothing on trust: every phase runs.
+        self._raised = _ALL_PHASES
         stalled_wakeups = 0
         while True:
-            self.queue.expire_inflight()
-            if self._controller is not None:
-                self._controller.on_tick()
-            now = self.clock.now()
+            self._raised |= timers.due_phases(clock.now() + _EPS)
+            if queue.inflight_count:
+                queue.expire_inflight()
+            while self._raised & _CONTROLLER:
+                self._raised &= ~_CONTROLLER
+                self._tick_controllers()
+                # A tick may have moved global time (a cold start on a
+                # shared-clock worker): take in what became due.
+                self._raised |= timers.due_phases(clock.now() + _EPS)
+            now = clock.now()
             if now >= self._next_lane_gc:
                 # Amortized: one full lane sweep per half-TTL keeps the
                 # per-servable topic scan bounded by *active* tenants.
                 self.gc_lanes(now)
                 self._next_lane_gc = now + self.lane_idle_ttl_s / 2
-            settled = self._settle(now, arrival_times)
-            results.extend(settled)
-            if self._ingress is not None:
+            if now + _EPS >= self._next_warm:
+                self._warmed(now)
+            # From here on anything raised is for the next pass: a phase
+            # that raises one behind itself re-enters the loop below.
+            raised = self._raised
+            self._raised = 0
+            settled = None
+            if raised & _SETTLE:
+                settled = self._settle(now, arrival_times)
+                results.extend(settled)
+            ingress = self._ingress
+            if ingress is not None and (settled or raised & _INGRESS):
                 if settled:
-                    self._ingress.on_settled(settled)
-                self._ingress.on_tick(now)
-            while i < len(schedule) and schedule[i][0] <= now + _EPS:
-                intended, request = schedule[i]
-                i += 1
-                arrival_times[request.task_uuid] = intended
-                self.submit(request)
-            due_topic, next_event = self._next_window(now)
-            if due_topic is not None:
-                stalled_wakeups = 0
-                self._dispatch_topic(due_topic)
-                continue
-            next_arrival = schedule[i][0] if i < len(schedule) else math.inf
+                    ingress.on_settled(settled)
+                ingress.on_tick(now)
+            if raised & _ARRIVALS:
+                while i < len(schedule) and schedule[i][0] <= now + _EPS:
+                    intended, request = schedule[i]
+                    i += 1
+                    arrival_times[request.task_uuid] = intended
+                    self.submit(request)
+                if i < len(schedule):
+                    timers.reschedule(self._arrival_timer, schedule[i][0])
+            if self._dirty or raised & _DISPATCH:
+                due_topic, window_wake = self._next_window(now)
+                if due_topic is not None:
+                    stalled_wakeups = 0
+                    self._dispatch_topic(due_topic)
+                    self._raised |= _DISPATCH
+                    continue
+                if window_wake < math.inf:
+                    timers.reschedule(self._window_timer, window_wake)
+                else:
+                    self._window_timer.cancel()
             # Work claimed by a crashed consumer becomes ready again when
             # its visibility timeout lapses — sleep until then rather
             # than declaring the queue drained.
-            expiry = self.queue.next_inflight_expiry(self._owned_topics)
+            expiry = None
+            if queue.inflight_count:
+                expiry = queue.next_inflight_expiry(self._owned_topics)
             if expiry is not None:
-                next_event = min(next_event, expiry)
-            if self._pending:
-                next_event = min(
-                    next_event, min(p.completed_at for p in self._pending)
-                )
-            if self._ingress is not None:
-                next_event = min(next_event, self._ingress.next_event())
-            target = min(next_arrival, next_event)
-            if math.isinf(target):
-                if self._ingress is not None and self._ingress.pending():
-                    # Lanes hold work but no data-plane event will wake
-                    # the loop. An attached controller may still heal
-                    # the cause (e.g. migrate off a crashed sole host)
-                    # at its next reconcile — sleep to it and retry, a
-                    # bounded number of times so an unhealable fleet
-                    # fails loud instead of reconciling forever.
-                    if self._controller is not None and stalled_wakeups < 64:
-                        wake = self._controller.next_wakeup()
-                        if now < wake:
-                            stalled_wakeups += 1
-                            self.clock.advance_to(wake)
-                            continue
+                timers.reschedule(self._expiry_timer, expiry)
+            elif self._expiry_timer.live:
+                self._expiry_timer.cancel()
+            if self._raised:
+                continue
+            wake = timers.peek()
+            if wake is None or (
+                wake.phase == PHASE_CONTROLLER
+                and len(timers) == sum(t.live for t in self._controller_timers)
+            ):
+                # No data-plane wake-up is left, and controller timers
+                # alone do not keep a drained loop running.
+                if ingress is None or not ingress.pending():
+                    return results
+                # Lanes hold work but no data-plane event will wake the
+                # loop. An attached controller may still heal the cause
+                # (e.g. migrate off a crashed sole host) at its next
+                # reconcile — sleep to it and retry, a bounded number of
+                # times so an unhealable fleet fails loud instead of
+                # reconciling forever.
+                if wake is None or stalled_wakeups >= 64:
                     # No controller, or it had its chances: a throttle/
                     # placement bug — fail loud rather than silently
                     # dropping admitted requests.
                     raise ServingRuntimeError(
-                        f"ingress holds {self._ingress.pending()} pending "
+                        f"ingress holds {ingress.pending()} pending "
                         "request(s) but reports no next event"
                     )
-                return results
-            if self._controller is not None:
-                wake = self._controller.next_wakeup()
-                if now < wake:
-                    target = min(target, wake)
-            if target > now:
-                self.clock.advance_to(target)
+                stalled_wakeups += 1
+            if wake.when > now:
+                clock.advance_to(wake.when)
+
+    def _tick_controllers(self) -> None:
+        """Tick, in attach order, every controller whose timer is not
+        pending — it just fired, or the controller named no future
+        wake-up — then re-arm it at the controller's next wake-up."""
+        for controller, timer in zip(self._controllers, self._controller_timers):
+            if timer.live:
+                continue
+            controller.on_tick()
+            wake = controller.next_wakeup()
+            if self.clock.now() < wake < math.inf:
+                self.timers.reschedule(timer, wake)
 
     def drain(self) -> list[RuntimeResult]:
         """Flush everything already enqueued (no further arrivals)."""

@@ -9,8 +9,9 @@ placement gives DLHub its ~1 ms memoized invocation time (SS V-B5).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.executors import DLHubExecutor
 from repro.core.memo import MemoCache
@@ -54,6 +55,7 @@ class TaskManager:
         #: Liveness flag flipped by :meth:`crash` / :meth:`recover`
         #: (failure injection for fleet health tracking).
         self.alive = True
+        self._liveness_watchers: list[weakref.WeakMethod] = []
 
     # -- liveness ---------------------------------------------------------------------
     def crash(self) -> None:
@@ -64,10 +66,33 @@ class TaskManager:
         survive (the paper's Task Managers restart near the same compute).
         """
         self.alive = False
+        self._liveness_changed()
 
     def recover(self) -> None:
         """The worker process comes back up (state intact)."""
         self.alive = True
+        self._liveness_changed()
+
+    def watch_liveness(self, watcher: Callable[[], None]) -> None:
+        """Call the bound method ``watcher`` after every :meth:`crash` /
+        :meth:`recover`, so whoever caches this worker's liveness (a
+        serving runtime's live-host lists and capacity budget) learns of
+        a flip when it happens instead of probing every worker per tick.
+
+        The reference is weak: a runtime that is dropped while its
+        workers live on — crash recovery builds a fresh one over the
+        surviving fleet — simply stops being told.
+        """
+        self._liveness_watchers.append(weakref.WeakMethod(watcher))
+
+    def _liveness_changed(self) -> None:
+        watching = []
+        for ref in self._liveness_watchers:
+            watcher = ref()
+            if watcher is not None:
+                watcher()
+                watching.append(ref)
+        self._liveness_watchers = watching
 
     def probe(self) -> bool:
         """Explicit health probe: is the worker process responsive?"""

@@ -27,9 +27,11 @@ client, open-loop benchmark drivers) and the
    surfaced to the fleet controller so scale-up respects tenant weight.
 
 The gateway registers itself as the runtime's *ingress* (see
-:meth:`ServingRuntime.attach_ingress`): the runtime's serve loop asks
-it for due arrivals and notifies it of settlements, which is when lanes
-drain, in-flight charges release, and per-tenant latency is recorded.
+:meth:`ServingRuntime.attach_ingress`): it keeps its next arrival and
+its drain deadline as timers on the runtime's heap, and the serve loop
+calls it when one is due, when requests settle, or when the fleet
+changed — which is when lanes drain, in-flight charges release, and
+per-tenant latency is recorded.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.auth.identity import Identity, IdentityError
 from repro.auth.service import AuthorizationError, AuthService
 from repro.core.management import DLHUB_SCOPE
 from repro.core.metrics import TenantUsageCollector
-from repro.core.runtime import RuntimeResult, ServingRuntime
+from repro.core.runtime import PHASE_INGRESS, RuntimeResult, ServingRuntime
 from repro.core.tasks import TaskRequest, TaskResult
 from repro.gateway.admission import (
     AdmissionController,
@@ -143,15 +145,6 @@ class ServingGateway:
         a lone backlogged tenant overflow its share, but the reserve
         keeps instant headroom so another tenant's first request is
         released at arrival instead of waiting for a settle.
-    capacity_hint:
-        Optional ``() -> int`` returning the number of routable workers
-        the live budget should be sized to. Defaults to counting the
-        runtime's alive workers that are not *warming* (still paying a
-        provisioning/placement cold start — ``runtime.is_warming``);
-        counting those would let a hot tenant park a backlog against
-        capacity that cannot serve for seconds. A fleet controller can
-        substitute its own view (e.g. excluding draining workers it is
-        about to retire).
     drain_deadline_s:
         How long (virtual time) the gateway tolerates being
         *over-committed* — ``outstanding`` above a freshly shrunk live
@@ -174,7 +167,6 @@ class ServingGateway:
         max_dispatch_slots: int | None = None,
         slot_reserve: int | None = None,
         metrics: TenantUsageCollector | None = None,
-        capacity_hint=None,
         drain_deadline_s: float | None = 2.0,
         tracer=None,
         slo_monitor=None,
@@ -187,9 +179,16 @@ class ServingGateway:
         self.auth = auth
         self.runtime = runtime
         self.policies = policies
-        self.capacity_hint = capacity_hint
         self.drain_deadline_s = drain_deadline_s
         self._over_budget_since: float | None = None
+        #: The gateway's two wake-up sources on the runtime's timer
+        #: heap: the next scheduled arrival of a :meth:`serve` call, and
+        #: the drain deadline while over-committed. Each is moved where
+        #: its due time changes, so the serve loop never has to ask.
+        self._arrival_timer = runtime.timers.timer(PHASE_INGRESS, name="offers")
+        self._drain_timer = runtime.timers.timer(PHASE_INGRESS, name="drain")
+        #: ``runtime.fleet_epoch()`` the live budget was last derived at.
+        self._budget_epoch = -1
         #: Requests pulled back from the runtime queue into lanes after
         #: a budget shrink outlasted the drain deadline.
         self.requests_reclaimed = 0
@@ -268,14 +267,12 @@ class ServingGateway:
         admitted work can park in the runtime's queue while the
         controller heals the fleet.
         """
-        if self.capacity_hint is not None:
-            workers = self.capacity_hint()
-        else:
-            workers = sum(
-                1
-                for w in self.runtime.alive_workers()
-                if not self.runtime.is_warming(w)
-            )
+        self._budget_epoch = self.runtime.fleet_epoch(self.runtime.clock.now())
+        workers = sum(
+            1
+            for w in self.runtime.alive_workers()
+            if not self.runtime.is_warming(w)
+        )
         in_flight_capacity = self.runtime.max_batch_size * max(1, workers)
         reserve = (
             max(1, in_flight_capacity // 8)
@@ -319,15 +316,25 @@ class ServingGateway:
         if self.drain_deadline_s is None:
             return
         if self._outstanding <= self.max_dispatch_slots:
-            self._over_budget_since = None
-            return
-        if self._over_budget_since is None:
-            self._over_budget_since = now
-            return
-        if now - self._over_budget_since + _EPS >= self.drain_deadline_s:
+            self._arm_drain(None)
+        elif self._over_budget_since is None:
+            self._arm_drain(now)
+        elif now - self._over_budget_since + _EPS >= self.drain_deadline_s:
             self._reclaim_overcommit()
-            self._over_budget_since = (
+            self._arm_drain(
                 now if self._outstanding > self.max_dispatch_slots else None
+            )
+
+    def _arm_drain(self, since: float | None) -> None:
+        """Record when the gateway became over-committed (``None``: it no
+        longer is) and move the drain-deadline timer with it, so the
+        serve loop wakes for :meth:`_check_overcommit` to fire on time."""
+        self._over_budget_since = since
+        if since is None:
+            self._drain_timer.cancel()
+        else:
+            self.runtime.timers.reschedule(
+                self._drain_timer, since + self.drain_deadline_s
             )
 
     def _reclaim_overcommit(self) -> int:
@@ -445,7 +452,7 @@ class ServingGateway:
                 "before offering (ManagementService.run_batch does)"
             )
         # Unplaced servables are a deployment bug, not a tenant's fault.
-        self.runtime.hosts(servable)
+        self.runtime.check_placed(servable)
         if token is not None:
             try:
                 identity = self.authenticate(token)
@@ -689,20 +696,35 @@ class ServingGateway:
 
     # -- ingress protocol (driven by ServingRuntime.serve) --------------------------
     def on_tick(self, now: float) -> None:
-        """Serve-loop hook: admit due arrivals and release lane work."""
-        if self._dynamic_slots:
-            # Cold-started workers warm up between fleet-change events;
-            # tracking them per tick keeps the budget honest both ways.
+        """Serve-loop hook, called when something of the gateway's is
+        due — an arrival, the drain deadline, a settlement just handed
+        to :meth:`on_settled`, or a fleet change: bring the budget up to
+        date, admit the arrivals due at ``now`` and release lane work.
+        Each step sits behind an O(1) test of whether it has anything
+        to do."""
+        if self._dynamic_slots and self._budget_epoch != self.runtime.fleet_epoch(now):
+            # The fleet changed since the budget was derived: a worker
+            # joined, left, flipped liveness or finished warming up.
             self._derive_budget()
-        self._check_overcommit(now)
-        while (
-            self._sched_i < len(self._schedule)
-            and self._schedule[self._sched_i][0] <= now + _EPS
+        if (
+            self._over_budget_since is not None
+            or self._outstanding > self.max_dispatch_slots
         ):
-            arrived, token, request = self._schedule[self._sched_i]
+            self._check_overcommit(now)
+        schedule = self._schedule
+        first = self._sched_i
+        while (
+            self._sched_i < len(schedule)
+            and schedule[self._sched_i][0] <= now + _EPS
+        ):
+            arrived, token, request = schedule[self._sched_i]
             self._sched_i += 1
             self._serve_log.append(
                 self.offer(request, token=token, arrived_at=arrived)
+            )
+        if self._sched_i != first and self._sched_i < len(schedule):
+            self.runtime.timers.reschedule(
+                self._arrival_timer, schedule[self._sched_i][0]
             )
         self._pump()
 
@@ -735,11 +757,12 @@ class ServingGateway:
         self._pump()
 
     def next_event(self) -> float:
-        """Earliest future instant the serve loop must wake the gateway.
+        """Earliest future instant the gateway needs the serve loop awake.
 
         Either the next scheduled arrival or, when over-committed, the
-        drain deadline — the loop must tick then for
-        :meth:`_check_overcommit` to fire on time.
+        drain deadline. The loop does not ask: both are timers on the
+        runtime's heap, moved where they change. This reads the same
+        state for whoever wants to see it.
         """
         soonest = math.inf
         if self._sched_i < len(self._schedule):
@@ -836,12 +859,15 @@ class ServingGateway:
         self._sched_i = 0
         self._serve_log = []
         self._serving = True
+        if self._schedule:
+            self.runtime.timers.reschedule(self._arrival_timer, self._schedule[0][0])
         try:
             self.runtime.serve([])
         finally:
             self._serving = False
             self._schedule = []
             self._sched_i = 0
+            self._arrival_timer.cancel()
         log, self._serve_log = self._serve_log, []
         return log
 
@@ -878,7 +904,7 @@ class ServingGateway:
         # Same deployment-bug guard as offer(): an unplaced servable
         # must fail before admission charges the ledger, or the denial
         # would strand lane entries and in-flight charges forever.
-        self.runtime.hosts(requests[0].servable_name)
+        self.runtime.check_placed(requests[0].servable_name)
         identity = identity or self._request_identity(requests[0])
         policy = self.resolve_tenant(identity)
         if policy is None:
@@ -937,7 +963,7 @@ class ServingGateway:
             raise GatewayError("admit_chain requires at least one step")
         for name in servable_names:
             # Unplaced steps are deployment bugs; fail before charging.
-            self.runtime.hosts(name)
+            self.runtime.check_placed(name)
         policy = self.resolve_tenant(identity)
         if policy is None:
             self.metrics.record_denied(

@@ -25,6 +25,7 @@ are the introspection/rehydration pair crash recovery builds on.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -492,14 +493,18 @@ class TaskQueue:
         chan = self._ready.get(topic)
         return chan[0] if chan else None
 
-    def next_inflight_expiry(self, topics: set[str] | None = None) -> float | None:
+    def next_inflight_expiry(
+        self, topics: Container[str] | None = None
+    ) -> float | None:
         """Earliest virtual time an in-flight visibility timeout lapses.
 
         Event-driven consumers sleep until this moment to pick up work
         abandoned by a crashed claimant; ``None`` when nothing relevant
         is in flight. ``topics`` restricts the answer to the caller's own
         channels on a shared queue: the oldest claim on one of them, found
-        by walking past whatever older claims other consumers hold.
+        by walking past whatever older claims other consumers hold. A
+        consumer that acks what it claims before it sleeps need not ask
+        at all while :attr:`inflight_count` is zero.
         """
         for msg in self._inflight.values():
             if topics is None or msg.topic in topics:
@@ -508,7 +513,10 @@ class TaskQueue:
 
     @property
     def inflight_count(self) -> int:
-        """Claimed-but-unsettled messages across every topic."""
+        """Claimed-but-unsettled messages across every topic — zero means
+        :meth:`expire_inflight` has nothing to redeliver and
+        :meth:`next_inflight_expiry` nothing to report, which is the
+        O(1) test the serve loop makes before calling either."""
         return len(self._inflight)
 
     def inflight_count_for(self, topic: str) -> int:

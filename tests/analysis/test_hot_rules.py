@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import analyze_source
+from repro.analysis import analyze_source, domains
 from tests.analysis.test_det_rules import live
 
 
@@ -66,18 +66,53 @@ class TestHOT001:
 
     def test_all_registered_hot_functions_fire(self):
         cases = {
-            "core/runtime.py": ("ServingRuntime", "_next_window"),
-            "gateway/gateway.py": ("ServingGateway", "_pump"),
-            "gateway/scheduler.py": ("WeightedFairScheduler", "dequeue_eligible"),
-            "core/fleet.py": ("FleetController", "observe"),
+            "core/runtime.py": (
+                "ServingRuntime", ("_next_window", "serve", "_settle", "_route")
+            ),
+            "gateway/gateway.py": (
+                "ServingGateway", ("_pump", "on_tick", "_derive_budget", "on_settled")
+            ),
+            "gateway/scheduler.py": ("WeightedFairScheduler", ("dequeue_eligible",)),
+            "core/fleet.py": ("FleetController", ("observe",)),
         }
-        for relpath, (cls, method) in cases.items():
-            src = (
-                f"class {cls}:\n"
-                f"    def {method}(self):\n"
-                "        return [x for x in self.items]\n"
-            )
-            assert live(analyze_source(src, relpath), "HOT001"), relpath
+        assert {
+            relpath: frozenset(f"{cls}.{method}" for method in methods)
+            for relpath, (cls, methods) in cases.items()
+        } == domains.HOT_FUNCTIONS
+        for relpath, (cls, methods) in cases.items():
+            for method in methods:
+                src = (
+                    f"class {cls}:\n"
+                    f"    def {method}(self):\n"
+                    "        return [x for x in self.items]\n"
+                )
+                assert live(analyze_source(src, relpath), "HOT001"), (relpath, method)
+
+    def test_the_per_wakeup_allocations_the_kernel_removed_are_flagged(self):
+        """The polled loop's settlement filter and the budget's
+        alive-worker list would each need a pragma to come back."""
+        settle = (
+            "class ServingRuntime:\n"
+            "    def _settle(self, now, arrival_times):\n"
+            "        done = [p for p in self._pending if p.completed_at <= now]\n"
+            "        ids = {id(p) for p in done}\n"
+            "        self._pending = [p for p in self._pending if id(p) not in ids]\n"
+        )
+        assert len(live(analyze_source(settle, "core/runtime.py"), "HOT001")) == 3
+        budget = (
+            "class ServingGateway:\n"
+            "    def _derive_budget(self):\n"
+            "        alive = [w for w in self.runtime.workers if w.probe()]\n"
+            "        return len(alive)\n"
+        )
+        assert live(analyze_source(budget, "gateway/gateway.py"), "HOT001")
+        route = (
+            "class ServingRuntime:\n"
+            "    def _route(self, servable_name, now):\n"
+            "        for worker in self._hosts[servable_name].copy():\n"
+            "            pass\n"
+        )
+        assert live(analyze_source(route, "core/runtime.py"), "HOT001")
 
     def test_pragma_suppresses_with_reason(self):
         src = _runtime_src(

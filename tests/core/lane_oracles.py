@@ -27,7 +27,9 @@ def reference_collectable_lanes(runtime, now: float) -> set[tuple[str, str]]:
     """
     state = runtime.queue.dump_state()
     inflight_topics = {doc["topic"] for _, doc in state["inflight"]}
-    pending_topics = {m.topic for batch in runtime._pending for m in batch.messages}
+    pending_topics = {
+        m.topic for _, _, batch in runtime._pending for m in batch.messages
+    }
     collectable = set()
     for name, lanes in runtime._lanes.items():
         for lane in sorted(lanes):
@@ -62,7 +64,7 @@ def assert_lane_index_consistent(runtime) -> None:
     stamps = list(runtime._lane_active.values())
     assert stamps == sorted(stamps)
     parked: dict[str, int] = {}
-    for batch in runtime._pending:
+    for _, _, batch in runtime._pending:
         topic = batch.messages[0].topic
         assert {m.topic for m in batch.messages} == {topic}
         parked[topic] = parked.get(topic, 0) + 1

@@ -214,7 +214,7 @@ class TestQueueLatencySLOPolicy:
 class TestControllerConstruction:
     def test_attaches_to_runtime(self):
         testbed, zoo, runtime, controller = build_controlled_fleet()
-        assert runtime._controller is controller
+        assert runtime._controllers == (controller,)
         assert controller.next_wakeup() == testbed.clock.now()
 
     def test_validation(self):

@@ -45,6 +45,26 @@ class TimingSummary:
     p95: float
     mean: float
 
+    @classmethod
+    def of(cls, values, servable: str, metric: str) -> "TimingSummary":
+        """Summarize non-empty ``values`` (seconds); ``KeyError`` if empty.
+
+        The one place sample percentiles are computed — when someone
+        asks for a summary, never by a telemetry scrape.
+        """
+        values = np.array(values)
+        if values.size == 0:
+            raise KeyError(f"no {metric} samples for {servable!r}")
+        return cls(
+            servable=servable,
+            metric=metric,
+            count=int(values.size),
+            median=float(np.median(values)),
+            p5=float(np.percentile(values, 5)),
+            p95=float(np.percentile(values, 95)),
+            mean=float(values.mean()),
+        )
+
     def as_ms(self) -> dict:
         """The summary as a flat dict in milliseconds (report-ready)."""
         return {
@@ -80,6 +100,10 @@ class StageLatencyCollector:
             raise ValueError("at least one stage is required")
         self.stages = tuple(stages)
         self._samples: dict[tuple[str, str], list[float]] = defaultdict(list)
+        #: Running sum per (stage, servable), read only by
+        #: :meth:`snapshot` so a scrape never walks the sample lists
+        #: (:meth:`stage_sum` still sums the samples themselves).
+        self._sums: dict[tuple[str, str], float] = defaultdict(float)
         #: Sparse per-sample timestamps: sample index -> virtual time,
         #: populated only for samples recorded with an ``at`` anchor —
         #: stages that never use windows cost nothing extra.
@@ -103,10 +127,13 @@ class StageLatencyCollector:
             raise ValueError(f"unknown stage {stage!r}; choose from {self.stages}")
         if seconds < 0:
             raise ValueError(f"stage {stage!r} sample must be >= 0")
-        samples = self._samples[(stage, servable)]
-        samples.append(float(seconds))
+        key = (stage, servable)
+        seconds = float(seconds)
+        samples = self._samples[key]
+        samples.append(seconds)
+        self._sums[key] += seconds
         if at is not None:
-            self._times[(stage, servable)][len(samples) - 1] = float(at)
+            self._times[key][len(samples) - 1] = float(at)
 
     def samples(self, stage: str, servable: str | None = None) -> list[float]:
         """All samples for a stage, optionally restricted to one servable."""
@@ -236,17 +263,10 @@ class StageLatencyCollector:
 
     def summarize(self, stage: str, servable: str | None = None) -> TimingSummary:
         """Percentile summary of one stage (``servable=None`` aggregates)."""
-        values = np.array(self.samples(stage, servable))
-        if values.size == 0:
-            raise KeyError(f"no samples for stage {stage!r}, servable {servable!r}")
-        return TimingSummary(
-            servable=servable if servable is not None else "*",
-            metric=stage,
-            count=int(values.size),
-            median=float(np.median(values)),
-            p5=float(np.percentile(values, 5)),
-            p95=float(np.percentile(values, 95)),
-            mean=float(values.mean()),
+        return TimingSummary.of(
+            self.samples(stage, servable),
+            servable if servable is not None else "*",
+            stage,
         )
 
     def summary_table(self) -> list[TimingSummary]:
@@ -268,12 +288,19 @@ class StageLatencyCollector:
         return float(sum(self.samples(stage, servable)))
 
     def snapshot(self) -> dict:
-        """Every stage summary plus pod gauges as one JSON-able doc
-        (the telemetry hub's pull-source view of this collector)."""
+        """Cumulative sample count and summed seconds per
+        ``servable.stage`` plus the pod gauges, as one JSON-able doc
+        (the telemetry hub's pull-source view of this collector).
+        O(keys): a windowed mean is ``rate(sum_s) / rate(count)`` in the
+        series store; percentiles come from :meth:`summarize`."""
         return {
-            "stages": [
-                summary.as_ms() for summary in self.summary_table()
-            ],
+            "stages": {
+                f"{servable}.{stage}": {
+                    "count": len(values),
+                    "sum_s": self._sums[(stage, servable)],
+                }
+                for (stage, servable), values in sorted(self._samples.items())
+            },
             "pod_busy_s": {
                 f"{servable}/{pod}": busy
                 for (servable, pod), busy in sorted(self._pod_busy.items())
@@ -287,6 +314,7 @@ class StageLatencyCollector:
     def clear(self) -> None:
         """Drop all samples, timestamps, and pod gauges."""
         self._samples.clear()
+        self._sums.clear()
         self._times.clear()
         self._pod_busy.clear()
         self._pod_chunks.clear()
@@ -302,6 +330,8 @@ class TenantCounters:
     failed: int = 0
     #: Denials keyed by typed outcome value (e.g. ``rejected_rate_limit``).
     denied: dict = field(default_factory=dict)
+    #: Summed end-to-end latency of every completion and failure.
+    latency_sum_s: float = 0.0
 
     @property
     def denied_total(self) -> int:
@@ -365,7 +395,9 @@ class TenantUsageCollector:
             counter.completed += 1
         else:
             counter.failed += 1
-        self._latencies[tenant].append(float(latency_s))
+        latency_s = float(latency_s)
+        counter.latency_sum_s += latency_s
+        self._latencies[tenant].append(latency_s)
 
     # -- reads --------------------------------------------------------------------
     def tenants(self) -> list[str]:
@@ -401,36 +433,31 @@ class TenantUsageCollector:
         return list(self._latencies.get(tenant, ()))
 
     def snapshot(self) -> dict:
-        """Per-tenant counters and latency tails as one JSON-able doc
-        (the telemetry hub's pull-source view of this collector)."""
-        tenants = {}
-        for tenant in self.tenants():
-            counter = self._counters[tenant]
-            entry = {
-                "admitted": counter.admitted,
-                "completed": counter.completed,
-                "failed": counter.failed,
-                "denied": dict(counter.denied),
-                "in_progress": counter.in_progress,
+        """Per-tenant cumulative counters, with end-to-end latency as a
+        settled count and summed seconds, as one JSON-able doc (the
+        telemetry hub's pull-source view of this collector). O(keys):
+        latency tails come from :meth:`latency_summary`."""
+        return {
+            "tenants": {
+                tenant: {
+                    "admitted": counter.admitted,
+                    "completed": counter.completed,
+                    "failed": counter.failed,
+                    "denied": dict(counter.denied),
+                    "in_progress": counter.in_progress,
+                    "latency": {
+                        "count": counter.completed + counter.failed,
+                        "sum_s": counter.latency_sum_s,
+                    },
+                }
+                for tenant, counter in sorted(self._counters.items())
             }
-            if self._latencies.get(tenant):
-                entry["latency_ms"] = self.latency_summary(tenant).as_ms()
-            tenants[tenant] = entry
-        return {"tenants": tenants}
+        }
 
     def latency_summary(self, tenant: str) -> TimingSummary:
         """Percentile summary of a tenant's end-to-end latencies."""
-        values = np.array(self._latencies.get(tenant, ()))
-        if values.size == 0:
-            raise KeyError(f"no completions recorded for tenant {tenant!r}")
-        return TimingSummary(
-            servable=tenant,
-            metric="e2e_latency",
-            count=int(values.size),
-            median=float(np.median(values)),
-            p5=float(np.percentile(values, 5)),
-            p95=float(np.percentile(values, 95)),
-            mean=float(values.mean()),
+        return TimingSummary.of(
+            self._latencies.get(tenant, ()), tenant, "e2e_latency"
         )
 
 
@@ -464,18 +491,10 @@ class MetricsCollector:
         """Percentile summary of one metric for one servable."""
         if metric not in self.METRICS:
             raise ValueError(f"unknown metric {metric!r}; choose from {self.METRICS}")
-        records = self._records.get(servable)
-        if not records:
-            raise KeyError(f"no records for servable {servable!r}")
-        values = np.array([getattr(r, metric) for r in records])
-        return TimingSummary(
-            servable=servable,
-            metric=metric,
-            count=len(values),
-            median=float(np.median(values)),
-            p5=float(np.percentile(values, 5)),
-            p95=float(np.percentile(values, 95)),
-            mean=float(values.mean()),
+        return TimingSummary.of(
+            [getattr(r, metric) for r in self._records.get(servable, ())],
+            servable,
+            metric,
         )
 
     def summary_table(self) -> list[TimingSummary]:

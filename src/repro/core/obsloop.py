@@ -8,8 +8,8 @@ on the virtual clock:
 
 - :class:`SeriesStore` — a windowed time-series store: fixed-capacity
   ring buffers per series, fed by periodic hub scrapes, with windowed
-  queries (``avg`` / ``rate`` / ``percentile`` / ``delta``) over any
-  labeled instrument.
+  queries (``avg`` / ``rate`` / ``percentile`` / ``delta``) over every
+  number a hub source returns.
 - :class:`AlertEngine` + rule classes — a declarative alert rules
   engine: :class:`ThresholdRule` (windowed aggregate vs bound),
   :class:`BurnRateRule` (multi-window SLO burn), and
@@ -78,6 +78,19 @@ def sample_rate_series(tenant: str) -> str:
     return f"trace_sample_rate{{tenant={tenant}}}"
 
 
+def _burning_tenants(alerts) -> tuple[str, ...]:
+    """Tenants named by the burn-labeled alerts among ``alerts``, sorted."""
+    return tuple(
+        sorted(
+            {
+                alert.labels["tenant"]
+                for alert in alerts
+                if alert.labels.get("kind") == "burn" and "tenant" in alert.labels
+            }
+        )
+    )
+
+
 # ---------------------------------------------------------------------------
 # Windowed time-series store
 # ---------------------------------------------------------------------------
@@ -86,12 +99,11 @@ class SeriesStore:
 
     Fed by :meth:`scrape` (one flattened
     :meth:`~repro.core.telemetry.TelemetryHub.snapshot` per scrape
-    interval) or :meth:`record` directly. Series names are the hub's
-    rendered instrument names (``name{label=value}``); histogram
-    summaries land as ``name:count`` / ``name:sum`` / ``name:mean``
-    and numeric leaves of pull-source payloads as
-    ``src:<source>.<dotted.path>`` — so *any* labeled instrument is
-    queryable over a window.
+    interval) or :meth:`record` directly. Every numeric leaf of every
+    pull-source payload lands as ``src:<source>.<dotted.path>``, so
+    whatever a source reports is queryable over a window. Sources
+    report cumulative counts and sums, not summaries: a windowed mean
+    is ``rate(<x>.sum_s) / rate(<x>.count)``.
 
     Parameters
     ----------
@@ -126,26 +138,19 @@ class SeriesStore:
         mid-churn contributes an error stub (never scraped, since it
         has no numeric leaves) instead of poisoning the scrape.
         """
-        snap = hub.snapshot(strict=False)
-        touched = 0
-        for name, value in snap["counters"].items():
-            self.record(name, now, value)
-            touched += 1
-        for name, value in snap["gauges"].items():
-            self.record(name, now, value)
-            touched += 1
-        for name, summary in snap["histograms"].items():
-            self.record(f"{name}:count", now, summary["count"])
-            self.record(f"{name}:sum", now, summary["sum"])
-            if summary["mean"] is not None:
-                self.record(f"{name}:mean", now, summary["mean"])
-            touched += 1
-        for name, payload in snap["sources"].items():
-            touched += self._flatten(f"src:{name}", payload, now)
-        return touched
+        return sum(
+            self._flatten(f"src:{name}", payload, now)
+            for name, payload in hub.snapshot(strict=False)["sources"].items()
+        )
 
     def _flatten(self, prefix: str, payload, now: float) -> int:
-        """Record every numeric leaf of a nested source payload."""
+        """Record every numeric leaf of a nested source payload.
+
+        ``str`` / ``bool`` / ``None`` leaves are labels, not numbers,
+        and are skipped; a list is a source breaking its contract
+        (nested dicts of scalars) and raises rather than silently
+        dropping whatever it held.
+        """
         if isinstance(payload, bool):
             return 0
         if isinstance(payload, (int, float)):
@@ -155,6 +160,11 @@ class SeriesStore:
             return sum(
                 self._flatten(f"{prefix}.{key}", value, now)
                 for key, value in payload.items()
+            )
+        if isinstance(payload, (list, tuple)):
+            raise ObsLoopError(
+                f"source payload {prefix!r} is a {type(payload).__name__}; "
+                "sources report nested dicts of scalars"
             )
         return 0
 
@@ -709,23 +719,9 @@ class ReactiveSLOPolicy(FleetPolicy):
         self.sheds = 0
         self.reverts = 0
 
-    @staticmethod
-    def _burning(observation: FleetObservation) -> tuple[str, ...]:
-        """Tenants named by currently firing burn alerts, sorted."""
-        return tuple(
-            sorted(
-                {
-                    alert.labels["tenant"]
-                    for alert in observation.alerts
-                    if alert.labels.get("kind") == "burn"
-                    and "tenant" in alert.labels
-                }
-            )
-        )
-
     def plan(self, observation: FleetObservation) -> FleetPlan:
         """Classify any firing burn and react before delegating."""
-        burning = self._burning(observation)
+        burning = _burning_tenants(observation.alerts)
         self.last_mode = None
         planned = observation
         if burning and observation.routable_workers < observation.max_workers:
@@ -855,16 +851,7 @@ class ObservabilityLoop:
     # -- one pass --------------------------------------------------------------
     def burning(self) -> tuple[str, ...]:
         """Tenants named by currently firing burn-labeled alerts."""
-        return tuple(
-            sorted(
-                {
-                    alert.labels["tenant"]
-                    for alert in self.engine.firing()
-                    if alert.labels.get("kind") == "burn"
-                    and "tenant" in alert.labels
-                }
-            )
-        )
+        return _burning_tenants(self.engine.firing())
 
     def scrape(self, now: float) -> None:
         """One full loop pass at ``now`` (also callable standalone)."""

@@ -45,6 +45,7 @@ from repro.core.metrics import StageLatencyCollector
 from repro.core.servable import Servable
 from repro.core.task_manager import TaskManager
 from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
+from repro.core.telemetry import MemberRecord
 from repro.messaging.queue import QueuedMessage, TaskQueue, servable_topic
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventLoop
@@ -1414,33 +1415,7 @@ class ServingRuntime:
         for i, (message, request, result) in enumerate(
             zip(batch.messages, batch.requests, batch.results)
         ):
-            trace = request.trace
-            if trace is None:
-                # Gateway-less traffic: the retention decision runs
-                # before any Trace exists — dropped requests never
-                # allocate one (see Tracer.settle_request).
-                tracer.settle_request(
-                    request,
-                    message.enqueued_at,
-                    claimed_at,
-                    head_enqueued,
-                    dispatch_start,
-                    infer_start,
-                    infer_start + result.inference_time,
-                    completed,
-                    settle_end,
-                    seq,
-                    batch_size,
-                    worker_name,
-                    only_pod if pods is None else pods.get(i),
-                    batch_inference_s,
-                    "ok" if result.ok else "error",
-                    result.error,
-                    result.cache_hit,
-                )
-                continue
-            tracer.settle_member(
-                trace,
+            member = MemberRecord(
                 message.enqueued_at,
                 claimed_at,
                 head_enqueued,
@@ -1458,6 +1433,14 @@ class ServingRuntime:
                 result.error,
                 result.cache_hit,
             )
+            trace = request.trace
+            if trace is None:
+                # Gateway-less traffic: the retention decision runs
+                # before any Trace exists — dropped requests never
+                # allocate one (see Tracer.settle_request).
+                tracer.settle_request(request, member)
+            else:
+                tracer.settle_member(trace, member)
 
     def _settle(
         self, now: float, arrival_times: dict[str, float]

@@ -12,12 +12,13 @@ Three observability primitives the serving stack composes:
   errored and slow outliers regardless, so the interesting traces
   survive even at 1% sampling. Retained traces export to the Chrome
   trace-event format (``chrome://tracing`` / Perfetto waterfalls).
-* :class:`TelemetryHub` — one labeled counter/gauge/histogram registry
-  plus pull adapters over the scattered collectors that predate it
+* :class:`TelemetryHub` — a pull-only registry of named sources over
+  the collectors that own the numbers
   (:class:`~repro.core.metrics.StageLatencyCollector`,
   :class:`~repro.core.metrics.TenantUsageCollector`, pod-busy gauges,
-  the fleet controller's event log), with a JSON snapshot export.
-  Sources are bound by duck type, so this module imports none of them.
+  WFQ lanes, fleet-event and breach counts), with a JSON snapshot
+  export. Sources are bound by duck type, so this module imports none
+  of them.
 * :class:`SLOBurnMonitor` — windowed per-tenant burn rate of a latency
   SLO (bad fraction over the window divided by the error budget). The
   gateway feeds it settlements; the fleet controller drains breaches
@@ -31,8 +32,10 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
+    "MemberRecord",
     "SLOBreach",
     "SLOBurnMonitor",
     "Span",
@@ -67,9 +70,29 @@ REQUEST_STAGES = (
 _RUNTIME_REQUIRED = frozenset({"dispatch_window", "coalesce", "dispatch", "settle"})
 _GATEWAY_REQUIRED = frozenset({"admission", "lane_wait"})
 
-#: Sentinel heading a compact batch-member record in a trace's raw
-#: span list (see :meth:`Tracer.settle_member`).
-_MEMBER = object()
+
+class MemberRecord(NamedTuple):
+    """One batch member's whole runtime path, as the serve loop's
+    settlement pass measured it: a single compact entry in a trace's
+    raw span list that :attr:`Trace.spans` expands into the five
+    canonical stage spans (see :meth:`Tracer.settle_member`)."""
+
+    enqueued_at: float
+    claimed_at: float
+    head_enqueued: float
+    dispatch_start: float
+    infer_start: float
+    infer_end: float
+    completed_at: float
+    settle_end: float
+    seq: int
+    batch_size: int
+    worker: str | None
+    pod: str | None
+    batch_inference_s: float
+    status: str
+    error: str | None
+    cache: bool
 
 
 @dataclass
@@ -142,7 +165,7 @@ class Trace:
         #: Spans as raw tuples on the hot path; :class:`Span` objects
         #: are materialized lazily — only retained or inspected traces
         #: (a few percent of all requests) ever pay for them.
-        self._raw: list[tuple[str, float, float, str, dict | None]] = []
+        self._raw: list[tuple[str, float, float, str, dict | None] | MemberRecord] = []
         self._spans: list[Span] | None = None
         self._max_end = start
 
@@ -152,7 +175,7 @@ class Trace:
         if self._spans is None:
             spans: list[Span] = []
             for raw in self._raw:
-                if raw[0] is _MEMBER:
+                if type(raw) is MemberRecord:
                     spans.extend(self._expand_member(raw))
                 else:
                     spans.append(Span(*raw))
@@ -160,64 +183,45 @@ class Trace:
         return self._spans
 
     @staticmethod
-    def _expand_member(raw: tuple) -> list[Span]:
+    def _expand_member(m: MemberRecord) -> list[Span]:
         """A compact member record -> its five canonical stage spans."""
-        (
-            _,
-            enqueued_at,
-            claimed_at,
-            head_enqueued,
-            dispatch_start,
-            infer_start,
-            infer_end,
-            completed_at,
-            settle_end,
-            seq,
-            batch_size,
-            worker,
-            pod,
-            batch_inference_s,
-            status,
-            error,
-            cache,
-        ) = raw
         spans = [
-            Span("dispatch_window", enqueued_at, claimed_at),
+            Span("dispatch_window", m.enqueued_at, m.claimed_at),
             # The batch's window opened when its *head* enqueued, which
             # for a non-head member predates this request entirely;
             # clamp the span to the member's own life (keeping the tree
             # well-nested) and carry the full window in ``window_s``.
             Span(
                 "coalesce",
-                max(head_enqueued, enqueued_at),
-                claimed_at,
+                max(m.head_enqueued, m.enqueued_at),
+                m.claimed_at,
                 attrs={
-                    "batch": seq,
-                    "batch_size": batch_size,
-                    "window_s": claimed_at - head_enqueued,
+                    "batch": m.seq,
+                    "batch_size": m.batch_size,
+                    "window_s": m.claimed_at - m.head_enqueued,
                 },
             ),
             Span(
                 "dispatch",
-                dispatch_start,
-                infer_start,
-                attrs={"batch": seq, "worker": worker},
+                m.dispatch_start,
+                m.infer_start,
+                attrs={"batch": m.seq, "worker": m.worker},
             ),
         ]
-        if cache:
+        if m.cache:
             spans.append(
-                Span("cache", infer_start, infer_start, attrs={"batch": seq})
+                Span("cache", m.infer_start, m.infer_start, attrs={"batch": m.seq})
             )
-        elif status == "ok":
+        elif m.status == "ok":
             spans.append(
                 Span(
                     "inference",
-                    infer_start,
-                    infer_end,
+                    m.infer_start,
+                    m.infer_end,
                     attrs={
-                        "batch": seq,
-                        "pod": pod,
-                        "batch_inference_s": batch_inference_s,
+                        "batch": m.seq,
+                        "pod": m.pod,
+                        "batch_inference_s": m.batch_inference_s,
                     },
                 )
             )
@@ -225,13 +229,13 @@ class Trace:
             spans.append(
                 Span(
                     "inference",
-                    infer_start,
-                    infer_end,
+                    m.infer_start,
+                    m.infer_end,
                     status="error",
-                    attrs={"batch": seq, "pod": pod, "error": error},
+                    attrs={"batch": m.seq, "pod": m.pod, "error": m.error},
                 )
             )
-        spans.append(Span("settle", completed_at, settle_end))
+        spans.append(Span("settle", m.completed_at, m.settle_end))
         return spans
 
     def span(
@@ -478,30 +482,11 @@ class Tracer:
         else:
             self.dropped += 1
 
-    def settle_member(
-        self,
-        trace: Trace,
-        enqueued_at: float,
-        claimed_at: float,
-        head_enqueued: float,
-        dispatch_start: float,
-        infer_start: float,
-        infer_end: float,
-        completed_at: float,
-        settle_end: float,
-        seq: int,
-        batch_size: int,
-        worker: str | None,
-        pod: str | None,
-        batch_inference_s: float,
-        status: str,
-        error: str | None,
-        cache: bool,
-    ) -> None:
+    def settle_member(self, trace: Trace, member: MemberRecord) -> None:
         """Record one batch member's whole runtime path and finish.
 
         The serve loop's settlement pass calls this once per traced
-        request: a single compact tuple covers ``dispatch_window`` /
+        request: a single compact record covers ``dispatch_window`` /
         ``coalesce`` / ``dispatch`` / ``inference``-or-``cache`` /
         ``settle`` (expanded into :class:`Span` objects only when
         :attr:`Trace.spans` is read), followed by the finish/retention
@@ -512,32 +497,12 @@ class Tracer:
         """
         if trace.finished:
             return
-        trace._raw.append(
-            (
-                _MEMBER,
-                enqueued_at,
-                claimed_at,
-                head_enqueued,
-                dispatch_start,
-                infer_start,
-                infer_end,
-                completed_at,
-                settle_end,
-                seq,
-                batch_size,
-                worker,
-                pod,
-                batch_inference_s,
-                status,
-                error,
-                cache,
-            )
-        )
+        trace._raw.append(member)
         trace._spans = None
-        if status != "ok":
+        if member.status != "ok":
             trace.error = True
-        if settle_end > trace._max_end:
-            trace._max_end = settle_end
+        if member.settle_end > trace._max_end:
+            trace._max_end = member.settle_end
         trace.end = trace._max_end
         trace.finished = True
         self.finished += 1
@@ -553,26 +518,7 @@ class Tracer:
         else:
             self.dropped += 1
 
-    def settle_request(
-        self,
-        request,
-        enqueued_at: float,
-        claimed_at: float,
-        head_enqueued: float,
-        dispatch_start: float,
-        infer_start: float,
-        infer_end: float,
-        completed_at: float,
-        settle_end: float,
-        seq: int,
-        batch_size: int,
-        worker: str | None,
-        pod: str | None,
-        batch_inference_s: float,
-        status: str,
-        error: str | None,
-        cache: bool,
-    ) -> None:
+    def settle_request(self, request, member: MemberRecord) -> None:
         """Settle a request that never opened a trace — allocation-free
         unless retained.
 
@@ -580,52 +526,31 @@ class Tracer:
         the request waits, and here — the one point where sampling,
         error, and slowness are all already known — the retention
         decision runs *before* any :class:`Trace` exists. A dropped
-        request's entire tracing cost is the sampling accumulator and
-        a few counters; only the retained few materialize a trace
-        carrying the same compact member record
-        :meth:`settle_member` writes.
+        request's tracing cost here is the sampling accumulator and a
+        few counters; only the retained few materialize a trace, which
+        keeps the same member record :meth:`settle_member` would.
         """
         sampled = self._sample(request.tenant)
         self.started += 1
         self.finished += 1
-        failed = status != "ok"
+        failed = member.status != "ok"
         if not sampled and not failed and (
             self.slow_threshold_s is None
-            or settle_end - enqueued_at < self.slow_threshold_s
+            or member.settle_end - member.enqueued_at < self.slow_threshold_s
         ):
             self.dropped += 1
             return
         trace = Trace(
             trace_id=request.task_uuid,
             name=request.servable_name,
-            start=enqueued_at,
+            start=member.enqueued_at,
             sampled=sampled,
             tenant=request.tenant,
         )
         request.trace = trace
-        trace._raw.append(
-            (
-                _MEMBER,
-                enqueued_at,
-                claimed_at,
-                head_enqueued,
-                dispatch_start,
-                infer_start,
-                infer_end,
-                completed_at,
-                settle_end,
-                seq,
-                batch_size,
-                worker,
-                pod,
-                batch_inference_s,
-                status,
-                error,
-                cache,
-            )
-        )
+        trace._raw.append(member)
         trace.error = failed
-        trace.end = trace._max_end = settle_end
+        trace.end = trace._max_end = member.settle_end
         trace.finished = True
         if sampled:
             self.kept_sampled += 1
@@ -705,107 +630,30 @@ class Tracer:
 # ---------------------------------------------------------------------------
 # Telemetry hub
 # ---------------------------------------------------------------------------
-class _Counter:
-    """Monotonic labeled counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, delta: float = 1.0) -> None:
-        """Add ``delta`` (must be >= 0)."""
-        if delta < 0:
-            raise TelemetryError("counters only go up")
-        self.value += delta
-
-
-class _Gauge:
-    """Last-write-wins labeled gauge."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = value
-
-
-class _Histogram:
-    """Streaming summary (count/sum/min/max) of observed values."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the summary."""
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def summary(self) -> dict:
-        """The summary as plain data."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "mean": self.total / self.count if self.count else None,
-        }
-
-
 class TelemetryHub:
-    """One registry for labeled instruments and pull-through sources.
+    """A registry of named pull sources — nothing is pushed into it.
 
-    Push side: :meth:`counter` / :meth:`gauge` / :meth:`histogram`
-    return label-keyed instruments (created on first use, stable
-    identity after). Pull side: :meth:`register_source` binds a
-    zero-argument callable whose return value is embedded verbatim in
-    every snapshot — how the pre-existing collectors (stage latencies,
-    tenant usage, pod gauges, fleet events) are unified without this
-    module importing any of them.
+    :meth:`register_source` binds a zero-argument callable whose return
+    value is embedded verbatim in every snapshot — how the collectors
+    (stage latencies, tenant usage, pod gauges, WFQ lanes) are unified
+    without this module importing any of them. The source contract: a
+    nested dict of scalars holding *cumulative* state the owner
+    maintains where it records (counts, running sums, gauges), never a
+    distribution summary or a history list — so a snapshot costs
+    O(keys) however long the run, and every number in it is a series
+    the :class:`~repro.core.obsloop.SeriesStore` can store.
+    Distributions are computed where someone asks for one
+    (:meth:`~repro.core.metrics.TimingSummary.of`, a windowed store
+    query). There is no push half (labeled counters/gauges/histograms)
+    because nothing in the stack ever produced into one.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[tuple, _Counter] = {}
-        self._gauges: dict[tuple, _Gauge] = {}
-        self._histograms: dict[tuple, _Histogram] = {}
         self._sources: dict[str, object] = {}
 
-    @staticmethod
-    def _key(name: str, labels: dict) -> tuple:
-        return (name, tuple(sorted(labels.items())))
-
-    @staticmethod
-    def _render(key: tuple) -> str:
-        name, labels = key
-        if not labels:
-            return name
-        inner = ",".join(f"{k}={v}" for k, v in labels)
-        return f"{name}{{{inner}}}"
-
-    def counter(self, name: str, **labels) -> _Counter:
-        """The counter registered under ``name`` + ``labels``."""
-        return self._counters.setdefault(self._key(name, labels), _Counter())
-
-    def gauge(self, name: str, **labels) -> _Gauge:
-        """The gauge registered under ``name`` + ``labels``."""
-        return self._gauges.setdefault(self._key(name, labels), _Gauge())
-
-    def histogram(self, name: str, **labels) -> _Histogram:
-        """The histogram registered under ``name`` + ``labels``."""
-        return self._histograms.setdefault(self._key(name, labels), _Histogram())
-
     def register_source(self, name: str, source) -> None:
-        """Bind a pull source: a callable returning JSON-able data.
+        """Bind a pull source: a callable returning a nested dict of
+        scalars (the contract in the class docstring).
 
         Re-registering a name replaces the previous source — how a
         collector swapped out mid-run (fleet churn) is rebound without
@@ -818,9 +666,8 @@ class TelemetryHub:
     def unregister_source(self, name: str) -> bool:
         """Drop a pull source (e.g. its worker left the fleet).
 
-        Returns whether the name was registered. Instrument series are
-        untouched — history recorded from a departed source remains
-        queryable.
+        Returns whether the name was registered. Series already
+        scraped from a departed source remain queryable in the store.
         """
         return self._sources.pop(name, None) is not None
 
@@ -829,7 +676,7 @@ class TelemetryHub:
         return tuple(sorted(self._sources))
 
     def snapshot(self, strict: bool = True) -> dict:
-        """Everything the hub knows, as one JSON-able document.
+        """Every source's current payload, as one JSON-able document.
 
         With ``strict=False`` a pull source that raises contributes an
         ``{"error": ...}`` stub instead of poisoning the snapshot —
@@ -848,21 +695,7 @@ class TelemetryHub:
                     sources[name] = source()
                 except Exception as exc:  # noqa: BLE001 — churn isolation
                     sources[name] = {"error": repr(exc)}
-        return {
-            "counters": {
-                self._render(key): counter.value
-                for key, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                self._render(key): gauge.value
-                for key, gauge in sorted(self._gauges.items())
-            },
-            "histograms": {
-                self._render(key): histogram.summary()
-                for key, histogram in sorted(self._histograms.items())
-            },
-            "sources": sources,
-        }
+        return {"sources": sources}
 
     def snapshot_json(self, indent: int | None = None) -> str:
         """:meth:`snapshot`, serialized."""
@@ -881,8 +714,10 @@ def build_hub(
     Pure duck typing — pass any subset; each contributes pull sources:
     the runtime its stage-latency/pod collector and dispatch counters,
     the gateway its tenant-usage collector and WFQ lane depths, the
-    controller its fleet-event log, the tracer its retention stats, the
-    monitor its breach log.
+    controller its fleet-event count, the tracer its retention stats,
+    the monitor its breach count. The logs themselves stay where they
+    are (``controller.events``, ``monitor.breaches``); a scrape only
+    needs how many there have been.
     """
     hub = TelemetryHub()
     if runtime is not None:
@@ -901,32 +736,13 @@ def build_hub(
         hub.register_source("wfq_lanes", gateway.scheduler.snapshot)
     if controller is not None:
         hub.register_source(
-            "fleet_events",
-            lambda: [
-                {
-                    "t": event.time,
-                    "kind": event.kind,
-                    "subject": event.subject,
-                    **event.detail,
-                }
-                for event in controller.events
-            ],
+            "fleet_events", lambda: {"count": len(controller.events)}
         )
     if tracer is not None:
         hub.register_source("tracer", tracer.stats)
     if monitor is not None:
         hub.register_source(
-            "slo_burn",
-            lambda: [
-                {
-                    "t": breach.time,
-                    "tenant": breach.tenant,
-                    "burn_rate": breach.burn_rate,
-                    "bad_fraction": breach.bad_fraction,
-                    "samples": breach.samples,
-                }
-                for breach in monitor.breaches
-            ],
+            "slo_burn", lambda: {"count": len(monitor.breaches)}
         )
     return hub
 

@@ -52,6 +52,7 @@ from repro.gateway.admission import (
 )
 from repro.gateway.policy import TenantPolicy, TenantPolicyTable
 from repro.gateway.scheduler import WeightedFairScheduler
+from repro.messaging.queue import servable_topic
 
 _EPS = 1e-12
 
@@ -350,8 +351,6 @@ class ServingGateway:
         enqueue timestamp, and re-enter their tenant's lane to be
         re-released in WFQ order when capacity returns.
         """
-        from repro.messaging.queue import servable_topic
-
         excess = self._outstanding - self.max_dispatch_slots
         reclaimed = 0
         if excess <= 0:
@@ -474,22 +473,9 @@ class ServingGateway:
             raise GatewayError("offer() needs an identity or a token")
         policy = self.resolve_tenant(identity)
         if policy is None:
-            self.metrics.record_denied(
-                UNKNOWN_TENANT, AdmissionOutcome.REJECTED_UNKNOWN_TENANT.value
-            )
-            self._trace_denial(
-                request, arrived, now, AdmissionOutcome.REJECTED_UNKNOWN_TENANT
-            )
-            return GatewayResult(
-                request=request,
-                decision=AdmissionDecision(
-                    AdmissionOutcome.REJECTED_UNKNOWN_TENANT,
-                    None,
-                    servable,
-                    f"identity {identity.qualified_name} maps to no tenant",
-                ),
-                arrived_at=arrived,
-            )
+            decision = self._deny_unknown_tenant(identity, servable)
+            self._trace_denial(request, arrived, now, decision.outcome)
+            return GatewayResult(request=request, decision=decision, arrived_at=arrived)
         decision = self.admission.admit(
             policy, servable, self.scheduler.depth(policy.name)
         )
@@ -505,16 +491,39 @@ class ServingGateway:
             self._journal_admit(request, policy, arrived)
             if self.chaos is not None:
                 self.chaos.trip("post_admission")
-            self.scheduler.enqueue(policy.name, policy.weight, request)
-            self._queued_by_servable[servable] = (
-                self._queued_by_servable.get(servable, 0) + 1
-            )
-            self._open[request.task_uuid] = result
+            self._enter_lane(result, policy)
             self._note_tenant(policy.name)
             self._pump()
         else:
             self._trace_denial(request, arrived, now, decision.outcome)
         return result
+
+    def _deny_unknown_tenant(
+        self, identity: Identity, servable: str
+    ) -> AdmissionDecision:
+        """Count, and return the typed denial for, an identity that
+        resolves to no tenant policy."""
+        self.metrics.record_denied(
+            UNKNOWN_TENANT, AdmissionOutcome.REJECTED_UNKNOWN_TENANT.value
+        )
+        return AdmissionDecision(
+            AdmissionOutcome.REJECTED_UNKNOWN_TENANT,
+            None,
+            servable,
+            f"identity {identity.qualified_name} maps to no tenant",
+        )
+
+    def _enter_lane(self, result: GatewayResult, policy: TenantPolicy) -> None:
+        """An admitted request enters its tenant's lane: WFQ-tagged,
+        counted against its servable's lane backlog, and open until the
+        runtime settles it."""
+        request = result.request
+        self.scheduler.enqueue(policy.name, policy.weight, request)
+        servable = request.servable_name
+        self._queued_by_servable[servable] = (
+            self._queued_by_servable.get(servable, 0) + 1
+        )
+        self._open[request.task_uuid] = result
 
     def _journal_admit(self, request: TaskRequest, policy, arrived: float) -> None:
         """Durably record one admission grant (write-ahead: before the
@@ -809,19 +818,15 @@ class ServingGateway:
                 ),
                 arrived_at=entry["arrived_at"],
             )
-            self._open[request.task_uuid] = result
             self.admission.restore_charge(tenant, servable)
             if entry["in_queue"]:
+                self._open[request.task_uuid] = result
                 self._outstanding += 1
                 self._outstanding_by_tenant[tenant] = (
                     self._outstanding_by_tenant.get(tenant, 0) + 1
                 )
             else:
-                policy = self.policies.policy(tenant)
-                self.scheduler.enqueue(tenant, policy.weight, request)
-                self._queued_by_servable[servable] = (
-                    self._queued_by_servable.get(servable, 0) + 1
-                )
+                self._enter_lane(result, self.policies.policy(tenant))
                 if entry["enqueued_at"] is not None:
                     self._reclaimed_at[request.task_uuid] = entry["enqueued_at"]
             self._note_tenant(tenant)
@@ -907,19 +912,9 @@ class ServingGateway:
         self.runtime.check_placed(requests[0].servable_name)
         identity = identity or self._request_identity(requests[0])
         policy = self.resolve_tenant(identity)
-        if policy is None:
-            self.metrics.record_denied(
-                UNKNOWN_TENANT, AdmissionOutcome.REJECTED_UNKNOWN_TENANT.value
-            )
-            raise AdmissionRejected(
-                AdmissionDecision(
-                    AdmissionOutcome.REJECTED_UNKNOWN_TENANT,
-                    None,
-                    requests[0].servable_name,
-                    f"identity {identity.qualified_name} maps to no tenant",
-                )
-            )
         servable = requests[0].servable_name
+        if policy is None:
+            raise AdmissionRejected(self._deny_unknown_tenant(identity, servable))
         decision = self.admission.admit_many(
             policy, servable, self.scheduler.depth(policy.name), len(requests)
         )
@@ -930,16 +925,12 @@ class ServingGateway:
             request.tenant = policy.name
             request.identity_id = request.identity_id or identity.identity_id
             self._journal_admit(request, policy, self.runtime.clock.now())
-            self.scheduler.enqueue(policy.name, policy.weight, request)
-            self._queued_by_servable[servable] = (
-                self._queued_by_servable.get(servable, 0) + 1
-            )
             gateway_result = GatewayResult(
                 request=request,
                 decision=decision,
                 arrived_at=self.runtime.clock.now(),
             )
-            self._open[request.task_uuid] = gateway_result
+            self._enter_lane(gateway_result, policy)
             results.append(gateway_result)
         self._note_tenant(policy.name)
         self._pump()
@@ -966,16 +957,8 @@ class ServingGateway:
             self.runtime.check_placed(name)
         policy = self.resolve_tenant(identity)
         if policy is None:
-            self.metrics.record_denied(
-                UNKNOWN_TENANT, AdmissionOutcome.REJECTED_UNKNOWN_TENANT.value
-            )
             raise AdmissionRejected(
-                AdmissionDecision(
-                    AdmissionOutcome.REJECTED_UNKNOWN_TENANT,
-                    None,
-                    servable_names[0],
-                    f"identity {identity.qualified_name} maps to no tenant",
-                )
+                self._deny_unknown_tenant(identity, servable_names[0])
             )
         decision = self.admission.admit_chain(
             policy, list(servable_names), self.scheduler.depth(policy.name)
@@ -996,10 +979,6 @@ class ServingGateway:
         """
         request.tenant = policy.name
         self._journal_admit(request, policy, self.runtime.clock.now())
-        self.scheduler.enqueue(policy.name, policy.weight, request)
-        self._queued_by_servable[request.servable_name] = (
-            self._queued_by_servable.get(request.servable_name, 0) + 1
-        )
         result = GatewayResult(
             request=request,
             decision=AdmissionDecision(
@@ -1007,7 +986,7 @@ class ServingGateway:
             ),
             arrived_at=self.runtime.clock.now(),
         )
-        self._open[request.task_uuid] = result
+        self._enter_lane(result, policy)
         self._note_tenant(policy.name)
         self._pump()
         self.runtime.drain()

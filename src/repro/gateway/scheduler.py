@@ -96,11 +96,12 @@ class WeightedFairScheduler:
 
     def snapshot(self) -> dict:
         """The WFQ state as one JSON-able document (a telemetry-hub
-        pull source): per-tenant lane depths, the dispatch-eligible
-        set, the fair virtual time, and lifetime flow counters."""
+        pull source): per-tenant lane depths, the size of the
+        dispatch-eligible set, the fair virtual time, and lifetime flow
+        counters."""
         return {
             "depths": self.depths(),
-            "eligible": sorted(self._eligible),
+            "eligible": len(self._eligible),
             "virtual_time": self._virtual_time,
             "enqueued": self.enqueued,
             "dequeued": self.dequeued,

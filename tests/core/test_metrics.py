@@ -1,8 +1,17 @@
 """Unit tests for timing metrics collection."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.metrics import MetricsCollector, TimingRecord
+from repro.core.metrics import (
+    MetricsCollector,
+    StageLatencyCollector,
+    TenantUsageCollector,
+    TimingRecord,
+    TimingSummary,
+)
 
 
 def record(servable="m", inf=0.01, inv=0.02, req=0.05, hit=False):
@@ -81,10 +90,58 @@ class TestCollector:
         assert mc.count("m") == 1
 
 
+class TestTimingSummaryOf:
+    """The one summary implementation, against the direct NumPy calls
+    the three collector bodies used to spell out."""
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1
+        )
+    )
+    def test_equals_the_direct_numpy_computation(self, samples):
+        values = np.array(samples)
+        expected = TimingSummary(
+            servable="m",
+            metric="request_time",
+            count=len(samples),
+            median=float(np.median(values)),
+            p5=float(np.percentile(values, 5)),
+            p95=float(np.percentile(values, 95)),
+            mean=float(values.mean()),
+        )
+        assert TimingSummary.of(samples, "m", "request_time") == expected
+        # ... and through each collector, bit for bit.
+        stages, tenants, requests = (
+            StageLatencyCollector(),
+            TenantUsageCollector(),
+            MetricsCollector(),
+        )
+        for value in samples:
+            stages.record("dispatch", "m", value)
+            tenants.record_completion("m", value)
+            requests.record(record(req=value))
+        assert stages.summarize("dispatch", "m") == TimingSummary.of(
+            samples, "m", "dispatch"
+        )
+        assert tenants.latency_summary("m") == TimingSummary.of(
+            samples, "m", "e2e_latency"
+        )
+        assert requests.summarize("m", "request_time") == expected
+
+    def test_empty_raises_key_error_through_every_collector(self):
+        with pytest.raises(KeyError):
+            TimingSummary.of([], "m", "request_time")
+        with pytest.raises(KeyError):
+            StageLatencyCollector().summarize("dispatch", "m")
+        with pytest.raises(KeyError):
+            TenantUsageCollector().latency_summary("m")
+        with pytest.raises(KeyError):
+            MetricsCollector().summarize("m", "request_time")
+
+
 class TestStageLatencyCollector:
     def _collector(self):
-        from repro.core.metrics import StageLatencyCollector
-
         collector = StageLatencyCollector()
         for wait in (0.001, 0.002, 0.003):
             collector.record("queue_wait", "noop", wait)
@@ -140,12 +197,55 @@ class TestStageLatencyCollector:
         collector = self._collector()
         collector.clear()
         assert collector.count() == 0
+        assert collector.snapshot()["stages"] == {}
+
+    def test_snapshot_is_cumulative_counts_and_sums_not_summaries(self):
+        collector = self._collector()
+        collector.record_pod_share("noop", "w0/noop-1", 0.25)
+        assert collector.snapshot() == {
+            "stages": {
+                "noop.inference": {"count": 1, "sum_s": pytest.approx(0.005)},
+                "cifar10.queue_wait": {"count": 1, "sum_s": pytest.approx(0.010)},
+                "noop.queue_wait": {"count": 3, "sum_s": pytest.approx(0.006)},
+            },
+            "pod_busy_s": {"noop/w0/noop-1": 0.25},
+            "pod_chunks": {"noop/w0/noop-1": 1},
+        }
+
+
+class TestTenantUsageCollector:
+    def test_snapshot_is_cumulative_counters_and_a_latency_sum(self):
+        usage = TenantUsageCollector()
+        usage.record_admitted("lab", "noop")
+        usage.record_admitted("lab", "noop")
+        usage.record_admitted("idle", "noop")
+        usage.record_denied("lab", "rejected_rate_limit")
+        usage.record_completion("lab", 0.25)
+        usage.record_completion("lab", 0.5, ok=False)
+        assert usage.snapshot() == {
+            "tenants": {
+                "idle": {
+                    "admitted": 1,
+                    "completed": 0,
+                    "failed": 0,
+                    "denied": {},
+                    "in_progress": 1,
+                    "latency": {"count": 0, "sum_s": 0.0},
+                },
+                "lab": {
+                    "admitted": 2,
+                    "completed": 1,
+                    "failed": 1,
+                    "denied": {"rejected_rate_limit": 1},
+                    "in_progress": 0,
+                    "latency": {"count": 2, "sum_s": 0.75},
+                },
+            }
+        }
 
 
 class TestSamplesSince:
     def _collector_with(self, n):
-        from repro.core.metrics import StageLatencyCollector
-
         collector = StageLatencyCollector()
         for i in range(n):
             collector.record("queue_wait", "noop", 0.001 * (i + 1))
@@ -177,8 +277,6 @@ class TestSamplesSince:
 
 class TestWindowedSamples:
     def _collector(self):
-        from repro.core.metrics import StageLatencyCollector
-
         collector = StageLatencyCollector()
         for t, wait in ((1.0, 0.010), (2.0, 0.020), (3.0, 0.030)):
             collector.record("queue_wait", "noop", wait, at=t)
@@ -217,8 +315,6 @@ class TestWindowedSamples:
 
 class TestPodUtilizationGauge:
     def _collector(self):
-        from repro.core.metrics import StageLatencyCollector
-
         collector = StageLatencyCollector()
         collector.record_pod_share("m", "w0/m-1", 0.030)
         collector.record_pod_share("m", "w0/m-1", 0.010)
@@ -252,29 +348,21 @@ class TestPodUtilizationGauge:
         )
 
     def test_imbalance_none_without_chunks(self):
-        from repro.core.metrics import StageLatencyCollector
-
         assert StageLatencyCollector().pod_imbalance("ghost") is None
 
     def test_balanced_pods_report_one(self):
-        from repro.core.metrics import StageLatencyCollector
-
         collector = StageLatencyCollector()
         collector.record_pod_share("m", "w0/m-1", 0.5)
         collector.record_pod_share("m", "w0/m-2", 0.5)
         assert collector.pod_imbalance("m") == pytest.approx(1.0)
 
     def test_negative_share_rejected(self):
-        from repro.core.metrics import StageLatencyCollector
-
         with pytest.raises(ValueError):
             StageLatencyCollector().record_pod_share("m", "w0/m-1", -0.1)
 
     def test_windowed_busy_overrides_cumulative_history(self):
         """A consumer passing per-interval deltas sees *current*
         imbalance: an ancient straggler no longer skews the gauge."""
-        from repro.core.metrics import StageLatencyCollector
-
         collector = StageLatencyCollector()
         # Early transient: pod 1 was a 3x straggler.
         collector.record_pod_share("m", "w0/m-1", 3.0)

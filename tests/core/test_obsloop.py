@@ -80,28 +80,35 @@ class TestSeriesStore:
             store.percentile("s", 1.0, 1.0, 101)
 
     def test_scrape_flattens_every_instrument_kind(self):
+        """Every numeric leaf a source returns — counter, gauge, or a
+        ``{count, sum_s}`` pair, at any depth — becomes a series."""
         hub = TelemetryHub()
-        hub.counter("reqs", tenant="a").inc(3)
-        hub.gauge("depth").set(7.0)
-        hub.histogram("lat").observe(0.5)
         hub.register_source(
-            "stack", lambda: {"a": {"b": 2}, "flag": True, "name": "x"}
+            "stack",
+            lambda: {
+                "reqs": {"a": 3},
+                "depth": 7.0,
+                "lat": {"count": 2, "sum_s": 0.5},
+                "flag": True,
+                "name": "x",
+                "missing": None,
+            },
         )
+        hub.register_source("bare", lambda: 4)
         store = SeriesStore()
-        touched = store.scrape(hub, now=1.0)
-        assert touched >= 4
-        names = store.names()
-        assert "reqs{tenant=a}" in names
-        assert "depth" in names
-        assert {"lat:count", "lat:sum", "lat:mean"} <= set(names)
-        assert "src:stack.a.b" in names
-        # Bools and strings are not numeric leaves.
-        assert "src:stack.flag" not in names
-        assert "src:stack.name" not in names
+        assert store.scrape(hub, now=1.0) == 5
+        assert store.names() == (
+            "src:bare",
+            "src:stack.depth",
+            "src:stack.lat.count",
+            "src:stack.lat.sum_s",
+            "src:stack.reqs.a",
+        )
+        assert store.latest("src:stack.lat.sum_s") == (1.0, 0.5)
 
     def test_scrape_survives_a_raising_source(self):
         hub = TelemetryHub()
-        hub.counter("ok").inc(1)
+        hub.register_source("ok", lambda: {"n": 1})
 
         def _broken():
             raise RuntimeError("mid-churn")
@@ -109,8 +116,18 @@ class TestSeriesStore:
         hub.register_source("broken", _broken)
         store = SeriesStore()
         store.scrape(hub, now=0.0)
-        assert store.latest("ok") == (0.0, 1.0)
+        assert store.latest("src:ok.n") == (0.0, 1.0)
         assert not any(n.startswith("src:broken") for n in store.names())
+
+    @pytest.mark.parametrize("history", [[1, 2], (1, 2), []])
+    def test_scrape_rejects_a_list_payload_by_path(self, history):
+        """A list in a payload used to be dropped without a word — how
+        stage latencies, fleet events and SLO breaches never reached
+        the store."""
+        hub = TelemetryHub()
+        hub.register_source("stack", lambda: {"a": {"events": history}})
+        with pytest.raises(ObsLoopError, match=r"src:stack\.a\.events"):
+            SeriesStore().scrape(hub, now=0.0)
 
 
 class TestThresholdRule:
@@ -481,7 +498,7 @@ class TestObservabilityLoop:
     def test_ticks_at_the_scrape_cadence(self):
         clock = VirtualClock()
         hub = TelemetryHub()
-        hub.counter("c").inc(1)
+        hub.register_source("c", lambda: {"n": 1})
         loop = ObservabilityLoop(clock, hub, scrape_interval_s=0.1)
         assert loop.next_wakeup() == clock.now()
         loop.on_tick()
@@ -532,3 +549,106 @@ class TestObservabilityLoop:
     def test_validation(self):
         with pytest.raises(ObsLoopError):
             ObservabilityLoop(VirtualClock(), TelemetryHub(), scrape_interval_s=0.0)
+
+
+def _numeric_leaves(prefix, payload):
+    """Series names a payload's numbers should land under — counting
+    into lists too, whose elements no series name can ever match."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield from _numeric_leaves(f"{prefix}.{key}", value)
+    elif isinstance(payload, (list, tuple)):
+        for index, value in enumerate(payload):
+            yield from _numeric_leaves(f"{prefix}[{index}]", value)
+    elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
+        yield prefix
+
+
+class TestScrapeIsHistoryIndependent:
+    """A scrape reads cumulative state, never the sample history: on a
+    full ``build_hub`` stack with a thousand settled requests behind it
+    the loop neither computes a percentile nor copies a sample list,
+    and every number a source reports reaches the store."""
+
+    def test_full_stack_scrape_touches_no_history_and_drops_nothing(
+        self, monkeypatch
+    ):
+        import numpy
+
+        from repro.core.fleet import FleetController
+        from repro.core.metrics import StageLatencyCollector, TenantUsageCollector
+        from repro.core.telemetry import SLOBurnMonitor, build_hub
+        from repro.gateway import TenantPolicy
+        from tests.gateway.test_gateway import build_gateway, requests_at
+
+        tracer = Tracer(sample_rate=0.05)
+        # An SLO nothing meets: breaches (and their fleet events) exist.
+        monitor = SLOBurnMonitor(latency_slo_s=1e-6, min_samples=5)
+        testbed, gateway, tokens = build_gateway(
+            {"a": TenantPolicy(name="a"), "b": TenantPolicy(name="b", weight=2.0)},
+            tracer=tracer,
+            slo_monitor=monitor,
+        )
+        runtime = gateway.runtime
+        controller = FleetController(
+            runtime,
+            provision_worker=testbed.add_fleet_worker,
+            min_workers=2,
+            max_workers=2,
+            gateway=gateway,
+            slo_monitor=monitor,
+        )
+        hub = build_hub(
+            runtime=runtime,
+            gateway=gateway,
+            controller=controller,
+            tracer=tracer,
+            monitor=monitor,
+        )
+        loop = ObservabilityLoop(testbed.clock, hub, monitor=monitor)
+        runtime.attach_controller(loop, controller)
+        results = gateway.serve(
+            requests_at(400.0, 1.5, tokens["a"]) + requests_at(400.0, 1.5, tokens["b"])
+        )
+        assert sum(r.completed for r in results) >= 1000
+        assert monitor.breaches and controller.events
+        stages = runtime.stage_metrics
+        queue_wait_s = stages.stage_sum("queue_wait", "noop")
+
+        def _history(*args, **kwargs):
+            raise AssertionError("a scrape must not read sample history")
+
+        for owner, name in (
+            (numpy, "percentile"),
+            (numpy, "median"),
+            (StageLatencyCollector, "samples"),
+            (TenantUsageCollector, "latencies"),
+        ):
+            monkeypatch.setattr(owner, name, _history)
+        loop.scrape(testbed.clock.now())
+
+        names = set(loop.store.names())
+        payloads = hub.snapshot()["sources"]
+        assert set(payloads) == {
+            "fleet_events",
+            "runtime",
+            "slo_burn",
+            "stage_latency",
+            "tenant_usage",
+            "tracer",
+            "wfq_lanes",
+        }
+        leaves = [
+            leaf
+            for source, payload in payloads.items()
+            for leaf in _numeric_leaves(f"src:{source}", payload)
+        ]
+        assert len(leaves) > 30
+        assert [leaf for leaf in leaves if leaf not in names] == []
+        # The cumulative pair is the collector's own ledger.
+        assert payloads["stage_latency"]["stages"]["noop.queue_wait"] == {
+            "count": stages.count("queue_wait", "noop"),
+            "sum_s": pytest.approx(queue_wait_s),
+        }
+        assert payloads["slo_burn"] == {"count": len(monitor.breaches)}
+        assert payloads["fleet_events"] == {"count": len(controller.events)}

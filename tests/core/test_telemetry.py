@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.tasks import TaskRequest
 from repro.core.telemetry import (
+    MemberRecord,
     SLOBurnMonitor,
     TelemetryError,
     TelemetryHub,
@@ -22,7 +23,7 @@ def _request(i=0):
     return TaskRequest("noop", args=(i,))
 
 
-def _member_kwargs(**overrides):
+def _member(**overrides):
     """A plausible settled batch member, overridable per test."""
     base = dict(
         enqueued_at=1.0,
@@ -43,7 +44,7 @@ def _member_kwargs(**overrides):
         cache=False,
     )
     base.update(overrides)
-    return base
+    return MemberRecord(**base)
 
 
 class TestHeadSampling:
@@ -150,15 +151,15 @@ class TestTailKeep:
 
 class TestSettlementPaths:
     def test_settle_member_and_settle_request_build_identical_trees(self):
-        member = _member_kwargs()
+        member = _member()
         eager = Tracer(sample_rate=1.0)
         request_a = _request()
-        trace_a = eager.begin(request_a, at=member["enqueued_at"])
-        eager.settle_member(trace_a, **member)
+        trace_a = eager.begin(request_a, at=member.enqueued_at)
+        eager.settle_member(trace_a, member)
 
         lazy = Tracer(sample_rate=1.0)
         request_b = _request()
-        lazy.settle_request(request_b, **member)
+        lazy.settle_request(request_b, member)
         trace_b = request_b.trace
 
         def shape(trace):
@@ -175,7 +176,7 @@ class TestSettlementPaths:
     def test_settle_request_drops_without_allocating_a_trace(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
         request = _request()
-        tracer.settle_request(request, **_member_kwargs())
+        tracer.settle_request(request, _member())
         assert request.trace is None
         assert tracer.dropped == 1 and tracer.started == 1
 
@@ -183,7 +184,7 @@ class TestSettlementPaths:
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
         request = _request()
         tracer.settle_request(
-            request, **_member_kwargs(status="error", error="boom")
+            request, _member(status="error", error="boom")
         )
         assert request.trace is not None
         assert request.trace.error
@@ -191,10 +192,10 @@ class TestSettlementPaths:
 
     def test_settle_member_records_failure_as_error_inference_span(self):
         tracer = Tracer(sample_rate=1.0)
-        member = _member_kwargs(status="error", error="pod crashed")
+        member = _member(status="error", error="pod crashed")
         request = _request()
-        trace = tracer.begin(request, at=member["enqueued_at"])
-        tracer.settle_member(trace, **member)
+        trace = tracer.begin(request, at=member.enqueued_at)
+        tracer.settle_member(trace, member)
         (inference,) = trace.stages("inference")
         assert inference.status == "error"
         assert inference.attrs["error"] == "pod crashed"
@@ -202,10 +203,10 @@ class TestSettlementPaths:
 
     def test_memo_hit_gets_cache_span_instead_of_inference(self):
         tracer = Tracer(sample_rate=1.0)
-        member = _member_kwargs(cache=True)
+        member = _member(cache=True)
         request = _request()
-        trace = tracer.begin(request, at=member["enqueued_at"])
-        tracer.settle_member(trace, **member)
+        trace = tracer.begin(request, at=member.enqueued_at)
+        tracer.settle_member(trace, member)
         assert trace.stages("inference") == []
         (cache,) = trace.stages("cache")
         assert cache.duration == 0.0
@@ -220,23 +221,23 @@ class TestSpanGeometry:
         stays well-nested) while ``window_s`` carries the full window
         for reconciliation."""
         tracer = Tracer(sample_rate=1.0)
-        member = _member_kwargs(head_enqueued=0.9, enqueued_at=1.0)
+        member = _member(head_enqueued=0.9, enqueued_at=1.0)
         request = _request()
-        trace = tracer.begin(request, at=member["enqueued_at"])
-        tracer.settle_member(trace, **member)
+        trace = tracer.begin(request, at=member.enqueued_at)
+        tracer.settle_member(trace, member)
         (coalesce,) = trace.stages("coalesce")
         assert coalesce.start == 1.0  # not 0.9: clamped to the member
         assert coalesce.attrs["window_s"] == pytest.approx(
-            member["claimed_at"] - 0.9
+            member.claimed_at - 0.9
         )
         assert trace.well_formed()
 
     def test_head_member_coalesce_spans_the_whole_window(self):
         tracer = Tracer(sample_rate=1.0)
-        member = _member_kwargs()  # head_enqueued == enqueued_at
+        member = _member()  # head_enqueued == enqueued_at
         request = _request()
-        trace = tracer.begin(request, at=member["enqueued_at"])
-        tracer.settle_member(trace, **member)
+        trace = tracer.begin(request, at=member.enqueued_at)
+        tracer.settle_member(trace, member)
         (coalesce,) = trace.stages("coalesce")
         assert coalesce.duration == pytest.approx(coalesce.attrs["window_s"])
 
@@ -244,7 +245,7 @@ class TestSpanGeometry:
         tracer = Tracer(sample_rate=1.0)
         request = _request()
         trace = tracer.begin(request, at=1.0)
-        tracer.settle_member(trace, **_member_kwargs())
+        tracer.settle_member(trace, _member())
         assert trace.missing_stages() == set()
         assert trace.missing_stages(gateway=True) == {
             "admission",
@@ -267,7 +268,7 @@ class TestSpanGeometry:
         request = _request()
         trace = tracer.begin(request, at=1.0, tenant="t")
         trace.mark("reclaim", at=1.2, tenant="t")
-        tracer.settle_member(trace, **_member_kwargs())
+        tracer.settle_member(trace, _member())
         tree = json.loads(json.dumps(trace.tree()))
         starts = [child["start"] for child in tree["children"]]
         assert starts == sorted(starts)
@@ -472,44 +473,6 @@ class TestSLOBurnMonitor:
 
 
 class TestTelemetryHub:
-    def test_instruments_are_stable_by_name_and_labels(self):
-        hub = TelemetryHub()
-        counter = hub.counter("served", tenant="t")
-        counter.inc()
-        counter.inc(2.0)
-        assert hub.counter("served", tenant="t") is counter
-        assert hub.counter("served", tenant="other") is not counter
-        assert counter.value == 3.0
-        with pytest.raises(TelemetryError):
-            counter.inc(-1.0)
-
-    def test_gauge_and_histogram(self):
-        hub = TelemetryHub()
-        hub.gauge("depth").set(7.0)
-        hub.gauge("depth").set(3.0)
-        assert hub.gauge("depth").value == 3.0
-        histogram = hub.histogram("latency", stage="dispatch")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        assert histogram.summary() == {
-            "count": 3,
-            "sum": 6.0,
-            "min": 1.0,
-            "max": 3.0,
-            "mean": 2.0,
-        }
-        assert hub.histogram("empty").summary()["min"] is None
-
-    def test_snapshot_renders_prometheus_style_keys(self):
-        hub = TelemetryHub()
-        hub.counter("served", tenant="t", servable="noop").inc()
-        hub.gauge("plain").set(1.0)
-        snapshot = hub.snapshot()
-        assert snapshot["counters"] == {
-            "served{servable=noop,tenant=t}": 1.0
-        }
-        assert snapshot["gauges"] == {"plain": 1.0}
-
     def test_sources_pull_fresh_on_every_snapshot(self):
         hub = TelemetryHub()
         state = {"n": 0}
@@ -522,19 +485,21 @@ class TestTelemetryHub:
 
     def test_snapshot_json_round_trips(self):
         hub = TelemetryHub()
-        hub.histogram("latency").observe(1.0)
-        hub.register_source("stats", lambda: {"ok": True})
-        doc = json.loads(hub.snapshot_json())
-        assert doc["sources"]["stats"] == {"ok": True}
+        payload = {"ok": True, "latency": {"count": 1, "sum_s": 1.0}}
+        hub.register_source("stats", lambda: payload)
+        assert json.loads(hub.snapshot_json()) == {"sources": {"stats": payload}}
 
     def test_build_hub_wires_whatever_exists(self):
         tracer = Tracer(sample_rate=1.0)
-        monitor = SLOBurnMonitor()
+        monitor = SLOBurnMonitor(min_samples=1)
         hub = build_hub(tracer=tracer, monitor=monitor)
         sources = hub.snapshot()["sources"]
         assert set(sources) == {"tracer", "slo_burn"}
         assert sources["tracer"]["sample_rate"] == 1.0
-        assert sources["slo_burn"] == []
+        assert sources["slo_burn"] == {"count": 0}
+        monitor.record("hot", at=0.0, latency_s=9.0)
+        monitor.check(now=0.0)
+        assert hub.snapshot()["sources"]["slo_burn"] == {"count": 1}
 
 
 class TestChromeExport:
@@ -628,26 +593,22 @@ class TestTenantSamplingOverrides:
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
         tracer.set_tenant_rate("hot", 1.0)
         kept = TaskRequest("noop", args=(0,), tenant="hot")
-        tracer.settle_request(kept, **_member_kwargs())
+        tracer.settle_request(kept, _member())
         assert kept.trace is not None
         dropped = TaskRequest("noop", args=(1,), tenant="cold")
-        tracer.settle_request(dropped, **_member_kwargs())
+        tracer.settle_request(dropped, _member())
         assert dropped.trace is None
 
 
 class TestHubChurn:
     def test_unregister_source(self):
         hub = TelemetryHub()
-        hub.counter("served").inc()
         hub.register_source("w0", lambda: {"depth": 1})
         assert hub.sources() == ("w0",)
         assert hub.unregister_source("w0") is True
         assert hub.unregister_source("w0") is False
         assert hub.sources() == ()
-        snapshot = hub.snapshot()
-        # The source is gone; instrument series survive the departure.
-        assert snapshot["sources"] == {}
-        assert snapshot["counters"] == {"served": 1.0}
+        assert hub.snapshot() == {"sources": {}}
 
     def test_reregistering_replaces_the_collector(self):
         hub = TelemetryHub()

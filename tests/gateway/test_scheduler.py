@@ -92,6 +92,24 @@ class TestBookkeeping:
         assert wfq.enqueued == 3 and wfq.dequeued == 3
         assert len(wfq) == 0
 
+    def test_snapshot_is_scalars_with_the_eligible_set_as_a_count(self):
+        wfq = WeightedFairScheduler()
+        wfq.enqueue("a", 1.0, 1)
+        wfq.enqueue("a", 1.0, 2)
+        wfq.enqueue("b", 2.0, 3)
+        wfq.enqueue("b", 2.0, 4)
+        wfq.set_eligible("a", True)
+        wfq.set_eligible("b", True)
+        wfq.set_eligible("idle", True)
+        assert wfq.dequeue().item == 3
+        assert wfq.snapshot() == {
+            "depths": {"a": 2, "b": 1},
+            "eligible": 3,
+            "virtual_time": 0.5,
+            "enqueued": 4,
+            "dequeued": 1,
+        }
+
     def test_invalid_enqueue_parameters(self):
         wfq = WeightedFairScheduler()
         with pytest.raises(SchedulerError):

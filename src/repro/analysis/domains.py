@@ -18,7 +18,7 @@ VIRTUAL_CLOCK_PACKAGES: frozenset[str] = frozenset(
     {
         "core",  # serve loop, fleet controller, telemetry, obs loop
         "gateway",  # admission, WFQ lanes, slot budget
-        "messaging",  # queues / frames timestamped in virtual time
+        "messaging",  # queues timestamped in virtual time
         "cluster",  # nodes, pods, deployment cold starts
         "sim",  # the clock/rng/latency machinery itself (minus sim/clock.py)
         "bench",  # benches drive virtual-clock experiments (one wall-clock

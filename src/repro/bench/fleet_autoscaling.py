@@ -32,16 +32,14 @@ pre-provision decision.
 A second experiment (:func:`run_drain_experiment`) flips the question
 to scale-*down*: a sustained low tail after the spike, measuring
 whether the forecaster's post-burst trend crash whiplashes capacity
-back up mid-drain — and whether Gardner damping
-(``ArrivalForecaster(trend_damping=...)``) changes anything once the
-planner floors its rate at ``max(current, forecast)``.
+back up mid-drain once the planner floors its rate at
+``max(current, forecast)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.adaptive import ArrivalForecaster
 from repro.core.fleet import (
     FleetController,
     FleetPolicy,
@@ -64,8 +62,6 @@ SPIKE_WINDOW = (
 #: enough that the controllers finish draining while traffic still flows
 #: — the regime where post-burst forecast whiplash would re-provision.
 DRAIN_PHASES = ((150.0, 1.0), (800.0, 3.0), (60.0, 8.0))
-#: ``phi`` for the damped drain arm (see ``ArrivalForecaster``).
-DRAIN_TREND_DAMPING = 0.5
 SERVABLE = "matminer_util"
 MAX_WORKERS = 4
 MAX_BATCH_SIZE = 32
@@ -278,49 +274,35 @@ def run_drain_experiment(servable: str = SERVABLE, seed: int = 0) -> dict:
     """Scale-*down* ablation: does forecast whiplash defer the drain?
 
     Serves :data:`DRAIN_PHASES` (short spike, long sustained low tail)
-    with the reactive controller, the predictive controller with the
-    default *undamped* forecaster, and the predictive controller with a
-    Gardner-damped forecaster (``trend_damping=0.5``). Post-burst, an
-    undamped Holt trend projects the rate far below the real settling
-    level; if that downswing reached the planner, the subsequent upward
-    over-correction would re-provision capacity the drain just shed
-    (whiplash). The metrics that would show it: ``post_spike_provisions``
-    (re-provisions after the spike ends), ``drain_complete_s`` (how long
-    past the spike the last worker retires), tail-phase p95 wait, and
-    total ``worker_seconds``.
+    with the reactive controller and the predictive controller.
+    Post-burst, the Holt trend projects the rate far below the real
+    settling level; if that downswing reached the planner, the
+    subsequent upward over-correction would re-provision capacity the
+    drain just shed (whiplash). The metrics that would show it:
+    ``post_spike_provisions`` (re-provisions after the spike ends),
+    ``drain_complete_s`` (how long past the spike the last worker
+    retires), tail-phase p95 wait, and total ``worker_seconds``.
 
-    Empirical finding (why ``trend_damping`` stays opt-in):
+    Empirical finding (why the forecaster needs no trend damping):
     :class:`PredictiveScaling` plans on ``max(current, forecast)``, so a
     crashed forecast is floored at the observed rate and never reaches
     the base policy — and the dt-scaled trend gain recovers the slope
     monotonically, without the sign-flipping oscillation that would push
-    projections *above* the observed tail. Both predictive arms drain
-    identically with zero whiplash; damping's bounded downswing matters
-    for consumers that plan on the raw forecast (seasonal profiles,
-    capacity reports), not for this planner.
+    projections *above* the observed tail. The predictive arm drains
+    with zero whiplash.
     """
     reactive, reactive_controller = _run_autoscaled(
         servable, seed=seed, phases=DRAIN_PHASES
     )
-    arms: dict[str, dict] = {"reactive": reactive}
-    events = {"reactive": _event_rows(reactive_controller)}
-    for arm, phi in (
-        ("predictive", 1.0),
-        ("predictive_damped", DRAIN_TREND_DAMPING),
-    ):
-        row, controller = _run_autoscaled(
-            servable,
-            seed=seed,
-            policy=PredictiveScaling(
-                TargetUtilizationPolicy(),
-                forecaster=ArrivalForecaster(trend_damping=phi),
-                reconcile_interval_s=RECONCILE_INTERVAL_S,
-            ),
-            phases=DRAIN_PHASES,
-        )
-        row["trend_damping"] = phi
-        arms[arm] = row
-        events[arm] = _event_rows(controller)
+    predictive, predictive_controller = _run_autoscaled(
+        servable,
+        seed=seed,
+        policy=PredictiveScaling(
+            TargetUtilizationPolicy(),
+            reconcile_interval_s=RECONCILE_INTERVAL_S,
+        ),
+        phases=DRAIN_PHASES,
+    )
     offered = sum(int(rate * duration) for rate, duration in DRAIN_PHASES)
     return {
         "params": {
@@ -329,10 +311,12 @@ def run_drain_experiment(servable: str = SERVABLE, seed: int = 0) -> dict:
             "offered_requests": offered,
             "max_workers": MAX_WORKERS,
             "reconcile_interval_s": RECONCILE_INTERVAL_S,
-            "trend_damping": DRAIN_TREND_DAMPING,
         },
-        "arms": arms,
-        "events": events,
+        "arms": {"reactive": reactive, "predictive": predictive},
+        "events": {
+            "reactive": _event_rows(reactive_controller),
+            "predictive": _event_rows(predictive_controller),
+        },
     }
 
 
@@ -343,7 +327,7 @@ def format_drain_report(results: dict) -> str:
         f"{rate:.0f} rps x {duration:.0f}s" for rate, duration in params["phases"]
     )
     lines = [
-        "Drain-phase ablation: scale-down whiplash vs trend damping",
+        "Drain-phase ablation: scale-down whiplash, reactive vs predictive",
         f"({params['offered_requests']} {params['servable']!r} requests, "
         f"{phases}; worker cap {params['max_workers']})",
         "",
@@ -363,7 +347,7 @@ def format_drain_report(results: dict) -> str:
         "",
         "whiplash = workers provisioned after the spike ended; the",
         "planning-rate floor max(current, forecast) keeps it at zero in",
-        "both predictive arms, which is why trend_damping stays opt-in.",
+        "the predictive arm.",
     ]
     return "\n".join(lines)
 

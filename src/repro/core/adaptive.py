@@ -7,9 +7,9 @@
   -> :class:`Autoscaler`, which inverts the Fig. 7 saturation model to
   pick replica counts for a target arrival rate.
 * predictive capacity planning -> :class:`ArrivalForecaster`, a pure
-  trend + seasonality projector over arrival-rate samples that lets a
-  fleet controller provision capacity one cold-start lead time *ahead*
-  of a spike instead of after it.
+  Holt trend projector over arrival-rate samples that lets a fleet
+  controller provision capacity one cold-start lead time *ahead* of a
+  spike instead of after it.
 
 All of these work from *measured* signals: the batcher fits the Fig. 6
 linear model (invocation = intercept + slope * n) from observed batch
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -100,7 +99,7 @@ def replicas_for_rate(
 
 
 # ---------------------------------------------------------------------------
-# Arrival forecasting (trend + seasonality)
+# Arrival forecasting (Holt trend)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Forecast:
@@ -114,9 +113,6 @@ class Forecast:
     level: float
     #: Smoothed slope (requests per second, per second).
     trend_per_s: float
-    #: Seasonal component added on top of level + trend (0 when the
-    #: forecaster runs without a seasonal period).
-    seasonal: float = 0.0
 
 
 @dataclass
@@ -129,7 +125,7 @@ class _TrendState:
 
 
 class ArrivalForecaster:
-    """Trend + seasonality projection over per-key arrival-rate samples.
+    """Holt trend projection over per-key arrival-rate samples.
 
     Pure and clock-free: callers feed ``(time, rate)`` samples — e.g.
     the EWMA arrival rates a fleet controller's ``observe`` already
@@ -145,17 +141,6 @@ class ArrivalForecaster:
     beats a pure EWMA to the punch; flat traffic keeps the trend near
     zero so the forecast never over-provisions a steady fleet.
 
-    With ``seasonal_period_s`` set, an additive seasonal profile is
-    kept in phase buckets over the period (classic Holt–Winters
-    decomposition, coarse-grained): each sample updates its bucket's
-    residual EWMA, and forecasts add the *target* instant's bucket —
-    so a nightly batch window or a top-of-the-hour surge is anticipated
-    a full lead time early even with zero instantaneous trend. Damp the
-    trend when enabling seasonality (e.g. ``alpha=0.3, beta=0.05``):
-    with the spike-chasing defaults the trend term races the cycle and
-    the seasonal profile never converges — the cycle belongs in the
-    profile, not the slope.
-
     Parameters
     ----------
     alpha:
@@ -164,162 +149,16 @@ class ArrivalForecaster:
     beta:
         Trend smoothing in ``(0, 1]`` — how hard a prediction error
         swings the slope.
-    seasonal_period_s:
-        Length of the repeating cycle, or ``None`` (default) for
-        trend-only forecasting.
-    seasonal_buckets:
-        Phase resolution of the seasonal profile.
-    gamma:
-        Seasonal smoothing in ``(0, 1]``.
-    trend_damping:
-        Damping factor ``phi`` in ``(0, 1]`` applied to *negative*
-        trends at projection time (Gardner-style damped trend,
-        one-sided). At ``1.0`` (the default) projections are pure
-        Holt extrapolation. Below 1, a falling trend's contribution
-        over horizon ``h`` shrinks from ``trend * h`` to
-        ``trend * (1 - phi^h) / (-ln phi)`` — bounded however far out
-        the projection looks. Post-burst, the undamped slope dives the
-        forecast far below the real settling rate, the next samples
-        over-correct it upward, and the oscillating projections keep
-        beating the observed rate — deferring drain for reconciles;
-        damping keeps the downswing shallow so the whiplash never
-        starts. Rising trends are never damped (scale-up stays eager).
-    seasonal_autodetect:
-        Opt-in (default off): when ``seasonal_period_s`` is unset,
-        retain each key's recent raw samples and estimate its dominant
-        period by autocorrelation — the first interior peak of the
-        mean-removed, uniformly resampled signal's normalized
-        autocorrelation at or above ``autodetect_min_corr``. Once a
-        period is detected for a key, the seasonal machinery runs for
-        that key exactly as if the period had been configured. With
-        the knob off (the default), behavior is bit-for-bit identical
-        to previous releases: no history is retained and no seasonal
-        state exists. An explicit ``seasonal_period_s`` always wins.
-    autodetect_history:
-        Raw ``(time, rate)`` samples retained per key for estimation.
-    autodetect_min_samples:
-        Samples required before a detection attempt runs.
-    autodetect_min_corr:
-        Normalized autocorrelation a candidate lag must reach.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        beta: float = 0.35,
-        seasonal_period_s: float | None = None,
-        seasonal_buckets: int = 8,
-        gamma: float = 0.3,
-        trend_damping: float = 1.0,
-        seasonal_autodetect: bool = False,
-        autodetect_history: int = 64,
-        autodetect_min_samples: int = 16,
-        autodetect_min_corr: float = 0.5,
-    ) -> None:
+    def __init__(self, alpha: float = 0.5, beta: float = 0.35) -> None:
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 < beta <= 1:
             raise ValueError("beta must be in (0, 1]")
-        if seasonal_period_s is not None and seasonal_period_s <= 0:
-            raise ValueError("seasonal_period_s must be > 0")
-        if seasonal_buckets < 1:
-            raise ValueError("seasonal_buckets must be >= 1")
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if not 0 < trend_damping <= 1:
-            raise ValueError("trend_damping must be in (0, 1]")
-        if autodetect_min_samples < 8:
-            raise ValueError("autodetect_min_samples must be >= 8")
-        if autodetect_history < autodetect_min_samples:
-            raise ValueError(
-                "autodetect_history must be >= autodetect_min_samples"
-            )
-        if not 0 < autodetect_min_corr < 1:
-            raise ValueError("autodetect_min_corr must be in (0, 1)")
         self.alpha = alpha
         self.beta = beta
-        self.seasonal_period_s = seasonal_period_s
-        self.seasonal_buckets = seasonal_buckets
-        self.gamma = gamma
-        self.trend_damping = trend_damping
-        self.seasonal_autodetect = seasonal_autodetect
-        self.autodetect_history = autodetect_history
-        self.autodetect_min_samples = autodetect_min_samples
-        self.autodetect_min_corr = autodetect_min_corr
         self._state: dict[Any, _TrendState] = {}
-        self._seasonal: dict[Any, list[float]] = {}
-        self._history: dict[Any, deque] = {}
-        self._detected: dict[Any, float] = {}
-
-    def _period_for(self, key: Any) -> float | None:
-        """The seasonal period governing ``key`` (configured wins)."""
-        if self.seasonal_period_s is not None:
-            return self.seasonal_period_s
-        return self._detected.get(key)
-
-    def _bucket(self, time_s: float, period: float) -> int:
-        phase = (time_s % period) / period
-        return min(int(phase * self.seasonal_buckets), self.seasonal_buckets - 1)
-
-    def _seasonal_at(self, key: Any, time_s: float) -> float:
-        period = self._period_for(key)
-        if period is None:
-            return 0.0
-        profile = self._seasonal.get(key)
-        if profile is None:
-            return 0.0
-        return profile[self._bucket(time_s, period)]
-
-    def detected_period(self, key: Any) -> float | None:
-        """The auto-detected seasonal period for ``key``, if any."""
-        return self._detected.get(key)
-
-    def _note_sample(self, key: Any, time_s: float, rate_rps: float) -> None:
-        """Retain one raw sample and attempt period detection."""
-        history = self._history.get(key)
-        if history is None:
-            history = self._history[key] = deque(maxlen=self.autodetect_history)
-        history.append((time_s, rate_rps))
-        if key in self._detected or len(history) < self.autodetect_min_samples:
-            return
-        period = self._estimate_period(history)
-        if period is not None:
-            self._detected[key] = period
-
-    def _estimate_period(self, history) -> float | None:
-        """Dominant period of a sample window, by autocorrelation.
-
-        The irregular samples are resampled onto a uniform grid over
-        their span, mean-removed, and autocorrelated; the winning lag
-        is the highest interior local maximum at or above
-        ``autodetect_min_corr`` within ``[2 grid steps, span / 2]``.
-        Aperiodic traffic has no such peak and detects nothing.
-        """
-        n = len(history)
-        times = np.array([t for t, _ in history])
-        rates = np.array([r for _, r in history])
-        span = times[-1] - times[0]
-        if span <= 0:
-            return None
-        grid = np.linspace(times[0], times[-1], n)
-        signal = np.interp(grid, times, rates)
-        signal = signal - signal.mean()
-        energy = float(np.dot(signal, signal))
-        if energy <= 0:
-            return None
-        ac = np.correlate(signal, signal, "full")[n - 1 :] / energy
-        dt = span / (n - 1)
-        best_lag, best_corr = None, self.autodetect_min_corr
-        for lag in range(2, n // 2):
-            if (
-                ac[lag] >= best_corr
-                and ac[lag] >= ac[lag - 1]
-                and ac[lag] >= ac[lag + 1]
-            ):
-                best_lag, best_corr = lag, ac[lag]
-        if best_lag is None:
-            return None
-        return float(best_lag * dt)
 
     def observe(self, key: Any, time_s: float, rate_rps: float) -> None:
         """Feed one arrival-rate sample for ``key`` at virtual ``time_s``.
@@ -330,45 +169,28 @@ class ArrivalForecaster:
         """
         if rate_rps < 0:
             raise ValueError("rate_rps must be >= 0")
-        if self.seasonal_autodetect and self.seasonal_period_s is None:
-            self._note_sample(key, time_s, rate_rps)
-        period = self._period_for(key)
-        seasonal = self._seasonal_at(key, time_s)
-        deseasonalized = max(rate_rps - seasonal, 0.0)
         state = self._state.get(key)
         if state is None:
             self._state[key] = _TrendState(
-                level=deseasonalized, trend_per_s=0.0, last_time=time_s
+                level=float(rate_rps), trend_per_s=0.0, last_time=time_s
             )
-        else:
-            dt = time_s - state.last_time
-            if dt < 0:
-                raise ValueError("samples must be time-ordered per key")
-            if dt == 0:
-                state.level = (
-                    self.alpha * deseasonalized + (1 - self.alpha) * state.level
-                )
-            else:
-                predicted = state.level + state.trend_per_s * dt
-                error = deseasonalized - predicted
-                state.level = max(predicted + self.alpha * error, 0.0)
-                # dt-scaled trend gain (Wright's irregular-interval
-                # smoothing): the correction is ~beta * error for small
-                # dt, so two near-coincident samples differing by noise
-                # cannot explode the slope the way a raw
-                # ``beta * error / dt`` term would.
-                gain = 1.0 - (1.0 - self.beta) ** dt
-                state.trend_per_s += gain * error / dt
-                state.last_time = time_s
-        if period is not None:
-            profile = self._seasonal.setdefault(
-                key, [0.0] * self.seasonal_buckets
-            )
-            bucket = self._bucket(time_s, period)
-            residual = rate_rps - self._state[key].level
-            profile[bucket] = (
-                self.gamma * residual + (1 - self.gamma) * profile[bucket]
-            )
+            return
+        dt = time_s - state.last_time
+        if dt < 0:
+            raise ValueError("samples must be time-ordered per key")
+        if dt == 0:
+            state.level = self.alpha * rate_rps + (1 - self.alpha) * state.level
+            return
+        predicted = state.level + state.trend_per_s * dt
+        error = rate_rps - predicted
+        state.level = max(predicted + self.alpha * error, 0.0)
+        # dt-scaled trend gain (Wright's irregular-interval smoothing):
+        # the correction is ~beta * error for small dt, so two
+        # near-coincident samples differing by noise cannot explode the
+        # slope the way a raw ``beta * error / dt`` term would.
+        gain = 1.0 - (1.0 - self.beta) ** dt
+        state.trend_per_s += gain * error / dt
+        state.last_time = time_s
 
     def forecast(self, key: Any, at_time_s: float) -> Forecast:
         """Project ``key``'s arrival rate at ``at_time_s``.
@@ -376,27 +198,18 @@ class ArrivalForecaster:
         A key with no history projects zero (an unknown servable earns
         capacity only once traffic shows up). Projections never go
         negative — a decaying burst bottoms out at idle, it does not
-        forecast anti-traffic. With ``trend_damping < 1``, a negative
-        trend extrapolates over the damped horizon
-        ``(1 - phi^h) / (-ln phi)`` instead of ``h`` (the continuous
-        limit of the classic ``phi + phi^2 + ... + phi^h`` sum), so a
-        post-burst downswing cannot over-project the crash.
+        forecast anti-traffic.
         """
         state = self._state.get(key)
         if state is None:
             return Forecast(at=at_time_s, rate_rps=0.0, level=0.0, trend_per_s=0.0)
         horizon = max(at_time_s - state.last_time, 0.0)
-        if self.trend_damping < 1.0 and state.trend_per_s < 0.0:
-            phi = self.trend_damping
-            horizon = (1.0 - phi**horizon) / -math.log(phi)
-        seasonal = self._seasonal_at(key, at_time_s)
-        projected = state.level + state.trend_per_s * horizon + seasonal
+        projected = state.level + state.trend_per_s * horizon
         return Forecast(
             at=at_time_s,
             rate_rps=max(projected, 0.0),
             level=state.level,
             trend_per_s=state.trend_per_s,
-            seasonal=seasonal,
         )
 
     def keys(self) -> list[Any]:

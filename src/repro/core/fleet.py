@@ -67,8 +67,23 @@ class FleetControllerError(RuntimeError):
     """Raised on invalid controller configuration or actuation."""
 
 
-#: Image a freshly provisioned Task Manager must pull before joining.
-DEFAULT_WORKER_IMAGE_BYTES = BASE_IMAGE_SIZES["dlhub/base:latest"]
+#: Image a freshly provisioned Task Manager must pull before joining
+#: (120 MB -> ~1.81 s provisioning cold start).
+WORKER_IMAGE_BYTES = BASE_IMAGE_SIZES["dlhub/base:latest"]
+#: Capacity derate on the windowed ``pod_imbalance`` gauge: a
+#: max-over-mean chunk imbalance above the threshold divides a
+#: servable's planned ``per_copy_capacity_rps`` by the imbalance, capped
+#: so one pathological window cannot shrink planned capacity without
+#: bound.
+IMBALANCE_DERATE_THRESHOLD = 1.25
+IMBALANCE_DERATE_CAP = 2.0
+#: Reconcile intervals the derate stays suspended after any topology
+#: change (worker or replica scale, migration, drain): freshly placed
+#: pods serve their first chunks cold and lopsided, and de-rating on
+#: that transient makes the controller hold spike capacity through the
+#: drain. One interval for the transient chunks to land, one for the
+#: windowed gauge to flush them.
+IMBALANCE_SETTLE_INTERVALS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +323,8 @@ class PredictiveScaling(FleetPolicy):
     *provisioning lead time* ahead: each reconcile it
 
     1. feeds the observation's per-servable effective arrival rate into
-       an :class:`~repro.core.adaptive.ArrivalForecaster` (trend +
-       optional seasonality),
+       an :class:`~repro.core.adaptive.ArrivalForecaster` (Holt
+       trend),
     2. projects the rate at ``observation.time + lead_time_s``, and
     3. re-plans the observation with each demand's rate raised to
        ``max(current, forecast)`` before delegating to the base policy.
@@ -327,13 +342,13 @@ class PredictiveScaling(FleetPolicy):
         The reactive policy to wrap (default
         :class:`TargetUtilizationPolicy`).
     forecaster:
-        The projection engine; supply a seasonal one
-        (``ArrivalForecaster(seasonal_period_s=...)``) when traffic has
-        a known cycle.
+        The projection engine (default ``ArrivalForecaster()``); pass
+        one to tune ``alpha`` / ``beta``.
     lead_time_s:
         How far ahead to project. Defaults to the provisioning cold
-        start of ``worker_image_bytes`` plus ``reconcile_interval_s`` —
-        the soonest newly ordered capacity could possibly serve.
+        start of :data:`WORKER_IMAGE_BYTES` plus
+        ``reconcile_interval_s`` — the soonest newly ordered capacity
+        could possibly serve.
     """
 
     name = "predictive"
@@ -343,11 +358,10 @@ class PredictiveScaling(FleetPolicy):
         base: FleetPolicy | None = None,
         forecaster: ArrivalForecaster | None = None,
         lead_time_s: float | None = None,
-        worker_image_bytes: int = DEFAULT_WORKER_IMAGE_BYTES,
         reconcile_interval_s: float = 0.25,
     ) -> None:
         if lead_time_s is None:
-            lead_time_s = cold_start_cost_s(worker_image_bytes) + reconcile_interval_s
+            lead_time_s = cold_start_cost_s(WORKER_IMAGE_BYTES) + reconcile_interval_s
         if lead_time_s <= 0:
             raise ValueError("lead_time_s must be > 0")
         self.base = base or TargetUtilizationPolicy()
@@ -404,6 +418,20 @@ class FleetController:
     also runs standalone: advance the clock and call :meth:`reconcile`
     directly (benchmarks use this to cool the fleet down after a spike).
 
+    New workers pull :data:`WORKER_IMAGE_BYTES` before joining (the
+    provisioning cold start) and are named ``fleet-w<n>``. When sizing
+    demand the controller always consumes the windowed ``pod_imbalance``
+    gauge: a max-over-mean chunk imbalance above
+    :data:`IMBALANCE_DERATE_THRESHOLD` divides the servable's
+    ``per_copy_capacity_rps`` by the imbalance (capped at
+    :data:`IMBALANCE_DERATE_CAP`), so replica/copy sizing plans on what
+    the straggler pod actually delivers instead of assuming perfect
+    sharding. Windows inside the ``2 * interval_s`` transient after any
+    topology change (provision, drain, retire, copy add/remove, replica
+    scale, migration) are excluded — a derate without that settle
+    period reads scale-up transients as stragglers and holds spike
+    workers through the drain.
+
     Parameters
     ----------
     runtime:
@@ -425,9 +453,6 @@ class FleetController:
         the max cold start to the worker's clock).
     max_replicas_per_host:
         Cap handed to each per-worker :class:`Autoscaler`.
-    worker_image_bytes:
-        Size of the Task Manager image a new worker pulls before joining
-        (drives the provisioning cold start).
     gateway:
         Optional serving gateway fronting the runtime. When given, the
         controller reads demand from the gateway's *admitted* arrival
@@ -435,23 +460,6 @@ class FleetController:
         topic enqueue counts undercount offered load), adds lane-held
         backlog to queue depth, and computes tenant-weight-adjusted
         rates so scale-up respects tenant weights.
-    imbalance_derate_threshold / imbalance_derate_cap:
-        Consumption of the windowed ``pod_imbalance`` gauge when sizing
-        demand: a max-over-mean chunk imbalance above the threshold
-        divides the servable's ``per_copy_capacity_rps`` by the
-        imbalance (capped), so replica/copy sizing plans on what the
-        straggler pod actually delivers instead of assuming perfect
-        sharding. Default-on at 1.25 — safe because windows inside an
-        ``imbalance_settle_s`` transient after any topology change are
-        excluded (a naive always-on derate reads scale-up transients as
-        stragglers and holds spike workers through the drain). Pass
-        ``None`` to disable. The cap (2.0) bounds how far one
-        pathological window can shrink planned capacity.
-    imbalance_settle_s:
-        Topology-stability period the derate waits out after any scale
-        event (provision, drain, retire, copy add/remove, replica
-        scale, migration) before trusting the imbalance gauge again.
-        Defaults to ``2 * interval_s``.
     slo_monitor:
         Optional :class:`~repro.core.telemetry.SLOBurnMonitor` (shared
         with the gateway that feeds it). Each reconcile checks it and
@@ -477,13 +485,8 @@ class FleetController:
         max_workers: int = 8,
         autoscale_replicas: bool = True,
         max_replicas_per_host: int = 8,
-        worker_image_bytes: int = DEFAULT_WORKER_IMAGE_BYTES,
-        worker_name_prefix: str = "fleet-w",
         ewma_alpha: float = 0.5,
         gateway=None,
-        imbalance_derate_threshold: float | None = 1.25,
-        imbalance_derate_cap: float = 2.0,
-        imbalance_settle_s: float | None = None,
         slo_monitor=None,
         alert_engine=None,
     ) -> None:
@@ -493,17 +496,6 @@ class FleetController:
             raise FleetControllerError("need 1 <= min_workers <= max_workers")
         if not 0 < ewma_alpha <= 1:
             raise FleetControllerError("ewma_alpha must be in (0, 1]")
-        if imbalance_derate_threshold is not None:
-            if imbalance_derate_threshold < 1:
-                raise FleetControllerError(
-                    "imbalance_derate_threshold must be >= 1"
-                )
-            if imbalance_derate_cap < imbalance_derate_threshold:
-                raise FleetControllerError(
-                    "imbalance_derate_cap must be >= imbalance_derate_threshold"
-                )
-        if imbalance_settle_s is not None and imbalance_settle_s < 0:
-            raise FleetControllerError("imbalance_settle_s must be >= 0")
         self.runtime = runtime
         self.provision_worker = provision_worker
         self.policy = policy or TargetUtilizationPolicy()
@@ -512,22 +504,8 @@ class FleetController:
         self.max_workers = max_workers
         self.autoscale_replicas = autoscale_replicas
         self.max_replicas_per_host = max_replicas_per_host
-        self.worker_image_bytes = worker_image_bytes
-        self.worker_name_prefix = worker_name_prefix
         self.ewma_alpha = ewma_alpha
         self.gateway = gateway
-        self.imbalance_derate_threshold = imbalance_derate_threshold
-        self.imbalance_derate_cap = imbalance_derate_cap
-        #: How long after any topology change (worker or replica scale,
-        #: migration, drain) the imbalance derate stays suspended:
-        #: freshly placed pods serve their first chunks cold and lopsided,
-        #: and de-rating on that transient makes the controller hold
-        #: spike capacity through the drain. Two reconcile intervals by
-        #: default — one for the transient chunks to land, one for the
-        #: windowed gauge to flush them.
-        self.imbalance_settle_s = (
-            2 * interval_s if imbalance_settle_s is None else imbalance_settle_s
-        )
         #: Optional :class:`~repro.core.telemetry.SLOBurnMonitor` (fed
         #: by the gateway): each reconcile checks it and drains fresh
         #: breaches into ``slo_burn`` events + the observation handed to
@@ -594,7 +572,7 @@ class FleetController:
 
     #: Event kinds that change serving topology: each marks the start of
     #: an imbalance transient (cold pods, shifting chunk layouts) the
-    #: capacity derate must sit out (see ``imbalance_settle_s``).
+    #: capacity derate must sit out (see ``IMBALANCE_SETTLE_INTERVALS``).
     _SCALE_EVENT_KINDS = frozenset(
         {
             "worker_provisioned",
@@ -747,28 +725,25 @@ class FleetController:
                 replicas=spec.replicas,
             )
             imbalance = None
-            if self.imbalance_derate_threshold is not None:
-                # Always consume the windowed gauge so chunk data from a
-                # suspended interval can't poison the next window...
-                window = self._derate_window(name)
-                # ...but only judge imbalance once the topology has been
-                # stable for a settle period: chunks served right after
-                # a scale-up/drain/migration are transiently lopsided
-                # (cold pods, moved copies), and de-rating on them makes
-                # the controller hold spike capacity through the drain.
-                if now - self._last_scale_at >= self.imbalance_settle_s - 1e-12:
-                    imbalance = self.runtime.stage_metrics.pod_imbalance(
-                        name, busy=window
-                    )
-            if (
-                imbalance is not None
-                and imbalance > self.imbalance_derate_threshold
-            ):
+            # Always consume the windowed gauge so chunk data from a
+            # suspended interval can't poison the next window...
+            window = self._derate_window(name)
+            # ...but only judge imbalance once the topology has been
+            # stable for a settle period: chunks served right after
+            # a scale-up/drain/migration are transiently lopsided
+            # (cold pods, moved copies), and de-rating on them makes
+            # the controller hold spike capacity through the drain.
+            settle_s = IMBALANCE_SETTLE_INTERVALS * self.interval_s
+            if now - self._last_scale_at >= settle_s - 1e-12:
+                imbalance = self.runtime.stage_metrics.pod_imbalance(
+                    name, busy=window
+                )
+            if imbalance is not None and imbalance > IMBALANCE_DERATE_THRESHOLD:
                 # The capacity model assumes batches shard evenly; when
                 # the straggler pod carries ``imbalance``x the mean, the
                 # copy's real throughput is the model's divided by it —
                 # plan on that, not on perfect sharding.
-                capacity /= min(imbalance, self.imbalance_derate_cap)
+                capacity /= min(imbalance, IMBALANCE_DERATE_CAP)
             demands.append(
                 ServableDemand(
                     name=name,
@@ -951,7 +926,7 @@ class FleetController:
                     "clock (use testbed.add_fleet_worker, not "
                     "add_task_manager)"
                 )
-            cold = cold_start_cost_s(self.worker_image_bytes)
+            cold = cold_start_cost_s(WORKER_IMAGE_BYTES)
             # The new Task Manager pulls and starts its own container
             # before it can claim work: charge its clock, so the worker
             # joins the fleet busy until the cold start completes.
@@ -1014,7 +989,7 @@ class FleetController:
     def _next_name(self) -> str:
         existing = {w.name for w in self.runtime.workers}
         while True:
-            name = f"{self.worker_name_prefix}{next(self._names)}"
+            name = f"fleet-w{next(self._names)}"
             if name not in existing:
                 return name
 

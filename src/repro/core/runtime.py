@@ -311,7 +311,7 @@ class ServingRuntime:
         #: Every future wake-up of :meth:`serve`, ordered ``(when,
         #: phase, seq)``. Sources outside the runtime (the gateway's
         #: arrival cursor and drain deadline) keep their own timers on it.
-        self.timers = EventLoop(clock)
+        self.timers = EventLoop()
         self._arrival_timer = self.timers.timer(PHASE_ARRIVALS, name="arrivals")
         self._settle_timer = self.timers.timer(PHASE_SETTLE, name="settle")
         self._window_timer = self.timers.timer(PHASE_DISPATCH, name="window")

@@ -151,10 +151,10 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Decide one arrival; charges the ledger only when admitted.
 
-        Check order is cheapest-denial first: shed on lane overflow
-        (overload backpressure beats spending rate-limit tokens on a
-        request that cannot be queued), then the token bucket, then the
-        in-flight caps.
+        Same check order as :meth:`admit_many` and :meth:`admit_chain`:
+        shed on lane overflow first (overload backpressure), then the
+        free in-flight caps, and the token bucket last — so a request
+        denied by a cap or a full lane burns no rate-limit token.
         """
         tenant = policy.name
         if policy.max_queued is not None and lane_depth >= policy.max_queued:
@@ -163,14 +163,6 @@ class AdmissionController:
                 tenant,
                 servable_name,
                 f"lane holds {lane_depth} >= max_queued={policy.max_queued}",
-            )
-        bucket = self.bucket(policy)
-        if bucket is not None and not bucket.try_take():
-            return self._deny(
-                AdmissionOutcome.REJECTED_RATE_LIMIT,
-                tenant,
-                servable_name,
-                f"bucket empty at {bucket.rate_rps:g} rps",
             )
         if (
             policy.max_in_flight is not None
@@ -190,6 +182,14 @@ class AdmissionController:
                 servable_name,
                 f"{self.in_flight(tenant, servable_name)} in flight on "
                 f"{servable_name!r} >= quota {quota}",
+            )
+        bucket = self.bucket(policy)
+        if bucket is not None and not bucket.try_take():
+            return self._deny(
+                AdmissionOutcome.REJECTED_RATE_LIMIT,
+                tenant,
+                servable_name,
+                f"bucket empty at {bucket.rate_rps:g} rps",
             )
         self._in_flight[tenant] = self.in_flight(tenant) + 1
         key = (tenant, servable_name)

@@ -156,8 +156,7 @@ class ServingGateway:
         Without the deadline a hard fleet downsize would close the
         release pump until settles caught up, leaving the downsized
         fleet's queue over-stuffed and WFQ fairness suspended for
-        arbitrarily long. ``None`` disables reclamation (the pre-PR-5
-        behaviour). Already-claimed work is never clawed back.
+        arbitrarily long. Already-claimed work is never clawed back.
     """
 
     def __init__(
@@ -168,15 +167,15 @@ class ServingGateway:
         max_dispatch_slots: int | None = None,
         slot_reserve: int | None = None,
         metrics: TenantUsageCollector | None = None,
-        drain_deadline_s: float | None = 2.0,
+        drain_deadline_s: float = 2.0,
         tracer=None,
         slo_monitor=None,
         journal=None,
     ) -> None:
         if max_dispatch_slots is not None and max_dispatch_slots < 1:
             raise GatewayError("max_dispatch_slots must be >= 1")
-        if drain_deadline_s is not None and drain_deadline_s <= 0:
-            raise GatewayError("drain_deadline_s must be > 0 (or None)")
+        if drain_deadline_s is None or drain_deadline_s <= 0:
+            raise GatewayError("drain_deadline_s must be > 0")
         self.auth = auth
         self.runtime = runtime
         self.policies = policies
@@ -314,8 +313,6 @@ class ServingGateway:
         WFQ lanes and the timer re-arms for whatever excess remains
         (e.g. requests already claimed into in-flight micro-batches).
         """
-        if self.drain_deadline_s is None:
-            return
         if self._outstanding <= self.max_dispatch_slots:
             self._arm_drain(None)
         elif self._over_budget_since is None:
@@ -648,10 +645,10 @@ class ServingGateway:
         eligible-tenant index holds exactly the backlogged tenants below
         their share (kept current by :meth:`_note_tenant` deltas), so
         each release is a heap pop instead of recomputing every
-        contending tenant's share. ``dequeue_eligible`` picks what
-        ``dequeue_from(below)`` would; the work-conserving fallback
-        ``dequeue()`` is the global min tag, identical to
-        ``dequeue_from(backlogged)``.
+        contending tenant's share. ``dequeue_eligible`` picks the
+        minimum-tag head among the under-share tenants; the
+        work-conserving fallback ``dequeue()`` is the global min tag —
+        the minimum over every backlogged tenant.
         """
         while len(self.scheduler) and self._outstanding < self.max_dispatch_slots:
             self._refresh_shares()
@@ -776,7 +773,7 @@ class ServingGateway:
         soonest = math.inf
         if self._sched_i < len(self._schedule):
             soonest = self._schedule[self._sched_i][0]
-        if self._over_budget_since is not None and self.drain_deadline_s is not None:
+        if self._over_budget_since is not None:
             soonest = min(soonest, self._over_budget_since + self.drain_deadline_s)
         return soonest
 

@@ -58,8 +58,8 @@ class WeightedFairScheduler:
         #: gateway's under-slot-share set), and the secondary heap of
         #: their lane heads. Entries are lazily invalidated exactly like
         #: ``_heap``, plus an eligibility check on pop — so
-        #: :meth:`dequeue_eligible` replaces the linear head scan
-        #: :meth:`dequeue_from` did with an O(log T) pop.
+        #: :meth:`dequeue_eligible` is an O(log T) pop, not a linear
+        #: scan over the eligible tenants' lane heads.
         self._eligible: set[str] = set()
         self._eligible_heap: list[tuple[float, int, str]] = []
         self._size = 0
@@ -185,34 +185,6 @@ class WeightedFairScheduler:
             return self._pop_head(tenant)
         raise SchedulerError("dequeue from an empty scheduler")
 
-    def dequeue_from(self, tenants: set[str]) -> ScheduledItem:
-        """Pop the smallest-tag entry among the given tenants' lanes.
-
-        The reference implementation of the gateway pump's slot-share
-        pick: when a tenant already occupies its share of outstanding
-        dispatch slots, the pump restricts the pick to tenants below
-        theirs (falling back to everyone, to stay work-conserving). The
-        hot path now uses the eligible-tenant index
-        (:meth:`dequeue_eligible`) — O(log T) instead of this O(T) head
-        scan — and property tests cross-check the two pick identical
-        entries. Stale heap entries left behind are skipped by
-        :meth:`dequeue` later.
-        """
-        best: ScheduledItem | None = None
-        for tenant in tenants:
-            lane = self._lanes.get(tenant)
-            if not lane:
-                continue
-            head = lane[0]
-            if best is None or (head.finish_tag, head.seq) < (
-                best.finish_tag,
-                best.seq,
-            ):
-                best = head
-        if best is None:
-            raise SchedulerError(f"no queued work for tenants {sorted(tenants)}")
-        return self._pop_head(best.tenant)
-
     # -- eligible-tenant index ----------------------------------------------------
     def set_eligible(self, tenant: str, eligible: bool) -> None:
         """Mark one tenant in or out of the dispatch-eligible set.
@@ -260,9 +232,15 @@ class WeightedFairScheduler:
     def dequeue_eligible(self) -> ScheduledItem:
         """Pop the smallest-tag head among eligible tenants.
 
-        Exactly :meth:`dequeue_from` over the eligible set — the same
-        (finish_tag, seq) arbitration, served in O(log T) from the
-        secondary heap instead of a scan over every candidate lane.
+        The gateway pump's slot-share pick: when a tenant already
+        occupies its share of outstanding dispatch slots, the pump
+        restricts the pick to tenants below theirs (falling back to
+        :meth:`dequeue` over everyone, to stay work-conserving). Same
+        (finish_tag, seq) arbitration as :meth:`dequeue`, served in
+        O(log T) from the secondary heap; property tests cross-check it
+        against a linear head scan
+        (``tests/gateway/scheduler_oracles.py``). Stale ``_heap``
+        entries left behind are skipped by :meth:`dequeue` later.
         """
         if not self._clean_eligible():
             raise SchedulerError(

@@ -1,42 +1,22 @@
-"""ZeroMQ-like in-process messaging substrate.
+"""The Management Service -> Task Manager queue and its serialization.
 
 DLHub's Management Service talks to Task Managers over a ZeroMQ queue
-(SS IV-A, "Model serving"). This package reproduces the messaging semantics
-the system depends on:
+(SS IV-A, "Model serving"). The reproduction models that link as what
+the serving path depends on:
 
-* multipart **frames** with identity envelopes (:mod:`repro.messaging.frames`),
-* **socket** patterns — REQ/REP, PUSH/PULL, ROUTER/DEALER — over an
-  in-process broker (:mod:`repro.messaging.sockets`),
 * a **reliable task queue** with acknowledgements, visibility timeouts and
   redelivery (:mod:`repro.messaging.queue`), and
 * size-accounted **serialization** so that message bytes feed the latency
   model (:mod:`repro.messaging.serializer`).
 """
 
-from repro.messaging.frames import Frame, Message
 from repro.messaging.serializer import Serializer, PickleSerializer, JsonSerializer
-from repro.messaging.sockets import (
-    Context,
-    SocketType,
-    Socket,
-    SocketError,
-    AgainError,
-    StateError,
-)
 from repro.messaging.queue import TaskQueue, QueuedMessage, QueueEmpty
 
 __all__ = [
-    "Frame",
-    "Message",
     "Serializer",
     "PickleSerializer",
     "JsonSerializer",
-    "Context",
-    "SocketType",
-    "Socket",
-    "SocketError",
-    "AgainError",
-    "StateError",
     "TaskQueue",
     "QueuedMessage",
     "QueueEmpty",

@@ -12,8 +12,8 @@ Key pieces
 ``VirtualClock``
     Monotonic virtual time in seconds, with scoped ``Stopwatch`` helpers.
 ``EventLoop``
-    A minimal discrete-event scheduler used by components that need
-    timed callbacks (e.g. token expiry, pod startup).
+    The timer heap the serving runtime's kernel keeps its wake-up
+    sources on (one movable ``Event`` per source).
 ``NetworkLink`` / ``LatencyModel``
     Round-trip and bandwidth cost models for each hop in the DLHub
     architecture.

@@ -1,31 +1,22 @@
 """A minimal discrete-event timer heap.
 
-Components that need future wake-ups schedule :class:`Event` objects on
-an :class:`EventLoop` that shares the experiment's
-:class:`VirtualClock`. The loop is one binary heap of plain
-``(when, phase, sequence, event)`` tuples: events fire in timestamp
-order, simultaneous events in ``phase`` order, and ties beyond that in
-scheduling order (FIFO).
+The serving runtime's kernel
+(:meth:`repro.core.runtime.ServingRuntime.serve`) keeps one long-lived
+:class:`Event` per wake-up source on an :class:`EventLoop`
+(:meth:`~EventLoop.timer`), moves it with :meth:`~EventLoop.reschedule`
+whenever the source's next due time changes, and drives time itself:
+:meth:`~EventLoop.peek` names the next wake-up,
+:meth:`~EventLoop.due_phases` hands back everything due at an instant.
+The loop is one binary heap of plain ``(when, phase, sequence, event)``
+tuples: timers surface in timestamp order, simultaneous ones in
+``phase`` order, and ties beyond that in arming order (FIFO). It holds
+no clock and runs no callbacks — the caller owns both.
 
-It serves two kinds of caller:
-
-* **Callback users** :meth:`~EventLoop.schedule` a function and let
-  :meth:`~EventLoop.run_next` / :meth:`~EventLoop.run_until` /
-  :meth:`~EventLoop.run_all` advance the clock to each event and call
-  it.
-* **The serving runtime's kernel**
-  (:meth:`repro.core.runtime.ServingRuntime.serve`) keeps one
-  long-lived :meth:`~EventLoop.timer` per wake-up source, moves it with
-  :meth:`~EventLoop.reschedule` whenever the source's next due time
-  changes, and drives time itself: :meth:`~EventLoop.peek` names the
-  next wake-up, :meth:`~EventLoop.due_phases` hands back everything due
-  at an instant without touching the clock.
-
-**Invalidation is lazy** for both: cancelling or moving an event never
-searches the heap. The event remembers the sequence number of its
-latest entry; an entry whose number no longer matches (the event moved)
-or whose event is no longer live (cancelled, or already fired) is
-dropped when it surfaces at the top.
+**Invalidation is lazy**: cancelling or moving an event never searches
+the heap. The event remembers the sequence number of its latest entry;
+an entry whose number no longer matches (the event moved) or whose
+event is no longer live (cancelled, or already fired) is dropped when
+it surfaces at the top.
 """
 
 from __future__ import annotations
@@ -33,9 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable
-
-from repro.sim.clock import VirtualClock
 
 
 class Event:
@@ -45,18 +33,11 @@ class Event:
     cancelled; ``when`` is the time of its latest scheduling.
     """
 
-    __slots__ = ("loop", "phase", "callback", "name", "when", "sequence", "live")
+    __slots__ = ("loop", "phase", "name", "when", "sequence", "live")
 
-    def __init__(
-        self,
-        loop: "EventLoop",
-        phase: int = 0,
-        callback: Callable[[], Any] | None = None,
-        name: str = "",
-    ) -> None:
+    def __init__(self, loop: "EventLoop", phase: int = 0, name: str = "") -> None:
         self.loop = loop
         self.phase = phase
-        self.callback = callback
         self.name = name
         self.when = math.inf
         self.sequence = -1
@@ -70,22 +51,18 @@ class Event:
 
 
 class EventLoop:
-    """Discrete-event timer heap over a shared :class:`VirtualClock`."""
+    """Discrete-event timer heap; the caller drives the clock."""
 
-    def __init__(self, clock: VirtualClock) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
-        self._fired = 0
 
     # -- scheduling ---------------------------------------------------------------
-    def timer(
-        self, phase: int = 0, callback: Callable[[], Any] | None = None, name: str = ""
-    ) -> Event:
+    def timer(self, phase: int = 0, name: str = "") -> Event:
         """A new, unscheduled event bound to this loop (arm it with
         :meth:`reschedule`)."""
-        return Event(self, phase, callback, name)
+        return Event(self, phase, name)
 
     def reschedule(self, event: Event, when: float) -> None:
         """Arm ``event`` at absolute time ``when``, replacing any earlier
@@ -106,31 +83,8 @@ class EventLoop:
         event.sequence = sequence = next(self._counter)
         heapq.heappush(self._heap, (when, event.phase, sequence, event))
 
-    def schedule(self, delay: float, callback: Callable[[], Any], name: str = "") -> Event:
-        """Schedule ``callback`` to fire ``delay`` virtual seconds from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
-        event = self.timer(callback=callback, name=name)
-        self.reschedule(event, self.clock.now() + delay)
-        return event
-
-    def schedule_at(self, when: float, callback: Callable[[], Any], name: str = "") -> Event:
-        """Schedule ``callback`` at absolute virtual time ``when``."""
-        if when < self.clock.now():
-            raise ValueError(
-                f"cannot schedule in the past: now={self.clock.now()}, when={when}"
-            )
-        event = self.timer(callback=callback, name=name)
-        self.reschedule(event, when)
-        return event
-
     def __len__(self) -> int:
         return self._live
-
-    @property
-    def fired(self) -> int:
-        """Total events executed by the ``run_*`` methods."""
-        return self._fired
 
     # -- reading the heap ---------------------------------------------------------
     def peek(self) -> Event | None:
@@ -148,8 +102,8 @@ class EventLoop:
         """Take the earliest live event with ``when <= horizon`` off the
         heap and return it (``None`` when nothing is due).
 
-        The clock does not move and no callback runs: a caller that
-        drives time itself owns both.
+        No clock moves: the caller decides what "now" is by the
+        horizon it passes.
         """
         heap = self._heap
         while heap:
@@ -180,41 +134,3 @@ class EventLoop:
             phases |= 1 << event.phase
             event = self.pop_due(horizon)
         return phases
-
-    # -- callback-driven running --------------------------------------------------
-    def _fire(self, event: Event) -> None:
-        self.clock.advance_to(event.when)
-        event.callback()
-        self._fired += 1
-
-    def run_next(self) -> Event | None:
-        """Pop and run the next pending event, advancing the clock to it.
-
-        Returns the event that ran, or ``None`` if the loop is empty.
-        """
-        event = self.pop_due(math.inf)
-        if event is not None:
-            self._fire(event)
-        return event
-
-    def run_until(self, deadline: float) -> int:
-        """Run all events with ``when <= deadline``; advance clock to deadline.
-
-        Returns the number of events executed.
-        """
-        count = 0
-        while (event := self.pop_due(deadline)) is not None:
-            self._fire(event)
-            count += 1
-        if self.clock.now() < deadline:
-            self.clock.advance_to(deadline)
-        return count
-
-    def run_all(self, max_events: int | None = None) -> int:
-        """Drain the loop (optionally bounded); returns events executed."""
-        count = 0
-        while max_events is None or count < max_events:
-            if self.run_next() is None:
-                break
-            count += 1
-        return count

@@ -350,25 +350,6 @@ class TestArrivalForecaster:
         forecast = forecaster.forecast("m", 28 * 0.25 + 2.0)
         assert 0.0 <= forecast.rate_rps < 100.0
 
-    def test_seasonal_profile_anticipates_next_cycle(self):
-        # Seasonal mode wants a damped trend (see the class docstring):
-        # the cycle belongs in the seasonal profile, not the slope.
-        forecaster = ArrivalForecaster(
-            alpha=0.3, beta=0.05, gamma=0.5,
-            seasonal_period_s=8.0, seasonal_buckets=8,
-        )
-        # Square wave: 200 rps in the first half of each 8 s period,
-        # 20 rps in the second half; several full cycles of history.
-        for i in range(160):
-            t = i * 0.25
-            rate = 200.0 if (t % 8.0) < 4.0 else 20.0
-            forecaster.observe("m", t, rate)
-        # Standing at a low-phase instant, project into the next high
-        # phase: the seasonal profile should pull the forecast up.
-        high = forecaster.forecast("m", 42.0)   # phase 2.0 -> high bucket
-        low = forecaster.forecast("m", 46.0)    # phase 6.0 -> low bucket
-        assert high.rate_rps > low.rate_rps + 50.0
-
     def test_unordered_samples_rejected(self):
         forecaster = ArrivalForecaster()
         forecaster.observe("m", 1.0, 10.0)
@@ -380,13 +361,7 @@ class TestArrivalForecaster:
             ArrivalForecaster().observe("m", 0.0, -1.0)
 
     def test_parameter_validation(self):
-        for kwargs in (
-            {"alpha": 0.0},
-            {"beta": 1.5},
-            {"gamma": 0.0},
-            {"seasonal_period_s": 0.0},
-            {"seasonal_buckets": 0},
-        ):
+        for kwargs in ({"alpha": 0.0}, {"beta": 1.5}):
             with pytest.raises(ValueError):
                 ArrivalForecaster(**kwargs)
 
@@ -399,137 +374,40 @@ class TestArrivalForecaster:
         assert forecast.rate_rps == pytest.approx(150.0)
 
 
-class TestDampedTrend:
-    """One-sided Gardner damping of negative trends at projection time."""
+class TestHoltTrendOnly:
+    """The forecaster is Holt's trend with two parameters, and its
+    arithmetic is pinned to the digit."""
 
-    @staticmethod
-    def _declining(forecaster):
-        # rate(t) = 800 - 100 t, sampled every 250 ms for 3 s.
-        for i in range(13):
-            t = i * 0.25
-            forecaster.observe("m", t, 800.0 - 100.0 * t)
-        return 3.0
+    #: Irregular spacing, one repeated timestamp (level-only refresh)
+    #: and one step spike.
+    SAMPLES = (
+        (0.0, 120.0), (0.25, 118.5), (0.55, 121.25), (0.8, 119.0),
+        (0.8, 123.0),
+        (1.3, 120.5), (1.42, 122.0),
+        (1.75, 640.0),
+        (2.0, 655.5), (2.6, 610.0), (2.61, 612.5), (3.2, 590.0),
+    )
 
-    def test_default_damping_is_identity(self):
-        plain, explicit = ArrivalForecaster(), ArrivalForecaster(trend_damping=1.0)
-        last = self._declining(plain)
-        self._declining(explicit)
-        assert plain.forecast("m", last + 2.0) == explicit.forecast("m", last + 2.0)
-
-    def test_negative_trend_projection_is_lifted(self):
-        undamped, damped = (
-            ArrivalForecaster(),
-            ArrivalForecaster(trend_damping=0.5),
+    def test_golden_sequence_is_bit_for_bit(self):
+        """Literals recorded from the default forecaster before the
+        seasonal and damping paths were removed: the trend-only
+        arithmetic every consumer ever saw must not move (``==``, not
+        approx)."""
+        forecaster = ArrivalForecaster()
+        for time_s, rate in self.SAMPLES:
+            forecaster.observe("m", time_s, rate)
+        forecast = forecaster.forecast("m", self.SAMPLES[-1][0] + 2.06)
+        assert (forecast.level, forecast.trend_per_s, forecast.rate_rps) == (
+            683.8021296990785,
+            160.25735718169284,
+            1013.9322854933657,
         )
-        last = self._declining(undamped)
-        self._declining(damped)
-        at = last + 2.0
-        lifted = damped.forecast("m", at)
-        crashed = undamped.forecast("m", at)
-        # Same smoothed state, shallower downswing.
-        assert lifted.level == crashed.level
-        assert lifted.trend_per_s == crashed.trend_per_s
-        assert lifted.rate_rps > crashed.rate_rps
-        assert lifted.rate_rps < lifted.level
 
-    def test_damped_downswing_is_bounded_in_the_horizon(self):
-        forecaster = ArrivalForecaster(trend_damping=0.5)
-        self._declining(forecaster)
-        # (1 - phi^h) / (-ln phi) -> 1/ln(2) as h -> inf: however far
-        # out the projection looks, the trend contributes a bounded dip.
-        far = forecaster.forecast("m", 1e6)
-        floor = far.level + far.trend_per_s * (1.0 / math.log(2.0))
-        assert far.rate_rps == pytest.approx(max(floor, 0.0))
-
-    def test_rising_trend_never_damped(self):
-        eager, damped = ArrivalForecaster(), ArrivalForecaster(trend_damping=0.3)
-        for i in range(13):
-            t = i * 0.25
-            eager.observe("m", t, 50.0 + 40.0 * t)
-            damped.observe("m", t, 50.0 + 40.0 * t)
-        assert eager.forecast("m", 5.0) == damped.forecast("m", 5.0)
-
-    def test_validation(self):
-        for phi in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="trend_damping"):
-                ArrivalForecaster(trend_damping=phi)
-
-
-class TestSeasonalAutodetect:
-    """Opt-in period detection: off by default, estimation by
-    autocorrelation, explicit configuration always winning."""
-
-    @staticmethod
-    def _square(forecaster, period_s=4.0, samples=160, key="m"):
-        # Square wave: high in the first half of each cycle, sampled
-        # every 250 ms — several full cycles of history.
-        for i in range(samples):
-            t = i * 0.25
-            rate = 200.0 if (t % period_s) < (period_s / 2) else 20.0
-            forecaster.observe(key, t, rate)
-
-    def test_off_by_default_and_bit_for_bit_identical(self):
-        plain = ArrivalForecaster(alpha=0.3, beta=0.05)
-        explicit = ArrivalForecaster(
-            alpha=0.3, beta=0.05, seasonal_autodetect=False
-        )
-        self._square(plain)
-        self._square(explicit)
-        assert plain.detected_period("m") is None
-        assert plain.forecast("m", 42.0) == explicit.forecast("m", 42.0)
-
-    def test_detects_the_dominant_period(self):
-        forecaster = ArrivalForecaster(
-            alpha=0.3, beta=0.05, gamma=0.5, seasonal_autodetect=True
-        )
-        self._square(forecaster, period_s=4.0)
-        assert forecaster.detected_period("m") == pytest.approx(4.0, rel=0.15)
-        # Once detected, the seasonal machinery runs as if configured:
-        # standing past the history, the high phase projects above the
-        # low phase of the same future cycle.
-        high = forecaster.forecast("m", 41.0)  # phase 1.0 -> high bucket
-        low = forecaster.forecast("m", 43.0)   # phase 3.0 -> low bucket
-        assert high.rate_rps > low.rate_rps + 50.0
-
-    def test_aperiodic_traffic_detects_nothing(self):
-        detecting = ArrivalForecaster(seasonal_autodetect=True)
-        plain = ArrivalForecaster()
-        for i in range(64):
-            detecting.observe("m", i * 0.25, 100.0)
-            plain.observe("m", i * 0.25, 100.0)
-        assert detecting.detected_period("m") is None
-        assert detecting.forecast("m", 20.0) == plain.forecast("m", 20.0)
-
-    def test_explicit_period_always_wins(self):
-        configured = ArrivalForecaster(
-            alpha=0.3, beta=0.05, gamma=0.5,
-            seasonal_period_s=4.0, seasonal_autodetect=True,
-        )
-        reference = ArrivalForecaster(
-            alpha=0.3, beta=0.05, gamma=0.5, seasonal_period_s=4.0
-        )
-        self._square(configured)
-        self._square(reference)
-        # No history is even retained while a period is configured.
-        assert configured.detected_period("m") is None
-        assert configured.forecast("m", 41.0) == reference.forecast("m", 41.0)
-
-    def test_detection_is_per_key(self):
-        forecaster = ArrivalForecaster(
-            alpha=0.3, beta=0.05, seasonal_autodetect=True
-        )
-        self._square(forecaster, key="cyclic")
-        for i in range(64):
-            forecaster.observe("steady", i * 0.25, 100.0)
-        assert forecaster.detected_period("cyclic") is not None
-        assert forecaster.detected_period("steady") is None
-
-    def test_validation(self):
+    def test_removed_options_are_not_accepted(self):
         for kwargs in (
-            {"autodetect_min_samples": 7},
-            {"autodetect_history": 8, "autodetect_min_samples": 16},
-            {"autodetect_min_corr": 0.0},
-            {"autodetect_min_corr": 1.0},
+            {"gamma": 0.3},
+            {"trend_damping": 0.5},
+            {"seasonal_autodetect": True},
         ):
-            with pytest.raises(ValueError, match="autodetect"):
+            with pytest.raises(TypeError):
                 ArrivalForecaster(**kwargs)

@@ -570,10 +570,10 @@ class TestPredictiveScaling:
 
     def test_default_lead_time_covers_cold_start(self):
         from repro.containers.runtime import cold_start_cost_s
-        from repro.core.fleet import DEFAULT_WORKER_IMAGE_BYTES
+        from repro.core.fleet import WORKER_IMAGE_BYTES
 
         policy = PredictiveScaling()
-        assert policy.lead_time_s >= cold_start_cost_s(DEFAULT_WORKER_IMAGE_BYTES)
+        assert policy.lead_time_s >= cold_start_cost_s(WORKER_IMAGE_BYTES)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -649,18 +649,6 @@ class TestImbalanceDerate:
         obs = controller.observe()
         assert obs.demands[0].per_copy_capacity_rps < baseline
 
-    def test_none_disables(self):
-        """Opt-out: ``imbalance_derate_threshold=None`` leaves even a
-        lopsided window at the model's planned capacity."""
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=None
-        )
-        baseline = controller.observe().demands[0].per_copy_capacity_rps
-        runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 30.0)
-        runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 0.0)
-        obs = controller.observe()
-        assert obs.demands[0].per_copy_capacity_rps == baseline
-
     def test_scale_transient_excluded(self):
         """A window overlapping a scale event is consumed but not
         judged: warm-up skew right after a provision must not read as
@@ -674,16 +662,14 @@ class TestImbalanceDerate:
         obs = controller.observe()
         assert obs.demands[0].per_copy_capacity_rps == baseline
         # Past the settle period, a *new* skewed window derates again.
-        testbed.clock.advance(controller.imbalance_settle_s)
+        testbed.clock.advance(2 * controller.interval_s)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 30.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 0.0)
         obs = controller.observe()
         assert obs.demands[0].per_copy_capacity_rps < baseline
 
     def test_straggler_imbalance_derates_capacity(self):
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=1.25
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         baseline = controller.observe().demands[0].per_copy_capacity_rps
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 3.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 1.0)
@@ -694,9 +680,7 @@ class TestImbalanceDerate:
         )
 
     def test_balanced_pods_leave_capacity_alone(self):
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=1.25
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         baseline = controller.observe().demands[0].per_copy_capacity_rps
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 2.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 2.0)
@@ -704,9 +688,7 @@ class TestImbalanceDerate:
         assert obs.demands[0].per_copy_capacity_rps == baseline
 
     def test_jitter_below_threshold_ignored(self):
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=1.25
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         baseline = controller.observe().demands[0].per_copy_capacity_rps
         # max/mean = 1.2/1.0 = 1.2 < 1.25: routine scatter, no derate.
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 1.2)
@@ -715,26 +697,22 @@ class TestImbalanceDerate:
         assert obs.demands[0].per_copy_capacity_rps == baseline
 
     def test_derate_capped_for_pathological_windows(self):
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=1.25, imbalance_derate_cap=1.6
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         baseline = controller.observe().demands[0].per_copy_capacity_rps
-        # Three pods, one doing all the work: imbalance 3.0, capped 1.6.
+        # Three pods, one doing all the work: imbalance 3.0, capped 2.0.
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 6.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 0.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-2", 0.0)
         obs = controller.observe()
         assert obs.demands[0].per_copy_capacity_rps == pytest.approx(
-            baseline / 1.6
+            baseline / 2.0
         )
 
     def test_window_forgets_old_imbalance(self):
         """The gauge is consumed through deltas: once a skewed interval
         has been observed, a quiet follow-up interval stops the derate —
         cumulative-since-start ratios would pin it forever."""
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=1.25
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         baseline = controller.observe().demands[0].per_copy_capacity_rps
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 3.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 1.0)
@@ -748,9 +726,7 @@ class TestImbalanceDerate:
         """The derate view and the replica-scaling view window the same
         cumulative gauge through separate cursors — one consumer reading
         first must not blind the other."""
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            imbalance_derate_threshold=1.25
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         controller.observe()
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 3.0)
         runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 1.0)
@@ -765,10 +741,13 @@ class TestImbalanceDerate:
             zoo["noop"].inference_cost_s, runtime.max_batch_size
         )
 
-    def test_validation(self):
-        with pytest.raises(FleetControllerError, match="threshold"):
-            build_controlled_fleet(imbalance_derate_threshold=0.5)
-        with pytest.raises(FleetControllerError, match="cap"):
-            build_controlled_fleet(
-                imbalance_derate_threshold=1.5, imbalance_derate_cap=1.2
-            )
+    def test_the_constants_are_not_options(self):
+        for option in (
+            "imbalance_derate_threshold",
+            "imbalance_derate_cap",
+            "imbalance_settle_s",
+            "worker_image_bytes",
+            "worker_name_prefix",
+        ):
+            with pytest.raises(TypeError):
+                build_controlled_fleet(**{option: 1})

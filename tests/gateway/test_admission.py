@@ -71,6 +71,21 @@ class TestAdmit:
         # The shed request did not consume the single token.
         assert ctrl.admit(policy, "noop", lane_depth=0).admitted
 
+    def test_a_cap_denial_burns_no_rate_limit_token(self):
+        """The bucket is charged last, as in ``admit_many`` and
+        ``admit_chain``: a request turned away by ``max_in_flight``
+        leaves the second burst token for the next admissible one."""
+        ctrl = controller()
+        policy = TenantPolicy(
+            name="t", rate_limit_rps=1.0, burst=2, max_in_flight=1
+        )
+        assert ctrl.admit(policy, "noop", 0).admitted
+        denied = ctrl.admit(policy, "noop", 0)
+        assert denied.outcome is AdmissionOutcome.REJECTED_MAX_IN_FLIGHT
+        ctrl.release("t", "noop")
+        # Same instant, no refill: only an unspent token can admit this.
+        assert ctrl.admit(policy, "noop", 0).outcome is AdmissionOutcome.ADMITTED
+
     def test_release_underflow_is_an_error(self):
         ctrl = controller()
         with pytest.raises(ValueError):

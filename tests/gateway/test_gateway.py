@@ -433,14 +433,6 @@ class TestDrainDeadline:
         armed_at = testbed.clock.now()
         assert gateway.next_event() == pytest.approx(armed_at + 1.0)
 
-    def test_none_disables_reclamation(self):
-        testbed, gateway, tokens = self._overcommitted_gateway(
-            drain_deadline_s=None
-        )
-        testbed.clock.advance(60.0)
-        gateway.on_tick(testbed.clock.now())
-        assert gateway.requests_reclaimed == 0
-
     def test_recovery_before_deadline_disarms_the_timer(self):
         testbed, gateway, tokens = self._overcommitted_gateway()
         gateway.runtime.mark_up("w1")
@@ -452,8 +444,13 @@ class TestDrainDeadline:
         assert gateway.requests_reclaimed == 0
 
     def test_validation(self):
-        with pytest.raises(GatewayError):
-            build_gateway({"u": TenantPolicy(name="t")}, drain_deadline_s=0.0)
+        """Must be positive; the deadline is always on, so there is no
+        ``None`` = "never reclaim" mode to ask for either."""
+        for deadline in (0.0, None):
+            with pytest.raises(GatewayError):
+                build_gateway(
+                    {"u": TenantPolicy(name="t")}, drain_deadline_s=deadline
+                )
 
     def test_reclaimed_requests_keep_their_enqueue_age(self):
         """Re-released reclaimed work must not look freshly arrived to

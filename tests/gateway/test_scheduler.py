@@ -59,15 +59,17 @@ class TestDequeueFrom:
         wfq = WeightedFairScheduler()
         wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("b", 1.0, "b0")
-        assert wfq.dequeue_from({"b"}).item == "b0"
+        wfq.set_eligible("b", True)
+        assert wfq.dequeue_eligible().item == "b0"
         # The heap's stale entry for b0 must not break later dequeues.
         assert wfq.dequeue().item == "a0"
 
     def test_eligible_set_with_no_work_raises(self):
         wfq = WeightedFairScheduler()
         wfq.enqueue("a", 1.0, "a0")
+        wfq.set_eligible("b", True)
         with pytest.raises(SchedulerError):
-            wfq.dequeue_from({"b"})
+            wfq.dequeue_eligible()
 
     def test_min_tag_among_eligible(self):
         wfq = WeightedFairScheduler()
@@ -75,7 +77,9 @@ class TestDequeueFrom:
         wfq.enqueue("b", 2.0, "b0")
         wfq.enqueue("c", 1.0, "c0")
         # b has the smallest tag (weight 2); among {a, c}, seq decides.
-        assert wfq.dequeue_from({"a", "c"}).item == "a0"
+        for tenant in ("a", "c"):
+            wfq.set_eligible(tenant, True)
+        assert wfq.dequeue_eligible().item == "a0"
 
 
 class TestBookkeeping:

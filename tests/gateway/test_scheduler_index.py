@@ -1,9 +1,10 @@
 """Property tests for the WFQ scheduler's eligible-tenant index.
 
-``dequeue_eligible`` must pick exactly what the retained reference
-``dequeue_from(eligible)`` head scan would — same ``(finish_tag, seq)``
-arbitration — while ``has_eligible_work`` must match the plain
-predicate "some eligible tenant has a non-empty lane". The index keeps
+``dequeue_eligible`` must pick exactly what the reference head scan
+over the eligible tenants (``tests/gateway/scheduler_oracles.py``)
+would — same ``(finish_tag, seq)`` arbitration — while
+``has_eligible_work`` must match the plain predicate "some eligible
+tenant has a non-empty lane". The index keeps
 stale entries (lazy invalidation), so the tests deliberately create
 them: global dequeues that consume an eligible tenant's head,
 eligibility toggles, and ``requeue_front`` re-inserts.
@@ -14,23 +15,7 @@ import random
 import pytest
 
 from repro.gateway.scheduler import SchedulerError, WeightedFairScheduler
-
-
-def reference_pick(scheduler):
-    """What ``dequeue_from(eligible)`` would pick: min (finish_tag, seq)
-    head among eligible tenants with queued work, or None."""
-    best = None
-    for tenant in scheduler._eligible:
-        lane = scheduler._lanes.get(tenant)
-        if not lane:
-            continue
-        head = lane[0]
-        if best is None or (head.finish_tag, head.seq) < (
-            best.finish_tag,
-            best.seq,
-        ):
-            best = head
-    return best
+from tests.gateway.scheduler_oracles import reference_dequeue_from, reference_pick
 
 
 class TestRandomizedEquivalence:
@@ -62,16 +47,16 @@ class TestRandomizedEquivalence:
                 entry = served.pop()
                 scheduler.requeue_front(entry.tenant, entry.item, cost=entry.cost)
             elif scheduler.has_eligible_work():
-                expected = reference_pick(scheduler)
+                expected = reference_pick(scheduler, scheduler._eligible)
                 got = scheduler.dequeue_eligible()
                 assert (got.tenant, got.seq) == (expected.tenant, expected.seq)
-            expected = reference_pick(scheduler)
+            expected = reference_pick(scheduler, scheduler._eligible)
             assert scheduler.has_eligible_work() == (expected is not None)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_twin_schedulers_serve_identically(self, seed):
         """A scheduler drained via the index and a twin drained via the
-        reference ``dequeue_from`` produce the same service order."""
+        reference head scan produce the same service order."""
         rng = random.Random(100 + seed)
         ops = []
         for _ in range(120):
@@ -91,10 +76,10 @@ class TestRandomizedEquivalence:
         order_indexed, order_reference = [], []
         while indexed.has_eligible_work():
             order_indexed.append(indexed.dequeue_eligible().seq)
-            order_reference.append(reference.dequeue_from(eligible).seq)
+            order_reference.append(reference_dequeue_from(reference, eligible).seq)
         assert order_indexed == order_reference
         with pytest.raises(SchedulerError):
-            reference.dequeue_from(eligible)
+            reference_dequeue_from(reference, eligible)
 
 
 class TestStaleEntries:
@@ -151,7 +136,7 @@ class TestRequeueFrontInteraction:
         scheduler.enqueue("a", 1.0, "a2")
         assert scheduler.dequeue_eligible().item == "a1"
         scheduler.requeue_front("a", taken.item, cost=taken.cost)
-        expected = reference_pick(scheduler)
+        expected = reference_pick(scheduler, scheduler._eligible)
         got = scheduler.dequeue_eligible()
         assert got.item == "a1" and got.seq < 0
         assert (got.tenant, got.seq) == (expected.tenant, expected.seq)

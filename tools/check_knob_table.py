@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Docs drift gate: the README knob table must match code defaults.
+"""Docs drift gate: the README knob table must match the code.
 
 The README's "Ops guide: autoscaling knobs" table states a default for
-every knob. Those cells rot silently when a constructor default
-changes, so this tool re-derives each one from the source of truth —
-``inspect.signature`` on the live classes — and fails CI on any
-mismatch or on a registered knob whose row disappeared.
+every knob and names, in its last ("Bench") cell, the files that
+exercise it. Both rot silently, so this tool checks each against its
+source of truth and fails CI on any mismatch.
+
+**Defaults.** Each registered default is re-derived from
+``inspect.signature`` on the live classes; a registered knob whose row
+disappeared is a mismatch too.
 
 Each registry entry names the knob cell exactly as the README spells it
 and the constructor parameters its "Default" cell quotes, in order.
@@ -14,6 +17,14 @@ units normalized to seconds) must equal the corresponding signature
 default. Prose-only cells ("off", "unset", derived expressions) are
 deliberately unregistered — there is no machine-checkable fact behind
 them.
+
+**Evidence.** Every row's Bench cell must name at least one file, every
+file it names must exist, and across those files every back-ticked
+knob of the row must occur as a word. A back-ticked ``bench_x``
+resolves to ``benchmarks/bench_x.py`` and ``src/repro/bench/x.py``
+(either may be absent, not both), ``tests/...::Class`` to its file, and
+any other span containing a ``/`` to the path as written; spans that
+name no file (a workload, say) are ignored.
 
 Exit status is the number of mismatches (0 = success). Usage::
 
@@ -27,19 +38,16 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: README knob cell -> (class path, parameter names the default cell
 #: quotes, in cell order). ``None`` entries skip a number the cell
 #: carries that is not a plain constructor default (derived values).
 REGISTRY: dict[str, tuple[str, list[str]]] = {
-    "`alpha` / `beta` / `gamma`, `seasonal_period_s`": (
+    "`alpha` / `beta`": (
         "repro.core.adaptive.ArrivalForecaster",
-        ["alpha", "beta", "gamma"],
-    ),
-    "`trend_damping`": (
-        "repro.core.adaptive.ArrivalForecaster",
-        ["trend_damping"],
+        ["alpha", "beta"],
     ),
     "`interval_s`": ("repro.core.fleet.FleetController", ["interval_s"]),
     "`min_workers` / `max_workers`": (
@@ -68,10 +76,6 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
     "`drain_deadline_s`": (
         "repro.gateway.gateway.ServingGateway",
         ["drain_deadline_s"],
-    ),
-    "`imbalance_derate_threshold` / `imbalance_derate_cap`": (
-        "repro.core.fleet.FleetController",
-        ["imbalance_derate_threshold", "imbalance_derate_cap"],
     ),
     "`sample_rate`": ("repro.core.telemetry.Tracer", ["sample_rate"]),
     "`slow_threshold_s`": (
@@ -111,14 +115,15 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         "repro.durability.chaos.ChaosHarness",
         ["visibility_timeout_s", "max_deliveries"],
     ),
-    # `seasonal_autodetect` is a boolean opt-in — prose cell, no
-    # machine-checkable number, deliberately unregistered. So is
-    # `durable_store` (unset/None default).
+    # `durable_store` (unset/None default) is a prose cell with no
+    # machine-checkable number, deliberately unregistered.
 }
 
 #: Numbers with an optional time unit, e.g. "0.25 s", "10 ms", "64".
 NUMBER_RE = re.compile(r"(\d+(?:\.\d+)?)\s*(ms|s)?\b")
 UNIT_SCALE = {"": 1.0, "s": 1.0, "ms": 1e-3}
+#: A back-ticked span of a table cell.
+TICKED_RE = re.compile(r"`([^`]+)`")
 
 
 def signature_default(class_path: str, param: str) -> float:
@@ -137,9 +142,9 @@ def signature_default(class_path: str, param: str) -> float:
     return float(value)
 
 
-def knob_rows(readme: Path) -> dict[str, str]:
-    """Knob cell -> Default cell for every row of the README knob table."""
-    rows: dict[str, str] = {}
+def table_rows(readme: Path) -> list[list[str]]:
+    """The cells of every row of the README knob table."""
+    rows: list[list[str]] = []
     in_table = False
     for line in readme.read_text().splitlines():
         if line.startswith("| Knob |"):
@@ -150,8 +155,13 @@ def knob_rows(readme: Path) -> dict[str, str]:
                 break
             cells = [cell.strip() for cell in line.strip("|").split("|")]
             if len(cells) >= 3 and not set(cells[0]) <= {"-", " "}:
-                rows[cells[0]] = cells[2]
+                rows.append(cells)
     return rows
+
+
+def knob_rows(readme: Path) -> dict[str, str]:
+    """Knob cell -> Default cell for every row of the README knob table."""
+    return {cells[0]: cells[2] for cells in table_rows(readme)}
 
 
 def cell_numbers(cell: str) -> list[float]:
@@ -187,15 +197,72 @@ def check(readme: Path) -> list[str]:
     return errors
 
 
+def evidence_paths(span: str) -> list[Path]:
+    """The files one back-ticked span of a Bench cell names (existing
+    or not); empty when the span names no file."""
+    target = span.split("::")[0]
+    if "/" in target:
+        return [REPO_ROOT / target]
+    if target.startswith("bench_"):
+        return [
+            REPO_ROOT / "benchmarks" / f"{target}.py",
+            REPO_ROOT / "src" / "repro" / "bench" / f"{target[len('bench_'):]}.py",
+        ]
+    return []
+
+
+def check_evidence(readme: Path) -> list[str]:
+    """One error per row whose Bench cell names a missing file, names no
+    file at all, or names files that never mention one of its knobs."""
+    errors: list[str] = []
+    for cells in table_rows(readme):
+        knob_cell, bench_cell = cells[0], cells[-1]
+        files: list[Path] = []
+        missing: list[str] = []
+        for span in TICKED_RE.findall(bench_cell):
+            candidates = evidence_paths(span)
+            existing = [path for path in candidates if path.is_file()]
+            if candidates and not existing:
+                missing.append(span)
+            files += existing
+        text = "".join(path.read_text() for path in files)
+        # A knob's name is the leading identifier of its back-ticked
+        # span (``PredictiveScaling(base=...)`` -> ``PredictiveScaling``).
+        knobs = [
+            match.group()
+            for span in TICKED_RE.findall(knob_cell)
+            if (match := re.match(r"\w+", span))
+        ]
+        unmentioned = [
+            knob for knob in knobs if not re.search(rf"\b{knob}\b", text)
+        ]
+        if missing:
+            errors.append(
+                f"{readme}: knob {knob_cell!r} cites {missing} in its Bench "
+                "cell, which resolve(s) to no existing file"
+            )
+        elif not files:
+            errors.append(
+                f"{readme}: knob {knob_cell!r} names no file in its Bench cell "
+                f"({bench_cell!r})"
+            )
+        elif unmentioned:
+            errors.append(
+                f"{readme}: knob {knob_cell!r}: {unmentioned} never occur(s) in "
+                f"the files its Bench cell names ({bench_cell!r}) — cite the "
+                "file that really sets the knob, or delete the row with its "
+                "option"
+            )
+    return errors
+
+
 def main(argv: list[str]) -> int:
     """Check the knob table of the given README (default: repo root's)."""
-    readme = Path(argv[0]) if argv else (
-        Path(__file__).resolve().parent.parent / "README.md"
-    )
+    readme = Path(argv[0]) if argv else REPO_ROOT / "README.md"
     if not readme.exists():
         print(f"{readme}: file does not exist", file=sys.stderr)
         return 2
-    errors = check(readme)
+    errors = check(readme) + check_evidence(readme)
     for error in errors:
         print(error, file=sys.stderr)
     print(

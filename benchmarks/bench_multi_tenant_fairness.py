@@ -7,10 +7,10 @@ the serving gateway (admission + WFQ lanes + slot shares + WFQ-tagged
 dispatch arbitration), and both tenants straight onto the runtime's
 FIFO topic (the pre-gateway status quo).
 
-The gateway arm leaves ``max_dispatch_slots`` unset — the budget is
-derived live from fleet capacity — and grows the fleet by two workers
-mid-run, so the bench also guards the budget re-derivation: fairness
-must hold through a scale-up, with no slot tuning.
+The gateway arm's slot budget is derived live from fleet capacity,
+and the arm grows the fleet by two workers mid-run, so the bench also
+guards the budget re-derivation: fairness must hold through a
+scale-up, with no slot tuning.
 
 Expected: behind the gateway the light tenant's p95 end-to-end latency
 stays within 2x of its isolated baseline while the ungated arm degrades

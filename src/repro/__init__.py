@@ -22,8 +22,9 @@ Package map (see DESIGN.md for the full inventory):
   S3/Globus endpoints, Docker/Singularity, Kubernetes/HPC),
 * ``repro.ml`` / ``repro.matsci`` — the model stacks (NumPy deep
   learning, random forests, pymatgen/matminer/OQMD stand-ins),
-* ``repro.parsl`` / ``repro.serving`` — the Parsl engine and the
-  baseline serving systems (TF Serving, SageMaker, Clipper).
+* ``repro.parsl`` / ``repro.serving`` — the IPP engine pool the Parsl
+  executor dispatches through, and the baseline serving systems
+  (TF Serving, SageMaker, Clipper).
 """
 
 from repro.core.client import DLHubClient

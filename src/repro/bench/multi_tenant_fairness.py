@@ -26,8 +26,8 @@ reconcile against the untraced ``StageLatencyCollector`` aggregates,
 and the hot tenant's overload must fire ``slo_burn`` fleet events
 through an observe-only controller — the tracing acceptance scenario.
 
-``max_dispatch_slots`` is deliberately left **unset**: the gateway
-derives its outstanding-dispatch budget live from fleet capacity, and
+The gateway derives its outstanding-dispatch budget
+(``max_dispatch_slots``) live from fleet capacity, and
 the contended arm grows the fleet mid-run (two workers join while
 traffic flows) — the budget must track the scale-up, and the light
 tenant's protection must hold through it. That protection now lives in
@@ -108,8 +108,8 @@ def _gateway_over(
     for tenant, token in tokens.items():
         identity = testbed.auth.tokens.introspect(token).identity
         policies.bind_identity(identity, tenant)
-    # max_dispatch_slots left unset: the budget is derived live from
-    # fleet capacity and re-derived as workers join mid-run.
+    # The slot budget is derived live from fleet capacity and
+    # re-derived as workers join mid-run.
     return ServingGateway(
         testbed.auth, runtime, policies, slo_monitor=slo_monitor
     )

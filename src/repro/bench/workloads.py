@@ -44,8 +44,6 @@ class ExperimentContext:
 
     def clear_caches(self) -> None:
         self.testbed.task_manager.cache.clear()
-        if self.testbed.management.ms_cache is not None:
-            self.testbed.management.ms_cache.clear()
 
 
 def build_context(

@@ -36,7 +36,7 @@ from repro.core.servable import (
     ServableError,
 )
 from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
-from repro.core.metrics import TimingRecord, MetricsCollector, StageLatencyCollector
+from repro.core.metrics import StageLatencyCollector
 from repro.core.memo import MemoCache
 from repro.core.runtime import (
     FleetStats,
@@ -81,8 +81,6 @@ __all__ = [
     "TaskRequest",
     "TaskResult",
     "TaskStatus",
-    "TimingRecord",
-    "MetricsCollector",
     "StageLatencyCollector",
     "MemoCache",
     "ServingRuntime",

@@ -30,10 +30,8 @@ from typing import Any
 
 from repro.auth.identity import Identity
 from repro.auth.service import AuthService, AuthorizationError
-from repro.core.memo import MemoCache
 from repro.core.pipeline import Pipeline, PipelineError
 from repro.core.repository import ModelRepository, PublishedModel
-from repro.core.metrics import MetricsCollector, TimingRecord
 from repro.core.servable import Servable
 from repro.core.task_manager import TaskManager
 from repro.core.tasks import (
@@ -79,7 +77,6 @@ class ManagementService:
         auth: AuthService,
         latency: LatencyModel,
         staging_endpoint: Endpoint | None = None,
-        memoize: bool = False,
     ) -> None:
         self.clock = clock
         self.repository = repository
@@ -88,11 +85,8 @@ class ManagementService:
         self.queue = TaskQueue(clock)
         self.serializer = PickleSerializer(clock)
         self.task_store = TaskStore()
-        self.metrics = MetricsCollector()
         self.staging_endpoint = staging_endpoint
         self.transfer = TransferManager(clock)
-        #: Optional MS-side result cache (the TM cache is the measured one).
-        self.ms_cache = MemoCache(clock) if memoize else None
         self._task_managers: list[TaskManager] = []
         self._pipelines: dict[str, Pipeline] = {}
         self._rr = 0
@@ -281,25 +275,9 @@ class ManagementService:
         request = TaskRequest(
             servable_name=name, args=args, kwargs=kwargs, identity_id=identity.identity_id
         )
-        if self.ms_cache is not None:
-            cached = self.ms_cache.lookup(request.input_signature())
-            if cached is not self.ms_cache.MISSING:
-                self.requests_handled += 1
-                result = TaskResult(
-                    task_uuid=request.task_uuid,
-                    status=TaskStatus.SUCCEEDED,
-                    value=cached,
-                    cache_hit=True,
-                    request_time=self.clock.now() - start,
-                )
-                self._record(name, result)
-                return result
         result = self._dispatch(request)
         result.request_time = self.clock.now() - start
-        if self.ms_cache is not None and result.ok:
-            self.ms_cache.store(request.input_signature(), result.value)
         self.requests_handled += 1
-        self._record(name, result)
         return result
 
     def run_async(self, token: str, servable_name: str, *args: Any, **kwargs: Any) -> AsyncHandle:
@@ -340,7 +318,6 @@ class ManagementService:
         result.request_time = self.clock.now() - start
         self.task_store.complete(result)
         self.requests_handled += 1
-        self._record(name, result)
         return AsyncHandle(task_uuid=request.task_uuid)
 
     def status(self, token: str, task_uuid: str) -> TaskStatus:
@@ -397,7 +374,6 @@ class ManagementService:
             result = self._dispatch_batch(request)
         result.request_time = self.clock.now() - start
         self.requests_handled += 1
-        self._record(name, result)
         return result
 
     def _dispatch_batch(self, request: TaskRequest) -> TaskResult:
@@ -501,7 +477,6 @@ class ManagementService:
                     # Refund the unexecuted tail's in-flight charges.
                     self._gateway.release_chain(policy.name, step_names[i + 1 :])
                 result.request_time = self.clock.now() - start
-                self._record(pipeline_name, result)
                 return result
             value = result.value
             if step.adapter is not None:
@@ -525,20 +500,7 @@ class ManagementService:
             request_time=self.clock.now() - start,
         )
         self.requests_handled += 1
-        self._record(pipeline_name, final)
         return final
 
     def pipelines(self) -> list[str]:
         return sorted(self._pipelines)
-
-    # -- metrics -----------------------------------------------------------------------------
-    def _record(self, servable_name: str, result: TaskResult) -> None:
-        self.metrics.record(
-            TimingRecord(
-                servable=servable_name,
-                inference_time=result.inference_time,
-                invocation_time=result.invocation_time,
-                request_time=result.request_time,
-                cache_hit=result.cache_hit,
-            )
-        )

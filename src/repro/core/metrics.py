@@ -5,8 +5,12 @@
 * **request time** — captured at the Management Service,
 * **makespan** — completion time of a whole batch of requests.
 
-:class:`MetricsCollector` aggregates per-servable records and reports the
-median and 5th/95th percentiles the figures plot.
+Each request carries its own three times on its
+:class:`~repro.core.tasks.TaskResult` (``inference_time``,
+``invocation_time``, ``request_time``), which is where the figure
+benches read them; :meth:`TimingSummary.of` reports the median and
+5th/95th percentiles the figures plot. The collectors here hold what no
+single result can: per-stage runtime samples and per-tenant usage.
 """
 
 from __future__ import annotations
@@ -15,22 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    """One request's timing decomposition (virtual seconds)."""
-
-    servable: str
-    inference_time: float
-    invocation_time: float
-    request_time: float
-    cache_hit: bool = False
-
-    def __post_init__(self) -> None:
-        for label in ("inference_time", "invocation_time", "request_time"):
-            if getattr(self, label) < 0:
-                raise ValueError(f"{label} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,18 +52,6 @@ class TimingSummary:
             p95=float(np.percentile(values, 95)),
             mean=float(values.mean()),
         )
-
-    def as_ms(self) -> dict:
-        """The summary as a flat dict in milliseconds (report-ready)."""
-        return {
-            "servable": self.servable,
-            "metric": self.metric,
-            "count": self.count,
-            "median_ms": self.median * 1e3,
-            "p5_ms": self.p5 * 1e3,
-            "p95_ms": self.p95 * 1e3,
-            "mean_ms": self.mean * 1e3,
-        }
 
 
 #: Pipeline stages the serving runtime accounts for each micro-batch.
@@ -459,52 +435,3 @@ class TenantUsageCollector:
         return TimingSummary.of(
             self._latencies.get(tenant, ()), tenant, "e2e_latency"
         )
-
-
-class MetricsCollector:
-    """Accumulates :class:`TimingRecord` objects and summarizes them."""
-
-    METRICS = ("inference_time", "invocation_time", "request_time")
-
-    def __init__(self) -> None:
-        self._records: dict[str, list[TimingRecord]] = defaultdict(list)
-
-    def record(self, record: TimingRecord) -> None:
-        """Append one timing record."""
-        self._records[record.servable].append(record)
-
-    def records(self, servable: str) -> list[TimingRecord]:
-        """All records for one servable."""
-        return list(self._records.get(servable, ()))
-
-    def servables(self) -> list[str]:
-        """Servable names with at least one record, sorted."""
-        return sorted(self._records)
-
-    def count(self, servable: str | None = None) -> int:
-        """Number of records, optionally restricted to one servable."""
-        if servable is not None:
-            return len(self._records.get(servable, ()))
-        return sum(len(v) for v in self._records.values())
-
-    def summarize(self, servable: str, metric: str) -> TimingSummary:
-        """Percentile summary of one metric for one servable."""
-        if metric not in self.METRICS:
-            raise ValueError(f"unknown metric {metric!r}; choose from {self.METRICS}")
-        return TimingSummary.of(
-            [getattr(r, metric) for r in self._records.get(servable, ())],
-            servable,
-            metric,
-        )
-
-    def summary_table(self) -> list[TimingSummary]:
-        """All (servable, metric) summaries — what Fig. 3-style plots need."""
-        return [
-            self.summarize(servable, metric)
-            for servable in self.servables()
-            for metric in self.METRICS
-        ]
-
-    def clear(self) -> None:
-        """Drop every record."""
-        self._records.clear()

@@ -11,11 +11,9 @@ on the virtual clock:
   queries (``avg`` / ``rate`` / ``percentile`` / ``delta``) over every
   number a hub source returns.
 - :class:`AlertEngine` + rule classes — a declarative alert rules
-  engine: :class:`ThresholdRule` (windowed aggregate vs bound),
-  :class:`BurnRateRule` (multi-window SLO burn), and
-  :class:`AnomalyRule` (residual vs an
-  :class:`~repro.core.adaptive.ArrivalForecaster` projection), each
-  with a pending → firing → resolved lifecycle.
+  engine: :class:`ThresholdRule` (windowed aggregate vs bound) and
+  :class:`BurnRateRule` (multi-window SLO burn), each with a
+  pending → firing → resolved lifecycle.
 - :class:`ReactiveSLOPolicy` — a :class:`~repro.core.fleet.FleetPolicy`
   wrapper that *acts* on firing burn alerts: a scale-out boost while
   the fleet has headroom (capacity-shaped burn), admission tightening
@@ -39,7 +37,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.adaptive import ArrivalForecaster
 from repro.core.fleet import (
     FleetObservation,
     FleetPlan,
@@ -51,7 +48,6 @@ __all__ = [
     "Alert",
     "AlertEngine",
     "AlertTransition",
-    "AnomalyRule",
     "AdaptiveSampler",
     "BurnRateRule",
     "ObsLoopError",
@@ -401,74 +397,6 @@ class BurnRateRule(AlertRule):
             "slow_burn": slow,
             "threshold": self.threshold,
         }
-
-
-class AnomalyRule(AlertRule):
-    """Alert when a series departs from its own forecast.
-
-    Reuses the Holt trend machinery: an internal
-    :class:`~repro.core.adaptive.ArrivalForecaster` is fed the series'
-    windowed average once per evaluation, and the condition is a
-    residual test — ``|observed - projected|`` beyond
-    ``max(abs_floor, rel_tolerance * projected)``. The forecast is
-    taken *before* the new observation lands, so a step change is
-    judged against history, not against itself. Inactive until
-    ``min_history`` observations have accumulated.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        series: str,
-        window_s: float = 0.5,
-        rel_tolerance: float = 0.5,
-        abs_floor: float = 1.0,
-        min_history: int = 5,
-        for_s: float = 0.0,
-        forecaster: ArrivalForecaster | None = None,
-        labels: dict | None = None,
-    ) -> None:
-        merged = {"kind": "anomaly"}
-        merged.update(labels or {})
-        super().__init__(name, for_s=for_s, labels=merged)
-        if window_s <= 0:
-            raise ObsLoopError("window_s must be > 0")
-        if rel_tolerance < 0 or abs_floor < 0:
-            raise ObsLoopError("tolerances must be >= 0")
-        if min_history < 2:
-            raise ObsLoopError("min_history must be >= 2")
-        self.series = series
-        self.window_s = window_s
-        self.rel_tolerance = rel_tolerance
-        self.abs_floor = abs_floor
-        self.min_history = min_history
-        self.forecaster = forecaster or ArrivalForecaster()
-        self._observed = 0
-        self._last_time = -np.inf
-
-    def active(self, store: SeriesStore, now: float) -> tuple[bool, dict]:
-        """Residual test against the pre-observation projection."""
-        value = store.avg(self.series, self.window_s, now)
-        if value is None:
-            return False, {}
-        observed = max(value, 0.0)
-        hit, detail = False, {}
-        if self._observed >= self.min_history:
-            projected = self.forecaster.forecast(self.series, now).rate_rps
-            residual = abs(observed - projected)
-            tolerance = max(self.abs_floor, self.rel_tolerance * projected)
-            hit = residual > tolerance
-            detail = {
-                "observed": observed,
-                "projected": projected,
-                "residual": residual,
-                "tolerance": tolerance,
-            }
-        if now > self._last_time:
-            self.forecaster.observe(self.series, now, observed)
-            self._observed += 1
-            self._last_time = now
-        return hit, detail
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,6 @@ class DLHubTestbed:
         n_workers: int = 2,
         max_batch_size: int = 16,
         max_coalesce_delay_s: float = 0.005,
-        max_dispatch_slots: int | None = None,
-        slot_reserve: int | None = None,
         durable_store=None,
         snapshot_every_records: int = 256,
     ) -> ServingGateway:
@@ -131,11 +129,11 @@ class DLHubTestbed:
         passes tenant admission and weighted fair queuing, and nothing
         reaches a Task Manager except through the runtime.
 
-        With ``max_dispatch_slots=None`` (the default) the gateway's
-        dispatch-slot budget is *live*: sized to the fleet's current
-        in-flight capacity and re-derived whenever workers join, leave,
-        or flip liveness — so pairing the gateway with a
-        :class:`~repro.core.fleet.FleetController` needs no slot tuning.
+        The gateway's dispatch-slot budget is *live*: sized to the
+        fleet's current in-flight capacity and re-derived whenever
+        workers join, leave, or flip liveness — so pairing the gateway
+        with a :class:`~repro.core.fleet.FleetController` needs no slot
+        tuning.
 
         With ``policies=None``, a permissive default tenant
         (``"public"``, weight 1, no limits) is registered so single-user
@@ -171,14 +169,7 @@ class DLHubTestbed:
             max_batch_size=max_batch_size,
             max_coalesce_delay_s=max_coalesce_delay_s,
         )
-        gateway = ServingGateway(
-            self.auth,
-            runtime,
-            policies,
-            max_dispatch_slots=max_dispatch_slots,
-            slot_reserve=slot_reserve,
-            journal=journal,
-        )
+        gateway = ServingGateway(self.auth, runtime, policies, journal=journal)
         self.management.attach_gateway(gateway)
         return gateway
 

@@ -36,7 +36,8 @@ from repro.messaging.queue import TaskQueue
 #: The lifecycle boundaries the serving stack exposes to the injector:
 #:
 #: * ``post_admission`` — admission granted and journaled, request not
-#:   yet in its WFQ lane (gateway ``offer``);
+#:   yet in its WFQ lane (gateway ``_enter``, which every admitted
+#:   request — arrival, batch item, chain step — passes through);
 #: * ``post_claim`` — a micro-batch claimed off the queue, not yet
 #:   dispatched to a worker (runtime ``_dispatch_topic``);
 #: * ``mid_batch`` — the worker processed the batch, no message acked
@@ -182,7 +183,10 @@ class ChaosHarness:
 
     Parameters mirror the testbed's: ``placements`` is a list of
     ``(servable, image)`` pairs or ``{servable, image, executor_name,
-    replicas, copies}`` dicts placed at :meth:`start`.
+    replicas, copies}`` dicts placed at :meth:`start`. The harness
+    builds its own :class:`FaultInjector` (``injector``) and leaves the
+    queue's redelivery policy at :class:`TaskQueue`'s defaults, which
+    recovery shares.
     """
 
     def __init__(
@@ -194,13 +198,9 @@ class ChaosHarness:
         workers,
         placements,
         store,
-        injector: FaultInjector | None = None,
         restart_cost_s: float = 0.25,
-        visibility_timeout_s: float = 30.0,
-        max_deliveries: int = 5,
         snapshot_every_records: int = 256,
         runtime_kwargs: dict | None = None,
-        gateway_kwargs: dict | None = None,
     ) -> None:
         if restart_cost_s < 0:
             raise ValueError("restart_cost_s must be >= 0")
@@ -209,13 +209,10 @@ class ChaosHarness:
         self.policies = policies
         self.workers = list(workers)
         self.store = store
-        self.injector = injector if injector is not None else FaultInjector(clock)
+        self.injector = FaultInjector(clock)
         self.restart_cost_s = restart_cost_s
-        self.visibility_timeout_s = visibility_timeout_s
-        self.max_deliveries = max_deliveries
         self.snapshot_every_records = snapshot_every_records
         self.runtime_kwargs = dict(runtime_kwargs or {})
-        self.gateway_kwargs = dict(gateway_kwargs or {})
         self._placements = [
             p if isinstance(p, dict) else {"servable": p[0], "image": p[1]}
             for p in placements
@@ -239,81 +236,51 @@ class ChaosHarness:
             snapshot_every_records=self.snapshot_every_records,
             chaos=self.injector,
         )
-        queue = TaskQueue(
-            self.clock,
-            visibility_timeout_s=self.visibility_timeout_s,
-            max_deliveries=self.max_deliveries,
-        )
-        queue.attach_journal(journal)
+        return self._assemble(TaskQueue(self.clock), journal, adopt=False)
+
+    def _assemble(self, queue: TaskQueue, journal: Journal, adopt: bool) -> ServingGateway:
+        """Build one incarnation's runtime and gateway over ``queue``
+        and swap it in. A first incarnation places its servables and
+        remembers the hosts; a recovered one (``adopt``) re-adopts the
+        placements on those same hosts, which survived the crash."""
+        queue.attach_journal(journal, bootstrap=not adopt)
         for worker in self.workers:
             worker.queue = queue
-        runtime = ServingRuntime(
-            self.clock, queue, self.workers, **self.runtime_kwargs
-        )
+        runtime = ServingRuntime(self.clock, queue, self.workers, **self.runtime_kwargs)
         runtime.chaos = self.injector
-        for placement in self._placements:
-            hosts = runtime.place(
-                placement["servable"],
-                placement["image"],
-                executor_name=placement.get("executor_name", "parsl"),
-                replicas=placement.get("replicas", 1),
-                copies=placement.get("copies", 1),
-            )
-            self._hosts_by_servable[placement["servable"].name] = [
-                w.name for w in hosts
-            ]
-        gateway = ServingGateway(
-            self.auth, runtime, self.policies, journal=journal,
-            **self.gateway_kwargs,
-        )
+        for spec in self._placements:
+            name = spec["servable"].name
+            shared = {
+                "executor_name": spec.get("executor_name", "parsl"),
+                "replicas": spec.get("replicas", 1),
+            }
+            if adopt:
+                hosts = self._hosts_by_servable[name]
+                runtime.adopt_placement(
+                    spec["servable"], spec["image"], worker_names=hosts, **shared
+                )
+            else:
+                hosts = runtime.place(
+                    spec["servable"], spec["image"], copies=spec.get("copies", 1), **shared
+                )
+                self._hosts_by_servable[name] = [w.name for w in hosts]
+        gateway = ServingGateway(self.auth, runtime, self.policies, journal=journal)
         gateway.chaos = self.injector
         self.queue, self.runtime = queue, runtime
         self.gateway, self.journal = gateway, journal
-        self.incarnations = 1
+        self.incarnations += 1
         return gateway
 
     def _recover(self) -> None:
         """Run the recovery pipeline and swap in the new incarnation."""
         state, journal, report = begin_recovery(
             self.store,
-            max_deliveries=self.max_deliveries,
             snapshot_every_records=self.snapshot_every_records,
             chaos=self.injector,
         )
-        queue = materialize_queue(
-            state,
-            self.clock,
-            visibility_timeout_s=self.visibility_timeout_s,
-            max_deliveries=self.max_deliveries,
-        )
-        queue.attach_journal(journal, bootstrap=False)
-        for worker in self.workers:
-            worker.queue = queue
-        runtime = ServingRuntime(
-            self.clock, queue, self.workers, **self.runtime_kwargs
-        )
-        runtime.chaos = self.injector
-        for placement in self._placements:
-            spec = placement
-            name = spec["servable"].name
-            runtime.adopt_placement(
-                spec["servable"],
-                spec["image"],
-                executor_name=spec.get("executor_name", "parsl"),
-                replicas=spec.get("replicas", 1),
-                worker_names=self._hosts_by_servable[name],
-            )
-        gateway = ServingGateway(
-            self.auth, runtime, self.policies, journal=journal,
-            **self.gateway_kwargs,
-        )
-        gateway.chaos = self.injector
+        gateway = self._assemble(materialize_queue(state, self.clock), journal, adopt=True)
         entries = gateway_restore_entries(state)
-        restored = gateway.restore_open(entries)
-        self._restored.extend(restored)
-        self.queue, self.runtime = queue, runtime
-        self.gateway, self.journal = gateway, journal
-        self.incarnations += 1
+        self._restored.extend(gateway.restore_open(entries))
         self._last_state = state
         self._last_recovery = {
             "records_replayed": report.records_replayed,

@@ -1,6 +1,8 @@
 """Admission control: decide each request's fate at the gateway door.
 
-Every arrival is resolved against its tenant's
+Every arrival — a single request, a pre-split batch or a pipeline
+chain, three shapes of the one group :meth:`AdmissionController.admit`
+decides all or nothing — is resolved against its tenant's
 :class:`~repro.gateway.policy.TenantPolicy` and receives a *typed*
 :class:`AdmissionDecision` — admitted into a scheduler lane, rejected
 (bad token, unknown tenant, rate limit, in-flight cap, servable quota),
@@ -147,77 +149,51 @@ class AdmissionController:
 
     # -- the decision -------------------------------------------------------------
     def admit(
-        self, policy: TenantPolicy, servable_name: str, lane_depth: int
+        self,
+        policy: TenantPolicy,
+        servables: tuple[str, ...] | list[str],
+        lane_depth: int,
+        sequential: bool = False,
     ) -> AdmissionDecision:
-        """Decide one arrival; charges the ledger only when admitted.
+        """Decide a *group* of requests all or nothing.
 
-        Same check order as :meth:`admit_many` and :meth:`admit_chain`:
-        shed on lane overflow first (overload backpressure), then the
-        free in-flight caps, and the token bucket last — so a request
-        denied by a cap or a full lane burns no rate-limit token.
+        ``servables`` names one servable per request: one name for an
+        arrival, ``n`` of the same for a pre-split batch, a pipeline's
+        steps for a chain. The whole group is checked before anything
+        is charged, so a denial never strands half a batch in a lane or
+        lets a rate-limited tenant burn steps ``1..k-1`` of a chain
+        only to be denied at step ``k``. Check order: shed on lane
+        overflow first (overload backpressure), then the free in-flight
+        caps — ``max_in_flight`` must absorb every request, per-servable
+        quotas each servable's multiplicity in the group — and the token
+        bucket last, one token per request, so a group denied by a cap
+        or a full lane burns no rate-limit token.
+
+        ``sequential`` marks a chain, whose steps run one at a time.
+        It changes two things: only one step occupies the tenant's lane
+        at once, so the group costs one lane slot instead of one per
+        request; and the group may overdraw a *full* bucket (it goes
+        into debt and refills at the sustained rate — see
+        :meth:`TokenBucket.try_take`), so a chain longer than the
+        tenant's burst is slow but never permanently denied — a batch
+        larger than the burst still is, atomically. On admission the
+        caller settles each request's charge through :meth:`release`
+        (an aborted chain's unexecuted steps included).
         """
-        tenant = policy.name
-        if policy.max_queued is not None and lane_depth >= policy.max_queued:
-            return self._deny(
-                AdmissionOutcome.SHED_LANE_FULL,
-                tenant,
-                servable_name,
-                f"lane holds {lane_depth} >= max_queued={policy.max_queued}",
-            )
-        if (
-            policy.max_in_flight is not None
-            and self.in_flight(tenant) >= policy.max_in_flight
-        ):
-            return self._deny(
-                AdmissionOutcome.REJECTED_MAX_IN_FLIGHT,
-                tenant,
-                servable_name,
-                f"{self.in_flight(tenant)} in flight >= {policy.max_in_flight}",
-            )
-        quota = policy.servable_quota(servable_name)
-        if quota is not None and self.in_flight(tenant, servable_name) >= quota:
-            return self._deny(
-                AdmissionOutcome.REJECTED_SERVABLE_QUOTA,
-                tenant,
-                servable_name,
-                f"{self.in_flight(tenant, servable_name)} in flight on "
-                f"{servable_name!r} >= quota {quota}",
-            )
-        bucket = self.bucket(policy)
-        if bucket is not None and not bucket.try_take():
-            return self._deny(
-                AdmissionOutcome.REJECTED_RATE_LIMIT,
-                tenant,
-                servable_name,
-                f"bucket empty at {bucket.rate_rps:g} rps",
-            )
-        self._in_flight[tenant] = self.in_flight(tenant) + 1
-        key = (tenant, servable_name)
-        self._in_flight_by_servable[key] = self._in_flight_by_servable.get(key, 0) + 1
-        self.metrics.record_admitted(tenant, servable_name)
-        return AdmissionDecision(AdmissionOutcome.ADMITTED, tenant, servable_name)
-
-    def admit_many(
-        self, policy: TenantPolicy, servable_name: str, lane_depth: int, n: int
-    ) -> AdmissionDecision:
-        """All-or-nothing admission for ``n`` items of one servable.
-
-        The synchronous batch path needs atomicity: checking the whole
-        batch against the lane cap, in-flight caps, and bucket before
-        charging anything means a denial never strands half a batch in
-        a lane holding ledger charges it cannot settle. The bucket is
-        charged last (after the free checks), so a batch denied by an
-        in-flight cap burns no rate-limit tokens.
-        """
+        if isinstance(servables, str):
+            raise TypeError("servables is a sequence of names, not one str")
+        n = len(servables)
         if n < 1:
-            raise ValueError("admit_many requires n >= 1")
+            raise ValueError("admit requires at least one servable")
         tenant = policy.name
-        if policy.max_queued is not None and lane_depth + n > policy.max_queued:
+        first = servables[0]
+        lane_cost = 1 if sequential else n
+        if policy.max_queued is not None and lane_depth + lane_cost > policy.max_queued:
             return self._deny(
                 AdmissionOutcome.SHED_LANE_FULL,
                 tenant,
-                servable_name,
-                f"lane holds {lane_depth} + batch {n} > "
+                first,
+                f"lane holds {lane_depth} + {lane_cost} > "
                 f"max_queued={policy.max_queued}",
             )
         if (
@@ -227,112 +203,37 @@ class AdmissionController:
             return self._deny(
                 AdmissionOutcome.REJECTED_MAX_IN_FLIGHT,
                 tenant,
-                servable_name,
-                f"{self.in_flight(tenant)} + batch {n} in flight > "
+                first,
+                f"{self.in_flight(tenant)} + {n} in flight > "
                 f"{policy.max_in_flight}",
             )
-        quota = policy.servable_quota(servable_name)
-        if quota is not None and self.in_flight(tenant, servable_name) + n > quota:
-            return self._deny(
-                AdmissionOutcome.REJECTED_SERVABLE_QUOTA,
-                tenant,
-                servable_name,
-                f"{self.in_flight(tenant, servable_name)} + batch {n} on "
-                f"{servable_name!r} > quota {quota}",
-            )
-        bucket = self.bucket(policy)
-        if bucket is not None and not bucket.try_take(n):
-            return self._deny(
-                AdmissionOutcome.REJECTED_RATE_LIMIT,
-                tenant,
-                servable_name,
-                f"bucket lacks {n} tokens at {bucket.rate_rps:g} rps",
-            )
-        self._in_flight[tenant] = self.in_flight(tenant) + n
-        key = (tenant, servable_name)
-        self._in_flight_by_servable[key] = self._in_flight_by_servable.get(key, 0) + n
-        for _ in range(n):
-            self.metrics.record_admitted(tenant, servable_name)
-        return AdmissionDecision(AdmissionOutcome.ADMITTED, tenant, servable_name)
-
-    def admit_chain(
-        self, policy: TenantPolicy, servable_names: list[str], lane_depth: int
-    ) -> AdmissionDecision:
-        """All-or-nothing admission for a pipeline chain.
-
-        A chain executes its steps sequentially, so admitting each step
-        separately lets a rate-limited tenant burn steps ``1..k-1``
-        only to be denied at step ``k``. Here the whole chain is
-        checked — and its ledger charges taken — up front: the token
-        bucket pays one token per step, ``max_in_flight`` must absorb
-        every step, and per-servable quotas are checked with each
-        servable's multiplicity in the chain. On denial nothing is
-        charged — the free checks run first and the bucket is charged
-        last, so a chain denied by an in-flight cap burns no tokens. A
-        chain longer than the tenant's burst is payable whenever the
-        bucket is full (it goes into debt and refills at the sustained
-        rate — see :meth:`TokenBucket.try_take`), so whole-chain
-        admission never turns a slow-but-working pipeline into a
-        permanent denial. On admission the caller must settle each
-        step's charge (steps release as they complete; an aborted
-        chain's unexecuted steps are refunded via :meth:`release`).
-
-        Only one step occupies the tenant's gateway lane at a time, so
-        the ``max_queued`` shed check stays per-request.
-        """
-        if not servable_names:
-            raise ValueError("admit_chain requires at least one step")
-        tenant = policy.name
-        n = len(servable_names)
-        label = f"chain {servable_names}"
-        if policy.max_queued is not None and lane_depth >= policy.max_queued:
-            return self._deny(
-                AdmissionOutcome.SHED_LANE_FULL,
-                tenant,
-                servable_names[0],
-                f"lane holds {lane_depth} >= max_queued={policy.max_queued}",
-            )
-        if (
-            policy.max_in_flight is not None
-            and self.in_flight(tenant) + n > policy.max_in_flight
-        ):
-            return self._deny(
-                AdmissionOutcome.REJECTED_MAX_IN_FLIGHT,
-                tenant,
-                servable_names[0],
-                f"{self.in_flight(tenant)} + {label} in flight > "
-                f"{policy.max_in_flight}",
-            )
-        multiplicity: dict[str, int] = {}
-        for name in servable_names:
-            multiplicity[name] = multiplicity.get(name, 0) + 1
-        for name, count in multiplicity.items():
-            quota = policy.servable_quota(name)
+        # Each distinct servable once, in first-occurrence order.
+        for name in dict.fromkeys(servables) if policy.servable_quotas else ():
+            quota, count = policy.servable_quota(name), servables.count(name)
             if quota is not None and self.in_flight(tenant, name) + count > quota:
                 return self._deny(
                     AdmissionOutcome.REJECTED_SERVABLE_QUOTA,
                     tenant,
                     name,
-                    f"{self.in_flight(tenant, name)} + {count} chain step(s) "
-                    f"on {name!r} > quota {quota}",
+                    f"{self.in_flight(tenant, name)} + {count} in flight on "
+                    f"{name!r} > quota {quota}",
                 )
         bucket = self.bucket(policy)
-        if bucket is not None and not bucket.try_take(n, allow_debt=True):
+        if bucket is not None and not bucket.try_take(n, allow_debt=sequential):
             return self._deny(
                 AdmissionOutcome.REJECTED_RATE_LIMIT,
                 tenant,
-                servable_names[0],
-                f"bucket lacks {n} tokens for {label} at "
-                f"{bucket.rate_rps:g} rps",
+                first,
+                f"bucket lacks {n} token(s) at {bucket.rate_rps:g} rps",
             )
         self._in_flight[tenant] = self.in_flight(tenant) + n
-        for name in servable_names:
+        for name in servables:
             key = (tenant, name)
             self._in_flight_by_servable[key] = (
                 self._in_flight_by_servable.get(key, 0) + 1
             )
             self.metrics.record_admitted(tenant, name)
-        return AdmissionDecision(AdmissionOutcome.ADMITTED, tenant, servable_names[0])
+        return AdmissionDecision(AdmissionOutcome.ADMITTED, tenant, first)
 
     def _deny(
         self,
@@ -360,13 +261,17 @@ class AdmissionController:
         )
 
     def release(self, tenant: str, servable_name: str) -> None:
-        """Settle one admitted request's in-flight charge."""
+        """Settle one admitted request's in-flight charge.
+
+        Both counts are checked before either moves, so a refused
+        release leaves the ledger balanced.
+        """
         if self.in_flight(tenant) < 1:
             raise ValueError(f"tenant {tenant!r} has nothing in flight")
-        self._in_flight[tenant] -= 1
         key = (tenant, servable_name)
         if self._in_flight_by_servable.get(key, 0) < 1:
             raise ValueError(
                 f"tenant {tenant!r} has nothing in flight on {servable_name!r}"
             )
+        self._in_flight[tenant] -= 1
         self._in_flight_by_servable[key] -= 1

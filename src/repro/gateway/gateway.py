@@ -19,12 +19,19 @@ client, open-loop benchmark drivers) and the
    never an untyped drop), with per-tenant metrics;
 4. **weighted fair scheduling** — admitted requests wait in per-tenant
    lanes and are metered onto the runtime's per-servable queue topics
-   in WFQ order, bounded by ``max_dispatch_slots`` outstanding
+   in WFQ order, bounded by the live slot budget of outstanding
    requests, so a hot tenant's backlog cannot monopolize dispatch;
 5. **end-to-end tenant tagging** — every admitted
    :class:`~repro.core.tasks.TaskRequest` carries its tenant through
    coalescing into micro-batches, and per-tenant arrival rates are
    surfaced to the fleet controller so scale-up respects tenant weight.
+
+There is one door: a single arrival (``offer``), a pre-split batch
+(``invoke_sync_many``) and a pipeline chain (``admit_chain``, then
+``invoke_sync_admitted`` per step) are three shapes of one group
+admission (``_admit``), and every admitted request is tagged, traced,
+journaled, exposed to the ``post_admission`` injection point and put
+in its lane by the same ``_enter``.
 
 The gateway registers itself as the runtime's *ingress* (see
 :meth:`ServingRuntime.attach_ingress`): it keeps its next arrival and
@@ -118,6 +125,19 @@ class GatewayResult:
 class ServingGateway:
     """Admission-controlled, weighted-fair front door to the runtime.
 
+    At most ``max_dispatch_slots`` admitted requests are outstanding in
+    the runtime (on queue topics or being served) at once — what makes
+    fair queuing bite: lanes drain only as slots free, so dispatch
+    order follows WFQ tags rather than raw arrival order. The budget is
+    not a parameter: it is ``max_batch_size × warm routable workers``
+    (the fleet's in-flight capacity) plus ``slot_reserve``, an eighth
+    of that and at least 1, re-derived on every fleet change (worker
+    add/remove, liveness flips, warm-up) — so a controller scaling the
+    fleet grows admission headroom with it. Work conservation lets a
+    lone backlogged tenant overflow its weighted share, but never into
+    the reserve: another tenant's first request is released at arrival
+    instead of waiting for a settle.
+
     Parameters
     ----------
     auth:
@@ -128,24 +148,6 @@ class ServingGateway:
         ingress on construction.
     policies:
         The declarative tenant table.
-    max_dispatch_slots:
-        How many admitted requests may be outstanding in the runtime
-        (on queue topics or being served) at once. This is the knob
-        that makes fair queuing bite: lanes drain into the runtime only
-        as slots free, so dispatch order follows WFQ tags rather than
-        raw arrival order. Left unset (the default), the budget is
-        *live*: it tracks the fleet's in-flight capacity plus the
-        reserve (``max_batch_size * routable_workers + slot_reserve``)
-        and is re-derived whenever the runtime's fleet changes (worker
-        add/remove, liveness flips) — so a controller scaling the fleet
-        grows admission headroom with it instead of serving new workers
-        under a stale budget. An explicit integer pins the budget.
-    slot_reserve:
-        Slots an over-share tenant may never consume (default: an
-        eighth of the slot budget, at least 1). Work conservation lets
-        a lone backlogged tenant overflow its share, but the reserve
-        keeps instant headroom so another tenant's first request is
-        released at arrival instead of waiting for a settle.
     drain_deadline_s:
         How long (virtual time) the gateway tolerates being
         *over-committed* — ``outstanding`` above a freshly shrunk live
@@ -164,16 +166,12 @@ class ServingGateway:
         auth: AuthService,
         runtime: ServingRuntime,
         policies: TenantPolicyTable,
-        max_dispatch_slots: int | None = None,
-        slot_reserve: int | None = None,
         metrics: TenantUsageCollector | None = None,
         drain_deadline_s: float = 2.0,
         tracer=None,
         slo_monitor=None,
         journal=None,
     ) -> None:
-        if max_dispatch_slots is not None and max_dispatch_slots < 1:
-            raise GatewayError("max_dispatch_slots must be >= 1")
         if drain_deadline_s is None or drain_deadline_s <= 0:
             raise GatewayError("drain_deadline_s must be > 0")
         self.auth = auth
@@ -205,24 +203,8 @@ class ServingGateway:
         self._contending: set[str] = set()
         self._shares: dict[str, int] = {}
         self._shares_dirty = True
-        self._dynamic_slots = max_dispatch_slots is None
-        self._reserve_spec = slot_reserve
-        if self._dynamic_slots:
-            if slot_reserve is not None and slot_reserve < 0:
-                raise GatewayError("slot_reserve must be >= 0")
-            self.max_dispatch_slots = 1  # placeholder; derived just below
-            self.slot_reserve = 0
-            self._derive_budget()
-        else:
-            if slot_reserve is None:
-                # A derived reserve must leave at least one usable slot.
-                slot_reserve = min(
-                    max(1, max_dispatch_slots // 8), max_dispatch_slots - 1
-                )
-            self.max_dispatch_slots = max_dispatch_slots
-            if not 0 <= slot_reserve < self.max_dispatch_slots:
-                raise GatewayError("slot_reserve must be in [0, max_dispatch_slots)")
-            self.slot_reserve = slot_reserve
+        self.max_dispatch_slots = self.slot_reserve = 0  # derived just below
+        self._derive_budget()
         #: Tracer contributing the gateway-side spans (``admission``,
         #: ``lane_wait``) to the request span tree. Defaults to the
         #: runtime's tracer so one attach point covers the whole path.
@@ -258,14 +240,14 @@ class ServingGateway:
         """Re-derive the slot budget and reserve from live fleet capacity.
 
         ``max_batch_size * warm_routable_workers`` keeps every worker
-        that can actually serve pipelined; the reserve rides on top. A
-        worker still paying a provisioning/placement cold start
-        (``runtime.is_warming``) is excluded until it warms — its slots
-        arrive when it can use them — while a worker merely busy with a
-        micro-batch stays counted, however heavy the batch. A fleet
-        with zero countable workers keeps a one-worker budget so
-        admitted work can park in the runtime's queue while the
-        controller heals the fleet.
+        that can actually serve pipelined; the reserve (an eighth of
+        that, at least 1) rides on top. A worker still paying a
+        provisioning/placement cold start (``runtime.is_warming``) is
+        excluded until it warms — its slots arrive when it can use them
+        — while a worker merely busy with a micro-batch stays counted,
+        however heavy the batch. A fleet with zero countable workers
+        keeps a one-worker budget so admitted work can park in the
+        runtime's queue while the controller heals the fleet.
         """
         self._budget_epoch = self.runtime.fleet_epoch(self.runtime.clock.now())
         workers = sum(
@@ -274,29 +256,22 @@ class ServingGateway:
             if not self.runtime.is_warming(w)
         )
         in_flight_capacity = self.runtime.max_batch_size * max(1, workers)
-        reserve = (
-            max(1, in_flight_capacity // 8)
-            if self._reserve_spec is None
-            else self._reserve_spec
-        )
-        previous = (self.max_dispatch_slots, self.slot_reserve)
-        self.max_dispatch_slots = in_flight_capacity + max(reserve, 0)
-        self.slot_reserve = min(max(reserve, 0), self.max_dispatch_slots - 1)
-        if (self.max_dispatch_slots, self.slot_reserve) != previous:
+        reserve = max(1, in_flight_capacity // 8)
+        budget = (in_flight_capacity + reserve, reserve)
+        if budget != (self.max_dispatch_slots, self.slot_reserve):
+            self.max_dispatch_slots, self.slot_reserve = budget
             self._shares_dirty = True
 
     def on_fleet_change(self) -> None:
         """Runtime hook: the worker fleet changed (add/remove/liveness).
 
-        With a live budget, re-derive it and pump immediately — capacity
-        added mid-run starts admitting queued lane work right away. A
+        Re-derive the budget and pump immediately — capacity added
+        mid-run starts admitting queued lane work right away. A
         shrink never cancels claimed work; the pump stays closed while
         ``outstanding`` exceeds the new budget, but only up to
         ``drain_deadline_s`` — past that, still-unclaimed releases are
         reclaimed into lanes (:meth:`_check_overcommit`).
         """
-        if not self._dynamic_slots:
-            return
         self._derive_budget()
         self._check_overcommit(self.runtime.clock.now())
         self._pump()
@@ -468,47 +443,69 @@ class ServingGateway:
                 )
         if identity is None:
             raise GatewayError("offer() needs an identity or a token")
-        policy = self.resolve_tenant(identity)
-        if policy is None:
-            decision = self._deny_unknown_tenant(identity, servable)
+        policy, decision = self._admit(identity, (servable,))
+        if not decision.admitted:
             self._trace_denial(request, arrived, now, decision.outcome)
             return GatewayResult(request=request, decision=decision, arrived_at=arrived)
-        decision = self.admission.admit(
-            policy, servable, self.scheduler.depth(policy.name)
-        )
-        result = GatewayResult(request=request, decision=decision, arrived_at=arrived)
-        if decision.admitted:
-            request.tenant = policy.name
-            request.identity_id = request.identity_id or identity.identity_id
-            if self.tracer is not None:
-                trace = self.tracer.begin(request, at=arrived, tenant=policy.name)
-                trace.span(
-                    "admission", arrived, now, outcome=decision.outcome.value
-                )
-            self._journal_admit(request, policy, arrived)
-            if self.chaos is not None:
-                self.chaos.trip("post_admission")
-            self._enter_lane(result, policy)
-            self._note_tenant(policy.name)
-            self._pump()
-        else:
-            self._trace_denial(request, arrived, now, decision.outcome)
+        result = self._enter(request, policy, identity, decision, arrived)
+        self._note_tenant(policy.name)
+        self._pump()
         return result
 
-    def _deny_unknown_tenant(
-        self, identity: Identity, servable: str
-    ) -> AdmissionDecision:
-        """Count, and return the typed denial for, an identity that
-        resolves to no tenant policy."""
-        self.metrics.record_denied(
-            UNKNOWN_TENANT, AdmissionOutcome.REJECTED_UNKNOWN_TENANT.value
+    def _admit(
+        self, identity: Identity, servables: tuple[str, ...] | list[str], sequential: bool = False
+    ) -> tuple[TenantPolicy | None, AdmissionDecision]:
+        """Resolve the caller's tenant and decide a group of requests.
+
+        The one admission call of the gateway: ``servables`` is one
+        name for an arrival, ``n`` of the same for a pre-split batch, a
+        pipeline's steps (``sequential``) for a chain — see
+        :meth:`AdmissionController.admit`. An identity that resolves to
+        no tenant policy gets a counted, typed denial and no policy.
+        """
+        policy = self.resolve_tenant(identity)
+        if policy is None:
+            self.metrics.record_denied(
+                UNKNOWN_TENANT, AdmissionOutcome.REJECTED_UNKNOWN_TENANT.value
+            )
+            return None, AdmissionDecision(
+                AdmissionOutcome.REJECTED_UNKNOWN_TENANT,
+                None,
+                servables[0],
+                f"identity {identity.qualified_name} maps to no tenant",
+            )
+        return policy, self.admission.admit(
+            policy, servables, self.scheduler.depth(policy.name), sequential
         )
-        return AdmissionDecision(
-            AdmissionOutcome.REJECTED_UNKNOWN_TENANT,
-            None,
-            servable,
-            f"identity {identity.qualified_name} maps to no tenant",
-        )
+
+    def _enter(
+        self,
+        request: TaskRequest,
+        policy: TenantPolicy,
+        identity: Identity | None,
+        decision: AdmissionDecision,
+        arrived: float,
+    ) -> GatewayResult:
+        """The one way an admitted request gets in: tagged with its
+        tenant, given its trace and ``admission`` span, journaled
+        write-ahead of the lane entry (so a crash on the very next
+        instruction — the ``post_admission`` injection point sits right
+        there — still restores it), then put in its lane. ``identity``
+        is ``None`` for a chain step, which the Management Service
+        stamped before the chain was admitted."""
+        request.tenant = policy.name
+        if identity is not None:
+            request.identity_id = request.identity_id or identity.identity_id
+        if self.tracer is not None:
+            trace = self.tracer.begin(request, at=arrived, tenant=policy.name)
+            now = self.runtime.clock.now()
+            trace.span("admission", arrived, now, outcome=decision.outcome.value)
+        self._journal_admit(request, policy, arrived)
+        if self.chaos is not None:
+            self.chaos.trip("post_admission")
+        result = GatewayResult(request=request, decision=decision, arrived_at=arrived)
+        self._enter_lane(result, policy)
+        return result
 
     def _enter_lane(self, result: GatewayResult, policy: TenantPolicy) -> None:
         """An admitted request enters its tenant's lane: WFQ-tagged,
@@ -523,11 +520,9 @@ class ServingGateway:
         self._open[request.task_uuid] = result
 
     def _journal_admit(self, request: TaskRequest, policy, arrived: float) -> None:
-        """Durably record one admission grant (write-ahead: before the
-        lane entry exists, so a crash on the very next instruction still
-        restores the request). The request's body is encoded here and
-        nowhere else: its later queue ``put`` records only add the
-        ``dispatch_tag`` stamped at release."""
+        """Durably record one admission grant. The request's body is
+        encoded here and nowhere else: its later queue ``put`` records
+        only add the ``dispatch_tag`` stamped at release."""
         if self.journal is None:
             return
         self.journal.append(
@@ -708,7 +703,7 @@ class ServingGateway:
         date, admit the arrivals due at ``now`` and release lane work.
         Each step sits behind an O(1) test of whether it has anything
         to do."""
-        if self._dynamic_slots and self._budget_epoch != self.runtime.fleet_epoch(now):
+        if self._budget_epoch != self.runtime.fleet_epoch(now):
             # The fleet changed since the budget was derived: a worker
             # joined, left, flipped liveness or finished warming up.
             self._derive_budget()
@@ -895,7 +890,7 @@ class ServingGateway:
     ) -> list[TaskResult]:
         """Serve a pre-split batch synchronously, all-or-nothing.
 
-        Admission is checked for the whole batch up front (every item
+        Admission is decided for the whole batch up front (every item
         charges the token bucket and in-flight ledger), so a denial
         rejects the batch without stranding half of it in a lane. The
         items land on one servable topic together and coalesce into
@@ -903,32 +898,20 @@ class ServingGateway:
         """
         if not requests:
             raise GatewayError("invoke_sync_many requires at least one request")
+        servable = requests[0].servable_name
         # Same deployment-bug guard as offer(): an unplaced servable
         # must fail before admission charges the ledger, or the denial
         # would strand lane entries and in-flight charges forever.
-        self.runtime.check_placed(requests[0].servable_name)
+        self.runtime.check_placed(servable)
         identity = identity or self._request_identity(requests[0])
-        policy = self.resolve_tenant(identity)
-        servable = requests[0].servable_name
-        if policy is None:
-            raise AdmissionRejected(self._deny_unknown_tenant(identity, servable))
-        decision = self.admission.admit_many(
-            policy, servable, self.scheduler.depth(policy.name), len(requests)
-        )
+        policy, decision = self._admit(identity, (servable,) * len(requests))
         if not decision.admitted:
             raise AdmissionRejected(decision)
-        results: list[GatewayResult] = []
-        for request in requests:
-            request.tenant = policy.name
-            request.identity_id = request.identity_id or identity.identity_id
-            self._journal_admit(request, policy, self.runtime.clock.now())
-            gateway_result = GatewayResult(
-                request=request,
-                decision=decision,
-                arrived_at=self.runtime.clock.now(),
-            )
-            self._enter_lane(gateway_result, policy)
-            results.append(gateway_result)
+        arrived = self.runtime.clock.now()
+        results = [
+            self._enter(request, policy, identity, decision, arrived)
+            for request in requests
+        ]
         self._note_tenant(policy.name)
         self._pump()
         self.runtime.drain()
@@ -952,14 +935,7 @@ class ServingGateway:
         for name in servable_names:
             # Unplaced steps are deployment bugs; fail before charging.
             self.runtime.check_placed(name)
-        policy = self.resolve_tenant(identity)
-        if policy is None:
-            raise AdmissionRejected(
-                self._deny_unknown_tenant(identity, servable_names[0])
-            )
-        decision = self.admission.admit_chain(
-            policy, list(servable_names), self.scheduler.depth(policy.name)
-        )
+        policy, decision = self._admit(identity, servable_names, sequential=True)
         if not decision.admitted:
             raise AdmissionRejected(decision)
         return policy
@@ -970,20 +946,14 @@ class ServingGateway:
         """Serve one pre-admitted chain step synchronously.
 
         Admission (and its ledger charge) already happened in
-        :meth:`admit_chain`; this only schedules, pumps, and drains.
-        The step's in-flight charge releases through the normal
-        settlement path (:meth:`on_settled`).
+        :meth:`admit_chain`; the step enters like any admitted request,
+        is pumped and drained. Its in-flight charge releases through
+        the normal settlement path (:meth:`on_settled`).
         """
-        request.tenant = policy.name
-        self._journal_admit(request, policy, self.runtime.clock.now())
-        result = GatewayResult(
-            request=request,
-            decision=AdmissionDecision(
-                AdmissionOutcome.ADMITTED, policy.name, request.servable_name
-            ),
-            arrived_at=self.runtime.clock.now(),
+        decision = AdmissionDecision(
+            AdmissionOutcome.ADMITTED, policy.name, request.servable_name
         )
-        self._enter_lane(result, policy)
+        result = self._enter(request, policy, None, decision, self.runtime.clock.now())
         self._note_tenant(policy.name)
         self._pump()
         self.runtime.drain()

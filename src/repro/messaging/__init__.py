@@ -10,13 +10,12 @@ the serving path depends on:
   model (:mod:`repro.messaging.serializer`).
 """
 
-from repro.messaging.serializer import Serializer, PickleSerializer, JsonSerializer
+from repro.messaging.serializer import Serializer, PickleSerializer
 from repro.messaging.queue import TaskQueue, QueuedMessage, QueueEmpty
 
 __all__ = [
     "Serializer",
     "PickleSerializer",
-    "JsonSerializer",
     "TaskQueue",
     "QueuedMessage",
     "QueueEmpty",

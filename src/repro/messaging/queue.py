@@ -70,7 +70,14 @@ class QueuedMessage:
 
 
 class TaskQueue:
-    """At-least-once FIFO queue with per-topic channels."""
+    """At-least-once FIFO queue with per-topic channels.
+
+    The redelivery defaults (a claim expires after 30 s, a message is
+    dead-lettered after 5 deliveries) are one policy stated three
+    times: here, in ``durability.recovery.begin_recovery`` (which
+    dead-letters on replay) and in ``materialize_queue`` (which builds
+    the recovered queue). Change them together.
+    """
 
     def __init__(
         self,

@@ -2,14 +2,13 @@
 
 Task envelopes crossing the wire are serialized here so that (a) the byte
 counts feeding the latency model are real, and (b) serialization costs are
-charged to the virtual clock, mirroring the pickle/JSON costs a production
+charged to the virtual clock, mirroring the pickle costs a production
 deployment pays.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import pickle
 from typing import Any
 
@@ -79,44 +78,6 @@ class PickleSerializer(Serializer):
             return pickle.loads(data)
         except Exception as exc:
             raise SerializationError(f"cannot unpickle payload: {exc}") from exc
-
-
-class JsonSerializer(Serializer):
-    """JSON serializer with NumPy support (REST-facing payloads)."""
-
-    name = "json"
-
-    @staticmethod
-    def _default(obj: Any) -> Any:
-        if isinstance(obj, np.ndarray):
-            return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, bytes):
-            return {"__bytes__": obj.hex()}
-        raise SerializationError(f"not JSON serializable: {type(obj).__name__}")
-
-    @staticmethod
-    def _object_hook(d: dict) -> Any:
-        if "__ndarray__" in d:
-            return np.asarray(d["__ndarray__"], dtype=d.get("dtype", "float64"))
-        if "__bytes__" in d:
-            return bytes.fromhex(d["__bytes__"])
-        return d
-
-    def _encode(self, obj: Any) -> bytes:
-        try:
-            return json.dumps(obj, default=self._default).encode()
-        except (TypeError, ValueError) as exc:
-            raise SerializationError(str(exc)) from exc
-
-    def _decode(self, data: bytes) -> Any:
-        try:
-            return json.loads(data.decode(), object_hook=self._object_hook)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerializationError(str(exc)) from exc
 
 
 def estimate_nbytes(obj: Any) -> int:

@@ -1,34 +1,14 @@
-"""Parsl-like parallel scripting engine.
+"""The IPP engine pool of DLHub's Parsl executor.
 
 DLHub's general-purpose executor is built on Parsl's execution engine
-(SS IV-C): Python functions become *apps* returning futures, a DataFlow
-kernel resolves dependencies and dispatches tasks to executors, and on
-Kubernetes the engine deploys IPythonParallel-style engines in servable
-pods, load balancing requests across them.
-
-* :mod:`repro.parsl.futures` — AppFuture with dependency tracking,
-* :mod:`repro.parsl.app` — the ``python_app`` decorator,
-* :mod:`repro.parsl.dfk` — the DataFlowKernel (dependency resolution,
-  memoization hooks, executor routing),
-* :mod:`repro.parsl.executors` — local and cluster-backed executors,
-* :mod:`repro.parsl.ipp` — IPP-style engine pool with deterministic
-  load balancing and busy-until queueing (what Fig. 7 measures).
+(SS IV-C); on Kubernetes that engine deploys IPythonParallel-style
+engines in servable pods and load-balances requests across them. That
+pool is the part the serving stack uses, and all this package holds:
+:mod:`repro.parsl.ipp`, the engine pool with deterministic load
+balancing and busy-until queueing (what Fig. 7 measures), which
+:class:`~repro.core.executors.ParslServableExecutor` dispatches through.
 """
 
-from repro.parsl.futures import AppFuture, FutureError
-from repro.parsl.app import python_app
-from repro.parsl.dfk import DataFlowKernel
-from repro.parsl.executors import LocalExecutor, ClusterExecutor, ExecutorBase
-from repro.parsl.ipp import IPPEnginePool, EngineStats
+from repro.parsl.ipp import EngineStats, IPPEnginePool, NoEnginesError
 
-__all__ = [
-    "AppFuture",
-    "FutureError",
-    "python_app",
-    "DataFlowKernel",
-    "LocalExecutor",
-    "ClusterExecutor",
-    "ExecutorBase",
-    "IPPEnginePool",
-    "EngineStats",
-]
+__all__ = ["IPPEnginePool", "EngineStats", "NoEnginesError"]

@@ -89,8 +89,7 @@ def polled_gateway_tick(gateway, now: float) -> None:
     """``ServingGateway.on_tick`` as it ran once per loop iteration: the
     budget re-derived from the whole fleet, the over-commit state machine
     stepped, due arrivals offered, the pump run — all unconditionally."""
-    if gateway._dynamic_slots:
-        gateway._derive_budget()
+    gateway._derive_budget()
     gateway._check_overcommit(now)
     while (
         gateway._sched_i < len(gateway._schedule)

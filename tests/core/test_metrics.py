@@ -6,93 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.metrics import (
-    MetricsCollector,
     StageLatencyCollector,
     TenantUsageCollector,
-    TimingRecord,
     TimingSummary,
 )
 
 
-def record(servable="m", inf=0.01, inv=0.02, req=0.05, hit=False):
-    return TimingRecord(
-        servable=servable,
-        inference_time=inf,
-        invocation_time=inv,
-        request_time=req,
-        cache_hit=hit,
-    )
-
-
-class TestTimingRecord:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TimingRecord("m", -0.1, 0.2, 0.3)
-
-    def test_frozen(self):
-        r = record()
-        with pytest.raises(AttributeError):
-            r.inference_time = 1.0  # type: ignore[misc]
-
-
-class TestCollector:
-    def test_record_and_count(self):
-        mc = MetricsCollector()
-        mc.record(record())
-        mc.record(record(servable="other"))
-        assert mc.count() == 2
-        assert mc.count("m") == 1
-        assert mc.servables() == ["m", "other"]
-
-    def test_summarize_percentiles(self):
-        mc = MetricsCollector()
-        for i in range(1, 101):
-            mc.record(record(inv=i / 1000.0))
-        summary = mc.summarize("m", "invocation_time")
-        assert summary.count == 100
-        assert summary.median == pytest.approx(0.0505, abs=1e-3)
-        assert summary.p5 < summary.median < summary.p95
-
-    def test_summary_as_ms(self):
-        mc = MetricsCollector()
-        mc.record(record(inv=0.020))
-        row = mc.summarize("m", "invocation_time").as_ms()
-        assert row["median_ms"] == pytest.approx(20.0)
-
-    def test_unknown_metric(self):
-        mc = MetricsCollector()
-        mc.record(record())
-        with pytest.raises(ValueError):
-            mc.summarize("m", "wallclock")
-
-    def test_unknown_servable(self):
-        with pytest.raises(KeyError):
-            MetricsCollector().summarize("ghost", "request_time")
-
-    def test_summary_table_covers_all(self):
-        mc = MetricsCollector()
-        mc.record(record("a"))
-        mc.record(record("b"))
-        table = mc.summary_table()
-        assert len(table) == 6  # 2 servables x 3 metrics
-
-    def test_clear(self):
-        mc = MetricsCollector()
-        mc.record(record())
-        mc.clear()
-        assert mc.count() == 0
-
-    def test_records_accessor_copies(self):
-        mc = MetricsCollector()
-        mc.record(record())
-        records = mc.records("m")
-        records.clear()
-        assert mc.count("m") == 1
-
-
 class TestTimingSummaryOf:
     """The one summary implementation, against the direct NumPy calls
-    the three collector bodies used to spell out."""
+    the collector bodies used to spell out."""
 
     @given(
         st.lists(
@@ -112,22 +34,16 @@ class TestTimingSummaryOf:
         )
         assert TimingSummary.of(samples, "m", "request_time") == expected
         # ... and through each collector, bit for bit.
-        stages, tenants, requests = (
-            StageLatencyCollector(),
-            TenantUsageCollector(),
-            MetricsCollector(),
-        )
+        stages, tenants = StageLatencyCollector(), TenantUsageCollector()
         for value in samples:
             stages.record("dispatch", "m", value)
             tenants.record_completion("m", value)
-            requests.record(record(req=value))
         assert stages.summarize("dispatch", "m") == TimingSummary.of(
             samples, "m", "dispatch"
         )
         assert tenants.latency_summary("m") == TimingSummary.of(
             samples, "m", "e2e_latency"
         )
-        assert requests.summarize("m", "request_time") == expected
 
     def test_empty_raises_key_error_through_every_collector(self):
         with pytest.raises(KeyError):
@@ -136,8 +52,6 @@ class TestTimingSummaryOf:
             StageLatencyCollector().summarize("dispatch", "m")
         with pytest.raises(KeyError):
             TenantUsageCollector().latency_summary("m")
-        with pytest.raises(KeyError):
-            MetricsCollector().summarize("m", "request_time")
 
 
 class TestStageLatencyCollector:

@@ -9,7 +9,6 @@ from repro.core.obsloop import (
     AdaptiveSampler,
     Alert,
     AlertEngine,
-    AnomalyRule,
     BurnRateRule,
     ObservabilityLoop,
     ObsLoopError,
@@ -192,32 +191,6 @@ class TestBurnRateRule:
             BurnRateRule("b", "t", fast_window_s=2.0, slow_window_s=1.0)
         with pytest.raises(ObsLoopError):
             BurnRateRule("b", "t", threshold=0.0)
-
-
-class TestAnomalyRule:
-    def test_warms_up_then_flags_step_change(self):
-        store = SeriesStore()
-        rule = AnomalyRule(
-            "a", "s", window_s=0.5, min_history=3, abs_floor=1.0
-        )
-        for i in range(3):
-            store.record("s", float(i), 10.0)
-            hit, _ = rule.active(store, now=float(i))
-            assert not hit  # warming up
-        store.record("s", 3.0, 10.0)
-        hit, _ = rule.active(store, now=3.0)
-        assert not hit  # steady state matches its own forecast
-        store.record("s", 4.0, 100.0)
-        hit, detail = rule.active(store, now=4.0)
-        assert hit
-        assert detail["residual"] > detail["tolerance"]
-        assert rule.labels["kind"] == "anomaly"
-
-    def test_validation(self):
-        with pytest.raises(ObsLoopError):
-            AnomalyRule("a", "s", min_history=1)
-        with pytest.raises(ObsLoopError):
-            AnomalyRule("a", "s", rel_tolerance=-0.1)
 
 
 class _FlagRule(ThresholdRule):

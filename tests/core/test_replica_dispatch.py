@@ -407,26 +407,6 @@ class TestLiveSlotBudget:
         assert not runtime.is_warming(busy)
         assert gateway.max_dispatch_slots == base
 
-    def test_explicit_budget_stays_pinned(self, env):
-        testbed, zoo = env
-        from repro.core.runtime import ServingRuntime
-        from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
-
-        workers = [testbed.add_fleet_worker(f"gw-{i}") for i in range(2)]
-        runtime = ServingRuntime(
-            testbed.clock, testbed.management.queue, workers, max_batch_size=8
-        )
-        published = testbed.management.publish(testbed.token, zoo["noop"])
-        runtime.place(zoo["noop"], published.build.image)
-        policies = TenantPolicyTable()
-        policies.register(TenantPolicy(name="public"))
-        policies.set_default("public")
-        gateway = ServingGateway(
-            testbed.auth, runtime, policies, max_dispatch_slots=10
-        )
-        runtime.add_worker(testbed.add_fleet_worker("gw-late"))
-        assert gateway.max_dispatch_slots == 10
-
 
 class TestPodUtilizationRecording:
     def test_chunk_shares_land_on_per_pod_gauges(self, env):

@@ -7,13 +7,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.tasks import TaskRequest
+from repro.core.testbed import build_testbed
 from repro.durability import (
     INJECTION_POINTS,
     CrashPlan,
+    FaultInjector,
     FileDurableStore,
     InMemoryDurableStore,
     Journal,
     SimulatedCrash,
+    load_state,
 )
 
 from tests.core.lane_oracles import (
@@ -226,3 +230,24 @@ def test_unarmed_injector_is_a_pure_counter(chaos_zoo):
     assert outcome.exactly_once
     assert harness.injector.trip_counts["post_admission"] >= 10
     assert harness.injector.crashes_fired == 0
+
+
+def test_a_crash_between_batch_items_keeps_every_journaled_admission(chaos_zoo):
+    """The synchronous batch path enters each item through the door an
+    arrival uses, so it is exposed to the same crash point: dying at the
+    second item's ``post_admission`` leaves exactly the two items
+    journaled write-ahead of their lane entries open, and none settled."""
+    testbed = build_testbed(jitter=False, memoize_tm=False)
+    store = InMemoryDurableStore()
+    gateway = testbed.enable_gateway(durable_store=store)
+    published = testbed.management.publish(testbed.token, chaos_zoo["noop"])
+    gateway.runtime.place(chaos_zoo["noop"], published.build.image)
+    gateway.chaos = injector = FaultInjector(testbed.clock)
+    injector.plan(CrashPlan("post_admission", after_trips=2))
+    injector.arm_next()
+    items = [TaskRequest("noop", args=(i,)) for i in range(3)]
+    with pytest.raises(SimulatedCrash):
+        gateway.invoke_sync_many(items, identity=testbed.user)
+    state, _ = load_state(store)
+    assert sorted(state.open) == sorted(r.task_uuid for r in items[:2])
+    assert not state.settled

@@ -3,9 +3,9 @@
 With per-step admission, a rate-limited tenant's chain could pass steps
 ``1..k-1`` — burning fleet time and rate-limit tokens — and then fail
 admission at step ``k``. Chains are now admitted up front with cost =
-number of steps (``AdmissionController.admit_chain``): a denial executes
-nothing, and a mid-chain *execution* failure refunds the unexecuted
-tail's in-flight charges.
+number of steps (``AdmissionController.admit(..., sequential=True)``):
+a denial executes nothing, and a mid-chain *execution* failure refunds
+the unexecuted tail's in-flight charges.
 """
 
 import pytest

@@ -5,8 +5,11 @@ micro-batch coalescing."""
 import numpy as np
 import pytest
 
+from repro.core.management import ManagementService
 from repro.core.tasks import TaskRequest
+from repro.core.testbed import DLHubTestbed
 from repro.core.zoo import build_zoo, sample_input
+from repro.durability import ChaosHarness
 from repro.gateway import (
     AdmissionOutcome,
     AdmissionRejected,
@@ -116,11 +119,13 @@ class TestAdmissionFailurePaths:
     def test_shed_when_lane_full(self):
         testbed, gateway, tokens = build_gateway(
             {"u": TenantPolicy(name="t", max_queued=2)},
-            max_dispatch_slots=1,
-            slot_reserve=0,
+            n_workers=1,
+            max_batch_size=1,
         )
-        # Burst of 10 at one instant: 1 released to the runtime, 2 lane
-        # slots, the rest shed with a typed outcome.
+        # One worker of batch size 1 derives 2 slots, 1 of them reserve:
+        # a lone tenant has one releasable slot. Burst of 10 at one
+        # instant: 1 released to the runtime, 2 lane slots, the rest
+        # shed with a typed outcome.
         results = gateway.serve(
             [(0.0, tokens["u"], TaskRequest("noop", args=(i,))) for i in range(10)]
         )
@@ -157,18 +162,6 @@ class TestAdmissionFailurePaths:
         assert gateway.invoke_sync(
             TaskRequest("noop", args=(1,)), identity=identity
         ).ok
-
-    def test_minimal_slot_budget_constructs(self):
-        """max_dispatch_slots=1 must not trip the derived-reserve
-        validation (regression)."""
-        testbed, gateway, tokens = build_gateway(
-            {"u": TenantPolicy(name="t")}, max_dispatch_slots=1
-        )
-        assert gateway.slot_reserve == 0
-        results = gateway.serve(
-            [(0.0, tokens["u"], TaskRequest("noop", args=(i,))) for i in range(3)]
-        )
-        assert all(r.admitted and r.ok for r in results)
 
 
 class TestWorkConservationAndQuotas:
@@ -208,8 +201,6 @@ class TestWorkConservationAndQuotas:
         (almost) all dispatch slots, not just its weighted share."""
         testbed, gateway, tokens = build_gateway(
             {"solo": TenantPolicy(name="solo"), "ghost": TenantPolicy(name="ghost")},
-            max_dispatch_slots=16,
-            slot_reserve=2,
         )
         results = gateway.serve(
             [
@@ -218,15 +209,14 @@ class TestWorkConservationAndQuotas:
             ]
         )
         assert all(r.admitted and r.ok for r in results)
-        # At some point the solo tenant's outstanding exceeded its
-        # 50% share (8) — the fallback released beyond it.
+        # The default 2 x 8 fleet derives 18 slots, 2 in reserve: the
+        # solo tenant's outstanding exceeded its 50% share (9) — the
+        # fallback released beyond it.
         assert gateway.runtime.items_served == 14
 
     def test_slot_reserve_keeps_headroom_for_new_tenant(self):
         testbed, gateway, tokens = build_gateway(
             {"hog": TenantPolicy(name="hog"), "late": TenantPolicy(name="late")},
-            max_dispatch_slots=8,
-            slot_reserve=2,
         )
         hog_burst = [
             (0.0, tokens["hog"], TaskRequest("matminer_util", args=sample_input("matminer_util")))
@@ -597,3 +587,24 @@ class TestReactiveAdmissionTightening:
              for i in range(5)]
         )
         assert all(r.admitted for r in again)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ServingGateway(None, None, None, max_dispatch_slots=4),
+        lambda: DLHubTestbed.enable_gateway(None, slot_reserve=1),
+        lambda: ChaosHarness(
+            clock=None, auth=None, policies=None, workers=(), placements=(),
+            store=None, max_deliveries=3,
+        ),
+        lambda: ManagementService(None, None, None, None, memoize=True),
+    ],
+    ids=["pinned-budget", "pinned-reserve", "harness-redelivery", "ms-cache"],
+)
+def test_options_nothing_passed_are_gone(call):
+    """The slot budget is live, the harness uses the queue's redelivery
+    defaults and the Management Service keeps no result cache: the
+    arguments that said otherwise are not accepted."""
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()

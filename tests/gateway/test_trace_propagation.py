@@ -11,11 +11,16 @@ the run with one finished, well-nested span tree.
 
 import pytest
 
+from repro.core.pipeline import Pipeline
+from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
 from repro.core.telemetry import Tracer
+from repro.core.testbed import build_testbed
+from repro.core.zoo import build_zoo
+from repro.durability import FaultInjector
 from tests.gateway.test_gateway import build_gateway
 
-from repro.gateway import TenantPolicy
+from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
 
 
 def _overcommitted_traced_gateway(sample_rate=1.0):
@@ -193,8 +198,9 @@ class TestDenialTraces:
         tracer = Tracer(sample_rate=1.0, slow_threshold_s=None)
         testbed, gateway, tokens = build_gateway(
             {"u": TenantPolicy(name="t", max_queued=2)},
-            max_dispatch_slots=1,
-            slot_reserve=0,
+            # 2 slots, 1 in reserve: one releasable slot, so the lane fills.
+            n_workers=1,
+            max_batch_size=1,
             tracer=tracer,
         )
         results = [
@@ -248,3 +254,47 @@ class TestGatewayTracerWiring:
         (trace,) = tracer.retained
         assert trace.missing_stages(gateway=True) == set()
         assert trace.well_formed()
+
+
+class TestSyncPathsEnterThroughTheSameDoor:
+    def test_batch_items_and_chain_steps_are_traced_and_injectable(self):
+        """A pre-split batch and a pipeline chain enter like any arrival:
+        every item and step gets a trace with its ``admission`` and
+        ``lane_wait`` spans and passes the ``post_admission`` point."""
+        tracer = Tracer(sample_rate=1.0, slow_threshold_s=None)
+        testbed = build_testbed(jitter=False, memoize_tm=False)
+        zoo = build_zoo(oqmd_entries=50, n_estimators=4)
+        policies = TenantPolicyTable()
+        policies.register(TenantPolicy(name="public"))
+        policies.set_default("public")
+        workers = [testbed.add_fleet_worker(f"w{i}") for i in range(2)]
+        runtime = ServingRuntime(
+            testbed.clock, testbed.management.queue, workers, tracer=tracer
+        )
+        steps = ("matminer_util", "matminer_featurize", "matminer_model")
+        for name in steps:
+            published = testbed.management.publish(testbed.token, zoo[name])
+            runtime.place(zoo[name], published.build.image)
+        gateway = ServingGateway(testbed.auth, runtime, policies)
+        gateway.chaos = injector = FaultInjector(testbed.clock)
+        management = testbed.management
+        management.attach_gateway(gateway)
+        pipeline = Pipeline("enthalpy")
+        for name in steps:
+            pipeline.add_step(name)
+        management.register_pipeline(testbed.token, pipeline)
+
+        assert management.run_batch(testbed.token, "matminer_util", ["NaCl"] * 3).ok
+        assert management.run_pipeline(testbed.token, "enthalpy", "NaCl").ok
+
+        assert len(tracer.retained) == 6
+        for trace in tracer.retained:
+            assert trace.finished and not trace.error
+            assert trace.missing_stages(gateway=True) == set()
+            assert trace.well_formed()
+            assert trace.tenant == "public"
+            (admission,) = trace.stages("admission")
+            assert admission.start == trace.start
+            assert admission.attrs["outcome"] == "admitted"
+        assert injector.trip_counts["post_admission"] == 6
+        assert injector.crashes_fired == 0

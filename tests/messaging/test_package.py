@@ -11,7 +11,6 @@ def test_exports_are_the_queue_and_the_serializers():
     assert set(repro.messaging.__all__) == {
         "Serializer",
         "PickleSerializer",
-        "JsonSerializer",
         "TaskQueue",
         "QueuedMessage",
         "QueueEmpty",

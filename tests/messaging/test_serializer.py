@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.messaging.serializer import (
-    JsonSerializer,
     PickleSerializer,
     SerializationError,
     estimate_nbytes,
@@ -55,36 +54,6 @@ class TestPickleSerializer:
     def test_roundtrip_property(self, obj):
         s = PickleSerializer()
         assert s.loads(s.dumps(obj)) == obj
-
-
-class TestJsonSerializer:
-    def test_roundtrip_plain(self):
-        s = JsonSerializer()
-        obj = {"name": "cifar10", "n": 10, "tags": ["image", "cnn"]}
-        assert s.loads(s.dumps(obj)) == obj
-
-    def test_ndarray_support(self):
-        s = JsonSerializer()
-        arr = np.array([[1.5, 2.5], [3.5, 4.5]])
-        restored = s.loads(s.dumps({"x": arr}))
-        assert np.allclose(restored["x"], arr)
-
-    def test_numpy_scalars(self):
-        s = JsonSerializer()
-        restored = s.loads(s.dumps({"i": np.int64(3), "f": np.float64(2.5)}))
-        assert restored == {"i": 3, "f": 2.5}
-
-    def test_bytes_support(self):
-        s = JsonSerializer()
-        assert s.loads(s.dumps({"blob": b"\x00\x01"}))["blob"] == b"\x00\x01"
-
-    def test_unserializable_raises(self):
-        with pytest.raises(SerializationError):
-            JsonSerializer().dumps({"f": lambda: None})
-
-    def test_bad_json_raises(self):
-        with pytest.raises(SerializationError):
-            JsonSerializer().loads(b"{broken")
 
 
 class TestEstimate:

@@ -112,7 +112,7 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         ["restart_cost_s"],
     ),
     "`visibility_timeout_s` / `max_deliveries`": (
-        "repro.durability.chaos.ChaosHarness",
+        "repro.messaging.queue.TaskQueue",
         ["visibility_timeout_s", "max_deliveries"],
     ),
     # `durable_store` (unset/None default) is a prose cell with no

@@ -1,4 +1,4 @@
-"""Ablation bench: batching policies (DESIGN.md SS7).
+"""Ablation bench: batching policies.
 
 Compares three policies on the same 200-request workload:
 
@@ -14,6 +14,7 @@ near-whole-queue throughput while each chunk honours the budget.
 
 from conftest import run_once
 
+from repro.bench.report import render, write
 from repro.bench.workloads import build_context
 from repro.core.adaptive import AdaptiveBatcher
 
@@ -52,6 +53,8 @@ def run_ablation():
     # Per-chunk latencies after the profile warmed up.
     warm = [d.actual_time_s for d in batcher.decisions[2:]]
     return {
+        "n_requests": N_REQUESTS,
+        "latency_budget_s": BUDGET_S,
         "unbatched_total_s": unbatched_total,
         "whole_queue_total_s": whole.invocation_time,
         "whole_queue_batch_latency_s": whole.invocation_time,
@@ -63,16 +66,8 @@ def run_ablation():
 
 def test_ablation_batching_policies(benchmark):
     result = run_once(benchmark, run_ablation)
-    print(
-        f"\nbatching policies over {N_REQUESTS} requests (virtual time):\n"
-        f"  unbatched   total {result['unbatched_total_s'] * 1e3:8.1f} ms\n"
-        f"  whole-queue total {result['whole_queue_total_s'] * 1e3:8.1f} ms "
-        f"(single batch latency {result['whole_queue_batch_latency_s'] * 1e3:.1f} ms)\n"
-        f"  adaptive    total {result['adaptive_total_s'] * 1e3:8.1f} ms "
-        f"in {result['adaptive_chunks']} chunks "
-        f"(max chunk latency {result['adaptive_max_chunk_latency_s'] * 1e3:.1f} ms, "
-        f"budget {BUDGET_S * 1e3:.0f} ms)"
-    )
+    print("\n" + render(result))
+    write("ablation_batching", result)
     # Batching (either flavour) beats unbatched.
     assert result["whole_queue_total_s"] < result["unbatched_total_s"]
     assert result["adaptive_total_s"] < result["unbatched_total_s"]

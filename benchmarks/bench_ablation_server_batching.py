@@ -13,10 +13,10 @@ which must sit on requests until a whole batch has arrived.
 import pytest
 from conftest import run_once
 
+from repro.bench.report import render, write
 from repro.bench.server_batching import (
     ARRIVAL_RATES_RPS,
     COALESCE_DELAY_S,
-    format_report,
     run_experiment,
 )
 
@@ -24,36 +24,37 @@ from repro.bench.server_batching import (
 @pytest.mark.fast
 def test_ablation_server_batching(benchmark):
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
+    print("\n" + render(report))
+    write("server_batching", report)
 
-    results = report["rates"]
-    low, high = min(ARRIVAL_RATES_RPS), max(ARRIVAL_RATES_RPS)
+    low_rps, high_rps = min(ARRIVAL_RATES_RPS), max(ARRIVAL_RATES_RPS)
+    low, high = report["rates"][f"{low_rps:g}rps"], report["rates"][f"{high_rps:g}rps"]
     # At high arrival rates, server-side coalescing beats unbatched
     # dispatch on throughput by a wide margin...
     assert (
-        results[high]["server_coalesced"]["throughput_rps"]
-        > 2.0 * results[high]["unbatched"]["throughput_rps"]
+        high["server_coalesced"]["throughput_rps"]
+        > 2.0 * high["unbatched"]["throughput_rps"]
     )
     # ...and stays within a whisker of the client-batched optimum.
     assert (
-        results[high]["server_coalesced"]["throughput_rps"]
-        > 0.9 * results[high]["client_batched"]["throughput_rps"]
+        high["server_coalesced"]["throughput_rps"]
+        > 0.9 * high["client_batched"]["throughput_rps"]
     )
     # Overload grows the coalesced batches; offered-load tracking keeps
     # them small when the fleet keeps up.
-    assert results[high]["server_coalesced"]["mean_batch_size"] > 10
-    assert results[low]["server_coalesced"]["mean_batch_size"] < 5
+    assert high["server_coalesced"]["mean_batch_size"] > 10
+    assert low["server_coalesced"]["mean_batch_size"] < 5
     # At low rates every policy sustains the offered load...
     for policy in ("unbatched", "client_batched", "server_coalesced"):
-        assert results[low][policy]["throughput_rps"] > 0.9 * low
+        assert low[policy]["throughput_rps"] > 0.9 * low_rps
     # ...but client batching must wait for whole batches to arrive, while
     # the server window costs at most the coalesce delay.
     assert (
-        results[low]["server_coalesced"]["median_latency_ms"]
-        <= results[low]["unbatched"]["median_latency_ms"]
+        low["server_coalesced"]["median_latency_ms"]
+        <= low["unbatched"]["median_latency_ms"]
         + 1.5 * COALESCE_DELAY_S * 1e3
     )
     assert (
-        results[low]["client_batched"]["median_latency_ms"]
-        > 5.0 * results[low]["server_coalesced"]["median_latency_ms"]
+        low["client_batched"]["median_latency_ms"]
+        > 5.0 * low["server_coalesced"]["median_latency_ms"]
     )

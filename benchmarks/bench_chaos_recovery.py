@@ -19,9 +19,6 @@ Results land in ``BENCH_chaos_recovery.json`` (virtual-time, so the
 full two-arm run is bit-for-bit deterministic).
 """
 
-import json
-import pathlib
-
 import pytest
 from conftest import run_once
 
@@ -29,10 +26,10 @@ from repro.bench.chaos_recovery import (
     CRASH_POINT,
     P99_PENALTY_SLACK_S,
     RESTART_COST_S,
-    format_report,
     run_experiment,
     spike_window,
 )
+from repro.bench.report import render, write
 
 
 def _check_recovered(report: dict) -> None:
@@ -75,16 +72,12 @@ def test_chaos_recovery_smoke(benchmark):
     """CI smoke: the full two-arm kill/recover scenario (virtual time
     keeps it to a few wall-clock seconds)."""
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
+    print("\n" + render(report))
     _check_recovered(report)
 
 
 def test_chaos_recovery_full(benchmark):
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
-
-    out = pathlib.Path(__file__).resolve().parent.parent / (
-        "BENCH_chaos_recovery.json"
-    )
-    out.write_text(json.dumps(report, indent=2))
+    print("\n" + render(report))
+    write("chaos_recovery", report)
     _check_recovered(report)

@@ -16,16 +16,12 @@ same order. The tracing arm must show the scheduling decision within
 """
 
 import json
-import pathlib
 
 import pytest
 from conftest import run_once
 
-from repro.bench.dispatch_overhead import (
-    TRACE_SAMPLE_RATE,
-    format_report,
-    run_experiment,
-)
+from repro.bench.dispatch_overhead import TRACE_SAMPLE_RATE, run_experiment
+from repro.bench.report import render, write
 
 
 @pytest.mark.fast
@@ -43,7 +39,7 @@ def test_dispatch_overhead_smoke(benchmark):
         trace_sizes=(100,),
         trace_cycles=30,
     )
-    print("\n" + format_report(report))
+    print("\n" + render(report))
     assert [row["lanes"] for row in report["heap"]] == [10, 100]
     for row in report["heap"] + report["scan"]:
         assert row["decisions"] == 50
@@ -116,12 +112,8 @@ def test_chrome_trace_roundtrip():
 
 def test_dispatch_overhead_full(benchmark):
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
-
-    out = pathlib.Path(__file__).resolve().parent.parent / (
-        "BENCH_dispatch_overhead.json"
-    )
-    out.write_text(json.dumps(report, indent=2))
+    print("\n" + render(report))
+    write("dispatch_overhead", report)
 
     # Dispatch-order semantics are unchanged: same picks, same order.
     assert report["picks_identical"]

@@ -8,12 +8,14 @@ CIFAR-10 carry extra request-side transfer overhead.
 
 from conftest import run_once
 
-from repro.bench.fig3_servables import format_report, run_experiment
+from repro.bench.fig3_servables import run_experiment
+from repro.bench.report import render, write
 
 
 def test_fig3_servable_performance(benchmark):
     results = run_once(benchmark, run_experiment)
-    print("\n" + format_report(results))
+    print("\n" + render(results))
+    write("fig3_servables", results)
 
     for name, metrics in results.items():
         inference = metrics["inference_time"]["median_ms"]

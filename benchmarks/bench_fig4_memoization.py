@@ -8,12 +8,14 @@ Fig. 8 highlights.
 
 from conftest import run_once
 
-from repro.bench.fig4_memoization import format_report, run_experiment
+from repro.bench.fig4_memoization import run_experiment
+from repro.bench.report import render, write
 
 
 def test_fig4_memoization(benchmark):
     results = run_once(benchmark, run_experiment)
-    print("\n" + format_report(results))
+    print("\n" + render(results))
+    write("fig4_memoization", results)
 
     for name, data in results.items():
         inv_red = data["reduction_pct"]["invocation_time"]

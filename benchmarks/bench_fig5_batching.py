@@ -7,12 +7,14 @@ above 1, with a growing absolute gap.
 
 from conftest import run_once
 
-from repro.bench.fig5_batching import format_report, run_experiment
+from repro.bench.fig5_batching import run_experiment
+from repro.bench.report import render, write
 
 
 def test_fig5_batching(benchmark):
     results = run_once(benchmark, run_experiment)
-    print("\n" + format_report(results))
+    print("\n" + render(results))
+    write("fig5_batching", results)
 
     for name, series in results.items():
         unbatched, batched = series["unbatched"], series["batched"]

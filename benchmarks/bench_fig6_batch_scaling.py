@@ -7,12 +7,14 @@ variance for each servable, and invocation time is monotone in count.
 
 from conftest import run_once
 
-from repro.bench.fig6_batch_scaling import format_report, run_experiment
+from repro.bench.fig6_batch_scaling import run_experiment
+from repro.bench.report import render, write
 
 
 def test_fig6_batch_scaling(benchmark):
     results = run_once(benchmark, run_experiment)
-    print("\n" + format_report(results))
+    print("\n" + render(results))
+    write("fig6_batch_scaling", results)
 
     for name, data in results.items():
         series = data["series"]

@@ -3,7 +3,7 @@
 Asserts the paper's shape: throughput scales with replicas then
 saturates; Inception (heaviest) keeps scaling to ~15 replicas while
 lighter servables saturate earlier because serial task dispatch comes to
-dominate. Includes the dispatch-cost ablation from DESIGN.md and a
+dominate. Includes the dispatch-cost ablation and a
 fast-marked smoke of replica scaling on the *coalesced* serving-runtime
 path (replica-aware ``invoke_batch``), so replica-speedup regressions
 on the micro-batch hot path fail CI.
@@ -14,16 +14,16 @@ from conftest import run_once
 
 from repro.bench.fig7_scalability import (
     ablation_dispatch_costs,
-    format_coalesced_report,
-    format_report,
     run_coalesced_replicas,
     run_experiment,
 )
+from repro.bench.report import render, write
 
 
 def test_fig7_replica_scaling(benchmark):
     results = run_once(benchmark, run_experiment)
-    print("\n" + format_report(results))
+    print("\n" + render(results))
+    write("fig7_scalability", results)
 
     for name, data in results.items():
         throughput = data["throughput_rps"]
@@ -51,7 +51,8 @@ def test_fig7_coalesced_replica_speedup(benchmark):
     the replica-aware ``invoke_batch`` shards each micro-batch across
     pods instead of serializing it on one."""
     results = run_once(benchmark, run_coalesced_replicas, (1, 4))
-    print("\n" + format_coalesced_report(results))
+    print("\n" + render(results))
+    write("fig7_coalesced", results)
     assert results["speedup"][4] >= 2.0, results["speedup"]
     # Batching itself is intact: the backlog coalesced into full-ish
     # micro-batches in both arms.
@@ -73,10 +74,9 @@ def test_fig7_dispatch_ablation(benchmark):
     """Halving dispatch cost moves the saturation point to more replicas —
     evidence that dispatch, not compute, caps executor throughput."""
     results = run_once(benchmark, ablation_dispatch_costs, (0.001, 0.004))
-    sat_fast = results[0.001]["saturation_replicas"]
-    sat_slow = results[0.004]["saturation_replicas"]
-    print(f"\nablation: dispatch 1ms -> saturates at {sat_fast}, 4ms -> {sat_slow}")
-    assert sat_fast > sat_slow
-    peak_fast = max(results[0.001]["throughput_rps"].values())
-    peak_slow = max(results[0.004]["throughput_rps"].values())
+    print("\n" + render(results))
+    write("fig7_dispatch_ablation", results)
+    assert results["1ms"]["saturation_replicas"] > results["4ms"]["saturation_replicas"]
+    peak_fast = max(results["1ms"]["throughput_rps"].values())
+    peak_slow = max(results["4ms"]["throughput_rps"].values())
     assert peak_fast > 2.0 * peak_slow

@@ -8,16 +8,13 @@ Asserts every qualitative claim of SS V-B5 on the reproduced numbers:
 * with memoization, DLHub's invocation (~1 ms; cache at the Task
   Manager) beats Clipper's (cache at the in-cluster query frontend).
 
-Includes the cache-placement ablation from DESIGN.md.
+Includes the cache-placement ablation.
 """
 
 from conftest import run_once
 
-from repro.bench.fig8_comparison import (
-    ablation_cache_placement,
-    format_report,
-    run_experiment,
-)
+from repro.bench.fig8_comparison import ablation_cache_placement, run_experiment
+from repro.bench.report import render, write
 
 TFS_CORE = (
     "TFServing-gRPC",
@@ -30,7 +27,8 @@ PYTHON_STACKS = ("SageMaker-Flask", "DLHub")
 
 def test_fig8_serving_comparison(benchmark):
     results = run_once(benchmark, run_experiment)
-    print("\n" + format_report(results))
+    print("\n" + render(results))
+    write("fig8_comparison", results)
 
     for model, platforms in results.items():
         inv = {p: d["invocation"]["median_ms"] for p, d in platforms.items()}
@@ -61,9 +59,7 @@ def test_fig8_cache_placement_ablation(benchmark):
     """Isolates cache placement: TM-side hits are ~4x+ cheaper than
     in-cluster frontend hits on the same workload."""
     result = run_once(benchmark, ablation_cache_placement)
-    print(
-        f"\ncache placement: TM {result['tm_cache_median_ms']:.2f} ms vs "
-        f"frontend {result['frontend_cache_median_ms']:.2f} ms"
-    )
+    print("\n" + render(result))
+    write("fig8_cache_placement", result)
     assert result["tm_cache_median_ms"] < result["frontend_cache_median_ms"]
     assert result["frontend_cache_median_ms"] / result["tm_cache_median_ms"] >= 2.0

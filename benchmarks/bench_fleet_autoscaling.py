@@ -29,17 +29,17 @@ from conftest import run_once
 
 from repro.bench.fleet_autoscaling import (
     MAX_WORKERS,
-    format_drain_report,
-    format_report,
     run_drain_experiment,
     run_experiment,
 )
+from repro.bench.report import render, write
 
 
 @pytest.mark.fast
 def test_ablation_fleet_autoscaling(benchmark):
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
+    print("\n" + render(report))
+    write("fleet_autoscaling", report)
 
     arms = report["arms"]
     static, sharded, autoscaled, predictive = (
@@ -109,7 +109,8 @@ def test_drain_phase_whiplash(benchmark):
     whiplash for a damped trend to remove.
     """
     report = run_once(benchmark, run_drain_experiment)
-    print("\n" + format_drain_report(report))
+    print("\n" + render(report))
+    write("fleet_autoscaling_drain", report)
 
     arms = report["arms"]
     offered = report["params"]["offered_requests"]

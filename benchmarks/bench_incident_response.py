@@ -26,17 +26,11 @@ Results land in ``BENCH_incident_response.json`` (virtual-time, so the
 full run is bit-for-bit deterministic).
 """
 
-import json
-import pathlib
-
 import pytest
 from conftest import run_once
 
-from repro.bench.incident_response import (
-    SCRAPE_INTERVAL_S,
-    format_report,
-    run_experiment,
-)
+from repro.bench.incident_response import SCRAPE_INTERVAL_S, run_experiment
+from repro.bench.report import render, write
 
 
 def _check_loop_closed(report: dict) -> None:
@@ -94,16 +88,12 @@ def test_incident_response_smoke(benchmark):
     """CI smoke: the full closed-loop scenario (virtual time keeps the
     whole two-arm run under a few wall-clock seconds)."""
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
+    print("\n" + render(report))
     _check_loop_closed(report)
 
 
 def test_incident_response_full(benchmark):
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
-
-    out = pathlib.Path(__file__).resolve().parent.parent / (
-        "BENCH_incident_response.json"
-    )
-    out.write_text(json.dumps(report, indent=2))
+    print("\n" + render(report))
+    write("incident_response", report)
     _check_loop_closed(report)

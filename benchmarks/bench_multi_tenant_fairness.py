@@ -29,13 +29,15 @@ during the induced overload — the tracing acceptance scenario.
 import pytest
 from conftest import run_once
 
-from repro.bench.multi_tenant_fairness import format_report, run_experiment
+from repro.bench.multi_tenant_fairness import run_experiment
+from repro.bench.report import render, write
 
 
 @pytest.mark.fast
 def test_ablation_multi_tenant_fairness(benchmark):
     report = run_once(benchmark, run_experiment)
-    print("\n" + format_report(report))
+    print("\n" + render(report))
+    write("multi_tenant_fairness", report)
 
     params = report["params"]
     arms = report["arms"]

@@ -1,12 +1,13 @@
 """Bench target for Table I: the model-repository capability matrix.
 
-Regenerates the table and live-verifies every DLHub-column claim against
-the running system (see ``repro.bench.tables``).
+Regenerates the table and live-verifies every DLHub-column claim of
+Tables I and II against the running system (see ``repro.bench.tables``).
 """
 
 from conftest import run_once
 
-from repro.bench.tables import render_table1, verify_dlhub_claims
+from repro.bench.report import render, write
+from repro.bench.tables import render_table1, run_experiment
 
 
 def test_table1_regeneration(benchmark):
@@ -19,6 +20,8 @@ def test_table1_regeneration(benchmark):
 
 
 def test_table1_dlhub_claims_live(benchmark):
-    checks = run_once(benchmark, verify_dlhub_claims)
-    failed = [claim for claim, ok in checks.items() if not ok]
+    report = run_once(benchmark, run_experiment)
+    print("\n" + render(report))
+    write("tables", report)
+    failed = [claim for claim, ok in report["dlhub_claims"].items() if not ok]
     assert not failed, f"DLHub Table-I/II claims failed live checks: {failed}"

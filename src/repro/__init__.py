@@ -12,7 +12,7 @@ Quick start::
     client = DLHubClient(testbed.management, testbed.token)
     result = client.run("cifar10", image)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (docs/ARCHITECTURE.md has the full module map):
 
 * ``repro.core`` — DLHub itself (repository, Management Service, Task
   Manager, executors, pipelines, SDK, CLI),

@@ -1,11 +1,13 @@
-"""Benchmark harness: one experiment module per paper table/figure.
+"""Benchmark harness: one experiment module per paper table/figure/ablation.
 
-Each module exposes ``run_experiment(...) -> dict`` returning the rows /
-series the paper reports, plus a ``format_report`` helper. The thin
-pytest-benchmark wrappers in ``benchmarks/`` call these, so the same code
-regenerates EXPERIMENTS.md and the bench output.
+Each module exposes ``run_experiment(...) -> dict``, a plain JSON-able
+report. The thin pytest-benchmark wrappers in ``benchmarks/`` print it
+with :func:`repro.bench.report.render` and commit it as a
+``BENCH_<name>.json`` artifact with :func:`repro.bench.report.write`;
+``tools/generate_experiments_md.py`` renders the committed artifacts
+into EXPERIMENTS.md.
 
-Experiments (see DESIGN.md SS4 for the index):
+Experiments:
 
 * :mod:`repro.bench.fig3_servables` — request/invocation/inference times,
 * :mod:`repro.bench.fig4_memoization` — memoization impact,
@@ -17,7 +19,15 @@ Experiments (see DESIGN.md SS4 for the index):
 * :mod:`repro.bench.server_batching` — ablation: unbatched vs
   client-batched vs server-coalesced dispatch across arrival rates,
 * :mod:`repro.bench.fleet_autoscaling` — ablation: static fleet vs
-  control-plane autoscaling under an arrival-rate spike.
+  control-plane autoscaling under an arrival-rate spike,
+* :mod:`repro.bench.multi_tenant_fairness` — ablation: light-tenant
+  isolation with and without the serving gateway,
+* :mod:`repro.bench.incident_response` — the closed observability loop,
+  observe vs react,
+* :mod:`repro.bench.chaos_recovery` — crash at spike peak, recover from
+  the write-ahead journal,
+* :mod:`repro.bench.dispatch_overhead` — wall-clock cost of one
+  dispatch decision vs tenant-lane count.
 """
 
 from repro.bench.workloads import ExperimentContext, build_context

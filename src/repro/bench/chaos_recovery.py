@@ -190,47 +190,3 @@ def run_experiment(seed: int = 13) -> dict:
         "arms": {"steady": steady, "chaos": chaos},
         "p99_penalty_s": round(penalty_s, 6),
     }
-
-
-def format_report(report: dict) -> str:
-    """Human-readable crash/recovery summary for both arms."""
-    params = report["params"]
-    lines = [
-        "Chaos recovery (steady vs crash-at-spike-peak)",
-        f"  servable={params['servable']}  phases={params['phases']}"
-        f"  crash={params['crash_point']}"
-        f"  restart={params['restart_cost_s']:g} s",
-        f"  {'arm':<7} {'settled':>8} {'dup':>4} {'p50 ms':>8} {'p95 ms':>8}"
-        f" {'p99 ms':>8} {'max ms':>8}",
-    ]
-    for arm_name, arm in report["arms"].items():
-        lat = arm["latency_ms"]
-        lines.append(
-            f"  {arm_name:<7} {arm['settled']:>8} {arm['duplicates']:>4}"
-            f" {lat['p50']:>8.2f} {lat['p95']:>8.2f} {lat['p99']:>8.2f}"
-            f" {lat['max']:>8.2f}"
-        )
-    chaos = report["arms"]["chaos"]
-    if chaos["recoveries"]:
-        rec = chaos["recoveries"][0]
-        lines.append(
-            f"  crash at {chaos['crashes'][0]['at_s']:.3f} s:"
-            f" replayed {rec['records_replayed']} records,"
-            f" restored {rec['restored_open']} open"
-            f" ({rec['restored_in_queue']} in-queue,"
-            f" {rec['restored_resurrected']} resurrected),"
-            f" released {rec['released']} deliveries"
-        )
-    lines.append(
-        f"  p99 penalty {report['p99_penalty_s'] * 1e3:.2f} ms"
-        f" (bound {params['p99_penalty_bound_s'] * 1e3:.0f} ms)"
-    )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -395,78 +395,3 @@ def run_experiment(
         "speedup_by_lanes": {str(n): s for n, s in speedups.items()},
         "picks_identical": _picks_identical(check_size, decisions),
     }
-
-
-def format_report(results: dict) -> str:
-    """Render the decision-cost table and the derived criteria."""
-    params = results["params"]
-    scan_by_lanes = {row["lanes"]: row for row in results["scan"]}
-    lines = [
-        "Dispatch decision overhead: event indices vs reference scan",
-        f"({params['decisions']} pick-and-claim cycles per measurement, "
-        f"min of {params['repeats']} runs, all lanes due)",
-        "",
-        f"{'lanes':>8} {'heap_us/dec':>12} {'heap_dec/s':>12} "
-        f"{'scan_us/dec':>12} {'speedup':>8}",
-    ]
-    for row in results["heap"]:
-        scan = scan_by_lanes.get(row["lanes"])
-        scan_us = f"{scan['per_decision_us']:>12.2f}" if scan else f"{'-':>12}"
-        speedup = (
-            f"{scan['per_decision_us'] / row['per_decision_us']:>7.1f}x"
-            if scan
-            else f"{'-':>8}"
-        )
-        lines.append(
-            f"{row['lanes']:>8d} {row['per_decision_us']:>12.2f} "
-            f"{row['decisions_per_sec']:>12.0f} {scan_us} {speedup}"
-        )
-    lines += [
-        "",
-        f"per-decision growth {results['params']['sizes'][0]} -> "
-        f"{results['params']['sizes'][-1]} lanes: "
-        f"{results['per_decision_growth']:.2f}x (target <= 2x)",
-        f"pick sequences identical at {params['check_size']} lanes: "
-        f"{results['picks_identical']}",
-    ]
-    if results.get("tracing"):
-        lines += [
-            "",
-            f"Tracing overhead (traced dispatch cycles, head sampling "
-            f"at {params['trace_sample_rate']:.0%})",
-            f"{'lanes':>8} {'off_us/dec':>12} {'on_us/dec':>12} "
-            f"{'decision':>9} {'off_us/cyc':>12} {'on_us/cyc':>12} "
-            f"{'cycle':>9}",
-        ]
-        for row in results["tracing"]:
-            lines.append(
-                f"{row['lanes']:>8d} {row['off_per_decision_us']:>12.2f} "
-                f"{row['on_per_decision_us']:>12.2f} "
-                f"{(row['decision_overhead_ratio'] - 1) * 100:>8.1f}% "
-                f"{row['off_per_cycle_us']:>12.2f} "
-                f"{row['on_per_cycle_us']:>12.2f} "
-                f"{(row['cycle_overhead_ratio'] - 1) * 100:>8.1f}%"
-            )
-        lines.append(
-            "target: per-decision <= 5% at the largest lane count "
-            "(whole-cycle reported unbudgeted, single-member worst case)"
-        )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    """Print the report and write ``BENCH_dispatch_overhead.json``."""
-    import json
-    import pathlib
-
-    results = run_experiment()
-    print(format_report(results))
-    out = pathlib.Path(__file__).resolve().parents[3] / (
-        "BENCH_dispatch_overhead.json"
-    )
-    out.write_text(json.dumps(results, indent=2))
-    print(f"\nwrote {out}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

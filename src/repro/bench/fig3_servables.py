@@ -37,27 +37,3 @@ def run_experiment(
             "request_time": percentile_row([r.request_time * 1e3 for r in records]),
         }
     return results
-
-
-def format_report(results: dict) -> str:
-    lines = [
-        "Fig. 3 reproduction: per-servable timing (median [p5, p95], ms)",
-        f"{'servable':<20} {'inference':>22} {'invocation':>22} {'request':>22}",
-    ]
-    for name, metrics in results.items():
-        cells = []
-        for metric in ("inference_time", "invocation_time", "request_time"):
-            row = metrics[metric]
-            cells.append(
-                f"{row['median_ms']:6.2f} [{row['p5_ms']:6.2f},{row['p95_ms']:6.2f}]"
-            )
-        lines.append(f"{name:<20} {cells[0]:>22} {cells[1]:>22} {cells[2]:>22}")
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -61,31 +61,3 @@ def run_experiment(
             * (1 - on["request_time"]["median_ms"] / off["request_time"]["median_ms"]),
         }
     return results
-
-
-def format_report(results: dict) -> str:
-    lines = [
-        "Fig. 4 reproduction: memoization impact (median ms; reduction %)",
-        f"{'servable':<20} {'inv off':>9} {'inv on':>8} {'inv red%':>9} "
-        f"{'req off':>9} {'req on':>8} {'req red%':>9}",
-    ]
-    for name, data in results.items():
-        lines.append(
-            f"{name:<20} "
-            f"{data['memo_off']['invocation_time']['median_ms']:9.2f} "
-            f"{data['memo_on']['invocation_time']['median_ms']:8.2f} "
-            f"{data['reduction_pct']['invocation_time']:9.1f} "
-            f"{data['memo_off']['request_time']['median_ms']:9.2f} "
-            f"{data['memo_on']['request_time']['median_ms']:8.2f} "
-            f"{data['reduction_pct']['request_time']:9.1f}"
-        )
-    lines.append("paper ranges: invocation 95.3-99.8%, request 24.3-95.4%")
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -44,22 +44,3 @@ def run_experiment(
         results[name] = {"unbatched": unbatched, "batched": batched}
         tm.cache.clear()
     return results
-
-
-def format_report(results: dict) -> str:
-    lines = ["Fig. 5 reproduction: total invocation time (ms), batched vs unbatched"]
-    for name, series in results.items():
-        lines.append(f"\n{name}:")
-        lines.append(f"{'n':>6} {'unbatched_ms':>14} {'batched_ms':>12} {'speedup':>9}")
-        for n in sorted(series["unbatched"]):
-            u, b = series["unbatched"][n], series["batched"][n]
-            lines.append(f"{n:>6} {u:>14.2f} {b:>12.2f} {u / b:>8.2f}x")
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -48,25 +48,3 @@ def run_experiment(
             "r_squared": 1.0 - ss_res / ss_tot if ss_tot else 1.0,
         }
     return results
-
-
-def format_report(results: dict) -> str:
-    lines = ["Fig. 6 reproduction: batched invocation time vs request count"]
-    for name, data in results.items():
-        lines.append(
-            f"\n{name}: slope={data['slope_ms_per_request']:.4f} ms/req, "
-            f"R^2={data['r_squared']:.5f}"
-        )
-        lines.append(f"{'n':>8} {'invocation_ms':>15}")
-        for n, ms in sorted(data["series"].items()):
-            lines.append(f"{n:>8} {ms:>15.1f}")
-    lines.append("\npaper claim: roughly linear (R^2 ~ 1)")
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,7 +12,7 @@ saturates latest (~15 replicas); lighter servables saturate earlier —
 replicas".
 
 ``ablation_dispatch_costs`` sweeps the dispatch overhead to show the
-saturation point is dispatch-bound (the DESIGN.md ablation).
+saturation point is dispatch-bound.
 """
 
 from __future__ import annotations
@@ -70,7 +70,11 @@ def ablation_dispatch_costs(
     seed: int = 0,
 ) -> dict:
     """Ablation: sweep the serial dispatch cost; saturation should move
-    inversely (half the dispatch cost -> double the saturating replicas)."""
+    inversely (half the dispatch cost -> double the saturating replicas).
+
+    Arms are keyed by the cost in milliseconds (``"1ms"``), a key a
+    metric path can name.
+    """
     results: dict = {}
     for cost in dispatch_costs_s:
         ctx = build_context(servables=("inception",), seed=seed, memoize=False)
@@ -85,7 +89,7 @@ def ablation_dispatch_costs(
             throughputs[replicas] = n_inferences / makespan
         peak = max(throughputs.values())
         saturation = min(r for r, t in sorted(throughputs.items()) if t >= 0.95 * peak)
-        results[cost] = {
+        results[f"{cost * 1e3:g}ms"] = {
             "throughput_rps": throughputs,
             "saturation_replicas": saturation,
         }
@@ -160,52 +164,3 @@ def run_coalesced_replicas(
     results["servable"] = servable
     results["n_requests"] = n_requests
     return results
-
-
-def format_coalesced_report(results: dict) -> str:
-    """Render measured vs shared-capacity-model throughput per replica count."""
-    lines = [
-        f"Coalesced-path replica scaling ({results['servable']}, "
-        f"{results['n_requests']} requests, full micro-batches)",
-        f"{'replicas':>9} {'makespan_s':>12} {'throughput_rps':>15} "
-        f"{'model_rps':>10} {'speedup':>8}",
-    ]
-    for replicas in sorted(results["throughput_rps"]):
-        lines.append(
-            f"{replicas:>9} {results['makespan_s'][replicas]:>12.3f} "
-            f"{results['throughput_rps'][replicas]:>15.1f} "
-            f"{results['predicted_rps'][replicas]:>10.1f} "
-            f"{results['speedup'][replicas]:>8.2f}"
-        )
-    lines.append(
-        "model_rps = per_copy_capacity_rps(...): the shared capacity model "
-        "the fleet controller and unified Autoscaler size replicas from"
-    )
-    return "\n".join(lines)
-
-
-def format_report(results: dict) -> str:
-    """Render the per-servable makespan/throughput tables."""
-    lines = ["Fig. 7 reproduction: makespan of 5000 inferences vs replica count"]
-    for name, data in results.items():
-        lines.append(
-            f"\n{name} (saturates ~{data['saturation_replicas']} replicas, "
-            f"peak {data['peak_throughput_rps']:.0f} req/s):"
-        )
-        lines.append(f"{'replicas':>9} {'makespan_s':>12} {'throughput_rps':>15}")
-        for replicas in sorted(data["makespan_s"]):
-            lines.append(
-                f"{replicas:>9} {data['makespan_s'][replicas]:>12.2f} "
-                f"{data['throughput_rps'][replicas]:>15.1f}"
-            )
-    lines.append("\npaper shape: Inception saturates ~15 replicas; lighter models earlier")
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    """Print the Fig. 7 report (module entry point)."""
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

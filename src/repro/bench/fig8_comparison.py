@@ -90,7 +90,6 @@ def run_experiment(
             results[model_name][platform] = {
                 "invocation": percentile_row(invocations),
                 "request": percentile_row(requests),
-                "cache_hits": getattr(backend, "cache_hits", 0),
             }
 
         # DLHub via the Parsl executor, memo off (context default).
@@ -98,7 +97,6 @@ def run_experiment(
         results[model_name]["DLHub"] = {
             "invocation": percentile_row([r.invocation_time * 1e3 for r in records]),
             "request": percentile_row([r.request_time * 1e3 for r in records]),
-            "cache_hits": 0,
         }
 
     # DLHub with memoization: a fresh context with the TM cache on.
@@ -111,7 +109,6 @@ def run_experiment(
         results[model_name]["DLHub-memo"] = {
             "invocation": percentile_row([r.invocation_time * 1e3 for r in records]),
             "request": percentile_row([r.request_time * 1e3 for r in records]),
-            "cache_hits": len(records),
         }
     return results
 
@@ -144,28 +141,3 @@ def ablation_cache_placement(n_requests: int = 50, seed: int = 0) -> dict:
         "tm_cache_median_ms": percentile_row(tm_hits)["median_ms"],
         "frontend_cache_median_ms": percentile_row(frontend_hits)["median_ms"],
     }
-
-
-def format_report(results: dict) -> str:
-    lines = ["Fig. 8 reproduction: serving comparison (median ms)"]
-    for model_name, platforms in results.items():
-        lines.append(f"\n{model_name}:")
-        lines.append(f"{'platform':<28} {'invocation_ms':>14} {'request_ms':>12}")
-        for platform, data in platforms.items():
-            lines.append(
-                f"{platform:<28} {data['invocation']['median_ms']:>14.2f} "
-                f"{data['request']['median_ms']:>12.2f}"
-            )
-    lines.append(
-        "\npaper shape: TFServing-core < Python stacks; gRPC < REST; "
-        "DLHub-memo ~1 ms beats Clipper-memo"
-    )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -318,82 +318,3 @@ def run_drain_experiment(servable: str = SERVABLE, seed: int = 0) -> dict:
             "predictive": _event_rows(predictive_controller),
         },
     }
-
-
-def format_drain_report(results: dict) -> str:
-    """Render the drain-phase whiplash table."""
-    params = results["params"]
-    phases = " -> ".join(
-        f"{rate:.0f} rps x {duration:.0f}s" for rate, duration in params["phases"]
-    )
-    lines = [
-        "Drain-phase ablation: scale-down whiplash, reactive vs predictive",
-        f"({params['offered_requests']} {params['servable']!r} requests, "
-        f"{phases}; worker cap {params['max_workers']})",
-        "",
-        f"{'arm':>18} {'whiplash':>9} {'drain_s':>8} {'tail_p95_ms':>12} "
-        f"{'worker_s':>9} {'final_w':>8}",
-    ]
-    for arm, row in results["arms"].items():
-        drain = row["drain_complete_s"]
-        tail = row["tail_p95_queue_wait_ms"]
-        lines.append(
-            f"{arm:>18} {row['post_spike_provisions']:>9d} "
-            f"{drain if drain is not None else float('nan'):>8.2f} "
-            f"{tail if tail is not None else float('nan'):>12.1f} "
-            f"{row['worker_seconds']:>9.1f} {row['final_workers']:>8d}"
-        )
-    lines += [
-        "",
-        "whiplash = workers provisioned after the spike ended; the",
-        "planning-rate floor max(current, forecast) keeps it at zero in",
-        "the predictive arm.",
-    ]
-    return "\n".join(lines)
-
-
-def format_report(results: dict) -> str:
-    """Render the ablation table and both controllers' event logs."""
-    params = results["params"]
-    phases = " -> ".join(
-        f"{rate:.0f} rps x {duration:.0f}s" for rate, duration in params["phases"]
-    )
-    lines = [
-        "Fleet autoscaling ablation: static vs reactive vs predictive",
-        f"({params['offered_requests']} {params['servable']!r} requests, "
-        f"{phases}; worker cap {params['max_workers']})",
-        "",
-        f"{'arm':>15} {'spike_p95_ms':>13} {'p95_wait_ms':>12} {'median_ms':>10} "
-        f"{'tput_rps':>9} {'peak_w':>7} {'final_w':>8} {'worker_s':>9}",
-    ]
-    for arm, row in results["arms"].items():
-        lines.append(
-            f"{arm:>15} {row['spike_p95_queue_wait_ms']:>13.1f} "
-            f"{row['p95_queue_wait_ms']:>12.1f} "
-            f"{row['median_queue_wait_ms']:>10.1f} {row['throughput_rps']:>9.0f} "
-            f"{row['peak_workers']:>7d} {row['final_workers']:>8d} "
-            f"{row['worker_seconds']:>9.1f}"
-        )
-    for arm, events in results["events"].items():
-        lines += ["", f"fleet events ({arm} arm):"]
-        for event in events:
-            extra = {
-                k: v for k, v in event.items() if k not in ("t", "kind", "subject")
-            }
-            suffix = f"  {extra}" if extra else ""
-            lines.append(
-                f"  t={event['t']:>7.3f}s  {event['kind']:<18} "
-                f"{event['subject']}{suffix}"
-            )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    """Print both ablation reports (module entry point)."""
-    print(format_report(run_experiment()))
-    print()
-    print(format_drain_report(run_drain_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -323,49 +323,3 @@ def run_experiment(seed: int = 13) -> dict:
         },
         "arms": {"observe": observe, "reactive": reactive},
     }
-
-
-def format_report(report: dict) -> str:
-    """Human-readable incident summary for both arms."""
-    params = report["params"]
-    lines = [
-        "Closed-loop incident response (observe vs reactive)",
-        f"  servable={params['servable']}  light={params['light_rate_rps']:g} rps"
-        f"  hot phases={params['hot_phases']}"
-        f"  fleet {params['initial_workers']}->{params['max_workers']} workers",
-        f"  {'arm':<9} {'tenant':<6} {'quiet p95':>10} {'incident p95':>13}"
-        f" {'recovery p95':>13}",
-    ]
-    for arm_name, arm in report["arms"].items():
-        for tenant, phases in arm["phase_p95_ms"].items():
-            cells = [
-                f"{phases[p]:.2f}" if phases[p] is not None else "-"
-                for p in ("quiet", "incident", "recovery")
-            ]
-            lines.append(
-                f"  {arm_name:<9} {tenant:<6} {cells[0]:>10} {cells[1]:>13}"
-                f" {cells[2]:>13}"
-            )
-    for arm_name, arm in report["arms"].items():
-        lines.append(
-            f"  {arm_name}: peak_workers={arm['peak_workers']}"
-            f"  first firing {arm['first_firing_s']} s after incident"
-            f"  denied={sum(arm['denied'].values())}"
-        )
-    reactive = report["arms"]["reactive"]
-    if "policy" in reactive:
-        pol, smp = reactive["policy"], reactive["sampler"]
-        lines.append(
-            f"  reactive: boosts={pol['boosts']} sheds={pol['sheds']}"
-            f" reverts={pol['reverts']}"
-            f"  sampler peaks={smp['peak_rates']}"
-        )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -77,7 +77,7 @@ def _arrivals(rate_rps: float, duration_s: float) -> list[float]:
 def _fresh_fleet(
     seed: int, tracer: Tracer | None = None
 ) -> tuple[DLHubTestbed, ServingRuntime, dict]:
-    """A deployed two-worker concurrent fleet plus tenant tokens."""
+    """A deployed ``N_WORKERS``-worker concurrent fleet plus tenant tokens."""
     testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
     zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
     workers = [testbed.add_fleet_worker(f"w{i}") for i in range(N_WORKERS)]
@@ -384,55 +384,3 @@ def run_experiment(seed: int = 11) -> dict:
         },
         "telemetry": telemetry,
     }
-
-
-def format_report(report: dict) -> str:
-    params = report["params"]
-    budget = report["arms"]["gateway"]["slot_budget"]
-    lines = [
-        "Multi-tenant fairness under a 10:1 hot-tenant skew",
-        f"  servable={params['servable']}  light={params['light_rate_rps']:g} rps"
-        f"  hot={params['hot_rate_rps']:g} rps  duration={params['duration_s']:g} s"
-        f"  fleet={params['workers']} workers"
-        f" (+{len(report['arms']['gateway']['workers']['added'])} mid-run)"
-        f"  live slot budget {budget['initial']} -> {budget['final']}",
-        f"  {'arm':<16} {'tenant':<7} {'served':>6} {'median ms':>10} {'p95 ms':>10}",
-    ]
-    for arm_name, arm in report["arms"].items():
-        for tenant, row in arm["tenants"].items():
-            lines.append(
-                f"  {arm_name:<16} {tenant:<7} {row['served']:>6}"
-                f" {row['median_ms']:>10.2f} {row['p95_ms']:>10.2f}"
-            )
-    iso = report["arms"]["light_isolated"]["tenants"]["light"]["p95_ms"]
-    fair = report["arms"]["gateway"]["tenants"]["light"]["p95_ms"]
-    raw = report["arms"]["ungated"]["tenants"]["light"]["p95_ms"]
-    lines.append(
-        f"  light p95: isolated {iso:.2f} ms -> gateway {fair:.2f} ms"
-        f" ({fair / iso:.2f}x) vs ungated {raw:.2f} ms ({raw / iso:.2f}x)"
-    )
-    telemetry = report.get("telemetry")
-    if telemetry:
-        lines.append(
-            f"  telemetry (100% sampling): {telemetry['complete_span_trees']}"
-            f"/{telemetry['requests']} complete span trees,"
-            f" {telemetry['batches_traced']} batches,"
-            f" {telemetry['slo_burns']} slo_burn events"
-            f" (first at t={telemetry['first_burn_s']} s,"
-            f" tenants {telemetry['burn_tenants']})"
-        )
-        for stage, row in telemetry["reconciliation"].items():
-            lines.append(
-                f"    {stage:<14} spans {row['span_sum_s']:.6f} s"
-                f"  collector {row['collector_sum_s']:.6f} s"
-                f"  delta {row['delta_s']:+.2e} s"
-            )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

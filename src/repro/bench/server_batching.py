@@ -132,10 +132,11 @@ def run_experiment(
     coalesce_delay_s: float = COALESCE_DELAY_S,
     seed: int = 0,
 ) -> dict:
-    """Returns ``{"params": {...}, "rates": {rate: {policy: row}}}``."""
+    """Returns ``{"params": {...}, "rates": {label: {policy: row}}}``,
+    each rate labelled dot-free for metric paths (``50.0`` -> ``"50rps"``)."""
     rates: dict = {}
     for rate in arrival_rates_rps:
-        rates[rate] = {
+        rates[f"{rate:g}rps"] = {
             "unbatched": _run_runtime_mode(rate, n_requests, servable, 1, 0.0, seed),
             "client_batched": _run_client_batched(
                 rate, n_requests, servable, batch_size, seed
@@ -153,35 +154,3 @@ def run_experiment(
         },
         "rates": rates,
     }
-
-
-def format_report(results: dict) -> str:
-    params = results["params"]
-    lines = [
-        "Server-side batching ablation: throughput / latency vs arrival rate",
-        f"({params['n_requests']} {params['servable']!r} requests, "
-        f"batch cap {params['batch_size']}, "
-        f"coalesce window {params['coalesce_delay_s'] * 1e3:.0f} ms)",
-    ]
-    header = (
-        f"{'rate_rps':>9} {'policy':>17} {'tput_rps':>9} "
-        f"{'median_ms':>10} {'p95_ms':>8} {'batch':>6}"
-    )
-    for rate, by_policy in results["rates"].items():
-        lines.append("")
-        lines.append(header)
-        for policy, row in by_policy.items():
-            lines.append(
-                f"{rate:>9.0f} {policy:>17} {row['throughput_rps']:>9.0f} "
-                f"{row['median_latency_ms']:>10.2f} {row['p95_latency_ms']:>8.2f} "
-                f"{row['mean_batch_size']:>6.1f}"
-            )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report(run_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -20,15 +20,19 @@ from repro.core.survey import (
 )
 
 
-def run_tables() -> dict:
-    return {"table1": render_table1(), "table2": render_table2()}
+def run_experiment(seed: int = 0) -> dict:
+    """Both tables as printed lines, plus the live DLHub-column checks."""
+    return {
+        "table1": render_table1().splitlines(),
+        "table2": render_table2().splitlines(),
+        "dlhub_claims": verify_dlhub_claims(seed),
+    }
 
 
 def verify_dlhub_claims(seed: int = 0) -> dict[str, bool]:
     """Exercise every DLHub claim in Tables I/II against the live system."""
     from repro.bench.workloads import build_context
     from repro.core.pipeline import Pipeline
-    from repro.core.zoo import sample_input
 
     ctx = build_context(
         servables=("noop", "matminer_util", "matminer_featurize", "matminer_model"),
@@ -86,22 +90,4 @@ def verify_dlhub_claims(seed: int = 0) -> dict[str, bool]:
     checks["k8s_execution"] = "K8s" in serving_profile.execution_environment and (
         tb.cluster.pod_count() > 0
     )
-    _ = sample_input  # (imported for parity with other benches)
     return checks
-
-
-def format_report() -> str:
-    tables = run_tables()
-    checks = verify_dlhub_claims()
-    lines = [tables["table1"], "", tables["table2"], "", "DLHub-column live checks:"]
-    for claim, ok in checks.items():
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {claim}")
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(format_report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -49,7 +49,8 @@ class TestWorkloads:
 
 class TestFig3Harness:
     def test_structure(self, small_ctx):
-        from repro.bench.fig3_servables import format_report, run_experiment
+        from repro.bench.fig3_servables import run_experiment
+        from repro.bench.report import render
 
         results = run_experiment(
             n_requests=5, servables=("noop", "cifar10"), context=small_ctx
@@ -63,7 +64,7 @@ class TestFig3Harness:
             }
             for row in metrics.values():
                 assert row["n"] == 5
-        report = format_report(results)
+        report = render(results)
         assert "noop" in report and "cifar10" in report
 
 
@@ -120,7 +121,8 @@ class TestFig7Harness:
 
 class TestTablesHarness:
     def test_tables_render(self):
-        from repro.bench.tables import run_tables
+        from repro.bench.tables import run_experiment
 
-        t = run_tables()
-        assert "DLHub" in t["table1"] and "DLHub" in t["table2"]
+        t = run_experiment()
+        assert "DLHub" in t["table1"][1] and "DLHub" in t["table2"][1]
+        assert all(t["dlhub_claims"].values())

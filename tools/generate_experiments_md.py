@@ -1,143 +1,145 @@
-"""Regenerate EXPERIMENTS.md by running every experiment harness.
+"""Regenerate EXPERIMENTS.md from the committed BENCH_*.json artifacts.
 
 Usage::
 
-    python tools/generate_experiments_md.py > EXPERIMENTS.md
+    PYTHONPATH=src python tools/generate_experiments_md.py > EXPERIMENTS.md
 
-Runs the same code paths as ``pytest benchmarks/ --benchmark-only`` (the
-``repro.bench`` modules) with reduced-but-representative request counts,
-and records paper-vs-measured for every table and figure.
+Nothing is re-simulated: each section prints the paper's claim, the
+committed artifact through :func:`repro.bench.report.render`, and the
+shape checks the figure is reproduced by. The artifacts themselves are
+written by ``pytest benchmarks/bench_*.py`` and regenerated byte for
+byte in CI, which also regenerates this file and diffs it.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
+
+from repro.bench.report import render
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def section(title: str) -> None:
+def artifact(name: str) -> dict:
+    """The committed ``BENCH_<name>.json``."""
+    return json.loads((ROOT / f"BENCH_{name}.json").read_text())
+
+
+def section(title: str, claim: str, name: str) -> dict:
+    """Print a section's heading, paper claim and rendered artifact."""
+    doc = artifact(name)
     print(f"\n## {title}\n")
-
-
-def code_block(text: str) -> None:
+    print(claim)
+    print(f"\nMeasured (`BENCH_{name}.json`):\n")
     print("```")
-    print(text)
+    print(render(doc))
     print("```")
+    return doc
 
 
 def main() -> None:
-    from repro.bench import fig3_servables, fig4_memoization, fig5_batching
-    from repro.bench import fig6_batch_scaling, fig7_scalability, fig8_comparison
-    from repro.bench import tables
-
     print("# EXPERIMENTS — paper vs. reproduction")
     print()
     print(
         "All latencies are **virtual time** from the calibrated simulation\n"
-        "(see DESIGN.md SS2, 'Timing model'); absolute values are expected to\n"
-        "track the paper's only loosely — the *shapes* (orderings, bands,\n"
-        "crossovers, saturation points) are the reproduction targets. Every\n"
-        "number below regenerates with\n"
-        "`pytest benchmarks/ --benchmark-only` or by running this script.\n"
+        "(`src/repro/sim/calibration.py` documents each constant against its\n"
+        "paper evidence); absolute values are expected to track the paper's\n"
+        "only loosely — the *shapes* (orderings, bands, crossovers,\n"
+        "saturation points) are the reproduction targets. Every number below\n"
+        "is read from a committed `BENCH_*.json` artifact (times in ms unless\n"
+        "a key says otherwise). `pytest benchmarks/bench_*.py` rewrites the\n"
+        "artifacts; this file is generated from them by\n"
+        "`tools/generate_experiments_md.py`."
     )
 
-    # ---------------------------------------------------------------- tables
-    section("Table I & II — capability matrices")
-    print(
+    tables = section(
+        "Table I & II — capability matrices",
         "Paper: qualitative feature comparison of 5 repositories and 5\n"
         "serving systems. Reproduction: regenerated from structured\n"
         "registries; every DLHub-column claim is additionally verified\n"
-        "against the live codebase (see `repro.bench.tables.verify_dlhub_claims`).\n"
+        "against the live codebase (`repro.bench.tables.verify_dlhub_claims`).",
+        "tables",
     )
-    t = tables.run_tables()
-    code_block(t["table1"])
-    code_block(t["table2"])
-    checks = tables.verify_dlhub_claims()
-    print(f"\nLive DLHub-column checks: {sum(checks.values())}/{len(checks)} pass\n")
+    checks = tables["dlhub_claims"]
+    print(f"\nLive DLHub-column checks: {sum(checks.values())}/{len(checks)} pass")
 
-    # ---------------------------------------------------------------- fig 3
-    section("Fig. 3 — request / invocation / inference times (6 servables)")
-    print(
+    r3 = section(
+        "Fig. 3 — request / invocation / inference times (6 servables)",
         "Paper: inference < invocation < request; tier gaps ~10-20 ms; noop\n"
         "invocation < 20 ms; model invocations < 40 ms; Inception/CIFAR-10\n"
-        "carry extra input-transfer overhead. Measured:\n"
-    )
-    r3 = fig3_servables.run_experiment(n_requests=100)
-    code_block(fig3_servables.format_report(r3))
-    def gap(n):
-        return (
-            r3[n]["request_time"]["median_ms"]
-            - r3[n]["invocation_time"]["median_ms"]
-        )
-    print(
-        f"\nShape check: noop invocation {r3['noop']['invocation_time']['median_ms']:.1f} ms"
-        f" (< 20 ✓); inception invocation"
-        f" {r3['inception']['invocation_time']['median_ms']:.1f} ms (< 40 ✓);"
-        f" transfer overhead inception {gap('inception'):.1f} ms vs noop"
-        f" {gap('noop'):.1f} ms ✓\n"
+        "carry extra input-transfer overhead.",
+        "fig3_servables",
     )
 
-    # ---------------------------------------------------------------- fig 4
-    section("Fig. 4 — memoization impact")
+    def median(servable: str, metric: str) -> float:
+        return r3[servable][metric]["median_ms"]
+
+    def gap(servable: str) -> float:
+        return median(servable, "request_time") - median(servable, "invocation_time")
+
     print(
-        "Paper: invocation time reduced 95.3-99.8%, request time 24.3-95.4%;\n"
-        "memoized invocation ~1 ms (cache at the Task Manager). Measured:\n"
+        f"\nShape check: noop invocation {median('noop', 'invocation_time'):.1f} ms"
+        f" (< 20 ✓); inception invocation"
+        f" {median('inception', 'invocation_time'):.1f} ms (< 40 ✓);"
+        f" transfer overhead inception {gap('inception'):.1f} ms vs noop"
+        f" {gap('noop'):.1f} ms ✓"
     )
-    r4 = fig4_memoization.run_experiment(n_requests=100)
-    code_block(fig4_memoization.format_report(r4))
+
+    r4 = section(
+        "Fig. 4 — memoization impact",
+        "Paper: invocation time reduced 95.3-99.8%, request time 24.3-95.4%;\n"
+        "memoized invocation ~1 ms (cache at the Task Manager).",
+        "fig4_memoization",
+    )
     inv_reds = [d["reduction_pct"]["invocation_time"] for d in r4.values()]
     req_reds = [d["reduction_pct"]["request_time"] for d in r4.values()]
     print(
         f"\nMeasured ranges: invocation {min(inv_reds):.1f}-{max(inv_reds):.1f}%"
         f" (paper 95.3-99.8), request {min(req_reds):.1f}-{max(req_reds):.1f}%"
-        f" (paper 24.3-95.4) — both inside/overlapping the paper's bands.\n"
+        f" (paper 24.3-95.4) — both inside/overlapping the paper's bands."
     )
 
-    # ---------------------------------------------------------------- fig 5
-    section("Fig. 5 — invocation time, batched vs unbatched (1-100 requests)")
-    print(
+    section(
+        "Fig. 5 — invocation time, batched vs unbatched (1-100 requests)",
         "Paper: 'batching significantly reduces overall invocation time'.\n"
-        "Measured:\n"
+        "Columns are request counts; values are total invocation time.",
+        "fig5_batching",
     )
-    r5 = fig5_batching.run_experiment()
-    code_block(fig5_batching.format_report(r5))
 
-    # ---------------------------------------------------------------- fig 6
-    section("Fig. 6 — batched invocation time to 10,000 requests")
-    print(
+    section(
+        "Fig. 6 — batched invocation time to 10,000 requests",
         "Paper: 'roughly linear relationship between invocation time and\n"
-        "number of requests'. Measured (least-squares fit per servable):\n"
+        "number of requests'. Reproduction fits a least-squares line per\n"
+        "servable.",
+        "fig6_batch_scaling",
     )
-    r6 = fig6_batch_scaling.run_experiment()
-    code_block(fig6_batch_scaling.format_report(r6))
 
-    # ---------------------------------------------------------------- fig 7
-    section("Fig. 7 — time for 5,000 inferences vs replica count")
-    print(
+    r7 = section(
+        "Fig. 7 — time for 5,000 inferences vs replica count",
         "Paper: throughput rises with replicas then saturates; Inception\n"
         "saturates ~15 replicas; shorter servables benefit less (dispatch\n"
-        "dominates). Measured:\n"
+        "dominates).",
+        "fig7_scalability",
     )
-    r7 = fig7_scalability.run_experiment(n_inferences=2000)
-    code_block(fig7_scalability.format_report(r7))
-    sats = {k: v["saturation_replicas"] for k, v in r7.items()}
-    print(f"\nSaturation points: {sats} (inception latest ✓)\n")
+    sats = {name: d["saturation_replicas"] for name, d in r7.items()}
+    print(f"\nSaturation points: {sats} (inception latest ✓)")
 
-    # ---------------------------------------------------------------- fig 8
-    section("Fig. 8 — serving-system comparison (CIFAR-10 + Inception)")
-    print(
+    section(
+        "Fig. 8 — serving-system comparison (CIFAR-10 + Inception)",
         "Paper: TFServing-core variants beat Python-based stacks; gRPC beats\n"
         "REST; DLHub comparable to Python stacks; DLHub+memo (~1 ms) beats\n"
-        "Clipper+memo (cache in-cluster). Measured:\n"
+        "Clipper+memo (cache in-cluster).",
+        "fig8_comparison",
     )
-    r8 = fig8_comparison.run_experiment(n_requests=100)
-    code_block(fig8_comparison.format_report(r8))
-    placement = fig8_comparison.ablation_cache_placement()
+    placement = artifact("fig8_cache_placement")
+    tm, frontend = placement["tm_cache_median_ms"], placement["frontend_cache_median_ms"]
     print(
-        f"\nCache-placement ablation: TM-side hit"
-        f" {placement['tm_cache_median_ms']:.2f} ms vs in-cluster frontend hit"
-        f" {placement['frontend_cache_median_ms']:.2f} ms"
-        f" ({placement['frontend_cache_median_ms'] / placement['tm_cache_median_ms']:.1f}x) —"
-        " the structural reason for DLHub's memoization win.\n"
+        f"\nCache-placement ablation (`BENCH_fig8_cache_placement.json`):"
+        f" TM-side hit {tm:.2f} ms vs in-cluster frontend hit {frontend:.2f} ms"
+        f" ({frontend / tm:.1f}x) — the structural reason for DLHub's"
+        " memoization win."
     )
 
     print(
@@ -154,7 +156,7 @@ def main() -> None:
         "| batching linear to 10k | R^2 ~ 1 | asserted (>= 0.999) |\n"
         "| Inception saturation | ~15 replicas | asserted (gain at 10->15, flat 15->25) |\n"
         "| TFServing < DLHub (no memo) | yes | asserted |\n"
-        "| DLHub+memo < Clipper+memo | yes | asserted |\n"
+        "| DLHub+memo < Clipper+memo | yes | asserted |"
     )
 
 

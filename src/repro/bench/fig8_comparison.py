@@ -38,7 +38,9 @@ def run_experiment(
     models: tuple[str, ...] = MODELS,
     seed: int = 0,
 ) -> dict:
-    """Returns ``{model: {platform: {'invocation': stats, 'request': stats}}}``.
+    """Returns ``{model: {platform: {'invocation': stats, 'request': stats,
+    'cache_hits': n}}}``, ``n`` counting the measured requests answered
+    from a memoization cache.
 
     Request time for baseline platforms = MS overhead + MS-TM RTT +
     invocation (all platforms are driven through the Management Service
@@ -79,6 +81,7 @@ def run_experiment(
                 backend.invoke(model_name, *fixed)  # warm the cache
             invocations = []
             requests = []
+            hits = 0
             for _ in range(n_requests):
                 ms_start = tb.clock.now()
                 tb.clock.advance(0.0035 + 0.0012)  # MS handling + enqueue
@@ -87,9 +90,11 @@ def run_experiment(
                 tb.latency.management_to_task_manager.charge_send(tb.clock, 512)
                 invocations.append(outcome.invocation_time * 1e3)
                 requests.append((tb.clock.now() - ms_start) * 1e3)
+                hits += outcome.cache_hit
             results[model_name][platform] = {
                 "invocation": percentile_row(invocations),
                 "request": percentile_row(requests),
+                "cache_hits": hits,
             }
 
         # DLHub via the Parsl executor, memo off (context default).
@@ -97,6 +102,7 @@ def run_experiment(
         results[model_name]["DLHub"] = {
             "invocation": percentile_row([r.invocation_time * 1e3 for r in records]),
             "request": percentile_row([r.request_time * 1e3 for r in records]),
+            "cache_hits": sum(r.cache_hit for r in records),
         }
 
     # DLHub with memoization: a fresh context with the TM cache on.
@@ -109,6 +115,7 @@ def run_experiment(
         results[model_name]["DLHub-memo"] = {
             "invocation": percentile_row([r.invocation_time * 1e3 for r in records]),
             "request": percentile_row([r.request_time * 1e3 for r in records]),
+            "cache_hits": sum(r.cache_hit for r in records),
         }
     return results
 

@@ -105,8 +105,16 @@ def write(name: str, doc) -> Path:
     """Commit ``doc`` as ``BENCH_<name>.json`` at the repository root.
 
     Raises :class:`ValueError` on a key no metric path can name and on
-    a non-finite float (neither is valid in an artifact).
+    a non-finite float (neither is valid in an artifact), and
+    :class:`FileNotFoundError` when the package is not imported from a
+    source checkout (an installed copy has no repository root to write
+    to, and the drift gate would then diff untouched files).
     """
+    if not (ROOT / "pyproject.toml").is_file():
+        raise FileNotFoundError(
+            f"{ROOT} is not a source checkout (no pyproject.toml); "
+            "bench artifacts are written from one"
+        )
     _check_names(doc, "")
     path = ROOT / f"BENCH_{name}.json"
     path.write_text(json.dumps(doc, indent=2, allow_nan=False))

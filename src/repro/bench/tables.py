@@ -20,12 +20,12 @@ from repro.core.survey import (
 )
 
 
-def run_experiment(seed: int = 0) -> dict:
+def run_experiment() -> dict:
     """Both tables as printed lines, plus the live DLHub-column checks."""
     return {
         "table1": render_table1().splitlines(),
         "table2": render_table2().splitlines(),
-        "dlhub_claims": verify_dlhub_claims(seed),
+        "dlhub_claims": verify_dlhub_claims(),
     }
 
 

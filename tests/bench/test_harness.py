@@ -121,8 +121,6 @@ class TestFig7Harness:
 
 class TestTablesHarness:
     def test_tables_render(self):
-        from repro.bench.tables import run_experiment
+        from repro.bench.tables import render_table1, render_table2
 
-        t = run_experiment()
-        assert "DLHub" in t["table1"][1] and "DLHub" in t["table2"][1]
-        assert all(t["dlhub_claims"].values())
+        assert "DLHub" in render_table1() and "DLHub" in render_table2()

@@ -28,6 +28,14 @@ def lookup():
     return module.lookup
 
 
+@pytest.fixture
+def checkout(tmp_path, monkeypatch):
+    """A scratch repository root for ``write`` to commit into."""
+    (tmp_path / "pyproject.toml").touch()
+    monkeypatch.setattr(report, "ROOT", tmp_path)
+    return tmp_path
+
+
 def printed(text: str) -> list[tuple[str, object]]:
     """Read ``render``'s output back as (path, value) pairs."""
     pairs = []
@@ -94,11 +102,10 @@ def test_every_number_is_printed_beside_its_path(artifact, lookup):
 
 
 @pytest.mark.parametrize("artifact", ARTIFACTS, ids=lambda p: p.name)
-def test_write_reproduces_the_committed_bytes(artifact, tmp_path, monkeypatch):
-    monkeypatch.setattr(report, "ROOT", tmp_path)
+def test_write_reproduces_the_committed_bytes(artifact, checkout):
     name = artifact.stem.removeprefix("BENCH_")
     out = write(name, json.loads(artifact.read_text()))
-    assert out == tmp_path / artifact.name
+    assert out == checkout / artifact.name
     assert out.read_bytes() == artifact.read_bytes()
 
 
@@ -113,8 +120,14 @@ def test_write_reproduces_the_committed_bytes(artifact, tmp_path, monkeypatch):
         {"arms": [{"throughput_rps": math.inf}]},
     ],
 )
-def test_write_refuses_what_no_path_can_name(doc, tmp_path, monkeypatch):
-    monkeypatch.setattr(report, "ROOT", tmp_path)
+def test_write_refuses_what_no_path_can_name(doc, checkout):
     with pytest.raises(ValueError):
         write("bad", doc)
-    assert not (tmp_path / "BENCH_bad.json").exists()
+    assert not (checkout / "BENCH_bad.json").exists()
+
+
+def test_write_refuses_a_root_that_is_not_a_checkout(tmp_path, monkeypatch):
+    monkeypatch.setattr(report, "ROOT", tmp_path)
+    with pytest.raises(FileNotFoundError):
+        write("ok", {"p50": 1})
+    assert not (tmp_path / "BENCH_ok.json").exists()

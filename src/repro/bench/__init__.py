@@ -5,7 +5,11 @@ report. The thin pytest-benchmark wrappers in ``benchmarks/`` print it
 with :func:`repro.bench.report.render` and commit it as a
 ``BENCH_<name>.json`` artifact with :func:`repro.bench.report.write`;
 ``tools/generate_experiments_md.py`` renders the committed artifacts
-into EXPERIMENTS.md.
+into EXPERIMENTS.md. Setup is shared through :mod:`repro.bench.workloads`:
+the paper figures build on :func:`~repro.bench.workloads.build_context`,
+and every serving bench builds its stack with
+:func:`~repro.bench.workloads.build_fleet` and spaces its arrivals with
+:func:`~repro.bench.workloads.phased_offsets`.
 
 Experiments:
 

@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.workloads import phased_offsets, provision_fleet
 from repro.core.tasks import TaskRequest
-from repro.core.testbed import build_testbed
-from repro.core.zoo import build_zoo
 from repro.durability import ChaosHarness, CrashPlan, InMemoryDurableStore
-from repro.gateway import TenantPolicy, TenantPolicyTable
 
 SERVABLE = "noop"
 TENANTS = ("alice", "bob")
@@ -64,18 +62,6 @@ CRASH_POINT = "mid_batch"
 P99_PENALTY_SLACK_S = 0.5
 
 
-def _schedule() -> list[float]:
-    """Arrival offsets for the phased schedule (uniform within phases)."""
-    offsets: list[float] = []
-    start = 0.0
-    for duration_s, rate_rps in PHASES:
-        offsets.extend(
-            start + i / rate_rps for i in range(int(duration_s * rate_rps))
-        )
-        start += duration_s
-    return offsets
-
-
 def spike_window() -> tuple[float, float]:
     """(start, end) offsets of the spike phase."""
     start = PHASES[0][0]
@@ -84,28 +70,14 @@ def spike_window() -> tuple[float, float]:
 
 def _build_harness(store, seed: int) -> tuple[ChaosHarness, list]:
     """A journaled two-tenant serving stack over ``store``."""
-    testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
-    zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
-    policies = TenantPolicyTable()
-    tokens = []
-    for tenant in TENANTS:
-        policies.register(TenantPolicy(name=tenant))
-        identity, token = testbed.new_user(tenant)
-        policies.bind_identity(identity, tenant)
-        tokens.append(token)
-    workers = [testbed.add_fleet_worker(f"w{i}") for i in range(N_WORKERS)]
-    published = testbed.management.publish(testbed.token, zoo[SERVABLE])
+    fleet = provision_fleet(SERVABLE, N_WORKERS, tenants=TENANTS, seed=seed)
     harness = ChaosHarness(
-        clock=testbed.clock,
-        auth=testbed.auth,
-        policies=policies,
-        workers=workers,
+        clock=fleet.testbed.clock,
+        auth=fleet.testbed.auth,
+        policies=fleet.policies,
+        workers=fleet.workers,
         placements=[
-            {
-                "servable": zoo[SERVABLE],
-                "image": published.build.image,
-                "copies": N_WORKERS,
-            }
+            {"servable": fleet.servable, "image": fleet.image, "copies": N_WORKERS}
         ],
         store=store,
         restart_cost_s=RESTART_COST_S,
@@ -115,7 +87,7 @@ def _build_harness(store, seed: int) -> tuple[ChaosHarness, list]:
             "max_coalesce_delay_s": COALESCE_DELAY_S,
         },
     )
-    return harness, tokens
+    return harness, list(fleet.tokens.values())
 
 
 def _percentiles_ms(latencies: list[float]) -> dict:
@@ -132,7 +104,7 @@ def _run_arm(crash: bool, seed: int) -> dict:
     harness, tokens = _build_harness(InMemoryDurableStore(), seed)
     arrivals = [
         (offset, tokens[i % len(tokens)], TaskRequest(SERVABLE, args=(i,)))
-        for i, offset in enumerate(_schedule())
+        for i, offset in enumerate(phased_offsets(PHASES))
     ]
     t0 = harness.clock.now()
     plans: tuple[CrashPlan, ...] = ()

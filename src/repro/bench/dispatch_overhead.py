@@ -43,9 +43,9 @@ import gc
 import math
 import time
 
+from repro.bench.workloads import build_fleet
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
-from repro.core.zoo import build_zoo
 
 SERVABLE = "noop"
 #: Lane counts the indexed implementation is timed at.
@@ -72,17 +72,9 @@ TRACE_SAMPLE_RATE = 0.01
 #: override branch, pricing the loop as it behaves mid-incident.
 TRACE_ESCALATED_TENANT = "t000000"
 
-_zoo_cache: dict | None = None
-
-
-def _zoo():
-    global _zoo_cache
-    if _zoo_cache is None:
-        _zoo_cache = build_zoo(oqmd_entries=50, n_estimators=4)
-    return _zoo_cache
-
-
-def _populated_runtime(n_lanes: int, depth: int) -> ServingRuntime:
+def _populated_runtime(
+    n_lanes: int, depth: int, shared_clock: bool = False, tracer=None
+) -> ServingRuntime:
     """One placed servable with ``n_lanes`` tenant lanes, ``depth`` deep.
 
     Requests carry strictly increasing WFQ dispatch tags assigned
@@ -91,21 +83,12 @@ def _populated_runtime(n_lanes: int, depth: int) -> ServingRuntime:
     gateway's release order would. ``max_coalesce_delay_s=0`` makes
     every non-empty lane due immediately: all ``n_lanes`` windows
     contend at every decision, the arbitration worst case.
-    """
-    from repro.core.testbed import build_testbed
 
-    testbed = build_testbed(jitter=False, memoize_tm=False)
-    zoo = _zoo()
-    worker = testbed.add_fleet_worker("bench-w0")
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        [worker],
-        max_batch_size=8,
-        max_coalesce_delay_s=0.0,
-    )
-    published = testbed.management.publish(testbed.token, zoo[SERVABLE])
-    runtime.place(zoo[SERVABLE], published.build.image)
+    A ``shared_clock`` worker runs full dispatch cycles back to back
+    (processing advances the one timeline and frees the worker at
+    once); with a ``tracer``, each request's trace opens here, untimed.
+    """
+    _, runtime = build_fleet(SERVABLE, 1, 8, 0.0, tracer=tracer, shared_clock=shared_clock)
     tag = 0.0
     for k in range(depth):
         for j in range(n_lanes):
@@ -171,43 +154,6 @@ def _measure(
         "per_decision_us": best * 1e6,
         "decisions_per_sec": 1.0 / best,
     }
-
-
-def _cycle_runtime(n_lanes: int, depth: int, tracer) -> ServingRuntime:
-    """A population for full dispatch cycles: shared-clock worker.
-
-    Same lane layout as :func:`_populated_runtime`, but the worker
-    shares the global clock — processing advances the one timeline and
-    the worker is free again immediately, so the bench can drive
-    back-to-back dispatch cycles without fleet bookkeeping. With a
-    tracer attached, :meth:`ServingRuntime.submit` opens a trace per
-    request here (population, untimed); the timed loop pays the span
-    recording and retention cost.
-    """
-    from repro.core.testbed import build_testbed
-
-    testbed = build_testbed(jitter=False, memoize_tm=False)
-    zoo = _zoo()
-    worker = testbed.add_task_manager("bench-w0")
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        [worker],
-        max_batch_size=8,
-        max_coalesce_delay_s=0.0,
-        tracer=tracer,
-    )
-    published = testbed.management.publish(testbed.token, zoo[SERVABLE])
-    runtime.place(zoo[SERVABLE], published.build.image)
-    tag = 0.0
-    for k in range(depth):
-        for j in range(n_lanes):
-            request = TaskRequest(SERVABLE, args=("x",))
-            request.tenant = f"t{j:06d}"
-            request.dispatch_tag = tag
-            tag += 1.0
-            runtime.submit(request)
-    return runtime
 
 
 def _run_dispatch_cycles(
@@ -297,7 +243,7 @@ def _measure_tracing(n_lanes: int, cycles: int, repeats: int) -> dict:
                 sampler = AdaptiveSampler(tracer)
                 sampler.update(0.0, (TRACE_ESCALATED_TENANT,))
                 escalated_rate = tracer.effective_rate(TRACE_ESCALATED_TENANT)
-            runtime = _cycle_runtime(n_lanes, 1, tracer=tracer)
+            runtime = _populated_runtime(n_lanes, 1, shared_clock=True, tracer=tracer)
             hub = build_hub(runtime=runtime, tracer=tracer)
             loop = ObservabilityLoop(runtime.clock, hub)
             for _ in range(passes):

@@ -17,17 +17,21 @@ saturation point is dispatch-bound.
 
 from __future__ import annotations
 
-from repro.bench.workloads import ExperimentContext, build_context
+from repro.bench.workloads import ExperimentContext, build_context, build_fleet
 from repro.core.adaptive import per_copy_capacity_rps
-from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
-from repro.core.testbed import build_testbed
-from repro.core.zoo import build_zoo, sample_input
+from repro.core.zoo import sample_input
 from repro.sim import calibration as cal
 
 SERVABLES = ("inception", "cifar10", "matminer_featurize")
 REPLICA_COUNTS = (1, 2, 5, 10, 15, 20, 25)
 N_INFERENCES = 5000
+
+
+def _saturation_replicas(throughputs: dict[int, float]) -> int:
+    """The first replica count reaching 95% of peak throughput."""
+    peak = max(throughputs.values())
+    return min(r for r, t in sorted(throughputs.items()) if t >= 0.95 * peak)
 
 
 def run_experiment(
@@ -50,16 +54,11 @@ def run_experiment(
             makespan = executor.submit_stream(name, [fixed] * n_inferences)
             makespans[replicas] = makespan
             throughputs[replicas] = n_inferences / makespan
-        # Saturation point: first replica count reaching 95% of peak.
-        peak = max(throughputs.values())
-        saturation = min(
-            r for r, t in sorted(throughputs.items()) if t >= 0.95 * peak
-        )
         results[name] = {
             "makespan_s": makespans,
             "throughput_rps": throughputs,
-            "saturation_replicas": saturation,
-            "peak_throughput_rps": peak,
+            "saturation_replicas": _saturation_replicas(throughputs),
+            "peak_throughput_rps": max(throughputs.values()),
         }
     return results
 
@@ -87,11 +86,9 @@ def ablation_dispatch_costs(
             executor.scale("inception", replicas)
             makespan = executor.submit_stream("inception", [fixed] * n_inferences)
             throughputs[replicas] = n_inferences / makespan
-        peak = max(throughputs.values())
-        saturation = min(r for r, t in sorted(throughputs.items()) if t >= 0.95 * peak)
         results[f"{cost * 1e3:g}ms"] = {
             "throughput_rps": throughputs,
-            "saturation_replicas": saturation,
+            "saturation_replicas": _saturation_replicas(throughputs),
         }
     return results
 
@@ -130,25 +127,16 @@ def run_coalesced_replicas(
         "mean_batch_size": {},
     }
     for replicas in replica_counts:
-        testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
-        zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
-        worker = testbed.add_fleet_worker("fig7-w0")
-        runtime = ServingRuntime(
-            testbed.clock,
-            testbed.management.queue,
-            [worker],
-            max_batch_size=max_batch_size,
-            max_coalesce_delay_s=0.002,
+        _, runtime = build_fleet(
+            servable, 1, max_batch_size, 0.002, replicas=replicas, seed=seed
         )
-        published = testbed.management.publish(testbed.token, zoo[servable])
-        runtime.place(zoo[servable], published.build.image, replicas=replicas)
         fixed = sample_input(servable)
         arrivals = [
             (0.0, TaskRequest(servable, args=fixed)) for _ in range(n_requests)
         ]
-        start = testbed.clock.now()
+        start = runtime.clock.now()
         served = runtime.serve(arrivals)
-        makespan = testbed.clock.now() - start
+        makespan = runtime.clock.now() - start
         assert len(served) == n_requests
         assert all(r.result.ok for r in served)
         results["makespan_s"][replicas] = makespan

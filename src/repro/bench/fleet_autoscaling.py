@@ -46,10 +46,11 @@ from repro.core.fleet import (
     PredictiveScaling,
     TargetUtilizationPolicy,
 )
+from repro.bench.workloads import build_fleet, phased_offsets
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
-from repro.core.testbed import DLHubTestbed, build_testbed
-from repro.core.zoo import build_zoo, sample_input
+from repro.core.testbed import DLHubTestbed
+from repro.core.zoo import sample_input
 
 #: (arrival rate rps, duration s) phases: warm, spike, cool-down tail.
 ARRIVAL_PHASES = ((150.0, 1.0), (800.0, 5.0), (100.0, 3.0))
@@ -71,39 +72,15 @@ RECONCILE_INTERVAL_S = 0.25
 COOLDOWN_TICKS = 20
 
 
-def _schedule(
-    servable: str, phases: tuple = ARRIVAL_PHASES
-) -> list[tuple[float, TaskRequest]]:
+def _serve(runtime: ServingRuntime, servable: str, phases: tuple) -> list:
+    """Serve ``(rate, duration)`` phases of fixed-input requests."""
     fixed = sample_input(servable)
-    arrivals: list[tuple[float, TaskRequest]] = []
-    phase_start = 0.0
-    for rate, duration in phases:
-        for i in range(int(rate * duration)):
-            arrivals.append(
-                (phase_start + i / rate, TaskRequest(servable, args=fixed))
-            )
-        phase_start += duration
-    return arrivals
-
-
-def _fresh_runtime(
-    n_workers: int, servable: str, copies: int, seed: int
-) -> tuple[DLHubTestbed, ServingRuntime]:
-    """A deployed concurrent fleet (own-clock workers, memoization off so
-    repeated fixed inputs measure dispatch, not the cache — SS V-B)."""
-    testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
-    zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
-    workers = [testbed.add_fleet_worker(f"w{i}") for i in range(n_workers)]
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        workers,
-        max_batch_size=MAX_BATCH_SIZE,
-        max_coalesce_delay_s=COALESCE_DELAY_S,
+    return runtime.serve(
+        [
+            (offset, TaskRequest(servable, args=fixed))
+            for offset in phased_offsets((d, rate) for rate, d in phases)
+        ]
     )
-    published = testbed.management.publish(testbed.token, zoo[servable])
-    runtime.place(zoo[servable], published.build.image, copies=copies)
-    return testbed, runtime
 
 
 def _summarize(
@@ -140,9 +117,12 @@ def _summarize(
 
 
 def _run_static(servable: str, copies: int, seed: int) -> dict:
-    testbed, runtime = _fresh_runtime(MAX_WORKERS, servable, copies, seed)
+    fleet, runtime = build_fleet(
+        servable, MAX_WORKERS, MAX_BATCH_SIZE, COALESCE_DELAY_S, copies, seed=seed
+    )
+    testbed = fleet.testbed
     start = testbed.clock.now()
-    results = runtime.serve(_schedule(servable))
+    results = _serve(runtime, servable, ARRIVAL_PHASES)
     row = _summarize(testbed, runtime, results, servable, start)
     row.update(
         peak_workers=MAX_WORKERS,
@@ -159,7 +139,8 @@ def _run_autoscaled(
     policy: FleetPolicy | None = None,
     phases: tuple = ARRIVAL_PHASES,
 ) -> tuple[dict, FleetController]:
-    testbed, runtime = _fresh_runtime(1, servable, 1, seed)
+    fleet, runtime = build_fleet(servable, 1, MAX_BATCH_SIZE, COALESCE_DELAY_S, seed=seed)
+    testbed = fleet.testbed
     controller = FleetController(
         runtime,
         provision_worker=testbed.add_fleet_worker,
@@ -172,7 +153,7 @@ def _run_autoscaled(
         autoscale_replicas=False,
     )
     start = testbed.clock.now()
-    results = runtime.serve(_schedule(servable, phases))
+    results = _serve(runtime, servable, phases)
     # Traffic has stopped; keep reconciling so the controller drains the
     # spike capacity back down to min_workers.
     for _ in range(COOLDOWN_TICKS):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.workloads import build_fleet, phased_offsets
 from repro.core.fleet import FleetController, TargetUtilizationPolicy
 from repro.core.obsloop import (
     AdaptiveSampler,
@@ -57,18 +58,20 @@ from repro.core.obsloop import (
     ReactiveSLOPolicy,
     SeriesStore,
 )
-from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
 from repro.core.telemetry import SLOBurnMonitor, Tracer, build_hub
-from repro.core.testbed import DLHubTestbed, build_testbed
-from repro.core.zoo import build_zoo, sample_input
-from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
+from repro.core.zoo import sample_input
+from repro.gateway import ServingGateway
 
 SERVABLE = "matminer_util"
+TENANTS = ("hot", "light")
 #: The light tenant's constant trickle (rps) across the whole run.
 LIGHT_RATE_RPS = 40.0
 #: Hot tenant phases: (duration_s, rate_rps) — quiet, incident, recovery.
 HOT_PHASES = ((1.0, 80.0), (1.5, 800.0), (1.5, 80.0))
+DURATION_S = sum(duration for duration, _ in HOT_PHASES)
+#: (start, end) offsets of the incident phase.
+INCIDENT_WINDOW_S = (HOT_PHASES[0][0], HOT_PHASES[0][0] + HOT_PHASES[1][0])
 INITIAL_WORKERS = 2
 MAX_WORKERS = 4
 MAX_BATCH_SIZE = 8
@@ -83,65 +86,6 @@ FIRING_BOUND_SCRAPES = 10
 #: alert resolve (mirrors the autoscaling bench's cooldown).
 COOLDOWN_TICKS = 24
 TRACE_BASE_RATE = 0.02
-
-
-def _hot_schedule() -> list[float]:
-    """Phased hot-tenant arrival offsets (uniform within each phase)."""
-    offsets: list[float] = []
-    start = 0.0
-    for duration_s, rate_rps in HOT_PHASES:
-        offsets.extend(
-            start + i / rate_rps for i in range(int(duration_s * rate_rps))
-        )
-        start += duration_s
-    return offsets
-
-
-def _duration_s() -> float:
-    return sum(duration for duration, _ in HOT_PHASES)
-
-
-def _incident_window() -> tuple[float, float]:
-    """(start, end) offsets of the incident phase."""
-    start = HOT_PHASES[0][0]
-    return start, start + HOT_PHASES[1][0]
-
-
-def _fresh_fleet(seed: int, tracer: Tracer) -> tuple[DLHubTestbed, ServingRuntime, dict]:
-    """An under-provisioned fleet (room to scale) plus tenant tokens."""
-    testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
-    zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
-    workers = [testbed.add_fleet_worker(f"w{i}") for i in range(INITIAL_WORKERS)]
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        workers,
-        max_batch_size=MAX_BATCH_SIZE,
-        max_coalesce_delay_s=COALESCE_DELAY_S,
-        tracer=tracer,
-    )
-    published = testbed.management.publish(testbed.token, zoo[SERVABLE])
-    runtime.place(zoo[SERVABLE], published.build.image, copies=INITIAL_WORKERS)
-    _, hot_token = testbed.new_user("hot_lab")
-    _, light_token = testbed.new_user("light_lab")
-    return testbed, runtime, {"hot": hot_token, "light": light_token}
-
-
-def _gateway_over(
-    testbed: DLHubTestbed,
-    runtime: ServingRuntime,
-    tokens: dict,
-    slo_monitor: SLOBurnMonitor,
-) -> ServingGateway:
-    policies = TenantPolicyTable()
-    policies.register(TenantPolicy(name="hot", weight=1.0))
-    policies.register(TenantPolicy(name="light", weight=1.0))
-    for tenant, token in tokens.items():
-        identity = testbed.auth.tokens.introspect(token).identity
-        policies.bind_identity(identity, tenant)
-    return ServingGateway(
-        testbed.auth, runtime, policies, slo_monitor=slo_monitor
-    )
 
 
 def _phase_p95_ms(
@@ -165,9 +109,19 @@ def _phase_p95_ms(
 def _run_arm(seed: int, reactive: bool) -> dict:
     """One full arm: identical workload, loop attached, policy differs."""
     tracer = Tracer(sample_rate=TRACE_BASE_RATE)
-    testbed, runtime, tokens = _fresh_fleet(seed, tracer)
+    fleet, runtime = build_fleet(
+        SERVABLE,
+        INITIAL_WORKERS,
+        MAX_BATCH_SIZE,
+        COALESCE_DELAY_S,
+        copies=INITIAL_WORKERS,
+        tracer=tracer,
+        tenants=TENANTS,
+        seed=seed,
+    )
+    testbed, tokens = fleet.testbed, fleet.tokens
     monitor = SLOBurnMonitor()
-    gateway = _gateway_over(testbed, runtime, tokens, monitor)
+    gateway = ServingGateway(testbed.auth, runtime, fleet.policies, slo_monitor=monitor)
 
     store = SeriesStore()
     engine = AlertEngine(
@@ -179,7 +133,7 @@ def _run_arm(seed: int, reactive: bool) -> dict:
                 fast_window_s=0.3,
                 slow_window_s=1.0,
             )
-            for tenant in ("hot", "light")
+            for tenant in TENANTS
         ],
     )
     sampler = AdaptiveSampler(tracer) if reactive else None
@@ -223,13 +177,12 @@ def _run_arm(seed: int, reactive: bool) -> dict:
     runtime.attach_controller(loop, controller)
 
     fixed = sample_input(SERVABLE)
-    duration = _duration_s()
     arrivals = [
-        (i / LIGHT_RATE_RPS, tokens["light"], TaskRequest(SERVABLE, args=fixed))
-        for i in range(int(LIGHT_RATE_RPS * duration))
+        (offset, tokens["light"], TaskRequest(SERVABLE, args=fixed))
+        for offset in phased_offsets(((DURATION_S, LIGHT_RATE_RPS),))
     ] + [
         (offset, tokens["hot"], TaskRequest(SERVABLE, args=fixed))
-        for offset in _hot_schedule()
+        for offset in phased_offsets(HOT_PHASES)
     ]
     start = testbed.clock.now()
     results = gateway.serve(sorted(arrivals, key=lambda entry: entry[0]))
@@ -241,7 +194,7 @@ def _run_arm(seed: int, reactive: bool) -> dict:
         loop.on_tick()
         controller.reconcile()
 
-    incident_start, incident_end = _incident_window()
+    incident_start, incident_end = INCIDENT_WINDOW_S
     firings = controller.events_of("alert_firing")
     resolves = controller.events_of("alert_resolved")
     hot_firings = [e for e in firings if e.subject == "burn:hot"]
@@ -275,10 +228,10 @@ def _run_arm(seed: int, reactive: bool) -> dict:
                     results, tenant, incident_start, incident_end, start
                 ),
                 "recovery": _phase_p95_ms(
-                    results, tenant, incident_end, duration, start
+                    results, tenant, incident_end, DURATION_S, start
                 ),
             }
-            for tenant in ("hot", "light")
+            for tenant in TENANTS
         },
     }
     if reactive:
@@ -296,7 +249,7 @@ def _run_arm(seed: int, reactive: bool) -> dict:
         }
         row["admission_overrides_live"] = {
             tenant: gateway.admission_override(tenant)
-            for tenant in ("hot", "light")
+            for tenant in TENANTS
             if gateway.admission_override(tenant) is not None
         }
     return row
@@ -306,13 +259,12 @@ def run_experiment(seed: int = 13) -> dict:
     """Both arms over the identical incident schedule."""
     observe = _run_arm(seed, reactive=False)
     reactive = _run_arm(seed, reactive=True)
-    incident_start, incident_end = _incident_window()
     return {
         "params": {
             "servable": SERVABLE,
             "light_rate_rps": LIGHT_RATE_RPS,
             "hot_phases": [list(phase) for phase in HOT_PHASES],
-            "incident_window_s": [incident_start, incident_end],
+            "incident_window_s": list(INCIDENT_WINDOW_S),
             "initial_workers": INITIAL_WORKERS,
             "max_workers": MAX_WORKERS,
             "max_batch_size": MAX_BATCH_SIZE,

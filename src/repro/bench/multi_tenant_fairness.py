@@ -47,13 +47,14 @@ from collections import deque
 
 import numpy as np
 
+from repro.bench.workloads import build_fleet, phased_offsets
 from repro.core.fleet import FleetController, FleetPlan, FleetPolicy
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
 from repro.core.telemetry import SLOBurnMonitor, Tracer, build_hub
-from repro.core.testbed import DLHubTestbed, build_testbed
-from repro.core.zoo import build_zoo, sample_input
-from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
+from repro.core.testbed import DLHubTestbed
+from repro.core.zoo import sample_input
+from repro.gateway import ServingGateway
 
 SERVABLE = "matminer_util"
 LIGHT_RATE_RPS = 80.0
@@ -68,51 +69,31 @@ COALESCE_DELAY_S = 0.005
 #: When the contended arm's fleet grows mid-run (virtual seconds after
 #: serving starts). Each join re-derives the live slot budget.
 SCALE_UP_AT_S = (0.6, 1.2)
+TENANTS = ("hot", "light")
+#: Each tenant's constant-rate arrival offsets across the run.
+OFFSETS = {
+    "light": phased_offsets(((DURATION_S, LIGHT_RATE_RPS),)),
+    "hot": phased_offsets(((DURATION_S, HOT_RATE_RPS),)),
+}
+#: The fleet every arm starts from (keywords of ``build_fleet``).
+FLEET = {
+    "n_workers": N_WORKERS,
+    "max_batch_size": MAX_BATCH_SIZE,
+    "max_coalesce_delay_s": COALESCE_DELAY_S,
+    "copies": N_WORKERS,
+    "tenants": TENANTS,
+}
 
 
-def _arrivals(rate_rps: float, duration_s: float) -> list[float]:
-    return [i / rate_rps for i in range(int(rate_rps * duration_s))]
-
-
-def _fresh_fleet(
-    seed: int, tracer: Tracer | None = None
-) -> tuple[DLHubTestbed, ServingRuntime, dict]:
-    """A deployed ``N_WORKERS``-worker concurrent fleet plus tenant tokens."""
-    testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
-    zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
-    workers = [testbed.add_fleet_worker(f"w{i}") for i in range(N_WORKERS)]
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        workers,
-        max_batch_size=MAX_BATCH_SIZE,
-        max_coalesce_delay_s=COALESCE_DELAY_S,
-        tracer=tracer,
-    )
-    published = testbed.management.publish(testbed.token, zoo[SERVABLE])
-    runtime.place(zoo[SERVABLE], published.build.image, copies=N_WORKERS)
-    _, hot_token = testbed.new_user("hot_lab")
-    _, light_token = testbed.new_user("light_lab")
-    return testbed, runtime, {"hot": hot_token, "light": light_token}
-
-
-def _gateway_over(
-    testbed: DLHubTestbed,
-    runtime: ServingRuntime,
-    tokens: dict,
-    slo_monitor: SLOBurnMonitor | None = None,
-) -> ServingGateway:
-    policies = TenantPolicyTable()
-    policies.register(TenantPolicy(name="hot", weight=1.0))
-    policies.register(TenantPolicy(name="light", weight=1.0))
-    for tenant, token in tokens.items():
-        identity = testbed.auth.tokens.introspect(token).identity
-        policies.bind_identity(identity, tenant)
-    # The slot budget is derived live from fleet capacity and
-    # re-derived as workers join mid-run.
-    return ServingGateway(
-        testbed.auth, runtime, policies, slo_monitor=slo_monitor
-    )
+def _tenant_arrivals(tokens: dict[str, str], tenants: tuple[str, ...]) -> list:
+    """Each tenant's fixed-input requests under its token, by offset."""
+    fixed = sample_input(SERVABLE)
+    arrivals = [
+        (offset, tokens[tenant], TaskRequest(SERVABLE, args=fixed))
+        for tenant in tenants
+        for offset in OFFSETS[tenant]
+    ]
+    return sorted(arrivals, key=lambda entry: entry[0])
 
 
 class _MidRunScaleUp:
@@ -141,9 +122,11 @@ class _MidRunScaleUp:
         self.added: list[str] = []
 
     def next_wakeup(self) -> float:
+        """When the next planned worker joins (``inf`` once all have)."""
         return self._plan[0][0] if self._plan else math.inf
 
     def on_tick(self) -> None:
+        """Add every worker whose join time has come, with a copy."""
         while self._plan and self._plan[0][0] <= self.testbed.clock.now() + 1e-12:
             _, i = self._plan.popleft()
             worker = self.testbed.add_fleet_worker(f"scale-w{i}")
@@ -162,25 +145,19 @@ def _tenant_row(latencies: list[float]) -> dict:
 
 
 def _run_gateway_arm(seed: int, include_hot: bool, scale_up: bool = False) -> dict:
-    testbed, runtime, tokens = _fresh_fleet(seed)
-    gateway = _gateway_over(testbed, runtime, tokens)
+    fleet, runtime = build_fleet(SERVABLE, seed=seed, **FLEET)
+    testbed = fleet.testbed
+    # The slot budget is derived live from fleet capacity and
+    # re-derived as workers join mid-run.
+    gateway = ServingGateway(testbed.auth, runtime, fleet.policies)
     initial_slots = gateway.max_dispatch_slots
     scaler = None
     if scale_up:
         scaler = _MidRunScaleUp(testbed, runtime, SERVABLE, SCALE_UP_AT_S)
         runtime.attach_controller(scaler)
-    fixed = sample_input(SERVABLE)
-    arrivals = [
-        (offset, tokens["light"], TaskRequest(SERVABLE, args=fixed))
-        for offset in _arrivals(LIGHT_RATE_RPS, DURATION_S)
-    ]
-    if include_hot:
-        arrivals += [
-            (offset, tokens["hot"], TaskRequest(SERVABLE, args=fixed))
-            for offset in _arrivals(HOT_RATE_RPS, DURATION_S)
-        ]
+    arrivals = _tenant_arrivals(fleet.tokens, ("light", "hot") if include_hot else ("light",))
     start = testbed.clock.now()
-    results = gateway.serve(sorted(arrivals, key=lambda entry: entry[0]))
+    results = gateway.serve(arrivals)
     assert all(r.admitted and r.ok for r in results)
     by_tenant: dict[str, list[float]] = {}
     for result in results:
@@ -238,9 +215,10 @@ def _run_telemetry_arm(seed: int) -> dict:
     overload (880 rps offered against ~710 rps initial capacity).
     """
     tracer = Tracer(sample_rate=1.0)
-    testbed, runtime, tokens = _fresh_fleet(seed, tracer=tracer)
+    fleet, runtime = build_fleet(SERVABLE, tracer=tracer, seed=seed, **FLEET)
+    testbed = fleet.testbed
     slo_monitor = SLOBurnMonitor()
-    gateway = _gateway_over(testbed, runtime, tokens, slo_monitor=slo_monitor)
+    gateway = ServingGateway(testbed.auth, runtime, fleet.policies, slo_monitor=slo_monitor)
     controller = FleetController(
         runtime,
         policy=_HoldSteadyPolicy(),
@@ -261,16 +239,9 @@ def _run_telemetry_arm(seed: int) -> dict:
         monitor=slo_monitor,
     )
 
-    fixed = sample_input(SERVABLE)
-    arrivals = [
-        (offset, tokens["light"], TaskRequest(SERVABLE, args=fixed))
-        for offset in _arrivals(LIGHT_RATE_RPS, DURATION_S)
-    ] + [
-        (offset, tokens["hot"], TaskRequest(SERVABLE, args=fixed))
-        for offset in _arrivals(HOT_RATE_RPS, DURATION_S)
-    ]
+    arrivals = _tenant_arrivals(fleet.tokens, ("light", "hot"))
     start = testbed.clock.now()
-    results = gateway.serve(sorted(arrivals, key=lambda entry: entry[0]))
+    results = gateway.serve(arrivals)
     assert all(r.admitted and r.ok for r in results)
 
     # --- span-tree completeness, request by request -------------------
@@ -339,15 +310,15 @@ def _run_ungated_arm(seed: int) -> dict:
     No tenant tags here (tagged requests would get per-tenant lanes);
     the submitter is remembered in ``identity_id`` for attribution only.
     """
-    testbed, runtime, _ = _fresh_fleet(seed)
+    _, runtime = build_fleet(SERVABLE, seed=seed, **FLEET)
     fixed = sample_input(SERVABLE)
-    arrivals: list[tuple[float, TaskRequest]] = []
-    for offset in _arrivals(LIGHT_RATE_RPS, DURATION_S):
-        arrivals.append((offset, TaskRequest(SERVABLE, args=fixed, identity_id="light")))
-    for offset in _arrivals(HOT_RATE_RPS, DURATION_S):
-        arrivals.append((offset, TaskRequest(SERVABLE, args=fixed, identity_id="hot")))
+    arrivals = [
+        (offset, TaskRequest(SERVABLE, args=fixed, identity_id=tenant))
+        for tenant in ("light", "hot")
+        for offset in OFFSETS[tenant]
+    ]
     arrivals.sort(key=lambda pair: pair[0])
-    start = testbed.clock.now()
+    start = runtime.clock.now()
     results = runtime.serve(arrivals)
     assert all(r.result.ok for r in results)
     by_tenant: dict[str, list[float]] = {}
@@ -355,12 +326,13 @@ def _run_ungated_arm(seed: int) -> dict:
         by_tenant.setdefault(result.request.identity_id, []).append(result.latency)
     return {
         "tenants": {t: _tenant_row(lat) for t, lat in sorted(by_tenant.items())},
-        "makespan_s": testbed.clock.now() - start,
+        "makespan_s": runtime.clock.now() - start,
         "mean_batch_size": runtime.mean_batch_size,
     }
 
 
 def run_experiment(seed: int = 11) -> dict:
+    """The three arms plus the fully traced contended re-run."""
     isolated = _run_gateway_arm(seed, include_hot=False)
     gateway = _run_gateway_arm(seed, include_hot=True, scale_up=True)
     ungated = _run_ungated_arm(seed)
@@ -374,8 +346,8 @@ def run_experiment(seed: int = 11) -> dict:
             "workers": N_WORKERS,
             "max_batch_size": MAX_BATCH_SIZE,
             "scale_up_at_s": list(SCALE_UP_AT_S),
-            "offered_light": len(_arrivals(LIGHT_RATE_RPS, DURATION_S)),
-            "offered_hot": len(_arrivals(HOT_RATE_RPS, DURATION_S)),
+            "offered_light": len(OFFSETS["light"]),
+            "offered_hot": len(OFFSETS["hot"]),
         },
         "arms": {
             "light_isolated": isolated,

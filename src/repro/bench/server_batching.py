@@ -23,39 +23,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.runtime import ServingRuntime
+from repro.bench.workloads import build_fleet
 from repro.core.tasks import TaskRequest
-from repro.core.testbed import DLHubTestbed, build_testbed
-from repro.core.zoo import build_zoo, sample_input
+from repro.core.zoo import sample_input
 
 ARRIVAL_RATES_RPS = (50.0, 200.0, 1000.0, 4000.0)
 N_REQUESTS = 240
 SERVABLE = "noop"
 BATCH_SIZE = 32
 COALESCE_DELAY_S = 0.010
-
-
-def _fresh_runtime(
-    servable: str, max_batch_size: int, max_coalesce_delay_s: float, seed: int
-) -> tuple[DLHubTestbed, ServingRuntime]:
-    """One deployed single-worker fleet per run (fresh virtual clock).
-
-    Memoization is off so repeated fixed inputs measure dispatch, not the
-    cache ("To remove bias we disable DLHub memoization mechanisms",
-    SS V-B).
-    """
-    testbed = build_testbed(seed=seed, jitter=False, memoize_tm=False)
-    zoo = build_zoo(seed=seed, oqmd_entries=50, n_estimators=4)
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        [testbed.task_manager],
-        max_batch_size=max_batch_size,
-        max_coalesce_delay_s=max_coalesce_delay_s,
-    )
-    published = testbed.management.publish(testbed.token, zoo[servable])
-    runtime.place(zoo[servable], published.build.image)
-    return testbed, runtime
 
 
 def _schedule(rate_rps: float, n_requests: int, servable: str) -> list[tuple[float, TaskRequest]]:
@@ -84,10 +60,10 @@ def _run_runtime_mode(
     max_coalesce_delay_s: float,
     seed: int,
 ) -> dict:
-    testbed, runtime = _fresh_runtime(
-        servable, max_batch_size, max_coalesce_delay_s, seed
+    fleet, runtime = build_fleet(
+        servable, 1, max_batch_size, max_coalesce_delay_s, shared_clock=True, seed=seed
     )
-    start = testbed.clock.now()
+    start = fleet.testbed.clock.now()
     results = runtime.serve(_schedule(rate_rps, n_requests, servable))
     assert len(results) == n_requests
     assert all(r.result.ok for r in results)
@@ -100,10 +76,10 @@ def _run_client_batched(
 ) -> dict:
     """The Fig. 5/6 path: the client groups arrivals into pre-formed
     batch tasks, dispatching each batch once its last member arrives."""
-    testbed, runtime = _fresh_runtime(servable, batch_size, 0.0, seed)
-    worker = testbed.task_manager
+    fleet, runtime = build_fleet(servable, 1, batch_size, 0.0, shared_clock=True, seed=seed)
+    (worker,) = runtime.workers
     schedule = _schedule(rate_rps, n_requests, servable)
-    clock = testbed.clock
+    clock = fleet.testbed.clock
     start = clock.now()
     latencies: list[float] = []
     batches = 0

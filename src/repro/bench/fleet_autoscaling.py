@@ -49,7 +49,6 @@ from repro.core.fleet import (
 from repro.bench.workloads import build_fleet, phased_offsets
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
-from repro.core.testbed import DLHubTestbed
 from repro.core.zoo import sample_input
 
 #: (arrival rate rps, duration s) phases: warm, spike, cool-down tail.
@@ -72,25 +71,22 @@ RECONCILE_INTERVAL_S = 0.25
 COOLDOWN_TICKS = 20
 
 
-def _serve(runtime: ServingRuntime, servable: str, phases: tuple) -> list:
-    """Serve ``(rate, duration)`` phases of fixed-input requests."""
+def _serve(runtime: ServingRuntime, servable: str, phases: tuple, spike_window: tuple) -> dict:
+    """Serve ``(rate, duration)`` phases of fixed-input requests.
+
+    The row is measured when the last request settles, so a controlled
+    arm's makespan and throughput exclude its post-traffic cooldown.
+    """
     fixed = sample_input(servable)
-    return runtime.serve(
+    start = runtime.clock.now()
+    results = runtime.serve(
         [
             (offset, TaskRequest(servable, args=fixed))
             for offset in phased_offsets((d, rate) for rate, d in phases)
         ]
     )
-
-
-def _summarize(
-    testbed: DLHubTestbed,
-    runtime: ServingRuntime,
-    results,
-    servable: str,
-    start: float,
-    spike_window: tuple[float, float] = SPIKE_WINDOW,
-) -> dict:
+    makespan = runtime.clock.now() - start
+    assert all(r.result.ok for r in results)
     waits = np.asarray(runtime.stage_metrics.samples("queue_wait", servable))
     # Queue-wait samples are anchored on their request's *enqueue* time,
     # so this isolates the waits of requests that arrived mid-spike —
@@ -103,8 +99,6 @@ def _summarize(
             start + spike_window[1],
         )
     )
-    makespan = testbed.clock.now() - start
-    assert all(r.result.ok for r in results)
     return {
         "served": len(results),
         "throughput_rps": len(results) / makespan,
@@ -117,13 +111,10 @@ def _summarize(
 
 
 def _run_static(servable: str, copies: int, seed: int) -> dict:
-    fleet, runtime = build_fleet(
+    _, runtime = build_fleet(
         servable, MAX_WORKERS, MAX_BATCH_SIZE, COALESCE_DELAY_S, copies, seed=seed
     )
-    testbed = fleet.testbed
-    start = testbed.clock.now()
-    results = _serve(runtime, servable, ARRIVAL_PHASES)
-    row = _summarize(testbed, runtime, results, servable, start)
+    row = _serve(runtime, servable, ARRIVAL_PHASES, SPIKE_WINDOW)
     row.update(
         peak_workers=MAX_WORKERS,
         final_workers=MAX_WORKERS,
@@ -152,19 +143,16 @@ def _run_autoscaled(
         # starts would only stall the coalesced hot path measured here.
         autoscale_replicas=False,
     )
+    spike_window = (phases[0][1], phases[0][1] + phases[1][1])
     start = testbed.clock.now()
-    results = _serve(runtime, servable, phases)
+    row = _serve(runtime, servable, phases, spike_window)
     # Traffic has stopped; keep reconciling so the controller drains the
     # spike capacity back down to min_workers.
     for _ in range(COOLDOWN_TICKS):
         testbed.clock.advance(RECONCILE_INTERVAL_S)
         controller.reconcile()
-    spike_window = (phases[0][1], phases[0][1] + phases[1][1])
-    row = _summarize(
-        testbed, runtime, results, servable, start, spike_window
-    )
-    worker_seconds = row["makespan_s"]  # the initial worker, whole run
     end = testbed.clock.now()
+    worker_seconds = end - start  # the initial worker, whole run
     lifetimes: dict[str, float] = {}
     for event in controller.events:
         if event.kind == "worker_provisioned":

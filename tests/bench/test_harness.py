@@ -119,6 +119,23 @@ class TestFig7Harness:
         assert len(data["makespan_s"]) == 4
 
 
+class TestFleetAutoscalingHarness:
+    def test_controlled_arms_measure_makespan_at_serve_end(self):
+        """The post-traffic cooldown (20 reconciles, 5 s) is not part of
+        a controlled arm's makespan or throughput."""
+        from repro.bench.fleet_autoscaling import run_drain_experiment, run_experiment
+
+        for report in (run_experiment(), run_drain_experiment()):
+            schedule_s = sum(duration for _, duration in report["params"]["phases"])
+            controlled = {
+                arm: row for arm, row in report["arms"].items() if "drain_complete_s" in row
+            }
+            assert len(controlled) == 2
+            for arm, row in controlled.items():
+                assert row["makespan_s"] < schedule_s + 1.0, arm
+                assert row["throughput_rps"] == row["served"] / row["makespan_s"], arm
+
+
 class TestTablesHarness:
     def test_tables_render(self):
         from repro.bench.tables import render_table1, render_table2

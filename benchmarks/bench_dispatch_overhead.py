@@ -70,25 +70,13 @@ def test_dispatch_overhead_smoke(benchmark):
 @pytest.mark.fast
 def test_chrome_trace_roundtrip():
     """CI smoke: a traced serve exports valid Chrome trace-event JSON."""
+    from repro.bench.workloads import build_fleet
     from repro.core.tasks import TaskRequest
     from repro.core.telemetry import Tracer
-    from repro.core.testbed import build_testbed
-    from repro.core.runtime import ServingRuntime
-    from repro.core.zoo import build_zoo, sample_input
+    from repro.core.zoo import sample_input
 
-    testbed = build_testbed(jitter=False, memoize_tm=False)
-    zoo = build_zoo(oqmd_entries=50, n_estimators=4)
     tracer = Tracer(sample_rate=1.0)
-    runtime = ServingRuntime(
-        testbed.clock,
-        testbed.management.queue,
-        [testbed.add_task_manager("w0")],
-        max_batch_size=4,
-        max_coalesce_delay_s=0.005,
-        tracer=tracer,
-    )
-    published = testbed.management.publish(testbed.token, zoo["noop"])
-    runtime.place(zoo["noop"], published.build.image)
+    _, runtime = build_fleet("noop", 1, 4, 0.005, tracer=tracer, shared_clock=True)
     sample = sample_input("noop")
     results = runtime.serve(
         [(i * 0.001, TaskRequest("noop", args=sample)) for i in range(12)]

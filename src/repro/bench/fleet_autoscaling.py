@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.workloads import build_fleet, phased_offsets
 from repro.core.fleet import (
     FleetController,
     FleetPolicy,
     PredictiveScaling,
     TargetUtilizationPolicy,
 )
-from repro.bench.workloads import build_fleet, phased_offsets
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
 from repro.core.zoo import sample_input

@@ -60,10 +60,10 @@ def _run_runtime_mode(
     max_coalesce_delay_s: float,
     seed: int,
 ) -> dict:
-    fleet, runtime = build_fleet(
+    _, runtime = build_fleet(
         servable, 1, max_batch_size, max_coalesce_delay_s, shared_clock=True, seed=seed
     )
-    start = fleet.testbed.clock.now()
+    start = runtime.clock.now()
     results = runtime.serve(_schedule(rate_rps, n_requests, servable))
     assert len(results) == n_requests
     assert all(r.result.ok for r in results)
@@ -76,10 +76,10 @@ def _run_client_batched(
 ) -> dict:
     """The Fig. 5/6 path: the client groups arrivals into pre-formed
     batch tasks, dispatching each batch once its last member arrives."""
-    fleet, runtime = build_fleet(servable, 1, batch_size, 0.0, shared_clock=True, seed=seed)
+    _, runtime = build_fleet(servable, 1, batch_size, 0.0, shared_clock=True, seed=seed)
     (worker,) = runtime.workers
     schedule = _schedule(rate_rps, n_requests, servable)
-    clock = fleet.testbed.clock
+    clock = runtime.clock
     start = clock.now()
     latencies: list[float] = []
     batches = 0

@@ -119,7 +119,9 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingGateway.on_settled",
         }
     ),
-    "gateway/scheduler.py": frozenset({"WeightedFairScheduler.dequeue_eligible"}),
+    "gateway/scheduler.py": frozenset(
+        {"WeightedFairScheduler.dequeue_eligible", "WeightedFairScheduler.pop_next"}
+    ),
     "core/fleet.py": frozenset({"FleetController.observe"}),
 }
 

@@ -194,15 +194,6 @@ class ServingGateway:
         #: re-release keeps the true enqueue age (queue-wait metrics
         #: would otherwise under-report every reclaimed request).
         self._reclaimed_at: dict[str, float] = {}
-        #: Incrementally maintained slot-share state: the contending set
-        #: (backlogged or outstanding tenants), the cached weighted
-        #: shares over it, and a dirty flag raised only when membership
-        #: or the budget changes — per-release work is then an O(1)
-        #: eligibility delta for the one tenant whose occupancy moved,
-        #: instead of recomputing every tenant's share per release.
-        self._contending: set[str] = set()
-        self._shares: dict[str, int] = {}
-        self._shares_dirty = True
         self.max_dispatch_slots = self.slot_reserve = 0  # derived just below
         self._derive_budget()
         #: Tracer contributing the gateway-side spans (``admission``,
@@ -226,8 +217,6 @@ class ServingGateway:
         self.admission = AdmissionController(runtime.clock, self.metrics)
         self.scheduler = WeightedFairScheduler()
         self._open: dict[str, GatewayResult] = {}
-        self._outstanding = 0
-        self._outstanding_by_tenant: dict[str, int] = {}
         self._queued_by_servable: dict[str, int] = {}
         self._schedule: list[tuple[float, str, TaskRequest]] = []
         self._sched_i = 0
@@ -256,11 +245,8 @@ class ServingGateway:
             if not self.runtime.is_warming(w)
         )
         in_flight_capacity = self.runtime.max_batch_size * max(1, workers)
-        reserve = max(1, in_flight_capacity // 8)
-        budget = (in_flight_capacity + reserve, reserve)
-        if budget != (self.max_dispatch_slots, self.slot_reserve):
-            self.max_dispatch_slots, self.slot_reserve = budget
-            self._shares_dirty = True
+        self.slot_reserve = max(1, in_flight_capacity // 8)
+        self.max_dispatch_slots = in_flight_capacity + self.slot_reserve
 
     def on_fleet_change(self) -> None:
         """Runtime hook: the worker fleet changed (add/remove/liveness).
@@ -288,14 +274,14 @@ class ServingGateway:
         WFQ lanes and the timer re-arms for whatever excess remains
         (e.g. requests already claimed into in-flight micro-batches).
         """
-        if self._outstanding <= self.max_dispatch_slots:
+        if self.outstanding <= self.max_dispatch_slots:
             self._arm_drain(None)
         elif self._over_budget_since is None:
             self._arm_drain(now)
         elif now - self._over_budget_since + _EPS >= self.drain_deadline_s:
             self._reclaim_overcommit()
             self._arm_drain(
-                now if self._outstanding > self.max_dispatch_slots else None
+                now if self.outstanding > self.max_dispatch_slots else None
             )
 
     def _arm_drain(self, since: float | None) -> None:
@@ -323,14 +309,15 @@ class ServingGateway:
         enqueue timestamp, and re-enter their tenant's lane to be
         re-released in WFQ order when capacity returns.
         """
-        excess = self._outstanding - self.max_dispatch_slots
+        excess = self.outstanding - self.max_dispatch_slots
         reclaimed = 0
         if excess <= 0:
             return 0
+        outstanding = self.scheduler.outstanding_by_tenant
         lanes = [
             (servable, tenant)
             for servable in sorted(self.runtime.placement())
-            for tenant in sorted(self._outstanding_by_tenant)
+            for tenant in sorted(outstanding)
         ]
         progressed = True
         while excess > 0 and progressed:
@@ -338,7 +325,7 @@ class ServingGateway:
             for servable, tenant in lanes:
                 if excess <= 0:
                     break
-                if self._outstanding_by_tenant.get(tenant, 0) <= 0:
+                if outstanding[tenant] <= 0:
                     continue
                 topic = servable_topic(servable, lane=f"tenant-{tenant}")
                 # Dig past messages that are not ours (submitted straight
@@ -374,13 +361,10 @@ class ServingGateway:
                 # Front of the lane, original WFQ charge: the reclaimed
                 # request is the tenant's oldest in-system work and must
                 # re-release before younger lane-mates, not behind them.
-                self.scheduler.requeue_front(tenant, request)
+                self.scheduler.reclaim(tenant, request)
                 self._queued_by_servable[servable] = (
                     self._queued_by_servable.get(servable, 0) + 1
                 )
-                self._outstanding -= 1
-                self._outstanding_by_tenant[tenant] -= 1
-                self._note_tenant(tenant)
                 excess -= 1
                 reclaimed += 1
                 progressed = True
@@ -448,7 +432,6 @@ class ServingGateway:
             self._trace_denial(request, arrived, now, decision.outcome)
             return GatewayResult(request=request, decision=decision, arrived_at=arrived)
         result = self._enter(request, policy, identity, decision, arrived)
-        self._note_tenant(policy.name)
         self._pump()
         return result
 
@@ -552,110 +535,17 @@ class ServingGateway:
         )
         self.tracer.finish(trace, at=now, error=True)
 
-    def _slot_shares(self, contending: list[str]) -> dict[str, int]:
-        """Each contending tenant's weighted share of dispatch slots.
-
-        Every share is at least one (light tenants always have a slot
-        of headroom) and at most ``max_dispatch_slots - slot_reserve``:
-        even a tenant contending alone leaves the reserve free, so the
-        next tenant's first request never waits for a settle.
-        """
-        total_weight = sum(self.policies.policy(t).weight for t in contending)
-        cap = max(1, self.max_dispatch_slots - self.slot_reserve)
-        return {
-            tenant: min(
-                cap,
-                max(
-                    1,
-                    int(
-                        self.max_dispatch_slots
-                        * self.policies.policy(tenant).weight
-                        / total_weight
-                    ),
-                ),
-            )
-            for tenant in contending
-        }
-
-    def _note_tenant(self, tenant: str) -> None:
-        """Fold one tenant's occupancy/backlog change into the share state.
-
-        Called after every event that moves a tenant's lane depth or
-        outstanding count. Membership flips (joining or leaving the
-        contending set) invalidate every tenant's share — weighted
-        shares are relative — so they raise the dirty flag; a change
-        *within* the set only moves this tenant's own under-share
-        eligibility, an O(1) update of the scheduler's eligible index.
-        """
-        active = (
-            self.scheduler.depth(tenant) > 0
-            or self._outstanding_by_tenant.get(tenant, 0) > 0
-        )
-        if active != (tenant in self._contending):
-            if active:
-                self._contending.add(tenant)
-            else:
-                self._contending.discard(tenant)
-                self.scheduler.set_eligible(tenant, False)
-            self._shares_dirty = True
-        elif active and not self._shares_dirty:
-            self.scheduler.set_eligible(
-                tenant,
-                self._outstanding_by_tenant.get(tenant, 0)
-                < self._shares.get(tenant, 0),
-            )
-
-    def _refresh_shares(self) -> None:
-        """Recompute shares and eligibility when the share state is dirty.
-
-        O(contending tenants), paid only on membership or budget
-        changes — steady-state releases skip it entirely.
-        """
-        if not self._shares_dirty:
-            return
-        self._shares = (
-            self._slot_shares(sorted(self._contending)) if self._contending else {}
-        )
-        for tenant in self._contending:
-            self.scheduler.set_eligible(
-                tenant,
-                self._outstanding_by_tenant.get(tenant, 0)
-                < self._shares[tenant],
-            )
-        self._shares_dirty = False
-
     def _pump(self) -> None:
-        """Drain lanes into the runtime while dispatch slots are free.
+        """Drain lanes into the runtime while the scheduler releases work.
 
-        Two fairness mechanisms compose here: lanes drain in WFQ tag
-        order, and a tenant at or above its weighted *slot share* of
-        outstanding requests yields to tenants below theirs — so a hot
-        tenant can never occupy every dispatch slot while a light
-        tenant's request waits. When only over-share tenants have work
-        they still run (work conservation beats reservation), but never
-        into the last ``slot_reserve`` slots, so a newly active
-        tenant's first request always finds instant headroom.
-
-        The under-share set is maintained incrementally: the scheduler's
-        eligible-tenant index holds exactly the backlogged tenants below
-        their share (kept current by :meth:`_note_tenant` deltas), so
-        each release is a heap pop instead of recomputing every
-        contending tenant's share. ``dequeue_eligible`` picks the
-        minimum-tag head among the under-share tenants; the
-        work-conserving fallback ``dequeue()`` is the global min tag —
-        the minimum over every backlogged tenant.
+        The fair-share decision — which tenant, and whether anything may
+        go under the live budget at all — is the scheduler's
+        (:meth:`WeightedFairScheduler.pop_next`); the pump hands each
+        released request to the runtime.
         """
-        while len(self.scheduler) and self._outstanding < self.max_dispatch_slots:
-            self._refresh_shares()
-            if self.scheduler.has_eligible_work():
-                entry = self.scheduler.dequeue_eligible()
-            elif (
-                self._outstanding
-                >= self.max_dispatch_slots - self.slot_reserve
-            ):
-                break
-            else:
-                entry = self.scheduler.dequeue()
+        while (
+            entry := self.scheduler.pop_next(self.max_dispatch_slots, self.slot_reserve)
+        ) is not None:
             request: TaskRequest = entry.item
             self._queued_by_servable[request.servable_name] -= 1
             if self.tracer is not None:
@@ -670,11 +560,6 @@ class ServingGateway:
                 request,
                 enqueued_at=self._reclaimed_at.pop(request.task_uuid, None),
             )
-            self._outstanding += 1
-            self._outstanding_by_tenant[entry.tenant] = (
-                self._outstanding_by_tenant.get(entry.tenant, 0) + 1
-            )
-            self._note_tenant(entry.tenant)
 
     def _trace_release(self, request: TaskRequest) -> None:
         """Record the ``lane_wait`` span for a request leaving its lane.
@@ -709,7 +594,7 @@ class ServingGateway:
             self._derive_budget()
         if (
             self._over_budget_since is not None
-            or self._outstanding > self.max_dispatch_slots
+            or self.outstanding > self.max_dispatch_slots
         ):
             self._check_overcommit(now)
         schedule = self._schedule
@@ -738,12 +623,10 @@ class ServingGateway:
                 continue  # submitted straight to the runtime, not ours
             if self.journal is not None:
                 self.journal.append("settle", {"task_uuid": uuid})
-            self._outstanding -= 1
             open_result.runtime_result = runtime_result
             tenant = runtime_result.request.tenant
-            self._outstanding_by_tenant[tenant] -= 1
+            self.scheduler.settle(tenant)
             self.admission.release(tenant, runtime_result.request.servable_name)
-            self._note_tenant(tenant)
             latency = runtime_result.completed_at - open_result.arrived_at
             self.metrics.record_completion(
                 tenant, latency, ok=runtime_result.result.ok
@@ -811,17 +694,14 @@ class ServingGateway:
                 arrived_at=entry["arrived_at"],
             )
             self.admission.restore_charge(tenant, servable)
+            policy = self.policies.policy(tenant)
             if entry["in_queue"]:
                 self._open[request.task_uuid] = result
-                self._outstanding += 1
-                self._outstanding_by_tenant[tenant] = (
-                    self._outstanding_by_tenant.get(tenant, 0) + 1
-                )
+                self.scheduler.restore_released(tenant, policy.weight)
             else:
-                self._enter_lane(result, self.policies.policy(tenant))
+                self._enter_lane(result, policy)
                 if entry["enqueued_at"] is not None:
                     self._reclaimed_at[request.task_uuid] = entry["enqueued_at"]
-            self._note_tenant(tenant)
             restored.append(result)
         return restored
 
@@ -912,7 +792,6 @@ class ServingGateway:
             self._enter(request, policy, identity, decision, arrived)
             for request in requests
         ]
-        self._note_tenant(policy.name)
         self._pump()
         self.runtime.drain()
         return [r.runtime_result.result for r in results]
@@ -954,7 +833,6 @@ class ServingGateway:
             AdmissionOutcome.ADMITTED, policy.name, request.servable_name
         )
         result = self._enter(request, policy, None, decision, self.runtime.clock.now())
-        self._note_tenant(policy.name)
         self._pump()
         self.runtime.drain()
         if result.runtime_result is None:  # pragma: no cover - drain settles all
@@ -1027,4 +905,4 @@ class ServingGateway:
     @property
     def outstanding(self) -> int:
         """Admitted requests currently inside the runtime."""
-        return self._outstanding
+        return self.scheduler.outstanding

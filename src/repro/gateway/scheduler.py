@@ -14,13 +14,22 @@ several tenants are backlogged their dispatch bandwidth converges to
 their weight ratio — and because tags are only compared, not waited on,
 the scheduler is work-conserving: whenever any lane is non-empty,
 :meth:`dequeue` returns work immediately.
+
+The scheduler also owns the gateway's *slot shares*: it counts each
+tenant's released-but-unsettled items against a dispatch budget, and
+:meth:`pop_next` serves the smallest tag among tenants below their
+weighted share of that budget — so a hot tenant can never occupy every
+dispatch slot while a light tenant's request waits. When only
+over-share tenants have work they still run (work conservation beats
+reservation), but never into the budget's last ``reserve`` slots, so a
+newly active tenant's first request always finds instant headroom.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,9 +63,9 @@ class WeightedFairScheduler:
         self._front_seq = itertools.count(-1, -1)
         #: Lane heads, ordered by (finish_tag, seq) — rebuilt lazily.
         self._heap: list[tuple[float, int, str]] = []
-        #: Tenants currently marked dispatch-eligible by the caller (the
-        #: gateway's under-slot-share set), and the secondary heap of
-        #: their lane heads. Entries are lazily invalidated exactly like
+        #: Tenants marked dispatch-eligible (below their slot share),
+        #: and the secondary heap of their lane heads. Entries are
+        #: lazily invalidated exactly like
         #: ``_heap``, plus an eligibility check on pop — so
         #: :meth:`dequeue_eligible` is an O(log T) pop, not a linear
         #: scan over the eligible tenants' lane heads.
@@ -71,6 +80,19 @@ class WeightedFairScheduler:
         #: which makes "no double WFQ charge" an observable invariant
         #: the chaos suite can assert across crash-recovery cycles.
         self.charges: dict[str, int] = {}
+        #: Released items not yet settled, per tenant and in total.
+        self.outstanding_by_tenant: defaultdict[str, int] = defaultdict(int)
+        self.outstanding = 0
+        #: Slot-share state: each tenant's weight, the contending set
+        #: (backlogged or outstanding tenants), the shares over it for
+        #: ``_budget``, and a dirty flag raised only when membership or
+        #: the budget changes — per-release work is then an O(1)
+        #: eligibility delta for the one tenant whose occupancy moved.
+        self._weights: dict[str, float] = {}
+        self._contending: set[str] = set()
+        self._shares: dict[str, int] = {}
+        self._budget = (0, 0)
+        self._dirty = True
 
     # -- introspection ------------------------------------------------------------
     def __len__(self) -> int:
@@ -125,6 +147,7 @@ class WeightedFairScheduler:
         start = max(self._virtual_time, self._last_finish.get(tenant, 0.0))
         finish = start + cost / weight
         self._last_finish[tenant] = finish
+        self._weights[tenant] = weight
         self.charges[tenant] = self.charges.get(tenant, 0) + 1
         entry = ScheduledItem(
             tenant=tenant,
@@ -140,6 +163,7 @@ class WeightedFairScheduler:
             self._push_eligible_head(tenant, entry)
         self._size += 1
         self.enqueued += 1
+        self._note(tenant)
         return entry
 
     def requeue_front(
@@ -189,22 +213,17 @@ class WeightedFairScheduler:
     def set_eligible(self, tenant: str, eligible: bool) -> None:
         """Mark one tenant in or out of the dispatch-eligible set.
 
-        The caller (the gateway's pump) owns the eligibility predicate
-        (tenant under its weighted slot share); the scheduler only
-        indexes it. Marking a tenant eligible pushes its current lane
-        head onto the secondary heap; unmarking leaves stale entries to
-        be skipped lazily on pop. Eligibility with an empty lane is
-        allowed and harmless — head validation filters it.
+        Marking a tenant eligible pushes its current lane head onto the
+        secondary heap; unmarking leaves stale entries to be skipped
+        lazily on pop. Eligibility with an empty lane is allowed and
+        harmless — head validation filters it.
         """
         if eligible:
             if tenant not in self._eligible:
                 self._eligible.add(tenant)
                 lane = self._lanes.get(tenant)
                 if lane:
-                    head = lane[0]
-                    heapq.heappush(
-                        self._eligible_heap, (head.finish_tag, head.seq, tenant)
-                    )
+                    self._push_eligible_head(tenant, lane[0])
         else:
             self._eligible.discard(tenant)
 
@@ -232,11 +251,8 @@ class WeightedFairScheduler:
     def dequeue_eligible(self) -> ScheduledItem:
         """Pop the smallest-tag head among eligible tenants.
 
-        The gateway pump's slot-share pick: when a tenant already
-        occupies its share of outstanding dispatch slots, the pump
-        restricts the pick to tenants below theirs (falling back to
-        :meth:`dequeue` over everyone, to stay work-conserving). Same
-        (finish_tag, seq) arbitration as :meth:`dequeue`, served in
+        :meth:`pop_next`'s under-share pick. Same (finish_tag, seq)
+        arbitration as :meth:`dequeue`, served in
         O(log T) from the secondary heap; property tests cross-check it
         against a linear head scan
         (``tests/gateway/scheduler_oracles.py``). Stale ``_heap``
@@ -267,3 +283,106 @@ class WeightedFairScheduler:
     def drain(self) -> list[ScheduledItem]:
         """Dequeue everything, in fair order (mostly for tests)."""
         return [self.dequeue() for _ in range(len(self))]
+
+    # -- slot shares ----------------------------------------------------------------
+    def pop_next(self, budget: int, reserve: int) -> ScheduledItem | None:
+        """Release the next item under a ``budget`` of outstanding
+        slots, or ``None`` when nothing may go now.
+
+        The eligible index holds exactly the backlogged tenants below
+        their slot share, so the pick is :meth:`dequeue_eligible`; with
+        no eligible work the global :meth:`dequeue` runs instead unless
+        that would eat into the last ``reserve`` slots. The released
+        item counts as outstanding until :meth:`settle` or
+        :meth:`reclaim`. A changed budget invalidates the shares; the
+        caller passes every re-derived budget here before it reports
+        any settle.
+        """
+        if (budget, reserve) != self._budget:
+            self._budget = (budget, reserve)
+            self._dirty = True
+        if not self._size or self.outstanding >= budget:
+            return None
+        if self._dirty:
+            self._refresh_shares()
+        if self.has_eligible_work():
+            entry = self.dequeue_eligible()
+        elif self.outstanding >= budget - reserve:
+            return None
+        else:
+            entry = self.dequeue()
+        self.outstanding_by_tenant[entry.tenant] += 1
+        self.outstanding += 1
+        self._note(entry.tenant)
+        return entry
+
+    def settle(self, tenant: str) -> None:
+        """One of the tenant's released items finished: free its slot."""
+        self.outstanding_by_tenant[tenant] -= 1
+        self.outstanding -= 1
+        self._note(tenant)
+
+    def reclaim(self, tenant: str, item: Any) -> None:
+        """Take a released, unclaimed item back to the head of its lane
+        (:meth:`requeue_front`) and free its slot.
+
+        Only a caller over budget reclaims, and only a budget shrink
+        (possibly not yet passed to :meth:`pop_next`) or a restore since
+        the last refresh puts it there: the shares are stale, so they
+        are marked dirty instead of consulted.
+        """
+        self.requeue_front(tenant, item)
+        self.outstanding_by_tenant[tenant] -= 1
+        self.outstanding -= 1
+        self._dirty = True
+
+    def restore_released(self, tenant: str, weight: float) -> None:
+        """Count an item released by a previous incarnation, which
+        recovery found still queued, as outstanding. ``weight`` is the
+        tenant's, which its lane may not hold yet."""
+        self._weights[tenant] = weight
+        self.outstanding_by_tenant[tenant] += 1
+        self.outstanding += 1
+        self._note(tenant)
+
+    def _note(self, tenant: str) -> None:
+        """Fold one tenant's backlog/occupancy change into the shares.
+
+        Joining or leaving the contending set marks every share dirty
+        (weighted shares are relative); a change *within* the set only
+        moves this tenant's own under-share eligibility.
+        """
+        outstanding = self.outstanding_by_tenant.get(tenant, 0)
+        active = bool(self._lanes.get(tenant)) or outstanding > 0
+        if active != (tenant in self._contending):
+            if active:
+                self._contending.add(tenant)
+            else:
+                self._contending.discard(tenant)
+                self.set_eligible(tenant, False)
+            self._dirty = True
+        elif active and not self._dirty:
+            self.set_eligible(tenant, outstanding < self._shares.get(tenant, 0))
+
+    def _refresh_shares(self) -> None:
+        """Recompute every contending tenant's share and eligibility.
+
+        A share is the tenant's weighted part of the budget, at least
+        one slot and at most ``budget - reserve``: even a tenant
+        contending alone leaves the reserve free. O(contending), paid
+        only on a membership or budget change.
+        """
+        budget, reserve = self._budget
+        contending = sorted(self._contending)
+        total_weight = sum(self._weights[t] for t in contending)
+        cap = max(1, budget - reserve)
+        self._shares = {
+            t: min(cap, max(1, int(budget * self._weights[t] / total_weight)))
+            for t in contending
+        }
+        for tenant in self._contending:
+            self.set_eligible(
+                tenant,
+                self.outstanding_by_tenant.get(tenant, 0) < self._shares[tenant],
+            )
+        self._dirty = False

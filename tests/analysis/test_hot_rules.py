@@ -72,7 +72,9 @@ class TestHOT001:
             "gateway/gateway.py": (
                 "ServingGateway", ("_pump", "on_tick", "_derive_budget", "on_settled")
             ),
-            "gateway/scheduler.py": ("WeightedFairScheduler", ("dequeue_eligible",)),
+            "gateway/scheduler.py": (
+                "WeightedFairScheduler", ("dequeue_eligible", "pop_next")
+            ),
             "core/fleet.py": ("FleetController", ("observe",)),
         }
         assert {

@@ -472,14 +472,14 @@ class TestDrainDeadline:
         for i in range(40):
             user = "a" if i % 2 == 0 else "z"
             gateway.offer(TaskRequest("noop", args=(i,)), token=tokens[user])
-        before = dict(gateway._outstanding_by_tenant)
+        before = dict(gateway.scheduler.outstanding_by_tenant)
         assert before["ta"] > 4 and before["tz"] > 4
         gateway.runtime.mark_down("w1")
         gateway.runtime.mark_down("w2")
         testbed.clock.advance(1.0)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
-        after = gateway._outstanding_by_tenant
+        after = gateway.scheduler.outstanding_by_tenant
         lost = {t: before[t] - after[t] for t in before}
         # Round-robin: the reclaim burden splits evenly (± one sweep).
         assert abs(lost["ta"] - lost["tz"]) <= 1

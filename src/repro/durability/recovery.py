@@ -260,14 +260,16 @@ def gateway_restore_entries(state: SystemState) -> list[dict]:
     work), then lane re-entries, each group in admission order.
     ``enqueued_at`` carries the last journaled queue timestamp so the
     re-release back-dates the re-put and latency/age metrics keep the
-    request's true age.
+    request's true age. An in-queue entry's ``dispatch_tag`` is the WFQ
+    tag its message still carries, so the new scheduler can restore its
+    clock past it.
     """
-    in_queue_uuids = set()
+    in_queue_tags = {}
     for topic in sorted(state.ready):
         for mid in state.ready[topic]:
-            uuid = state.messages[mid]["task_uuid"]
-            if uuid is not None:
-                in_queue_uuids.add(uuid)
+            message = state.messages[mid]
+            if message["task_uuid"] is not None:
+                in_queue_tags[message["task_uuid"]] = message.get("dispatch_tag")
     entries = []
     for uuid in sorted(state.open, key=lambda u: state.open[u]["admit_seq"]):
         entry = state.open[uuid]
@@ -282,8 +284,9 @@ def gateway_restore_entries(state: SystemState) -> list[dict]:
                 "servable": entry["servable"],
                 "arrived_at": entry["arrived_at"],
                 "request": request,
-                "in_queue": uuid in in_queue_uuids,
-                "resurrect": entry["acked"] and uuid not in in_queue_uuids,
+                "in_queue": uuid in in_queue_tags,
+                "dispatch_tag": in_queue_tags.get(uuid),
+                "resurrect": entry["acked"] and uuid not in in_queue_tags,
                 "enqueued_at": entry["enqueued_at"],
             }
         )

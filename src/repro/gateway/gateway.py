@@ -681,6 +681,16 @@ class ServingGateway:
         Returns the restored results (their ``runtime_result`` fills in
         at settlement, as for any admitted request).
         """
+        # In-queue requests first: they carry the crashed scheduler's
+        # WFQ tags, and restoring them moves the new clock past those
+        # tags before anything re-enters a lane.
+        for entry in entries:
+            if entry["in_queue"]:
+                self.scheduler.restore_released(
+                    entry["tenant"],
+                    self.policies.policy(entry["tenant"]).weight,
+                    entry["dispatch_tag"],
+                )
         restored: list[GatewayResult] = []
         for entry in entries:
             request: TaskRequest = entry["request"]
@@ -694,12 +704,10 @@ class ServingGateway:
                 arrived_at=entry["arrived_at"],
             )
             self.admission.restore_charge(tenant, servable)
-            policy = self.policies.policy(tenant)
             if entry["in_queue"]:
                 self._open[request.task_uuid] = result
-                self.scheduler.restore_released(tenant, policy.weight)
             else:
-                self._enter_lane(result, policy)
+                self._enter_lane(result, self.policies.policy(tenant))
                 if entry["enqueued_at"] is not None:
                     self._reclaimed_at[request.task_uuid] = entry["enqueued_at"]
             restored.append(result)

@@ -336,10 +336,14 @@ class WeightedFairScheduler:
         self.outstanding -= 1
         self._dirty = True
 
-    def restore_released(self, tenant: str, weight: float) -> None:
+    def restore_released(self, tenant: str, weight: float, dispatch_tag: float) -> None:
         """Count an item released by a previous incarnation, which
         recovery found still queued, as outstanding. ``weight`` is the
-        tenant's, which its lane may not hold yet."""
+        tenant's, which its lane may not hold yet. The virtual time
+        moves up to the item's ``dispatch_tag``, so everything tagged
+        from now on ranks after the restored backlog, as it would have
+        before the crash."""
+        self._virtual_time = max(self._virtual_time, dispatch_tag)
         self._weights[tenant] = weight
         self.outstanding_by_tenant[tenant] += 1
         self.outstanding += 1

@@ -100,7 +100,10 @@ class ParentSlotShares:
         self.scheduler.requeue_front(tenant, item)
         self.settle(tenant)
 
-    def restore_released(self, tenant: str, weight: float) -> None:
+    def restore_released(self, tenant: str, weight: float, dispatch_tag: float) -> None:
+        # Recovery moves the clock past the restored tags; the wrapped
+        # scheduler's own restore call is not used, so it is done here.
+        self.scheduler._virtual_time = max(self.scheduler._virtual_time, dispatch_tag)
         self.weights[tenant] = weight
         self.outstanding[tenant] = self.outstanding.get(tenant, 0) + 1
         self._note(tenant)

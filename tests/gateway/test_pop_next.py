@@ -62,14 +62,17 @@ def _key(entry):
 # The budget is exactly full while a backlogged tenant is under share.
 @example(
     weights=_EQUAL,
-    restores=["t0", "t0", "t1"],
+    restores=[("t0", 3.0), ("t0", 4.0), ("t1", 2.5)],
     ops=[("enqueue", "t2"), ("resize", 2, 1)],
 )
 @given(
     weights=st.lists(
         st.sampled_from((0.5, 1.0, 2.0, 3.0)), min_size=len(TENANTS), max_size=len(TENANTS)
     ),
-    restores=st.lists(st.sampled_from(TENANTS), max_size=12),
+    restores=st.lists(
+        st.tuples(st.sampled_from(TENANTS), st.integers(0, 40).map(lambda n: n / 4)),
+        max_size=12,
+    ),
     ops=st.lists(_ops, max_size=120),
 )
 def test_pop_next_matches_the_parent_rule(weights, restores, ops):
@@ -93,10 +96,10 @@ def test_pop_next_matches_the_parent_rule(weights, restores, ops):
         if got is not None:
             released[got.tenant].append(got.item)
 
-    for n, tenant in enumerate(restores):
+    for n, (tenant, tag) in enumerate(restores):
         released[tenant].append(f"restored{n}")
-        owned.restore_released(tenant, weight[tenant])
-        parent.restore_released(tenant, weight[tenant])
+        owned.restore_released(tenant, weight[tenant], tag)
+        parent.restore_released(tenant, weight[tenant], tag)
         check()
     for n, op in enumerate(ops):
         busy = sorted(t for t in TENANTS if released[t])

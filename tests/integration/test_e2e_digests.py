@@ -13,7 +13,11 @@ the polled serve loop with the timer-heap kernel, before any source
 edit, so they state what the *polled* loop did. A change that is meant
 to alter modelled behaviour regenerates them (``measure.run_round`` per
 workload and sub-seed) and says so; anything else that moves one has
-changed what the simulator computes.
+changed what the simulator computes. The ``crash_recovery`` goldens were
+regenerated so when recovery began restoring the WFQ clock past the
+tags of the requests it finds still queued: after a restart, fresh
+releases now rank behind that restored backlog at dispatch instead of
+ahead of it.
 
 The second test serves the same rounds with the polled loop itself
 (:mod:`tests.core.serve_oracles`) patched in: the oracle is only worth
@@ -50,10 +54,10 @@ GOLDEN_DIGESTS = {
         "580973ff6ed87a6f7cd94e692285a4836fd628ce60de8741bad8048b5846b30e",
     ),
     "crash_recovery": (
-        "1445e04c85beddc58af6711d0592d60983cc3fc3eae415e4db4457ef9a31d93f",
-        "5fa69c0838bd25006c2b0bc56e58a65c036be8b42d48f5a791c91b9ea4cb5182",
-        "e675adc7ca6c789b8324299e509a5b2ecf2c3c9fe3480c6dde5f059961516bb8",
-        "23f692c3f656f60de8dabec08e1caa0b49cdca439fa756a2236a38292b661537",
+        "ec989ce52f6c091edd352a14e590a23ae831b621df87d356aee57364765e43ef",
+        "17ce2d18e16e472ce685d18858fdeae921a68644acd0e976ff6c182486d32e6a",
+        "8400f8c41fafe7062bed8f645cac6f5d3064631d2f4dd4c619ee78ea600bcc60",
+        "a8785aa69585555f844449a211d4d8a9e874f619e070ee330ad2e6ce0e59c233",
     ),
     "incident": (
         "7c8792bc15f6dcd69bc9a382d7889ee427cf14569ed5f680e844d65aafe0029d",

@@ -621,9 +621,14 @@ class ServingGateway:
             open_result = self._open.pop(uuid, None)
             if open_result is None:
                 continue  # submitted straight to the runtime, not ours
+            # Deliver, then settle: a crash inside the ``settle`` append
+            # (a snapshot it triggers) must not lose a result the
+            # journal already calls settled. A crash that loses the
+            # record instead re-runs the request (at-least-once
+            # delivery; callers dedupe by ``task_uuid``).
+            open_result.runtime_result = runtime_result
             if self.journal is not None:
                 self.journal.append("settle", {"task_uuid": uuid})
-            open_result.runtime_result = runtime_result
             tenant = runtime_result.request.tenant
             self.scheduler.settle(tenant)
             self.admission.release(tenant, runtime_result.request.servable_name)

@@ -148,13 +148,6 @@ def test_crash_mid_snapshot_dedupes_the_seam(chaos_zoo, store):
     assert recovery["seam_overlap"] > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known bug (benchmarks/e2e/README.md open observation 1): the "
-    "gateway journals `settle` before it hands the result over, so a crash "
-    "at the snapshot seam inside that append loses the result",
-)
 def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
     chaos_zoo, monkeypatch
 ):

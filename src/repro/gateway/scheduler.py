@@ -65,10 +65,10 @@ class WeightedFairScheduler:
         self._heap: list[tuple[float, int, str]] = []
         #: Tenants marked dispatch-eligible (below their slot share),
         #: and the secondary heap of their lane heads. Entries are
-        #: lazily invalidated exactly like
-        #: ``_heap``, plus an eligibility check on pop — so
-        #: :meth:`dequeue_eligible` is an O(log T) pop, not a linear
-        #: scan over the eligible tenants' lane heads.
+        #: lazily invalidated exactly like ``_heap``, plus an
+        #: eligibility check on pop — so :meth:`dequeue_eligible` is an
+        #: O(log T) pop, not a linear scan over the eligible tenants'
+        #: lane heads.
         self._eligible: set[str] = set()
         self._eligible_heap: list[tuple[float, int, str]] = []
         self._size = 0

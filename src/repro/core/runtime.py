@@ -1325,9 +1325,7 @@ class ServingRuntime:
             item_results = self._split_batch(requests, batch_result, worker)
         if self.chaos is not None:
             self.chaos.trip("mid_batch")
-        for message in messages:
-            assert message.delivery_tag is not None
-            self.queue.ack(message.delivery_tag)
+        self.queue.ack(*[message.delivery_tag for message in messages])
 
         self.batches_dispatched += 1
         self.items_served += len(requests)

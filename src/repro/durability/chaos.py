@@ -297,7 +297,7 @@ class ChaosHarness:
             # Captured now because ``state`` is the resumed journal's
             # live shadow — it keeps folding post-recovery appends.
             "open_at_recovery": len(state.open),
-            "settled_at_recovery": len(state.settled),
+            "settled_at_recovery": state.settled,
         }
 
     # -- the kill/restart loop ----------------------------------------------------
@@ -343,11 +343,12 @@ class ChaosHarness:
                     self._recover()
                 outcome.recoveries.append(self._last_recovery)
                 now = self.clock.now()
+                # Every settled request was admitted in some incarnation
+                # whose results were collected, so ``admitted`` covers it.
                 known = (
                     outcome.admitted
                     | {r.request.task_uuid for r in outcome.denied}
                     | set(self._last_state.open)
-                    | set(self._last_state.settled)
                 )
                 remaining = [
                     (at - now, token, req)

@@ -2,7 +2,7 @@
 
 A journal record is one JSON line::
 
-    {"crc": <crc32 of canonical [seq, op, data]>, "rec": [seq, op, data], "v": 2}
+    {"crc": <crc32 of canonical [seq, op, data]>, "rec": [seq, op, data], "v": 3}
 
 ``data`` is restricted to JSON types; request bodies inside it are
 pickled and base64-encoded by :func:`encode_body` (with the trace
@@ -14,9 +14,14 @@ canonical serialization (sorted keys, no spaces) of the ``rec`` array,
 so a decoded record can be re-verified without byte-preserving the
 original line.
 
-Version 2 dropped the body compression and the body of ``put`` records
-that follow an ``admit`` (see :mod:`repro.durability.state`); version 1
-lines and snapshots are refused (:class:`FormatMismatch`), not migrated.
+Version 3 writes one ``ack`` record per ``ack`` call (the delivery
+tags of a dispatched micro-batch) and one ``settle`` record per gateway
+``on_settled`` call (its task uuids), and snapshots keep a count of
+settled requests instead of their uuids (see
+:mod:`repro.durability.state`). Version 2 had dropped the body
+compression and the body of ``put`` records that follow an ``admit``.
+Lines and snapshots of any other version are refused
+(:class:`FormatMismatch`), not migrated.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import pickle
 import zlib
 from typing import Any
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class JournalCorruption(RuntimeError):

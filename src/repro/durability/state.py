@@ -16,15 +16,21 @@ every journal offset is an operation boundary):
                a gateway-admitted request's put carries ``dispatch_tag``
                instead and the fold takes the body from the open entry
 ``claim``      one ``claim``/``claim_many`` call — all its ``[mid, tag]`` pairs
-``ack``        one delivery settled forever
+``ack``        one ``ack`` call — the delivery tags of one dispatch,
+               settled forever
 ``nack``       one delivery returned (``outcome`` ``"requeued"``/``"dead"``)
 ``withdraw``   ``withdraw_newest`` — tail messages handed back to the producer
 ``restore``    one withdrawn message returned to its topic tail
 ``admit``      gateway admission grant (tenant, servable, encoded request)
-``settle``     gateway observed the request's completion
+``settle``     one ``on_settled`` call — the task uuids of the gateway-
+               owned requests it delivered
 ``recover``    one crash recovery: the precomputed release plan (see
                :func:`repro.durability.recovery.plan_recover`)
 =============  =================================================================
+
+An ``ack`` or ``settle`` record names a list, and the fold takes it
+whole or not at all: every member must be in flight (or open) and none
+may repeat, checked before anything changes.
 
 The ``recover`` record is itself journaled: a replay reproduces every
 past recovery's releases deterministically, and because a recovered
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from repro.durability.codec import FormatMismatch, JournalCorruption
 
-DOC_VERSION = 2
+DOC_VERSION = 3
 
 
 class SystemState:
@@ -71,10 +77,11 @@ class SystemState:
         #: admit_seq, acked, dead, enqueued_at} for admitted-but-
         #: unsettled requests.
         self.open: dict[str, dict] = {}
-        #: task_uuids whose settlement the gateway journaled (kept so a
-        #: recovering harness can dedupe re-offers and assert
-        #: exactly-once settlement across incarnations).
-        self.settled: dict[str, bool] = {}
+        #: How many requests the gateway journaled as settled. A count,
+        #: not the uuids: a settle pops its request from ``open``, which
+        #: is what rejects a second settle, so snapshots stay
+        #: O(open + queued) however long the run.
+        self.settled = 0
         self.last_seq = 0
 
     # -- the fold -----------------------------------------------------------------
@@ -144,15 +151,20 @@ class SystemState:
                 self.next_tag = tag + 1
 
     def _apply_ack(self, seq: int, data: dict) -> None:
-        mid, _ = self._pop_inflight(seq, data["delivery_tag"])
-        self.total_acked += 1
-        entry = self.open.get(self.messages[mid]["task_uuid"] or "")
-        if entry is not None:
-            entry["acked"] = True
-        del self.messages[mid]
+        tags = data["delivery_tags"]
+        _require_all(seq, "ack", tags, self.inflight, "unknown delivery tag")
+        for tag in tags:
+            mid = self.inflight.pop(tag)[0]
+            entry = self.open.get(self.messages[mid]["task_uuid"] or "")
+            if entry is not None:
+                entry["acked"] = True
+            del self.messages[mid]
+        self.total_acked += len(tags)
 
     def _apply_nack(self, seq: int, data: dict) -> None:
-        mid, _ = self._pop_inflight(seq, data["delivery_tag"])
+        tag = data["delivery_tag"]
+        _require_all(seq, "nack", [tag], self.inflight, "unknown delivery tag")
+        mid = self.inflight.pop(tag)[0]
         if data["outcome"] == "requeued":
             self.ready.setdefault(self.messages[mid]["topic"], []).insert(0, mid)
             self.total_redelivered += 1
@@ -193,10 +205,11 @@ class SystemState:
         }
 
     def _apply_settle(self, seq: int, data: dict) -> None:
-        uuid = data["task_uuid"]
-        if self.open.pop(uuid, None) is None:
-            raise JournalCorruption(f"settle of non-open request {uuid!r}")
-        self.settled[uuid] = True
+        uuids = data["task_uuids"]
+        _require_all(seq, "settle", uuids, self.open, "non-open request")
+        for uuid in uuids:
+            del self.open[uuid]
+        self.settled += len(uuids)
 
     def _apply_recover(self, seq: int, data: dict) -> None:
         for topic in sorted(data["released"]):
@@ -212,14 +225,6 @@ class SystemState:
             self.withdrawn.remove(mid)
             del self.messages[mid]
         self.inflight.clear()
-
-    def _pop_inflight(self, seq: int, tag: int) -> list:
-        entry = self.inflight.pop(tag, None)
-        if entry is None:
-            raise JournalCorruption(
-                f"settlement of unknown delivery tag {tag} at seq={seq}"
-            )
-        return entry
 
     # -- snapshot format ----------------------------------------------------------
     def to_doc(self) -> dict:
@@ -238,7 +243,7 @@ class SystemState:
             "next_message_id": self.next_message_id,
             "next_tag": self.next_tag,
             "open": [[uuid, dict(e)] for uuid, e in self.open.items()],
-            "settled": [u for u in self.settled],
+            "settled": self.settled,
             "last_seq": self.last_seq,
         }
 
@@ -263,7 +268,7 @@ class SystemState:
         state.next_message_id = doc["next_message_id"]
         state.next_tag = doc["next_tag"]
         state.open = {uuid: dict(e) for uuid, e in doc["open"]}
-        state.settled = {u: True for u in doc["settled"]}
+        state.settled = doc["settled"]
         state.last_seq = doc["last_seq"]
         return state
 
@@ -307,6 +312,17 @@ class SystemState:
             "next_message_id": self.next_message_id,
             "next_tag": self.next_tag,
         }
+
+
+def _require_all(seq: int, op: str, members: list, live, unknown: str) -> None:
+    """Reject a list record whole: raise unless every member is in
+    ``live`` and none repeats. Runs before the handler changes anything,
+    so a rejected record leaves the state as it was."""
+    if len(set(members)) != len(members):
+        raise JournalCorruption(f"{op} at seq={seq} names a member twice")
+    for member in members:
+        if member not in live:
+            raise JournalCorruption(f"{op} at seq={seq} of {unknown} {member!r}")
 
 
 #: op -> fold handler, one per ``SystemState._apply_<op>`` method: the

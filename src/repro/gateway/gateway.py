@@ -615,20 +615,24 @@ class ServingGateway:
         self._pump()
 
     def on_settled(self, settled: list[RuntimeResult]) -> None:
-        """Runtime hook: record completions and free their dispatch slots."""
+        """Runtime hook: record completions and free their dispatch slots.
+
+        Deliver, then settle, per call: every gateway-owned result in
+        ``settled`` reaches its caller before the one ``settle`` record
+        naming them all is journaled. A crash inside that append (a
+        snapshot it triggers) must not lose a result the journal already
+        calls settled. A crash that loses the record instead re-runs the
+        requests (at-least-once delivery; callers dedupe by
+        ``task_uuid``).
+        """
+        delivered = []
         for runtime_result in settled:
             uuid = runtime_result.request.task_uuid
             open_result = self._open.pop(uuid, None)
             if open_result is None:
                 continue  # submitted straight to the runtime, not ours
-            # Deliver, then settle: a crash inside the ``settle`` append
-            # (a snapshot it triggers) must not lose a result the
-            # journal already calls settled. A crash that loses the
-            # record instead re-runs the request (at-least-once
-            # delivery; callers dedupe by ``task_uuid``).
             open_result.runtime_result = runtime_result
-            if self.journal is not None:
-                self.journal.append("settle", {"task_uuid": uuid})
+            delivered.append(uuid)
             tenant = runtime_result.request.tenant
             self.scheduler.settle(tenant)
             self.admission.release(tenant, runtime_result.request.servable_name)
@@ -643,6 +647,8 @@ class ServingGateway:
                     latency_s=latency,
                     ok=runtime_result.result.ok,
                 )
+        if delivered and self.journal is not None:
+            self.journal.append("settle", {"task_uuids": delivered})
         self._pump()
 
     def next_event(self) -> float:

@@ -7,8 +7,9 @@ that contract explicitly:
 * producers :meth:`TaskQueue.put` messages;
 * consumers :meth:`TaskQueue.claim` a message, which makes it *in flight*
   with a visibility timeout;
-* consumers must :meth:`TaskQueue.ack` within the timeout or the message is
-  redelivered (to any consumer) by :meth:`TaskQueue.expire_inflight`;
+* consumers must :meth:`TaskQueue.ack` within the timeout (one call may
+  settle a whole claimed batch) or the message is redelivered (to any
+  consumer) by :meth:`TaskQueue.expire_inflight`;
 * :meth:`TaskQueue.nack` returns a message to the queue immediately (used
   on worker failure).
 
@@ -16,7 +17,7 @@ Redelivery count is tracked so failure-injection tests can assert
 at-least-once semantics.
 
 The queue can optionally journal every mutation to a write-ahead log
-(:meth:`TaskQueue.attach_journal`): one record per public operation,
+(:meth:`TaskQueue.attach_journal`): one record per public operation call,
 appended duck-typed so this module never imports the durability
 package. :meth:`TaskQueue.dump_state` / :meth:`TaskQueue.load_state`
 are the introspection/rehydration pair crash recovery builds on.
@@ -53,7 +54,8 @@ def servable_topic(servable_name: str, lane: str = "requests") -> str:
 
 
 class UnknownDelivery(KeyError):
-    """Raised by ``ack``/``nack`` for an unknown or already-settled tag."""
+    """Raised by ``ack``/``nack`` for an unknown or already-settled tag
+    (or a tag named twice in one ``ack``)."""
 
 
 @dataclass
@@ -270,12 +272,26 @@ class TaskQueue:
                 },
             )
 
-    def ack(self, delivery_tag: int) -> None:
-        """Settle a claimed message; it will never be redelivered."""
-        self._settle_claim(delivery_tag)
-        self.total_acked += 1
+    def ack(self, *delivery_tags: int) -> None:
+        """Settle claimed messages; none of them will be redelivered.
+
+        All or nothing: unless every tag is in flight and none repeats,
+        :class:`UnknownDelivery` is raised and nothing settles. One call
+        journals one ``ack`` record, so a consumer acking its whole
+        micro-batch at once writes one record for it.
+        """
+        if not delivery_tags:
+            raise ValueError("ack requires at least one delivery tag")
+        for tag in delivery_tags:
+            if tag not in self._inflight:
+                raise UnknownDelivery(tag)
+        if len(delivery_tags) > 1 and len(set(delivery_tags)) < len(delivery_tags):
+            raise UnknownDelivery(f"delivery tags repeat: {delivery_tags}")
+        for tag in delivery_tags:
+            self._settle_claim(tag)
+        self.total_acked += len(delivery_tags)
         if self.journal is not None:
-            self.journal.append("ack", {"delivery_tag": delivery_tag})
+            self.journal.append("ack", {"delivery_tags": list(delivery_tags)})
 
     def nack(self, delivery_tag: int, requeue: bool = True) -> None:
         """Return a claimed message to the queue (or dead-letter it)."""

@@ -152,7 +152,9 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
     chaos_zoo, monkeypatch
 ):
     # Cadence and trip count chosen so that the append which triggers
-    # the crashed snapshot is a gateway `settle` record.
+    # the crashed snapshot is a gateway `settle` record naming several
+    # requests: every one of them was delivered before the append, and
+    # none may be delivered again after the restart.
     crashed_on = []
     append = Journal.append
 
@@ -160,7 +162,7 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
         try:
             return append(journal, op, data)
         except SimulatedCrash:
-            crashed_on.append(op)
+            crashed_on.append((op, data))
             raise
 
     monkeypatch.setattr(Journal, "append", recording_append)
@@ -168,14 +170,21 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
         chaos_zoo,
         InMemoryDurableStore(),
         "mid_snapshot",
-        snapshot_every=20,
+        snapshot_every=21,
         after_trips=2,
     )
-    if crashed_on != ["settle"]:
+    if [op for op, _ in crashed_on] != ["settle"]:
         # Not an expected failure: the scenario no longer lands on the
         # seam it pins and needs re-aiming.
         pytest.fail(f"crash landed on {crashed_on}, not on a settle record")
+    members = crashed_on[0][1]["task_uuids"]
+    assert len(members) == 2
     assert_invariants(harness, outcome, "mid_snapshot")
+    crash_at = outcome.crashes[0].at
+    for uuid in members:
+        assert uuid not in outcome.duplicates
+        # Delivered once, by the incarnation that crashed.
+        assert outcome.settled[uuid].runtime_result.completed_at <= crash_at
 
 
 def test_serial_crashes_across_multiple_points(chaos_zoo, store):
@@ -243,4 +252,4 @@ def test_a_crash_between_batch_items_keeps_every_journaled_admission(chaos_zoo):
         gateway.invoke_sync_many(items, identity=testbed.user)
     state, _ = load_state(store)
     assert sorted(state.open) == sorted(r.task_uuid for r in items[:2])
-    assert not state.settled
+    assert state.settled == 0

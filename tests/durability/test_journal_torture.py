@@ -7,7 +7,7 @@ duplicate record, a snapshot/journal seam overlap. Fatal
 (:class:`JournalCorruption`): mid-journal garbage, a CRC/content
 mismatch, a sequence gap, two different records claiming one sequence,
 an unparseable snapshot document, a record or snapshot written in an
-older format version.
+older format version (1 or 2).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.durability import (
     decode_body,
     load_state,
 )
-from repro.durability.codec import decode_record, encode_record
+from repro.durability.codec import FormatMismatch, decode_record, encode_record
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
 
@@ -118,7 +118,7 @@ def test_conflicting_duplicate_fails_loud(tmp_path):
     lines = read_lines(store)
     seq, _, _ = decode_record(lines[3])
     # A *valid* record (correct CRC) that disagrees with seq's history.
-    lines.insert(4, encode_record(seq, "settle", {"task_uuid": "task-evil"}))
+    lines.insert(4, encode_record(seq, "settle", {"task_uuids": ["task-evil"]}))
     write_lines(store, lines)
     with pytest.raises(JournalCorruption, match="conflicting duplicate"):
         load_state(store)
@@ -143,43 +143,53 @@ def test_unparseable_snapshot_fails_loud(tmp_path):
         load_state(store)
 
 
-def as_format_v1(line):
-    """``line`` as a format-1 writer would have left it: intact, CRC
-    valid (the CRC covers ``rec`` only), version field 1."""
+def as_format(line, version):
+    """``line`` as an older writer would have left it: intact, CRC
+    valid (the CRC covers ``rec`` only), version field ``version``."""
     doc = json.loads(line)
-    doc["v"] = 1
+    doc["v"] = version
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def test_v1_journal_fails_loud_naming_both_versions(tmp_path):
+OLD_VERSIONS = pytest.mark.parametrize("version", [1, 2])
+
+
+def refused(version):
+    return pytest.raises(FormatMismatch, match=f"format version {version}, expected 3")
+
+
+@OLD_VERSIONS
+def test_old_format_journal_fails_loud_naming_both_versions(tmp_path, version):
     store, _, _ = seeded_store(tmp_path)
-    write_lines(store, [as_format_v1(line) for line in read_lines(store)])
-    with pytest.raises(JournalCorruption, match="format version 1, expected 2"):
+    write_lines(store, [as_format(line, version) for line in read_lines(store)])
+    with refused(version):
         load_state(store)
 
 
-def test_v1_final_record_is_not_mistaken_for_a_torn_tail(tmp_path):
+@OLD_VERSIONS
+def test_old_format_final_record_is_not_mistaken_for_a_torn_tail(tmp_path, version):
     # The last line is the one place recovery forgives corruption; an
     # intact record of another version is not a tear and must not be
     # dropped as one.
     store, _, _ = seeded_store(tmp_path)
     lines = read_lines(store)
-    lines[-1] = as_format_v1(lines[-1])
+    lines[-1] = as_format(lines[-1], version)
     write_lines(store, lines)
-    with pytest.raises(JournalCorruption, match="format version 1, expected 2"):
+    with refused(version):
         load_state(store)
 
 
-def test_v1_snapshot_fails_loud_naming_both_versions(tmp_path):
+@OLD_VERSIONS
+def test_old_format_snapshot_fails_loud_naming_both_versions(tmp_path, version):
     store, journal, _ = seeded_store(tmp_path)
     journal.snapshot_now()
     snap = os.path.join(store.directory, FileDurableStore.SNAPSHOT)
     with open(snap, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["v"] = 1
+    doc["v"] = version
     with open(snap, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    with pytest.raises(JournalCorruption, match="format version 1, expected 2"):
+    with refused(version):
         load_state(store)
 
 

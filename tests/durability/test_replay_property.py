@@ -69,6 +69,11 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
         request.dispatch_tag = float(rng.integers(1, 10_000)) / 8.0
         return request
 
+    def some_of(members):
+        # One to three distinct members, as one batch acks or settles.
+        k = int(rng.integers(1, min(3, len(members)) + 1))
+        return [members[int(i)] for i in rng.choice(len(members), k, replace=False)]
+
     for _ in range(n_ops):
         op = rng.choice(
             [
@@ -114,7 +119,7 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                 tags = sorted(queue._inflight)
                 if not tags:
                     continue
-                queue.ack(tags[int(rng.integers(len(tags)))])
+                queue.ack(*some_of(tags))
             elif op == "nack":
                 tags = sorted(queue._inflight)
                 if not tags:
@@ -150,9 +155,7 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                 uuids = list(journal.state.open)
                 if not uuids:
                     continue
-                journal.append(
-                    "settle", {"task_uuid": uuids[int(rng.integers(len(uuids)))]}
-                )
+                journal.append("settle", {"task_uuids": some_of(uuids)})
         except QueueEmpty:
             continue
         dumps[journal.last_seq] = copy.deepcopy(queue.dump_state())
@@ -182,7 +185,11 @@ class TestReplayEquivalence:
         assert any("body" not in put and put["counted"] for put in puts)
         assert any("body" not in put and not put["counted"] for put in puts)
         assert queue.dump_state()["dead"]
-        assert journal.state.settled
+        # ... and batch acks and settles naming several members.
+        assert any(len(a["delivery_tags"]) > 1 for a in journal_records(store, "ack"))
+        settles = journal_records(store, "settle")
+        assert any(len(s["task_uuids"]) > 1 for s in settles)
+        assert journal.state.settled == sum(len(s["task_uuids"]) for s in settles)
 
     def test_crash_at_every_journal_offset_replays_the_exact_state(self, seed):
         store, journal, queue, dumps = build_walk(seed)
@@ -226,8 +233,9 @@ class TestReplayEquivalence:
                 "body": journal.encode_body("req-x"),
             },
         )
-        journal.append("settle", {"task_uuid": "task-x"})
+        settled_before = journal.state.settled
+        journal.append("settle", {"task_uuids": ["task-x"]})
         state, _ = load_state(store)
-        assert "task-x" in state.settled and "task-x" not in state.open
-        assert state.settled == journal.state.settled
+        assert "task-x" not in state.open
+        assert state.settled == journal.state.settled == settled_before + 1
         assert state.open == journal.state.open

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import re
 import zlib
 from unittest import mock
 
@@ -27,6 +28,8 @@ from repro.durability import (
 from repro.durability.codec import FORMAT_VERSION, decode_record, encode_record
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
+
+from .conftest import alternating_arrivals, build_chaos_harness
 
 
 def fresh_queue(clock=None, **kwargs):
@@ -65,8 +68,8 @@ def two_dump_line(seq, op, data):
 
 
 GOLDEN_CORPUS = [
-    (1, "ack", {"delivery_tag": 43}),
-    (2, "settle", {"task_uuid": "tâche-é-日本語-\U0001f600"}),
+    (1, "ack", {"delivery_tags": [43, 44]}),
+    (2, "settle", {"task_uuids": ["tâche-é-日本語-\U0001f600", "u2"]}),
     (3, "claim", {"topic": "t", "claims": [[1, 2], [3, 4]], "claimed_at": 1e-07}),
     (4, "put", {"zeta": 1.0, "alpha": {"m": [1e22, -0.0, 2.5e-300], "b": None}, "mid": True}),
     (5, "recover", {"released": {"t/b": [2], "t/a": [9, 1]}, "dead": [], "dropped": []}),
@@ -136,8 +139,49 @@ def test_append_validates_before_persisting():
     store = InMemoryDurableStore()
     journal = Journal(store)
     with pytest.raises(JournalCorruption):
-        journal.append("ack", {"delivery_tag": 99})  # no such delivery
+        journal.append("ack", {"delivery_tags": [99]})  # no such delivery
     assert store.read_journal() == []  # the bad record never hit the medium
+
+
+def admit_record(uuid):
+    return {
+        "task_uuid": uuid,
+        "tenant": "t1",
+        "servable": "noop",
+        "arrived_at": 0.0,
+        "weight": 1.0,
+        "body": encode_body(TaskRequest("noop", args=(uuid,))),
+    }
+
+
+@pytest.mark.parametrize(
+    "op, data, error",
+    [
+        ("settle", {"task_uuids": ["u1", "ghost"]}, "non-open request 'ghost'"),
+        ("settle", {"task_uuids": ["u1", "u1"]}, "names a member twice"),
+        ("ack", {"delivery_tags": [1, 99]}, "unknown delivery tag 99"),
+        ("ack", {"delivery_tags": [2, 2]}, "names a member twice"),
+    ],
+)
+def test_a_rejected_list_record_leaves_the_state_untouched(op, data, error):
+    # The fold checks every member before it changes anything: a record
+    # naming one live and one bad member must not half-apply, or the
+    # shadow would drift from the store it validates for.
+    store = InMemoryDurableStore()
+    journal = Journal(store)
+    queue = fresh_queue()
+    queue.attach_journal(journal)
+    journal.append("admit", admit_record("u1"))
+    queue.put("m1", topic="t")
+    queue.put("m2", topic="t")
+    queue.claim_many("t", 2)  # delivery tags 1 and 2
+    before = json.dumps(journal.state.to_doc(), sort_keys=True)
+    lines = store.read_journal()
+    with pytest.raises(JournalCorruption, match=error):
+        journal.append(op, data)
+    assert json.dumps(journal.state.to_doc(), sort_keys=True) == before
+    assert list(journal.state.open) == ["u1"]
+    assert store.read_journal() == lines
 
 
 def test_seed_baseline_noops_on_fresh_counters():
@@ -196,6 +240,24 @@ def test_snapshot_cadence_truncates_covered_records():
     assert state.fingerprint(decode_body) == queue.dump_state()
 
 
+def test_quiescent_snapshot_does_not_grow_with_run_length(chaos_zoo):
+    # A drained stack's snapshot holds counters and no per-request
+    # state: after 10x more traffic only the counters' digits may grow.
+    store = InMemoryDurableStore()
+    harness, tokens = build_chaos_harness(chaos_zoo, store)
+
+    def drain_and_snapshot(n):
+        outcome = harness.run(alternating_arrivals(tokens, n=n))
+        assert outcome.exactly_once and len(outcome.settled) == n
+        harness.journal.snapshot_now()
+        return store.read_snapshot()
+
+    short, long = drain_and_snapshot(30), drain_and_snapshot(300)
+    assert json.loads(long)["settled"] == 330
+    assert re.sub(r"\d+", "0", long) == re.sub(r"\d+", "0", short)
+    assert len(long) - len(short) <= len(re.findall(r"\d+", short))
+
+
 def test_snapshot_cadence_must_be_positive():
     with pytest.raises(ValueError):
         Journal(InMemoryDurableStore(), snapshot_every_records=0)
@@ -227,18 +289,18 @@ def test_file_store_opens_its_journal_once_per_snapshot_interval(tmp_path):
             return sum(c.args[1:2] == ("a",) for c in opened.call_args_list)
 
         for seq in range(1, 6):
-            store.append(seq, encode_record(seq, "settle", {"task_uuid": f"u{seq}"}))
+            store.append(seq, encode_record(seq, "settle", {"task_uuids": [f"u{seq}"]}))
             assert len(store.read_journal()) == seq  # flushed per record
         assert append_opens() == 1
 
         # The snapshot swaps the journal file; the handle must follow it.
         store.write_snapshot("{}", 3)
-        store.append(6, encode_record(6, "settle", {"task_uuid": "u6"}))
+        store.append(6, encode_record(6, "settle", {"task_uuids": ["u6"]}))
         assert append_opens() == 2
     assert [decode_record(line)[0] for line in store.read_journal()] == [4, 5, 6]
     store.close()
     store.close()  # idempotent; a later append reopens
-    store.append(7, encode_record(7, "settle", {"task_uuid": "u7"}))
+    store.append(7, encode_record(7, "settle", {"task_uuids": ["u7"]}))
     assert len(store.read_journal()) == 4
     store.close()
 

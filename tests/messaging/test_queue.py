@@ -134,6 +134,19 @@ class TestAckNack:
         with pytest.raises(UnknownDelivery):
             queue.ack(msg.delivery_tag)
 
+    @pytest.mark.parametrize("bad", ["unknown", "repeated"])
+    def test_batch_ack_is_all_or_nothing(self, queue, bad):
+        for i in range(3):
+            queue.put(i)
+        tags = [m.delivery_tag for m in queue.claim_many(n=3)]
+        with pytest.raises(UnknownDelivery):
+            queue.ack(tags[0], 999 if bad == "unknown" else tags[0])
+        assert queue.inflight_count == 3 and queue.total_acked == 0
+        queue.ack(*tags)
+        assert queue.inflight_count == 0 and queue.total_acked == 3
+        with pytest.raises(ValueError):
+            queue.ack()
+
     def test_nack_requeues_at_front(self, queue):
         queue.put("first")
         queue.put("second")

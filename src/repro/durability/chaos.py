@@ -35,9 +35,12 @@ from repro.messaging.queue import TaskQueue
 
 #: The lifecycle boundaries the serving stack exposes to the injector:
 #:
-#: * ``post_admission`` — admission granted and journaled, request not
-#:   yet in its WFQ lane (gateway ``_enter``, which every admitted
-#:   request — arrival, batch item, chain step — passes through);
+#: * ``post_admission`` — a door call (``offer``, ``invoke_sync_many``,
+#:   ``invoke_sync_admitted``) has admitted, pumped and journaled its
+#:   requests but not yet returned; visited once per admitted request
+#:   (gateway ``_close_door``). Each request is already released to
+#:   the queue or waiting in its WFQ lane, and recovery puts it back
+#:   there;
 #: * ``post_claim`` — a micro-batch claimed off the queue, not yet
 #:   dispatched to a worker (runtime ``_dispatch_topic``);
 #: * ``mid_batch`` — the worker processed the batch, no message acked
@@ -45,7 +48,10 @@ from repro.messaging.queue import TaskQueue
 #: * ``pre_settle`` — batches complete and acked, results not yet
 #:   emitted to the ingress (runtime ``_settle``);
 #: * ``mid_snapshot`` — snapshot persisted, covered journal records not
-#:   yet truncated (the store's two-phase seam).
+#:   yet truncated (the store's two-phase seam). Inside a door call's
+#:   pump it may land before that call's held admissions are written:
+#:   those requests are lost with the process, but their caller was
+#:   never told they were admitted, and the harness offers them again.
 INJECTION_POINTS = (
     "post_admission",
     "post_claim",

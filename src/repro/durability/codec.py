@@ -2,9 +2,19 @@
 
 A journal record is one JSON line::
 
-    {"crc": <crc32 of canonical [seq, op, data]>, "rec": [seq, op, data], "v": 3}
+    {"crc": <crc32 of canonical rec>, "rec": [seq, op, [values...]], "v": 4}
 
-``data`` is restricted to JSON types; request bodies inside it are
+Records are *positional*: :data:`FIELDS` names, per op, the values of
+its record in line order, so a line never spells out a key. A ``put``
+that carries its request's admission holds the admit's values (all but
+the uuid the put already names, :data:`CARRIED_ADMIT`) as a nested list
+in its last field, or ``null``. ``baseline`` and ``recover`` records
+are rare and nested, so they keep a keyed ``data`` object; so does any
+op without a field tuple. In memory every record is the same keyed
+``dict`` either way: :func:`encode_record` and :func:`decode_record`
+translate at the line.
+
+Values are restricted to JSON types; request bodies inside them are
 pickled and base64-encoded by :func:`encode_body` (with the trace
 context stripped — traces are observability state, not serving state,
 and may hold unpicklable tracer internals). Bodies are not compressed:
@@ -14,13 +24,12 @@ canonical serialization (sorted keys, no spaces) of the ``rec`` array,
 so a decoded record can be re-verified without byte-preserving the
 original line.
 
-Version 3 writes one ``ack`` record per ``ack`` call (the delivery
-tags of a dispatched micro-batch) and one ``settle`` record per gateway
-``on_settled`` call (its task uuids), and snapshots keep a count of
-settled requests instead of their uuids (see
-:mod:`repro.durability.state`). Version 2 had dropped the body
-compression and the body of ``put`` records that follow an ``admit``.
-Lines and snapshots of any other version are refused
+Version 4 made records positional and let a ``put`` carry the
+``admit`` of a request released by the door call that admitted it
+(see :meth:`repro.durability.journal.Journal.hold_admit`). Version 3
+had introduced one ``ack`` record per ``ack`` call and one ``settle``
+record per gateway ``on_settled`` call, version 2 the body-less
+``put``. Lines of any other version are refused
 (:class:`FormatMismatch`), not migrated.
 """
 
@@ -33,7 +42,32 @@ import pickle
 import zlib
 from typing import Any
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+#: op -> the names of its record's values, in line order.
+FIELDS: dict[str, tuple[str, ...]] = {
+    "put": (
+        "topic",
+        "message_id",
+        "enqueued_at",
+        "counted",
+        "task_uuid",
+        "body",
+        "dispatch_tag",
+        "admit",
+    ),
+    "claim": ("topic", "claims", "claimed_at"),
+    "ack": ("delivery_tags",),
+    "nack": ("delivery_tag", "outcome"),
+    "withdraw": ("topic", "message_ids"),
+    "restore": ("message_id",),
+    "admit": ("task_uuid", "tenant", "servable", "arrived_at", "weight", "body"),
+    "settle": ("task_uuids",),
+}
+
+#: The values of an admit a ``put`` carries: the admit's own, less the
+#: uuid the put names.
+CARRIED_ADMIT = FIELDS["admit"][1:]
 
 
 class JournalCorruption(RuntimeError):
@@ -45,11 +79,22 @@ class FormatMismatch(JournalCorruption):
     version — never a torn write, so never tolerated as one."""
 
 
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Records are fresh trees with no cycles, so the encoder skips the
+# circular-reference bookkeeping it would otherwise pay on every call.
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 
 
 def encode_record(seq: int, op: str, data: dict) -> str:
     """Encode one journal record as a CRC-protected JSON line."""
+    fields = FIELDS.get(op)
+    if fields is not None:
+        values = [data[name] for name in fields]
+        if op == "put" and values[-1] is not None:
+            admit = values[-1]
+            values[-1] = [admit[name] for name in CARRIED_ADMIT]
+        data = values
     # The canonical ``rec`` text is both the CRC input and, spliced in
     # verbatim, the envelope's middle: the line equals a sorted-keys
     # dump of the whole envelope without serializing ``rec`` twice.
@@ -84,7 +129,12 @@ def decode_record(line: str) -> tuple[int, str, dict]:
             f"expected {FORMAT_VERSION}"
         )
     seq, op, data = doc["rec"]
-    if not isinstance(seq, int) or not isinstance(op, str) or not isinstance(data, dict):
+    fields = FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        shaped = isinstance(data, dict)
+    else:
+        shaped = isinstance(data, list) and len(data) == len(fields)
+    if not isinstance(seq, int) or not isinstance(op, str) or not shaped:
         raise JournalCorruption(f"malformed journal record fields: {line[:120]!r}")
     crc = zlib.crc32(_canonical(doc["rec"]).encode("utf-8"))
     if crc != doc.get("crc"):
@@ -92,7 +142,15 @@ def decode_record(line: str) -> tuple[int, str, dict]:
             f"crc mismatch on record seq={seq} op={op!r}: "
             f"stored {doc.get('crc')}, computed {crc}"
         )
-    return seq, op, data
+    if fields is None:
+        return seq, op, data
+    record = dict(zip(fields, data))
+    if op == "put" and record["admit"] is not None:
+        admit = record["admit"]
+        if not isinstance(admit, list) or len(admit) != len(CARRIED_ADMIT):
+            raise JournalCorruption(f"malformed carried admit at seq={seq}")
+        record["admit"] = dict(zip(CARRIED_ADMIT, admit))
+    return seq, op, record
 
 
 def encode_body(body: Any) -> str:

@@ -11,6 +11,11 @@ shadow state — which is by construction aligned to a record boundary —
 snapshots are safe at *any* append; there is no "quiescent point" to
 wait for.
 
+Gateway admissions are held rather than appended (:meth:`Journal.
+hold_admit`): a request released by the call that admitted it has its
+``admit`` carried by its ``put``, and the call writes the rest before
+it returns (:meth:`Journal.flush_admits`).
+
 The journal is deliberately ignorant of the queue and gateway classes
 (they call it duck-typed), so the dependency arrow runs strictly
 ``messaging/gateway -> (none)`` and ``durability -> messaging/gateway``
@@ -62,24 +67,59 @@ class Journal:
         self._since_snapshot = 0
         self.records_appended = 0
         self.snapshots_taken = 0
+        #: task_uuid -> the fields of an admission not yet written, in
+        #: admission order (see :meth:`hold_admit`).
+        self._held: dict[str, dict] = {}
 
     # Body encoding rides on the journal so callers (the gateway) need
     # no import of durability internals.
     encode_body = staticmethod(codec.encode_body)
 
+    def hold_admit(self, task_uuid: str, fields: dict) -> None:
+        """Take one admission grant (``fields``: the ``admit`` record's
+        values less the uuid) without writing it yet.
+
+        The request's own ``put``, if it comes first, carries it
+        (:meth:`body_fields`): one record instead of two. Whatever is
+        still held when the admitting call ends — requests its lane
+        kept — is written by :meth:`flush_admits`. An admission lost
+        with a crash before either was never acknowledged to its caller.
+        """
+        self._held[task_uuid] = fields
+
+    def flush_admits(self) -> None:
+        """Write a standalone ``admit`` record for every held admission,
+        in admission order."""
+        held, self._held = self._held, {}
+        for task_uuid, fields in held.items():
+            self.append("admit", {"task_uuid": task_uuid, **fields})
+
     def body_fields(self, body) -> dict:
         """The fields of a ``put`` record that describe its body.
 
-        While a request's ``admit`` is open its body is already on the
-        journal, encoded at admission: the put carries just the uuid
-        and the ``dispatch_tag`` stamped since — the one thing the
-        queued body has that the admitted one lacks. Any other body
-        (a direct submit, a put after the settle) is encoded here.
+        A request whose admission is held gets it carried by the put,
+        and one whose ``admit`` is open already has its body on the
+        journal, encoded at admission: either way the put itself
+        carries just the uuid and the ``dispatch_tag`` stamped since —
+        the one thing the queued body has that the admitted one lacks.
+        Any other body (a direct submit, a put after the settle) is
+        encoded here.
         """
         uuid = getattr(body, "task_uuid", None)
-        if uuid in self.state.open:
-            return {"task_uuid": uuid, "dispatch_tag": body.dispatch_tag}
-        return {"task_uuid": uuid, "body": self.encode_body(body)}
+        admit = self._held.pop(uuid, None)
+        if admit is not None or uuid in self.state.open:
+            return {
+                "task_uuid": uuid,
+                "body": None,
+                "dispatch_tag": body.dispatch_tag,
+                "admit": admit,
+            }
+        return {
+            "task_uuid": uuid,
+            "body": self.encode_body(body),
+            "dispatch_tag": None,
+            "admit": None,
+        }
 
     @property
     def last_seq(self) -> int:

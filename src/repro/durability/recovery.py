@@ -47,7 +47,7 @@ from repro.durability import codec
 from repro.durability.codec import FormatMismatch, JournalCorruption
 from repro.durability.journal import Journal
 from repro.durability.state import SystemState
-from repro.messaging.queue import TaskQueue
+from repro.messaging.queue import MAX_DELIVERIES, VISIBILITY_TIMEOUT_S, TaskQueue
 
 
 @dataclass
@@ -166,7 +166,7 @@ def plan_recover(state: SystemState, max_deliveries: int) -> dict:
 def begin_recovery(
     store,
     *,
-    max_deliveries: int = 5,
+    max_deliveries: int = MAX_DELIVERIES,
     snapshot_every_records: int = 256,
     chaos=None,
 ) -> tuple[SystemState, Journal, RecoveryReport]:
@@ -200,8 +200,8 @@ def materialize_queue(
     state: SystemState,
     clock,
     *,
-    visibility_timeout_s: float = 30.0,
-    max_deliveries: int = 5,
+    visibility_timeout_s: float = VISIBILITY_TIMEOUT_S,
+    max_deliveries: int = MAX_DELIVERIES,
 ) -> TaskQueue:
     """Build a live :class:`TaskQueue` holding the recovered state.
 

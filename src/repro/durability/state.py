@@ -7,14 +7,18 @@ record-aligned, so snapshots are safe at any append boundary), and the
 recovery input (fold the snapshot doc plus the remaining records).
 
 Record taxonomy (one record per public queue/gateway operation, so
-every journal offset is an operation boundary):
+every journal offset is an operation boundary — except that a released
+request's ``admit`` rides its ``put``):
 
 =============  =================================================================
 ``baseline``   seed counters/id cursors when a journal attaches to a queue
 ``put``        one message enqueued (``counted`` False for back-dated re-puts);
-               holds the encoded ``body`` only when no open ``admit`` does —
-               a gateway-admitted request's put carries ``dispatch_tag``
-               instead and the fold takes the body from the open entry
+               holds the encoded ``body`` only when no ``admit`` does — a
+               gateway-admitted request's put carries ``dispatch_tag``
+               instead and the fold takes the body from the open entry.
+               A put released by the door call that admitted its request
+               also carries that ``admit`` (``admit`` not ``None``): the
+               fold opens the request first, then enqueues it
 ``claim``      one ``claim``/``claim_many`` call — all its ``[mid, tag]`` pairs
 ``ack``        one ``ack`` call — the delivery tags of one dispatch,
                settled forever
@@ -22,6 +26,7 @@ every journal offset is an operation boundary):
 ``withdraw``   ``withdraw_newest`` — tail messages handed back to the producer
 ``restore``    one withdrawn message returned to its topic tail
 ``admit``      gateway admission grant (tenant, servable, encoded request)
+               of a request its door call left in a lane
 ``settle``     one ``on_settled`` call — the task uuids of the gateway-
                owned requests it delivered
 ``recover``    one crash recovery: the precomputed release plan (see
@@ -30,7 +35,8 @@ every journal offset is an operation boundary):
 
 An ``ack`` or ``settle`` record names a list, and the fold takes it
 whole or not at all: every member must be in flight (or open) and none
-may repeat, checked before anything changes.
+may repeat, checked before anything changes. An admission, standalone
+or carried, of a request already open is refused the same way.
 
 The ``recover`` record is itself journaled: a replay reproduces every
 past recovery's releases deterministically, and because a recovered
@@ -108,25 +114,29 @@ class SystemState:
         self.next_tag = data["next_tag"]
 
     def _apply_put(self, seq: int, data: dict) -> None:
+        uuid = data["task_uuid"]
+        if data["admit"] is not None:
+            # Refuses an already-open uuid before anything changes.
+            self._apply_admit(seq, {"task_uuid": uuid, **data["admit"]})
+        entry = self.open.get(uuid or "")
+        if data["body"] is None and entry is None:
+            raise JournalCorruption(
+                f"put at seq={seq} has no body and no open admit to take one from"
+            )
         mid = data["message_id"]
         topic = data["topic"]
-        entry = self.open.get(data["task_uuid"] or "")
         msg = self.messages[mid] = {
             "message_id": mid,
             "topic": topic,
             "enqueued_at": data["enqueued_at"],
             "deliveries": 0,
-            "task_uuid": data["task_uuid"],
+            "task_uuid": uuid,
         }
-        if "body" in data:
+        if data["body"] is not None:
             msg["body"] = data["body"]
-        elif entry is not None:
+        else:
             msg["body"] = entry["body"]
             msg["dispatch_tag"] = data["dispatch_tag"]
-        else:
-            raise JournalCorruption(
-                f"put at seq={seq} has no body and no open admit to take one from"
-            )
         self.ready.setdefault(topic, []).append(mid)
         if data["counted"]:
             self.total_enqueued += 1
@@ -192,6 +202,10 @@ class SystemState:
         self.ready.setdefault(self.messages[mid]["topic"], []).append(mid)
 
     def _apply_admit(self, seq: int, data: dict) -> None:
+        if data["task_uuid"] in self.open:
+            raise JournalCorruption(
+                f"admit at seq={seq} of already-open request {data['task_uuid']!r}"
+            )
         self.open[data["task_uuid"]] = {
             "tenant": data["tenant"],
             "servable": data["servable"],

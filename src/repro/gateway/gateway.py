@@ -30,8 +30,11 @@ There is one door: a single arrival (``offer``), a pre-split batch
 (``invoke_sync_many``) and a pipeline chain (``admit_chain``, then
 ``invoke_sync_admitted`` per step) are three shapes of one group
 admission (``_admit``), and every admitted request is tagged, traced,
-journaled, exposed to the ``post_admission`` injection point and put
-in its lane by the same ``_enter``.
+handed to the journal and put in its lane by the same ``_enter``. Each
+door call then pumps and closes through ``_close_door``: the journal
+writes the admissions of the requests their lanes kept (a released
+request's ``put`` carried its own), and every admitted request passes
+the ``post_admission`` injection point before the call returns.
 
 The gateway registers itself as the runtime's *ingress* (see
 :meth:`ServingRuntime.attach_ingress`): it keeps its next arrival and
@@ -433,6 +436,7 @@ class ServingGateway:
             return GatewayResult(request=request, decision=decision, arrived_at=arrived)
         result = self._enter(request, policy, identity, decision, arrived)
         self._pump()
+        self._close_door(1)
         return result
 
     def _admit(
@@ -470,12 +474,12 @@ class ServingGateway:
         arrived: float,
     ) -> GatewayResult:
         """The one way an admitted request gets in: tagged with its
-        tenant, given its trace and ``admission`` span, journaled
-        write-ahead of the lane entry (so a crash on the very next
-        instruction — the ``post_admission`` injection point sits right
-        there — still restores it), then put in its lane. ``identity``
-        is ``None`` for a chain step, which the Management Service
-        stamped before the chain was admitted."""
+        tenant, given its trace and ``admission`` span, its admission
+        handed to the journal, then put in its lane. The caller pumps
+        and then calls :meth:`_close_door`, which makes the admission
+        durable before the call returns. ``identity`` is ``None`` for a
+        chain step, which the Management Service stamped before the
+        chain was admitted."""
         request.tenant = policy.name
         if identity is not None:
             request.identity_id = request.identity_id or identity.identity_id
@@ -484,11 +488,21 @@ class ServingGateway:
             now = self.runtime.clock.now()
             trace.span("admission", arrived, now, outcome=decision.outcome.value)
         self._journal_admit(request, policy, arrived)
-        if self.chaos is not None:
-            self.chaos.trip("post_admission")
         result = GatewayResult(request=request, decision=decision, arrived_at=arrived)
         self._enter_lane(result, policy)
         return result
+
+    def _close_door(self, admitted: int) -> None:
+        """End a door call that admitted ``admitted`` requests and has
+        pumped: the journal writes an ``admit`` for each request its
+        lane still holds, then each admitted request passes the
+        ``post_admission`` injection point. A crash there restores a
+        released request in queue and a lane-held one to its lane."""
+        if self.journal is not None:
+            self.journal.flush_admits()
+        if self.chaos is not None:
+            for _ in range(admitted):
+                self.chaos.trip("post_admission")
 
     def _enter_lane(self, result: GatewayResult, policy: TenantPolicy) -> None:
         """An admitted request enters its tenant's lane: WFQ-tagged,
@@ -503,15 +517,17 @@ class ServingGateway:
         self._open[request.task_uuid] = result
 
     def _journal_admit(self, request: TaskRequest, policy, arrived: float) -> None:
-        """Durably record one admission grant. The request's body is
-        encoded here and nowhere else: its later queue ``put`` records
-        only add the ``dispatch_tag`` stamped at release."""
+        """Hand one admission grant to the journal, which holds it until
+        the request's ``put`` carries it (released by this door call) or
+        :meth:`_close_door` writes it on its own (kept in its lane).
+        The request's body is encoded here and nowhere else: its queue
+        ``put`` records only add the ``dispatch_tag`` stamped at
+        release."""
         if self.journal is None:
             return
-        self.journal.append(
-            "admit",
+        self.journal.hold_admit(
+            request.task_uuid,
             {
-                "task_uuid": request.task_uuid,
                 "tenant": policy.name,
                 "servable": request.servable_name,
                 "arrived_at": arrived,
@@ -812,6 +828,7 @@ class ServingGateway:
             for request in requests
         ]
         self._pump()
+        self._close_door(len(results))
         self.runtime.drain()
         return [r.runtime_result.result for r in results]
 
@@ -853,6 +870,7 @@ class ServingGateway:
         )
         result = self._enter(request, policy, None, decision, self.runtime.clock.now())
         self._pump()
+        self._close_door(1)
         self.runtime.drain()
         if result.runtime_result is None:  # pragma: no cover - drain settles all
             raise GatewayError(f"request {request.task_uuid} did not complete")

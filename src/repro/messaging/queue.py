@@ -17,10 +17,12 @@ Redelivery count is tracked so failure-injection tests can assert
 at-least-once semantics.
 
 The queue can optionally journal every mutation to a write-ahead log
-(:meth:`TaskQueue.attach_journal`): one record per public operation call,
-appended duck-typed so this module never imports the durability
-package. :meth:`TaskQueue.dump_state` / :meth:`TaskQueue.load_state`
-are the introspection/rehydration pair crash recovery builds on.
+(:meth:`TaskQueue.attach_journal`): one record per public operation call
+— a ``put`` may also carry the gateway admission of its request, which
+the journal supplies — appended duck-typed so this module never imports
+the durability package. :meth:`TaskQueue.dump_state` /
+:meth:`TaskQueue.load_state` are the introspection/rehydration pair
+crash recovery builds on.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.sim.clock import VirtualClock
+
+#: The redelivery policy: a claim not acked within this many seconds is
+#: redelivered, and a message is dead-lettered after this many
+#: deliveries. :class:`TaskQueue` and crash recovery (which dead-letters
+#: on replay and builds the recovered queue) both default to these.
+VISIBILITY_TIMEOUT_S = 30.0
+MAX_DELIVERIES = 5
 
 
 class QueueEmpty(Exception):
@@ -74,18 +83,15 @@ class QueuedMessage:
 class TaskQueue:
     """At-least-once FIFO queue with per-topic channels.
 
-    The redelivery defaults (a claim expires after 30 s, a message is
-    dead-lettered after 5 deliveries) are one policy stated three
-    times: here, in ``durability.recovery.begin_recovery`` (which
-    dead-letters on replay) and in ``materialize_queue`` (which builds
-    the recovered queue). Change them together.
+    The redelivery defaults are :data:`VISIBILITY_TIMEOUT_S` and
+    :data:`MAX_DELIVERIES`, the one policy crash recovery shares.
     """
 
     def __init__(
         self,
         clock: VirtualClock,
-        visibility_timeout_s: float = 30.0,
-        max_deliveries: int = 5,
+        visibility_timeout_s: float = VISIBILITY_TIMEOUT_S,
+        max_deliveries: int = MAX_DELIVERIES,
     ) -> None:
         if visibility_timeout_s <= 0:
             raise ValueError("visibility_timeout_s must be > 0")

@@ -5,6 +5,8 @@ charge across the crash."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.tasks import TaskRequest
@@ -19,6 +21,7 @@ from repro.durability import (
     SimulatedCrash,
     load_state,
 )
+from repro.gateway.gateway import ServingGateway
 
 from tests.core.lane_oracles import (
     assert_inflight_index_consistent,
@@ -170,8 +173,8 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
         chaos_zoo,
         InMemoryDurableStore(),
         "mid_snapshot",
-        snapshot_every=21,
-        after_trips=2,
+        snapshot_every=25,
+        after_trips=3,
     )
     if [op for op, _ in crashed_on] != ["settle"]:
         # Not an expected failure: the scenario no longer lands on the
@@ -185,6 +188,54 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
         assert uuid not in outcome.duplicates
         # Delivered once, by the incarnation that crashed.
         assert outcome.settled[uuid].runtime_result.completed_at <= crash_at
+
+
+def test_a_crash_in_an_offers_pump_loses_only_an_unreported_admission(
+    chaos_zoo, monkeypatch
+):
+    # After a pre_settle crash the restored lanes hold resurrected work,
+    # so the next offer's pump releases it before the offer's own
+    # request: a mid_snapshot on one of those puts fires while the
+    # journal still holds the offer's admission. The admission dies
+    # with the process, but the offer never returned, so the harness
+    # offers the request again and it settles exactly once.
+    crashed_on = []
+    append = Journal.append
+
+    def recording_append(journal, op, data):
+        try:
+            return append(journal, op, data)
+        except SimulatedCrash:
+            crashed_on.append((op, data.get("task_uuid"), list(journal._held)))
+            raise
+
+    offers = Counter()
+    offer = ServingGateway.offer
+
+    def counting_offer(gateway, request, *args, **kwargs):
+        offers[request.task_uuid] += 1
+        return offer(gateway, request, *args, **kwargs)
+
+    monkeypatch.setattr(Journal, "append", recording_append)
+    monkeypatch.setattr(ServingGateway, "offer", counting_offer)
+    harness, tokens = build_chaos_harness(
+        chaos_zoo, InMemoryDurableStore(), snapshot_every_records=10
+    )
+    plans = (
+        CrashPlan("pre_settle", after_trips=2),
+        CrashPlan("mid_snapshot", after_trips=1),
+    )
+    outcome = harness.run(
+        alternating_arrivals(tokens, n=N_ARRIVALS, rate_rps=1000.0), plans=plans
+    )
+    assert [c.point for c in outcome.crashes] == ["pre_settle", "mid_snapshot"]
+    ((op, put_uuid, held),) = crashed_on
+    (lost,) = held
+    assert op == "put" and put_uuid != lost
+    assert offers[lost] == 2
+    assert outcome.exactly_once and not outcome.duplicates
+    assert lost in outcome.settled
+    assert len(outcome.settled) + len(outcome.denied) == N_ARRIVALS
 
 
 def test_serial_crashes_across_multiple_points(chaos_zoo, store):
@@ -235,10 +286,10 @@ def test_unarmed_injector_is_a_pure_counter(chaos_zoo):
 
 
 def test_a_crash_between_batch_items_keeps_every_journaled_admission(chaos_zoo):
-    """The synchronous batch path enters each item through the door an
-    arrival uses, so it is exposed to the same crash point: dying at the
-    second item's ``post_admission`` leaves exactly the two items
-    journaled write-ahead of their lane entries open, and none settled."""
+    """The synchronous batch path closes the door an arrival uses, so it
+    is exposed to the same crash point: ``post_admission`` fires once per
+    item after the call has journaled all of them, so dying at the second
+    item's visit leaves all three items open, and none settled."""
     testbed = build_testbed(jitter=False, memoize_tm=False)
     store = InMemoryDurableStore()
     gateway = testbed.enable_gateway(durable_store=store)
@@ -251,5 +302,6 @@ def test_a_crash_between_batch_items_keeps_every_journaled_admission(chaos_zoo):
     with pytest.raises(SimulatedCrash):
         gateway.invoke_sync_many(items, identity=testbed.user)
     state, _ = load_state(store)
-    assert sorted(state.open) == sorted(r.task_uuid for r in items[:2])
+    assert sorted(state.open) == sorted(r.task_uuid for r in items)
     assert state.settled == 0
+    assert injector.trip_counts["post_admission"] == 2

@@ -1,10 +1,13 @@
 """The journal's append path does each piece of work once: a request's
-body is pickled exactly once on its way through the stack, and a
-recovered queue still holds exactly what the crashed one held — the
+body is pickled exactly once on its way through the stack, its
+admission is written in its own record only when its lane kept it past
+the admitting call (pinned as exact record counts), and a recovered
+queue still holds exactly what the crashed one held — the
 ``dispatch_tag`` stamped after the body was encoded included."""
 
 from __future__ import annotations
 
+from collections import Counter
 from unittest import mock
 
 from repro.core.tasks import TaskRequest
@@ -37,10 +40,68 @@ def test_gateway_admitted_requests_are_pickled_once_each(chaos_zoo):
     encoded = [call.args[0].task_uuid for call in encode_body.call_args_list]
     assert sorted(encoded) == sorted(req.task_uuid for _, _, req in arrivals)
 
-    # Same record count as ever; the put just no longer repeats the body.
+    # Every request was released by the offer that admitted it, so its
+    # put carries the admission (and its body); the put itself carries
+    # only the dispatch tag.
     puts = journal_records(store, "put")
-    assert len(journal_records(store, "admit")) == len(puts) == N_REQUESTS
-    assert all("body" not in put and put["dispatch_tag"] is not None for put in puts)
+    assert journal_records(store, "admit") == []
+    assert len(puts) == N_REQUESTS
+    assert all(
+        put["body"] is None and put["dispatch_tag"] is not None and put["admit"]
+        for put in puts
+    )
+
+
+def journal_ops(store):
+    """How many records of each op the store's journal holds."""
+    return Counter(op for _, op, _ in map(codec.decode_record, store.read_journal()))
+
+
+def test_spaced_single_tenant_arrivals_write_no_standalone_admit(chaos_zoo):
+    # Each arrival finds a free slot, so the offer that admits it also
+    # releases it: one put carries the admit, and each request then
+    # costs a claim, an ack and a settle of its own.
+    store = InMemoryDurableStore()
+    harness, tokens = build_chaos_harness(
+        chaos_zoo, store, tenants=("alice",), snapshot_every_records=10**9
+    )
+    outcome = harness.run(alternating_arrivals(tokens, n=12, rate_rps=20.0))
+    assert len(outcome.settled) == 12
+    assert journal_ops(store) == {"put": 12, "claim": 12, "ack": 12, "settle": 12}
+    assert all(put["admit"] is not None for put in journal_records(store, "put"))
+
+
+def test_a_backlogged_lane_writes_one_standalone_admit_per_queued_request(chaos_zoo):
+    # One slot for the lone tenant: the first of five offers is released
+    # with its admit carried; the other four stay in the lane, and each
+    # offer writes the admit of its own request before it returns.
+    store = InMemoryDurableStore()
+    harness, tokens = build_chaos_harness(
+        chaos_zoo,
+        store,
+        tenants=("alice",),
+        n_workers=1,
+        max_batch_size=1,
+        snapshot_every_records=10**9,
+    )
+    gateway = harness.start()
+    requests = [TaskRequest("noop", args=(i,)) for i in range(5)]
+    for request in requests:
+        assert gateway.offer(request, token=tokens["alice"]).admitted
+    assert gateway.queued_count("noop") == 4
+    assert journal_ops(store) == {"put": 1, "admit": 4}
+    assert [a["task_uuid"] for a in journal_records(store, "admit")] == [
+        r.task_uuid for r in requests[1:]
+    ]
+
+    # Released later, the lane-held four put only their tags.
+    harness.runtime.drain()
+    assert journal_ops(store) == {
+        "put": 5, "admit": 4, "claim": 5, "ack": 5, "settle": 5
+    }
+    assert [put["admit"] is not None for put in journal_records(store, "put")] == [
+        True, False, False, False, False
+    ]
 
 
 def test_direct_submits_are_pickled_once_each_in_their_put(chaos_zoo):
@@ -55,7 +116,7 @@ def test_direct_submits_are_pickled_once_each_in_their_put(chaos_zoo):
     assert [call.args[0] for call in encode_body.call_args_list] == requests
     puts = journal_records(store, "put")
     assert [put["task_uuid"] for put in puts] == [r.task_uuid for r in requests]
-    assert all("dispatch_tag" not in put for put in puts)
+    assert all(put["dispatch_tag"] is None and put["admit"] is None for put in puts)
     assert [codec.decode_body(put["body"]) for put in puts] == requests
 
 

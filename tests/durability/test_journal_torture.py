@@ -6,8 +6,9 @@ Tolerated (recover + flag): a torn final line, a byte-identical
 duplicate record, a snapshot/journal seam overlap. Fatal
 (:class:`JournalCorruption`): mid-journal garbage, a CRC/content
 mismatch, a sequence gap, two different records claiming one sequence,
-an unparseable snapshot document, a record or snapshot written in an
-older format version (1 or 2).
+an unparseable snapshot document, a record written in an older format
+version (1, 2 or 3) or a snapshot in an older document version (1 or
+2).
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from repro.durability import (
     decode_body,
     load_state,
 )
-from repro.durability.codec import FormatMismatch, decode_record, encode_record
+from repro.durability.codec import (
+    FORMAT_VERSION,
+    FormatMismatch,
+    decode_record,
+    encode_record,
+)
+from repro.durability.state import DOC_VERSION
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
 
@@ -96,7 +103,8 @@ def test_content_tamper_fails_crc(tmp_path):
     store, _, _ = seeded_store(tmp_path)
     lines = read_lines(store)
     victim = json.loads(lines[2])
-    victim["rec"][2]["topic"] = "hijacked"  # re-point a put, keep old CRC
+    assert victim["rec"][1] == "put"
+    victim["rec"][2][0] = "hijacked"  # re-point a put's topic, keep old CRC
     lines[2] = json.dumps(victim, sort_keys=True, separators=(",", ":"))
     write_lines(store, lines)
     with pytest.raises(JournalCorruption, match="crc mismatch"):
@@ -151,22 +159,27 @@ def as_format(line, version):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-OLD_VERSIONS = pytest.mark.parametrize("version", [1, 2])
+#: Lines are at format 4 (positional records), so a version-3 line is
+#: refused too; the snapshot document's shape last changed at 3.
+OLD_LINE_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3])
+OLD_SNAPSHOT_VERSIONS = pytest.mark.parametrize("version", [1, 2])
 
 
-def refused(version):
-    return pytest.raises(FormatMismatch, match=f"format version {version}, expected 3")
+def refused(version, current):
+    return pytest.raises(
+        FormatMismatch, match=f"format version {version}, expected {current}"
+    )
 
 
-@OLD_VERSIONS
+@OLD_LINE_VERSIONS
 def test_old_format_journal_fails_loud_naming_both_versions(tmp_path, version):
     store, _, _ = seeded_store(tmp_path)
     write_lines(store, [as_format(line, version) for line in read_lines(store)])
-    with refused(version):
+    with refused(version, FORMAT_VERSION):
         load_state(store)
 
 
-@OLD_VERSIONS
+@OLD_LINE_VERSIONS
 def test_old_format_final_record_is_not_mistaken_for_a_torn_tail(tmp_path, version):
     # The last line is the one place recovery forgives corruption; an
     # intact record of another version is not a tear and must not be
@@ -175,11 +188,11 @@ def test_old_format_final_record_is_not_mistaken_for_a_torn_tail(tmp_path, versi
     lines = read_lines(store)
     lines[-1] = as_format(lines[-1], version)
     write_lines(store, lines)
-    with refused(version):
+    with refused(version, FORMAT_VERSION):
         load_state(store)
 
 
-@OLD_VERSIONS
+@OLD_SNAPSHOT_VERSIONS
 def test_old_format_snapshot_fails_loud_naming_both_versions(tmp_path, version):
     store, journal, _ = seeded_store(tmp_path)
     journal.snapshot_now()
@@ -189,7 +202,7 @@ def test_old_format_snapshot_fails_loud_naming_both_versions(tmp_path, version):
     doc["v"] = version
     with open(snap, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    with refused(version):
+    with refused(version, DOC_VERSION):
         load_state(store)
 
 

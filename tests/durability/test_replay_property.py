@@ -10,9 +10,12 @@ every operation. One journal record per public operation means offset
 window exists by construction.
 
 The walk plays both producers: direct puts, whose record carries the
-body, and gateway-style admissions, whose ``admit`` record carries it
-while the put — and every back-dated re-put of a reclaimed request —
-carries only the ``dispatch_tag`` stamped since.
+body, and gateway-style door calls. A door call admits a few requests
+and releases a prefix of them, whose puts carry their admits; the
+journal then writes a standalone ``admit`` for each request the lane
+kept, and a later release of one of those — like every back-dated
+re-put of a reclaimed request — carries only the ``dispatch_tag``
+stamped since.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
     """
     rng = generator_from_seed(seed)
     withdrawn_held = []
+    lane_held = []
     dumps = {journal.last_seq: copy.deepcopy(queue.dump_state())}
     body_i = 0
 
@@ -77,10 +81,10 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
     for _ in range(n_ops):
         op = rng.choice(
             [
-                "put", "admit_put", "claim", "claim_many", "ack", "nack",
+                "put", "door", "release", "claim", "claim_many", "ack", "nack",
                 "withdraw", "restore", "reput", "settle",
             ],
-            p=[0.14, 0.20, 0.11, 0.07, 0.13, 0.10, 0.09, 0.04, 0.08, 0.04],
+            p=[0.14, 0.14, 0.06, 0.11, 0.07, 0.13, 0.10, 0.09, 0.04, 0.08, 0.04],
         )
         if rng.random() < 0.3:
             clock.advance(float(rng.integers(1, 50)) / 1000.0)
@@ -93,24 +97,42 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                 if rng.random() < 0.4:
                     body = stamp(new_request())
                 queue.put(body, topic=random_topic())
-            elif op == "admit_put":
-                # The gateway's order: admit (body encoded here, still
-                # untagged), then the release stamps the tag and puts.
-                body_i += 1
-                request = new_request(tenant="t1")
-                journal.append(
-                    "admit",
-                    {
-                        "task_uuid": request.task_uuid,
-                        "tenant": "t1",
-                        "servable": "alpha",
-                        "arrived_at": clock.now(),
-                        "weight": 1.0,
-                        "body": journal.encode_body(request),
-                    },
-                )
-                dumps[journal.last_seq] = copy.deepcopy(queue.dump_state())
-                queue.put(stamp(request), topic=random_topic())
+            elif op == "door":
+                # The gateway's order: admit one to three requests
+                # (bodies encoded here, still untagged), release a FIFO
+                # prefix of them — each release stamps the tag and puts,
+                # carrying the admit — then close the door, writing a
+                # standalone admit for each request the lane keeps.
+                admitted = []
+                for _ in range(int(rng.integers(1, 4))):
+                    body_i += 1
+                    request = new_request(tenant="t1")
+                    journal.hold_admit(
+                        request.task_uuid,
+                        {
+                            "tenant": "t1",
+                            "servable": "alpha",
+                            "arrived_at": clock.now(),
+                            "weight": 1.0,
+                            "body": journal.encode_body(request),
+                        },
+                    )
+                    admitted.append(request)
+                released = int(rng.integers(0, len(admitted) + 1))
+                for request in admitted[:released]:
+                    queue.put(stamp(request), topic=random_topic())
+                    dumps[journal.last_seq] = copy.deepcopy(queue.dump_state())
+                flushed_from = journal.last_seq + 1
+                journal.flush_admits()
+                for seq in range(flushed_from, journal.last_seq + 1):
+                    dumps[seq] = copy.deepcopy(queue.dump_state())
+                lane_held.extend(admitted[released:])
+            elif op == "release":
+                # A lane-held request released by a later pump: its
+                # admit is open, so the put carries only the tag.
+                if not lane_held:
+                    continue
+                queue.put(stamp(lane_held.pop(0)), topic=random_topic())
             elif op == "claim":
                 queue.claim(random_topic())
             elif op == "claim_many":
@@ -179,11 +201,17 @@ class TestReplayEquivalence:
         assert journal.state.fingerprint(decode_body) == queue.dump_state()
         assert journal.last_seq in dumps
 
-        # The walk really mixed both put shapes, re-puts and dead letters.
+        # The walk really mixed every put shape, standalone admits,
+        # re-puts and dead letters.
         puts = journal_records(store, "put")
-        assert any("body" in put for put in puts)
-        assert any("body" not in put and put["counted"] for put in puts)
-        assert any("body" not in put and not put["counted"] for put in puts)
+        assert any(put["body"] is not None for put in puts)
+        assert any(put["admit"] is not None for put in puts)
+        assert any(
+            put["body"] is None and put["admit"] is None and put["counted"]
+            for put in puts
+        )
+        assert any(put["body"] is None and not put["counted"] for put in puts)
+        assert journal_records(store, "admit")
         assert queue.dump_state()["dead"]
         # ... and batch acks and settles naming several members.
         assert any(len(a["delivery_tags"]) > 1 for a in journal_records(store, "ack"))

@@ -25,7 +25,13 @@ from repro.durability import (
     encode_body,
     load_state,
 )
-from repro.durability.codec import FORMAT_VERSION, decode_record, encode_record
+from repro.durability.codec import (
+    CARRIED_ADMIT,
+    FIELDS,
+    FORMAT_VERSION,
+    decode_record,
+    encode_record,
+)
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
 
@@ -39,24 +45,80 @@ def fresh_queue(clock=None, **kwargs):
 
 
 # -- codec --------------------------------------------------------------------
+def put_record(**fields):
+    """A ``put`` record, by default one carrying its request's admit."""
+    record = {
+        "topic": "servable/tenant-t1/noop",
+        "message_id": 7,
+        "enqueued_at": 0.5,
+        "counted": True,
+        "task_uuid": "u7",
+        "body": None,
+        "dispatch_tag": 2.5,
+        "admit": {
+            "tenant": "t1",
+            "servable": "noop",
+            "arrived_at": 0.25,
+            "weight": 1.0,
+            "body": "gAWV",
+        },
+    }
+    record.update(fields)
+    return record
+
+
+def positional(op, data):
+    """``data`` as a line spells it: the values of ``op``'s field tuple
+    in order, a carried admit nested the same way — or ``data`` itself,
+    keyed, for an op without a field tuple."""
+    if op not in FIELDS:
+        return data
+    values = [data[name] for name in FIELDS[op]]
+    if op == "put" and data["admit"] is not None:
+        values[-1] = [data["admit"][name] for name in CARRIED_ADMIT]
+    return values
+
+
 def test_record_codec_round_trips():
-    line = encode_record(7, "put", {"message_id": 7, "nested": {"a": [1, 2]}})
-    assert decode_record(line) == (7, "put", {"message_id": 7, "nested": {"a": [1, 2]}})
+    line = encode_record(7, "put", put_record())
+    assert decode_record(line) == (7, "put", put_record())
+    # Positional: the line spells no key of the put or of its admit.
+    assert not any(f'"{name}"' in line for name in (*FIELDS["put"], *CARRIED_ADMIT))
+    assert json.loads(line)["rec"][2][-1] == ["t1", "noop", 0.25, 1.0, "gAWV"]
 
 
 def test_record_codec_rejects_stale_crc():
-    line = encode_record(7, "put", {"message_id": 7})
+    line = encode_record(7, "put", put_record(admit=None))
     doc = json.loads(line)
-    doc["rec"][2]["message_id"] = 8
+    doc["rec"][2][1] = 8  # the message id
     tampered = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with pytest.raises(JournalCorruption, match="crc mismatch"):
         decode_record(tampered)
 
 
+@pytest.mark.parametrize(
+    "rec, error",
+    [
+        ([1, "ack", {"delivery_tags": [1]}], "malformed journal record fields"),
+        ([1, "settle", [["u1"], "extra"]], "malformed journal record fields"),
+        ([1, "put", [*positional("put", put_record())[:-1], ["t1"]]], "carried admit"),
+    ],
+)
+def test_a_positional_record_of_the_wrong_shape_fails_loud(rec, error):
+    # Well-formed JSON with a valid CRC, but not the shape its op's
+    # field tuple says.
+    text = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(
+        {"crc": zlib.crc32(text.encode("utf-8")), "rec": rec, "v": FORMAT_VERSION}
+    )
+    with pytest.raises(JournalCorruption, match=error):
+        decode_record(line)
+
+
 def two_dump_line(seq, op, data):
     """The reference form of a record line: dump ``rec`` for the CRC,
     then dump the whole envelope (which serializes ``rec`` again)."""
-    rec = [seq, op, data]
+    rec = [seq, op, positional(op, data)]
     crc = zlib.crc32(
         json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
     )
@@ -71,9 +133,19 @@ GOLDEN_CORPUS = [
     (1, "ack", {"delivery_tags": [43, 44]}),
     (2, "settle", {"task_uuids": ["tâche-é-日本語-\U0001f600", "u2"]}),
     (3, "claim", {"topic": "t", "claims": [[1, 2], [3, 4]], "claimed_at": 1e-07}),
-    (4, "put", {"zeta": 1.0, "alpha": {"m": [1e22, -0.0, 2.5e-300], "b": None}, "mid": True}),
+    (4, "put", put_record(enqueued_at=2.5e-300, dispatch_tag=1e22, counted=False)),
     (5, "recover", {"released": {"t/b": [2], "t/a": [9, 1]}, "dead": [], "dropped": []}),
-    (6, "put", {"body": "gAWV8AAAAA+/==", "quote\"d\\key": "line\nbreak\ttab"}),
+    (
+        6,
+        "put",
+        put_record(
+            topic="quote\"d\\topic",
+            task_uuid="line\nbreak\ttab",
+            body="gAWV8AAAAA+/==",
+            dispatch_tag=-0.0,
+            admit=None,
+        ),
+    ),
     (2**40, "baseline", {}),
 ]
 
@@ -102,10 +174,34 @@ JSON_VALUES = st.recursive(
 
 @given(
     seq=st.integers(min_value=1),
-    op=st.text(),
+    op=st.text().filter(lambda op: op not in FIELDS),
     data=st.dictionaries(st.text(), JSON_VALUES, max_size=5),
 )
 def test_record_codec_round_trips_any_json_data(seq, op, data):
+    # An op without a field tuple (``baseline``, ``recover``) is keyed.
+    line = encode_record(seq, op, data)
+    assert decode_record(line) == (seq, op, data)
+    assert line == two_dump_line(seq, op, data)
+
+
+def positional_records():
+    """Any record of an op with a field tuple, a put with or without a
+    carried admit."""
+
+    def record(op):
+        values = {name: JSON_VALUES for name in FIELDS[op]}
+        if op == "put":
+            values["admit"] = st.none() | st.fixed_dictionaries(
+                {name: JSON_VALUES for name in CARRIED_ADMIT}
+            )
+        return st.tuples(st.just(op), st.fixed_dictionaries(values))
+
+    return st.sampled_from(sorted(FIELDS)).flatmap(record)
+
+
+@given(seq=st.integers(min_value=1), record=positional_records())
+def test_positional_record_codec_round_trips_any_values(seq, record):
+    op, data = record
     line = encode_record(seq, op, data)
     assert decode_record(line) == (seq, op, data)
     assert line == two_dump_line(seq, op, data)
@@ -167,6 +263,26 @@ def test_a_rejected_list_record_leaves_the_state_untouched(op, data, error):
     # The fold checks every member before it changes anything: a record
     # naming one live and one bad member must not half-apply, or the
     # shadow would drift from the store it validates for.
+    assert_refused_whole(op, data, error)
+
+
+@pytest.mark.parametrize(
+    "op, data",
+    [
+        ("put", put_record(task_uuid="u1", topic="t", message_id=3)),
+        ("admit", admit_record("u1")),
+    ],
+)
+def test_an_admission_of_an_open_request_is_refused_whole(op, data):
+    # A put carrying an admit opens its request before it enqueues; an
+    # open uuid refuses the whole record, the put half included.
+    assert_refused_whole(op, data, "admit at seq=5 of already-open request 'u1'")
+
+
+def assert_refused_whole(op, data, error):
+    """Append ``op`` to a journal holding one open request ``u1`` and
+    two claimed messages (delivery tags 1 and 2): it must raise
+    ``error`` and leave the shadow state and the store as they were."""
     store = InMemoryDurableStore()
     journal = Journal(store)
     queue = fresh_queue()
@@ -174,7 +290,7 @@ def test_a_rejected_list_record_leaves_the_state_untouched(op, data, error):
     journal.append("admit", admit_record("u1"))
     queue.put("m1", topic="t")
     queue.put("m2", topic="t")
-    queue.claim_many("t", 2)  # delivery tags 1 and 2
+    queue.claim_many("t", 2)
     before = json.dumps(journal.state.to_doc(), sort_keys=True)
     lines = store.read_journal()
     with pytest.raises(JournalCorruption, match=error):

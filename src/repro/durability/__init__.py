@@ -12,7 +12,7 @@ request. This package makes that state durable and *recoverable*:
 * :mod:`repro.durability.state` — :class:`SystemState`, the replayable
   fold over journal records (also the snapshot format);
 * :mod:`repro.durability.journal` — :class:`Journal`, the write-ahead
-  log with inline periodic snapshots;
+  log, with snapshots of the live state written at a gateway tick;
 * :mod:`repro.durability.recovery` — rebuild queue + gateway state from
   snapshot + journal after a crash;
 * :mod:`repro.durability.chaos` — deterministic fault injection

@@ -48,10 +48,9 @@ from repro.messaging.queue import TaskQueue
 #: * ``pre_settle`` — batches complete and acked, results not yet
 #:   emitted to the ingress (runtime ``_settle``);
 #: * ``mid_snapshot`` — snapshot persisted, covered journal records not
-#:   yet truncated (the store's two-phase seam). Inside a door call's
-#:   pump it may land before that call's held admissions are written:
-#:   those requests are lost with the process, but their caller was
-#:   never told they were admitted, and the harness offers them again.
+#:   yet truncated (the store's two-phase seam), at the end of a
+#:   gateway ``on_tick`` that found a snapshot due: no door call is
+#:   open and no admission is held there.
 INJECTION_POINTS = (
     "post_admission",
     "post_claim",
@@ -120,10 +119,6 @@ class FaultInjector:
             self._active = self._plans.popleft()
             self._active_trips = 0
         return self._active
-
-    @property
-    def pending_plans(self) -> int:
-        return len(self._plans) + (1 if self._active is not None else 0)
 
     def trip(self, point: str) -> None:
         """Visit one injection point; raises when the active plan fires."""
@@ -300,8 +295,6 @@ class ChaosHarness:
             "restored_in_queue": sum(1 for e in entries if e["in_queue"]),
             "restored_resurrected": sum(1 for e in entries if e["resurrect"]),
             "dead_open": list(report.dead_open),
-            # Captured now because ``state`` is the resumed journal's
-            # live shadow — it keeps folding post-recovery appends.
             "open_at_recovery": len(state.open),
             "settled_at_recovery": state.settled,
         }

@@ -10,9 +10,9 @@ that carries its request's admission holds the admit's values (all but
 the uuid the put already names, :data:`CARRIED_ADMIT`) as a nested list
 in its last field, or ``null``. ``baseline`` and ``recover`` records
 are rare and nested, so they keep a keyed ``data`` object; so does any
-op without a field tuple. In memory every record is the same keyed
-``dict`` either way: :func:`encode_record` and :func:`decode_record`
-translate at the line.
+op without a field tuple. The write path hands :func:`encode_record`
+the values already in line order; :func:`decode_record` names them
+again, so replay folds keyed ``dict`` records.
 
 Values are restricted to JSON types; request bodies inside them are
 pickled and base64-encoded by :func:`encode_body` (with the trace
@@ -86,21 +86,21 @@ _canonical = json.JSONEncoder(
 ).encode
 
 
-def encode_record(seq: int, op: str, data: dict) -> str:
-    """Encode one journal record as a CRC-protected JSON line."""
-    fields = FIELDS.get(op)
-    if fields is not None:
-        values = [data[name] for name in fields]
-        if op == "put" and values[-1] is not None:
-            admit = values[-1]
-            values[-1] = [admit[name] for name in CARRIED_ADMIT]
-        data = values
+def encode_record(seq: int, op: str, values) -> str:
+    """Encode one journal record as a CRC-protected JSON line: ``values``
+    in :data:`FIELDS` order (a carried admit as its :data:`CARRIED_ADMIT`
+    values), or the keyed ``data`` of an op without a field tuple."""
     # The canonical ``rec`` text is both the CRC input and, spliced in
     # verbatim, the envelope's middle: the line equals a sorted-keys
     # dump of the whole envelope without serializing ``rec`` twice.
-    rec = _canonical([seq, op, data])
+    rec = _canonical([seq, op, values])
     crc = zlib.crc32(rec.encode("utf-8"))
     return f'{{"crc":{crc},"rec":{rec},"v":{FORMAT_VERSION}}}'
+
+
+def encode_doc(doc: dict) -> str:
+    """Serialize a snapshot document (canonical: sorted keys, no spaces)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def decode_record(line: str) -> tuple[int, str, dict]:

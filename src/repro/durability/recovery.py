@@ -8,7 +8,7 @@ The recovery pipeline, in order:
    anything else: CRC mismatches, sequence gaps, conflicting duplicate
    records.
 2. :func:`begin_recovery` — resume a :class:`~repro.durability.journal.
-   Journal` from the replayed state and append one ``recover`` record
+   Journal` after the replayed sequence and append one ``recover`` record
    carrying the release plan (:func:`plan_recover`): every claimed-but-
    unsettled delivery goes back to the *front* of its topic with its
    original enqueue timestamp (or to the dead-letter list when its
@@ -172,24 +172,26 @@ def begin_recovery(
 ) -> tuple[SystemState, Journal, RecoveryReport]:
     """Replay the store and open a resumed journal for the new
     incarnation, appending the ``recover`` record (if anything was in
-    flight). A torn tail is repaired by snapshotting immediately — the
-    snapshot durably covers every applied record and the store drops
-    the unparseable line on truncation."""
+    flight) and folding it into the returned state. A torn tail is
+    repaired by snapshotting that state immediately — the snapshot
+    durably covers every applied record and the store drops the
+    unparseable line on truncation."""
     state, report = load_state(store)
     journal = Journal(
         store,
         snapshot_every_records=snapshot_every_records,
         chaos=chaos,
-        state=state,
+        last_seq=state.last_seq,
     )
     plan = plan_recover(state, max_deliveries)
     report.released = sum(len(mids) for mids in plan["released"].values())
     report.dead_lettered = len(plan["dead"])
     report.dropped_withdrawn = len(plan["dropped"])
     if plan["released"] or plan["dead"] or plan["dropped"]:
-        journal.append("recover", plan)
+        state.apply(journal.append("recover", plan), "recover", plan)
     if report.truncated_tail:
-        journal.snapshot_now()
+        store.write_snapshot(codec.encode_doc(state.to_doc()), state.last_seq, chaos=chaos)
+    journal.adopt(state)
     report.dead_open = sorted(
         uuid for uuid, entry in state.open.items() if entry["dead"]
     )
@@ -213,29 +215,12 @@ def materialize_queue(
             "materialize_queue needs a recovered state (in-flight not empty); "
             "run begin_recovery first"
         )
-
-    decode = codec.decode_body
     queue = TaskQueue(
         clock,
         visibility_timeout_s=visibility_timeout_s,
         max_deliveries=max_deliveries,
     )
-    queue.load_state(
-        {
-            "ready": {
-                topic: [state.message_doc(mid, decode) for mid in state.ready[topic]]
-                for topic in sorted(state.ready)
-                if state.ready[topic]
-            },
-            "dead": [state.message_doc(mid, decode) for mid in state.dead],
-            "total_enqueued": state.total_enqueued,
-            "total_acked": state.total_acked,
-            "total_redelivered": state.total_redelivered,
-            "topic_enqueued": dict(state.topic_enqueued),
-            "next_message_id": state.next_message_id,
-            "next_tag": state.next_tag,
-        }
-    )
+    queue.load_state(state.fingerprint(codec.decode_body))
     return queue
 
 

@@ -1,10 +1,12 @@
 """The replayable fold over journal records.
 
 :class:`SystemState` is the single source of truth for what the journal
-*means*: the journal's shadow state (updated on every append), the
-snapshot format (a snapshot is just ``to_doc()`` of the shadow — always
-record-aligned, so snapshots are safe at any append boundary), and the
-recovery input (fold the snapshot doc plus the remaining records).
+*means*: the snapshot format (``to_doc`` / ``from_doc``; the journal
+writes the same document from the live queue at a boundary, see
+:meth:`repro.durability.journal.Journal.snapshot_doc`) and the recovery
+input (fold the snapshot doc plus the remaining records). The fold runs
+only in replay — nothing folds on the write path — so it is also where
+a record the live operations could not refuse is refused.
 
 Record taxonomy (one record per public queue/gateway operation, so
 every journal offset is an operation boundary — except that a released
@@ -48,9 +50,21 @@ chaos suite asserts.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.durability.codec import FormatMismatch, JournalCorruption
 
 DOC_VERSION = 3
+
+#: The queue's counters and id cursors, named as ``TaskQueue.dump_state``,
+#: a ``baseline`` record and a snapshot name them.
+COUNTERS = (
+    "total_enqueued", "total_acked", "total_redelivered",
+    "topic_enqueued", "next_message_id", "next_tag",
+)
+#: The fields a message shares with its ``TaskQueue.dump_state`` entry,
+#: less the body.
+MESSAGE_FIELDS = ("message_id", "topic", "enqueued_at", "deliveries")
 
 
 class SystemState:
@@ -64,7 +78,7 @@ class SystemState:
         #: kept (the dead-letter list holds real messages).
         self.messages: dict[int, dict] = {}
         #: topic -> message_ids in FIFO order (index 0 = head).
-        self.ready: dict[str, list[int]] = {}
+        self.ready: dict[str, deque[int]] = {}
         #: delivery_tag -> [message_id, claimed_at], in claim order.
         self.inflight: dict[int, list] = {}
         #: message_ids handed back to a producer via ``withdraw_newest``
@@ -93,8 +107,7 @@ class SystemState:
     # -- the fold -----------------------------------------------------------------
     def apply(self, seq: int, op: str, data: dict) -> None:
         """Fold one record into the state. Records must arrive in
-        strictly increasing ``seq`` order (the journal guarantees it on
-        the write path; recovery enforces it on replay)."""
+        strictly increasing ``seq`` order (replay enforces it)."""
         if seq <= self.last_seq:
             raise JournalCorruption(
                 f"record seq={seq} applied after seq={self.last_seq}"
@@ -106,12 +119,9 @@ class SystemState:
         self.last_seq = seq
 
     def _apply_baseline(self, seq: int, data: dict) -> None:
-        self.total_enqueued = data["total_enqueued"]
-        self.total_acked = data["total_acked"]
-        self.total_redelivered = data["total_redelivered"]
+        for name in COUNTERS:
+            setattr(self, name, data[name])
         self.topic_enqueued = dict(data["topic_enqueued"])
-        self.next_message_id = data["next_message_id"]
-        self.next_tag = data["next_tag"]
 
     def _apply_put(self, seq: int, data: dict) -> None:
         uuid = data["task_uuid"]
@@ -137,7 +147,7 @@ class SystemState:
         else:
             msg["body"] = entry["body"]
             msg["dispatch_tag"] = data["dispatch_tag"]
-        self.ready.setdefault(topic, []).append(mid)
+        self.ready.setdefault(topic, deque()).append(mid)
         if data["counted"]:
             self.total_enqueued += 1
             self.topic_enqueued[topic] = self.topic_enqueued.get(topic, 0) + 1
@@ -148,13 +158,13 @@ class SystemState:
 
     def _apply_claim(self, seq: int, data: dict) -> None:
         topic = data["topic"]
-        chan = self.ready.get(topic, [])
+        chan = self.ready.get(topic, ())
         for mid, tag in data["claims"]:
             if not chan or chan[0] != mid:
                 raise JournalCorruption(
                     f"claim at seq={seq} does not match topic {topic!r} head"
                 )
-            chan.pop(0)
+            chan.popleft()
             self.messages[mid]["deliveries"] += 1
             self.inflight[tag] = [mid, data["claimed_at"]]
             if tag >= self.next_tag:
@@ -176,7 +186,7 @@ class SystemState:
         _require_all(seq, "nack", [tag], self.inflight, "unknown delivery tag")
         mid = self.inflight.pop(tag)[0]
         if data["outcome"] == "requeued":
-            self.ready.setdefault(self.messages[mid]["topic"], []).insert(0, mid)
+            self.ready.setdefault(self.messages[mid]["topic"], deque()).appendleft(mid)
             self.total_redelivered += 1
         else:
             self.dead.append(mid)
@@ -185,7 +195,7 @@ class SystemState:
                 entry["dead"] = True
 
     def _apply_withdraw(self, seq: int, data: dict) -> None:
-        chan = self.ready.get(data["topic"], [])
+        chan = self.ready.get(data["topic"], ())
         for mid in data["message_ids"]:  # newest first, matching the live pop order
             if not chan or chan[-1] != mid:
                 raise JournalCorruption(
@@ -199,7 +209,7 @@ class SystemState:
         if mid not in self.withdrawn:
             raise JournalCorruption(f"restore of never-withdrawn message {mid}")
         self.withdrawn.remove(mid)
-        self.ready.setdefault(self.messages[mid]["topic"], []).append(mid)
+        self.ready.setdefault(self.messages[mid]["topic"], deque()).append(mid)
 
     def _apply_admit(self, seq: int, data: dict) -> None:
         if data["task_uuid"] in self.open:
@@ -228,7 +238,7 @@ class SystemState:
     def _apply_recover(self, seq: int, data: dict) -> None:
         for topic in sorted(data["released"]):
             mids = data["released"][topic]
-            self.ready[topic] = list(mids) + self.ready.get(topic, [])
+            self.ready.setdefault(topic, deque()).extendleft(reversed(mids))
             self.total_redelivered += len(mids)
         for mid in data["dead"]:
             self.dead.append(mid)
@@ -250,12 +260,7 @@ class SystemState:
             "inflight": [[tag, list(e)] for tag, e in self.inflight.items()],
             "withdrawn": list(self.withdrawn),
             "dead": list(self.dead),
-            "total_enqueued": self.total_enqueued,
-            "total_acked": self.total_acked,
-            "total_redelivered": self.total_redelivered,
-            "topic_enqueued": dict(sorted(self.topic_enqueued.items())),
-            "next_message_id": self.next_message_id,
-            "next_tag": self.next_tag,
+            **self.counters(),
             "open": [[uuid, dict(e)] for uuid, e in self.open.items()],
             "settled": self.settled,
             "last_seq": self.last_seq,
@@ -271,22 +276,23 @@ class SystemState:
             )
         state = cls()
         state.messages = {m["message_id"]: dict(m) for m in doc["messages"]}
-        state.ready = {t: list(m) for t, m in doc["ready"].items()}
+        state.ready = {t: deque(m) for t, m in doc["ready"].items()}
         state.inflight = {tag: list(e) for tag, e in doc["inflight"]}
         state.withdrawn = list(doc["withdrawn"])
         state.dead = list(doc["dead"])
-        state.total_enqueued = doc["total_enqueued"]
-        state.total_acked = doc["total_acked"]
-        state.total_redelivered = doc["total_redelivered"]
-        state.topic_enqueued = dict(doc["topic_enqueued"])
-        state.next_message_id = doc["next_message_id"]
-        state.next_tag = doc["next_tag"]
+        state._apply_baseline(0, doc)  # the counters, as a baseline holds them
         state.open = {uuid: dict(e) for uuid, e in doc["open"]}
         state.settled = doc["settled"]
         state.last_seq = doc["last_seq"]
         return state
 
     # -- live views ---------------------------------------------------------------
+    def counters(self) -> dict:
+        """The :data:`COUNTERS`, by name (``topic_enqueued`` a sorted copy)."""
+        counters = {name: getattr(self, name) for name in COUNTERS}
+        counters["topic_enqueued"] = dict(sorted(self.topic_enqueued.items()))
+        return counters
+
     def message_doc(self, mid: int, decode_body) -> dict:
         """One message in the shape :meth:`repro.messaging.queue.
         TaskQueue.dump_state` / ``load_state`` use, body decoded and
@@ -295,19 +301,13 @@ class SystemState:
         body = decode_body(m["body"])
         if "dispatch_tag" in m:
             body.dispatch_tag = m["dispatch_tag"]
-        return {
-            "message_id": m["message_id"],
-            "topic": m["topic"],
-            "enqueued_at": m["enqueued_at"],
-            "deliveries": m["deliveries"],
-            "body": body,
-        }
+        return dict({name: m[name] for name in MESSAGE_FIELDS}, body=body)
 
     def fingerprint(self, decode_body) -> dict:
         """Queue-observable state in the same shape as
         :meth:`repro.messaging.queue.TaskQueue.dump_state`, with bodies
-        decoded — the equality probe the replay property test compares
-        against a live never-crashed queue."""
+        decoded: what a recovered queue loads, and the equality probe
+        the replay property test compares against a live queue."""
         return {
             "ready": {
                 t: [self.message_doc(mid, decode_body) for mid in mids]
@@ -319,12 +319,7 @@ class SystemState:
                 for tag, (mid, claimed_at) in sorted(self.inflight.items())
             ],
             "dead": [self.message_doc(mid, decode_body) for mid in self.dead],
-            "total_enqueued": self.total_enqueued,
-            "total_acked": self.total_acked,
-            "total_redelivered": self.total_redelivered,
-            "topic_enqueued": dict(sorted(self.topic_enqueued.items())),
-            "next_message_id": self.next_message_id,
-            "next_tag": self.next_tag,
+            **self.counters(),
         }
 
 

@@ -430,6 +430,8 @@ class ServingGateway:
                 )
         if identity is None:
             raise GatewayError("offer() needs an identity or a token")
+        if request.task_uuid in self._open:  # _refuse_open, inlined on the hot door
+            raise GatewayError(f"request {request.task_uuid!r} is already admitted")
         policy, decision = self._admit(identity, (servable,))
         if not decision.admitted:
             self._trace_denial(request, arrived, now, decision.outcome)
@@ -464,6 +466,14 @@ class ServingGateway:
         return policy, self.admission.admit(
             policy, servables, self.scheduler.depth(policy.name), sequential
         )
+
+    def _refuse_open(self, uuids: tuple[str, ...]) -> None:
+        """Raise :class:`GatewayError` if a door call names an open
+        request, or one request twice: entering it again would overwrite
+        its open result and journal a second admission. Checked before
+        admission, so a refused call charges nothing."""
+        if len(set(uuids)) < len(uuids) or not self._open.keys().isdisjoint(uuids):
+            raise GatewayError(f"a request of {uuids} is already admitted")
 
     def _enter(
         self,
@@ -527,13 +537,8 @@ class ServingGateway:
             return
         self.journal.hold_admit(
             request.task_uuid,
-            {
-                "tenant": policy.name,
-                "servable": request.servable_name,
-                "arrived_at": arrived,
-                "weight": policy.weight,
-                "body": self.journal.encode_body(request),
-            },
+            [policy.name, request.servable_name, arrived, policy.weight,
+             self.journal.encode_body(request)],
         )
 
     def _trace_denial(self, request, arrived, now, outcome) -> None:
@@ -603,7 +608,9 @@ class ServingGateway:
         to :meth:`on_settled`, or a fleet change: bring the budget up to
         date, admit the arrivals due at ``now`` and release lane work.
         Each step sits behind an O(1) test of whether it has anything
-        to do."""
+        to do. Last, it writes the journal's snapshot if one is due:
+        here no door call is open and no admission is held, so the live
+        queue is exactly what the journal's records describe."""
         if self._budget_epoch != self.runtime.fleet_epoch(now):
             # The fleet changed since the budget was derived: a worker
             # joined, left, flipped liveness or finished warming up.
@@ -629,17 +636,19 @@ class ServingGateway:
                 self._arrival_timer, schedule[self._sched_i][0]
             )
         self._pump()
+        if self.journal is not None and self.journal.snapshot_due:
+            self.journal.snapshot_now(self.runtime.queue)
 
     def on_settled(self, settled: list[RuntimeResult]) -> None:
         """Runtime hook: record completions and free their dispatch slots.
 
         Deliver, then settle, per call: every gateway-owned result in
         ``settled`` reaches its caller before the one ``settle`` record
-        naming them all is journaled. A crash inside that append (a
-        snapshot it triggers) must not lose a result the journal already
-        calls settled. A crash that loses the record instead re-runs the
-        requests (at-least-once delivery; callers dedupe by
-        ``task_uuid``).
+        naming them all is journaled. A crash after that record (the
+        snapshot the next :meth:`on_tick` writes) must not lose a result
+        the journal already calls settled. A crash that loses the record
+        instead re-runs the requests (at-least-once delivery; callers
+        dedupe by ``task_uuid``).
         """
         delivered = []
         for runtime_result in settled:
@@ -664,7 +673,7 @@ class ServingGateway:
                     ok=runtime_result.result.ok,
                 )
         if delivered and self.journal is not None:
-            self.journal.append("settle", {"task_uuids": delivered})
+            self.journal.settle(delivered)
         self._pump()
 
     def next_event(self) -> float:
@@ -819,6 +828,7 @@ class ServingGateway:
         # would strand lane entries and in-flight charges forever.
         self.runtime.check_placed(servable)
         identity = identity or self._request_identity(requests[0])
+        self._refuse_open(tuple(request.task_uuid for request in requests))
         policy, decision = self._admit(identity, (servable,) * len(requests))
         if not decision.admitted:
             raise AdmissionRejected(decision)
@@ -865,6 +875,7 @@ class ServingGateway:
         is pumped and drained. Its in-flight charge releases through
         the normal settlement path (:meth:`on_settled`).
         """
+        self._refuse_open((request.task_uuid,))
         decision = AdmissionDecision(
             AdmissionOutcome.ADMITTED, policy.name, request.servable_name
         )

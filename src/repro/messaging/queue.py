@@ -192,15 +192,8 @@ class TaskQueue:
             self.total_enqueued += 1
             self._topic_enqueued[topic] = self._topic_enqueued.get(topic, 0) + 1
         if self.journal is not None:
-            self.journal.append(
-                "put",
-                {
-                    "topic": topic,
-                    "message_id": msg.message_id,
-                    "enqueued_at": msg.enqueued_at,
-                    "counted": enqueued_at is None,
-                    **self.journal.body_fields(body),
-                },
+            self.journal.put(
+                topic, msg.message_id, msg.enqueued_at, enqueued_at is None, body
             )
         self._notify(topic, +1)
         return msg
@@ -269,14 +262,8 @@ class TaskQueue:
         # One record per claim *call* (claim_many included), so every
         # journal offset is a public-operation boundary.
         if self.journal is not None:
-            self.journal.append(
-                "claim",
-                {
-                    "topic": topic,
-                    "claims": [[m.message_id, m.delivery_tag] for m in msgs],
-                    "claimed_at": msgs[0].claimed_at,
-                },
-            )
+            claims = [[m.message_id, m.delivery_tag] for m in msgs]
+            self.journal.append("claim", (topic, claims, msgs[0].claimed_at))
 
     def ack(self, *delivery_tags: int) -> None:
         """Settle claimed messages; none of them will be redelivered.
@@ -297,7 +284,7 @@ class TaskQueue:
             self._settle_claim(tag)
         self.total_acked += len(delivery_tags)
         if self.journal is not None:
-            self.journal.append("ack", {"delivery_tags": list(delivery_tags)})
+            self.journal.append("ack", (delivery_tags,))
 
     def nack(self, delivery_tag: int, requeue: bool = True) -> None:
         """Return a claimed message to the queue (or dead-letter it)."""
@@ -309,11 +296,7 @@ class TaskQueue:
             # The record carries the live outcome so a replay needs no
             # knowledge of this queue's max_deliveries configuration.
             self.journal.append(
-                "nack",
-                {
-                    "delivery_tag": delivery_tag,
-                    "outcome": "requeued" if requeued else "dead",
-                },
+                "nack", (delivery_tag, "requeued" if requeued else "dead")
             )
         if requeued:
             self._ready.setdefault(msg.topic, deque()).appendleft(msg)
@@ -345,13 +328,7 @@ class TaskQueue:
             withdrawn.append(chan.pop())
             self._notify(topic, -1)
         if withdrawn and self.journal is not None:
-            self.journal.append(
-                "withdraw",
-                {
-                    "topic": topic,
-                    "message_ids": [m.message_id for m in withdrawn],
-                },
-            )
+            self.journal.withdraw(topic, withdrawn)
         return withdrawn
 
     def restore(self, message: QueuedMessage) -> None:
@@ -361,9 +338,9 @@ class TaskQueue:
         decides not to keep: the original ``enqueued_at`` is preserved
         and no arrival is re-counted.
         """
-        self._ready.setdefault(message.topic, deque()).append(message)
         if self.journal is not None:
-            self.journal.append("restore", {"message_id": message.message_id})
+            self.journal.restore(message)
+        self._ready.setdefault(message.topic, deque()).append(message)
         self._notify(message.topic, +1)
 
     def expire_inflight(self) -> int:
@@ -392,13 +369,14 @@ class TaskQueue:
 
         ``journal`` is duck-typed (see
         :class:`repro.durability.journal.Journal`): it must expose
-        ``append(op, data)``, ``body_fields(body)``, and
-        ``seed_baseline(...)``. With ``bootstrap`` (the default) the
+        ``append(op, values)`` (values in record-field order),
+        ``put(...)``, ``withdraw(...)``, ``restore(message)`` and
+        ``seed_baseline(dump)``. With ``bootstrap`` (the default) the
         queue must hold no messages — its monotonic counters and id
         cursors are seeded into the journal as a ``baseline`` record so
         a replay reconstructs them. Recovery attaches with
-        ``bootstrap=False``: the journal's shadow state already equals
-        the materialized queue.
+        ``bootstrap=False``: the journal already continues the replayed
+        records this queue was materialized from.
         """
         if self.journal is not None:
             raise ValueError("queue already has a journal attached")
@@ -408,14 +386,7 @@ class TaskQueue:
                     "attach_journal(bootstrap=True) requires a queue with "
                     "no messages (counters may be non-zero)"
                 )
-            journal.seed_baseline(
-                total_enqueued=self.total_enqueued,
-                total_acked=self.total_acked,
-                total_redelivered=self.total_redelivered,
-                topic_enqueued=dict(self._topic_enqueued),
-                next_message_id=self._next_message_id,
-                next_tag=self._next_tag,
-            )
+            journal.seed_baseline(self.dump_state())
         self.journal = journal
 
     def dump_state(self) -> dict:

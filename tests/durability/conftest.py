@@ -73,6 +73,14 @@ def alternating_arrivals(tokens, n=30, rate_rps=200.0, servable="noop"):
     ]
 
 
+def snapshot_if_due(journal, queue):
+    """What the gateway's ``on_tick`` does at a boundary, for tests that
+    drive a journaled queue without a gateway: write the snapshot if
+    one is due."""
+    if journal.snapshot_due:
+        journal.snapshot_now(queue)
+
+
 def journal_records(store, op):
     """The ``data`` of every ``op`` record on the store's journal, in order."""
     return [

@@ -151,36 +151,43 @@ def test_crash_mid_snapshot_dedupes_the_seam(chaos_zoo, store):
     assert recovery["seam_overlap"] > 0
 
 
-def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
-    chaos_zoo, monkeypatch
-):
-    # Cadence and trip count chosen so that the append which triggers
-    # the crashed snapshot is a gateway `settle` record naming several
-    # requests: every one of them was delivered before the append, and
-    # none may be delivered again after the restart.
-    crashed_on = []
-    append = Journal.append
+def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(chaos_zoo, monkeypatch):
+    # Cadence and trip count chosen so that the crashed snapshot is one
+    # a gateway `settle` record naming several requests made due: the
+    # `on_tick` that follows its `on_settled` writes it. Every member
+    # was delivered before the record, and none may be delivered again
+    # after the restart.
+    settles = []
+    crashed_after = []
+    settle, snapshot_now = Journal.settle, Journal.snapshot_now
 
-    def recording_append(journal, op, data):
+    def recording_settle(journal, task_uuids):
+        due = journal.snapshot_due
+        seq = settle(journal, task_uuids)
+        settles.append((list(task_uuids), journal.snapshot_due and not due))
+        return seq
+
+    def recording_snapshot_now(journal, queue):
         try:
-            return append(journal, op, data)
+            return snapshot_now(journal, queue)
         except SimulatedCrash:
-            crashed_on.append((op, data))
+            crashed_after.append(settles[-1])
             raise
 
-    monkeypatch.setattr(Journal, "append", recording_append)
+    monkeypatch.setattr(Journal, "settle", recording_settle)
+    monkeypatch.setattr(Journal, "snapshot_now", recording_snapshot_now)
     harness, outcome = run_sweep_point(
         chaos_zoo,
         InMemoryDurableStore(),
         "mid_snapshot",
-        snapshot_every=25,
-        after_trips=3,
+        snapshot_every=15,
+        after_trips=2,
     )
-    if [op for op, _ in crashed_on] != ["settle"]:
+    ((members, made_due),) = crashed_after
+    if not made_due:
         # Not an expected failure: the scenario no longer lands on the
         # seam it pins and needs re-aiming.
-        pytest.fail(f"crash landed on {crashed_on}, not on a settle record")
-    members = crashed_on[0][1]["task_uuids"]
+        pytest.fail("the crashed snapshot was not made due by a settle record")
     assert len(members) == 2
     assert_invariants(harness, outcome, "mid_snapshot")
     crash_at = outcome.crashes[0].at
@@ -190,23 +197,21 @@ def test_crash_mid_snapshot_on_a_settle_record_keeps_the_result(
         assert outcome.settled[uuid].runtime_result.completed_at <= crash_at
 
 
-def test_a_crash_in_an_offers_pump_loses_only_an_unreported_admission(
-    chaos_zoo, monkeypatch
-):
+def test_a_crash_mid_snapshot_finds_no_held_admission(chaos_zoo, monkeypatch):
     # After a pre_settle crash the restored lanes hold resurrected work,
     # so the next offer's pump releases it before the offer's own
-    # request: a mid_snapshot on one of those puts fires while the
-    # journal still holds the offer's admission. The admission dies
-    # with the process, but the offer never returned, so the harness
-    # offers the request again and it settles exactly once.
-    crashed_on = []
-    append = Journal.append
+    # request. A snapshot written inside that pump would find the
+    # offer's admission still held, and a crash there would lose it.
+    # Snapshots are written at the end of a tick instead: the crash
+    # finds nothing held, and no request is offered twice.
+    held_at_crash = []
+    snapshot_now = Journal.snapshot_now
 
-    def recording_append(journal, op, data):
+    def recording_snapshot_now(journal, queue):
         try:
-            return append(journal, op, data)
+            return snapshot_now(journal, queue)
         except SimulatedCrash:
-            crashed_on.append((op, data.get("task_uuid"), list(journal._held)))
+            held_at_crash.append(dict(journal._held))
             raise
 
     offers = Counter()
@@ -216,7 +221,7 @@ def test_a_crash_in_an_offers_pump_loses_only_an_unreported_admission(
         offers[request.task_uuid] += 1
         return offer(gateway, request, *args, **kwargs)
 
-    monkeypatch.setattr(Journal, "append", recording_append)
+    monkeypatch.setattr(Journal, "snapshot_now", recording_snapshot_now)
     monkeypatch.setattr(ServingGateway, "offer", counting_offer)
     harness, tokens = build_chaos_harness(
         chaos_zoo, InMemoryDurableStore(), snapshot_every_records=10
@@ -229,12 +234,10 @@ def test_a_crash_in_an_offers_pump_loses_only_an_unreported_admission(
         alternating_arrivals(tokens, n=N_ARRIVALS, rate_rps=1000.0), plans=plans
     )
     assert [c.point for c in outcome.crashes] == ["pre_settle", "mid_snapshot"]
-    ((op, put_uuid, held),) = crashed_on
-    (lost,) = held
-    assert op == "put" and put_uuid != lost
-    assert offers[lost] == 2
+    assert outcome.recoveries[0]["restored_resurrected"] > 0
+    assert held_at_crash == [{}]
+    assert set(offers.values()) == {1}
     assert outcome.exactly_once and not outcome.duplicates
-    assert lost in outcome.settled
     assert len(outcome.settled) + len(outcome.denied) == N_ARRIVALS
 
 

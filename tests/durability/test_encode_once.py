@@ -1,7 +1,8 @@
-"""The journal's append path does each piece of work once: a request's
-body is pickled exactly once on its way through the stack, its
-admission is written in its own record only when its lane kept it past
-the admitting call (pinned as exact record counts), and a recovered
+"""The journal's append path does each piece of work once: nothing is
+folded, a request's body is pickled exactly once on its way through
+the stack, its admission is written in its own record only when its
+lane kept it past the admitting call (pinned as exact record counts),
+and a recovered
 queue still holds exactly what the crashed one held — the
 ``dispatch_tag`` stamped after the body was encoded included."""
 
@@ -14,6 +15,7 @@ from repro.core.tasks import TaskRequest
 from repro.durability import (
     InMemoryDurableStore,
     Journal,
+    SystemState,
     begin_recovery,
     codec,
     gateway_restore_entries,
@@ -50,6 +52,21 @@ def test_gateway_admitted_requests_are_pickled_once_each(chaos_zoo):
         put["body"] is None and put["dispatch_tag"] is not None and put["admit"]
         for put in puts
     )
+
+
+def test_a_journaled_serve_folds_nothing(chaos_zoo, monkeypatch):
+    # The write path encodes and stores: the fold runs only in replay,
+    # so a journaled serve — snapshots included — never calls it.
+    def fold(*args):
+        raise AssertionError("SystemState.apply ran on the write path")
+
+    monkeypatch.setattr(SystemState, "apply", fold)
+    harness, tokens = build_chaos_harness(
+        chaos_zoo, InMemoryDurableStore(), snapshot_every_records=5
+    )
+    outcome = harness.run(alternating_arrivals(tokens, n=N_REQUESTS))
+    assert len(outcome.settled) == N_REQUESTS
+    assert harness.journal.snapshots_taken > 0
 
 
 def journal_ops(store):

@@ -33,11 +33,14 @@ from repro.durability.codec import (
     FORMAT_VERSION,
     FormatMismatch,
     decode_record,
+    encode_doc,
     encode_record,
 )
 from repro.durability.state import DOC_VERSION
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
+
+from .conftest import snapshot_if_due
 
 
 def seeded_store(tmp_path, n_puts=8, snapshot_every=10**9):
@@ -50,6 +53,7 @@ def seeded_store(tmp_path, n_puts=8, snapshot_every=10**9):
     for i in range(n_puts):
         clock.advance(0.01)
         queue.put(f"m{i}", topic="t")
+        snapshot_if_due(journal, queue)
     queue.ack(queue.claim("t").delivery_tag)
     queue.nack(queue.claim("t").delivery_tag, requeue=True)
     return store, journal, queue
@@ -126,7 +130,7 @@ def test_conflicting_duplicate_fails_loud(tmp_path):
     lines = read_lines(store)
     seq, _, _ = decode_record(lines[3])
     # A *valid* record (correct CRC) that disagrees with seq's history.
-    lines.insert(4, encode_record(seq, "settle", {"task_uuids": ["task-evil"]}))
+    lines.insert(4, encode_record(seq, "settle", [["task-evil"]]))
     write_lines(store, lines)
     with pytest.raises(JournalCorruption, match="conflicting duplicate"):
         load_state(store)
@@ -142,8 +146,8 @@ def test_sequence_gap_fails_loud(tmp_path):
 
 
 def test_unparseable_snapshot_fails_loud(tmp_path):
-    store, journal, _ = seeded_store(tmp_path)
-    journal.snapshot_now()
+    store, journal, queue = seeded_store(tmp_path)
+    journal.snapshot_now(queue)
     snap = os.path.join(store.directory, FileDurableStore.SNAPSHOT)
     with open(snap, "w", encoding="utf-8") as fh:
         fh.write('{"v": 1, "messages": [truncated')
@@ -194,8 +198,8 @@ def test_old_format_final_record_is_not_mistaken_for_a_torn_tail(tmp_path, versi
 
 @OLD_SNAPSHOT_VERSIONS
 def test_old_format_snapshot_fails_loud_naming_both_versions(tmp_path, version):
-    store, journal, _ = seeded_store(tmp_path)
-    journal.snapshot_now()
+    store, journal, queue = seeded_store(tmp_path)
+    journal.snapshot_now(queue)
     snap = os.path.join(store.directory, FileDurableStore.SNAPSHOT)
     with open(snap, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -214,9 +218,7 @@ def test_seam_overlap_is_deduped_by_sequence(tmp_path):
     injector = FaultInjector()
     injector.plan(CrashPlan("mid_snapshot", after_trips=1))
     injector.arm_next()
-    doc = json.dumps(
-        journal.state.to_doc(), sort_keys=True, separators=(",", ":")
-    )
+    doc = encode_doc(journal.snapshot_doc(queue))
     with pytest.raises(SimulatedCrash):
         store.write_snapshot(doc, journal.last_seq, chaos=injector)
 

@@ -16,35 +16,67 @@ journal then writes a standalone ``admit`` for each request the lane
 kept, and a later release of one of those — like every back-dated
 re-put of a reclaimed request — carries only the ``dispatch_tag``
 stamped since.
+
+Nothing folds on the write path, so the snapshot the journal writes
+from the live queue must equal the fold of the records it covers. The
+walks check that at every operation boundary; a walk that drives a real
+gateway, and a chaos run crashed at every injection point, check it at
+every snapshot the gateway writes.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from unittest import mock
 
 import pytest
 
 from repro.core.tasks import TaskRequest
+from repro.core.testbed import build_testbed
 from repro.durability import (
+    CrashPlan,
     InMemoryDurableStore,
     Journal,
     SystemState,
     decode_body,
     load_state,
 )
+from repro.durability.codec import encode_doc
+from repro.gateway import TenantPolicy, TenantPolicyTable
 from repro.messaging.queue import QueueEmpty, TaskQueue
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import generator_from_seed
 
-from .conftest import journal_records
+from .conftest import (
+    alternating_arrivals,
+    build_chaos_harness,
+    journal_records,
+    snapshot_if_due,
+)
 
 TOPICS = ("servable/requests/alpha", "servable/tenant-t1/alpha", "beta")
 
 
+def decoded(doc: dict) -> dict:
+    """A snapshot document with each message's body decoded and its
+    ``dispatch_tag`` applied. The fold keeps an admitted request's body
+    as admitted plus the tag; a live snapshot re-encodes the body of a
+    message whose request has already settled. Both decode alike."""
+    doc = json.loads(encode_doc(doc))
+    for message in doc["messages"]:
+        body = decode_body(message["body"])
+        if "dispatch_tag" in message:
+            body.dispatch_tag = message.pop("dispatch_tag")
+        message["body"] = body
+    return doc
+
+
 def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock):
     """Drive ``queue`` through ``n_ops`` random operations, returning
-    ``{journal_offset: dump_state}`` captured after each journaled op.
+    ``{journal_offset: dump_state}`` captured after each journaled
+    record, and ``{journal_offset: decoded snapshot_doc}`` at each
+    operation boundary (a snapshot is written there when one is due).
 
     Dumps are deep copies: a reclaimed request is re-stamped in place,
     which must not reach back into the dumps of earlier offsets.
@@ -52,7 +84,9 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
     rng = generator_from_seed(seed)
     withdrawn_held = []
     lane_held = []
+    open_uuids = []
     dumps = {journal.last_seq: copy.deepcopy(queue.dump_state())}
+    docs = {journal.last_seq: decoded(journal.snapshot_doc(queue))}
     body_i = 0
 
     def random_topic():
@@ -109,13 +143,7 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                     request = new_request(tenant="t1")
                     journal.hold_admit(
                         request.task_uuid,
-                        {
-                            "tenant": "t1",
-                            "servable": "alpha",
-                            "arrived_at": clock.now(),
-                            "weight": 1.0,
-                            "body": journal.encode_body(request),
-                        },
+                        ["t1", "alpha", clock.now(), 1.0, journal.encode_body(request)],
                     )
                     admitted.append(request)
                 released = int(rng.integers(0, len(admitted) + 1))
@@ -127,6 +155,7 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                 for seq in range(flushed_from, journal.last_seq + 1):
                     dumps[seq] = copy.deepcopy(queue.dump_state())
                 lane_held.extend(admitted[released:])
+                open_uuids.extend(request.task_uuid for request in admitted)
             elif op == "release":
                 # A lane-held request released by a later pump: its
                 # admit is open, so the put carries only the tag.
@@ -174,14 +203,17 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
             elif op == "settle":
                 # Any open request may settle — even one whose message
                 # is still queued (a result can outrun a redelivery).
-                uuids = list(journal.state.open)
-                if not uuids:
+                if not open_uuids:
                     continue
-                journal.append("settle", {"task_uuids": some_of(uuids)})
+                settled = some_of(open_uuids)
+                journal.settle(settled)
+                open_uuids = [uuid for uuid in open_uuids if uuid not in settled]
         except QueueEmpty:
             continue
         dumps[journal.last_seq] = copy.deepcopy(queue.dump_state())
-    return dumps
+        docs[journal.last_seq] = decoded(journal.snapshot_doc(queue))
+        snapshot_if_due(journal, queue)
+    return dumps, docs
 
 
 def build_walk(seed: int, n_ops: int = 240, snapshot_every: int = 10**9):
@@ -190,15 +222,25 @@ def build_walk(seed: int, n_ops: int = 240, snapshot_every: int = 10**9):
     journal = Journal(store, snapshot_every_records=snapshot_every)
     queue = TaskQueue(clock, visibility_timeout_s=1e9, max_deliveries=3)
     queue.attach_journal(journal)
-    dumps = random_walk(seed, n_ops, journal, queue, clock)
-    return store, journal, queue, dumps
+    dumps, docs = random_walk(seed, n_ops, journal, queue, clock)
+    return store, journal, queue, dumps, docs
+
+
+def prefix(store, offset):
+    """A store holding the first ``offset`` records of ``store``'s
+    (snapshot-free) journal: what a crash at that offset leaves."""
+    truncated = InMemoryDurableStore()
+    for i, line in enumerate(store.read_journal()[:offset]):
+        truncated.append(i + 1, line)
+    return truncated
 
 
 @pytest.mark.parametrize("seed", [7, 23, 1019])
 class TestReplayEquivalence:
-    def test_shadow_fold_tracks_live_queue_exactly(self, seed):
-        store, journal, queue, dumps = build_walk(seed)
-        assert journal.state.fingerprint(decode_body) == queue.dump_state()
+    def test_fold_tracks_live_queue(self, seed):
+        store, journal, queue, dumps, _ = build_walk(seed)
+        state, _ = load_state(store)
+        assert state.fingerprint(decode_body) == queue.dump_state()
         assert journal.last_seq in dumps
 
         # The walk really mixed every put shape, standalone admits,
@@ -217,17 +259,16 @@ class TestReplayEquivalence:
         assert any(len(a["delivery_tags"]) > 1 for a in journal_records(store, "ack"))
         settles = journal_records(store, "settle")
         assert any(len(s["task_uuids"]) > 1 for s in settles)
-        assert journal.state.settled == sum(len(s["task_uuids"]) for s in settles)
+        assert state.settled == journal.settled == sum(
+            len(s["task_uuids"]) for s in settles
+        )
 
     def test_crash_at_every_journal_offset_replays_the_exact_state(self, seed):
-        store, journal, queue, dumps = build_walk(seed)
+        store, journal, queue, dumps, _ = build_walk(seed)
         lines = store.read_journal()
         assert len(lines) == journal.last_seq  # no snapshot: every record kept
         for offset in range(len(lines) + 1):
-            truncated = InMemoryDurableStore()
-            for i, line in enumerate(lines[:offset]):
-                truncated.append(i + 1, line)
-            state, report = load_state(truncated)
+            state, report = load_state(prefix(store, offset))
             assert not report.truncated_tail
             assert report.records_replayed == offset
             assert state.fingerprint(decode_body) == dumps[offset], (
@@ -239,9 +280,22 @@ class TestReplayEquivalence:
                 f"seed={seed} offset={offset} (snapshot round trip)"
             )
 
+    def test_live_snapshot_equals_the_fold_at_every_boundary(self, seed):
+        store, _, _, _, docs = build_walk(seed)
+        for offset, doc in docs.items():
+            state, _ = load_state(prefix(store, offset))
+            assert decoded(state.to_doc()) == doc, f"seed={seed} offset={offset}"
+        # The walk withdrew messages it never restored, so boundaries
+        # with withdrawn messages — and acked or dead open requests —
+        # were compared too.
+        assert any(doc["withdrawn"] for doc in docs.values())
+        opened = [entry for doc in docs.values() for _, entry in doc["open"]]
+        assert any(entry["acked"] for entry in opened)
+        assert any(entry["dead"] for entry in opened)
+
     def test_snapshot_cadence_changes_nothing(self, seed):
-        _, journal_a, queue_a, _ = build_walk(seed)
-        store_b, journal_b, queue_b, _ = build_walk(seed, snapshot_every=7)
+        _, _, queue_a, _, _ = build_walk(seed)
+        store_b, journal_b, queue_b, _, _ = build_walk(seed, snapshot_every=7)
         assert journal_b.snapshots_taken > 0
         assert queue_b.dump_state() == queue_a.dump_state()
         state, report = load_state(store_b)
@@ -249,21 +303,119 @@ class TestReplayEquivalence:
         assert state.fingerprint(decode_body) == queue_a.dump_state()
 
     def test_settled_and_open_survive_replay(self, seed):
-        store, journal, _, _ = build_walk(seed, n_ops=40)
-        journal.append(
-            "admit",
-            {
-                "task_uuid": "task-x",
-                "tenant": "t1",
-                "servable": "alpha",
-                "arrived_at": 1.25,
-                "weight": 2.0,
-                "body": journal.encode_body("req-x"),
-            },
+        store, journal, queue, _, _ = build_walk(seed, n_ops=40)
+        journal.hold_admit(
+            "task-x", ["t1", "alpha", 1.25, 2.0, journal.encode_body("req-x")]
         )
-        settled_before = journal.state.settled
-        journal.append("settle", {"task_uuids": ["task-x"]})
+        journal.flush_admits()
+        settled_before = journal.settled
+        journal.settle(["task-x"])
         state, _ = load_state(store)
         assert "task-x" not in state.open
-        assert state.settled == journal.state.settled == settled_before + 1
-        assert state.open == journal.state.open
+        assert state.settled == journal.settled == settled_before + 1
+        assert state.to_doc()["open"] == journal.snapshot_doc(queue)["open"]
+
+
+@pytest.fixture
+def snapshots_checked(monkeypatch):
+    """Check every snapshot the journal writes against the fold of the
+    records it covers — byte for byte: through the gateway, no message
+    outlives its request's settle. Returns the checked documents."""
+    checked = []
+    snapshot_now = Journal.snapshot_now
+
+    def checking_snapshot_now(journal, queue):
+        folded, _ = load_state(journal.store)
+        live = encode_doc(journal.snapshot_doc(queue))
+        assert live == encode_doc(folded.to_doc())
+        checked.append(json.loads(live))
+        return snapshot_now(journal, queue)
+
+    monkeypatch.setattr(Journal, "snapshot_now", checking_snapshot_now)
+    return checked
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_gateway_walk_snapshots_equal_the_fold(chaos_zoo, snapshots_checked, seed):
+    # A real gateway over three workers: offers from two tenants, foreign
+    # submits on their lanes, and a fleet that shrinks past the drain
+    # deadline — so the over-commit valve withdraws gateway releases and
+    # restores the foreign messages it digs past.
+    rng = generator_from_seed(seed)
+    testbed = build_testbed(jitter=False, memoize_tm=False)
+    policies = TenantPolicyTable()
+    tokens = {}
+    for tenant in ("alice", "bob"):
+        policies.register(TenantPolicy(name=tenant))
+        identity, tokens[tenant] = testbed.new_user(tenant)
+        policies.bind_identity(identity, tenant)
+    store = InMemoryDurableStore()
+    gateway = testbed.enable_gateway(
+        policies=policies,
+        workers=[testbed.add_fleet_worker(f"w{i}") for i in range(3)],
+        max_batch_size=4,
+        durable_store=store,
+        snapshot_every_records=5,
+    )
+    published = testbed.management.publish(testbed.token, chaos_zoo["noop"])
+    gateway.runtime.place(chaos_zoo["noop"], published.build.image, copies=3)
+    runtime = gateway.runtime
+    restore = mock.patch.object(
+        TaskQueue, "restore", autospec=True, side_effect=TaskQueue.restore
+    )
+    with restore as restored:
+        for i in range(80):
+            step = rng.choice(
+                ["offer", "squeeze", "grow", "tick", "serve"], p=[0.5, 0.15, 0.1, 0.1, 0.15]
+            )
+            tenant = ("alice", "bob")[int(rng.integers(2))]
+            if step == "offer":
+                for k in range(int(rng.integers(1, 4))):
+                    request = TaskRequest("noop", args=(i, k))
+                    assert gateway.offer(request, token=tokens[tenant]).admitted
+            elif step == "squeeze":
+                # A foreign request lands on a lane tail, then two workers
+                # drop out and stay out past the drain deadline.
+                request = TaskRequest("noop", args=("foreign", i))
+                request.tenant = tenant
+                runtime.submit(request)
+                runtime.mark_down("w1")
+                runtime.mark_down("w2")
+                testbed.clock.advance(gateway.drain_deadline_s)
+                gateway.on_tick(testbed.clock.now())
+            elif step == "grow":
+                runtime.mark_up("w1")
+                runtime.mark_up("w2")
+            elif step == "tick":
+                gateway.on_tick(testbed.clock.now())
+            else:
+                runtime.drain()
+        runtime.drain()
+    assert gateway.requests_reclaimed > 0 and restored.call_count > 0
+    assert len(snapshots_checked) > 10
+    assert any(doc["withdrawn"] for doc in snapshots_checked)
+    state, _ = load_state(store)
+    assert state.fingerprint(decode_body) == runtime.queue.dump_state()
+
+
+def test_snapshots_across_crashes_equal_the_fold(chaos_zoo, snapshots_checked):
+    # Every recovery resumes the journal's tables from the replayed
+    # state; the snapshots written after it must still equal the fold,
+    # resurrected (acked but unsettled) requests included.
+    harness, tokens = build_chaos_harness(
+        chaos_zoo, InMemoryDurableStore(), snapshot_every_records=7
+    )
+    plans = tuple(
+        CrashPlan(point, after_trips=2)
+        for point in ("pre_settle", "mid_batch", "post_admission", "mid_snapshot", "post_claim")
+    )
+    outcome = harness.run(
+        alternating_arrivals(tokens, n=150, rate_rps=300.0), plans=plans
+    )
+    assert [c.point for c in outcome.crashes] == [plan.point for plan in plans]
+    assert outcome.exactly_once
+    assert sum(r["restored_resurrected"] for r in outcome.recoveries) > 0
+    assert len(snapshots_checked) > 10
+    assert any(
+        entry["acked"] for doc in snapshots_checked for _, entry in doc["open"]
+    )

@@ -1,7 +1,8 @@
 """Unit coverage for the durability building blocks: the record/body
-codec, the :class:`Journal` write path (validate-before-persist,
-baseline seeding, snapshot cadence), the :class:`FileDurableStore`
-medium, and the queue's attach/dump/load surface."""
+codec, the :class:`Journal` write path (baseline seeding, snapshot
+cadence) and the checks that guard it (the live operation's, then the
+fold's at replay), the :class:`FileDurableStore` medium, and the
+queue's attach/dump/load surface."""
 
 from __future__ import annotations
 
@@ -32,10 +33,10 @@ from repro.durability.codec import (
     decode_record,
     encode_record,
 )
-from repro.messaging.queue import TaskQueue
+from repro.messaging.queue import TaskQueue, UnknownDelivery
 from repro.sim.clock import VirtualClock
 
-from .conftest import alternating_arrivals, build_chaos_harness
+from .conftest import alternating_arrivals, build_chaos_harness, snapshot_if_due
 
 
 def fresh_queue(clock=None, **kwargs):
@@ -80,7 +81,7 @@ def positional(op, data):
 
 
 def test_record_codec_round_trips():
-    line = encode_record(7, "put", put_record())
+    line = encode_record(7, "put", positional("put", put_record()))
     assert decode_record(line) == (7, "put", put_record())
     # Positional: the line spells no key of the put or of its admit.
     assert not any(f'"{name}"' in line for name in (*FIELDS["put"], *CARRIED_ADMIT))
@@ -88,7 +89,7 @@ def test_record_codec_round_trips():
 
 
 def test_record_codec_rejects_stale_crc():
-    line = encode_record(7, "put", put_record(admit=None))
+    line = encode_record(7, "put", positional("put", put_record(admit=None)))
     doc = json.loads(line)
     doc["rec"][2][1] = 8  # the message id
     tampered = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -155,7 +156,7 @@ def test_record_line_equals_the_two_dump_form(seq, op, data):
     # Non-ASCII text, exponent floats and dicts in unsorted insertion
     # order: the spliced single dump must match the sorted-keys dump of
     # the whole envelope byte for byte (the CRC contract rides on it).
-    line = encode_record(seq, op, data)
+    line = encode_record(seq, op, positional(op, data))
     assert line == two_dump_line(seq, op, data)
     assert decode_record(line) == (seq, op, data)
 
@@ -179,7 +180,7 @@ JSON_VALUES = st.recursive(
 )
 def test_record_codec_round_trips_any_json_data(seq, op, data):
     # An op without a field tuple (``baseline``, ``recover``) is keyed.
-    line = encode_record(seq, op, data)
+    line = encode_record(seq, op, positional(op, data))
     assert decode_record(line) == (seq, op, data)
     assert line == two_dump_line(seq, op, data)
 
@@ -202,7 +203,7 @@ def positional_records():
 @given(seq=st.integers(min_value=1), record=positional_records())
 def test_positional_record_codec_round_trips_any_values(seq, record):
     op, data = record
-    line = encode_record(seq, op, data)
+    line = encode_record(seq, op, positional(op, data))
     assert decode_record(line) == (seq, op, data)
     assert line == two_dump_line(seq, op, data)
 
@@ -231,12 +232,38 @@ def test_corrupt_body_fails_loud():
 
 
 # -- journal write path -------------------------------------------------------
-def test_append_validates_before_persisting():
+def test_a_bad_ack_is_refused_before_it_is_journaled():
+    # The journal only encodes and stores: the live ack refuses an
+    # unknown or repeated tag before it changes or journals anything.
+    store = InMemoryDurableStore()
+    queue = fresh_queue()
+    queue.attach_journal(Journal(store))
+    queue.put("m", topic="t")
+    tag = queue.claim("t").delivery_tag
+    lines = store.read_journal()
+    for tags in ((99,), (tag, 99), (tag, tag)):
+        with pytest.raises(UnknownDelivery):
+            queue.ack(*tags)
+    assert store.read_journal() == lines  # no bad record hit the medium
+    assert queue.inflight_count == 1
+
+
+def test_a_bad_restore_or_settle_is_refused_before_it_is_journaled():
+    # The journal's own tables refuse what the fold used to: a restore
+    # of a message never withdrawn, and a settle of a request not open.
     store = InMemoryDurableStore()
     journal = Journal(store)
-    with pytest.raises(JournalCorruption):
-        journal.append("ack", {"delivery_tags": [99]})  # no such delivery
-    assert store.read_journal() == []  # the bad record never hit the medium
+    queue = fresh_queue()
+    queue.attach_journal(journal)
+    message = queue.put("m", topic="t")
+    lines = store.read_journal()
+    with pytest.raises(KeyError):
+        queue.restore(message)
+    with pytest.raises(KeyError):
+        journal.settle(["task-never-admitted"])
+    assert store.read_journal() == lines
+    assert queue.ready_count("t") == 1
+    assert journal.settled == 0
 
 
 def admit_record(uuid):
@@ -260,9 +287,8 @@ def admit_record(uuid):
     ],
 )
 def test_a_rejected_list_record_leaves_the_state_untouched(op, data, error):
-    # The fold checks every member before it changes anything: a record
-    # naming one live and one bad member must not half-apply, or the
-    # shadow would drift from the store it validates for.
+    # Replay checks every member before it changes anything: a record
+    # naming one live and one bad member must not half-apply.
     assert_refused_whole(op, data, error)
 
 
@@ -280,36 +306,28 @@ def test_an_admission_of_an_open_request_is_refused_whole(op, data):
 
 
 def assert_refused_whole(op, data, error):
-    """Append ``op`` to a journal holding one open request ``u1`` and
-    two claimed messages (delivery tags 1 and 2): it must raise
-    ``error`` and leave the shadow state and the store as they were."""
+    """Fold ``op`` into the replay of a journal holding one open request
+    ``u1`` and two claimed messages (delivery tags 1 and 2): it must
+    raise ``error`` and leave the state as it was."""
     store = InMemoryDurableStore()
     journal = Journal(store)
     queue = fresh_queue()
     queue.attach_journal(journal)
-    journal.append("admit", admit_record("u1"))
+    journal.append("admit", positional("admit", admit_record("u1")))
     queue.put("m1", topic="t")
     queue.put("m2", topic="t")
     queue.claim_many("t", 2)
-    before = json.dumps(journal.state.to_doc(), sort_keys=True)
-    lines = store.read_journal()
+    state, _ = load_state(store)
+    before = json.dumps(state.to_doc(), sort_keys=True)
     with pytest.raises(JournalCorruption, match=error):
-        journal.append(op, data)
-    assert json.dumps(journal.state.to_doc(), sort_keys=True) == before
-    assert list(journal.state.open) == ["u1"]
-    assert store.read_journal() == lines
+        state.apply(state.last_seq + 1, op, data)
+    assert json.dumps(state.to_doc(), sort_keys=True) == before
+    assert list(state.open) == ["u1"]
 
 
 def test_seed_baseline_noops_on_fresh_counters():
     journal = Journal(InMemoryDurableStore())
-    seq = journal.seed_baseline(
-        total_enqueued=0,
-        total_acked=0,
-        total_redelivered=0,
-        topic_enqueued={},
-        next_message_id=1,
-        next_tag=1,
-    )
+    seq = journal.seed_baseline(fresh_queue().dump_state())
     assert seq is None
     assert journal.last_seq == 0
 
@@ -318,26 +336,21 @@ def test_seed_baseline_records_history_and_rejects_reuse():
     store = InMemoryDurableStore()
     journal = Journal(store)
     seq = journal.seed_baseline(
-        total_enqueued=5,
-        total_acked=3,
-        total_redelivered=1,
-        topic_enqueued={"t": 5},
-        next_message_id=6,
-        next_tag=4,
+        {
+            "total_enqueued": 5,
+            "total_acked": 3,
+            "total_redelivered": 1,
+            "topic_enqueued": {"t": 5},
+            "next_message_id": 6,
+            "next_tag": 4,
+        }
     )
     assert seq == 1
     state, _ = load_state(store)
     assert state.total_enqueued == 5
     assert state.next_message_id == 6
     with pytest.raises(ValueError, match="fresh journal"):
-        journal.seed_baseline(
-            total_enqueued=0,
-            total_acked=0,
-            total_redelivered=0,
-            topic_enqueued={},
-            next_message_id=1,
-            next_tag=1,
-        )
+        journal.seed_baseline(fresh_queue().dump_state())
 
 
 def test_snapshot_cadence_truncates_covered_records():
@@ -347,6 +360,7 @@ def test_snapshot_cadence_truncates_covered_records():
     queue.attach_journal(journal)
     for i in range(7):
         queue.put(f"m{i}", topic="t")
+        snapshot_if_due(journal, queue)
     assert journal.snapshots_taken == 2  # after records 3 and 6
     assert store.snapshots == 2
     assert len(store.read_journal()) == 1  # only record 7 remains
@@ -365,7 +379,7 @@ def test_quiescent_snapshot_does_not_grow_with_run_length(chaos_zoo):
     def drain_and_snapshot(n):
         outcome = harness.run(alternating_arrivals(tokens, n=n))
         assert outcome.exactly_once and len(outcome.settled) == n
-        harness.journal.snapshot_now()
+        harness.journal.snapshot_now(harness.queue)
         return store.read_snapshot()
 
     short, long = drain_and_snapshot(30), drain_and_snapshot(300)
@@ -388,6 +402,7 @@ def test_file_store_persists_across_instances(tmp_path):
     queue.attach_journal(journal)
     for i in range(6):
         queue.put(f"m{i}", topic="t")
+        snapshot_if_due(journal, queue)
 
     reopened = FileDurableStore(directory)
     assert reopened.read_journal() == store.read_journal()
@@ -405,18 +420,18 @@ def test_file_store_opens_its_journal_once_per_snapshot_interval(tmp_path):
             return sum(c.args[1:2] == ("a",) for c in opened.call_args_list)
 
         for seq in range(1, 6):
-            store.append(seq, encode_record(seq, "settle", {"task_uuids": [f"u{seq}"]}))
+            store.append(seq, encode_record(seq, "settle", [[f"u{seq}"]]))
             assert len(store.read_journal()) == seq  # flushed per record
         assert append_opens() == 1
 
         # The snapshot swaps the journal file; the handle must follow it.
         store.write_snapshot("{}", 3)
-        store.append(6, encode_record(6, "settle", {"task_uuids": ["u6"]}))
+        store.append(6, encode_record(6, "settle", [["u6"]]))
         assert append_opens() == 2
     assert [decode_record(line)[0] for line in store.read_journal()] == [4, 5, 6]
     store.close()
     store.close()  # idempotent; a later append reopens
-    store.append(7, encode_record(7, "settle", {"task_uuids": ["u7"]}))
+    store.append(7, encode_record(7, "settle", [["u7"]]))
     assert len(store.read_journal()) == 4
     store.close()
 

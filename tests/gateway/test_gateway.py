@@ -68,6 +68,28 @@ def requests_at(rate_rps, duration_s, token, servable="noop", args=(1,)):
 
 
 class TestAdmissionFailurePaths:
+    def test_an_open_request_cannot_be_admitted_again(self):
+        # A second admission of an open request would overwrite its open
+        # result and journal a second admit: every door refuses it, and
+        # one batch may not name a request twice.
+        testbed, gateway, tokens = build_gateway({"u": TenantPolicy(name="t")})
+        identity = testbed._identities["u"]
+        request = TaskRequest("noop", args=(1,))
+        assert gateway.offer(request, token=tokens["u"]).admitted
+        twice = TaskRequest("noop", args=(2,))
+        for door in (
+            lambda: gateway.offer(request, token=tokens["u"]),
+            lambda: gateway.invoke_sync_many([TaskRequest("noop"), request], identity),
+            lambda: gateway.invoke_sync_many([twice, twice], identity),
+        ):
+            with pytest.raises(GatewayError, match="already admitted"):
+                door()
+        # Refused before admission: nothing more was charged, and the
+        # first admission still settles once.
+        assert gateway.admission.in_flight("t") == 1
+        gateway.runtime.drain()
+        assert gateway.metrics.counters("t").completed == 1
+
     def test_invalid_token_is_a_typed_outcome_not_an_exception(self):
         testbed, gateway, tokens = build_gateway({"u": TenantPolicy(name="t")})
         results = gateway.serve(

@@ -87,11 +87,15 @@ REGISTRY: dict[str, dict[str, dict]] = {
         "arms.chaos.recoveries[0].released": {"min": 1},
         # The record stream itself: how many records, when snapshots
         # fall, where the crashed journal ended. How a record is
-        # encoded may change; how many there are may not.
+        # encoded may change; how many there are may not. A snapshot is
+        # written at the first gateway tick after its cadence, not inside
+        # the append that reaches it: the chaos arm's recovery replays 59
+        # records, not 62 (the artifact's resumed journal also takes 4
+        # snapshots, not 5; that count is not pinned).
         "arms.steady.journal.records_appended": {"equals": 635},
         "arms.steady.journal.snapshots_taken": {"equals": 9},
         "arms.chaos.journal.last_seq": {"equals": 651},
-        "arms.chaos.recoveries[0].records_replayed": {"equals": 62},
+        "arms.chaos.recoveries[0].records_replayed": {"equals": 59},
         # Bounded tail penalty: one restart downtime plus re-serve slack
         # (the committed params carry the same bound the bench asserts).
         "p99_penalty_s": {"min": 0.0, "max": 0.75},

@@ -52,10 +52,11 @@ class MemoCache:
         if self.clock is not None:
             self.clock.advance(self.lookup_cost_s)
 
-    def lookup(self, signature: tuple) -> Any:
-        """Return the cached value or :attr:`MISSING`; charges lookup cost."""
+    def lookup(self, key: bytes | None) -> Any:
+        """Return the value cached under ``key`` (a :meth:`make_key`
+        result, ``None`` for an unkeyable signature) or :attr:`MISSING`;
+        charges lookup cost."""
         self._charge()
-        key = self.make_key(signature)
         if key is None:
             self.unhashable += 1
             return self._MISSING
@@ -69,11 +70,12 @@ class MemoCache:
 
     @property
     def MISSING(self) -> object:
+        """The sentinel :meth:`lookup` returns on a miss."""
         return self._MISSING
 
-    def store(self, signature: tuple, value: Any) -> bool:
-        """Insert a result; returns False if the signature is unkeyable."""
-        key = self.make_key(signature)
+    def store(self, key: bytes | None, value: Any) -> bool:
+        """Insert a result under ``key`` (as :meth:`lookup` takes it);
+        returns False if the signature was unkeyable."""
         if key is None:
             return False
         self._cache[key] = value
@@ -130,9 +132,11 @@ class MemoCache:
         return len(self._cache)
 
     def clear(self) -> None:
+        """Drop every entry (the counters are kept)."""
         self._cache.clear()
 
     @property
     def hit_rate(self) -> float:
+        """Hits per keyed lookup (0.0 before the first)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

@@ -161,10 +161,11 @@ class TaskManager:
         start = self.clock.now()
         if request.is_batch:
             return self._process_batch(request, start)
-        signature = request.input_signature()
 
-        if self.memoize and signature is not None:
-            cached = self.cache.lookup(signature)
+        if self.memoize:
+            # One key per request, for the lookup and the store alike.
+            key = self.cache.make_key(request.input_signature())
+            cached = self.cache.lookup(key)
             if cached is not self.cache.MISSING:
                 self.tasks_processed += 1
                 return TaskResult(
@@ -198,8 +199,8 @@ class TaskManager:
                 error=f"{type(exc).__name__}: {exc}",
                 invocation_time=self.clock.now() - start,
             )
-        if self.memoize and signature is not None:
-            self.cache.store(signature, outcome.value)
+        if self.memoize:
+            self.cache.store(key, outcome.value)
         self.tasks_processed += 1
         return TaskResult(
             task_uuid=request.task_uuid,
@@ -222,12 +223,12 @@ class TaskManager:
         """
         items = list(request.batch or [])
         values: list[Any] = [None] * len(items)
-        signatures: list[tuple | None] = [None] * len(items)
+        keys: list[bytes | None] = [None] * len(items)
         misses: list[int] = []
         for i, item in enumerate(items):
             if self.memoize:
-                signatures[i] = request.item_signature(item)
-                cached = self.cache.lookup(signatures[i])
+                keys[i] = self.cache.make_key(request.item_signature(item))
+                cached = self.cache.lookup(keys[i])
                 if cached is not self.cache.MISSING:
                     values[i] = cached
                     continue
@@ -300,8 +301,8 @@ class TaskManager:
                 if i in failed_items:
                     continue  # a failed chunk produced no usable value
                 values[i] = value
-                if signatures[i] is not None:
-                    self.cache.store(signatures[i], value)
+                if keys[i] is not None:
+                    self.cache.store(keys[i], value)
             if failed_items:
                 # Some replica chunks died while siblings finished: the
                 # batch envelope is FAILED, but per-chunk metadata lets

@@ -2,7 +2,7 @@
 
 A journal record is one JSON line::
 
-    {"crc": <crc32 of canonical rec>, "rec": [seq, op, [values...]], "v": 4}
+    {"crc": <crc32 of canonical rec>, "rec": [seq, op, [values...]], "v": 5}
 
 Records are *positional*: :data:`FIELDS` names, per op, the values of
 its record in line order, so a line never spells out a key. A ``put``
@@ -14,22 +14,19 @@ op without a field tuple. The write path hands :func:`encode_record`
 the values already in line order; :func:`decode_record` names them
 again, so replay folds keyed ``dict`` records.
 
-Values are restricted to JSON types; request bodies inside them are
-pickled and base64-encoded by :func:`encode_body` (with the trace
-context stripped — traces are observability state, not serving state,
-and may hold unpicklable tracer internals). Bodies are not compressed:
-a pickled ``TaskRequest`` is ~220 bytes, of which zlib saved ~30 for
-three quarters of the encoding time. The CRC is computed over the
-canonical serialization (sorted keys, no spaces) of the ``rec`` array,
-so a decoded record can be re-verified without byte-preserving the
-original line.
+Values are restricted to JSON types. A request body inside them is the
+base64 of the pickled tuple of its :data:`BODY_FIELDS` values, trace
+``None`` (:func:`encode_body`). The CRC is computed over the canonical
+serialization (sorted keys, no spaces) of the ``rec`` array, so a
+decoded record can be re-verified without byte-preserving the original
+line; records and snapshot documents share one canonical encoder.
 
-Version 4 made records positional and let a ``put`` carry the
-``admit`` of a request released by the door call that admitted it
-(see :meth:`repro.durability.journal.Journal.hold_admit`). Version 3
-had introduced one ``ack`` record per ``ack`` call and one ``settle``
-record per gateway ``on_settled`` call, version 2 the body-less
-``put``. Lines of any other version are refused
+Version 5 made the body a field tuple. Version 4 had made records
+positional and let a ``put`` carry the ``admit`` of a request released
+by the door call that admitted it (see :meth:`repro.durability.journal.
+Journal.hold_admit`), version 3 one ``ack`` record per ``ack`` call and
+one ``settle`` record per gateway ``on_settled`` call, version 2 the
+body-less ``put``. Lines of any other version are refused
 (:class:`FormatMismatch`), not migrated.
 """
 
@@ -38,11 +35,19 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import operator
 import pickle
 import zlib
-from typing import Any
+from json import encoder as _json
 
-FORMAT_VERSION = 4
+from repro.core.tasks import TaskRequest
+
+FORMAT_VERSION = 5
+
+#: A body's values, in pickled-tuple order.
+BODY_FIELDS = tuple(f.name for f in dataclasses.fields(TaskRequest))
+_TRACE = BODY_FIELDS.index("trace")
+_body_values = operator.attrgetter(*BODY_FIELDS)
 
 #: op -> the names of its record's values, in line order.
 FIELDS: dict[str, tuple[str, ...]] = {
@@ -79,11 +84,13 @@ class FormatMismatch(JournalCorruption):
     version — never a torn write, so never tolerated as one."""
 
 
-# Records are fresh trees with no cycles, so the encoder skips the
-# circular-reference bookkeeping it would otherwise pay on every call.
-_canonical = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False
-).encode
+# One C encoder, built here: ``JSONEncoder.encode`` builds one per call.
+# No circular-reference bookkeeping (``markers`` None): records and
+# documents are fresh trees.
+_iterencode = _json.c_make_encoder(
+    None, json.JSONEncoder().default, _json.encode_basestring_ascii,
+    None, ":", ",", True, False, True,  # indent, separators, sort_keys, skipkeys, allow_nan
+)
 
 
 def encode_record(seq: int, op: str, values) -> str:
@@ -93,14 +100,15 @@ def encode_record(seq: int, op: str, values) -> str:
     # The canonical ``rec`` text is both the CRC input and, spliced in
     # verbatim, the envelope's middle: the line equals a sorted-keys
     # dump of the whole envelope without serializing ``rec`` twice.
-    rec = _canonical([seq, op, values])
+    rec = encode_doc([seq, op, values])
     crc = zlib.crc32(rec.encode("utf-8"))
     return f'{{"crc":{crc},"rec":{rec},"v":{FORMAT_VERSION}}}'
 
 
-def encode_doc(doc: dict) -> str:
-    """Serialize a snapshot document (canonical: sorted keys, no spaces)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def encode_doc(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``: a
+    snapshot document, or a record's ``rec``, serialized canonically."""
+    return "".join(_iterencode(doc, 0))
 
 
 def decode_record(line: str) -> tuple[int, str, dict]:
@@ -136,7 +144,7 @@ def decode_record(line: str) -> tuple[int, str, dict]:
         shaped = isinstance(data, list) and len(data) == len(fields)
     if not isinstance(seq, int) or not isinstance(op, str) or not shaped:
         raise JournalCorruption(f"malformed journal record fields: {line[:120]!r}")
-    crc = zlib.crc32(_canonical(doc["rec"]).encode("utf-8"))
+    crc = zlib.crc32(encode_doc(doc["rec"]).encode("utf-8"))
     if crc != doc.get("crc"):
         raise JournalCorruption(
             f"crc mismatch on record seq={seq} op={op!r}: "
@@ -153,22 +161,26 @@ def decode_record(line: str) -> tuple[int, str, dict]:
     return seq, op, record
 
 
-def encode_body(body: Any) -> str:
-    """Encode a queue message body (usually a ``TaskRequest``) to text.
+def encode_body(body: TaskRequest) -> str:
+    """Encode a request to text: its :data:`BODY_FIELDS` values, pickled.
 
-    The trace context is stripped before pickling: it is per-incarnation
+    The trace context is written as ``None``: it is per-incarnation
     observability state, never needed to re-serve the request, and may
     reference live tracer internals.
     """
-    if dataclasses.is_dataclass(body) and getattr(body, "trace", None) is not None:
-        body = dataclasses.replace(body, trace=None)
-    raw = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
-    return base64.b64encode(raw).decode("ascii")
+    values = _body_values(body)
+    if values[_TRACE] is not None:
+        values = (*values[:_TRACE], None, *values[_TRACE + 1:])
+    return base64.b64encode(pickle.dumps(values, pickle.HIGHEST_PROTOCOL)).decode("ascii")
 
 
-def decode_body(text: str) -> Any:
-    """Inverse of :func:`encode_body`."""
+def decode_body(text: str) -> TaskRequest:
+    """Inverse of :func:`encode_body`: the request is rebuilt without
+    ``__init__``, so no task counter moves."""
+    request = object.__new__(TaskRequest)
     try:
-        return pickle.loads(base64.b64decode(text.encode("ascii")))
+        values = pickle.loads(base64.b64decode(text.encode("ascii")))
+        vars(request).update(zip(BODY_FIELDS, values, strict=True))
     except Exception as exc:  # corrupt payloads fail loud, never partially
         raise JournalCorruption(f"undecodable message body: {exc}") from exc
+    return request

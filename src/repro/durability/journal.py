@@ -31,6 +31,7 @@ only in :mod:`repro.durability.recovery` / ``chaos``.
 
 from __future__ import annotations
 
+from repro.core.tasks import TaskRequest
 from repro.durability import codec
 from repro.durability.state import COUNTERS, DOC_VERSION, MESSAGE_FIELDS, SystemState
 
@@ -143,9 +144,12 @@ class Journal:
         """Record one ``put``. A request with a held admission has it
         carried, and one with an open admission has its body on the
         journal already: either way the put carries just the uuid and
-        the ``dispatch_tag`` stamped since admission. Any other body (a
-        direct submit, a put after the settle) is encoded here."""
-        uuid = getattr(body, "task_uuid", None)
+        the ``dispatch_tag`` stamped since admission. Any other request
+        (a direct submit, a put after the settle) is encoded here; any
+        other body raises ``TypeError`` before anything changes."""
+        if type(body) is not TaskRequest:
+            raise TypeError(f"only a TaskRequest body is journaled, not {type(body).__name__}")
+        uuid = body.task_uuid
         admit = self._held.pop(uuid, None)
         entry = self._open.get(uuid)
         if admit is None and entry is None:
@@ -217,7 +221,7 @@ class Journal:
         A request with an open admission takes its body from it, as the
         fold does, plus the ``dispatch_tag`` it carries since."""
         body = message["body"]
-        uuid = getattr(body, "task_uuid", None)
+        uuid = body.task_uuid
         doc = dict({name: message[name] for name in MESSAGE_FIELDS}, task_uuid=uuid)
         entry = self._open.get(uuid)
         if entry is None:

@@ -253,8 +253,7 @@ def gateway_restore_entries(state: SystemState) -> list[dict]:
     for topic in sorted(state.ready):
         for mid in state.ready[topic]:
             message = state.messages[mid]
-            if message["task_uuid"] is not None:
-                in_queue_tags[message["task_uuid"]] = message.get("dispatch_tag")
+            in_queue_tags[message["task_uuid"]] = message.get("dispatch_tag")
     entries = []
     for uuid in sorted(state.open, key=lambda u: state.open[u]["admit_seq"]):
         entry = state.open[uuid]

@@ -54,7 +54,7 @@ from collections import deque
 
 from repro.durability.codec import FormatMismatch, JournalCorruption
 
-DOC_VERSION = 3
+DOC_VERSION = 4  # since bodies became field tuples (codec format 5)
 
 #: The queue's counters and id cursors, named as ``TaskQueue.dump_state``,
 #: a ``baseline`` record and a snapshot name them.
@@ -128,7 +128,7 @@ class SystemState:
         if data["admit"] is not None:
             # Refuses an already-open uuid before anything changes.
             self._apply_admit(seq, {"task_uuid": uuid, **data["admit"]})
-        entry = self.open.get(uuid or "")
+        entry = self.open.get(uuid)
         if data["body"] is None and entry is None:
             raise JournalCorruption(
                 f"put at seq={seq} has no body and no open admit to take one from"
@@ -175,7 +175,7 @@ class SystemState:
         _require_all(seq, "ack", tags, self.inflight, "unknown delivery tag")
         for tag in tags:
             mid = self.inflight.pop(tag)[0]
-            entry = self.open.get(self.messages[mid]["task_uuid"] or "")
+            entry = self.open.get(self.messages[mid]["task_uuid"])
             if entry is not None:
                 entry["acked"] = True
             del self.messages[mid]
@@ -190,7 +190,7 @@ class SystemState:
             self.total_redelivered += 1
         else:
             self.dead.append(mid)
-            entry = self.open.get(self.messages[mid]["task_uuid"] or "")
+            entry = self.open.get(self.messages[mid]["task_uuid"])
             if entry is not None:
                 entry["dead"] = True
 
@@ -242,7 +242,7 @@ class SystemState:
             self.total_redelivered += len(mids)
         for mid in data["dead"]:
             self.dead.append(mid)
-            entry = self.open.get(self.messages[mid]["task_uuid"] or "")
+            entry = self.open.get(self.messages[mid]["task_uuid"])
             if entry is not None:
                 entry["dead"] = True
         for mid in data["dropped"]:

@@ -185,15 +185,15 @@ class TaskQueue:
             enqueued_at=now if enqueued_at is None else enqueued_at,
             topic=topic,
         )
+        if self.journal is not None:  # first: a body it refuses changes nothing
+            self.journal.put(
+                topic, msg.message_id, msg.enqueued_at, enqueued_at is None, body
+            )
         self._next_message_id += 1
         self._ready.setdefault(topic, deque()).append(msg)
         if enqueued_at is None:
             self.total_enqueued += 1
             self._topic_enqueued[topic] = self._topic_enqueued.get(topic, 0) + 1
-        if self.journal is not None:
-            self.journal.put(
-                topic, msg.message_id, msg.enqueued_at, enqueued_at is None, body
-            )
         self._notify(topic, +1)
         return msg
 

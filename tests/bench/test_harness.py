@@ -42,7 +42,8 @@ class TestWorkloads:
         assert row["p5_ms"] <= row["median_ms"] <= row["p95_ms"]
 
     def test_clear_caches(self, small_ctx):
-        small_ctx.testbed.task_manager.cache.store(("x", (), ()), 1)
+        cache = small_ctx.testbed.task_manager.cache
+        cache.store(cache.make_key(("x", (), ())), 1)
         small_ctx.clear_caches()
         assert len(small_ctx.testbed.task_manager.cache) == 0
 

@@ -15,6 +15,8 @@ from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
 from repro.sim.clock import VirtualClock
 
+key = MemoCache.make_key
+
 
 @pytest.fixture()
 def fleet():
@@ -32,9 +34,9 @@ def fleet():
 class TestMemoCacheExportAbsorb:
     def test_export_filters_by_servable(self):
         cache = MemoCache(VirtualClock())
-        cache.store(("a", (1,), ()), "ra")
-        cache.store(("a", (2,), ()), "ra2")
-        cache.store(("b", (1,), ()), "rb")
+        cache.store(key(("a", (1,), ())), "ra")
+        cache.store(key(("a", (2,), ())), "ra2")
+        cache.store(key(("b", (1,), ())), "rb")
         assert len(cache.export_entries("a")) == 2
         assert len(cache.export_entries("b")) == 1
         assert len(cache.export_entries()) == 3
@@ -42,22 +44,22 @@ class TestMemoCacheExportAbsorb:
     def test_absorb_round_trips_and_respects_capacity(self):
         source = MemoCache(VirtualClock())
         for i in range(6):
-            source.store(("s", (i,), ()), i * 10)
+            source.store(key(("s", (i,), ())), i * 10)
         target = MemoCache(VirtualClock(), max_entries=4)
         copied = target.absorb(source.export_entries("s"))
         assert copied == 6
         assert len(target) == 4  # LRU-evicted down to capacity
         assert target.evictions == 2
         # The newest absorbed entries survived and hit.
-        assert target.lookup(("s", (5,), ())) == 50
+        assert target.lookup(key(("s", (5,), ()))) == 50
 
     def test_absorb_overwrites_in_place(self):
         a = MemoCache(VirtualClock())
-        a.store(("s", (1,), ()), "old")
+        a.store(key(("s", (1,), ())), "old")
         b = MemoCache(VirtualClock())
-        b.store(("s", (1,), ()), "new")
+        b.store(key(("s", (1,), ())), "new")
         a.absorb(b.export_entries("s"))
-        assert a.lookup(("s", (1,), ())) == "new"
+        assert a.lookup(key(("s", (1,), ()))) == "new"
 
 
 class TestAddCopyWarming:

@@ -73,6 +73,13 @@ def alternating_arrivals(tokens, n=30, rate_rps=200.0, servable="noop"):
     ]
 
 
+def request(i, servable="noop", **fields):
+    """A body for tests that drive a journaled queue directly: only a
+    ``TaskRequest`` is journaled. Its ids are explicit, so building one
+    moves no task counter."""
+    return TaskRequest(servable, args=(i,), task_uuid=f"req-{i}", sequence=i, **fields)
+
+
 def snapshot_if_due(journal, queue):
     """What the gateway's ``on_tick`` does at a boundary, for tests that
     drive a journaled queue without a gateway: write the snapshot if

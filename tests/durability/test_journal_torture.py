@@ -7,8 +7,7 @@ duplicate record, a snapshot/journal seam overlap. Fatal
 (:class:`JournalCorruption`): mid-journal garbage, a CRC/content
 mismatch, a sequence gap, two different records claiming one sequence,
 an unparseable snapshot document, a record written in an older format
-version (1, 2 or 3) or a snapshot in an older document version (1 or
-2).
+version (1 to 4) or a snapshot in an older document version (1 to 3).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.durability.state import DOC_VERSION
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
 
-from .conftest import snapshot_if_due
+from .conftest import request, snapshot_if_due
 
 
 def seeded_store(tmp_path, n_puts=8, snapshot_every=10**9):
@@ -52,7 +51,7 @@ def seeded_store(tmp_path, n_puts=8, snapshot_every=10**9):
     queue.attach_journal(journal)
     for i in range(n_puts):
         clock.advance(0.01)
-        queue.put(f"m{i}", topic="t")
+        queue.put(request(i), topic="t")
         snapshot_if_due(journal, queue)
     queue.ack(queue.claim("t").delivery_tag)
     queue.nack(queue.claim("t").delivery_tag, requeue=True)
@@ -163,10 +162,11 @@ def as_format(line, version):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-#: Lines are at format 4 (positional records), so a version-3 line is
-#: refused too; the snapshot document's shape last changed at 3.
-OLD_LINE_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3])
-OLD_SNAPSHOT_VERSIONS = pytest.mark.parametrize("version", [1, 2])
+#: Lines are at format 5 (a body is a pickled field tuple), so a
+#: version-4 line is refused too; snapshots carry bodies, so the
+#: snapshot document moved to 4 with them.
+OLD_LINE_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3, 4])
+OLD_SNAPSHOT_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3])
 
 
 def refused(version, current):

@@ -23,6 +23,8 @@ from tests.core.lane_oracles import (
     checked_expire_inflight,
 )
 
+from .conftest import request
+
 
 def build_queue(clock, store, *, visibility_timeout_s=5.0, max_deliveries=3):
     queue = TaskQueue(
@@ -38,7 +40,8 @@ def test_replayed_release_is_idempotent_with_visibility_reclaim():
     clock = VirtualClock()
     store = InMemoryDurableStore()
     queue = build_queue(clock, store)
-    queue.put("payload", topic="t")
+    payload = request(0)
+    queue.put(payload, topic="t")
     claimed = queue.claim("t")
     assert claimed.deliveries == 1
 
@@ -63,7 +66,7 @@ def test_replayed_release_is_idempotent_with_visibility_reclaim():
 
     # Exactly one copy, carrying the crashed delivery's attempt count.
     msg = recovered.claim("t")
-    assert msg.body == "payload"
+    assert msg.body == payload
     assert msg.deliveries == 2
     assert recovered.ready_count("t") == 0
     assert recovered.inflight_count == 1
@@ -78,7 +81,8 @@ def test_recovery_honours_the_delivery_budget():
     clock = VirtualClock()
     store = InMemoryDurableStore()
     queue = build_queue(clock, store)
-    queue.put("payload", topic="t")
+    payload = request(0)
+    queue.put(payload, topic="t")
     for _ in range(2):
         msg = queue.claim("t")
         queue.nack(msg.delivery_tag, requeue=True)
@@ -96,4 +100,4 @@ def test_recovery_honours_the_delivery_budget():
     )
     assert recovered.expire_inflight() == 0
     assert recovered.ready_count("t") == 0
-    assert [m.body for m in recovered.dead_letters] == ["payload"]
+    assert [m.body for m in recovered.dead_letters] == [payload]

@@ -124,12 +124,12 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
             clock.advance(float(rng.integers(1, 50)) / 1000.0)
         try:
             if op == "put":
-                # A direct producer: plain payloads and hand-tagged
-                # requests alike journal their body in the put.
+                # A direct producer: untagged and hand-tagged requests
+                # alike journal their body in the put.
                 body_i += 1
-                body = f"body-{seed}-{body_i}"
+                body = new_request()
                 if rng.random() < 0.4:
-                    body = stamp(new_request())
+                    stamp(body)
                 queue.put(body, topic=random_topic())
             elif op == "door":
                 # The gateway's order: admit one to three requests
@@ -196,10 +196,7 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
                 if not withdrawn_held:
                     continue
                 message = withdrawn_held.pop(int(rng.integers(len(withdrawn_held))))
-                body = message.body
-                if isinstance(body, TaskRequest):
-                    stamp(body)
-                queue.put(body, topic=message.topic, enqueued_at=message.enqueued_at)
+                queue.put(stamp(message.body), topic=message.topic, enqueued_at=message.enqueued_at)
             elif op == "settle":
                 # Any open request may settle — even one whose message
                 # is still queued (a result can outrun a redelivery).
@@ -304,9 +301,8 @@ class TestReplayEquivalence:
 
     def test_settled_and_open_survive_replay(self, seed):
         store, journal, queue, _, _ = build_walk(seed, n_ops=40)
-        journal.hold_admit(
-            "task-x", ["t1", "alpha", 1.25, 2.0, journal.encode_body("req-x")]
-        )
+        body = journal.encode_body(TaskRequest("alpha", task_uuid="task-x", sequence=0))
+        journal.hold_admit("task-x", ["t1", "alpha", 1.25, 2.0, body])
         journal.flush_admits()
         settled_before = journal.settled
         journal.settle(["task-x"])

@@ -6,12 +6,17 @@ queue's attach/dump/load surface."""
 
 from __future__ import annotations
 
+import base64
 import builtins
+import dataclasses
 import json
+import pickle
 import re
 import zlib
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,16 +32,18 @@ from repro.durability import (
     load_state,
 )
 from repro.durability.codec import (
+    BODY_FIELDS,
     CARRIED_ADMIT,
     FIELDS,
     FORMAT_VERSION,
     decode_record,
+    encode_doc,
     encode_record,
 )
 from repro.messaging.queue import TaskQueue, UnknownDelivery
 from repro.sim.clock import VirtualClock
 
-from .conftest import alternating_arrivals, build_chaos_harness, snapshot_if_due
+from .conftest import alternating_arrivals, build_chaos_harness, request, snapshot_if_due
 
 
 def fresh_queue(clock=None, **kwargs):
@@ -208,12 +215,124 @@ def test_positional_record_codec_round_trips_any_values(seq, record):
     assert line == two_dump_line(seq, op, data)
 
 
+CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+#: Any JSON value the encoder may meet, NaN and the infinities included
+#: (``json.dumps`` spells them ``NaN`` / ``Infinity``; so must the line).
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def line_values():
+    """``(op, values)`` as the write path hands them to
+    :func:`encode_record`: a positional list for every op of
+    :data:`FIELDS` (a put's carried admit nested or ``None``), keyed
+    ``data`` for ``baseline`` and ``recover``."""
+
+    def values(op):
+        if op not in FIELDS:
+            return st.dictionaries(st.text(), ANY_JSON, max_size=5)
+        n = len(FIELDS[op])
+        if op != "put":
+            return st.lists(ANY_JSON, min_size=n, max_size=n)
+        admit = st.none() | st.lists(
+            ANY_JSON, min_size=len(CARRIED_ADMIT), max_size=len(CARRIED_ADMIT)
+        )
+        return st.tuples(st.lists(ANY_JSON, min_size=n - 1, max_size=n - 1), admit).map(
+            lambda parts: [*parts[0], parts[1]]
+        )
+
+    ops = [*sorted(FIELDS), "baseline", "recover"]
+    return st.sampled_from(ops).flatmap(lambda op: st.tuples(st.just(op), values(op)))
+
+
+@given(seq=st.integers(min_value=0), record=line_values())
+def test_the_shared_encoder_writes_json_dumps_of_the_envelope(seq, record):
+    # The encoder is built once from the C encoder's parts, not by
+    # ``json.dumps``: each line must still be byte for byte the
+    # canonical dump of its whole envelope, on every Python CI tests.
+    op, values = record
+    rec = [seq, op, values]
+    crc = zlib.crc32(json.dumps(rec, **CANONICAL).encode("utf-8"))
+    envelope = {"crc": crc, "rec": rec, "v": FORMAT_VERSION}
+    assert encode_record(seq, op, values) == json.dumps(envelope, **CANONICAL)
+
+
+@given(doc=st.dictionaries(st.text(), ANY_JSON, max_size=6))
+def test_the_shared_encoder_writes_json_dumps_of_a_document(doc):
+    assert encode_doc(doc) == json.dumps(doc, **CANONICAL)
+
+
+ARG = st.recursive(
+    st.text() | st.integers() | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+ARRAY = st.lists(st.floats(allow_nan=False), max_size=5).map(np.array)
+
+
+@st.composite
+def requests(draw):
+    """A request as the stack builds one, ids explicit (so no task
+    counter moves) and a trace that will not pickle."""
+    maybe_text = st.none() | st.text(max_size=8)
+    return TaskRequest(
+        draw(st.text(min_size=1, max_size=8)),
+        args=draw(st.lists(ARG | ARRAY, max_size=4).map(tuple)),
+        kwargs=draw(st.dictionaries(st.text(max_size=5), ARG | ARRAY, max_size=3)),
+        identity_id=draw(maybe_text),
+        tenant=draw(maybe_text),
+        dispatch_tag=draw(st.none() | st.floats(allow_nan=False)),
+        batch=draw(st.none() | st.lists(ARG, max_size=3)),
+        trace=draw(st.none() | st.just(object())),
+        task_uuid=draw(st.text(min_size=1, max_size=12)),
+        sequence=draw(st.integers(min_value=0)),
+    )
+
+
+def same(a, b):
+    """Equal as pickled bytes: exact, and defined for numpy arrays."""
+    return pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+        b, protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+@given(request=requests())
+def test_body_codec_round_trips_any_request(request):
+    decoded = decode_body(encode_body(request))
+    expected = dict(vars(request), trace=None)
+    assert type(decoded) is TaskRequest
+    assert list(vars(decoded)) == list(expected) == list(BODY_FIELDS)
+    for name, value in expected.items():
+        assert same(getattr(decoded, name), value), name
+    # The Management Service models transfer time from a request's
+    # pickled size, so the decoded request must pickle as the original.
+    assert same(decoded, dataclasses.replace(request, trace=None))
+
+
 def test_body_codec_round_trips_requests():
     request = TaskRequest("noop", args=(1, "x"), kwargs={"k": 2.5})
     decoded = decode_body(encode_body(request))
-    assert decoded.servable_name == "noop"
-    assert decoded.args == (1, "x")
-    assert decoded.kwargs == {"k": 2.5}
+    assert vars(decoded) == vars(request)
+
+
+def test_a_body_is_the_pickled_tuple_of_its_field_values():
+    request = TaskRequest("noop", args=(1,), task_uuid="u1", sequence=3)
+    values = pickle.loads(base64.b64decode(encode_body(request)))
+    assert values == ("noop", (1,), {}, None, None, None, None, None, "u1", 3)
+
+
+def test_decoding_a_body_moves_no_task_counter():
+    body = encode_body(TaskRequest("noop", args=(1,)))
+    before = TaskRequest("noop")
+    decode_body(body)
+    after = TaskRequest("noop")
+    assert after.sequence == before.sequence + 1
+    assert int(after.task_uuid[5:]) == int(before.task_uuid[5:]) + 1
 
 
 def test_body_codec_strips_trace_context():
@@ -231,6 +350,18 @@ def test_corrupt_body_fails_loud():
         decode_body("definitely-not-a-base64-pickle")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [TaskRequest("noop", task_uuid="u", sequence=0), ("noop", (1,))],
+    ids=["version-4 body", "short tuple"],
+)
+def test_a_body_that_is_not_a_request_field_tuple_fails_loud(value):
+    # A version-4 body pickled the request itself, not its field tuple.
+    text = base64.b64encode(pickle.dumps(value)).decode("ascii")
+    with pytest.raises(JournalCorruption, match="undecodable message body"):
+        decode_body(text)
+
+
 # -- journal write path -------------------------------------------------------
 def test_a_bad_ack_is_refused_before_it_is_journaled():
     # The journal only encodes and stores: the live ack refuses an
@@ -238,7 +369,7 @@ def test_a_bad_ack_is_refused_before_it_is_journaled():
     store = InMemoryDurableStore()
     queue = fresh_queue()
     queue.attach_journal(Journal(store))
-    queue.put("m", topic="t")
+    queue.put(request(0), topic="t")
     tag = queue.claim("t").delivery_tag
     lines = store.read_journal()
     for tags in ((99,), (tag, 99), (tag, tag)):
@@ -248,6 +379,36 @@ def test_a_bad_ack_is_refused_before_it_is_journaled():
     assert queue.inflight_count == 1
 
 
+SubRequest = dataclasses.make_dataclass("SubRequest", [], bases=(TaskRequest,))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "payload",
+        SimpleNamespace(task_uuid="req-0", dispatch_tag=None),
+        SubRequest("noop", task_uuid="s", sequence=0),
+    ],
+    ids=["str", "look-alike", "subclass"],
+)
+def test_a_journaled_queue_refuses_a_body_that_is_not_a_request(body):
+    # Only a TaskRequest is journaled; anything else is refused before
+    # the queue or the journal changes.
+    store = InMemoryDurableStore()
+    journal = Journal(store)
+    queue = fresh_queue()
+    queue.attach_journal(journal)
+    queue.put(request(0), topic="t")
+    before = queue.dump_state()
+    with pytest.raises(TypeError, match="only a TaskRequest body is journaled"):
+        queue.put(body, topic="t")
+    assert journal.last_seq == 1 and len(store.read_journal()) == 1
+    assert queue.ready_count("t") == 1 and len(queue) == 1
+    assert queue.dump_state() == before
+    queue.put(request(1), topic="t")  # the message id was not spent
+    assert [m["message_id"] for m in queue.dump_state()["ready"]["t"]] == [1, 2]
+
+
 def test_a_bad_restore_or_settle_is_refused_before_it_is_journaled():
     # The journal's own tables refuse what the fold used to: a restore
     # of a message never withdrawn, and a settle of a request not open.
@@ -255,7 +416,7 @@ def test_a_bad_restore_or_settle_is_refused_before_it_is_journaled():
     journal = Journal(store)
     queue = fresh_queue()
     queue.attach_journal(journal)
-    message = queue.put("m", topic="t")
+    message = queue.put(request(0), topic="t")
     lines = store.read_journal()
     with pytest.raises(KeyError):
         queue.restore(message)
@@ -314,8 +475,8 @@ def assert_refused_whole(op, data, error):
     queue = fresh_queue()
     queue.attach_journal(journal)
     journal.append("admit", positional("admit", admit_record("u1")))
-    queue.put("m1", topic="t")
-    queue.put("m2", topic="t")
+    queue.put(request(1), topic="t")
+    queue.put(request(2), topic="t")
     queue.claim_many("t", 2)
     state, _ = load_state(store)
     before = json.dumps(state.to_doc(), sort_keys=True)
@@ -359,7 +520,7 @@ def test_snapshot_cadence_truncates_covered_records():
     queue = fresh_queue()
     queue.attach_journal(journal)
     for i in range(7):
-        queue.put(f"m{i}", topic="t")
+        queue.put(request(i), topic="t")
         snapshot_if_due(journal, queue)
     assert journal.snapshots_taken == 2  # after records 3 and 6
     assert store.snapshots == 2
@@ -401,7 +562,7 @@ def test_file_store_persists_across_instances(tmp_path):
     queue = fresh_queue()
     queue.attach_journal(journal)
     for i in range(6):
-        queue.put(f"m{i}", topic="t")
+        queue.put(request(i), topic="t")
         snapshot_if_due(journal, queue)
 
     reopened = FileDurableStore(directory)

@@ -120,7 +120,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         }
     ),
     "gateway/scheduler.py": frozenset(
-        {"WeightedFairScheduler.dequeue_eligible", "WeightedFairScheduler.pop_next"}
+        {"WeightedFairScheduler._pick_under_share", "WeightedFairScheduler.pop_next"}
     ),
     "core/fleet.py": frozenset({"FleetController.observe"}),
 }

@@ -19,10 +19,17 @@ The scheduler also owns the gateway's *slot shares*: it counts each
 tenant's released-but-unsettled items against a dispatch budget, and
 :meth:`pop_next` serves the smallest tag among tenants below their
 weighted share of that budget — so a hot tenant can never occupy every
-dispatch slot while a light tenant's request waits. When only
-over-share tenants have work they still run (work conservation beats
-reservation), but never into the budget's last ``reserve`` slots, so a
-newly active tenant's first request always finds instant headroom.
+dispatch slot while a light tenant's request waits. Eligibility is
+decided at the pick: the lane-head heap is walked in tag order and the
+first head whose tenant is under its share goes. A head walked past is
+*parked*: its tenant holds at least one outstanding slot, so a pick
+parks fewer than ``budget`` heads however many lanes exist, and the
+head stays off the heap until its tenant frees a slot or a tenant
+leaves or the budget moves — the only events that can give its tenant
+room again. When only over-share tenants have work they still run
+(work conservation beats reservation), but never into the budget's last
+``reserve`` slots, so a newly active tenant's first request always
+finds instant headroom.
 """
 
 from __future__ import annotations
@@ -63,14 +70,11 @@ class WeightedFairScheduler:
         self._front_seq = itertools.count(-1, -1)
         #: Lane heads, ordered by (finish_tag, seq) — rebuilt lazily.
         self._heap: list[tuple[float, int, str]] = []
-        #: Tenants marked dispatch-eligible (below their slot share),
-        #: and the secondary heap of their lane heads. Entries are
-        #: lazily invalidated exactly like ``_heap``, plus an
-        #: eligibility check on pop — so :meth:`dequeue_eligible` is an
-        #: O(log T) pop, not a linear scan over the eligible tenants'
-        #: lane heads.
-        self._eligible: set[str] = set()
-        self._eligible_heap: list[tuple[float, int, str]] = []
+        #: Heads the pick walked past because their tenant had no free
+        #: share, by tenant, out of ``_heap`` until that can change: the
+        #: tenant frees a slot, or every share may grow (a tenant leaves,
+        #: the budget moves).
+        self._parked: dict[str, tuple[float, int, str]] = {}
         self._size = 0
         self.enqueued = 0
         self.dequeued = 0
@@ -83,16 +87,16 @@ class WeightedFairScheduler:
         #: Released items not yet settled, per tenant and in total.
         self.outstanding_by_tenant: defaultdict[str, int] = defaultdict(int)
         self.outstanding = 0
-        #: Slot-share state: each tenant's weight, the contending set
-        #: (backlogged or outstanding tenants), the shares over it for
-        #: ``_budget``, and a dirty flag raised only when membership or
-        #: the budget changes — per-release work is then an O(1)
-        #: eligibility delta for the one tenant whose occupancy moved.
+        #: Slot-share state: each tenant's weight (pinned at its first
+        #: enqueue or restore), the contending set (backlogged or
+        #: outstanding tenants), their summed weight — ``None`` from a
+        #: membership change until the next share needs it — and the
+        #: budget and reserve :meth:`pop_next` was last given.
         self._weights: dict[str, float] = {}
         self._contending: set[str] = set()
-        self._shares: dict[str, int] = {}
-        self._budget = (0, 0)
-        self._dirty = True
+        self._total_weight: float | None = None
+        self._budget = 0
+        self._reserve = 0
 
     # -- introspection ------------------------------------------------------------
     def __len__(self) -> int:
@@ -118,12 +122,15 @@ class WeightedFairScheduler:
 
     def snapshot(self) -> dict:
         """The WFQ state as one JSON-able document (a telemetry-hub
-        pull source): per-tenant lane depths, the size of the
-        dispatch-eligible set, the fair virtual time, and lifetime flow
-        counters."""
+        pull source): per-tenant lane depths, how many contending
+        tenants are below their share of the last budget, the fair
+        virtual time, and lifetime flow counters."""
+        outstanding = self.outstanding_by_tenant
         return {
             "depths": self.depths(),
-            "eligible": len(self._eligible),
+            "eligible": sum(
+                1 for t in self._contending if outstanding.get(t, 0) < self._share(t)
+            ),
             "virtual_time": self._virtual_time,
             "enqueued": self.enqueued,
             "dequeued": self.dequeued,
@@ -138,16 +145,17 @@ class WeightedFairScheduler:
         ``cost`` is the item's service demand in arbitrary units
         (requests by default; callers may pass estimated inference cost
         to make the shares byte/compute-proportional instead of
-        count-proportional).
+        count-proportional). ``weight`` must be the one the tenant was
+        first seen with.
         """
         if weight <= 0:
             raise SchedulerError("weight must be > 0")
         if cost <= 0:
             raise SchedulerError("cost must be > 0")
+        self._pin_weight(tenant, weight)
         start = max(self._virtual_time, self._last_finish.get(tenant, 0.0))
         finish = start + cost / weight
         self._last_finish[tenant] = finish
-        self._weights[tenant] = weight
         self.charges[tenant] = self.charges.get(tenant, 0) + 1
         entry = ScheduledItem(
             tenant=tenant,
@@ -160,7 +168,6 @@ class WeightedFairScheduler:
         lane.append(entry)
         if len(lane) == 1:
             heapq.heappush(self._heap, (entry.finish_tag, entry.seq, tenant))
-            self._push_eligible_head(tenant, entry)
         self._size += 1
         self.enqueued += 1
         self._note(tenant)
@@ -193,85 +200,96 @@ class WeightedFairScheduler:
             seq=next(self._front_seq),
         )
         lane.appendleft(entry)
+        self._parked.pop(tenant, None)  # no longer the lane's head
         heapq.heappush(self._heap, (entry.finish_tag, entry.seq, tenant))
-        self._push_eligible_head(tenant, entry)
         self._size += 1
         self.enqueued += 1
         return entry
 
     def dequeue(self) -> ScheduledItem:
-        """Pop the entry with the smallest finish tag across all lanes."""
-        while self._heap:
-            finish_tag, seq, tenant = heapq.heappop(self._heap)
+        """Pop the entry with the smallest finish tag across all lanes,
+        parked heads included."""
+        heap = self._heap
+        while heap:
+            _, seq, tenant = heap[0]
             lane = self._lanes.get(tenant)
-            if not lane or lane[0].seq != seq:
-                continue  # stale heap entry (lane head already served)
-            return self._pop_head(tenant)
-        raise SchedulerError("dequeue from an empty scheduler")
+            if lane and lane[0].seq == seq:
+                break
+            heapq.heappop(heap)  # stale heap entry (lane head already served)
+        parked = min(self._parked.values(), default=None)
+        if parked is not None and (not heap or parked < heap[0]):
+            return self._pop_head(parked[2])
+        if not heap:
+            raise SchedulerError("dequeue from an empty scheduler")
+        return self._pop_head(heapq.heappop(heap)[2])
 
-    # -- eligible-tenant index ----------------------------------------------------
+    # -- the under-share pick -----------------------------------------------------
     def set_eligible(self, tenant: str, eligible: bool) -> None:
-        """Mark one tenant in or out of the dispatch-eligible set.
+        """Gone: eligibility is read off the slot shares at the pick,
+        so there is no set to mark a tenant in or out of.
 
-        Marking a tenant eligible pushes its current lane head onto the
-        secondary heap; unmarking leaves stale entries to be skipped
-        lazily on pop. Eligibility with an empty lane is allowed and
-        harmless — head validation filters it.
+        The stub stays only because the end-to-end benchmark's tracer
+        wraps this name; ROADMAP's benchmark-only queue item "Trace the
+        release decision" unwraps it and deletes the stub.
         """
-        if eligible:
-            if tenant not in self._eligible:
-                self._eligible.add(tenant)
-                lane = self._lanes.get(tenant)
-                if lane:
-                    self._push_eligible_head(tenant, lane[0])
-        else:
-            self._eligible.discard(tenant)
-
-    def _push_eligible_head(self, tenant: str, head: ScheduledItem) -> None:
-        if tenant in self._eligible:
-            heapq.heappush(
-                self._eligible_heap, (head.finish_tag, head.seq, tenant)
-            )
-
-    def _clean_eligible(self) -> bool:
-        """Drop stale eligible-heap tops; True iff a valid head remains."""
-        while self._eligible_heap:
-            _, seq, tenant = self._eligible_heap[0]
-            lane = self._lanes.get(tenant)
-            if tenant not in self._eligible or not lane or lane[0].seq != seq:
-                heapq.heappop(self._eligible_heap)
-                continue
-            return True
-        return False
+        raise SchedulerError("eligibility follows the slot shares; set_eligible is gone")
 
     def has_eligible_work(self) -> bool:
-        """Whether any eligible tenant has a queued item."""
-        return self._clean_eligible()
+        """Whether any tenant below its slot share has a queued item."""
+        return self._pick_under_share(False) is not None
 
     def dequeue_eligible(self) -> ScheduledItem:
-        """Pop the smallest-tag head among eligible tenants.
+        """Pop the smallest-tag head among tenants below their share of
+        the last budget given to :meth:`pop_next`.
 
         :meth:`pop_next`'s under-share pick. Same (finish_tag, seq)
-        arbitration as :meth:`dequeue`, served in
-        O(log T) from the secondary heap; property tests cross-check it
-        against a linear head scan
-        (``tests/gateway/scheduler_oracles.py``). Stale ``_heap``
-        entries left behind are skipped by :meth:`dequeue` later.
+        arbitration as :meth:`dequeue`; property tests cross-check it
+        against a linear head scan over the fresh under-share set
+        (``tests/gateway/scheduler_oracles.py``).
         """
-        if not self._clean_eligible():
-            raise SchedulerError(
-                f"no queued work for eligible tenants {sorted(self._eligible)}"
-            )
-        _, _, tenant = heapq.heappop(self._eligible_heap)
+        tenant = self._pick_under_share(True)
+        if tenant is None:
+            raise SchedulerError("no tenant below its slot share has queued work")
         return self._pop_head(tenant)
 
+    def _pick_under_share(self, take: bool) -> str | None:
+        """Walk the lane heads in (finish_tag, seq) order to the first
+        whose tenant is below its share, and return that tenant (or
+        ``None``); with ``take``, its heap entry is popped as well.
+
+        Stale entries met on the way are dropped, and heads of tenants
+        at or over their share are parked. Such a tenant holds at least
+        one outstanding slot, so a walk parks fewer than ``budget``
+        heads, and a parked head is not walked again until its tenant
+        could be under its share.
+        """
+        heap, lanes = self._heap, self._lanes
+        while heap:
+            _, seq, tenant = heap[0]
+            lane = lanes.get(tenant)
+            if not lane or lane[0].seq != seq:
+                heapq.heappop(heap)
+            elif self.outstanding_by_tenant.get(tenant, 0) < self._share(tenant):
+                if take:
+                    heapq.heappop(heap)
+                return tenant
+            else:
+                self._parked[tenant] = heapq.heappop(heap)
+        return None
+
+    def _unpark(self) -> None:
+        """Put every parked head back on the heap: shares may have grown."""
+        for head in self._parked.values():
+            heapq.heappush(self._heap, head)
+        self._parked.clear()
+
     def _pop_head(self, tenant: str) -> ScheduledItem:
+        self._parked.pop(tenant, None)  # the head leaves, parked or not
         lane = self._lanes[tenant]
         entry = lane.popleft()
         if lane:
             head = lane[0]
             heapq.heappush(self._heap, (head.finish_tag, head.seq, tenant))
-            self._push_eligible_head(tenant, head)
         # Virtual time tracks the service frontier; max() guards
         # against regression when an idle tenant re-enters with a
         # tag below an already-served backlogged tenant's.
@@ -289,22 +307,18 @@ class WeightedFairScheduler:
         """Release the next item under a ``budget`` of outstanding
         slots, or ``None`` when nothing may go now.
 
-        The eligible index holds exactly the backlogged tenants below
-        their slot share, so the pick is :meth:`dequeue_eligible`; with
-        no eligible work the global :meth:`dequeue` runs instead unless
-        that would eat into the last ``reserve`` slots. The released
-        item counts as outstanding until :meth:`settle` or
-        :meth:`reclaim`. A changed budget invalidates the shares; the
-        caller passes every re-derived budget here before it reports
-        any settle.
+        The pick is :meth:`dequeue_eligible`, the smallest tag among
+        tenants below their share of this budget; with no such work the
+        global :meth:`dequeue` runs instead unless that would eat into
+        the last ``reserve`` slots. The released item counts as
+        outstanding until :meth:`settle` or :meth:`reclaim`. A budget
+        or reserve other than the last one returns every parked head.
         """
-        if (budget, reserve) != self._budget:
-            self._budget = (budget, reserve)
-            self._dirty = True
+        if budget != self._budget or reserve != self._reserve:
+            self._budget, self._reserve = budget, reserve
+            self._unpark()
         if not self._size or self.outstanding >= budget:
             return None
-        if self._dirty:
-            self._refresh_shares()
         if self.has_eligible_work():
             entry = self.dequeue_eligible()
         elif self.outstanding >= budget - reserve:
@@ -320,21 +334,17 @@ class WeightedFairScheduler:
         """One of the tenant's released items finished: free its slot."""
         self.outstanding_by_tenant[tenant] -= 1
         self.outstanding -= 1
+        head = self._parked.pop(tenant, None)
+        if head is not None:  # the tenant may have room again
+            heapq.heappush(self._heap, head)
         self._note(tenant)
 
     def reclaim(self, tenant: str, item: Any) -> None:
         """Take a released, unclaimed item back to the head of its lane
-        (:meth:`requeue_front`) and free its slot.
-
-        Only a caller over budget reclaims, and only a budget shrink
-        (possibly not yet passed to :meth:`pop_next`) or a restore since
-        the last refresh puts it there: the shares are stale, so they
-        are marked dirty instead of consulted.
-        """
+        (:meth:`requeue_front`) and free its slot."""
         self.requeue_front(tenant, item)
         self.outstanding_by_tenant[tenant] -= 1
         self.outstanding -= 1
-        self._dirty = True
 
     def restore_released(self, tenant: str, weight: float, dispatch_tag: float) -> None:
         """Count an item released by a previous incarnation, which
@@ -343,19 +353,25 @@ class WeightedFairScheduler:
         moves up to the item's ``dispatch_tag``, so everything tagged
         from now on ranks after the restored backlog, as it would have
         before the crash."""
+        self._pin_weight(tenant, weight)
         self._virtual_time = max(self._virtual_time, dispatch_tag)
-        self._weights[tenant] = weight
         self.outstanding_by_tenant[tenant] += 1
         self.outstanding += 1
         self._note(tenant)
 
-    def _note(self, tenant: str) -> None:
-        """Fold one tenant's backlog/occupancy change into the shares.
+    def _pin_weight(self, tenant: str, weight: float) -> None:
+        """Fix the tenant's weight at first sight. Shares are relative
+        and the total is cached, so a later change is refused."""
+        pinned = self._weights.setdefault(tenant, weight)
+        if pinned != weight:
+            raise SchedulerError(
+                f"tenant {tenant!r} has weight {pinned}; cannot change it to {weight}"
+            )
 
-        Joining or leaving the contending set marks every share dirty
-        (weighted shares are relative); a change *within* the set only
-        moves this tenant's own under-share eligibility.
-        """
+    def _note(self, tenant: str) -> None:
+        """Fold one tenant's backlog/occupancy change into the
+        contending set. Joining or leaving drops the cached total
+        weight, which moves every share: down on a join, up on a leave."""
         outstanding = self.outstanding_by_tenant.get(tenant, 0)
         active = bool(self._lanes.get(tenant)) or outstanding > 0
         if active != (tenant in self._contending):
@@ -363,30 +379,20 @@ class WeightedFairScheduler:
                 self._contending.add(tenant)
             else:
                 self._contending.discard(tenant)
-                self.set_eligible(tenant, False)
-            self._dirty = True
-        elif active and not self._dirty:
-            self.set_eligible(tenant, outstanding < self._shares.get(tenant, 0))
+                self._unpark()
+            self._total_weight = None
 
-    def _refresh_shares(self) -> None:
-        """Recompute every contending tenant's share and eligibility.
-
-        A share is the tenant's weighted part of the budget, at least
-        one slot and at most ``budget - reserve``: even a tenant
-        contending alone leaves the reserve free. O(contending), paid
-        only on a membership or budget change.
-        """
-        budget, reserve = self._budget
-        contending = sorted(self._contending)
-        total_weight = sum(self._weights[t] for t in contending)
-        cap = max(1, budget - reserve)
-        self._shares = {
-            t: min(cap, max(1, int(budget * self._weights[t] / total_weight)))
-            for t in contending
-        }
-        for tenant in self._contending:
-            self.set_eligible(
-                tenant,
-                self.outstanding_by_tenant.get(tenant, 0) < self._shares[tenant],
-            )
-        self._dirty = False
+    def _share(self, tenant: str) -> int:
+        """The tenant's weighted part of the last budget, at least one
+        slot and at most ``budget - reserve``: even a tenant contending
+        alone leaves the reserve free. The contending tenants' summed
+        weight is cached until the set changes, and summed in sorted
+        order so the float does not depend on the order they joined in."""
+        total = self._total_weight
+        if total is None:
+            weights = self._weights
+            total = self._total_weight = sum(map(weights.__getitem__, sorted(self._contending)))
+        budget = self._budget
+        share = int(budget * self._weights[tenant] / total)
+        cap = budget - self._reserve
+        return min(share, cap) if share > 1 and cap > 1 else 1

@@ -73,7 +73,7 @@ class TestHOT001:
                 "ServingGateway", ("_pump", "on_tick", "_derive_budget", "on_settled")
             ),
             "gateway/scheduler.py": (
-                "WeightedFairScheduler", ("dequeue_eligible", "pop_next")
+                "WeightedFairScheduler", ("_pick_under_share", "pop_next")
             ),
             "core/fleet.py": ("FleetController", ("observe",)),
         }

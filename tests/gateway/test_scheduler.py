@@ -55,30 +55,45 @@ class TestWFQOrdering:
 
 
 class TestDequeueFrom:
+    """``dequeue_eligible`` serves only tenants below their slot share
+    of the budget last given to ``pop_next``. With budget 2 and reserve
+    1 every share is one slot, so one release puts a tenant at its
+    share."""
+
     def test_restricts_to_eligible_lanes(self):
         wfq = WeightedFairScheduler()
         wfq.enqueue("a", 1.0, "a0")
-        wfq.enqueue("b", 1.0, "b0")
-        wfq.set_eligible("b", True)
+        wfq.enqueue("a", 1.0, "a1")
+        wfq.enqueue("b", 0.25, "b0")
+        assert wfq.pop_next(2, 1).item == "a0"
+        # a1 (tag 2) outranks b0 (tag 4), but a is at its share.
         assert wfq.dequeue_eligible().item == "b0"
-        # The heap's stale entry for b0 must not break later dequeues.
-        assert wfq.dequeue().item == "a0"
+        assert wfq.dequeue().item == "a1"
 
     def test_eligible_set_with_no_work_raises(self):
         wfq = WeightedFairScheduler()
-        wfq.enqueue("a", 1.0, "a0")
-        wfq.set_eligible("b", True)
+        wfq.enqueue("b", 1.0, "b0")
+        assert wfq.pop_next(4, 1).item == "b0"
+        for n in range(3):
+            wfq.enqueue("a", 1.0, f"a{n}")
+        # Shares of 2 each: a fills its own, b is under its share but
+        # has no queued work, and the reserve holds the rest.
+        assert [wfq.pop_next(4, 1).item for _ in range(2)] == ["a0", "a1"]
+        assert wfq.snapshot()["eligible"] == 1
+        assert not wfq.has_eligible_work()
         with pytest.raises(SchedulerError):
             wfq.dequeue_eligible()
+        assert wfq.pop_next(4, 1) is None
 
     def test_min_tag_among_eligible(self):
         wfq = WeightedFairScheduler()
-        wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("b", 2.0, "b0")
+        wfq.enqueue("b", 2.0, "b1")
+        wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("c", 1.0, "c0")
-        # b has the smallest tag (weight 2); among {a, c}, seq decides.
-        for tenant in ("a", "c"):
-            wfq.set_eligible(tenant, True)
+        assert wfq.pop_next(2, 1).item == "b0"
+        # b1 ties a0 and c0 on tag 1.0 with the smallest seq, but b is
+        # at its share; among {a, c}, seq decides.
         assert wfq.dequeue_eligible().item == "a0"
 
 
@@ -98,14 +113,14 @@ class TestBookkeeping:
 
     def test_snapshot_is_scalars_with_the_eligible_set_as_a_count(self):
         wfq = WeightedFairScheduler()
+        # An idle tenant holding one slot still contends for its share.
+        wfq.restore_released("idle", 1.0, 0.0)
         wfq.enqueue("a", 1.0, 1)
         wfq.enqueue("a", 1.0, 2)
         wfq.enqueue("b", 2.0, 3)
         wfq.enqueue("b", 2.0, 4)
-        wfq.set_eligible("a", True)
-        wfq.set_eligible("b", True)
-        wfq.set_eligible("idle", True)
-        assert wfq.dequeue().item == 3
+        assert wfq.pop_next(8, 1).item == 3
+        # Shares of 8 slots by weight 1:2:1 are a 2, b 4, idle 2.
         assert wfq.snapshot() == {
             "depths": {"a": 2, "b": 1},
             "eligible": 3,
@@ -113,6 +128,43 @@ class TestBookkeeping:
             "enqueued": 4,
             "dequeued": 1,
         }
+
+    def test_eligible_count_follows_a_tenant_leaving(self):
+        """Budget 4, reserve 1, equal weights: shares of 2 each. a fills
+        its share; when b settles its only slot and leaves, a's share is
+        3, so the scrape counts a as eligible before any release."""
+        wfq = WeightedFairScheduler()
+        wfq.enqueue("a", 1.0, "a0")
+        wfq.enqueue("a", 1.0, "a1")
+        wfq.enqueue("b", 1.0, "b0")
+        assert [wfq.pop_next(4, 1).item for _ in range(3)] == ["a0", "b0", "a1"]
+        assert wfq.snapshot()["eligible"] == 1  # b, with 1 of 2
+        wfq.settle("b")
+        assert wfq.snapshot()["eligible"] == 1  # a, with 2 of 3
+        wfq.settle("a")
+        wfq.settle("a")
+        assert wfq.snapshot()["eligible"] == 0  # nobody contends
+
+    def test_a_tenant_weight_is_pinned(self):
+        wfq = WeightedFairScheduler()
+        wfq.enqueue("a", 1.0, "a0")
+        wfq.restore_released("b", 2.0, 0.0)
+        wfq.enqueue("b", 2.0, "b0")
+        with pytest.raises(SchedulerError):
+            wfq.enqueue("a", 2.0, "a1")
+        with pytest.raises(SchedulerError):
+            wfq.restore_released("a", 0.5, 0.0)
+        with pytest.raises(SchedulerError):
+            wfq.enqueue("b", 1.0, "b1")
+        # A refused call changes nothing.
+        assert wfq.depths() == {"a": 1, "b": 1}
+        assert wfq.outstanding_by_tenant == {"b": 1}
+        assert wfq.charge_count("a") == 1
+
+    def test_set_eligible_is_gone(self):
+        wfq = WeightedFairScheduler()
+        with pytest.raises(SchedulerError):
+            wfq.set_eligible("a", True)
 
     def test_invalid_enqueue_parameters(self):
         wfq = WeightedFairScheduler()

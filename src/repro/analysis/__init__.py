@@ -31,10 +31,9 @@ from repro.analysis.framework import (
     all_rules,
     analyze_paths,
     analyze_source,
-    get_rule,
 )
 from repro.analysis.pragmas import Pragma, parse_pragmas
-from repro.analysis.report import render_human, render_json
+from repro.analysis.report import render_human
 
 __all__ = [
     "Finding",
@@ -43,8 +42,6 @@ __all__ = [
     "all_rules",
     "analyze_paths",
     "analyze_source",
-    "get_rule",
     "parse_pragmas",
     "render_human",
-    "render_json",
 ]

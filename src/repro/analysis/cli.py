@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis.framework import all_rules, analyze_paths
-from repro.analysis.report import render_human, render_json
+from repro.analysis.report import render_human
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,12 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src/repro"],
         help="files or directories to scan (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
     )
     parser.add_argument(
         "--verbose",
@@ -64,8 +58,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     if files_scanned == 0:
         print("detlint: no python files found", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(render_json(findings, files_scanned))
-    else:
-        print(render_human(findings, files_scanned, verbose=args.verbose))
+    print(render_human(findings, files_scanned, verbose=args.verbose))
     return 0 if not any(not f.suppressed for f in findings) else 1

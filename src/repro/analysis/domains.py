@@ -132,11 +132,6 @@ def package_of(relpath: str) -> str:
     return head if tail else ""
 
 
-def wall_clock_reason(relpath: str) -> str | None:
-    """The allowlist reason if ``relpath`` may read the wall clock."""
-    return WALL_CLOCK_FILES.get(relpath)
-
-
 def is_clock_checked(relpath: str) -> bool:
     """Whether DET001 applies to ``relpath``.
 

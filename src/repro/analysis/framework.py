@@ -40,39 +40,18 @@ class Finding:
         """``path:line:col`` for human output (1-based column)."""
         return f"{self.path}:{self.line}:{self.col + 1}"
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "relpath": self.relpath,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "suppressed": self.suppressed,
-            "reason": self.reason,
-        }
-
 
 class Rule:
     """Base class for one detlint rule.
 
     Subclasses set :attr:`id` / :attr:`title`, scope themselves via
-    :meth:`applies_to`, and yield ``(line, col, message)`` triples from
-    :meth:`check`. Registration happens at import time through
+    ``applies_to(relpath)``, and yield ``(line, col, message)`` triples
+    from ``check(tree, relpath)``. Registration happens at import time through
     :func:`register`.
     """
 
     id: str = ""
     title: str = ""
-
-    def applies_to(self, relpath: str) -> bool:
-        """Whether this rule runs on ``relpath`` (package-relative)."""
-        return True
-
-    def check(self, tree: ast.AST, relpath: str) -> Iterable[tuple[int, int, str]]:
-        """Yield ``(line, col, message)`` for each violation."""
-        raise NotImplementedError
 
 
 _REGISTRY: dict[str, Rule] = {}
@@ -90,12 +69,6 @@ def all_rules() -> list[Rule]:
     """Every registered rule, id-ordered (imports the rule modules)."""
     _load_builtin_rules()
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Look up one rule by id."""
-    _load_builtin_rules()
-    return _REGISTRY[rule_id]
 
 
 def rule_ids() -> frozenset[str]:

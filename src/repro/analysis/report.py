@@ -1,8 +1,7 @@
-"""Report rendering: human-readable lines and a machine-readable JSON doc."""
+"""Report rendering: one human-readable line per finding plus a summary."""
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from repro.analysis.framework import Finding
@@ -33,18 +32,3 @@ def render_human(
         f"pragma, {files_scanned} file(s) scanned"
     )
     return "\n".join(lines).lstrip("\n")
-
-
-def render_json(findings: Iterable[Finding], files_scanned: int) -> str:
-    """The full finding list (suppressed included) as a JSON document."""
-    findings = list(findings)
-    doc = {
-        "version": 1,
-        "files_scanned": files_scanned,
-        "findings": [f.to_dict() for f in findings],
-        "summary": {
-            "unsuppressed": sum(1 for f in findings if not f.suppressed),
-            "suppressed": sum(1 for f in findings if f.suppressed),
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -91,12 +91,6 @@ class Group:
     def add(self, identity: Identity) -> None:
         self.member_ids.add(identity.identity_id)
 
-    def remove(self, identity: Identity) -> None:
-        self.member_ids.discard(identity.identity_id)
-
-    def __contains__(self, identity: Identity) -> bool:
-        return identity.identity_id in self.member_ids
-
 
 class IdentityStore:
     """Registry of providers, identity linking, and groups."""

@@ -26,9 +26,6 @@ class ResourceServer:
     name: str
     scopes: list[Scope] = field(default_factory=list)
 
-    def scope(self, suffix: str) -> Scope:
-        return Scope(f"{self.name}:{suffix}")
-
 
 class AuthService:
     """Brokered authentication and authorization (Globus-Auth-like)."""
@@ -109,10 +106,3 @@ class AuthService:
             for name in self.identities.groups
             if self.identities.in_group(identity, name)
         )
-
-    # -- group-based checks -----------------------------------------------------------
-    def require_group(self, identity: Identity, group_name: str) -> None:
-        if not self.identities.in_group(identity, group_name):
-            raise AuthorizationError(
-                f"{identity.qualified_name} is not a member of group {group_name!r}"
-            )

@@ -1,7 +1,7 @@
 """OAuth2-style access tokens with scopes and expiry.
 
 Tokens are opaque strings bound to an identity and a set of scopes; the
-:class:`TokenStore` issues, introspects, refreshes and revokes them against
+:class:`TokenStore` issues, introspects and revokes them against
 the experiment's virtual clock.
 """
 
@@ -42,9 +42,6 @@ class AccessToken:
     issued_at: float
     expires_at: float
     revoked: bool = field(default=False)
-
-    def is_valid(self, now: float) -> bool:
-        return not self.revoked and now < self.expires_at
 
     def has_scope(self, scope: str | Scope) -> bool:
         return str(scope) in self.scopes
@@ -103,13 +100,3 @@ class TokenStore:
         if tok is None:
             raise TokenError("unknown token")
         tok.revoked = True
-
-    def refresh(self, token_str: str, lifetime_s: float | None = None) -> AccessToken:
-        """Issue a fresh token with the same identity/scopes; revoke the old."""
-        tok = self.introspect(token_str)
-        self.revoke(token_str)
-        return self.issue(tok.identity, set(tok.scopes), lifetime_s)
-
-    def active_count(self) -> int:
-        now = self.clock.now()
-        return sum(1 for t in self._tokens.values() if t.is_valid(now))

@@ -9,7 +9,7 @@ evaluation depends on:
 * :mod:`repro.cluster.scheduler` — a least-loaded bin-packing scheduler
   that respects resource requests,
 * :mod:`repro.cluster.deployment` — replicated deployments with scale
-  up/down and self-healing,
+  up/down,
 * :mod:`repro.cluster.service` — stable virtual endpoints that
   load-balance across a deployment's ready pods,
 * :mod:`repro.cluster.cluster` — the ``KubernetesCluster`` facade plus a

@@ -1,9 +1,8 @@
-"""Deployments: replicated pods with scaling and self-healing.
+"""Deployments: replicated pods with scaling.
 
 The Parsl executor "creates a Kubernetes Deployment consisting of n pods
 for each servable" (SS IV-C); Fig. 7 scales replica counts. A
-:class:`Deployment` owns its pods, scales up/down deterministically, and
-``reconcile()`` replaces failed pods (the self-healing loop).
+:class:`Deployment` owns its pods and scales up/down deterministically.
 """
 
 from __future__ import annotations
@@ -76,26 +75,6 @@ class Deployment:
 
     def ready_pods(self) -> list[Pod]:
         return [p for p in self.pods if p.ready]
-
-    def failed_pods(self) -> list[Pod]:
-        return [p for p in self.pods if p.phase is PodPhase.FAILED]
-
-    def reconcile(self) -> int:
-        """Replace failed pods to restore the desired replica count.
-
-        Returns the number of replacement pods created. Raises
-        :class:`SchedulingError` if the cluster cannot fit replacements.
-        """
-        replaced = 0
-        for pod in self.failed_pods():
-            if pod.node is not None:
-                pod.node.release(pod.request)
-                pod.node = None
-            self.pods.remove(pod)
-        while len(self.ready_pods()) < self.replicas:
-            self.pods.append(self._new_pod())
-            replaced += 1
-        return replaced
 
     def delete(self) -> None:
         """Terminate all pods."""

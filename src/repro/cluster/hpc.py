@@ -23,7 +23,6 @@ class JobState(Enum):
     QUEUED = "queued"
     RUNNING = "running"
     COMPLETED = "completed"
-    CANCELLED = "cancelled"
 
 
 class HPCError(RuntimeError):
@@ -131,17 +130,3 @@ class HPCResource:
         job.state = JobState.COMPLETED
         self.free_nodes += job.nodes_requested
         self._try_start()
-
-    def cancel(self, job: BatchJob) -> None:
-        if job.state is JobState.QUEUED:
-            job.state = JobState.CANCELLED
-            self._pending = [j for j in self._pending if j.job_id != job.job_id]
-        elif job.state is JobState.RUNNING:
-            for instance in job.instances:
-                self._runtime.stop(instance)
-            job.state = JobState.CANCELLED
-            self.free_nodes += job.nodes_requested
-            self._try_start()
-
-    def queued_jobs(self) -> list[BatchJob]:
-        return [j for j in self._pending if j.state is JobState.QUEUED]

@@ -88,16 +88,3 @@ class Node:
         if new.cpu_millicores < 0 or new.memory_bytes < 0:
             raise ValueError(f"node {self.name}: releasing more than allocated")
         self.allocated = new
-
-    def cordon(self) -> None:
-        """Mark unschedulable (drain/failure injection)."""
-        self.ready = False
-
-    def uncordon(self) -> None:
-        self.ready = True
-
-    @property
-    def utilization(self) -> float:
-        if self.capacity.cpu_millicores == 0:
-            return 0.0
-        return self.allocated.cpu_millicores / self.capacity.cpu_millicores

@@ -8,7 +8,7 @@ capacity — the invariant the property tests check.
 from __future__ import annotations
 
 from repro.cluster.node import Node
-from repro.cluster.pod import Pod, PodPhase
+from repro.cluster.pod import Pod
 from repro.sim import calibration as cal
 from repro.sim.clock import VirtualClock
 
@@ -52,7 +52,3 @@ class Scheduler:
         pod.start()
         self.scheduled += 1
         return best
-
-    def schedule_all(self, pods: list[Pod], nodes: list[Node]) -> list[Node]:
-        """Schedule pods in order; raises on first failure."""
-        return [self.schedule(p, nodes) for p in pods if p.phase is PodPhase.PENDING]

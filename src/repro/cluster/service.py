@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.cluster.deployment import Deployment
 from repro.cluster.pod import Pod
@@ -17,9 +16,8 @@ class NoReadyPods(RuntimeError):
 class Service:
     """A round-robin load balancer over a deployment's ready pods.
 
-    ``route()`` picks a backend; ``call()`` routes and executes in one
-    step. The round-robin cursor is deterministic, which keeps benchmark
-    runs reproducible.
+    ``route()`` picks a backend. The round-robin cursor is deterministic,
+    which keeps benchmark runs reproducible.
     """
 
     name: str
@@ -35,23 +33,3 @@ class Service:
         self._cursor += 1
         self.requests_routed += 1
         return pod
-
-    def route_least_busy(self) -> Pod:
-        """Pick the pod that frees up earliest (busy-until aware).
-
-        This is the policy the Parsl/IPP executor uses when modelling
-        queueing at replicas for throughput experiments.
-        """
-        pods = self.deployment.ready_pods()
-        if not pods:
-            raise NoReadyPods(f"service {self.name}: no ready pods")
-        self.requests_routed += 1
-        return min(pods, key=lambda p: (p.busy_until, p.name))
-
-    def call(self, *args: Any, **kwargs: Any) -> Any:
-        """Route a request and execute it on the chosen pod."""
-        return self.route().exec(*args, **kwargs)
-
-    @property
-    def backend_count(self) -> int:
-        return len(self.deployment.ready_pods())

@@ -8,7 +8,7 @@ and start containers on cluster nodes.
 
 This package reproduces that path:
 
-* :mod:`repro.containers.dockerfile` — Dockerfile construction/parsing,
+* :mod:`repro.containers.dockerfile` — Dockerfile construction,
 * :mod:`repro.containers.image` — layered images with content digests,
 * :mod:`repro.containers.registry` — tagged image registry (push/pull),
 * :mod:`repro.containers.runtime` — a container runtime with pull/start

@@ -1,9 +1,8 @@
-"""Dockerfile synthesis and parsing.
+"""Dockerfile synthesis.
 
 The servable builder generates Dockerfiles programmatically: a base image,
-system/pip dependency installation, COPY of model components, and an
-entrypoint. A small parser round-trips the text form so tests can verify
-what the builder produced.
+pip dependency installation, COPY of model components, and an
+entrypoint.
 """
 
 from __future__ import annotations
@@ -42,21 +41,10 @@ class Dockerfile:
         self.instructions.insert(0, ("FROM", base))
         return self
 
-    def run(self, command: str) -> "Dockerfile":
-        self.instructions.append(("RUN", command))
-        return self
-
     def pip_install(self, packages: list[str]) -> "Dockerfile":
         if packages:
             self.instructions.append(
                 ("RUN", "pip install --no-cache-dir " + " ".join(sorted(packages)))
-            )
-        return self
-
-    def apt_install(self, packages: list[str]) -> "Dockerfile":
-        if packages:
-            self.instructions.append(
-                ("RUN", "apt-get update && apt-get install -y " + " ".join(sorted(packages)))
             )
         return self
 
@@ -88,16 +76,6 @@ class Dockerfile:
                 return arg
         raise DockerfileError("Dockerfile has no FROM instruction")
 
-    def copied_paths(self) -> list[tuple[str, str]]:
-        out = []
-        for op, arg in self.instructions:
-            if op in ("COPY", "ADD"):
-                parts = arg.split()
-                if len(parts) != 2:
-                    raise DockerfileError(f"bad {op} argument: {arg!r}")
-                out.append((parts[0], parts[1]))
-        return out
-
     def labels(self) -> dict[str, str]:
         out = {}
         for op, arg in self.instructions:
@@ -115,25 +93,3 @@ class Dockerfile:
         for op, _ in self.instructions:
             if op not in _KNOWN_INSTRUCTIONS:
                 raise DockerfileError(f"unknown instruction {op!r}")
-
-    # -- text form --------------------------------------------------------------------
-    def render(self) -> str:
-        self.validate()
-        return "\n".join(f"{op} {arg}" for op, arg in self.instructions) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "Dockerfile":
-        df = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise DockerfileError(f"line {lineno}: cannot parse {raw!r}")
-            op, arg = parts[0].upper(), parts[1]
-            if op not in _KNOWN_INSTRUCTIONS:
-                raise DockerfileError(f"line {lineno}: unknown instruction {op!r}")
-            df.instructions.append((op, arg))
-        df.validate()
-        return df

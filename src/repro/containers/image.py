@@ -79,13 +79,6 @@ class Image:
                     return data
         raise FileNotFoundError(path)
 
-    def file_paths(self) -> list[str]:
-        seen = {}
-        for layer in self.layers:
-            for fpath, _ in layer.files:
-                seen[fpath] = True
-        return sorted(seen)
-
 
 #: Simulated sizes of well-known base images and dependency payloads (bytes).
 BASE_IMAGE_SIZES = {

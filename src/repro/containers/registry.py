@@ -59,9 +59,6 @@ class ContainerRegistry:
             ref[len(prefix):] for ref in self._images if ref.startswith(prefix)
         )
 
-    def repositories(self) -> list[str]:
-        return sorted({ref.split(":", 1)[0] for ref in self._images})
-
     def missing_layer_bytes(self, image: Image, cached_digests: set[str]) -> int:
         """Bytes that a puller with ``cached_digests`` would actually fetch."""
         return sum(

@@ -5,8 +5,8 @@ per-byte transfer for layers the node hasn't cached; starting charges the
 cold-start constant; ``exec`` invokes the image's packaged handler (the
 servable entrypoint) inside the container.
 
-Failure injection: containers can be killed, after which exec raises, so
-tests can exercise the queue's redelivery path.
+Failure injection: a failed pod kills its container, after which exec
+raises, so tests can exercise the queue's redelivery path.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class ContainerRuntime:
         #: Clipper requires privileged access; HPC nodes refuse it (SS III-B4).
         self.privileged = privileged
         self._cached_layers: set[str] = set()
-        self._containers: dict[str, Container] = {}
         self._ids = itertools.count(1)
         self.bytes_pulled = 0
 
@@ -97,13 +96,11 @@ class ContainerRuntime:
     def create(self, image: Image, env: dict[str, str] | None = None) -> Container:
         if not self.has_image(image):
             self.pull(image.reference)
-        container = Container(
+        return Container(
             container_id=f"{self.node_name}-c{next(self._ids)}",
             image=image,
             env={**image.env, **(env or {})},
         )
-        self._containers[container.container_id] = container
-        return container
 
     def start(self, container: Container) -> Container:
         if container.state is ContainerState.RUNNING:
@@ -115,11 +112,6 @@ class ContainerRuntime:
         container.started_at = self.clock.now()
         return container
 
-    def run(self, reference: str, env: dict[str, str] | None = None) -> Container:
-        """pull + create + start in one call."""
-        image = self.pull(reference)
-        return self.start(self.create(image, env))
-
     def stop(self, container: Container) -> None:
         if container.state is ContainerState.RUNNING:
             container.state = ContainerState.STOPPED
@@ -127,11 +119,6 @@ class ContainerRuntime:
     def kill(self, container: Container) -> None:
         """Failure injection: abruptly fail a container."""
         container.state = ContainerState.FAILED
-
-    def remove(self, container: Container) -> None:
-        if container.alive:
-            raise ContainerError(f"cannot remove running container {container.container_id}")
-        self._containers.pop(container.container_id, None)
 
     # -- execution ----------------------------------------------------------------
     def exec(self, container: Container, *args: Any, **kwargs: Any) -> Any:
@@ -149,7 +136,3 @@ class ContainerRuntime:
         return handler(*args, **kwargs)
 
     # -- introspection ---------------------------------------------------------------
-    def containers(self, state: ContainerState | None = None) -> list[Container]:
-        if state is None:
-            return list(self._containers.values())
-        return [c for c in self._containers.values() if c.state is state]

@@ -25,89 +25,7 @@ The model repository + serving system of SS IV:
 * :mod:`repro.core.testbed` — a factory wiring the full deployment
   (auth + search + data + cluster + MS + TM) as in the paper's testbed,
 * :mod:`repro.core.survey` — the Table I / Table II capability matrices.
+
+Import from the submodules; this package re-exports nothing
+(``repro.__all__`` is the one facade).
 """
-
-from repro.core.schema import ModelMetadata, SchemaError, validate_metadata
-from repro.core.servable import (
-    Servable,
-    PythonFunctionServable,
-    KerasLikeServable,
-    SklearnLikeServable,
-    ServableError,
-)
-from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
-from repro.core.metrics import StageLatencyCollector
-from repro.core.memo import MemoCache
-from repro.core.runtime import (
-    FleetStats,
-    PlacementSpec,
-    RuntimeResult,
-    ServingRuntime,
-    ServingRuntimeError,
-)
-from repro.core.fleet import (
-    FleetController,
-    FleetEvent,
-    FleetPolicy,
-    QueueLatencySLOPolicy,
-    TargetUtilizationPolicy,
-)
-from repro.core.telemetry import (
-    SLOBreach,
-    SLOBurnMonitor,
-    Span,
-    TelemetryHub,
-    Trace,
-    Tracer,
-    build_hub,
-)
-from repro.core.repository import ModelRepository
-from repro.core.management import ManagementService
-from repro.core.task_manager import TaskManager
-from repro.core.pipeline import Pipeline, PipelineStep
-from repro.core.client import DLHubClient
-from repro.core.toolbox import MetadataBuilder, run_local
-from repro.core.testbed import DLHubTestbed, build_testbed
-
-__all__ = [
-    "ModelMetadata",
-    "SchemaError",
-    "validate_metadata",
-    "Servable",
-    "PythonFunctionServable",
-    "KerasLikeServable",
-    "SklearnLikeServable",
-    "ServableError",
-    "TaskRequest",
-    "TaskResult",
-    "TaskStatus",
-    "StageLatencyCollector",
-    "MemoCache",
-    "ServingRuntime",
-    "ServingRuntimeError",
-    "RuntimeResult",
-    "FleetStats",
-    "PlacementSpec",
-    "FleetController",
-    "FleetEvent",
-    "FleetPolicy",
-    "QueueLatencySLOPolicy",
-    "TargetUtilizationPolicy",
-    "SLOBreach",
-    "SLOBurnMonitor",
-    "Span",
-    "TelemetryHub",
-    "Trace",
-    "Tracer",
-    "build_hub",
-    "ModelRepository",
-    "ManagementService",
-    "TaskManager",
-    "Pipeline",
-    "PipelineStep",
-    "DLHubClient",
-    "MetadataBuilder",
-    "run_local",
-    "DLHubTestbed",
-    "build_testbed",
-]

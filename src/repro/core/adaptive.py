@@ -272,11 +272,6 @@ class ServableProfile:
             raise ValueError("invalid observation")
         self.samples.append((batch_size, invocation_time_s))
 
-    @property
-    def n_samples(self) -> int:
-        """Number of recorded measurements."""
-        return len(self.samples)
-
     def fit(self) -> tuple[float, float]:
         """Returns ``(intercept_s, slope_s_per_item)``.
 
@@ -348,11 +343,6 @@ class AdaptiveBatcher:
     def submit(self, item: Any) -> None:
         """Queue one input (an args tuple or a single argument)."""
         self._pending.append(item if isinstance(item, tuple) else (item,))
-
-    @property
-    def pending(self) -> int:
-        """Inputs queued but not yet flushed."""
-        return len(self._pending)
 
     def _chunk_size(self) -> int:
         try:

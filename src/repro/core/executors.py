@@ -56,7 +56,8 @@ class InvocationOutcome:
 class DLHubExecutor:
     """Executor interface: deploy servables, invoke them.
 
-    Batching is a first-class capability: callers check
+    Subclasses implement ``deploy``, ``invoke``, ``get_servable`` and
+    ``undeploy``. Batching is a first-class capability: callers check
     :attr:`supports_batching` and route batches through
     :meth:`invoke_batch` — there is no need to know concrete executor
     classes. Executors without batch support inherit the default
@@ -67,12 +68,6 @@ class DLHubExecutor:
 
     #: Whether :meth:`invoke_batch` dispatches a whole batch in one trip.
     supports_batching = False
-
-    def deploy(self, servable: Servable, image, replicas: int = 1) -> None:
-        raise NotImplementedError
-
-    def invoke(self, servable_name: str, args: tuple, kwargs: dict) -> InvocationOutcome:
-        raise NotImplementedError
 
     def invoke_batch(self, servable_name: str, inputs: list[Any]) -> InvocationOutcome:
         """Dispatch a batch of inputs in one executor round trip.
@@ -86,25 +81,6 @@ class DLHubExecutor:
     def supports(self, servable: Servable) -> bool:
         """Whether this executor can serve the given servable."""
         return True
-
-    def deployed(self) -> list[str]:
-        raise NotImplementedError
-
-    def deployed_servables(self) -> list[str]:
-        """Names of the servables currently deployed on this executor."""
-        return self.deployed()
-
-    def get_servable(self, servable_name: str) -> Servable:
-        """The deployed :class:`Servable`; raises :class:`ExecutorError`.
-
-        Public accessor for tooling (autoscalers, fleet controllers) that
-        needs a servable's cost profile without reaching into executor
-        internals.
-        """
-        raise NotImplementedError
-
-    def undeploy(self, servable_name: str) -> None:
-        raise ExecutorError(f"executor {self.label!r} does not support undeploy")
 
 
 class ParslServableExecutor(DLHubExecutor):

@@ -179,15 +179,12 @@ class FleetPlan:
 class FleetPolicy:
     """Maps a :class:`FleetObservation` to a :class:`FleetPlan`.
 
-    Scenarios plug in their own controllers by subclassing; the two
-    built-ins cover the common cases (utilization setpoint, latency SLO).
+    Subclasses implement ``plan(observation)``. Scenarios plug in their
+    own controllers by subclassing; the two built-ins cover the common
+    cases (utilization setpoint, latency SLO).
     """
 
     name = "base"
-
-    def plan(self, observation: FleetObservation) -> FleetPlan:
-        """Derive the desired fleet state from one observation."""
-        raise NotImplementedError
 
     @staticmethod
     def _fleet_size(copies: dict[str, int], observation: FleetObservation) -> int:
@@ -544,15 +541,8 @@ class FleetController:
         #: events — consuming one gauge from two cadences through a
         #: shared cursor would blind whichever reads second.
         self._derate_busy_seen: dict[tuple[str, str], float] = {}
-        #: Queue topics whose ready set changed since the last observe
-        #: (fed by the queue's event feed) and the per-servable depth
-        #: cache they invalidate — reconcile re-reads depth only for
-        #: servables something actually happened to.
-        self._dirty_topics: set[str] = set()
-        self._depth_cache: dict[str, int] = {}
         self._names = itertools.count(1)
         self._next_at = runtime.clock.now()
-        runtime.queue.subscribe(self._on_queue_event)
         runtime.attach_controller(self)
 
     # -- serve-loop hooks ---------------------------------------------------------
@@ -631,20 +621,6 @@ class FleetController:
         rates[key] = rate
         return rate
 
-    def _on_queue_event(self, topic: str, delta: int) -> None:
-        """Queue event feed: mark the topic dirty for the next observe."""
-        self._dirty_topics.add(topic)
-
-    def _flush_dirty_topics(self) -> None:
-        """Invalidate cached depths for servables with queue activity."""
-        if not self._dirty_topics:
-            return
-        for topic in self._dirty_topics:
-            parts = topic.split("/", 2)
-            if len(parts) == 3 and parts[0] == "servable":
-                self._depth_cache.pop(parts[2], None)
-        self._dirty_topics.clear()
-
     def observe(self, now: float | None = None) -> FleetObservation:
         """Sample the data plane (advances the rate-estimator state)."""
         now = self.runtime.clock.now() if now is None else now
@@ -655,13 +631,10 @@ class FleetController:
         )
         # detlint: allow[HOT001] — reconcile-cadence, O(alive workers); not per-dispatch
         alive = {w.name for w in self.runtime.alive_workers()}
-        self._flush_dirty_topics()
         demands = []
         for name in sorted(self.runtime.placement()):
-            depth = self._depth_cache.get(name)
-            if depth is None:
-                depth = self.runtime.queue_depth(name)
-                self._depth_cache[name] = depth
+            # O(1): the runtime keeps a ready counter per placed servable.
+            depth = self.runtime.queue_depth(name)
             if self.gateway is not None:
                 # Lane-held backlog is invisible to the queue; admitted
                 # counters see offered load the WFQ throttle hasn't

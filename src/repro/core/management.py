@@ -469,7 +469,3 @@ class ManagementService:
         )
         self.requests_handled += 1
         return final
-
-    def pipelines(self) -> list[str]:
-        """Names of the registered pipelines, sorted."""
-        return sorted(self._pipelines)

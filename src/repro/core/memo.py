@@ -134,9 +134,3 @@ class MemoCache:
     def clear(self) -> None:
         """Drop every entry (the counters are kept)."""
         self._cache.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per keyed lookup (0.0 before the first)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -183,14 +183,6 @@ class StageLatencyCollector:
             if s == servable and (prefix is None or pod.startswith(prefix))
         }
 
-    def pod_chunk_counts(self, servable: str) -> dict[str, int]:
-        """Chunks served per pod for one servable."""
-        return {
-            pod: count
-            for (s, pod), count in sorted(self._pod_chunks.items())
-            if s == servable
-        }
-
     def pod_imbalance(
         self,
         servable: str,
@@ -220,10 +212,6 @@ class StageLatencyCollector:
             return 1.0
         return max(busy.values()) / mean
 
-    def servables(self) -> list[str]:
-        """Servable names that have at least one stage sample."""
-        return sorted({servable for _, servable in self._samples})
-
     def count(self, stage: str | None = None, servable: str | None = None) -> int:
         """Number of records, optionally restricted to one servable."""
         if stage is not None and servable is not None:
@@ -244,15 +232,6 @@ class StageLatencyCollector:
             servable if servable is not None else "*",
             stage,
         )
-
-    def summary_table(self) -> list[TimingSummary]:
-        """Per-servable summaries for every stage that has samples."""
-        return [
-            self.summarize(stage, servable)
-            for servable in self.servables()
-            for stage in self.stages
-            if self.samples(stage, servable)
-        ]
 
     def stage_sum(self, stage: str, servable: str | None = None) -> float:
         """Sum of one stage's samples (``servable=None`` aggregates).
@@ -287,14 +266,6 @@ class StageLatencyCollector:
             },
         }
 
-    def clear(self) -> None:
-        """Drop all samples, timestamps, and pod gauges."""
-        self._samples.clear()
-        self._sums.clear()
-        self._times.clear()
-        self._pod_busy.clear()
-        self._pod_chunks.clear()
-
 
 @dataclass
 class TenantCounters:
@@ -321,16 +292,15 @@ class TenantCounters:
 
 
 class TenantUsageCollector:
-    """Per-tenant admission counters and end-to-end latency samples.
+    """Per-tenant admission counters and summed end-to-end latency.
 
     The serving gateway records every admission decision and completion
-    here; :meth:`latency_summary` reuses :class:`TimingSummary` (metric
-    ``"e2e_latency"``) so tenant tails read like the paper's tables.
+    here. Memory is O(tenants x servables): no per-completion sample is
+    kept.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, TenantCounters] = {}
-        self._latencies: dict[str, list[float]] = defaultdict(list)
         #: servable -> tenant -> cumulative admissions. Indexed by
         #: servable (not flat ``(tenant, servable)`` pairs) so the
         #: fleet controller's per-servable demand reads are a dict
@@ -371,9 +341,7 @@ class TenantUsageCollector:
             counter.completed += 1
         else:
             counter.failed += 1
-        latency_s = float(latency_s)
-        counter.latency_sum_s += latency_s
-        self._latencies[tenant].append(latency_s)
+        counter.latency_sum_s += float(latency_s)
 
     # -- reads --------------------------------------------------------------------
     def tenants(self) -> list[str]:
@@ -387,12 +355,6 @@ class TenantUsageCollector:
             raise KeyError(f"no usage recorded for tenant {tenant!r}")
         return counter
 
-    def admitted_count(self, tenant: str, servable: str) -> int:
-        """Cumulative admissions for ``(tenant, servable)`` — monotonic,
-        so controllers can rate-estimate from deltas between samples."""
-        by_tenant = self._admitted_by_servable.get(servable)
-        return by_tenant.get(tenant, 0) if by_tenant else 0
-
     def servable_admitted_count(self, servable: str) -> int:
         """Cumulative admissions for one servable across every tenant —
         monotonic and O(1), the aggregate the gateway exposes to the
@@ -404,15 +366,10 @@ class TenantUsageCollector:
         by_tenant = self._admitted_by_servable.get(servable, {})
         return {tenant: count for tenant, count in by_tenant.items() if count}
 
-    def latencies(self, tenant: str) -> list[float]:
-        """All end-to-end latency samples recorded for ``tenant``."""
-        return list(self._latencies.get(tenant, ()))
-
     def snapshot(self) -> dict:
         """Per-tenant cumulative counters, with end-to-end latency as a
         settled count and summed seconds, as one JSON-able doc (the
-        telemetry hub's pull-source view of this collector). O(keys):
-        latency tails come from :meth:`latency_summary`."""
+        telemetry hub's pull-source view of this collector). O(keys)."""
         return {
             "tenants": {
                 tenant: {
@@ -429,9 +386,3 @@ class TenantUsageCollector:
                 for tenant, counter in sorted(self._counters.items())
             }
         }
-
-    def latency_summary(self, tenant: str) -> TimingSummary:
-        """Percentile summary of a tenant's end-to-end latencies."""
-        return TimingSummary.of(
-            self._latencies.get(tenant, ()), tenant, "e2e_latency"
-        )

@@ -252,8 +252,8 @@ class Alert:
 class AlertRule:
     """Base class: a named condition over the series store.
 
-    Subclasses implement :meth:`active` — is the condition true *right
-    now*, plus a detail dict for the audit trail. The engine owns the
+    Subclasses implement ``active(store, now) -> (bool, dict)`` — is the
+    condition true *right now*, plus a detail dict for the audit trail. The engine owns the
     pending → firing → resolved lifecycle: a condition must hold for
     ``for_s`` of virtual time before the rule fires (debounce), and a
     firing rule resolves on the first evaluation where the condition
@@ -270,10 +270,6 @@ class AlertRule:
         self.name = name
         self.for_s = for_s
         self.labels = dict(labels or {})
-
-    def active(self, store: SeriesStore, now: float) -> tuple[bool, dict]:
-        """Whether the condition currently holds, plus detail."""
-        raise NotImplementedError
 
 
 class ThresholdRule(AlertRule):

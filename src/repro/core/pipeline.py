@@ -59,6 +59,3 @@ class Pipeline:
     @property
     def step_names(self) -> list[str]:
         return [s.servable_name for s in self.steps]
-
-    def __len__(self) -> int:
-        return len(self.steps)

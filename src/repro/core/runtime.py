@@ -827,10 +827,6 @@ class ServingRuntime:
         self._ingress = ingress
         self._raised |= _INGRESS
 
-    def detach_ingress(self) -> None:
-        """Unhook the request source from the serve loop."""
-        self._ingress = None
-
     # -- submission ---------------------------------------------------------------
     def submit(
         self, request: TaskRequest, enqueued_at: float | None = None

@@ -104,7 +104,7 @@ def KerasLikeServable(
 
     The handler reconstructs nothing at call time — the live model is
     baked into the container image, while the weight archive rides along
-    as a reproducibility artifact (and is what `load_weights` verifies).
+    as a reproducibility artifact (what :func:`verify_components` reads).
     """
     weights = save_weights(model)
 

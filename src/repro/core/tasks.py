@@ -193,6 +193,3 @@ class TaskStore:
     def _require(self, task_uuid: str) -> None:
         if task_uuid not in self._status:
             raise KeyError(f"unknown task {task_uuid}")
-
-    def __len__(self) -> int:
-        return len(self._status)

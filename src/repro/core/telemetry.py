@@ -110,11 +110,6 @@ class Span:
         """Span length in virtual seconds."""
         return self.end - self.start
 
-    @property
-    def ok(self) -> bool:
-        """Whether the span completed without error."""
-        return self.status == "ok"
-
 
 class Trace:
     """The span tree of one request: a root covering its whole life,
@@ -663,18 +658,6 @@ class TelemetryHub:
             raise TelemetryError(f"source {name!r} must be callable")
         self._sources[name] = source
 
-    def unregister_source(self, name: str) -> bool:
-        """Drop a pull source (e.g. its worker left the fleet).
-
-        Returns whether the name was registered. Series already
-        scraped from a departed source remain queryable in the store.
-        """
-        return self._sources.pop(name, None) is not None
-
-    def sources(self) -> tuple[str, ...]:
-        """Names of the currently registered pull sources, sorted."""
-        return tuple(sorted(self._sources))
-
     def snapshot(self, strict: bool = True) -> dict:
         """Every source's current payload, as one JSON-able document.
 
@@ -696,10 +679,6 @@ class TelemetryHub:
                 except Exception as exc:  # noqa: BLE001 — churn isolation
                     sources[name] = {"error": repr(exc)}
         return {"sources": sources}
-
-    def snapshot_json(self, indent: int | None = None) -> str:
-        """:meth:`snapshot`, serialized."""
-        return json.dumps(self.snapshot(), indent=indent, default=str)
 
 
 def build_hub(

@@ -56,9 +56,6 @@ class ModelZoo:
     def __getitem__(self, name: str) -> Servable:
         return self.servables[name]
 
-    def names(self) -> list[str]:
-        return list(ZOO_NAMES)
-
 
 def _noop_servable() -> Servable:
     metadata = (

@@ -29,28 +29,14 @@ class StoreCorruption(RuntimeError):
 class DurableStore:
     """Contract every durable medium implements.
 
-    ``write_snapshot`` takes the chaos hook so the *mid-snapshot*
-    injection point can crash between the two phases of the snapshot
-    protocol on any medium.
+    ``append(seq, line)`` durably appends one encoded journal record;
+    ``read_journal()`` returns every persisted line in append order;
+    ``read_snapshot()`` returns the persisted snapshot document or
+    ``None``; ``write_snapshot(doc, last_seq, chaos)`` persists ``doc``,
+    then drops the records with ``seq <= last_seq``. It takes the chaos
+    hook so the *mid-snapshot* injection point can crash between those
+    two phases on any medium.
     """
-
-    def append(self, seq: int, line: str) -> None:
-        """Durably append one encoded journal record."""
-        raise NotImplementedError
-
-    def read_journal(self) -> list[str]:
-        """All persisted journal lines, in append order."""
-        raise NotImplementedError
-
-    def write_snapshot(self, doc: str, last_seq: int, chaos=None) -> None:
-        """Persist ``doc`` as the snapshot, then drop journal records
-        with ``seq <= last_seq``. Trips the ``mid_snapshot`` injection
-        point between the two phases."""
-        raise NotImplementedError
-
-    def read_snapshot(self) -> str | None:
-        """The persisted snapshot document, or ``None``."""
-        raise NotImplementedError
 
 
 class InMemoryDurableStore(DurableStore):

@@ -71,22 +71,10 @@ class Composition:
     def total_atoms(self) -> float:
         return sum(amt for _, amt in self.amounts)
 
-    def fraction(self, symbol: str) -> float:
-        """Atomic fraction of ``symbol`` (0 if absent)."""
-        total = self.total_atoms
-        for sym, amt in self.amounts:
-            if sym == symbol:
-                return amt / total
-        return 0.0
-
     def fractions(self) -> dict[str, float]:
         """Normalized atomic fractions (sum to 1)."""
         total = self.total_atoms
         return {sym: amt / total for sym, amt in self.amounts}
-
-    @property
-    def molar_mass(self) -> float:
-        return sum(element(sym).mass * amt for sym, amt in self.amounts)
 
     def reduced_formula(self) -> str:
         """Canonical formula with integer-reduced subscripts where possible."""
@@ -110,12 +98,6 @@ class Composition:
             else:
                 parts.append(f"{sym}{amt:g}")
         return "".join(parts)
-
-    def __contains__(self, symbol: str) -> bool:
-        return any(sym == symbol for sym, _ in self.amounts)
-
-    def __str__(self) -> str:
-        return self.reduced_formula()
 
 
 def _parse_group(text: str) -> dict[str, float]:

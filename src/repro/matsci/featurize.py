@@ -41,13 +41,6 @@ FEATURE_NAMES: tuple[str, ...] = (
 class MagpieFeaturizer:
     """Computes the Ward-style feature vector for a composition."""
 
-    @property
-    def n_features(self) -> int:
-        return len(FEATURE_NAMES)
-
-    def feature_names(self) -> list[str]:
-        return list(FEATURE_NAMES)
-
     def featurize(self, composition: Composition | str) -> np.ndarray:
         """Feature vector for one composition (formula strings accepted)."""
         comp = (

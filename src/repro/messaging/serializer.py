@@ -19,14 +19,14 @@ from repro.sim.clock import VirtualClock
 
 
 class SerializationError(ValueError):
-    """Raised when an object cannot be (de)serialized."""
+    """Raised when an object cannot be serialized."""
 
 
 class Serializer:
-    """Base serializer; subclasses implement ``dumps``/``loads``.
+    """Base serializer; subclasses implement ``_encode(obj) -> bytes``.
 
-    If constructed with a :class:`VirtualClock`, each call charges the
-    calibrated fixed + per-byte serialization cost.
+    If constructed with a :class:`VirtualClock`, each :meth:`dumps`
+    charges the calibrated fixed + per-byte serialization cost.
     """
 
     name = "base"
@@ -34,7 +34,6 @@ class Serializer:
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock
         self.bytes_serialized = 0
-        self.bytes_deserialized = 0
 
     def _charge(self, nbytes: int) -> None:
         if self.clock is not None:
@@ -45,21 +44,6 @@ class Serializer:
         self.bytes_serialized += len(data)
         self._charge(len(data))
         return data
-
-    def loads(self, data: bytes) -> Any:
-        self.bytes_deserialized += len(data)
-        self._charge(len(data))
-        return self._decode(data)
-
-    def _encode(self, obj: Any) -> bytes:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _decode(self, data: bytes) -> Any:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def sizeof(self, obj: Any) -> int:
-        """Serialized size of ``obj`` without charging the clock."""
-        return len(self._encode(obj))
 
 
 class PickleSerializer(Serializer):
@@ -72,12 +56,6 @@ class PickleSerializer(Serializer):
             return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # unpicklable lambdas, open handles, ...
             raise SerializationError(f"cannot pickle {type(obj).__name__}: {exc}") from exc
-
-    def _decode(self, data: bytes) -> Any:
-        try:
-            return pickle.loads(data)
-        except Exception as exc:
-            raise SerializationError(f"cannot unpickle payload: {exc}") from exc
 
 
 def estimate_nbytes(obj: Any) -> int:

@@ -5,15 +5,15 @@ Scikit-learn named explicitly. This package implements the model stacks
 the evaluation servables need, on plain NumPy:
 
 * :mod:`repro.ml.layers` / :mod:`repro.ml.network` — a Keras-like
-  ``Sequential`` model with Dense, Conv2D (im2col), pooling, batch-norm,
-  activations and an Inception-style ``Concatenate`` branch layer; forward
-  inference plus SGD training for dense networks,
+  ``Sequential`` model with Dense, Conv2D (im2col), pooling, activations
+  and an Inception-style branch layer; forward inference only,
 * :mod:`repro.ml.sklearn_like` — CART decision trees and random forests
   (regressor + classifier) with real ``fit``/``predict``,
 * :mod:`repro.ml.models` — factories for the paper's benchmark models
   (a small Inception-style image classifier and the CIFAR-10 CNN),
-* :mod:`repro.ml.serialization` — weight save/load to byte archives, so
-  model components can be staged through endpoints like real artifacts.
+* :mod:`repro.ml.serialization` — weights and estimators to byte
+  archives, so model components can be staged through endpoints like
+  real artifacts.
 """
 
 from repro.ml.network import Sequential
@@ -26,11 +26,9 @@ from repro.ml.layers import (
     Flatten,
     ReLU,
     Softmax,
-    BatchNorm,
-    Dropout,
     InceptionBlock,
 )
-from repro.ml.serialization import save_weights, load_weights
+from repro.ml.serialization import save_weights
 from repro.ml.sklearn_like import (
     DecisionTreeRegressor,
     RandomForestClassifier,
@@ -47,11 +45,8 @@ __all__ = [
     "Flatten",
     "ReLU",
     "Softmax",
-    "BatchNorm",
-    "Dropout",
     "InceptionBlock",
     "save_weights",
-    "load_weights",
     "DecisionTreeRegressor",
     "RandomForestRegressor",
     "RandomForestClassifier",

@@ -1,15 +1,13 @@
-"""Neural-network layers (NumPy forward passes, gradients where needed).
+"""Neural-network layers (NumPy forward passes).
 
 Conventions: inputs are batched, channels-last — images are
-``(N, H, W, C)``, vectors are ``(N, D)``. Layers expose ``forward`` and,
-for the trainable dense path, ``backward`` + parameter gradients.
+``(N, H, W, C)``, vectors are ``(N, D)``. Each layer implements
+``forward(x)`` and exposes its parameters through ``params``.
 Convolution uses im2col so the heavy lifting is one matmul (the guide's
 vectorize-don't-loop rule).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -21,29 +19,16 @@ class LayerError(ValueError):
 
 
 class Layer:
-    """Base layer: forward, optional backward, parameter access."""
+    """Base layer: subclasses implement ``forward(x)``."""
 
     name = "layer"
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} does not support backward")
 
     def params(self) -> dict[str, np.ndarray]:
         """Trainable parameters by name (empty for stateless layers)."""
         return {}
 
-    def grads(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def output_dim(self, input_dim: Any) -> Any:
-        """Shape inference helper (per-sample shapes, no batch dim)."""
-        return input_dim
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)
 
 
 class Dense(Layer):
@@ -58,51 +43,23 @@ class Dense(Layer):
         # He initialization (suits the ReLU nets we build).
         self.W = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, out_dim))
         self.b = np.zeros(out_dim)
-        self._x: np.ndarray | None = None
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.W.shape[0]:
             raise LayerError(
                 f"Dense expected (N, {self.W.shape[0]}), got {x.shape}"
             )
-        if training:
-            self._x = x
         return x @ self.W + self.b
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise LayerError("backward called before forward(training=True)")
-        self.dW = self._x.T @ grad
-        self.db = grad.sum(axis=0)
-        return grad @ self.W.T
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"W": self.dW, "b": self.db}
-
-    def output_dim(self, input_dim: Any) -> Any:
-        return self.W.shape[1]
 
 
 class ReLU(Layer):
     name = "relu"
 
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._mask = x > 0
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise LayerError("backward called before forward(training=True)")
-        return grad * self._mask
 
 
 class Softmax(Layer):
@@ -110,7 +67,7 @@ class Softmax(Layer):
 
     name = "softmax"
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
@@ -119,80 +76,8 @@ class Softmax(Layer):
 class Flatten(Layer):
     name = "flatten"
 
-    def __init__(self) -> None:
-        self._shape: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._shape = x.shape
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise LayerError("backward called before forward(training=True)")
-        return grad.reshape(self._shape)
-
-    def output_dim(self, input_dim: Any) -> Any:
-        if isinstance(input_dim, tuple):
-            return int(np.prod(input_dim))
-        return input_dim
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference."""
-
-    name = "dropout"
-
-    def __init__(self, rate: float, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise LayerError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng or generator_from_seed(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            return x
-        self._mask = (self._rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
-
-
-class BatchNorm(Layer):
-    """Batch normalization (inference uses stored moving statistics)."""
-
-    name = "batchnorm"
-
-    def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.moving_mean = np.zeros(dim)
-        self.moving_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            axes = tuple(range(x.ndim - 1))
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.moving_mean = self.momentum * self.moving_mean + (1 - self.momentum) * mean
-            self.moving_var = self.momentum * self.moving_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.moving_mean, self.moving_var
-        return self.gamma * (x - mean) / np.sqrt(var + self.eps) + self.beta
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "moving_mean": self.moving_mean,
-            "moving_var": self.moving_var,
-        }
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
@@ -254,7 +139,7 @@ class Conv2D(Layer):
     def out_channels(self) -> int:
         return self.W.shape[3]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise LayerError(
                 f"Conv2D expected (N,H,W,{self.in_channels}), got {x.shape}"
@@ -278,7 +163,7 @@ class MaxPool2D(Layer):
         self.pool_size = pool_size
         self.stride = stride or pool_size
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise LayerError(f"MaxPool2D expected (N,H,W,C), got {x.shape}")
         n, h, w, c = x.shape
@@ -298,7 +183,7 @@ class MaxPool2D(Layer):
 class GlobalAvgPool2D(Layer):
     name = "globalavgpool2d"
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise LayerError(f"GlobalAvgPool2D expected (N,H,W,C), got {x.shape}")
         return x.mean(axis=(1, 2))
@@ -334,7 +219,7 @@ class InceptionBlock(Layer):
         self.out_channels = c1 + c3 + c5 + cpool
         self._relu = ReLU()
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         r = self._relu
         b1 = r(self.branch1(x))
         b3 = r(self.branch3(r(self.branch3_reduce(x))))

@@ -9,8 +9,6 @@ not training, exactly as in the paper.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ml.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
 from repro.ml.network import Sequential
 from repro.sim.rng import generator_from_seed
@@ -54,17 +52,3 @@ def build_cifar10_cnn(seed: int = 7) -> Sequential:
         ],
         name="cifar10-cnn",
     )
-
-
-def classify(model: Sequential, image: np.ndarray) -> dict:
-    """Classify one 32x32x3 image; returns label + probabilities."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.shape != (32, 32, 3):
-        raise ValueError(f"CIFAR-10 input must be (32, 32, 3), got {x.shape}")
-    probs = model.predict(x[None])[0]
-    top = int(np.argmax(probs))
-    return {
-        "class_index": top,
-        "label": CIFAR10_CLASSES[top],
-        "probabilities": {CIFAR10_CLASSES[i]: float(p) for i, p in enumerate(probs)},
-    }

@@ -16,8 +16,6 @@ compute ordering Inception > CIFAR-10 > noop).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ml.layers import (
     Conv2D,
     Dense,
@@ -60,16 +58,3 @@ def build_inception_small(seed: int = 11) -> Sequential:
         ],
         name="inception-small",
     )
-
-
-def classify_top5(model: Sequential, image: np.ndarray) -> list[dict]:
-    """Top-5 categories for one image — the Inception servable's contract."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.shape != (INPUT_SIZE, INPUT_SIZE, 3):
-        raise ValueError(
-            f"Inception input must be ({INPUT_SIZE}, {INPUT_SIZE}, 3), got {x.shape}"
-        )
-    top5 = model.predict_top_k(x[None], k=5)[0]
-    return [
-        {"category": int(cat), "probability": float(p)} for cat, p in top5
-    ]

@@ -1,4 +1,4 @@
-"""Sequential model container with inference and dense-path training."""
+"""Sequential model container (inference)."""
 
 from __future__ import annotations
 
@@ -6,97 +6,30 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.ml.layers import Layer, Softmax
-from repro.sim.rng import generator_from_seed
+from repro.ml.layers import Layer
 
 
 class Sequential:
     """An ordered stack of layers (Keras-like).
 
-    ``predict`` runs inference; ``fit`` trains the dense path with plain
-    SGD on cross-entropy (sufficient for the small classifiers the tests
-    and examples train). Convolutional layers here are inference-only —
-    the paper's serving experiments never train the CNNs.
+    ``predict`` runs inference. Nothing trains a network here: the
+    paper's serving experiments only run the models (the random forests
+    of :mod:`repro.ml.sklearn_like` are the trained models).
     """
 
     def __init__(self, layers: Iterable[Layer] = (), name: str = "model") -> None:
         self.layers: list[Layer] = list(layers)
         self.name = name
 
-    def add(self, layer: Layer) -> "Sequential":
-        self.layers.append(layer)
-        return self
-
     # -- inference ---------------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out, training)
+            out = layer.forward(out)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, training=False)
-
-    def predict_classes(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict(x), axis=-1)
-
-    def predict_top_k(self, x: np.ndarray, k: int = 5) -> list[list[tuple[int, float]]]:
-        """Top-k ``(class, probability)`` per sample — the Inception API shape."""
-        probs = self.predict(x)
-        out = []
-        for row in np.atleast_2d(probs):
-            idx = np.argsort(row)[::-1][:k]
-            out.append([(int(i), float(row[i])) for i in idx])
-        return out
-
-    # -- training (dense path) -----------------------------------------------------
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int = 10,
-        lr: float = 0.05,
-        batch_size: int = 32,
-        rng: np.random.Generator | None = None,
-    ) -> list[float]:
-        """SGD + cross-entropy training. ``y`` is integer class labels.
-
-        The final layer must be :class:`Softmax`. Returns per-epoch mean
-        losses.
-        """
-        if not self.layers or not isinstance(self.layers[-1], Softmax):
-            raise ValueError("fit requires a Softmax output layer")
-        rng = rng or generator_from_seed(0)
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        n = x.shape[0]
-        losses = []
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                xb, yb = x[idx], y[idx]
-                probs = self.forward(xb, training=True)
-                eps = 1e-12
-                epoch_loss += float(-np.mean(np.log(probs[np.arange(len(yb)), yb] + eps)))
-                batches += 1
-                # Softmax+CE gradient shortcut.
-                grad = probs.copy()
-                grad[np.arange(len(yb)), yb] -= 1.0
-                grad /= len(yb)
-                for layer in reversed(self.layers[:-1]):
-                    grad = layer.backward(grad)
-                for layer in self.layers:
-                    params, grads = layer.params(), layer.grads()
-                    for key in grads:
-                        params[key] -= lr * grads[key]
-            losses.append(epoch_loss / max(batches, 1))
-        return losses
-
-    def evaluate_accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict_classes(x) == np.asarray(y)))
+        return self.forward(x)
 
     # -- introspection ---------------------------------------------------------------
     def params(self) -> dict[str, np.ndarray]:
@@ -106,14 +39,3 @@ class Sequential:
             for key, value in layer.params().items():
                 out[f"layer{i}.{key}"] = value
         return out
-
-    def parameter_count(self) -> int:
-        return int(sum(p.size for p in self.params().values()))
-
-    def summary(self) -> str:
-        lines = [f"Sequential(name={self.name!r})"]
-        for i, layer in enumerate(self.layers):
-            n_params = sum(p.size for p in layer.params().values())
-            lines.append(f"  [{i}] {type(layer).__name__:<18} params={n_params}")
-        lines.append(f"  total params: {self.parameter_count()}")
-        return "\n".join(lines)

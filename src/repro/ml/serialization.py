@@ -8,7 +8,6 @@ path handles genuine payload sizes.
 from __future__ import annotations
 
 import io
-import json
 import pickle
 from typing import Any
 
@@ -25,25 +24,6 @@ def save_weights(model: Sequential) -> bytes:
     return buf.getvalue()
 
 
-def load_weights(model: Sequential, blob: bytes) -> Sequential:
-    """Load parameters saved by :func:`save_weights` into ``model`` in place.
-
-    Raises ``KeyError`` if the archive is missing a parameter and
-    ``ValueError`` on shape mismatch.
-    """
-    with np.load(io.BytesIO(blob)) as archive:
-        for key, target in model.params().items():
-            if key not in archive:
-                raise KeyError(f"weight archive missing parameter {key!r}")
-            value = archive[key]
-            if value.shape != target.shape:
-                raise ValueError(
-                    f"shape mismatch for {key!r}: archive {value.shape}, model {target.shape}"
-                )
-            target[...] = value
-    return model
-
-
 def save_estimator(estimator: Any) -> bytes:
     """Pickle an sklearn-like estimator (forest, tree) to bytes."""
     return pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL)
@@ -51,16 +31,3 @@ def save_estimator(estimator: Any) -> bytes:
 
 def load_estimator(blob: bytes) -> Any:
     return pickle.loads(blob)
-
-
-def model_manifest(model: Sequential) -> dict:
-    """A JSON-able description of the architecture (for model metadata)."""
-    return {
-        "name": model.name,
-        "layers": [type(layer).__name__ for layer in model.layers],
-        "parameter_count": model.parameter_count(),
-    }
-
-
-def manifest_json(model: Sequential) -> bytes:
-    return json.dumps(model_manifest(model), indent=2).encode()

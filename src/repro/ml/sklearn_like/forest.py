@@ -13,6 +13,8 @@ from repro.sim.rng import generator_from_seed
 
 
 class _BaseForest:
+    """Bagging shared by both forests; subclasses provide ``_make_tree(seed)``."""
+
     def __init__(
         self,
         n_estimators: int = 50,
@@ -32,9 +34,6 @@ class _BaseForest:
         self.random_state = random_state
         self.estimators_: list = []
         self.n_features_: int | None = None
-
-    def _make_tree(self, seed: int):
-        raise NotImplementedError
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)

@@ -36,6 +36,14 @@ class _Node:
 
 
 class _BaseTree:
+    """CART growth shared by both trees.
+
+    Subclasses provide ``_leaf_value(y)`` and ``_impurity_gain(y_sorted)
+    -> (gains, parent_impurity)``, where ``gains[i]`` is the weighted
+    impurity decrease of splitting a pre-sorted label array between
+    positions ``i`` and ``i + 1``.
+    """
+
     def __init__(
         self,
         max_depth: int = 12,
@@ -59,18 +67,6 @@ class _BaseTree:
         self.random_state = random_state
         self._root: _Node | None = None
         self.n_features_: int | None = None
-
-    # -- subclass hooks -----------------------------------------------------------
-    def _leaf_value(self, y: np.ndarray):
-        raise NotImplementedError
-
-    def _impurity_gain(self, y_sorted: np.ndarray) -> tuple[np.ndarray, float]:
-        """Per-split-position impurity decrease for a pre-sorted label array.
-
-        Returns ``(gains, parent_impurity)`` where ``gains[i]`` is the
-        weighted impurity decrease of splitting between positions i and i+1.
-        """
-        raise NotImplementedError
 
     # -- fitting ---------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray):
@@ -154,24 +150,6 @@ class _BaseTree:
             assert node is not None
         return node.value
 
-    def depth(self) -> int:
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
-            raise NotFittedError("tree is not fitted")
-        return walk(self._root)
-
-    def node_count(self) -> int:
-        def walk(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self._root)
-
 
 class DecisionTreeRegressor(_BaseTree):
     """CART regression tree (variance-reduction splits, mean leaves)."""
@@ -239,6 +217,3 @@ class DecisionTreeClassifier(_BaseTree):
             raise NotFittedError("tree is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.vstack([self._predict_node(x) for x in X])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)

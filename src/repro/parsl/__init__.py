@@ -9,6 +9,6 @@ balancing and busy-until queueing (what Fig. 7 measures), which
 :class:`~repro.core.executors.ParslServableExecutor` dispatches through.
 """
 
-from repro.parsl.ipp import EngineStats, IPPEnginePool, NoEnginesError
+from repro.parsl.ipp import IPPEnginePool, NoEnginesError
 
-__all__ = ["IPPEnginePool", "EngineStats", "NoEnginesError"]
+__all__ = ["IPPEnginePool", "NoEnginesError"]

@@ -12,7 +12,6 @@ throughput scales with replicas until dispatch overhead dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.pod import Pod
@@ -24,15 +23,6 @@ class NoEnginesError(RuntimeError):
     """Raised when the pool has no live engines."""
 
 
-@dataclass
-class EngineStats:
-    """Per-engine dispatch statistics."""
-
-    pod_name: str
-    tasks: int
-    busy_until: float
-
-
 class IPPEnginePool:
     """A pool of engines, one per servable pod.
 
@@ -42,9 +32,10 @@ class IPPEnginePool:
         Shared virtual clock.
     pods:
         The deployment's pods; one IPP engine runs in each.
-    dispatch_cost_s / collect_cost_s:
-        Per-task serialization/dispatch and result-collection overheads
-        charged to the clock (the Task-Manager-side serial bottleneck).
+    dispatch_cost_s:
+        Per-task serialization/dispatch overhead charged to the clock
+        (the Task-Manager-side serial bottleneck; the executor charges
+        result collection itself).
     """
 
     def __init__(
@@ -52,20 +43,15 @@ class IPPEnginePool:
         clock: VirtualClock,
         pods: list[Pod],
         dispatch_cost_s: float = cal.PARSL_DISPATCH_S,
-        collect_cost_s: float = cal.PARSL_COLLECT_S,
     ) -> None:
         self.clock = clock
         self.pods = list(pods)
         self.dispatch_cost_s = dispatch_cost_s
-        self.collect_cost_s = collect_cost_s
         self.tasks_dispatched = 0
-        self._tasks_per_pod: dict[str, int] = {p.name: 0 for p in self.pods}
 
     def set_pods(self, pods: list[Pod]) -> None:
         """Replace the engine set (after scale up/down)."""
         self.pods = list(pods)
-        for p in self.pods:
-            self._tasks_per_pod.setdefault(p.name, 0)
 
     def _live_pods(self) -> list[Pod]:
         live = [p for p in self.pods if p.ready]
@@ -107,7 +93,6 @@ class IPPEnginePool:
         start = max(self.clock.now(), pod.busy_until)
         result = pod.exec(*args, **kwargs) if fn is None else fn(*args, **kwargs)
         pod.busy_until = start + exec_cost_s
-        self._tasks_per_pod[pod.name] = self._tasks_per_pod.get(pod.name, 0) + 1
         self.tasks_dispatched += 1
         return result, pod
 
@@ -119,10 +104,6 @@ class IPPEnginePool:
     ) -> tuple[Any, Pod]:
         """Dispatch a servable invocation to the least-busy pod's engine."""
         return self.dispatch(None, args, kwargs, exec_cost_s)
-
-    def collect(self) -> None:
-        """Charge the result-collection overhead (per task)."""
-        self.clock.advance(self.collect_cost_s)
 
     def drain(self) -> float:
         """Advance the clock to the last engine completion; returns that time.
@@ -136,17 +117,3 @@ class IPPEnginePool:
         if last > self.clock.now():
             self.clock.advance_to(last)
         return self.clock.now()
-
-    def stats(self) -> list[EngineStats]:
-        return [
-            EngineStats(
-                pod_name=p.name,
-                tasks=self._tasks_per_pod.get(p.name, 0),
-                busy_until=p.busy_until,
-            )
-            for p in self.pods
-        ]
-
-    @property
-    def engine_count(self) -> int:
-        return len([p for p in self.pods if p.ready])

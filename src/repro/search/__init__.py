@@ -7,7 +7,7 @@ package provides an inverted-index search engine with exactly those
 capabilities:
 
 * :mod:`repro.search.tokenizer` — text analysis (lowercasing, token
-  splitting, prefix grams for partial matching),
+  splitting),
 * :mod:`repro.search.index` — documents, inverted index, TF-IDF ranking,
   per-document visibility ACLs,
 * :mod:`repro.search.query` — a composable query AST (term, phrase,
@@ -15,7 +15,7 @@ capabilities:
   query-string parser and faceted aggregation.
 """
 
-from repro.search.tokenizer import tokenize, prefix_grams
+from repro.search.tokenizer import tokenize
 from repro.search.index import SearchIndex, Document, Visibility
 from repro.search.query import (
     Query,
@@ -34,7 +34,6 @@ from repro.search.query import (
 
 __all__ = [
     "tokenize",
-    "prefix_grams",
     "SearchIndex",
     "Document",
     "Visibility",

@@ -186,14 +186,8 @@ class SearchIndex:
     def __len__(self) -> int:
         return len(self._docs)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
-
     def all_doc_ids(self) -> list[str]:
         return list(self._docs)
-
-    def visible_docs(self, viewer: ViewerContext) -> list[Document]:
-        return [d for d in self._docs.values() if d.visibility.allows(viewer)]
 
     # -- low-level matching primitives (used by the query AST) --------------------
     def docs_with_token(self, token: str) -> set[str]:

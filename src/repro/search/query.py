@@ -34,23 +34,11 @@ class QueryError(ValueError):
 
 
 class Query:
-    """Base query node."""
-
-    def match_ids(self, index: SearchIndex) -> set[str]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    """Base query node; subclasses implement ``match_ids(index)``."""
 
     def score_tokens(self) -> list[str]:
         """Tokens contributing to TF-IDF relevance (free-text terms only)."""
         return []
-
-    def __and__(self, other: "Query") -> "Query":
-        return And([self, other])
-
-    def __or__(self, other: "Query") -> "Query":
-        return Or([self, other])
-
-    def __invert__(self) -> "Query":
-        return Not(self)
 
 
 @dataclass

@@ -30,10 +30,3 @@ def tokenize(text: str) -> list[str]:
         if "-" in tok or "_" in tok:
             tokens.extend(p for p in re.split(r"[-_]", tok) if p and p not in STOPWORDS)
     return tokens
-
-
-def prefix_grams(token: str, min_len: int = 2) -> list[str]:
-    """All prefixes of ``token`` of length >= ``min_len`` (partial matching)."""
-    if len(token) < min_len:
-        return [token] if token else []
-    return [token[:i] for i in range(min_len, len(token) + 1)]

@@ -56,9 +56,10 @@ class InvocationResult:
 class ServingBackend:
     """Base class: deploys model containers on Kubernetes and serves them.
 
-    Subclasses override :meth:`_serve_cost` (the per-request backend cost,
-    excluding inference) and may override :meth:`invoke` entirely (Clipper
-    does, for its frontend-cache architecture).
+    Subclasses provide ``_serve_cost(spec)`` (the per-request backend cost,
+    excluding inference) and ``_wire_bytes(nbytes)`` (payload size on the
+    wire), or override :meth:`invoke` entirely (Clipper does, for its
+    frontend-cache architecture).
     """
 
     name = "base"
@@ -113,22 +114,7 @@ class ServingBackend:
         self._specs[spec.name] = spec
         return service
 
-    def undeploy(self, model_name: str) -> None:
-        service = self._services.pop(model_name, None)
-        if service is None:
-            raise KeyError(model_name)
-        self._specs.pop(model_name, None)
-        self.cluster.delete_deployment(service.deployment.name)
-
     # -- request path -----------------------------------------------------------------
-    def _serve_cost(self, spec: ModelSpec) -> float:
-        """Backend per-request processing cost, excluding inference."""
-        raise NotImplementedError
-
-    def _wire_bytes(self, nbytes: int) -> int:
-        """Payload size on the wire (protocol-specific inflation)."""
-        return nbytes
-
     def invoke(self, model_name: str, *args: Any, **kwargs: Any) -> InvocationResult:
         """Serve one request; charges link + backend + inference costs."""
         service = self._services.get(model_name)
@@ -154,6 +140,3 @@ class ServingBackend:
             invocation_time=self.clock.now() - start,
             inference_time=inference_time,
         )
-
-    def deployed_models(self) -> list[str]:
-        return sorted(self._services)

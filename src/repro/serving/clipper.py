@@ -112,6 +112,3 @@ class ClipperBackend(ServingBackend):
             inference_time=inference_time,
             cache_hit=cache_hit,
         )
-
-    def clear_cache(self) -> None:
-        self._cache.clear()

@@ -10,7 +10,7 @@ fast, while preserving the latency *structure* the evaluation measures
 Key pieces
 ----------
 ``VirtualClock``
-    Monotonic virtual time in seconds, with scoped ``Stopwatch`` helpers.
+    Monotonic virtual time in seconds.
 ``EventLoop``
     The timer heap the serving runtime's kernel keeps its wake-up
     sources on (one movable ``Event`` per source).
@@ -22,7 +22,7 @@ Key pieces
     in one documented place.
 """
 
-from repro.sim.clock import VirtualClock, Stopwatch
+from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventLoop
 from repro.sim.latency import NetworkLink, LatencyModel, GaussianJitter, NoJitter
 from repro.sim.rng import SeededRNG
@@ -30,7 +30,6 @@ from repro.sim import calibration
 
 __all__ = [
     "VirtualClock",
-    "Stopwatch",
     "Event",
     "EventLoop",
     "NetworkLink",

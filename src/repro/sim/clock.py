@@ -2,8 +2,7 @@
 
 The entire reproduction runs on virtual time: components call
 :meth:`VirtualClock.advance` to charge latency costs and
-:meth:`VirtualClock.now` to timestamp events. Benchmarks read elapsed
-virtual seconds with :class:`Stopwatch`.
+:meth:`VirtualClock.now` to timestamp events.
 
 Virtual time is monotonic; advancing by a negative amount is an error.
 """
@@ -82,10 +81,6 @@ class VirtualClock:
         """Number of ``advance``/``advance_to`` calls made (diagnostics)."""
         return self._advances
 
-    def stopwatch(self) -> "Stopwatch":
-        """Create a :class:`Stopwatch` bound to this clock, started now."""
-        return Stopwatch(self)
-
     def concurrent(self) -> "ConcurrentRegion":
         """Open a region whose branches charge ``max``, not ``sum``.
 
@@ -107,9 +102,6 @@ class VirtualClock:
         closes at ``start + max(branch durations)``.
         """
         return ConcurrentRegion(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"VirtualClock(now={self._now:.6f}s)"
 
 
 class ConcurrentRegion:
@@ -164,45 +156,3 @@ class _Branch:
         region = self._region
         region._in_branch = False
         region._max_end = max(region._max_end, region._clock.now())
-
-
-class Stopwatch:
-    """Measures elapsed virtual time between construction and :meth:`elapsed`.
-
-    Can be used as a context manager::
-
-        with clock.stopwatch() as sw:
-            do_work(clock)
-        print(sw.elapsed())
-    """
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._start = clock.now()
-        self._stop: float | None = None
-
-    def restart(self) -> None:
-        """Reset the start time to the clock's current time."""
-        self._start = self._clock.now()
-        self._stop = None
-
-    def stop(self) -> float:
-        """Freeze the stopwatch and return the elapsed time."""
-        self._stop = self._clock.now()
-        return self._stop - self._start
-
-    def elapsed(self) -> float:
-        """Elapsed virtual seconds (frozen value if stopped)."""
-        end = self._stop if self._stop is not None else self._clock.now()
-        return end - self._start
-
-    @property
-    def start_time(self) -> float:
-        return self._start
-
-    def __enter__(self) -> "Stopwatch":
-        self.restart()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

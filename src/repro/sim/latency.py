@@ -5,8 +5,9 @@ round-trip time and bandwidth. A :class:`LatencyModel` bundles the links of
 a deployment (client -> Management Service -> Task Manager -> cluster) and
 charges transfer costs to the shared :class:`VirtualClock`.
 
-Jitter is injected through pluggable :class:`JitterModel` objects driven by
-a :class:`~repro.sim.rng.SeededRNG`, so experiments remain reproducible
+Jitter is injected through a :data:`JitterModel` — :class:`NoJitter`, or
+a :class:`GaussianJitter` driven by a :class:`~repro.sim.rng.SeededRNG` —
+so experiments remain reproducible
 while still showing realistic 5th/95th-percentile spreads like the paper's
 error bars.
 """
@@ -14,17 +15,8 @@ error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
-
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import SeededRNG
-
-
-class JitterModel(Protocol):
-    """Maps a nominal latency to a sampled latency."""
-
-    def sample(self, nominal: float) -> float:  # pragma: no cover - protocol
-        ...
 
 
 class NoJitter:
@@ -68,6 +60,10 @@ class GaussianJitter:
             return 0.0
         sampled = float(self._rng.normal(nominal, nominal * self.relative_sigma))
         return max(sampled, nominal * self.floor_fraction)
+
+
+#: Maps a nominal latency to a sampled latency (``sample(nominal)``).
+JitterModel = NoJitter | GaussianJitter
 
 
 @dataclass

@@ -56,29 +56,5 @@ class SeededRNG:
         """Derive an independent child stream identified by ``label``."""
         return SeededRNG(self.seed, f"{self.label}/{label}")
 
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy generator."""
-        return self._gen
-
-    # Convenience passthroughs -------------------------------------------------
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         return self._gen.normal(loc, scale, size)
-
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self._gen.integers(low, high, size)
-
-    def choice(self, seq, size=None, replace: bool = True):
-        return self._gen.choice(seq, size=size, replace=replace)
-
-    def shuffle(self, seq) -> None:
-        self._gen.shuffle(seq)
-
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SeededRNG(seed={self.seed}, label={self.label!r})"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.analysis import (
@@ -11,7 +9,6 @@ from repro.analysis import (
     analyze_source,
     parse_pragmas,
     render_human,
-    render_json,
 )
 from repro.analysis.cli import main
 from repro.analysis.framework import MALFORMED_PRAGMA, all_rules
@@ -134,14 +131,6 @@ class TestReports:
         text = render_human(self._findings(), files_scanned=1, verbose=True)
         assert "waived for the test" in text
 
-    def test_json_report_round_trips(self):
-        doc = json.loads(render_json(self._findings(), files_scanned=1))
-        assert doc["version"] == 1
-        assert doc["summary"] == {"unsuppressed": 1, "suppressed": 1}
-        rules = {f["rule"] for f in doc["findings"]}
-        assert rules == {"DET001"}
-        assert any(f["suppressed"] for f in doc["findings"])
-
 
 class TestRegistryAndPaths:
     def test_all_five_rules_plus_framework_registered(self):
@@ -173,14 +162,6 @@ class TestCLI:
         target.write_text("import time\nt = time.time()\n")
         assert main([str(target)]) == 1
         assert "DET001" in capsys.readouterr().out
-
-    def test_json_format(self, tmp_path, capsys):
-        target = tmp_path / "repro" / "core" / "dirty.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("import time\nt = time.time()\n")
-        assert main(["--format", "json", str(target)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"]["unsuppressed"] == 1
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

@@ -103,13 +103,6 @@ class TestGroups:
         group.add(campus)
         assert store.in_group(orcid, "g")
 
-    def test_remove_member(self, store):
-        group = store.create_group("g")
-        member = store.register_identity("globus", "m")
-        group.add(member)
-        group.remove(member)
-        assert not store.in_group(member, "g")
-
     def test_unknown_group_is_false(self, store):
         member = store.register_identity("globus", "m")
         assert not store.in_group(member, "nonexistent")

@@ -94,16 +94,6 @@ class TestDependentTokens:
             auth.dependent_token("junk", "search:query")
 
 
-class TestGroups:
-    def test_require_group(self, auth):
-        group = auth.identities.create_group("team")
-        kyle = auth.identities.providers["globus"].authenticate("kyle")
-        with pytest.raises(AuthorizationError):
-            auth.require_group(kyle, "team")
-        group.add(kyle)
-        auth.require_group(kyle, "team")  # no raise
-
-
 def test_duplicate_resource_server():
     service = AuthService(VirtualClock())
     service.register_resource_server("x", ["a"])

@@ -69,34 +69,6 @@ class TestScaling:
         assert len(names) == len(set(names))
 
 
-class TestSelfHealing:
-    def test_reconcile_replaces_failed(self, env):
-        cluster, image = env
-        d = cluster.create_deployment("m", image, replicas=3)
-        victim = d.ready_pods()[0]
-        victim.fail()
-        assert len(d.ready_pods()) == 2
-        replaced = d.reconcile()
-        assert replaced == 1
-        assert len(d.ready_pods()) == 3
-        assert victim not in d.pods
-
-    def test_reconcile_noop_when_healthy(self, env):
-        cluster, image = env
-        d = cluster.create_deployment("m", image, replicas=2)
-        assert d.reconcile() == 0
-
-    def test_failed_pod_resources_released(self, env):
-        cluster, image = env
-        d = cluster.create_deployment(
-            "m", image, replicas=1, request=ResourceSpec(2000, 2**30)
-        )
-        before = cluster.total_allocated.cpu_millicores
-        d.ready_pods()[0].fail()
-        d.reconcile()
-        assert cluster.total_allocated.cpu_millicores == before
-
-
 class TestDelete:
     def test_delete_terminates_all(self, env):
         cluster, image = env

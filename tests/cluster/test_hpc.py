@@ -42,7 +42,7 @@ class TestSubmission:
         hpc.submit(make_image(), nodes=4)
         waiting = hpc.submit(make_image(), nodes=1)
         assert waiting.state is JobState.QUEUED
-        assert hpc.queued_jobs() == [waiting]
+        assert hpc._pending == [waiting]
 
 
 class TestExecution:
@@ -84,19 +84,3 @@ class TestReleaseAndBackfill:
         hpc.release(job)
         with pytest.raises(HPCError):
             hpc.release(job)
-
-
-class TestCancel:
-    def test_cancel_queued(self, hpc):
-        hpc.submit(make_image(), nodes=4)
-        queued = hpc.submit(make_image(), nodes=1)
-        hpc.cancel(queued)
-        assert queued.state is JobState.CANCELLED
-        assert hpc.queued_jobs() == []
-
-    def test_cancel_running_frees_nodes(self, hpc):
-        job = hpc.submit(make_image(), nodes=3)
-        hpc.cancel(job)
-        assert hpc.free_nodes == 4
-        with pytest.raises(HPCError):
-            hpc.exec(job, 0, 1)

@@ -61,18 +61,6 @@ class TestAllocation:
         with pytest.raises(ValueError):
             node.release(ResourceSpec(200, 100))
 
-    def test_cordon_blocks_allocation(self):
-        node = make_node()
-        node.cordon()
-        assert not node.can_fit(ResourceSpec(1, 1))
-        node.uncordon()
-        assert node.can_fit(ResourceSpec(1, 1))
-
-    def test_utilization(self):
-        node = make_node(cpu=1000)
-        node.allocate(ResourceSpec(250, 0))
-        assert node.utilization == pytest.approx(0.25)
-
     @given(
         st.lists(
             st.tuples(st.integers(1, 2000), st.integers(1, 2**30)),

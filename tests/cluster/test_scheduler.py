@@ -62,15 +62,9 @@ class TestScheduling:
 
     def test_cordoned_nodes_skipped(self):
         clock, scheduler, nodes, image = make_env()
-        nodes[0].cordon()
+        nodes[0].ready = False
         pod = make_pod(image)
         assert scheduler.schedule(pod, nodes).name == "n1"
-
-    def test_schedule_all(self):
-        clock, scheduler, nodes, image = make_env()
-        pods = [make_pod(image, name=f"p{i}") for i in range(3)]
-        scheduled = scheduler.schedule_all(pods, nodes)
-        assert len(scheduled) == 3
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(100, 4000), min_size=1, max_size=25))

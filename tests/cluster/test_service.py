@@ -34,10 +34,6 @@ class TestRouting:
         pods = [p.name for p in deployment.ready_pods()]
         assert chosen == pods * 2
 
-    def test_call_executes(self, env):
-        _, _, service = env
-        assert service.call(41) == 42
-
     def test_route_skips_failed(self, env):
         _, deployment, service = env
         deployment.ready_pods()[0].fail()
@@ -49,20 +45,6 @@ class TestRouting:
         deployment.scale(0)
         with pytest.raises(NoReadyPods):
             service.route()
-
-    def test_route_least_busy(self, env):
-        _, deployment, service = env
-        pods = deployment.ready_pods()
-        pods[0].busy_until = 10.0
-        pods[1].busy_until = 5.0
-        pods[2].busy_until = 1.0
-        assert service.route_least_busy() is pods[2]
-
-    def test_backend_count(self, env):
-        _, deployment, service = env
-        assert service.backend_count == 3
-        deployment.scale(1)
-        assert service.backend_count == 1
 
     def test_served_counter_increments(self, env):
         _, deployment, service = env

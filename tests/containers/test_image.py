@@ -52,9 +52,6 @@ class TestImage:
         with pytest.raises(FileNotFoundError):
             self._image().read_file("/nope")
 
-    def test_file_paths(self):
-        assert self._image().file_paths() == ["/app/main.py"]
-
 
 class TestImageBuilder:
     def _dockerfile(self):

@@ -53,11 +53,6 @@ class TestTagsRepos:
         registry.push(make_image(tag="v2", payload=b"other"))
         assert registry.tags("dlhub/m") == ["v1", "v2"]
 
-    def test_repositories_listing(self, registry):
-        registry.push(make_image(repo="a/x"))
-        registry.push(make_image(repo="b/y"))
-        assert registry.repositories() == ["a/x", "b/y"]
-
     def test_retag_overwrites(self, registry):
         registry.push(make_image(payload=b"one"))
         newer = make_image(payload=b"two")

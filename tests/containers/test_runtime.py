@@ -9,6 +9,11 @@ from repro.sim import calibration as cal
 from repro.sim.clock import VirtualClock
 
 
+def run(runtime, reference):
+    """Pull, create and start one container."""
+    return runtime.start(runtime.create(runtime.pull(reference)))
+
+
 @pytest.fixture
 def env():
     clock = VirtualClock()
@@ -64,43 +69,23 @@ class TestLifecycle:
 
     def test_start_idempotent(self, env):
         clock, runtime, image = env
-        container = runtime.run("dlhub/m:v1")
+        container = run(runtime, "dlhub/m:v1")
         t = clock.now()
         runtime.start(container)
         assert clock.now() == t
-
-    def test_run_shortcut(self, env):
-        _, runtime, image = env
-        container = runtime.run("dlhub/m:v1", env={"X": "1"})
-        assert container.alive
-        assert container.env["X"] == "1"
-
-    def test_stop_and_remove(self, env):
-        _, runtime, image = env
-        container = runtime.run("dlhub/m:v1")
-        runtime.stop(container)
-        assert container.state is ContainerState.STOPPED
-        runtime.remove(container)
-        assert container not in runtime.containers()
-
-    def test_remove_running_rejected(self, env):
-        _, runtime, image = env
-        container = runtime.run("dlhub/m:v1")
-        with pytest.raises(ContainerError):
-            runtime.remove(container)
 
 
 class TestFailureModes:
     def test_exec_on_stopped_raises(self, env):
         _, runtime, image = env
-        container = runtime.run("dlhub/m:v1")
+        container = run(runtime, "dlhub/m:v1")
         runtime.stop(container)
         with pytest.raises(ContainerError):
             runtime.exec(container, 1)
 
     def test_kill_then_exec_raises(self, env):
         _, runtime, image = env
-        container = runtime.run("dlhub/m:v1")
+        container = run(runtime, "dlhub/m:v1")
         runtime.kill(container)
         assert container.state is ContainerState.FAILED
         with pytest.raises(ContainerError):
@@ -108,7 +93,7 @@ class TestFailureModes:
 
     def test_failed_cannot_restart(self, env):
         _, runtime, image = env
-        container = runtime.run("dlhub/m:v1")
+        container = run(runtime, "dlhub/m:v1")
         runtime.kill(container)
         with pytest.raises(ContainerError):
             runtime.start(container)
@@ -117,13 +102,6 @@ class TestFailureModes:
         clock, runtime, _ = env
         bare = Image(repository="x", tag="y", layers=[Layer("l")])
         runtime.registry.push(bare)
-        container = runtime.run("x:y")
+        container = run(runtime, "x:y")
         with pytest.raises(ContainerError):
             runtime.exec(container)
-
-    def test_containers_filter_by_state(self, env):
-        _, runtime, image = env
-        a = runtime.run("dlhub/m:v1")
-        b = runtime.run("dlhub/m:v1")
-        runtime.stop(b)
-        assert runtime.containers(ContainerState.RUNNING) == [a]

@@ -92,15 +92,6 @@ class TestAdaptiveBatcher:
         batcher.run([()] * 300)
         assert max(d.batch_size for d in batcher.decisions) > 2
 
-    def test_pending_counter(self, env):
-        testbed, _ = env
-        batcher = AdaptiveBatcher(testbed.parsl_executor, "noop")
-        batcher.submit(())
-        batcher.submit(())
-        assert batcher.pending == 2
-        batcher.flush()
-        assert batcher.pending == 0
-
     def test_invalid_budget(self, env):
         testbed, _ = env
         with pytest.raises(ValueError):
@@ -200,7 +191,7 @@ class TestExecutorAccessors:
     def test_deployed_servables_and_get_servable(self, env):
         testbed, zoo = env
         executor = testbed.parsl_executor
-        assert set(executor.deployed_servables()) == {
+        assert set(executor.deployed()) == {
             "noop",
             "matminer_featurize",
             "inception",

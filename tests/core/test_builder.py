@@ -34,7 +34,7 @@ class TestDockerfileSynthesis:
     def test_structure(self, builder):
         servable = make_servable(dependencies=["pymatgen"])
         df = builder.dockerfile_for(servable)
-        text = df.render()
+        text = "\n".join(f"{op} {arg}" for op, arg in df.instructions)
         assert text.startswith("FROM dlhub/base:latest")
         assert "pip install" in text
         assert "pymatgen" in text
@@ -49,7 +49,7 @@ class TestDockerfileSynthesis:
     def test_components_copied(self, builder):
         servable = make_servable(components={"weights.npz": b"w"})
         df = builder.dockerfile_for(servable)
-        assert ("components/", "/opt/servable/components/") in df.copied_paths()
+        assert ("COPY", "components/ /opt/servable/components/") in df.instructions
 
 
 class TestBuild:

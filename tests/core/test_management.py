@@ -138,7 +138,7 @@ class TestPipelines:
         )
         assert result.ok
         assert isinstance(result.value, float)
-        assert "enthalpy_test" in testbed.management.pipelines()
+        assert "enthalpy_test" in testbed.management._pipelines
 
     def test_pipeline_runs_via_run_too(self, env):
         testbed, _ = env

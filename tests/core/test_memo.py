@@ -53,14 +53,6 @@ class TestBasicCaching:
         cache.clear()
         assert len(cache) == 0
 
-    def test_hit_rate(self):
-        cache = MemoCache()
-        k = key(("s", (), ()))
-        cache.lookup(k)
-        cache.store(k, 1)
-        cache.lookup(k)
-        assert cache.hit_rate == pytest.approx(0.5)
-
 
 class TestLRU:
     def test_eviction_at_capacity(self):

@@ -549,7 +549,7 @@ class TestScrapeIsHistoryIndependent:
         import numpy
 
         from repro.core.fleet import FleetController
-        from repro.core.metrics import StageLatencyCollector, TenantUsageCollector
+        from repro.core.metrics import StageLatencyCollector
         from repro.core.telemetry import SLOBurnMonitor, build_hub
         from repro.gateway import TenantPolicy
         from tests.gateway.test_gateway import build_gateway, requests_at
@@ -595,7 +595,6 @@ class TestScrapeIsHistoryIndependent:
             (numpy, "percentile"),
             (numpy, "median"),
             (StageLatencyCollector, "samples"),
-            (TenantUsageCollector, "latencies"),
         ):
             monkeypatch.setattr(owner, name, _history)
         loop.scrape(testbed.clock.now())

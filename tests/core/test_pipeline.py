@@ -9,7 +9,7 @@ class TestDefinition:
     def test_fluent_build(self):
         pipeline = Pipeline("p").add_step("a").add_step("b", adapter=lambda x: [x])
         assert pipeline.step_names == ["a", "b"]
-        assert len(pipeline) == 2
+        assert len(pipeline.steps) == 2
         assert pipeline.steps[1].adapter(1) == [1]
 
     def test_name_required(self):

@@ -44,7 +44,7 @@ class TestPublish:
         assert published.version == 1
         assert published.full_name == "ryan/model_a"
         assert repo.builder.registry.exists("dlhub/model_a:v1")
-        assert published.doc_id in repo.index
+        assert published.doc_id in repo.index.all_doc_ids()
 
     def test_doi_minted(self, env):
         repo, owner, _ = env

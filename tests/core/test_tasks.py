@@ -71,12 +71,6 @@ class TestTaskStore:
         assert store.status("t1") is TaskStatus.FAILED
         assert store.result("t1").error == "boom"
 
-    def test_len(self):
-        store = TaskStore()
-        store.create("a")
-        store.create("b")
-        assert len(store) == 2
-
 
 class TestBatchItemNormalization:
     def test_pair_form_carries_kwargs(self):

@@ -483,12 +483,6 @@ class TestTelemetryHub:
         with pytest.raises(TelemetryError):
             hub.register_source("bad", 42)
 
-    def test_snapshot_json_round_trips(self):
-        hub = TelemetryHub()
-        payload = {"ok": True, "latency": {"count": 1, "sum_s": 1.0}}
-        hub.register_source("stats", lambda: payload)
-        assert json.loads(hub.snapshot_json()) == {"sources": {"stats": payload}}
-
     def test_build_hub_wires_whatever_exists(self):
         tracer = Tracer(sample_rate=1.0)
         monitor = SLOBurnMonitor(min_samples=1)
@@ -601,20 +595,12 @@ class TestTenantSamplingOverrides:
 
 
 class TestHubChurn:
-    def test_unregister_source(self):
-        hub = TelemetryHub()
-        hub.register_source("w0", lambda: {"depth": 1})
-        assert hub.sources() == ("w0",)
-        assert hub.unregister_source("w0") is True
-        assert hub.unregister_source("w0") is False
-        assert hub.sources() == ()
-        assert hub.snapshot() == {"sources": {}}
 
     def test_reregistering_replaces_the_collector(self):
         hub = TelemetryHub()
         hub.register_source("w0", lambda: "old")
         hub.register_source("w0", lambda: "new")
-        assert hub.sources() == ("w0",)
+        assert list(hub.snapshot()["sources"]) == ["w0"]
         assert hub.snapshot()["sources"]["w0"] == "new"
 
     def test_strict_snapshot_propagates_nonstrict_stubs(self):

@@ -13,7 +13,7 @@ def zoo():
 
 class TestZooContents:
     def test_all_six_servables(self, zoo):
-        assert set(zoo.names()) == set(ZOO_NAMES)
+        assert set(zoo.servables) == set(ZOO_NAMES)
         for name in ZOO_NAMES:
             assert zoo[name].name == name
 

@@ -1,5 +1,7 @@
 """Integration tests: full publish -> build -> deploy -> serve round trips."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,12 @@ class TestPublishServeRoundTrip:
         model that agrees with the served one."""
         testbed, zoo, client = full_deployment
         from repro.ml.models.cifar10 import build_cifar10_cnn
-        from repro.ml.serialization import load_weights
 
         blob = zoo["cifar10"].components["weights.npz"]
-        restored = load_weights(build_cifar10_cnn(seed=999), blob)
+        restored = build_cifar10_cnn(seed=999)
+        with np.load(io.BytesIO(blob)) as archive:
+            for key, target in restored.params().items():
+                target[...] = archive[key]
         x = sample_input("cifar10")[0]
         assert np.allclose(restored.predict(x), client.run("cifar10", x))
 

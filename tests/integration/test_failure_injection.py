@@ -63,13 +63,6 @@ class TestPodFailure:
             outcome = executor.invoke("noop", (), {})
             assert outcome.value == "hello world"
 
-    def test_reconcile_restores_capacity(self, deployment):
-        testbed, _ = deployment
-        deployment_obj = testbed.parsl_executor._deployments["noop"]
-        deployment_obj.ready_pods()[0].fail()
-        deployment_obj.reconcile()
-        assert len(deployment_obj.ready_pods()) == 3
-
     def test_all_pods_failed_is_reported_not_lost(self, deployment):
         testbed, _ = deployment
         for pod in testbed.parsl_executor._deployments["noop"].ready_pods():
@@ -77,17 +70,6 @@ class TestPodFailure:
         result = testbed.task_manager.process(TaskRequest("noop"))
         assert result.status is TaskStatus.FAILED
         assert result.error
-
-    def test_recovery_after_total_failure(self, deployment):
-        testbed, _ = deployment
-        executor = testbed.parsl_executor
-        deployment_obj = executor._deployments["noop"]
-        for pod in deployment_obj.ready_pods():
-            pod.fail()
-        deployment_obj.reconcile()
-        executor._pools["noop"].set_pods(deployment_obj.ready_pods())
-        result = testbed.task_manager.process(TaskRequest("noop"))
-        assert result.ok
 
 
 class TestHandlerErrors:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.containers.dockerfile import Dockerfile
 from repro.messaging.queue import QueueEmpty, TaskQueue
 from repro.search.index import SearchIndex
 from repro.sim.clock import VirtualClock
@@ -108,29 +107,6 @@ class TestSearchConsistencyUnderChurn:
         for word in words:
             expected = {d for d, w in live.items() if w == word}
             assert index.docs_with_token(word) == expected
-
-
-class TestDockerfileRoundtrip:
-    instructions = st.lists(
-        st.sampled_from(
-            [
-                ("RUN", "pip install numpy"),
-                ("COPY", "src /app"),
-                ("ENV", "MODE=serve"),
-                ("WORKDIR", "/opt"),
-                ("LABEL", 'team="dlhub"'),
-                ("EXPOSE", "8500"),
-            ]
-        ),
-        max_size=8,
-    )
-
-    @settings(max_examples=40, deadline=None)
-    @given(body=instructions)
-    def test_render_parse_roundtrip_property(self, body):
-        df = Dockerfile([("FROM", "python:3.7"), *body])
-        restored = Dockerfile.parse(df.render())
-        assert restored.instructions == df.instructions
 
 
 class TestDeterminismEndToEnd:

@@ -65,17 +65,6 @@ class TestAccessors:
         assert fracs["O"] == pytest.approx(2 / 3)
         assert sum(fracs.values()) == pytest.approx(1.0)
 
-    def test_fraction_of_absent_element(self):
-        assert Composition.parse("NaCl").fraction("Au") == 0.0
-
-    def test_molar_mass(self):
-        mass = Composition.parse("H2O").molar_mass
-        assert mass == pytest.approx(2 * 1.008 + 15.999, abs=0.01)
-
-    def test_contains(self):
-        comp = Composition.parse("NaCl")
-        assert "Na" in comp and "Au" not in comp
-
     def test_n_elements_and_total_atoms(self):
         comp = Composition.parse("Fe2O3")
         assert comp.n_elements == 2
@@ -84,9 +73,6 @@ class TestAccessors:
     def test_reduced_formula(self):
         assert Composition.parse("Fe2O4").reduced_formula() == "Fe1O2".replace("1", "")
         assert Composition.parse("Na2Cl2").reduced_formula() == "Cl1Na1".replace("1", "")
-
-    def test_str_is_reduced(self):
-        assert str(Composition.parse("O2Si")) == "O2Si"
 
 
 class TestProperties:

@@ -19,7 +19,6 @@ class TestVectorStructure:
     def test_length_matches_names(self, featurizer):
         vec = featurizer.featurize("NaCl")
         assert vec.shape == (len(FEATURE_NAMES),)
-        assert featurizer.n_features == len(FEATURE_NAMES)
 
     def test_accepts_composition_or_string(self, featurizer):
         a = featurizer.featurize("NaCl")

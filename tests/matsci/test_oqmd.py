@@ -43,7 +43,7 @@ class TestGeneration:
         from repro.matsci.oqmd import ANIONS
 
         for entry in generate_oqmd_dataset(40):
-            assert any(a in entry.composition for a in ANIONS)
+            assert any(a in entry.composition.as_dict() for a in ANIONS)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

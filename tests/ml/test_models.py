@@ -1,14 +1,9 @@
 """Unit tests for the benchmark model factories (Inception, CIFAR-10)."""
 
 import numpy as np
-import pytest
 
-from repro.ml.models.cifar10 import CIFAR10_CLASSES, build_cifar10_cnn, classify
-from repro.ml.models.inception_small import (
-    IMAGENET_CATEGORY_COUNT,
-    build_inception_small,
-    classify_top5,
-)
+from repro.ml.models.cifar10 import build_cifar10_cnn
+from repro.ml.models.inception_small import IMAGENET_CATEGORY_COUNT, build_inception_small
 
 RNG = np.random.default_rng(0)
 
@@ -19,19 +14,6 @@ class TestCifar10:
         out = model.predict(RNG.random((2, 32, 32, 3)))
         assert out.shape == (2, 10)
         assert np.allclose(out.sum(axis=1), 1.0)
-
-    def test_classify_api(self):
-        model = build_cifar10_cnn()
-        result = classify(model, RNG.random((32, 32, 3)))
-        assert result["label"] in CIFAR10_CLASSES
-        assert len(result["probabilities"]) == 10
-        assert result["probabilities"][result["label"]] == pytest.approx(
-            max(result["probabilities"].values())
-        )
-
-    def test_classify_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            classify(build_cifar10_cnn(), RNG.random((16, 16, 3)))
 
     def test_deterministic_weights(self):
         x = RNG.random((1, 32, 32, 3))
@@ -49,20 +31,6 @@ class TestInception:
         out = model.predict(RNG.random((1, 64, 64, 3)))
         assert out.shape == (1, IMAGENET_CATEGORY_COUNT)
         assert np.allclose(out.sum(axis=1), 1.0)
-
-    def test_top5_api(self):
-        model = build_inception_small()
-        top5 = classify_top5(model, RNG.random((64, 64, 3)))
-        assert len(top5) == 5
-        probs = [t["probability"] for t in top5]
-        assert probs == sorted(probs, reverse=True)
-        cats = [t["category"] for t in top5]
-        assert len(set(cats)) == 5
-        assert all(0 <= c < 1000 for c in cats)
-
-    def test_top5_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            classify_top5(build_inception_small(), RNG.random((32, 32, 3)))
 
     def test_inception_heavier_than_cifar(self):
         """Structural sanity: the Inception stand-in does more work per

@@ -8,7 +8,7 @@ import repro.parsl
 
 
 def test_exports_are_the_engine_pool():
-    assert set(repro.parsl.__all__) == {"IPPEnginePool", "EngineStats", "NoEnginesError"}
+    assert set(repro.parsl.__all__) == {"IPPEnginePool", "NoEnginesError"}
     for name in repro.parsl.__all__:
         assert hasattr(repro.parsl, name)
 

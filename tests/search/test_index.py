@@ -66,7 +66,7 @@ class TestIngestDelete:
 
     def test_delete_removes_postings(self, index):
         index.delete("m1")
-        assert "m1" not in index
+        assert "m1" not in index.all_doc_ids()
         assert index.docs_with_token("classifier") == set()
 
     def test_delete_unknown_raises(self, index):
@@ -109,13 +109,6 @@ class TestACL:
         idx = SearchIndex()
         idx.ingest("doc", {"t": "x"}, Visibility.restricted(principals=["p1"]))
         assert idx.get("doc", ViewerContext(is_admin=True))
-
-    def test_visible_docs_filtering(self):
-        idx = SearchIndex()
-        idx.ingest("pub", {"t": "a"})
-        idx.ingest("priv", {"t": "b"}, Visibility.restricted(principals=["p1"]))
-        anon = idx.visible_docs(ViewerContext.anonymous())
-        assert [d.doc_id for d in anon] == ["pub"]
 
 
 class TestScoring:

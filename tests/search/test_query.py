@@ -85,12 +85,6 @@ class TestAST:
         q = Not(Term("classifier"))
         assert q.match_ids(index) == {"forest"}
 
-    def test_operator_overloads(self, index):
-        q = Term("classifier") & ~Prefix("incep")
-        assert q.match_ids(index) == {"keras1"}
-        q = Term("enthalpy") | Term("inception")
-        assert q.match_ids(index) == {"forest", "keras2"}
-
     def test_match_all(self, index):
         assert MatchAll().match_ids(index) == {"keras1", "keras2", "forest"}
 

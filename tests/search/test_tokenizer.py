@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.search.tokenizer import STOPWORDS, prefix_grams, tokenize
+from repro.search.tokenizer import STOPWORDS, tokenize
 
 
 class TestTokenize:
@@ -35,17 +35,3 @@ class TestTokenize:
         tokens = tokenize(text)
         assert all(t == t.lower() for t in tokens)
         assert all(t not in STOPWORDS for t in tokens)
-
-
-class TestPrefixGrams:
-    def test_basic(self):
-        assert prefix_grams("cifar", min_len=2) == ["ci", "cif", "cifa", "cifar"]
-
-    def test_short_token(self):
-        assert prefix_grams("a") == ["a"]
-        assert prefix_grams("") == []
-
-    @given(st.text(alphabet="abcdefg", min_size=2, max_size=12))
-    def test_all_are_prefixes_property(self, token):
-        for gram in prefix_grams(token):
-            assert token.startswith(gram)

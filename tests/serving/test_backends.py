@@ -69,15 +69,6 @@ class TestTFServing:
         with pytest.raises(KeyError):
             backend.invoke("ghost", "x")
 
-    def test_undeploy(self, env):
-        clock, cluster, link = env
-        backend = TFServingBackend(clock, cluster, link)
-        backend.deploy(cifar_spec())
-        backend.undeploy("cifar10")
-        assert backend.deployed_models() == []
-        with pytest.raises(KeyError):
-            backend.invoke("cifar10", "x")
-
 
 class TestSageMaker:
     def test_flask_serves_any_model(self, env):
@@ -137,14 +128,6 @@ class TestClipper:
         clipper.invoke("cifar10", "x")
         repeat = clipper.invoke("cifar10", "x")
         assert not repeat.cache_hit
-
-    def test_clear_cache(self, env):
-        clock, cluster, link = env
-        clipper = ClipperBackend(clock, cluster, link, memoization=True)
-        clipper.deploy(cifar_spec())
-        clipper.invoke("cifar10", "x")
-        clipper.clear_cache()
-        assert not clipper.invoke("cifar10", "x").cache_hit
 
     def test_privileged_requirement(self, env):
         clock, cluster, link = env

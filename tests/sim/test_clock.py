@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.clock import ClockError, Stopwatch, VirtualClock
+from repro.sim.clock import ClockError, VirtualClock
 
 
 class TestVirtualClock:
@@ -77,40 +77,3 @@ class TestVirtualClock:
         for delta in deltas:
             clock.advance(delta)
         assert clock.now() == pytest.approx(sum(deltas), abs=1e-6)
-
-
-class TestStopwatch:
-    def test_elapsed_tracks_clock(self):
-        clock = VirtualClock()
-        sw = clock.stopwatch()
-        clock.advance(1.5)
-        assert sw.elapsed() == pytest.approx(1.5)
-
-    def test_stop_freezes(self):
-        clock = VirtualClock()
-        sw = clock.stopwatch()
-        clock.advance(1.0)
-        assert sw.stop() == pytest.approx(1.0)
-        clock.advance(2.0)
-        assert sw.elapsed() == pytest.approx(1.0)
-
-    def test_restart(self):
-        clock = VirtualClock()
-        sw = clock.stopwatch()
-        clock.advance(1.0)
-        sw.restart()
-        clock.advance(0.5)
-        assert sw.elapsed() == pytest.approx(0.5)
-
-    def test_context_manager(self):
-        clock = VirtualClock()
-        with Stopwatch(clock) as sw:
-            clock.advance(0.7)
-        clock.advance(9.0)
-        assert sw.elapsed() == pytest.approx(0.7)
-
-    def test_start_time(self):
-        clock = VirtualClock()
-        clock.advance(2.0)
-        sw = clock.stopwatch()
-        assert sw.start_time == pytest.approx(2.0)

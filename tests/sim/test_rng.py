@@ -8,37 +8,31 @@ from repro.sim.rng import SeededRNG
 class TestSeededRNG:
     def test_same_seed_same_stream(self):
         a, b = SeededRNG(42), SeededRNG(42)
-        assert np.array_equal(a.random(16), b.random(16))
+        assert np.array_equal(a.normal(size=16), b.normal(size=16))
 
     def test_different_seeds_differ(self):
         a, b = SeededRNG(1), SeededRNG(2)
-        assert not np.array_equal(a.random(16), b.random(16))
+        assert not np.array_equal(a.normal(size=16), b.normal(size=16))
 
     def test_children_independent_by_label(self):
         root = SeededRNG(0)
         a = root.child("latency")
         b = root.child("dataset")
-        assert not np.array_equal(a.random(16), b.random(16))
+        assert not np.array_equal(a.normal(size=16), b.normal(size=16))
 
     def test_child_streams_stable(self):
         """Adding consumers never perturbs an existing child stream."""
-        x = SeededRNG(5).child("alpha").random(8)
+        x = SeededRNG(5).child("alpha").normal(size=8)
         root = SeededRNG(5)
         root.child("beta")  # new consumer
-        y = root.child("alpha").random(8)
+        y = root.child("alpha").normal(size=8)
         assert np.array_equal(x, y)
 
     def test_nested_children(self):
         a = SeededRNG(0).child("x").child("y")
         b = SeededRNG(0).child("x").child("y")
-        assert np.array_equal(a.random(4), b.random(4))
+        assert np.array_equal(a.normal(size=4), b.normal(size=4))
 
     def test_passthroughs(self):
         rng = SeededRNG(0)
-        assert rng.integers(0, 10, size=5).shape == (5,)
         assert -10 < rng.normal(0, 1) < 10
-        assert 0 <= rng.uniform() < 1
-        assert rng.choice([1, 2, 3]) in (1, 2, 3)
-        seq = list(range(10))
-        rng.shuffle(seq)
-        assert sorted(seq) == list(range(10))

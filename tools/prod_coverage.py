@@ -2,20 +2,25 @@
 """Which functions under ``src/repro`` does production traffic enter?
 
 A developer tool for the next pruning pass (not a CI step; all roots
-take ~10 minutes). One process per root records every function *entered*
-under ``src/repro`` (``sys.setprofile``, ``call`` events)::
+take ~15 minutes on two cores). With no arguments it records every
+production root in ``ROOTS`` (each in its own process), then reports::
 
+    python tools/prod_coverage.py
     python tools/prod_coverage.py --root bench:benchmarks/bench_fig5_batching.py
     python tools/prod_coverage.py --root example:examples/quickstart.py
     python tools/prod_coverage.py --root e2e:steady
     python tools/prod_coverage.py --root tool:"tools/check_knob_table.py README.md"
     python tools/prod_coverage.py --report
 
-Each run writes ``<out>/<root>.json``, a list of ``[file, line, name]``;
-``--report`` unions them and prints, per module, the functions and
-function-body lines no root entered — what only ``tests/`` runs.
-Benches run under ``--benchmark-disable``: pytest-benchmark's pedantic
-runner clears the profile hook, which would hide everything it times.
+One root records every function *entered* under ``src/repro``
+(``sys.setprofile``, ``call`` events) into ``<out>/<root>.json``, a list
+of ``[file, line, name]``; ``--report`` unions them and prints, per
+module, the functions and function-body lines no root entered — what
+only ``tests/`` runs. A full run puts back, byte for byte, any tracked
+file a root rewrites (``bench_dispatch_overhead`` rewrites its
+wall-clock artifact). Benches run under ``--benchmark-disable``:
+pytest-benchmark's pedantic runner clears the profile hook, which would
+hide everything it times.
 """
 
 from __future__ import annotations
@@ -26,18 +31,32 @@ import json
 import re
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+E2E_WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+CI_TOOLS = (
+    "tools/check_knob_table.py README.md",
+    "tools/generate_experiments_md.py",
+    "tools/run_detlint.py src/repro",
+)
+ROOTS = (
+    *(f"bench:benchmarks/{p.name}" for p in sorted(REPO_ROOT.glob("benchmarks/bench_*.py"))),
+    *(f"example:examples/{p.name}" for p in sorted(REPO_ROOT.glob("examples/*.py"))),
+    *(f"e2e:{workload}" for workload in E2E_WORKLOADS),
+    *(f"tool:{argv}" for argv in CI_TOOLS),
+)
 
 
-def record(root: str, out: Path) -> None:
+def record(root: str, out: Path, package: Path = PACKAGE) -> None:
     """Run one root in this process and write what it entered."""
     kind, _, target = root.partition(":")
     entered: set[tuple[str, int, str]] = set()
-    prefix = str(PACKAGE)
+    prefix = str(package)
 
     def hook(frame, event, _arg):
         code = frame.f_code
@@ -48,7 +67,7 @@ def record(root: str, out: Path) -> None:
         sys.setrecursionlimit(20000)
         target = f"benchmarks/e2e/run.py --workload {target} --seed 0 --seconds 2 --trace 0"
     argv = shlex.split(target)
-    sys.path[:0] = [str(PACKAGE.parent), str((REPO_ROOT / argv[0]).parent)]
+    sys.path[:0] = [str(package.parent), str((REPO_ROOT / argv[0]).parent)]
     sys.setprofile(hook)
     try:
         if kind == "bench":
@@ -65,18 +84,47 @@ def record(root: str, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     name = re.sub(r"\W+", "_", root).strip("_")
     (out / f"{name}.json").write_text(json.dumps(sorted(entered)))
-    print(f"{root}: entered {len(entered)} function(s) under src/repro")
+    print(f"{root}: entered {len(entered)} function(s) under {package.name}")
 
 
-def report(out: Path) -> None:
+def tracked_files(repo: Path = REPO_ROOT) -> list[Path]:
+    """Every file git tracks under ``repo``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z"], cwd=repo, capture_output=True, check=True
+    ).stdout
+    return [repo / name for name in listed.decode().split("\0") if name]
+
+
+def run_roots(roots, out: Path, keep: list[Path]) -> list[Path]:
+    """Record each root in its own process; return the files of ``keep``
+    some root rewrote or deleted, each put back byte for byte."""
+    saved = {path: path.read_bytes() for path in keep if path.is_file()}
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("*.json"):
+        stale.unlink()
+    rewritten: list[Path] = []
+    for root in roots:
+        subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--root", root, "--out", str(out)],
+            cwd=REPO_ROOT,
+            check=False,
+        )
+        for path, data in saved.items():
+            if not path.is_file() or path.read_bytes() != data:
+                path.write_bytes(data)
+                rewritten.append(path)
+    return rewritten
+
+
+def report(out: Path, package: Path = PACKAGE) -> None:
     """Per module: functions and body lines no recorded root entered."""
     entered = {
         tuple(row) for path in sorted(out.glob("*.json")) for row in json.loads(path.read_text())
     }
     totals, outside_bench = [0, 0, 0, 0], [0, 0, 0, 0]
     print(f"{'module':44} {'funcs':>6} {'never':>6} {'lines':>7} {'never':>7}")
-    for path in sorted(PACKAGE.rglob("*.py")):
-        relative = str(path.relative_to(PACKAGE))
+    for path in sorted(package.rglob("*.py")):
+        relative = str(path.relative_to(package))
         row = [0, 0, 0, 0]
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -95,7 +143,8 @@ def report(out: Path) -> None:
 
 
 def main() -> None:
-    """Record one ``--root`` or print the ``--report``."""
+    """Record one ``--root``, print the ``--report``, or (no arguments)
+    record every root in ``ROOTS`` and then report."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--root", help="bench:<file> | example:<file> | e2e:<workload> | tool:<argv>"
@@ -105,6 +154,9 @@ def main() -> None:
     args = parser.parse_args()
     if args.root:
         record(args.root, args.out)
+    elif not args.report:
+        for path in run_roots(ROOTS, args.out, tracked_files()):
+            print(f"restored {path.relative_to(REPO_ROOT)}")
     if args.report or not args.root:
         report(args.out)
 

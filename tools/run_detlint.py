@@ -5,7 +5,7 @@ Thin wrapper around :mod:`repro.analysis.cli` so CI and developers can
 invoke it without installing the package::
 
     python tools/run_detlint.py src/repro
-    python tools/run_detlint.py --format json src/repro/core
+    python tools/run_detlint.py --verbose src/repro/core
     python tools/run_detlint.py --list-rules
 
 Exit status is 0 only when every scanned file is clean: no unsuppressed

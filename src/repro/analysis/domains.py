@@ -99,7 +99,10 @@ ACCUMULATION_MODULES: frozenset[str] = frozenset(
 #: PR 6 made the scheduling decisions O(log n) / O(1) and the timer-heap
 #: kernel made a serve-loop wake-up cost what is due, not what exists —
 #: the loop, settlement, routing and the gateway hooks it calls no
-#: longer rebuild a list or walk the fleet per wake-up. HOT001 flags new
+#: longer rebuild a list or walk the fleet per wake-up. A request's one
+#: record is made at the gateway's door (``_enter``), written into at
+#: dispatch (``_dispatch_topic``, ``_split_batch``) and settled once per
+#: batch (``_settle``, ``on_settled``). HOT001 flags new
 #: list/dict/set comprehensions and ``.copy()`` calls inside them so
 #: allocation creep needs a written justification, not just a quiet diff.
 HOT_FUNCTIONS: dict[str, frozenset[str]] = {
@@ -109,6 +112,8 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingRuntime.serve",
             "ServingRuntime._settle",
             "ServingRuntime._route",
+            "ServingRuntime._dispatch_topic",
+            "ServingRuntime._split_batch",
         }
     ),
     "gateway/gateway.py": frozenset(
@@ -117,6 +122,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingGateway.on_tick",
             "ServingGateway._derive_budget",
             "ServingGateway.on_settled",
+            "ServingGateway._enter",
         }
     ),
     "gateway/scheduler.py": frozenset(

@@ -42,6 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.metrics import StageLatencyCollector
+from repro.core.record import RequestRecord
 from repro.core.servable import Servable
 from repro.core.task_manager import TaskManager
 from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
@@ -75,28 +76,6 @@ _ALL_PHASES = (1 << (PHASE_DISPATCH + 1)) - 1
 
 class ServingRuntimeError(RuntimeError):
     """Raised on invalid runtime configuration or routing failures."""
-
-
-@dataclass
-class RuntimeResult:
-    """One request's outcome as served by the runtime."""
-
-    request: TaskRequest
-    result: TaskResult
-    #: Name of the Task Manager that served the micro-batch.
-    worker: str
-    #: Size of the micro-batch this request rode in.
-    batch_size: int
-    #: When the client intended the request to arrive (open-loop time).
-    arrival_time: float
-    #: When the request actually entered the queue (>= arrival under load).
-    enqueued_at: float
-    completed_at: float
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency from intended arrival to completion."""
-        return self.completed_at - self.arrival_time
 
 
 @dataclass(frozen=True)
@@ -143,25 +122,6 @@ class FleetStats:
     def routable_workers(self) -> tuple[str, ...]:
         """Names of workers currently in routing."""
         return tuple(w.name for w in self.workers if not w.down)
-
-
-@dataclass
-class _PendingBatch:
-    """A dispatched micro-batch whose completion time is in the future
-    (the worker runs on its own timeline)."""
-
-    completed_at: float
-    seq: int
-    worker_name: str
-    messages: list[QueuedMessage]
-    requests: list[TaskRequest]
-    results: list[TaskResult]
-    #: Batch-level dispatch timings for trace recording, stashed at
-    #: dispatch (O(1) per batch) and fanned onto member traces at
-    #: settlement: ``(claimed_at, dispatch_start, infer_start,
-    #: batch_inference_s, pods, only_pod, head_enqueued)``. ``None``
-    #: when no tracer is attached.
-    trace_ctx: tuple | None = None
 
 
 class ServingRuntime:
@@ -265,9 +225,10 @@ class ServingRuntime:
         #: with ``now`` on whatever wake-up comes next.
         self._next_warm = math.inf
         #: Parked micro-batches as a heap of ``(completed_at, seq,
-        #: batch)``: the top is the next completion, and popping it in
-        #: order *is* the settlement order.
-        self._pending: list[tuple[float, int, _PendingBatch]] = []
+        #: records, trace_ctx)``: popping it in order *is* the settlement
+        #: order. ``trace_ctx`` is the batch's dispatch timings, fanned
+        #: onto member traces at settlement (``None`` untraced).
+        self._pending: list[tuple[float, int, list[RequestRecord], tuple | None]] = []
         #: topic -> batches claimed off it that are parked on
         #: ``_pending``; moved where ``_pending`` gains and loses them.
         self._pending_by_topic: dict[str, int] = {}
@@ -302,6 +263,9 @@ class ServingRuntime:
         #: lane (tenant ``None`` is the default lane), so a submit names
         #: its lane and topic with one lookup. Never outlives the lane.
         self._submit_lane: dict[tuple[str, str | None], tuple[str, str]] = {}
+        #: task uuid -> a record whose request the queue holds as a
+        #: replayed plain message (crash recovery; see :meth:`adopt`).
+        self._adopted: dict[str, RequestRecord] = {}
         queue.subscribe(self._on_queue_event)
         self.tracer = tracer
         if tracer is not None:
@@ -806,9 +770,12 @@ class ServingRuntime:
           due: one of its timers, a settlement, or a fleet change.
           Inject the arrivals due at ``now`` (via :meth:`submit`) and
           release throttled work;
-        * ``on_settled(results)`` — observe completed
-          :class:`RuntimeResult` items (frees dispatch slots, settles
-          per-tenant in-flight accounting); always followed by
+        * ``on_settled(batches)`` — observe the micro-batches that just
+          settled, in order, each the list of its members'
+          :class:`~repro.core.record.RequestRecord` objects. A
+          batch came off one lane: one servable, one tenant tag, so
+          per-tenant accounting settles once per batch. Records the
+          ingress did not submit ride along. Always followed by
           ``on_tick``;
         * ``pending() -> int`` — work the ingress still holds; asked
           only when the loop has run out of wake-ups, which it refuses
@@ -828,18 +795,31 @@ class ServingRuntime:
         self._raised |= _INGRESS
 
     # -- submission ---------------------------------------------------------------
-    def submit(
-        self, request: TaskRequest, enqueued_at: float | None = None
-    ) -> QueuedMessage:
+    def submit(self, request: TaskRequest | RequestRecord) -> RequestRecord:
         """Enqueue one single-item request on its servable's topic.
+
+        ``request`` is a :class:`TaskRequest` of gateway-less traffic,
+        whose :class:`~repro.core.record.RequestRecord` is made here, or
+        the record an ingress already holds for it. The record itself
+        is the queue's message, and is returned.
 
         Tenant-tagged requests (admitted through a gateway) ride a
         per-tenant lane of the servable's topic; untagged requests keep
         the default lane. Lanes coalesce independently, so micro-batches
-        never mix tenants. ``enqueued_at`` back-dates the queue entry —
-        a gateway re-releasing work it reclaimed passes the original
-        enqueue time so queue-wait metrics keep the request's true age.
+        never mix tenants. A record that was queued before (a gateway
+        re-releasing work it reclaimed) is back-dated to its original
+        enqueue time, so queue-wait metrics keep the request's true age.
         """
+        enqueued_at = None
+        if request.__class__ is RequestRecord:
+            record = request
+            request = record.body
+            enqueued_at = record.enqueued_at
+            if self._adopted:
+                # Re-released after a reclaim: its replayed message is gone.
+                self._adopted.pop(request.task_uuid, None)
+        else:
+            record = RequestRecord(request)
         if request.is_batch:
             raise ServingRuntimeError(
                 "the runtime coalesces single-item requests; submit items "
@@ -856,7 +836,27 @@ class ServingRuntime:
         # time — no per-request tracer work or live Trace object while
         # the request waits. Admitted requests already carry a trace
         # the gateway began (with admission/lane-wait spans on it).
-        return self.queue.put(request, topic=topic, enqueued_at=enqueued_at)
+        return self.queue.put(record, topic=topic, enqueued_at=enqueued_at)
+
+    def adopt(self, record: RequestRecord) -> None:
+        """Take over a record whose request a recovered queue holds as a
+        replayed plain message: claiming that message settles into it."""
+        self._adopted[record.body.task_uuid] = record
+
+    def _record_of(self, message: QueuedMessage) -> RequestRecord:
+        """The record of a claimed plain message (put straight on the
+        queue, or replayed): the adopted one, else a fresh one, taking
+        over the message's delivery bookkeeping."""
+        record = self._adopted.pop(message.body.task_uuid, None)
+        if record is None:
+            record = RequestRecord(message.body)
+        record.message_id = message.message_id
+        record.enqueued_at = message.enqueued_at
+        record.topic = message.topic
+        record.deliveries = message.deliveries
+        record.claimed_at = message.claimed_at
+        record.delivery_tag = message.delivery_tag
+        return record
 
     def _own_lane(self, name: str, tenant: str | None, lane: str) -> str:
         """Enter one lane of a placed servable into the topic tables;
@@ -1026,13 +1026,15 @@ class ServingRuntime:
             self._win[topic] = state
             name = owned[0]
             if state[1] <= now + _EPS:
-                heapq.heappush(
-                    self._due.setdefault(name, []), (state[0], state[1], topic)
-                )
+                heap = self._due.get(name)
+                if heap is None:
+                    heap = self._due[name] = []
+                heapq.heappush(heap, (state[0], state[1], topic))
             else:
-                heapq.heappush(
-                    self._future.setdefault(name, []), (state[1], topic)
-                )
+                heap = self._future.get(name)
+                if heap is None:
+                    heap = self._future[name] = []
+                heapq.heappush(heap, (state[1], topic))
         self._dirty.clear()
 
     def _clean_window_heaps(self, name: str, now: float) -> None:
@@ -1052,7 +1054,8 @@ class ServingRuntime:
                 # Only reachable if time ran backwards between calls
                 # (tests may probe with arbitrary nows): demote.
                 heapq.heappop(due)
-                future = self._future.setdefault(name, [])
+                if future is None:
+                    future = self._future[name] = []
                 heapq.heappush(future, (flush_at, topic))
             else:
                 break
@@ -1063,9 +1066,9 @@ class ServingRuntime:
                 heapq.heappop(future)
             elif flush_at <= now + _EPS:
                 heapq.heappop(future)
-                heapq.heappush(
-                    self._due.setdefault(name, []), (win[0], flush_at, topic)
-                )
+                if due is None:
+                    due = self._due[name] = []
+                heapq.heappush(due, (win[0], flush_at, topic))
             else:
                 break
 
@@ -1159,11 +1162,12 @@ class ServingRuntime:
 
     def _split_batch(
         self,
-        requests: list[TaskRequest],
+        records: list[RequestRecord],
         batch_result: TaskResult,
         worker: TaskManager,
-    ) -> list[TaskResult]:
-        """Fan a batch TaskResult back out to per-item results.
+    ) -> None:
+        """Write a batch TaskResult's per-item outcomes into its members'
+        records.
 
         Memo-hit items keep their per-item identity (``cache_hit=True``,
         zero inference). Dispatched misses are attributed their replica
@@ -1182,21 +1186,20 @@ class ServingRuntime:
         single requests (a ~1 ms cache hit at the worker).
         """
         hit_set = set(batch_result.batch_hits)
+        invocation = batch_result.invocation_time
         if not batch_result.ok and not batch_result.batch_chunks:
             # Pre-dispatch (or total) failure: only memo hits survive.
-            return [
-                worker.process(req)
-                if i in hit_set
-                else TaskResult(
-                    task_uuid=req.task_uuid,
-                    status=TaskStatus.FAILED,
-                    error=batch_result.error,
-                    invocation_time=batch_result.invocation_time,
-                )
-                for i, req in enumerate(requests)
-            ]
+            for i, record in enumerate(records):
+                if i in hit_set:
+                    record.take(worker.process(record.body))
+                else:
+                    record.fail(batch_result.error, invocation)
+            return
         shares: dict[int, float] = {}
         chunk_errors: dict[int, str] = {}
+        # A miss no chunk names gets this share: nothing, unless the
+        # executor reported no chunks at all (then an equal split).
+        unattributed = 0.0
         for chunk in batch_result.batch_chunks:
             if chunk.error is not None:
                 for i in chunk.items:
@@ -1206,45 +1209,32 @@ class ServingRuntime:
             for i in chunk.items:
                 shares[i] = per_item
         if not batch_result.batch_chunks:
-            # Executor without chunk metadata: equal split, as before.
-            n_misses = len(requests) - len(hit_set)
-            equal = batch_result.inference_time / n_misses if n_misses else 0.0
-            shares = {
-                i: equal for i in range(len(requests)) if i not in hit_set
-            }
-        values = batch_result.value or [None] * len(requests)
-        results = []
-        for i, req in enumerate(requests):
-            if i in chunk_errors:
-                results.append(
-                    TaskResult(
-                        task_uuid=req.task_uuid,
-                        status=TaskStatus.FAILED,
-                        error=chunk_errors[i],
-                        invocation_time=batch_result.invocation_time,
-                    )
-                )
+            n_misses = len(records) - len(hit_set)
+            if n_misses:
+                unattributed = batch_result.inference_time / n_misses
+        values = batch_result.value or [None] * len(records)
+        for i, record in enumerate(records):
+            error = chunk_errors.get(i)
+            if error is not None:
+                record.fail(error, invocation)
                 continue
-            results.append(
-                TaskResult(
-                    task_uuid=req.task_uuid,
-                    status=TaskStatus.SUCCEEDED,
-                    value=values[i],
-                    inference_time=0.0 if i in hit_set else shares.get(i, 0.0),
-                    invocation_time=batch_result.invocation_time,
-                    cache_hit=i in hit_set,
-                )
-            )
-        return results
+            hit = i in hit_set
+            record.status = TaskStatus.SUCCEEDED
+            record.value = values[i]
+            record.error = None
+            record.inference_time = 0.0 if hit else shares.get(i, unattributed)
+            record.invocation_time = invocation
+            record.cache_hit = hit
 
     def _dispatch_topic(self, topic: str) -> None:
         """Claim a micro-batch off ``topic`` and dispatch it to a free host.
 
-        The batch's processing runs on the chosen worker's timeline: for
-        a shared-clock worker that advances global time (serial), for an
-        own-clock worker only the worker's clock moves and the finished
-        batch parks on the pending list until global time reaches its
-        completion.
+        The claimed messages are the members' records; the batch's
+        outcome is written into them and the batch parks on the pending
+        heap as a tuple until global time reaches its completion. The
+        processing runs on the chosen worker's timeline: for a
+        shared-clock worker that advances global time (serial), for an
+        own-clock worker only the worker's clock moves.
         """
         head = self.queue.oldest_ready(topic)
         assert head is not None
@@ -1259,23 +1249,24 @@ class ServingRuntime:
             raise ServingRuntimeError(
                 f"no free live worker hosts servable {servable_name!r}"
             )
-        messages = self.queue.claim_many(topic, self.max_batch_size)
+        records = self.queue.claim_many(topic, self.max_batch_size)
         if self.chaos is not None:
             self.chaos.trip("post_claim")
-        requests: list[TaskRequest] = [m.body for m in messages]
-        for message in messages:
+        size = len(records)
+        worker_name = worker.name
+        record_stage = self.stage_metrics.record
+        for i, record in enumerate(records):
+            if record.__class__ is not RequestRecord:
+                records[i] = record = self._record_of(record)
+            record.worker = worker_name
+            record.batch_size = size
             # Anchored on the *enqueue* time so windowed reads answer
             # "how long did requests arriving during phase X wait".
-            self.stage_metrics.record(
-                "queue_wait",
-                servable_name,
-                now - message.enqueued_at,
-                at=message.enqueued_at,
+            record_stage(
+                "queue_wait", servable_name, now - record.enqueued_at, at=record.enqueued_at
             )
         # How long the window was held open: the head waited longest.
-        self.stage_metrics.record(
-            "coalesce_delay", servable_name, now - messages[0].enqueued_at
-        )
+        record_stage("coalesce_delay", servable_name, now - records[0].enqueued_at)
 
         # Sync a lagging concurrent worker forward to global time: its
         # idle gap is skipped, and from here its clock is the batch's
@@ -1283,51 +1274,52 @@ class ServingRuntime:
         if worker.clock is not self.clock and worker.clock.now() < now:
             worker.clock.advance_to(now)
         dispatch_start = worker.clock.now()
-        if len(requests) == 1:
-            batch_result = worker.process(requests[0])
+        if size == 1:
+            batch_result = worker.process(records[0].body)
         else:
-            # A coalesced batch may mix identities/tenants; the envelope
-            # carries the head's tags and sequence (it is no submission
-            # of its own), while per-item attribution rides the original
-            # requests (returned in each RuntimeResult).
+            # A coalesced batch may mix identities (and, on the default
+            # lane, requests put with no tenant); the envelope carries
+            # the head's tags and sequence (it is no submission of its
+            # own), while per-item outcomes land in the members' records.
+            first = records[0].body
             batch_request = TaskRequest(
                 servable_name=servable_name,
-                batch=[(req.args, req.kwargs) for req in requests],
-                identity_id=requests[0].identity_id,
-                tenant=requests[0].tenant,
-                sequence=requests[0].sequence,
+                # detlint: allow[HOT001] — the envelope's inputs, one list per batch
+                batch=[(r.body.args, r.body.kwargs) for r in records],
+                identity_id=first.identity_id,
+                tenant=first.tenant,
+                sequence=first.sequence,
             )
             batch_result = worker.process(batch_request)
         # Stage timing is captured before any failure-recovery re-serves
         # in _split_batch — those are neither dispatch nor inference.
         elapsed = worker.clock.now() - dispatch_start
-        self.stage_metrics.record(
+        record_stage(
             "dispatch",
             servable_name,
             max(0.0, elapsed - batch_result.inference_time),
         )
-        self.stage_metrics.record(
-            "inference", servable_name, batch_result.inference_time
-        )
+        record_stage("inference", servable_name, batch_result.inference_time)
         # Per-pod utilization: each surviving replica chunk's busy time
         # lands on its pod's gauge, so the replica autoscaler can see
         # chunk imbalance instead of only the aggregate inference rate.
         for chunk in batch_result.batch_chunks:
             if chunk.ok:
                 self.stage_metrics.record_pod_share(
-                    servable_name, f"{worker.name}/{chunk.pod}", chunk.inference_time
+                    servable_name, f"{worker_name}/{chunk.pod}", chunk.inference_time
                 )
-        if len(requests) == 1:
-            item_results = [batch_result]
+        if size == 1:
+            records[0].take(batch_result)
         else:
-            item_results = self._split_batch(requests, batch_result, worker)
+            self._split_batch(records, batch_result, worker)
         if self.chaos is not None:
             self.chaos.trip("mid_batch")
-        self.queue.ack(*[message.delivery_tag for message in messages])
+        # detlint: allow[HOT001] — the batch's delivery tags, one list per batch
+        self.queue.ack(*[record.delivery_tag for record in records])
 
         self.batches_dispatched += 1
-        self.items_served += len(requests)
-        if len(requests) == 1:
+        self.items_served += size
+        if size == 1:
             self.memo_hits += int(batch_result.cache_hit)
         else:
             self.memo_hits += batch_result.batch_cache_hits
@@ -1344,6 +1336,7 @@ class ServingRuntime:
             if len(chunks) == 1:
                 pods, only_pod = None, chunks[0].pod
             else:
+                # detlint: allow[HOT001] — traced runs only, one map per batch
                 pods = {i: c.pod for c in chunks for i in c.items}
                 only_pod = None
             trace_ctx = (
@@ -1353,31 +1346,17 @@ class ServingRuntime:
                 batch_result.inference_time,
                 pods,
                 only_pod,
-                messages[0].enqueued_at,
+                records[0].enqueued_at,
             )
         self._pending_by_topic[topic] = self._pending_by_topic.get(topic, 0) + 1
-        completed_at = worker.clock.now()
-        heapq.heappush(
-            self._pending,
-            (
-                completed_at,
-                seq,
-                _PendingBatch(
-                    completed_at=completed_at,
-                    seq=seq,
-                    worker_name=worker.name,
-                    messages=messages,
-                    requests=requests,
-                    results=item_results,
-                    trace_ctx=trace_ctx,
-                ),
-            ),
-        )
+        heapq.heappush(self._pending, (worker.clock.now(), seq, records, trace_ctx))
         # Only an earlier completion moves the settle timer; a later one
         # waits its turn behind the top.
         self.timers.reschedule(self._settle_timer, self._pending[0][0])
 
-    def _settle_traces(self, batch: _PendingBatch, now: float) -> None:
+    def _settle_traces(
+        self, records: list[RequestRecord], completed: float, seq: int, trace_ctx: tuple, now: float
+    ) -> None:
         """Record every traced member's span tree and finish it.
 
         All spans are complete at record time: ``dispatch_window`` is
@@ -1402,33 +1381,29 @@ class ServingRuntime:
             pods,
             only_pod,
             head_enqueued,
-        ) = batch.trace_ctx
-        completed = batch.completed_at
+        ) = trace_ctx
         settle_end = now if now > completed else completed
-        seq = batch.seq
-        batch_size = len(batch.requests)
-        worker_name = batch.worker_name
-        for i, (message, request, result) in enumerate(
-            zip(batch.messages, batch.requests, batch.results)
-        ):
+        for i, record in enumerate(records):
+            ok = record.status is TaskStatus.SUCCEEDED
             member = MemberRecord(
-                message.enqueued_at,
+                record.enqueued_at,
                 claimed_at,
                 head_enqueued,
                 dispatch_start,
                 infer_start,
-                infer_start + result.inference_time,
+                infer_start + record.inference_time,
                 completed,
                 settle_end,
                 seq,
-                batch_size,
-                worker_name,
+                record.batch_size,
+                record.worker,
                 only_pod if pods is None else pods.get(i),
                 batch_inference_s,
-                "ok" if result.ok else "error",
-                result.error,
-                result.cache_hit,
+                "ok" if ok else "error",
+                record.error,
+                record.cache_hit,
             )
+            request = record.body
             trace = request.trace
             if trace is None:
                 # Gateway-less traffic: the retention decision runs
@@ -1438,19 +1413,18 @@ class ServingRuntime:
             else:
                 tracer.settle_member(trace, member)
 
-    def _settle(
-        self, now: float, arrival_times: dict[str, float]
-    ) -> list[RuntimeResult]:
-        """Emit results for dispatched batches whose completion time has
-        been reached by the global clock, in ``(completed_at, seq)``
-        order — the order the pending heap pops them in."""
+    def _settle(self, now: float) -> list[list[RequestRecord]]:
+        """Settle the dispatched batches whose completion time the global
+        clock has reached, in ``(completed_at, seq)`` order — the order
+        the pending heap pops them in: each member's record gets its
+        ``completed_at``, and the batches' record lists are returned."""
         pending = self._pending
         horizon = now + _EPS
-        done: list[_PendingBatch] = []
+        done = []
         while pending and pending[0][0] <= horizon:
-            batch = heapq.heappop(pending)[2]
-            done.append(batch)
-            topic = batch.messages[0].topic
+            entry = heapq.heappop(pending)
+            done.append(entry)
+            topic = entry[2][0].topic
             left = self._pending_by_topic[topic] - 1
             if left:
                 self._pending_by_topic[topic] = left
@@ -1464,30 +1438,21 @@ class ServingRuntime:
         else:
             self._settle_timer.cancel()
         if not done:
-            return []
+            return done
         if self.chaos is not None:
             self.chaos.trip("pre_settle")
-        results: list[RuntimeResult] = []
-        for batch in done:
-            results.extend(
-                RuntimeResult(
-                    request=req,
-                    result=res,
-                    worker=batch.worker_name,
-                    batch_size=len(batch.requests),
-                    arrival_time=arrival_times.get(req.task_uuid, msg.enqueued_at),
-                    enqueued_at=msg.enqueued_at,
-                    completed_at=batch.completed_at,
-                )
-                for msg, req, res in zip(batch.messages, batch.requests, batch.results)
-            )
-            if batch.trace_ctx is not None and self.tracer is not None:
-                self._settle_traces(batch, now)
-        return results
+        settled = []
+        for completed_at, seq, records, trace_ctx in done:
+            for record in records:
+                record.completed_at = completed_at
+            settled.append(records)
+            if trace_ctx is not None and self.tracer is not None:
+                self._settle_traces(records, completed_at, seq, trace_ctx, now)
+        return settled
 
     def serve(
         self, arrivals: list[tuple[float, TaskRequest]] | None = None
-    ) -> list[RuntimeResult]:
+    ) -> list[RequestRecord]:
         """Run the coalescing loop over an open-loop arrival schedule.
 
         ``arrivals`` is a list of ``(offset_s, request)`` pairs, offsets
@@ -1502,7 +1467,8 @@ class ServingRuntime:
         enqueued late — that backlog is exactly what grows batches under
         load. Runs until the schedule, the queue, and the in-flight
         batches are drained; expired in-flight messages are redelivered
-        along the way.
+        along the way. Returns the record of every request that settled
+        during the call, in settlement order.
 
         **A wake-up costs what is due, not what exists.** Every source
         of a future wake-up keeps its next due time on :attr:`timers`;
@@ -1525,8 +1491,7 @@ class ServingRuntime:
             ((start + offset, request) for offset, request in arrivals or []),
             key=lambda pair: pair[0],
         )
-        arrival_times: dict[str, float] = {}
-        results: list[RuntimeResult] = []
+        results: list[RequestRecord] = []
         i = 0
         if schedule:
             timers.reschedule(self._arrival_timer, schedule[0][0])
@@ -1564,8 +1529,9 @@ class ServingRuntime:
             self._raised = 0
             settled = None
             if raised & _SETTLE:
-                settled = self._settle(now, arrival_times)
-                results.extend(settled)
+                settled = self._settle(now)
+                for records in settled:
+                    results.extend(records)
             ingress = self._ingress
             if ingress is not None and (settled or raised & _INGRESS):
                 if settled:
@@ -1575,8 +1541,7 @@ class ServingRuntime:
                 while i < len(schedule) and schedule[i][0] <= now + _EPS:
                     intended, request = schedule[i]
                     i += 1
-                    arrival_times[request.task_uuid] = intended
-                    self.submit(request)
+                    self.submit(RequestRecord(request, arrived_at=intended))
                 if i < len(schedule):
                     timers.reschedule(self._arrival_timer, schedule[i][0])
             if self._dirty or raised & _DISPATCH:
@@ -1641,7 +1606,7 @@ class ServingRuntime:
             if self.clock.now() < wake < math.inf:
                 self.timers.reschedule(timer, wake)
 
-    def drain(self) -> list[RuntimeResult]:
+    def drain(self) -> list[RequestRecord]:
         """Flush everything already enqueued (no further arrivals)."""
         return self.serve([])
 

@@ -817,7 +817,9 @@ class SLOBurnMonitor:
         self, tenant: str, at: float, latency_s: float, ok: bool = True
     ) -> None:
         """Fold one settlement into the tenant's window."""
-        window = self._tenants.setdefault(tenant, _TenantWindow())
+        window = self._tenants.get(tenant)
+        if window is None:
+            window = self._tenants[tenant] = _TenantWindow()
         bad = (not ok) or latency_s > self.latency_slo_s
         window.samples.append((at, bad))
         window.bad += int(bad)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core.record import RequestRecord
 from repro.core.runtime import ServingRuntime
 from repro.durability.journal import Journal
 from repro.durability.recovery import (
@@ -30,7 +31,7 @@ from repro.durability.recovery import (
     gateway_restore_entries,
     materialize_queue,
 )
-from repro.gateway.gateway import GatewayResult, ServingGateway
+from repro.gateway.gateway import ServingGateway
 from repro.messaging.queue import TaskQueue
 
 #: The lifecycle boundaries the serving stack exposes to the injector:
@@ -146,10 +147,10 @@ class FaultInjector:
 class ChaosOutcome:
     """Everything the harness observed across every incarnation."""
 
-    #: task_uuid -> the settled GatewayResult (exactly one per request).
-    settled: dict[str, GatewayResult] = field(default_factory=dict)
+    #: task_uuid -> the settled RequestRecord (exactly one per request).
+    settled: dict[str, RequestRecord] = field(default_factory=dict)
     #: Typed admission denials, in observation order.
-    denied: list[GatewayResult] = field(default_factory=list)
+    denied: list[RequestRecord] = field(default_factory=list)
     #: task_uuids that settled more than once — must stay empty.
     duplicates: list[str] = field(default_factory=list)
     #: task_uuids admitted at any point (settled or still open).
@@ -219,7 +220,7 @@ class ChaosHarness:
             for p in placements
         ]
         self._hosts_by_servable: dict[str, list[str]] = {}
-        self._restored: list[GatewayResult] = []
+        self._restored: list[RequestRecord] = []
         self._recorded: dict[str, int] = {}
         self.incarnations = 0
         self.queue: TaskQueue | None = None
@@ -359,7 +360,7 @@ class ChaosHarness:
             self._collect(outcome, self._restored)
             return outcome
 
-    def _collect(self, outcome: ChaosOutcome, results: list[GatewayResult]) -> None:
+    def _collect(self, outcome: ChaosOutcome, results: list[RequestRecord]) -> None:
         """Fold observed results into the outcome, exactly once each —
         a uuid settling via two different results is a duplicate."""
         for result in results:

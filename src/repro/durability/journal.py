@@ -171,8 +171,9 @@ class Journal:
         """Record one ``withdraw`` of ``messages`` (newest first) and
         keep their snapshot entries until they are restored."""
         seq = self.append("withdraw", (topic, [m.message_id for m in messages]))
-        for message in messages:  # vars(): a superset of a dump_state entry
-            self._withdrawn[message.message_id] = self._message_doc(vars(message))
+        for message in messages:
+            doc = {name: getattr(message, name) for name in (*MESSAGE_FIELDS, "body")}
+            self._withdrawn[message.message_id] = self._message_doc(doc)
         return seq
 
     def restore(self, message) -> int:

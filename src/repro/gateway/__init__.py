@@ -12,7 +12,6 @@ from repro.gateway.admission import (
 from repro.gateway.gateway import (
     AdmissionRejected,
     GatewayError,
-    GatewayResult,
     ServingGateway,
 )
 from repro.gateway.policy import (
@@ -21,7 +20,7 @@ from repro.gateway.policy import (
     TenantPolicyTable,
     TokenBucket,
 )
-from repro.gateway.scheduler import ScheduledItem, WeightedFairScheduler
+from repro.gateway.scheduler import WeightedFairScheduler
 
 __all__ = [
     "AdmissionController",
@@ -29,9 +28,7 @@ __all__ = [
     "AdmissionOutcome",
     "AdmissionRejected",
     "GatewayError",
-    "GatewayResult",
     "PolicyError",
-    "ScheduledItem",
     "ServingGateway",
     "TenantPolicy",
     "TenantPolicyTable",

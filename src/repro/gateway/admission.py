@@ -83,6 +83,9 @@ class AdmissionController:
         self._override_buckets: dict[str, TokenBucket] = {}
         self._in_flight: dict[str, int] = {}
         self._in_flight_by_servable: dict[tuple[str, str], int] = {}
+        #: ``(tenant, servable)`` -> the one admitted decision for it:
+        #: an admission is the same immutable value every time.
+        self._admitted: dict[tuple[str, str], AdmissionDecision] = {}
 
     # -- introspection ------------------------------------------------------------
     def in_flight(self, tenant: str, servable: str | None = None) -> int:
@@ -233,7 +236,18 @@ class AdmissionController:
                 self._in_flight_by_servable.get(key, 0) + 1
             )
             self.metrics.record_admitted(tenant, name)
-        return AdmissionDecision(AdmissionOutcome.ADMITTED, tenant, first)
+        return self.granted(tenant, first)
+
+    def granted(self, tenant: str, servable_name: str) -> AdmissionDecision:
+        """The admitted decision for ``tenant`` on ``servable_name``: one
+        immutable value, shared by every admission it describes."""
+        key = (tenant, servable_name)
+        decision = self._admitted.get(key)
+        if decision is None:
+            decision = self._admitted[key] = AdmissionDecision(
+                AdmissionOutcome.ADMITTED, tenant, servable_name
+            )
+        return decision
 
     def _deny(
         self,
@@ -260,18 +274,19 @@ class AdmissionController:
             self._in_flight_by_servable.get(key, 0) + 1
         )
 
-    def release(self, tenant: str, servable_name: str) -> None:
-        """Settle one admitted request's in-flight charge.
+    def release(self, tenant: str, servable_name: str, count: int = 1) -> None:
+        """Settle the in-flight charges of ``count`` admitted requests of
+        one tenant on one servable (a settled micro-batch is one lane's).
 
         Both counts are checked before either moves, so a refused
         release leaves the ledger balanced.
         """
-        if self.in_flight(tenant) < 1:
-            raise ValueError(f"tenant {tenant!r} has nothing in flight")
+        if self.in_flight(tenant) < count:
+            raise ValueError(f"tenant {tenant!r} has fewer than {count} in flight")
         key = (tenant, servable_name)
-        if self._in_flight_by_servable.get(key, 0) < 1:
+        if self._in_flight_by_servable.get(key, 0) < count:
             raise ValueError(
-                f"tenant {tenant!r} has nothing in flight on {servable_name!r}"
+                f"tenant {tenant!r} has fewer than {count} in flight on {servable_name!r}"
             )
-        self._in_flight[tenant] -= 1
-        self._in_flight_by_servable[key] -= 1
+        self._in_flight[tenant] -= count
+        self._in_flight_by_servable[key] -= count

@@ -47,14 +47,14 @@ per-tenant latency is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.auth.identity import Identity, IdentityError
 from repro.auth.service import AuthorizationError, AuthService
 from repro.core.management import DLHUB_SCOPE
 from repro.core.metrics import TenantUsageCollector
-from repro.core.runtime import PHASE_INGRESS, RuntimeResult, ServingRuntime
-from repro.core.tasks import TaskRequest, TaskResult
+from repro.core.record import RequestRecord
+from repro.core.runtime import PHASE_INGRESS, ServingRuntime
+from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
 from repro.gateway.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -84,45 +84,6 @@ class AdmissionRejected(GatewayError):
             f"{decision.servable!r}: {decision.detail}"
         )
         self.decision = decision
-
-
-@dataclass
-class GatewayResult:
-    """One request's fate as seen by the gateway.
-
-    Denied requests carry only the decision; admitted ones gain their
-    :class:`RuntimeResult` when the runtime settles them.
-    """
-
-    request: TaskRequest
-    decision: AdmissionDecision
-    #: When the request reached the gateway (intended arrival for
-    #: open-loop schedules) — the start of end-to-end latency.
-    arrived_at: float
-    runtime_result: RuntimeResult | None = field(default=None)
-
-    @property
-    def admitted(self) -> bool:
-        """Whether admission let the request through."""
-        return self.decision.admitted
-
-    @property
-    def completed(self) -> bool:
-        """Whether the runtime has settled the request."""
-        return self.runtime_result is not None
-
-    @property
-    def ok(self) -> bool:
-        """Completed with a successful task result."""
-        return self.completed and self.runtime_result.result.ok
-
-    @property
-    def latency(self) -> float:
-        """Arrival at the gateway to completion — includes lane wait,
-        which :attr:`RuntimeResult.latency` cannot see."""
-        if self.runtime_result is None:
-            raise GatewayError("request has not completed")
-        return self.runtime_result.completed_at - self.arrived_at
 
 
 class ServingGateway:
@@ -191,12 +152,10 @@ class ServingGateway:
         #: ``runtime.fleet_epoch()`` the live budget was last derived at.
         self._budget_epoch = -1
         #: Requests pulled back from the runtime queue into lanes after
-        #: a budget shrink outlasted the drain deadline.
+        #: a budget shrink outlasted the drain deadline. A reclaimed
+        #: request's record keeps its original enqueue time, so its
+        #: re-release keeps the true enqueue age.
         self.requests_reclaimed = 0
-        #: Original queue timestamps of reclaimed requests, so their
-        #: re-release keeps the true enqueue age (queue-wait metrics
-        #: would otherwise under-report every reclaimed request).
-        self._reclaimed_at: dict[str, float] = {}
         self.max_dispatch_slots = self.slot_reserve = 0  # derived just below
         self._derive_budget()
         #: Tracer contributing the gateway-side spans (``admission``,
@@ -219,11 +178,13 @@ class ServingGateway:
         self.metrics = metrics or TenantUsageCollector()
         self.admission = AdmissionController(runtime.clock, self.metrics)
         self.scheduler = WeightedFairScheduler()
-        self._open: dict[str, GatewayResult] = {}
+        #: task uuid -> the record of every admitted request not yet
+        #: settled, in a lane or in the runtime.
+        self._open: dict[str, RequestRecord] = {}
         self._queued_by_servable: dict[str, int] = {}
         self._schedule: list[tuple[float, str, TaskRequest]] = []
         self._sched_i = 0
-        self._serve_log: list[GatewayResult] = []
+        self._serve_log: list[RequestRecord] = []
         self._serving = False
         runtime.attach_ingress(self)
 
@@ -335,25 +296,27 @@ class ServingGateway:
                 # to the runtime with a hand-set tenant tag): holding
                 # them aside while scanning deeper keeps them from
                 # shielding the gateway's own releases beneath them.
-                message = None
+                record = None
                 held = []
                 while True:
                     withdrawn = self.runtime.queue.withdraw_newest(topic, 1)
                     if not withdrawn:
                         break
-                    if withdrawn[0].body.task_uuid in self._open:
-                        message = withdrawn[0]
+                    record = self._open.get(withdrawn[0].body.task_uuid)
+                    if record is not None:
+                        # Recovery may have left a replayed plain message
+                        # in place of the record: the record keeps its age.
+                        record.enqueued_at = withdrawn[0].enqueued_at
                         break
                     held.append(withdrawn[0])
                 # Restore foreign messages in reverse withdrawal order,
                 # reconstructing their original tail order exactly.
                 for foreign in reversed(held):
                     self.runtime.queue.restore(foreign)
-                if message is None:
+                if record is None:
                     continue
-                request: TaskRequest = message.body
+                request: TaskRequest = record.body
                 request.dispatch_tag = None
-                self._reclaimed_at[request.task_uuid] = message.enqueued_at
                 if request.trace is not None:
                     request.trace.mark(
                         "reclaim",
@@ -364,7 +327,7 @@ class ServingGateway:
                 # Front of the lane, original WFQ charge: the reclaimed
                 # request is the tenant's oldest in-system work and must
                 # re-release before younger lane-mates, not behind them.
-                self.scheduler.reclaim(tenant, request)
+                self.scheduler.reclaim(tenant, record)
                 self._queued_by_servable[servable] = (
                     self._queued_by_servable.get(servable, 0) + 1
                 )
@@ -380,10 +343,13 @@ class ServingGateway:
         return self.auth.authorize(token, DLHUB_SCOPE)
 
     def resolve_tenant(self, identity: Identity) -> TenantPolicy | None:
-        """Map an identity to its tenant policy (None when unbound)."""
-        return self.policies.resolve(
-            identity, self.auth.principal_groups(identity)
-        )
+        """Map an identity to its tenant policy (None when unbound). The
+        principal's groups are looked up only when a group binding could
+        decide: the identity has no binding of its own."""
+        policies = self.policies
+        if policies.reads_groups(identity):
+            return policies.resolve(identity, self.auth.principal_groups(identity))
+        return policies.resolve(identity)
 
     # -- admission + lanes ---------------------------------------------------------
     def offer(
@@ -392,14 +358,14 @@ class ServingGateway:
         identity: Identity | None = None,
         token: str | None = None,
         arrived_at: float | None = None,
-    ) -> GatewayResult:
+    ) -> RequestRecord:
         """Admit one single-item request into its tenant's lane.
 
         Exactly one of ``identity`` (pre-authorized, the MS path) or
         ``token`` (authenticated here) must identify the caller. The
-        returned :class:`GatewayResult` carries the typed decision;
-        denials are results, not exceptions (the open-loop path records
-        them and keeps serving).
+        returned :class:`~repro.core.record.RequestRecord` carries the
+        typed decision; denials are records too, not exceptions (the
+        open-loop path records them and keeps serving).
         """
         now = self.runtime.clock.now()
         arrived = now if arrived_at is None else arrived_at
@@ -421,12 +387,12 @@ class ServingGateway:
                 self._trace_denial(
                     request, arrived, now, AdmissionOutcome.REJECTED_AUTH
                 )
-                return GatewayResult(
-                    request=request,
-                    decision=AdmissionDecision(
+                return RequestRecord(
+                    request,
+                    AdmissionDecision(
                         AdmissionOutcome.REJECTED_AUTH, None, servable, str(exc)
                     ),
-                    arrived_at=arrived,
+                    arrived,
                 )
         if identity is None:
             raise GatewayError("offer() needs an identity or a token")
@@ -435,11 +401,11 @@ class ServingGateway:
         policy, decision = self._admit(identity, (servable,))
         if not decision.admitted:
             self._trace_denial(request, arrived, now, decision.outcome)
-            return GatewayResult(request=request, decision=decision, arrived_at=arrived)
-        result = self._enter(request, policy, identity, decision, arrived)
+            return RequestRecord(request, decision, arrived)
+        record = self._enter(request, policy, identity, decision, arrived)
         self._pump()
         self._close_door(1)
-        return result
+        return record
 
     def _admit(
         self, identity: Identity, servables: tuple[str, ...] | list[str], sequential: bool = False
@@ -482,14 +448,14 @@ class ServingGateway:
         identity: Identity | None,
         decision: AdmissionDecision,
         arrived: float,
-    ) -> GatewayResult:
+    ) -> RequestRecord:
         """The one way an admitted request gets in: tagged with its
         tenant, given its trace and ``admission`` span, its admission
-        handed to the journal, then put in its lane. The caller pumps
-        and then calls :meth:`_close_door`, which makes the admission
-        durable before the call returns. ``identity`` is ``None`` for a
-        chain step, which the Management Service stamped before the
-        chain was admitted."""
+        handed to the journal, then its record made and put in its lane.
+        The caller pumps and then calls :meth:`_close_door`, which makes
+        the admission durable before the call returns. ``identity`` is
+        ``None`` for a chain step, which the Management Service stamped
+        before the chain was admitted."""
         request.tenant = policy.name
         if identity is not None:
             request.identity_id = request.identity_id or identity.identity_id
@@ -498,9 +464,9 @@ class ServingGateway:
             now = self.runtime.clock.now()
             trace.span("admission", arrived, now, outcome=decision.outcome.value)
         self._journal_admit(request, policy, arrived)
-        result = GatewayResult(request=request, decision=decision, arrived_at=arrived)
-        self._enter_lane(result, policy)
-        return result
+        record = RequestRecord(request, decision, arrived)
+        self._enter_lane(record, policy)
+        return record
 
     def _close_door(self, admitted: int) -> None:
         """End a door call that admitted ``admitted`` requests and has
@@ -514,17 +480,17 @@ class ServingGateway:
             for _ in range(admitted):
                 self.chaos.trip("post_admission")
 
-    def _enter_lane(self, result: GatewayResult, policy: TenantPolicy) -> None:
-        """An admitted request enters its tenant's lane: WFQ-tagged,
-        counted against its servable's lane backlog, and open until the
-        runtime settles it."""
-        request = result.request
-        self.scheduler.enqueue(policy.name, policy.weight, request)
+    def _enter_lane(self, record: RequestRecord, policy: TenantPolicy) -> None:
+        """An admitted request's record enters its tenant's lane:
+        WFQ-tagged, counted against its servable's lane backlog, and
+        open until the runtime settles it."""
+        request = record.body
+        self.scheduler.enqueue(policy.name, policy.weight, record)
         servable = request.servable_name
         self._queued_by_servable[servable] = (
             self._queued_by_servable.get(servable, 0) + 1
         )
-        self._open[request.task_uuid] = result
+        self._open[request.task_uuid] = record
 
     def _journal_admit(self, request: TaskRequest, policy, arrived: float) -> None:
         """Hand one admission grant to the journal, which holds it until
@@ -562,27 +528,25 @@ class ServingGateway:
         The fair-share decision — which tenant, and whether anything may
         go under the live budget at all — is the scheduler's
         (:meth:`WeightedFairScheduler.pop_next`); the pump hands each
-        released request to the runtime.
+        released request's record to the runtime.
         """
         while (
             entry := self.scheduler.pop_next(self.max_dispatch_slots, self.slot_reserve)
         ) is not None:
-            request: TaskRequest = entry.item
+            finish_tag, _, _, record = entry
+            request: TaskRequest = record.body
             self._queued_by_servable[request.servable_name] -= 1
             if self.tracer is not None:
-                self._trace_release(request)
+                self._trace_release(record)
             # Carry the WFQ virtual-finish tag into the runtime: when
             # several coalescing windows are due at once, dispatch
             # arbitration follows these tags instead of oldest-head
             # order, so fairness no longer depends on sizing the slot
             # budget tightly against the fleet's in-flight capacity.
-            request.dispatch_tag = entry.finish_tag
-            self.runtime.submit(
-                request,
-                enqueued_at=self._reclaimed_at.pop(request.task_uuid, None),
-            )
+            request.dispatch_tag = finish_tag
+            self.runtime.submit(record)
 
-    def _trace_release(self, request: TaskRequest) -> None:
+    def _trace_release(self, record: RequestRecord) -> None:
         """Record the ``lane_wait`` span for a request leaving its lane.
 
         The span runs from the moment the request last entered the lane
@@ -591,11 +555,10 @@ class ServingGateway:
         drain pulled back gets one ``lane_wait`` span per lane stay
         rather than overlapping double-counted waits.
         """
-        trace = request.trace
-        open_result = self._open.get(request.task_uuid)
-        if trace is None or open_result is None:
+        trace = record.body.trace
+        if trace is None:
             return
-        start = open_result.arrived_at
+        start = record.arrived_at
         for name, at, _ in trace.marks:
             if name == "reclaim" and at > start:
                 start = at
@@ -639,39 +602,47 @@ class ServingGateway:
         if self.journal is not None and self.journal.snapshot_due:
             self.journal.snapshot_now(self.runtime.queue)
 
-    def on_settled(self, settled: list[RuntimeResult]) -> None:
+    def on_settled(self, settled: list[list[RequestRecord]]) -> None:
         """Runtime hook: record completions and free their dispatch slots.
 
-        Deliver, then settle, per call: every gateway-owned result in
-        ``settled`` reaches its caller before the one ``settle`` record
-        naming them all is journaled. A crash after that record (the
-        snapshot the next :meth:`on_tick` writes) must not lose a result
-        the journal already calls settled. A crash that loses the record
+        ``settled`` is the micro-batches that just settled, each the
+        list of its members' completed records. A batch is one lane's —
+        one tenant on one servable — so its slots and in-flight charges
+        are freed once, with a count; latency and SLO samples are per
+        request.
+
+        Deliver, then settle, per call: every gateway-owned record in
+        ``settled`` is complete before the one ``settle`` record naming
+        them all is journaled. A crash after that record (the snapshot
+        the next :meth:`on_tick` writes) must not lose a result the
+        journal already calls settled. A crash that loses the record
         instead re-runs the requests (at-least-once delivery; callers
         dedupe by ``task_uuid``).
         """
         delivered = []
-        for runtime_result in settled:
-            uuid = runtime_result.request.task_uuid
-            open_result = self._open.pop(uuid, None)
-            if open_result is None:
-                continue  # submitted straight to the runtime, not ours
-            open_result.runtime_result = runtime_result
-            delivered.append(uuid)
-            tenant = runtime_result.request.tenant
-            self.scheduler.settle(tenant)
-            self.admission.release(tenant, runtime_result.request.servable_name)
-            latency = runtime_result.completed_at - open_result.arrived_at
-            self.metrics.record_completion(
-                tenant, latency, ok=runtime_result.result.ok
-            )
-            if self.slo_monitor is not None:
-                self.slo_monitor.record(
-                    tenant,
-                    at=runtime_result.completed_at,
-                    latency_s=latency,
-                    ok=runtime_result.result.ok,
-                )
+        open_records = self._open
+        record_completion = self.metrics.record_completion
+        slo_monitor = self.slo_monitor
+        for records in settled:
+            head = records[0].body
+            tenant = head.tenant
+            mine = 0
+            for record in records:
+                uuid = record.body.task_uuid
+                if open_records.pop(uuid, None) is None:
+                    continue  # submitted straight to the runtime, not ours
+                delivered.append(uuid)
+                mine += 1
+                latency = record.completed_at - record.arrived_at
+                ok = record.status is TaskStatus.SUCCEEDED
+                record_completion(tenant, latency, ok=ok)
+                if slo_monitor is not None:
+                    slo_monitor.record(
+                        tenant, at=record.completed_at, latency_s=latency, ok=ok
+                    )
+            if mine:
+                self.scheduler.settle(tenant, mine)
+                self.admission.release(tenant, head.servable_name, mine)
         if delivered and self.journal is not None:
             self.journal.settle(delivered)
         self._pump()
@@ -696,7 +667,7 @@ class ServingGateway:
         return (len(self._schedule) - self._sched_i) + len(self.scheduler)
 
     # -- crash recovery ---------------------------------------------------------------
-    def restore_open(self, entries: list[dict]) -> list[GatewayResult]:
+    def restore_open(self, entries: list[dict]) -> list[RequestRecord]:
         """Re-install recovered open requests after a crash-restart.
 
         ``entries`` come from :func:`repro.durability.recovery.
@@ -705,7 +676,8 @@ class ServingGateway:
 
         * ``in_queue`` — the request's message survived into the
           recovered queue, so it re-takes a dispatch slot and settles
-          through the normal path;
+          through the normal path, into the record rebuilt here
+          (:meth:`ServingRuntime.adopt`);
         * otherwise it re-enters its tenant's lane (resurrections and
           never-released work alike), back-dated via ``enqueued_at`` so
           its re-release keeps the true in-system age.
@@ -714,8 +686,9 @@ class ServingGateway:
         and no admission metrics are recorded (the request was counted
         at its original admission) — only the in-flight ledger charges
         are re-imposed, because the ledger died with the old process.
-        Returns the restored results (their ``runtime_result`` fills in
-        at settlement, as for any admitted request).
+        Returns the rebuilt records, which keep each request's uuid,
+        tenant and arrival and complete at settlement, as for any
+        admitted request.
         """
         # In-queue requests first: they carry the crashed scheduler's
         # WFQ tags, and restoring them moves the new clock past those
@@ -727,31 +700,28 @@ class ServingGateway:
                     self.policies.policy(entry["tenant"]).weight,
                     entry["dispatch_tag"],
                 )
-        restored: list[GatewayResult] = []
+        restored: list[RequestRecord] = []
         for entry in entries:
             request: TaskRequest = entry["request"]
             tenant = entry["tenant"]
             servable = entry["servable"]
-            result = GatewayResult(
-                request=request,
-                decision=AdmissionDecision(
-                    AdmissionOutcome.ADMITTED, tenant, servable
-                ),
-                arrived_at=entry["arrived_at"],
+            record = RequestRecord(
+                request, self.admission.granted(tenant, servable), entry["arrived_at"]
             )
             self.admission.restore_charge(tenant, servable)
             if entry["in_queue"]:
-                self._open[request.task_uuid] = result
+                self._open[request.task_uuid] = record
+                self.runtime.adopt(record)
             else:
-                self._enter_lane(result, self.policies.policy(tenant))
-                if entry["enqueued_at"] is not None:
-                    self._reclaimed_at[request.task_uuid] = entry["enqueued_at"]
-            restored.append(result)
+                # A re-release is back-dated to the last enqueue, if any.
+                record.enqueued_at = entry["enqueued_at"]
+                self._enter_lane(record, self.policies.policy(tenant))
+            restored.append(record)
         return restored
 
     @property
-    def serve_log(self) -> list[GatewayResult]:
-        """Results collected by the in-progress (or crashed) serve call.
+    def serve_log(self) -> list[RequestRecord]:
+        """Records collected by the in-progress (or crashed) serve call.
 
         :meth:`serve` swaps the log out only on successful return, so
         after a simulated crash unwinds the serve loop the partial log —
@@ -762,12 +732,12 @@ class ServingGateway:
     # -- serving entry points --------------------------------------------------------
     def serve(
         self, arrivals: list[tuple[float, str, TaskRequest]]
-    ) -> list[GatewayResult]:
+    ) -> list[RequestRecord]:
         """Serve an open-loop schedule of ``(offset_s, token, request)``.
 
         Offsets are measured from the call, as in
         :meth:`ServingRuntime.serve`. Every arrival is authenticated and
-        admitted at its due time; the returned results are in arrival
+        admitted at its due time; the returned records are in arrival
         order and include typed denials (which never reach the runtime).
         """
         if self._serving:
@@ -801,13 +771,13 @@ class ServingGateway:
         the synchronous caller needs an error, not a log entry.
         """
         identity = identity or self._request_identity(request)
-        result = self.offer(request, identity=identity)
-        if not result.admitted:
-            raise AdmissionRejected(result.decision)
+        record = self.offer(request, identity=identity)
+        if not record.admitted:
+            raise AdmissionRejected(record.decision)
         self.runtime.drain()
-        if result.runtime_result is None:  # pragma: no cover - drain settles all
+        if not record.completed:  # pragma: no cover - drain settles all
             raise GatewayError(f"request {request.task_uuid} did not complete")
-        return result.runtime_result.result
+        return record.result
 
     def invoke_sync_many(
         self, requests: list[TaskRequest], identity: Identity | None = None
@@ -833,14 +803,14 @@ class ServingGateway:
         if not decision.admitted:
             raise AdmissionRejected(decision)
         arrived = self.runtime.clock.now()
-        results = [
+        records = [
             self._enter(request, policy, identity, decision, arrived)
             for request in requests
         ]
         self._pump()
-        self._close_door(len(results))
+        self._close_door(len(records))
         self.runtime.drain()
-        return [r.runtime_result.result for r in results]
+        return [record.result for record in records]
 
     # -- pipeline chains --------------------------------------------------------------
     def admit_chain(
@@ -876,16 +846,14 @@ class ServingGateway:
         the normal settlement path (:meth:`on_settled`).
         """
         self._refuse_open((request.task_uuid,))
-        decision = AdmissionDecision(
-            AdmissionOutcome.ADMITTED, policy.name, request.servable_name
-        )
-        result = self._enter(request, policy, None, decision, self.runtime.clock.now())
+        decision = self.admission.granted(policy.name, request.servable_name)
+        record = self._enter(request, policy, None, decision, self.runtime.clock.now())
         self._pump()
         self._close_door(1)
         self.runtime.drain()
-        if result.runtime_result is None:  # pragma: no cover - drain settles all
+        if not record.completed:  # pragma: no cover - drain settles all
             raise GatewayError(f"request {request.task_uuid} did not complete")
-        return result.runtime_result.result
+        return record.result
 
     def release_chain(self, tenant: str, servable_names: list[str]) -> None:
         """Refund the in-flight charges of a chain's unexecuted steps.

@@ -208,6 +208,12 @@ class TenantPolicyTable:
         self._default = tenant_name
 
     # -- resolution ---------------------------------------------------------------
+    def reads_groups(self, identity: Identity) -> bool:
+        """Whether :meth:`resolve` would read ``identity``'s groups: it has
+        no binding of its own and some group is bound to a tenant. A
+        caller whose group lookup costs something asks first."""
+        return bool(self._by_group) and identity.identity_id not in self._by_identity
+
     def resolve(
         self, identity: Identity, groups: frozenset[str] = frozenset()
     ) -> TenantPolicy | None:

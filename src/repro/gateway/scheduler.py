@@ -30,6 +30,11 @@ room again. When only over-share tenants have work they still run
 (work conservation beats reservation), but never into the budget's last
 ``reserve`` slots, so a newly active tenant's first request always
 finds instant headroom.
+
+A lane entry is the plain tuple ``(finish_tag, seq, tenant, item)``:
+what :meth:`WeightedFairScheduler.enqueue`, :meth:`~WeightedFairScheduler.dequeue`
+and :meth:`~WeightedFairScheduler.pop_next` return. ``seq`` breaks
+finish-tag ties in enqueue order (front re-queues take negative ones).
 """
 
 from __future__ import annotations
@@ -37,30 +42,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import Any
+
+#: One lane entry: ``(finish_tag, seq, tenant, item)``.
+LaneEntry = tuple[float, int, str, Any]
 
 
 class SchedulerError(RuntimeError):
     """Raised on invalid scheduler operations (e.g. dequeue when empty)."""
 
 
-@dataclass(frozen=True)
-class ScheduledItem:
-    """One lane entry: the payload plus its fair-queuing bookkeeping."""
-
-    tenant: str
-    item: Any
-    cost: float
-    finish_tag: float
-    seq: int
-
-
 class WeightedFairScheduler:
     """Virtual-clock WFQ over per-tenant FIFO lanes."""
 
     def __init__(self) -> None:
-        self._lanes: dict[str, deque[ScheduledItem]] = {}
+        self._lanes: dict[str, deque[LaneEntry]] = {}
         self._last_finish: dict[str, float] = {}
         self._virtual_time = 0.0
         self._seq = itertools.count(1)
@@ -139,7 +135,7 @@ class WeightedFairScheduler:
     # -- the discipline -----------------------------------------------------------
     def enqueue(
         self, tenant: str, weight: float, item: Any, cost: float = 1.0
-    ) -> ScheduledItem:
+    ) -> LaneEntry:
         """Append ``item`` to the tenant's lane with a WFQ finish tag.
 
         ``cost`` is the item's service demand in arbitrary units
@@ -157,25 +153,20 @@ class WeightedFairScheduler:
         finish = start + cost / weight
         self._last_finish[tenant] = finish
         self.charges[tenant] = self.charges.get(tenant, 0) + 1
-        entry = ScheduledItem(
-            tenant=tenant,
-            item=item,
-            cost=cost,
-            finish_tag=finish,
-            seq=next(self._seq),
-        )
-        lane = self._lanes.setdefault(tenant, deque())
+        seq = next(self._seq)
+        entry = (finish, seq, tenant, item)
+        lane = self._lanes.get(tenant)
+        if lane is None:
+            lane = self._lanes[tenant] = deque()
         lane.append(entry)
         if len(lane) == 1:
-            heapq.heappush(self._heap, (entry.finish_tag, entry.seq, tenant))
+            heapq.heappush(self._heap, (finish, seq, tenant))
         self._size += 1
         self.enqueued += 1
         self._note(tenant)
         return entry
 
-    def requeue_front(
-        self, tenant: str, item: Any, cost: float = 1.0
-    ) -> ScheduledItem:
+    def requeue_front(self, tenant: str, item: Any) -> LaneEntry:
         """Re-insert previously dequeued work at the *head* of its lane.
 
         For callers taking back work they already released (the
@@ -188,32 +179,27 @@ class WeightedFairScheduler:
         frontier on an empty lane) with a negative sequence number, so
         it wins exactly the ties it needs to and no more.
         """
-        if cost <= 0:
-            raise SchedulerError("cost must be > 0")
-        lane = self._lanes.setdefault(tenant, deque())
-        finish = lane[0].finish_tag if lane else self._virtual_time
-        entry = ScheduledItem(
-            tenant=tenant,
-            item=item,
-            cost=cost,
-            finish_tag=finish,
-            seq=next(self._front_seq),
-        )
+        lane = self._lanes.get(tenant)
+        if lane is None:
+            lane = self._lanes[tenant] = deque()
+        finish = lane[0][0] if lane else self._virtual_time
+        seq = next(self._front_seq)
+        entry = (finish, seq, tenant, item)
         lane.appendleft(entry)
         self._parked.pop(tenant, None)  # no longer the lane's head
-        heapq.heappush(self._heap, (entry.finish_tag, entry.seq, tenant))
+        heapq.heappush(self._heap, (finish, seq, tenant))
         self._size += 1
         self.enqueued += 1
         return entry
 
-    def dequeue(self) -> ScheduledItem:
+    def dequeue(self) -> LaneEntry:
         """Pop the entry with the smallest finish tag across all lanes,
         parked heads included."""
         heap = self._heap
         while heap:
             _, seq, tenant = heap[0]
             lane = self._lanes.get(tenant)
-            if lane and lane[0].seq == seq:
+            if lane and lane[0][1] == seq:
                 break
             heapq.heappop(heap)  # stale heap entry (lane head already served)
         parked = min(self._parked.values(), default=None)
@@ -238,7 +224,7 @@ class WeightedFairScheduler:
         """Whether any tenant below its slot share has a queued item."""
         return self._pick_under_share(False) is not None
 
-    def dequeue_eligible(self) -> ScheduledItem:
+    def dequeue_eligible(self) -> LaneEntry:
         """Pop the smallest-tag head among tenants below their share of
         the last budget given to :meth:`pop_next`.
 
@@ -267,7 +253,7 @@ class WeightedFairScheduler:
         while heap:
             _, seq, tenant = heap[0]
             lane = lanes.get(tenant)
-            if not lane or lane[0].seq != seq:
+            if not lane or lane[0][1] != seq:
                 heapq.heappop(heap)
             elif self.outstanding_by_tenant.get(tenant, 0) < self._share(tenant):
                 if take:
@@ -283,27 +269,28 @@ class WeightedFairScheduler:
             heapq.heappush(self._heap, head)
         self._parked.clear()
 
-    def _pop_head(self, tenant: str) -> ScheduledItem:
+    def _pop_head(self, tenant: str) -> LaneEntry:
         self._parked.pop(tenant, None)  # the head leaves, parked or not
         lane = self._lanes[tenant]
         entry = lane.popleft()
         if lane:
             head = lane[0]
-            heapq.heappush(self._heap, (head.finish_tag, head.seq, tenant))
+            heapq.heappush(self._heap, (head[0], head[1], tenant))
         # Virtual time tracks the service frontier; max() guards
         # against regression when an idle tenant re-enters with a
         # tag below an already-served backlogged tenant's.
-        self._virtual_time = max(self._virtual_time, entry.finish_tag)
+        if entry[0] > self._virtual_time:
+            self._virtual_time = entry[0]
         self._size -= 1
         self.dequeued += 1
         return entry
 
-    def drain(self) -> list[ScheduledItem]:
+    def drain(self) -> list[LaneEntry]:
         """Dequeue everything, in fair order (mostly for tests)."""
         return [self.dequeue() for _ in range(len(self))]
 
     # -- slot shares ----------------------------------------------------------------
-    def pop_next(self, budget: int, reserve: int) -> ScheduledItem | None:
+    def pop_next(self, budget: int, reserve: int) -> LaneEntry | None:
         """Release the next item under a ``budget`` of outstanding
         slots, or ``None`` when nothing may go now.
 
@@ -325,15 +312,17 @@ class WeightedFairScheduler:
             return None
         else:
             entry = self.dequeue()
-        self.outstanding_by_tenant[entry.tenant] += 1
+        tenant = entry[2]
+        self.outstanding_by_tenant[tenant] += 1
         self.outstanding += 1
-        self._note(entry.tenant)
+        self._note(tenant)
         return entry
 
-    def settle(self, tenant: str) -> None:
-        """One of the tenant's released items finished: free its slot."""
-        self.outstanding_by_tenant[tenant] -= 1
-        self.outstanding -= 1
+    def settle(self, tenant: str, count: int = 1) -> None:
+        """``count`` of the tenant's released items finished: free their
+        slots."""
+        self.outstanding_by_tenant[tenant] -= count
+        self.outstanding -= count
         head = self._parked.pop(tenant, None)
         if head is not None:  # the tenant may have room again
             heapq.heappush(self._heap, head)

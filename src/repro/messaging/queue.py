@@ -66,9 +66,14 @@ class UnknownDelivery(KeyError):
     (or a tag named twice in one ``ack``)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedMessage:
-    """A message plus its delivery bookkeeping."""
+    """A message plus its delivery bookkeeping.
+
+    A producer may subclass it to keep its own per-message state on the
+    message itself (the serving runtime's request record does) and hand
+    the instance to :meth:`TaskQueue.put` whole.
+    """
 
     body: Any
     message_id: int
@@ -166,6 +171,9 @@ class TaskQueue:
     ) -> QueuedMessage:
         """Enqueue ``body`` on ``topic``; returns the queued message.
 
+        ``body`` may be a :class:`QueuedMessage` the producer built: it
+        is enqueued as the message itself, with its delivery bookkeeping
+        started afresh, and its own ``body`` is what is journaled.
         ``enqueued_at`` back-dates the message's timestamp (it may not
         be in the future): a producer re-submitting work it previously
         withdrew passes the original enqueue time, so wait-time metrics
@@ -179,18 +187,20 @@ class TaskQueue:
         now = self.clock.now()
         if enqueued_at is not None and enqueued_at > now:
             raise ValueError("enqueued_at may not be in the future")
-        msg = QueuedMessage(
-            body=body,
-            message_id=self._next_message_id,
-            enqueued_at=now if enqueued_at is None else enqueued_at,
-            topic=topic,
-        )
+        at = now if enqueued_at is None else enqueued_at
+        msg = body if isinstance(body, QueuedMessage) else QueuedMessage(body, 0, at)
         if self.journal is not None:  # first: a body it refuses changes nothing
-            self.journal.put(
-                topic, msg.message_id, msg.enqueued_at, enqueued_at is None, body
-            )
+            self.journal.put(topic, self._next_message_id, at, enqueued_at is None, msg.body)
+        msg.message_id = self._next_message_id
+        msg.enqueued_at = at
+        msg.topic = topic
+        msg.deliveries = 0
+        msg.claimed_at = msg.delivery_tag = None
         self._next_message_id += 1
-        self._ready.setdefault(topic, deque()).append(msg)
+        chan = self._ready.get(topic)
+        if chan is None:
+            chan = self._ready[topic] = deque()
+        chan.append(msg)
         if enqueued_at is None:
             self.total_enqueued += 1
             self._topic_enqueued[topic] = self._topic_enqueued.get(topic, 0) + 1

@@ -67,10 +67,19 @@ class TestHOT001:
     def test_all_registered_hot_functions_fire(self):
         cases = {
             "core/runtime.py": (
-                "ServingRuntime", ("_next_window", "serve", "_settle", "_route")
+                "ServingRuntime",
+                (
+                    "_next_window",
+                    "serve",
+                    "_settle",
+                    "_route",
+                    "_dispatch_topic",
+                    "_split_batch",
+                ),
             ),
             "gateway/gateway.py": (
-                "ServingGateway", ("_pump", "on_tick", "_derive_budget", "on_settled")
+                "ServingGateway",
+                ("_pump", "on_tick", "_derive_budget", "on_settled", "_enter"),
             ),
             "gateway/scheduler.py": (
                 "WeightedFairScheduler", ("_pick_under_share", "pop_next")

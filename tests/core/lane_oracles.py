@@ -28,7 +28,7 @@ def reference_collectable_lanes(runtime, now: float) -> set[tuple[str, str]]:
     state = runtime.queue.dump_state()
     inflight_topics = {doc["topic"] for _, doc in state["inflight"]}
     pending_topics = {
-        m.topic for _, _, batch in runtime._pending for m in batch.messages
+        record.topic for _, _, records, _ in runtime._pending for record in records
     }
     collectable = set()
     for name, lanes in runtime._lanes.items():
@@ -64,9 +64,9 @@ def assert_lane_index_consistent(runtime) -> None:
     stamps = list(runtime._lane_active.values())
     assert stamps == sorted(stamps)
     parked: dict[str, int] = {}
-    for _, _, batch in runtime._pending:
-        topic = batch.messages[0].topic
-        assert {m.topic for m in batch.messages} == {topic}
+    for _, _, records, _ in runtime._pending:
+        topic = records[0].topic
+        assert {record.topic for record in records} == {topic}
         parked[topic] = parked.get(topic, 0) + 1
     assert runtime._pending_by_topic == parked
 

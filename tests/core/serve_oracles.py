@@ -25,23 +25,24 @@ import functools
 import heapq
 import math
 
-from repro.core.runtime import RuntimeResult, ServingRuntimeError
+from repro.core.record import RequestRecord
+from repro.core.runtime import ServingRuntimeError
 
 _EPS = 1e-12
 
 
-def polled_settle(runtime, now: float, arrival_times: dict) -> list[RuntimeResult]:
+def polled_settle(runtime, now: float) -> list[list[RequestRecord]]:
     """Settlement by filtering and sorting: every parked batch is tested
-    against ``now``; the done ones are emitted in ``(completed_at, seq)``
-    order."""
+    against ``now``; the done ones are completed and emitted in
+    ``(completed_at, seq)`` order."""
     done = [entry for entry in runtime._pending if entry[0] <= now + _EPS]
     if not done:
         return []
-    done_seqs = {seq for _, seq, _ in done}
+    done_seqs = {entry[1] for entry in done}
     runtime._pending = [e for e in runtime._pending if e[1] not in done_seqs]
     heapq.heapify(runtime._pending)
-    for _, _, batch in done:
-        topic = batch.messages[0].topic
+    for entry in done:
+        topic = entry[2][0].topic
         left = runtime._pending_by_topic[topic] - 1
         if left:
             runtime._pending_by_topic[topic] = left
@@ -50,23 +51,12 @@ def polled_settle(runtime, now: float, arrival_times: dict) -> list[RuntimeResul
     done.sort(key=lambda entry: (entry[0], entry[1]))
     if runtime.chaos is not None:
         runtime.chaos.trip("pre_settle")
-    results: list[RuntimeResult] = []
-    for _, _, batch in done:
-        results.extend(
-            RuntimeResult(
-                request=req,
-                result=res,
-                worker=batch.worker_name,
-                batch_size=len(batch.requests),
-                arrival_time=arrival_times.get(req.task_uuid, msg.enqueued_at),
-                enqueued_at=msg.enqueued_at,
-                completed_at=batch.completed_at,
-            )
-            for msg, req, res in zip(batch.messages, batch.requests, batch.results)
-        )
-        if batch.trace_ctx is not None and runtime.tracer is not None:
-            runtime._settle_traces(batch, now)
-    return results
+    for completed_at, seq, records, trace_ctx in done:
+        for record in records:
+            record.completed_at = completed_at
+        if trace_ctx is not None and runtime.tracer is not None:
+            runtime._settle_traces(records, completed_at, seq, trace_ctx, now)
+    return [entry[2] for entry in done]
 
 
 def polled_route(runtime, servable_name: str, now: float):
@@ -103,7 +93,7 @@ def polled_gateway_tick(gateway, now: float) -> None:
     gateway._pump()
 
 
-def polled_serve(runtime, arrivals=None) -> list[RuntimeResult]:
+def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
     """``ServingRuntime.serve`` as a polled loop (see module docstring).
 
     Controllers tick once per iteration in attach order — what the
@@ -118,8 +108,7 @@ def polled_serve(runtime, arrivals=None) -> list[RuntimeResult]:
         ((start + offset, request) for offset, request in arrivals or []),
         key=lambda pair: pair[0],
     )
-    arrival_times: dict[str, float] = {}
-    results: list[RuntimeResult] = []
+    results: list[RequestRecord] = []
     i = 0
     stalled_wakeups = 0
     while True:
@@ -130,8 +119,9 @@ def polled_serve(runtime, arrivals=None) -> list[RuntimeResult]:
         if now >= runtime._next_lane_gc:
             runtime.gc_lanes(now)
             runtime._next_lane_gc = now + runtime.lane_idle_ttl_s / 2
-        settled = polled_settle(runtime, now, arrival_times)
-        results.extend(settled)
+        settled = polled_settle(runtime, now)
+        for records in settled:
+            results.extend(records)
         if ingress is not None:
             if settled:
                 ingress.on_settled(settled)
@@ -139,8 +129,7 @@ def polled_serve(runtime, arrivals=None) -> list[RuntimeResult]:
         while i < len(schedule) and schedule[i][0] <= now + _EPS:
             intended, request = schedule[i]
             i += 1
-            arrival_times[request.task_uuid] = intended
-            runtime.submit(request)
+            runtime.submit(RequestRecord(request, arrived_at=intended))
         due_topic, next_event = runtime._next_window(now)
         if due_topic is not None:
             stalled_wakeups = 0

@@ -118,7 +118,7 @@ def pump(runtime):
     (which would sleep through to a stranded claim's visibility expiry)."""
     while (topic := runtime._next_window(runtime.clock.now())[0]) is not None:
         runtime._dispatch_topic(topic)
-    runtime._settle(runtime.clock.now(), {})
+    runtime._settle(runtime.clock.now())
 
 
 def test_stranded_claim_lane_neither_goes_nor_shields_the_lanes_behind_it():

@@ -115,7 +115,7 @@ def test_indexed_lane_gc_and_inflight_table_match_their_oracles(zoo, ops):
                     break
                 runtime._dispatch_topic(topic)
         elif op == "settle":
-            runtime._settle(clock.now(), {})
+            runtime._settle(clock.now())
         elif op == "advance":
             clock.advance(params[0])
         elif op == "strand":

@@ -148,7 +148,8 @@ class RecordingGateway(ServingGateway):
     def on_settled(self, settled):
         self.settle_log.extend(
             (r.request.task_uuid, r.worker, r.batch_size, r.enqueued_at, r.completed_at)
-            for r in settled
+            for records in settled
+            for r in records
         )
         super().on_settled(settled)
 

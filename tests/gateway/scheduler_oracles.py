@@ -19,10 +19,10 @@ Two slot-share rules drive a plain scheduler through its primitives:
 
 from __future__ import annotations
 
-from repro.gateway.scheduler import ScheduledItem, SchedulerError
+from repro.gateway.scheduler import LaneEntry, SchedulerError
 
 
-def reference_pick(scheduler, tenants) -> ScheduledItem | None:
+def reference_pick(scheduler, tenants) -> LaneEntry | None:
     """The smallest-tag lane head among ``tenants``, or ``None`` when
     none of them has queued work."""
     best = None
@@ -31,20 +31,20 @@ def reference_pick(scheduler, tenants) -> ScheduledItem | None:
         if not lane:
             continue
         head = lane[0]
-        if best is None or (head.finish_tag, head.seq) < (
-            best.finish_tag,
-            best.seq,
+        if best is None or (head[0], head[1]) < (
+            best[0],
+            best[1],
         ):
             best = head
     return best
 
 
-def reference_dequeue_from(scheduler, tenants) -> ScheduledItem:
+def reference_dequeue_from(scheduler, tenants) -> LaneEntry:
     """Pop the smallest-tag entry among the given tenants' lanes."""
     best = reference_pick(scheduler, tenants)
     if best is None:
         raise SchedulerError(f"no queued work for tenants {sorted(tenants)}")
-    return scheduler._pop_head(best.tenant)
+    return scheduler._pop_head(best[2])
 
 
 def shares(weights, contending, budget: int, reserve: int) -> dict[str, int]:
@@ -81,14 +81,14 @@ class FreshSlotShares:
         self.outstanding: dict[str, int] = {}
         self.budget = (0, 0)
 
-    def enqueue(self, tenant: str, weight: float, item) -> ScheduledItem:
+    def enqueue(self, tenant: str, weight: float, item) -> LaneEntry:
         self.weights[tenant] = weight
         return self.scheduler.enqueue(tenant, weight, item)
 
     def under_share(self) -> set[str]:
         return under_share(self.scheduler, self.weights, self.outstanding, *self.budget)
 
-    def pop_next(self, budget: int, reserve: int) -> ScheduledItem | None:
+    def pop_next(self, budget: int, reserve: int) -> LaneEntry | None:
         self.budget = (budget, reserve)
         total = sum(self.outstanding.values())
         if not len(self.scheduler) or total >= budget:
@@ -100,7 +100,7 @@ class FreshSlotShares:
             return None
         else:
             entry = reference_dequeue_from(self.scheduler, list(self.scheduler._lanes))
-        self.outstanding[entry.tenant] = self.outstanding.get(entry.tenant, 0) + 1
+        self.outstanding[entry[2]] = self.outstanding.get(entry[2], 0) + 1
         return entry
 
     def settle(self, tenant: str) -> None:
@@ -144,13 +144,13 @@ class ParentSlotShares:
         self.dirty = True
         self.budget = (0, 0)
 
-    def enqueue(self, tenant: str, weight: float, item) -> ScheduledItem:
+    def enqueue(self, tenant: str, weight: float, item) -> LaneEntry:
         self.weights[tenant] = weight
         entry = self.scheduler.enqueue(tenant, weight, item)
         self._note(tenant)
         return entry
 
-    def pop_next(self, budget: int, reserve: int) -> ScheduledItem | None:
+    def pop_next(self, budget: int, reserve: int) -> LaneEntry | None:
         if (budget, reserve) != self.budget:
             self.budget = (budget, reserve)
             self.dirty = True
@@ -167,8 +167,8 @@ class ParentSlotShares:
             return None
         else:
             entry = reference_dequeue_from(self.scheduler, list(self.scheduler._lanes))
-        self.outstanding[entry.tenant] = self.outstanding.get(entry.tenant, 0) + 1
-        self._note(entry.tenant)
+        self.outstanding[entry[2]] = self.outstanding.get(entry[2], 0) + 1
+        self._note(entry[2])
         return entry
 
     def settle(self, tenant: str) -> None:

@@ -186,6 +186,49 @@ class TestAdmissionFailurePaths:
         ).ok
 
 
+class TestTenantResolutionAuthCalls:
+    """The principal's groups are looked up only when a group binding
+    could decide the tenant: one auth call per offer, not two."""
+
+    @staticmethod
+    def counting_groups(gateway):
+        calls = []
+        lookup = gateway.auth.principal_groups
+
+        def principal_groups(identity):
+            calls.append(identity.identity_id)
+            return lookup(identity)
+
+        gateway.auth.principal_groups = principal_groups
+        return calls
+
+    def test_a_group_bound_identity_still_resolves_through_its_group(self):
+        testbed, gateway, tokens = build_gateway(
+            {"u": TenantPolicy(name="t"), "v": TenantPolicy(name="team")}
+        )
+        member, member_token = testbed.new_user("member")  # no binding of its own
+        testbed.auth.identities.create_group("astro")
+        testbed.auth.identities.groups["astro"].add(member)
+        gateway.policies.bind_group("astro", "team")
+        calls = self.counting_groups(gateway)
+        record = gateway.offer(TaskRequest("noop", args=(1,)), token=member_token)
+        assert record.admitted and record.decision.tenant == "team"
+        assert record.request.tenant == "team"
+        assert calls == [member.identity_id]
+
+    def test_a_directly_bound_identity_never_looks_up_its_groups(self):
+        testbed, gateway, tokens = build_gateway(
+            {"u": TenantPolicy(name="t"), "v": TenantPolicy(name="team")}
+        )
+        testbed.auth.identities.create_group("astro")
+        testbed.auth.identities.groups["astro"].add(testbed._identities["u"])
+        gateway.policies.bind_group("astro", "team")  # the direct binding wins
+        calls = self.counting_groups(gateway)
+        results = gateway.serve(requests_at(100.0, 0.1, tokens["u"]))
+        assert results and all(r.ok and r.decision.tenant == "t" for r in results)
+        assert calls == []
+
+
 class TestWorkConservationAndQuotas:
     def test_over_quota_tenant_while_others_idle_is_work_conserving(self):
         """A quota-capped tenant's denials never idle the fleet for the
@@ -565,7 +608,7 @@ class TestDrainDeadline:
         testbed.clock.advance(1.0)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed == excess
-        lane = [entry.item.args[0] for entry in gateway.scheduler._lanes["t"]]
+        lane = [entry[3].request.args[0] for entry in gateway.scheduler._lanes["t"]]
         # Reclaimed (older, previously released) requests sit ahead of
         # the three younger lane-queued ones, in FIFO order.
         assert lane == sorted(lane)

@@ -74,7 +74,7 @@ _LEAVE_THEN_SCRAPE = [("enqueue", "t0"), ("enqueue", "t0"), ("enqueue", "t1")] +
 def _key(entry):
     if entry is None:
         return None
-    return (entry.tenant, entry.item, entry.seq, entry.finish_tag)
+    return (entry[2], entry[3], entry[1], entry[0])
 
 
 class _Drive:
@@ -101,7 +101,7 @@ class _Drive:
         want = self.oracle.pop_next(*self.budget)
         assert _key(got) == _key(want)
         if got is not None:
-            self.released[got.tenant].append(got.item)
+            self.released[got[2]].append(got[3])
 
     def step(self, n: int, op, any_order: bool) -> None:
         busy = sorted(t for t in TENANTS if self.released[t])

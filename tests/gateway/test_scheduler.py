@@ -10,7 +10,7 @@ class TestWFQOrdering:
         wfq = WeightedFairScheduler()
         for i in range(5):
             wfq.enqueue("t", 1.0, i)
-        assert [e.item for e in wfq.drain()] == [0, 1, 2, 3, 4]
+        assert [e[3] for e in wfq.drain()] == [0, 1, 2, 3, 4]
 
     def test_equal_weights_interleave_backlogged_lanes(self):
         wfq = WeightedFairScheduler()
@@ -18,7 +18,7 @@ class TestWFQOrdering:
             wfq.enqueue("a", 1.0, f"a{i}")
         for i in range(4):
             wfq.enqueue("b", 1.0, f"b{i}")
-        order = [e.item for e in wfq.drain()]
+        order = [e[3] for e in wfq.drain()]
         # Tags tie pairwise; seq breaks ties toward the earlier enqueue,
         # then strict alternation takes over.
         assert order.index("b0") < order.index("a2")
@@ -30,7 +30,7 @@ class TestWFQOrdering:
             wfq.enqueue("heavy", 2.0, ("heavy", i))
         for i in range(9):
             wfq.enqueue("light", 1.0, ("light", i))
-        first_six = [wfq.dequeue().tenant for _ in range(6)]
+        first_six = [wfq.dequeue()[2] for _ in range(6)]
         assert first_six.count("heavy") == 4
         assert first_six.count("light") == 2
 
@@ -44,12 +44,12 @@ class TestWFQOrdering:
         # ahead: its first request must not wait out the whole backlog.
         wfq.enqueue("light", 1.0, "first")
         next_two = [wfq.dequeue() for _ in range(2)]
-        assert "first" in {e.item for e in next_two}
+        assert "first" in {e[3] for e in next_two}
 
     def test_work_conserving(self):
         wfq = WeightedFairScheduler()
         wfq.enqueue("only", 0.25, "x")
-        assert wfq.dequeue().item == "x"
+        assert wfq.dequeue()[3] == "x"
         with pytest.raises(SchedulerError):
             wfq.dequeue()
 
@@ -65,20 +65,20 @@ class TestDequeueFrom:
         wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("a", 1.0, "a1")
         wfq.enqueue("b", 0.25, "b0")
-        assert wfq.pop_next(2, 1).item == "a0"
+        assert wfq.pop_next(2, 1)[3] == "a0"
         # a1 (tag 2) outranks b0 (tag 4), but a is at its share.
-        assert wfq.dequeue_eligible().item == "b0"
-        assert wfq.dequeue().item == "a1"
+        assert wfq.dequeue_eligible()[3] == "b0"
+        assert wfq.dequeue()[3] == "a1"
 
     def test_eligible_set_with_no_work_raises(self):
         wfq = WeightedFairScheduler()
         wfq.enqueue("b", 1.0, "b0")
-        assert wfq.pop_next(4, 1).item == "b0"
+        assert wfq.pop_next(4, 1)[3] == "b0"
         for n in range(3):
             wfq.enqueue("a", 1.0, f"a{n}")
         # Shares of 2 each: a fills its own, b is under its share but
         # has no queued work, and the reserve holds the rest.
-        assert [wfq.pop_next(4, 1).item for _ in range(2)] == ["a0", "a1"]
+        assert [wfq.pop_next(4, 1)[3] for _ in range(2)] == ["a0", "a1"]
         assert wfq.snapshot()["eligible"] == 1
         assert not wfq.has_eligible_work()
         with pytest.raises(SchedulerError):
@@ -91,10 +91,10 @@ class TestDequeueFrom:
         wfq.enqueue("b", 2.0, "b1")
         wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("c", 1.0, "c0")
-        assert wfq.pop_next(2, 1).item == "b0"
+        assert wfq.pop_next(2, 1)[3] == "b0"
         # b1 ties a0 and c0 on tag 1.0 with the smallest seq, but b is
         # at its share; among {a, c}, seq decides.
-        assert wfq.dequeue_eligible().item == "a0"
+        assert wfq.dequeue_eligible()[3] == "a0"
 
 
 class TestBookkeeping:
@@ -119,7 +119,7 @@ class TestBookkeeping:
         wfq.enqueue("a", 1.0, 2)
         wfq.enqueue("b", 2.0, 3)
         wfq.enqueue("b", 2.0, 4)
-        assert wfq.pop_next(8, 1).item == 3
+        assert wfq.pop_next(8, 1)[3] == 3
         # Shares of 8 slots by weight 1:2:1 are a 2, b 4, idle 2.
         assert wfq.snapshot() == {
             "depths": {"a": 2, "b": 1},
@@ -137,7 +137,7 @@ class TestBookkeeping:
         wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("a", 1.0, "a1")
         wfq.enqueue("b", 1.0, "b0")
-        assert [wfq.pop_next(4, 1).item for _ in range(3)] == ["a0", "b0", "a1"]
+        assert [wfq.pop_next(4, 1)[3] for _ in range(3)] == ["a0", "b0", "a1"]
         assert wfq.snapshot()["eligible"] == 1  # b, with 1 of 2
         wfq.settle("b")
         assert wfq.snapshot()["eligible"] == 1  # a, with 2 of 3
@@ -182,11 +182,11 @@ class TestRequeueFront:
         scheduler.enqueue("t", 1.0, "first")
         scheduler.enqueue("t", 1.0, "second")
         released = scheduler.dequeue()
-        assert released.item == "first"
+        assert released[3] == "first"
         # Take "first" back: it must come out again before "second".
         scheduler.requeue_front("t", "first")
-        assert scheduler.dequeue().item == "first"
-        assert scheduler.dequeue().item == "second"
+        assert scheduler.dequeue()[3] == "first"
+        assert scheduler.dequeue()[3] == "second"
 
     def test_front_requeue_does_not_double_charge_fair_share(self):
         from repro.gateway.scheduler import WeightedFairScheduler
@@ -208,7 +208,7 @@ class TestRequeueFront:
         scheduler.requeue_front("hot", "x")
         scheduler.enqueue("cold", 1.0, "y")
         # The reclaimed item (oldest in system) wins the next dequeue.
-        assert scheduler.dequeue().item == "x"
+        assert scheduler.dequeue()[3] == "x"
 
     def test_front_ordering_across_multiple_requeues(self):
         from repro.gateway.scheduler import WeightedFairScheduler
@@ -218,6 +218,6 @@ class TestRequeueFront:
             scheduler.enqueue("t", 1.0, name)
         a, b = scheduler.dequeue(), scheduler.dequeue()
         # Taking back newest-first (b then a) must restore FIFO: a, b, c.
-        scheduler.requeue_front("t", b.item)
-        scheduler.requeue_front("t", a.item)
-        assert [scheduler.dequeue().item for _ in range(3)] == ["a", "b", "c"]
+        scheduler.requeue_front("t", b[3])
+        scheduler.requeue_front("t", a[3])
+        assert [scheduler.dequeue()[3] for _ in range(3)] == ["a", "b", "c"]

@@ -62,9 +62,9 @@ class TestRandomizedEquivalence:
                 room = scheduler.outstanding < asked[0]
                 got = scheduler.pop_next(*asked)
                 if expected is not None and room:
-                    assert (got.tenant, got.seq) == (expected.tenant, expected.seq)
+                    assert (got[2], got[1]) == (expected[2], expected[1])
                 if got is not None:
-                    released[got.tenant].append(got.item)
+                    released[got[2]].append(got[3])
             under = under_share(scheduler, weights, scheduler.outstanding_by_tenant, *asked)
             expected = reference_pick(scheduler, under)
             assert scheduler.has_eligible_work() == (expected is not None)
@@ -100,9 +100,9 @@ class TestRandomizedEquivalence:
                 indexed.settle(tenant)
                 reference.settle(tenant)
                 continue
-            order_indexed.append(got.seq)
-            order_reference.append(want.seq)
-            in_flight.append(got.tenant)
+            order_indexed.append(got[1])
+            order_reference.append(want[1])
+            in_flight.append(got[2])
         assert order_indexed == order_reference
         assert len(order_indexed) == len(ops)
         assert len(reference.scheduler) == 0
@@ -117,10 +117,10 @@ class TestStaleEntries:
         scheduler.enqueue("a", 1.0, "a2")
         scheduler.enqueue("b", 1.0, "b1")
         released = scheduler.pop_next(6, 1)
-        assert released.item == "a1"
-        scheduler.reclaim("a", released.item)
+        assert released[3] == "a1"
+        scheduler.reclaim("a", released[3])
         # a1 re-enters at a2's tag with a negative seq; b1 (tag 1) leads.
-        picks = [scheduler.pop_next(6, 1).item for _ in range(3)]
+        picks = [scheduler.pop_next(6, 1)[3] for _ in range(3)]
         assert picks == ["b1", "a1", "a2"]
         assert not scheduler.has_eligible_work()
         assert scheduler._heap == []
@@ -135,7 +135,7 @@ class TestStaleEntries:
         assert not scheduler.has_eligible_work()
         scheduler.enqueue("ghost", 1.0, "g1")
         assert scheduler.has_eligible_work()
-        assert scheduler.dequeue_eligible().item == "g1"
+        assert scheduler.dequeue_eligible()[3] == "g1"
 
 
 class TestParkedHeads:
@@ -153,7 +153,7 @@ class TestParkedHeads:
         # Budget 6, reserve 2: shares of 3 each, and a holds 3.
         assert wfq.pop_next(6, 2) is None
         wfq.settle("a")
-        assert wfq.pop_next(6, 2).item == "a0"
+        assert wfq.pop_next(6, 2)[3] == "a0"
 
     def test_a_leave_returns_every_head(self):
         wfq = WeightedFairScheduler()
@@ -164,7 +164,7 @@ class TestParkedHeads:
         # Budget 8, reserve 2, weights 1:2:1: a's share is 2, all held.
         assert wfq.pop_next(8, 2) is None
         wfq.settle("b")  # b leaves, and a's share grows to 4
-        assert wfq.pop_next(8, 2).item == "a0"
+        assert wfq.pop_next(8, 2)[3] == "a0"
 
     def test_a_budget_change_returns_every_head(self):
         wfq = WeightedFairScheduler()
@@ -175,7 +175,7 @@ class TestParkedHeads:
         # Budget 4, reserve 1: shares of 2 each, and a holds 2.
         assert wfq.pop_next(4, 1) is None
         # Budget 6, reserve 3: shares of 3 each.
-        assert wfq.pop_next(6, 3).item == "a0"
+        assert wfq.pop_next(6, 3)[3] == "a0"
 
     def test_global_dequeue_sees_parked_heads(self):
         wfq = WeightedFairScheduler()
@@ -183,8 +183,8 @@ class TestParkedHeads:
         wfq.enqueue("a", 1.0, "a0")
         wfq.enqueue("b", 1.0, "b0")
         # Shares of one slot: a's head (the smaller tag) is parked.
-        assert wfq.pop_next(2, 1).item == "b0"
-        assert wfq.dequeue().item == "a0"
+        assert wfq.pop_next(2, 1)[3] == "b0"
+        assert wfq.dequeue()[3] == "a0"
         assert len(wfq) == 0
 
 
@@ -197,21 +197,21 @@ class TestRequeueFrontInteraction:
         scheduler.enqueue("a", 1.0, "a1")
         scheduler.enqueue("a", 1.0, "a2")
         taken = scheduler.pop_next(4, 1)
-        assert taken.item == "a1"
-        scheduler.reclaim("a", taken.item)
+        assert taken[3] == "a1"
+        scheduler.reclaim("a", taken[3])
         under = under_share(scheduler, {"a": 1.0}, scheduler.outstanding_by_tenant, 4, 1)
         expected = reference_pick(scheduler, under)
         got = scheduler.dequeue_eligible()
-        assert got.item == "a1" and got.seq < 0
-        assert (got.tenant, got.seq) == (expected.tenant, expected.seq)
-        assert scheduler.dequeue_eligible().item == "a2"
+        assert got[3] == "a1" and got[1] < 0
+        assert (got[2], got[1]) == (expected[2], expected[1])
+        assert scheduler.dequeue_eligible()[3] == "a2"
 
     def test_requeue_front_into_ineligible_lane_stays_hidden(self):
         scheduler = WeightedFairScheduler()
         for tenant in ("a", "b"):
             scheduler.enqueue(tenant, 1.0, f"{tenant}1")
             scheduler.enqueue(tenant, 1.0, f"{tenant}2")
-        assert [scheduler.pop_next(5, 1).item for _ in range(3)] == ["a1", "b1", "a2"]
+        assert [scheduler.pop_next(5, 1)[3] for _ in range(3)] == ["a1", "b1", "a2"]
         # The budget shrinks to 3, which three releases already fill.
         assert scheduler.pop_next(3, 1) is None
         scheduler.reclaim("a", "a2")
@@ -220,15 +220,15 @@ class TestRequeueFrontInteraction:
         # the global heap still serves both in tag order.
         assert not scheduler.has_eligible_work()
         assert scheduler.pop_next(3, 1) is None
-        assert scheduler.dequeue().item == "a2"
-        assert scheduler.dequeue().item == "b2"
+        assert scheduler.dequeue()[3] == "a2"
+        assert scheduler.dequeue()[3] == "b2"
 
     def test_size_counter_tracks_requeues(self):
         scheduler = WeightedFairScheduler()
         scheduler.enqueue("a", 1.0, "a1")
         entry = scheduler.dequeue()
         assert len(scheduler) == 0
-        scheduler.requeue_front("a", entry.item, cost=entry.cost)
+        scheduler.requeue_front("a", entry[3])
         assert len(scheduler) == 1
         scheduler.dequeue()
         assert len(scheduler) == 0

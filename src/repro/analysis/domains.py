@@ -122,6 +122,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingGateway.on_tick",
             "ServingGateway._derive_budget",
             "ServingGateway.on_settled",
+            "ServingGateway._settle_batches",
             "ServingGateway._enter",
         }
     ),
@@ -129,6 +130,15 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         {"WeightedFairScheduler._pick_under_share", "WeightedFairScheduler.pop_next"}
     ),
     "core/fleet.py": frozenset({"FleetController.observe"}),
+    # The per-request recorders: every settlement passes through them.
+    "core/metrics.py": frozenset(
+        {
+            "StageLatencyCollector.record",
+            "TenantUsageCollector.record_completion",
+            "SeriesStore.record",
+        }
+    ),
+    "core/telemetry.py": frozenset({"SLOBurnMonitor.record"}),
 }
 
 

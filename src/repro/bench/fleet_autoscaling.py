@@ -71,8 +71,18 @@ RECONCILE_INTERVAL_S = 0.25
 COOLDOWN_TICKS = 20
 
 
-def _serve(runtime: ServingRuntime, servable: str, phases: tuple, spike_window: tuple) -> dict:
-    """Serve ``(rate, duration)`` phases of fixed-input requests.
+def _waits(records, start: float, end: float) -> list[float]:
+    """Queue waits of the requests that enqueued in ``[start, end)``."""
+    return [
+        r.claimed_at - r.enqueued_at for r in records if start <= r.enqueued_at < end
+    ]
+
+
+def _serve(
+    runtime: ServingRuntime, servable: str, phases: tuple, spike_window: tuple
+) -> tuple[dict, list]:
+    """Serve ``(rate, duration)`` phases of fixed-input requests; returns
+    the row and the settled records.
 
     The row is measured when the last request settles, so a controlled
     arm's makespan and throughput exclude its post-traffic cooldown.
@@ -88,17 +98,9 @@ def _serve(runtime: ServingRuntime, servable: str, phases: tuple, spike_window: 
     makespan = runtime.clock.now() - start
     assert all(r.result.ok for r in results)
     waits = np.asarray(runtime.stage_metrics.samples("queue_wait", servable))
-    # Queue-wait samples are anchored on their request's *enqueue* time,
-    # so this isolates the waits of requests that arrived mid-spike —
-    # the phase a predictive scaler is supposed to rescue.
-    spike_waits = np.asarray(
-        runtime.stage_metrics.samples_in_window(
-            "queue_wait",
-            servable,
-            start + spike_window[0],
-            start + spike_window[1],
-        )
-    )
+    # The waits of requests that arrived mid-spike — the phase a
+    # predictive scaler is supposed to rescue.
+    spike_waits = _waits(results, start + spike_window[0], start + spike_window[1])
     return {
         "served": len(results),
         "throughput_rps": len(results) / makespan,
@@ -107,14 +109,14 @@ def _serve(runtime: ServingRuntime, servable: str, phases: tuple, spike_window: 
         "spike_p95_queue_wait_ms": float(np.percentile(spike_waits, 95)) * 1e3,
         "makespan_s": makespan,
         "mean_batch_size": runtime.mean_batch_size,
-    }
+    }, results
 
 
 def _run_static(servable: str, copies: int, seed: int) -> dict:
     _, runtime = build_fleet(
         servable, MAX_WORKERS, MAX_BATCH_SIZE, COALESCE_DELAY_S, copies, seed=seed
     )
-    row = _serve(runtime, servable, ARRIVAL_PHASES, SPIKE_WINDOW)
+    row, _ = _serve(runtime, servable, ARRIVAL_PHASES, SPIKE_WINDOW)
     row.update(
         peak_workers=MAX_WORKERS,
         final_workers=MAX_WORKERS,
@@ -145,7 +147,7 @@ def _run_autoscaled(
     )
     spike_window = (phases[0][1], phases[0][1] + phases[1][1])
     start = testbed.clock.now()
-    row = _serve(runtime, servable, phases, spike_window)
+    row, records = _serve(runtime, servable, phases, spike_window)
     # Traffic has stopped; keep reconciling so the controller drains the
     # spike capacity back down to min_workers.
     for _ in range(COOLDOWN_TICKS):
@@ -164,9 +166,7 @@ def _run_autoscaled(
     # after the spike has ended; a healthy one only drains.
     spike_end = start + spike_window[1]
     tail_end = start + sum(duration for _, duration in phases)
-    tail_waits = runtime.stage_metrics.samples_in_window(
-        "queue_wait", servable, spike_end, tail_end
-    )
+    tail_waits = _waits(records, spike_end, tail_end)
     retires = [
         event.time
         for event in controller.events
@@ -183,9 +183,7 @@ def _run_autoscaled(
         ),
         drain_complete_s=(max(retires) - spike_end) if retires else None,
         tail_p95_queue_wait_ms=(
-            float(np.percentile(np.asarray(tail_waits), 95)) * 1e3
-            if len(tail_waits)
-            else None
+            float(np.percentile(tail_waits, 95)) * 1e3 if tail_waits else None
         ),
     )
     return row, controller

@@ -18,6 +18,13 @@ and drives three actuators on the :class:`ServingRuntime` data plane:
   and migrate placements off down or draining workers, so every placed
   servable keeps at least one routable copy.
 
+What the controller reads per observe are *deltas between two
+readings* at its own cadence — arrival counters into the EWMA rates,
+the queue-wait samples past a cursor into the recent p95, and per-pod
+busy totals into one pod window that both the capacity derate and the
+``replicas_scaled`` events judge imbalance on — not time windows; a
+time window is a :class:`~repro.core.metrics.SeriesStore` query.
+
 Scaling *policy* is pluggable (:class:`FleetPolicy`):
 :class:`TargetUtilizationPolicy` keeps copy utilization near a setpoint,
 :class:`QueueLatencySLOPolicy` sizes the fleet to a queue-wait SLO.
@@ -153,11 +160,6 @@ class FleetObservation:
     min_workers: int
     max_workers: int
     demands: tuple[ServableDemand, ...]
-    #: SLO burn-rate breaches (:class:`repro.core.telemetry.SLOBreach`)
-    #: that fired since the previous observation, when the controller
-    #: has an attached :class:`~repro.core.telemetry.SLOBurnMonitor` —
-    #: the trigger rollback/canary policies plan from. Empty otherwise.
-    slo_burns: tuple = ()
     #: Currently *firing* alerts (:class:`repro.core.obsloop.Alert`)
     #: from an attached :class:`~repro.core.obsloop.AlertEngine` — what
     #: :class:`~repro.core.obsloop.ReactiveSLOPolicy` classifies and
@@ -460,9 +462,7 @@ class FleetController:
     slo_monitor:
         Optional :class:`~repro.core.telemetry.SLOBurnMonitor` (shared
         with the gateway that feeds it). Each reconcile checks it and
-        drains fresh breaches into ``slo_burn`` events and the
-        observation's ``slo_burns`` tuple, giving policies a rollback /
-        canary trigger.
+        drains fresh breaches into ``slo_burn`` events.
     alert_engine:
         Optional :class:`~repro.core.obsloop.AlertEngine` evaluated by
         an :class:`~repro.core.obsloop.ObservabilityLoop` at the scrape
@@ -505,8 +505,7 @@ class FleetController:
         self.gateway = gateway
         #: Optional :class:`~repro.core.telemetry.SLOBurnMonitor` (fed
         #: by the gateway): each reconcile checks it and drains fresh
-        #: breaches into ``slo_burn`` events + the observation handed to
-        #: the policy.
+        #: breaches into ``slo_burn`` events.
         self.slo_monitor = slo_monitor
         #: Optional :class:`~repro.core.obsloop.AlertEngine` (evaluated
         #: by an :class:`~repro.core.obsloop.ObservabilityLoop` at the
@@ -532,15 +531,13 @@ class FleetController:
         self._downed: set[str] = set()
         self._provisioned: set[str] = set()
         self._autoscalers: dict[tuple[str, str], Autoscaler] = {}
-        #: Last-seen cumulative per-pod busy totals, so replica-scaling
-        #: events report imbalance over the *recent* window rather than
-        #: a since-start ratio an early straggler would skew forever.
-        self._pod_busy_seen: dict[tuple[str, str], float] = {}
-        #: Separate cursor for the capacity-derate gauge: the derate
-        #: windows over reconciles, the replica-event window over scale
-        #: events — consuming one gauge from two cadences through a
-        #: shared cursor would blind whichever reads second.
+        #: Last-seen cumulative per-pod busy totals: the derate and the
+        #: ``replicas_scaled`` events judge imbalance over the interval
+        #: since the previous observe, not a since-start ratio an early
+        #: straggler would skew forever.
         self._derate_busy_seen: dict[tuple[str, str], float] = {}
+        #: servable -> pod -> busy seconds in that interval.
+        self._pod_windows: dict[str, dict[str, float]] = {}
         self._names = itertools.count(1)
         self._next_at = runtime.clock.now()
         runtime.attach_controller(self)
@@ -700,7 +697,7 @@ class FleetController:
             imbalance = None
             # Always consume the windowed gauge so chunk data from a
             # suspended interval can't poison the next window...
-            window = self._derate_window(name)
+            window = self._pod_windows[name] = self._derate_window(name)
             # ...but only judge imbalance once the topology has been
             # stable for a settle period: chunks served right after
             # a scale-up/drain/migration are transiently lopsided
@@ -736,14 +733,12 @@ class FleetController:
                 )
             )
         self._last_sample_at = now
-        slo_burns: tuple = ()
         if self.slo_monitor is not None:
             # Check at the reconcile cadence, then drain everything new
             # (including breaches a direct check() fired between
             # reconciles) — each breach becomes exactly one event.
             self.slo_monitor.check(now)
-            fresh = self.slo_monitor.drain()
-            for breach in fresh:
+            for breach in self.slo_monitor.drain():
                 self._record(
                     "slo_burn",
                     breach.tenant,
@@ -752,7 +747,6 @@ class FleetController:
                     window_s=breach.window_s,
                     samples=breach.samples,
                 )
-            slo_burns = tuple(fresh)
         alerts: tuple = ()
         if self.alert_engine is not None:
             # The engine is *evaluated* at the scrape cadence (by the
@@ -772,7 +766,6 @@ class FleetController:
             min_workers=self.min_workers,
             max_workers=self.max_workers,
             demands=tuple(demands),
-            slo_burns=slo_burns,
             alerts=alerts,
         )
 
@@ -1116,7 +1109,8 @@ class FleetController:
                     scaler.autoscale(demand.name, per_copy_rate)
                     imbalance = self.runtime.stage_metrics.pod_imbalance(
                         demand.name,
-                        busy=self._pod_busy_window(demand.name, worker.name),
+                        prefix=f"{worker.name}/",
+                        busy=self._pod_windows[demand.name],
                     )
                     self._record(
                         "replicas_scaled",
@@ -1132,37 +1126,13 @@ class FleetController:
                     )
 
     def _derate_window(self, servable: str) -> dict[str, float]:
-        """Per-pod busy deltas since the last *observe*, across workers.
-
-        The capacity-derate view of the ``pod_busy`` gauge: unlike
-        :meth:`_pod_busy_window` (per worker, sampled at replica-scale
-        events) this windows over every pod hosting the servable at the
-        reconcile cadence, through its own cursor so neither consumer
-        starves the other of deltas.
-        """
+        """Per-pod busy deltas since the last *observe*, across every
+        worker hosting ``servable``: the window both the capacity derate
+        and the ``replicas_scaled`` events judge imbalance on."""
         window: dict[str, float] = {}
         totals = self.runtime.stage_metrics.pod_busy(servable)
         for pod, total in totals.items():
             seen = self._derate_busy_seen.get((servable, pod), 0.0)
             window[pod] = max(total - seen, 0.0)
             self._derate_busy_seen[(servable, pod)] = total
-        return window
-
-    def _pod_busy_window(self, servable: str, worker_name: str) -> dict[str, float]:
-        """Per-pod busy-time deltas since this method last sampled.
-
-        Consumes the cumulative :meth:`StageLatencyCollector.pod_busy`
-        gauge and returns only the growth since the previous call for
-        ``(servable, worker)`` — the windowed view
-        :meth:`~repro.core.metrics.StageLatencyCollector.pod_imbalance`
-        should judge live chunk imbalance from.
-        """
-        window: dict[str, float] = {}
-        totals = self.runtime.stage_metrics.pod_busy(
-            servable, prefix=f"{worker_name}/"
-        )
-        for pod, total in totals.items():
-            seen = self._pod_busy_seen.get((servable, pod), 0.0)
-            window[pod] = max(total - seen, 0.0)
-            self._pod_busy_seen[(servable, pod)] = total
         return window

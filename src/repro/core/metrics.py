@@ -11,11 +11,17 @@ Each request carries its own three times on its
 benches read them; :meth:`TimingSummary.of` reports the median and
 5th/95th percentiles the figures plot. The collectors here hold what no
 single result can: per-stage runtime samples and per-tenant usage.
+
+Every *time window* over those numbers lives in one place, the
+:class:`SeriesStore` (a leaf here so both :mod:`repro.core.telemetry`
+and :mod:`repro.core.obsloop` can build on it): a window is a query over
+stored series, and a series keeps only what its readers' longest
+declared window needs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +74,9 @@ class StageLatencyCollector:
     The serving runtime decomposes each request's life into named stages
     (:data:`RUNTIME_STAGES` by default) and records a virtual-seconds
     sample per stage; summaries reuse :class:`TimingSummary` with the
-    stage name in the ``metric`` field.
+    stage name in the ``metric`` field. Samples carry no timestamps: a
+    reader that wants a request's waits by arrival reads the
+    :class:`~repro.core.record.RequestRecord` ``serve`` returns.
     """
 
     def __init__(self, stages: tuple[str, ...] = RUNTIME_STAGES) -> None:
@@ -80,36 +88,21 @@ class StageLatencyCollector:
         #: :meth:`snapshot` so a scrape never walks the sample lists
         #: (:meth:`stage_sum` still sums the samples themselves).
         self._sums: dict[tuple[str, str], float] = defaultdict(float)
-        #: Sparse per-sample timestamps: sample index -> virtual time,
-        #: populated only for samples recorded with an ``at`` anchor —
-        #: stages that never use windows cost nothing extra.
-        self._times: dict[tuple[str, str], dict[int, float]] = defaultdict(dict)
         #: Cumulative busy seconds per (servable, pod) — the chunk-level
         #: utilization gauge replica autoscalers read for imbalance.
         self._pod_busy: dict[tuple[str, str], float] = defaultdict(float)
         self._pod_chunks: dict[tuple[str, str], int] = defaultdict(int)
 
-    def record(
-        self, stage: str, servable: str, seconds: float, at: float | None = None
-    ) -> None:
-        """Append one stage sample, optionally timestamped.
-
-        ``at`` anchors the sample on the virtual clock (the serving
-        runtime stamps queue waits with the request's *enqueue* time),
-        which is what windowed reads (:meth:`samples_in_window`) key on;
-        untimestamped samples simply fall outside every window.
-        """
+    def record(self, stage: str, servable: str, seconds: float) -> None:
+        """Append one stage sample."""
         if stage not in self.stages:
             raise ValueError(f"unknown stage {stage!r}; choose from {self.stages}")
         if seconds < 0:
             raise ValueError(f"stage {stage!r} sample must be >= 0")
         key = (stage, servable)
         seconds = float(seconds)
-        samples = self._samples[key]
-        samples.append(seconds)
+        self._samples[key].append(seconds)
         self._sums[key] += seconds
-        if at is not None:
-            self._times[key][len(samples) - 1] = float(at)
 
     def samples(self, stage: str, servable: str | None = None) -> list[float]:
         """All samples for a stage, optionally restricted to one servable."""
@@ -135,26 +128,6 @@ class StageLatencyCollector:
         if index < 0:
             raise ValueError("index must be >= 0")
         return list(self._samples.get((stage, servable), ())[index:])
-
-    def samples_in_window(
-        self, stage: str, servable: str, start: float, end: float
-    ) -> list[float]:
-        """Samples whose timestamp lands in ``[start, end)``.
-
-        Only samples recorded with an ``at`` anchor participate — this
-        is how benchmarks isolate e.g. the queue waits of requests that
-        *arrived during a spike phase* from the surrounding warm-up and
-        cool-down traffic.
-        """
-        if stage not in self.stages:
-            raise ValueError(f"unknown stage {stage!r}; choose from {self.stages}")
-        values = self._samples.get((stage, servable), ())
-        times = self._times.get((stage, servable), {})
-        return [
-            values[index]
-            for index, at in times.items()  # insertion order = record order
-            if start <= at < end
-        ]
 
     # -- per-pod utilization gauge ---------------------------------------------------
     def record_pod_share(self, servable: str, pod: str, seconds: float) -> None:
@@ -201,10 +174,13 @@ class StageLatencyCollector:
         watching live imbalance (the fleet controller) should pass a
         windowed ``busy`` map — per-pod deltas between two
         :meth:`pod_busy` snapshots — so the gauge describes the recent
-        interval, not ancient history.
+        interval, not ancient history. ``prefix`` restricts either map
+        to one host's pods, as in :meth:`pod_busy`.
         """
         if busy is None:
             busy = self.pod_busy(servable, prefix=prefix)
+        elif prefix is not None:
+            busy = {pod: b for pod, b in busy.items() if pod.startswith(prefix)}
         if not busy:
             return None
         mean = sum(busy.values()) / len(busy)
@@ -386,3 +362,169 @@ class TenantUsageCollector:
                 for tenant, counter in sorted(self._counters.items())
             }
         }
+
+
+class ObsLoopError(ValueError):
+    """Raised on invalid observability-loop configuration or queries."""
+
+
+class SeriesStore:
+    """Every time window in the stack: ``(time, value)`` samples per
+    series, each kept as long as its readers' longest window.
+
+    Fed by :meth:`scrape` (one flattened
+    :meth:`~repro.core.telemetry.TelemetryHub.snapshot` per scrape
+    interval) or :meth:`record` directly. Every numeric leaf of every
+    pull-source payload lands as ``src:<source>.<dotted.path>``, so
+    whatever a source reports is queryable over a window. Sources
+    report cumulative counts and sums, not summaries: a windowed mean
+    is ``rate(<x>.sum_s) / rate(<x>.count)``.
+
+    Readers declare the windows they will query when they register
+    (:meth:`retain`): an alert rule at
+    :meth:`~repro.core.obsloop.AlertEngine.add_rule`, the
+    :class:`~repro.core.telemetry.SLOBurnMonitor` its ``window_s``. A
+    series keeps every sample inside the longest window declared on it,
+    measured back from its newest sample, plus the newest sample before
+    that window; a series no reader declared keeps only its newest
+    samples. So memory follows the readers' windows, not the run's
+    length. Queries at or after a series' newest sample answer exactly
+    as over its whole history; a window longer than the declared one
+    raises rather than answer from what was dropped.
+    """
+
+    def __init__(self) -> None:
+        self._series: dict[str, deque] = {}
+        #: Longest window any reader declared, per series.
+        self._horizon: dict[str, float] = {}
+
+    def retain(self, series: str, window_s: float) -> None:
+        """Declare a reader's ``window_s`` over ``series``: from here on
+        the series keeps at least that much history."""
+        if window_s <= 0:
+            raise ObsLoopError("window_s must be > 0")
+        if window_s > self._horizon.get(series, 0.0):
+            self._horizon[series] = window_s
+
+    # -- ingest ----------------------------------------------------------------
+    def record(self, series: str, time_s: float, value: float) -> None:
+        """Append one sample; times must be non-decreasing per series.
+
+        Samples the longest declared window no longer reaches are
+        dropped here, all but the newest of them.
+        """
+        buf = self._series.get(series)
+        if buf is None:
+            buf = self._series[series] = deque()
+        elif time_s < buf[-1][0]:
+            raise ObsLoopError(
+                f"series {series!r} got sample at {time_s} before {buf[-1][0]}"
+            )
+        buf.append((time_s, float(value)))
+        cutoff = time_s - self._horizon.get(series, 0.0)
+        while len(buf) > 1 and buf[1][0] < cutoff:
+            buf.popleft()
+
+    def scrape(self, hub, now: float) -> int:
+        """Flatten one hub snapshot into the store; returns series touched.
+
+        Pull sources are snapshot non-strictly: a source that raises
+        mid-churn contributes an error stub (never scraped, since it
+        has no numeric leaves) instead of poisoning the scrape.
+        """
+        return sum(
+            self._flatten(f"src:{name}", payload, now)
+            for name, payload in hub.snapshot(strict=False)["sources"].items()
+        )
+
+    def _flatten(self, prefix: str, payload, now: float) -> int:
+        """Record every numeric leaf of a nested source payload.
+
+        ``str`` / ``bool`` / ``None`` leaves are labels, not numbers,
+        and are skipped; a list is a source breaking its contract
+        (nested dicts of scalars) and raises rather than silently
+        dropping whatever it held.
+        """
+        if isinstance(payload, bool):
+            return 0
+        if isinstance(payload, (int, float)):
+            self.record(prefix, now, payload)
+            return 1
+        if isinstance(payload, dict):
+            return sum(
+                self._flatten(f"{prefix}.{key}", value, now)
+                for key, value in payload.items()
+            )
+        if isinstance(payload, (list, tuple)):
+            raise ObsLoopError(
+                f"source payload {prefix!r} is a {type(payload).__name__}; "
+                "sources report nested dicts of scalars"
+            )
+        return 0
+
+    # -- queries ---------------------------------------------------------------
+    def names(self) -> tuple[str, ...]:
+        """All series names recorded so far, sorted."""
+        return tuple(sorted(self._series))
+
+    def latest(self, series: str) -> tuple[float, float] | None:
+        """The newest ``(time, value)`` sample, if any."""
+        buf = self._series.get(series)
+        return buf[-1] if buf else None
+
+    def window(
+        self, series: str, window_s: float, now: float
+    ) -> list[tuple[float, float]]:
+        """Samples with ``now - window_s <= time <= now``, oldest first."""
+        if window_s <= 0:
+            raise ObsLoopError("window_s must be > 0")
+        declared = self._horizon.get(series, 0.0)
+        if window_s > declared:
+            raise ObsLoopError(
+                f"a {window_s} s window over {series!r}, which its readers "
+                f"declared {declared} s of (SeriesStore.retain)"
+            )
+        buf = self._series.get(series)
+        if not buf:
+            return []
+        cutoff = now - window_s
+        return [sample for sample in buf if cutoff <= sample[0] <= now]
+
+    def avg(self, series: str, window_s: float, now: float) -> float | None:
+        """Mean sample value over the window (None when empty)."""
+        samples = self.window(series, window_s, now)
+        if not samples:
+            return None
+        return sum(v for _, v in samples) / len(samples)
+
+    def delta(self, series: str, window_s: float, now: float) -> float | None:
+        """Last minus first value over the window (needs >= 2 samples)."""
+        samples = self.window(series, window_s, now)
+        if len(samples) < 2:
+            return None
+        return samples[-1][1] - samples[0][1]
+
+    def rate(self, series: str, window_s: float, now: float) -> float | None:
+        """Per-second increase over the window — the counter query.
+
+        ``(last - first) / (t_last - t_first)`` over in-window samples;
+        None with fewer than two samples or zero elapsed time.
+        """
+        samples = self.window(series, window_s, now)
+        if len(samples) < 2:
+            return None
+        elapsed = samples[-1][0] - samples[0][0]
+        if elapsed <= 0:
+            return None
+        return (samples[-1][1] - samples[0][1]) / elapsed
+
+    def percentile(
+        self, series: str, window_s: float, now: float, q: float
+    ) -> float | None:
+        """The ``q``-th percentile of sample values over the window."""
+        if not 0 <= q <= 100:
+            raise ObsLoopError("q must be in [0, 100]")
+        samples = self.window(series, window_s, now)
+        if not samples:
+            return None
+        return float(np.percentile([v for _, v in samples], q))

@@ -6,14 +6,15 @@ PR 7 gave the serving stack eyes — span traces, a unified
 those signals over time or acted on them. This module closes the loop
 on the virtual clock:
 
-- :class:`SeriesStore` — a windowed time-series store: fixed-capacity
-  ring buffers per series, fed by periodic hub scrapes, with windowed
-  queries (``avg`` / ``rate`` / ``percentile`` / ``delta``) over every
-  number a hub source returns.
+- :class:`~repro.core.metrics.SeriesStore` (re-exported here) — the
+  windowed time-series store, fed by periodic hub scrapes, with
+  windowed queries (``avg`` / ``rate`` / ``percentile`` / ``delta``)
+  over every number a hub source returns.
 - :class:`AlertEngine` + rule classes — a declarative alert rules
   engine: :class:`ThresholdRule` (windowed aggregate vs bound) and
   :class:`BurnRateRule` (multi-window SLO burn), each with a
-  pending → firing → resolved lifecycle.
+  pending → firing → resolved lifecycle. Registering a rule declares
+  its window to the store, which keeps each series that long.
 - :class:`ReactiveSLOPolicy` — a :class:`~repro.core.fleet.FleetPolicy`
   wrapper that *acts* on firing burn alerts: a scale-out boost while
   the fleet has headroom (capacity-shaped burn), admission tightening
@@ -33,9 +34,6 @@ tracer's error-diffusion accumulators — runs replay bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections import deque
-
-import numpy as np
 
 from repro.core.fleet import (
     FleetObservation,
@@ -43,6 +41,7 @@ from repro.core.fleet import (
     FleetPolicy,
     TargetUtilizationPolicy,
 )
+from repro.core.metrics import ObsLoopError, SeriesStore
 
 __all__ = [
     "Alert",
@@ -58,10 +57,6 @@ __all__ = [
     "burn_series",
     "sample_rate_series",
 ]
-
-
-class ObsLoopError(ValueError):
-    """Raised on invalid observability-loop configuration."""
 
 
 def burn_series(tenant: str) -> str:
@@ -85,145 +80,6 @@ def _burning_tenants(alerts) -> tuple[str, ...]:
             }
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# Windowed time-series store
-# ---------------------------------------------------------------------------
-class SeriesStore:
-    """Fixed-capacity ring buffers of ``(time, value)`` per series.
-
-    Fed by :meth:`scrape` (one flattened
-    :meth:`~repro.core.telemetry.TelemetryHub.snapshot` per scrape
-    interval) or :meth:`record` directly. Every numeric leaf of every
-    pull-source payload lands as ``src:<source>.<dotted.path>``, so
-    whatever a source reports is queryable over a window. Sources
-    report cumulative counts and sums, not summaries: a windowed mean
-    is ``rate(<x>.sum_s) / rate(<x>.count)``.
-
-    Parameters
-    ----------
-    capacity:
-        Samples retained per series; the oldest falls off first. At
-        the default 0.1 s scrape interval, 512 samples ≈ 51 s of
-        history per series.
-    """
-
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 2:
-            raise ObsLoopError("capacity must be >= 2")
-        self.capacity = capacity
-        self._series: dict[str, deque] = {}
-
-    # -- ingest ----------------------------------------------------------------
-    def record(self, series: str, time_s: float, value: float) -> None:
-        """Append one sample; times must be non-decreasing per series."""
-        buf = self._series.get(series)
-        if buf is None:
-            buf = self._series[series] = deque(maxlen=self.capacity)
-        elif buf and time_s < buf[-1][0]:
-            raise ObsLoopError(
-                f"series {series!r} got sample at {time_s} before {buf[-1][0]}"
-            )
-        buf.append((time_s, float(value)))
-
-    def scrape(self, hub, now: float) -> int:
-        """Flatten one hub snapshot into the store; returns series touched.
-
-        Pull sources are snapshot non-strictly: a source that raises
-        mid-churn contributes an error stub (never scraped, since it
-        has no numeric leaves) instead of poisoning the scrape.
-        """
-        return sum(
-            self._flatten(f"src:{name}", payload, now)
-            for name, payload in hub.snapshot(strict=False)["sources"].items()
-        )
-
-    def _flatten(self, prefix: str, payload, now: float) -> int:
-        """Record every numeric leaf of a nested source payload.
-
-        ``str`` / ``bool`` / ``None`` leaves are labels, not numbers,
-        and are skipped; a list is a source breaking its contract
-        (nested dicts of scalars) and raises rather than silently
-        dropping whatever it held.
-        """
-        if isinstance(payload, bool):
-            return 0
-        if isinstance(payload, (int, float)):
-            self.record(prefix, now, payload)
-            return 1
-        if isinstance(payload, dict):
-            return sum(
-                self._flatten(f"{prefix}.{key}", value, now)
-                for key, value in payload.items()
-            )
-        if isinstance(payload, (list, tuple)):
-            raise ObsLoopError(
-                f"source payload {prefix!r} is a {type(payload).__name__}; "
-                "sources report nested dicts of scalars"
-            )
-        return 0
-
-    # -- queries ---------------------------------------------------------------
-    def names(self) -> tuple[str, ...]:
-        """All series names recorded so far, sorted."""
-        return tuple(sorted(self._series))
-
-    def latest(self, series: str) -> tuple[float, float] | None:
-        """The newest ``(time, value)`` sample, if any."""
-        buf = self._series.get(series)
-        return buf[-1] if buf else None
-
-    def window(
-        self, series: str, window_s: float, now: float
-    ) -> list[tuple[float, float]]:
-        """Samples with ``now - window_s <= time <= now``, oldest first."""
-        if window_s <= 0:
-            raise ObsLoopError("window_s must be > 0")
-        buf = self._series.get(series)
-        if not buf:
-            return []
-        cutoff = now - window_s
-        return [(t, v) for t, v in buf if cutoff <= t <= now]
-
-    def avg(self, series: str, window_s: float, now: float) -> float | None:
-        """Mean sample value over the window (None when empty)."""
-        samples = self.window(series, window_s, now)
-        if not samples:
-            return None
-        return sum(v for _, v in samples) / len(samples)
-
-    def delta(self, series: str, window_s: float, now: float) -> float | None:
-        """Last minus first value over the window (needs >= 2 samples)."""
-        samples = self.window(series, window_s, now)
-        if len(samples) < 2:
-            return None
-        return samples[-1][1] - samples[0][1]
-
-    def rate(self, series: str, window_s: float, now: float) -> float | None:
-        """Per-second increase over the window — the counter query.
-
-        ``(last - first) / (t_last - t_first)`` over in-window samples;
-        None with fewer than two samples or zero elapsed time.
-        """
-        samples = self.window(series, window_s, now)
-        if len(samples) < 2:
-            return None
-        elapsed = samples[-1][0] - samples[0][0]
-        if elapsed <= 0:
-            return None
-        return (samples[-1][1] - samples[0][1]) / elapsed
-
-    def percentile(
-        self, series: str, window_s: float, now: float, q: float
-    ) -> float | None:
-        """The ``q``-th percentile of sample values over the window."""
-        if not 0 <= q <= 100:
-            raise ObsLoopError("q must be in [0, 100]")
-        samples = self.window(series, window_s, now)
-        if not samples:
-            return None
-        return float(np.percentile([v for _, v in samples], q))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +109,10 @@ class AlertRule:
     """Base class: a named condition over the series store.
 
     Subclasses implement ``active(store, now) -> (bool, dict)`` — is the
-    condition true *right now*, plus a detail dict for the audit trail. The engine owns the
+    condition true *right now*, plus a detail dict for the audit trail —
+    and set ``series`` and ``window_s``, the one series they query and
+    their longest window over it, which the engine declares to the
+    store when the rule is registered. The engine owns the
     pending → firing → resolved lifecycle: a condition must hold for
     ``for_s`` of virtual time before the rule fires (debounce), and a
     firing rule resolves on the first evaluation where the condition
@@ -377,7 +236,7 @@ class BurnRateRule(AlertRule):
         self.tenant = tenant
         self.series = burn_series(tenant)
         self.fast_window_s = fast_window_s
-        self.slow_window_s = slow_window_s
+        self.slow_window_s = self.window_s = slow_window_s
         self.threshold = threshold
 
     def active(self, store: SeriesStore, now: float) -> tuple[bool, dict]:
@@ -431,9 +290,11 @@ class AlertEngine:
             self.add_rule(rule)
 
     def add_rule(self, rule: AlertRule) -> None:
-        """Register a rule; names must be unique."""
+        """Register a rule and declare its window to the store; names
+        must be unique."""
         if rule.name in self._rules:
             raise ObsLoopError(f"duplicate rule name {rule.name!r}")
+        self.store.retain(rule.series, rule.window_s)
         self._rules[rule.name] = rule
         self._states[rule.name] = _RuleState()
 

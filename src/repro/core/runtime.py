@@ -268,8 +268,7 @@ class ServingRuntime:
         self._adopted: dict[str, RequestRecord] = {}
         queue.subscribe(self._on_queue_event)
         self.tracer = tracer
-        if tracer is not None:
-            queue.subscribe_dead_letter(self._on_dead_letter)
+        queue.subscribe_dead_letter(self._on_dead_letter)
         # -- the serve loop's kernel: one timer heap, one timer per
         # wake-up source, and the phases raised for the next pass.
         #: Every future wake-up of :meth:`serve`, ordered ``(when,
@@ -894,7 +893,12 @@ class ServingRuntime:
         return lane, topic
 
     def _on_dead_letter(self, message: QueuedMessage) -> None:
-        """Close out the trace of a message that will never settle."""
+        """A message will never settle: wake the ingress, whose request
+        may have just settled failed and freed a slot, and close out
+        its trace."""
+        self._raised |= _INGRESS
+        if self.tracer is None:
+            return
         request = message.body
         trace = getattr(request, "trace", None)
         if trace is None:
@@ -1260,11 +1264,7 @@ class ServingRuntime:
                 records[i] = record = self._record_of(record)
             record.worker = worker_name
             record.batch_size = size
-            # Anchored on the *enqueue* time so windowed reads answer
-            # "how long did requests arriving during phase X wait".
-            record_stage(
-                "queue_wait", servable_name, now - record.enqueued_at, at=record.enqueued_at
-            )
+            record_stage("queue_wait", servable_name, now - record.enqueued_at)
         # How long the window was held open: the head waited longest.
         record_stage("coalesce_delay", servable_name, now - records[0].enqueued_at)
 

@@ -20,10 +20,10 @@ Three observability primitives the serving stack composes:
   export. Sources are bound by duck type, so this module imports none
   of them.
 * :class:`SLOBurnMonitor` — windowed per-tenant burn rate of a latency
-  SLO (bad fraction over the window divided by the error budget). The
+  SLO (bad fraction over the window divided by the error budget), its
+  window a query over a :class:`~repro.core.metrics.SeriesStore`. The
   gateway feeds it settlements; the fleet controller drains breaches
-  into ``slo_burn`` :class:`~repro.core.fleet.FleetEvent` entries and
-  exposes them to :class:`~repro.core.fleet.FleetPolicy` plans.
+  into ``slo_burn`` :class:`~repro.core.fleet.FleetEvent` entries.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
+
+from repro.core.metrics import SeriesStore
 
 __all__ = [
     "MemberRecord",
@@ -636,7 +638,7 @@ class TelemetryHub:
     maintains where it records (counts, running sums, gauges), never a
     distribution summary or a history list — so a snapshot costs
     O(keys) however long the run, and every number in it is a series
-    the :class:`~repro.core.obsloop.SeriesStore` can store.
+    the :class:`~repro.core.metrics.SeriesStore` can store.
     Distributions are computed where someone asks for one
     (:meth:`~repro.core.metrics.TimingSummary.of`, a windowed store
     query). There is no push half (labeled counters/gauges/histograms)
@@ -741,25 +743,18 @@ class SLOBreach:
     samples: int
 
 
-@dataclass
-class _TenantWindow:
-    """Sliding sample window + cooldown state for one tenant."""
-
-    samples: deque = field(default_factory=deque)
-    bad: int = 0
-    last_fired: float = -math.inf
-
-
 class SLOBurnMonitor:
     """Windowed per-tenant SLO burn rate with threshold alerts.
 
     A settlement is *bad* when it failed or exceeded ``latency_slo_s``.
-    The burn rate over the sliding window is the bad fraction divided
-    by the error budget ``1 - objective`` — burn 1.0 spends the budget
-    exactly, an SRE-standard multiple. :meth:`check` fires at most one
-    :class:`SLOBreach` per tenant per ``cooldown_s`` once at least
-    ``min_samples`` settlements are in window and the burn rate is at
-    or above ``burn_threshold``.
+    Each tenant's settlements are a 0/1 badness series in the monitor's
+    own :class:`~repro.core.metrics.SeriesStore`, which keeps
+    ``window_s`` of it. The burn rate over the window is the bad
+    fraction divided by the error budget ``1 - objective`` — burn 1.0
+    spends the budget exactly, an SRE-standard multiple.
+    :meth:`check` fires at most one :class:`SLOBreach` per tenant per
+    ``cooldown_s`` once at least ``min_samples`` settlements are in
+    window and the burn rate is at or above ``burn_threshold``.
 
     Parameters
     ----------
@@ -805,61 +800,59 @@ class SLOBurnMonitor:
         self.min_samples = min_samples
         self.cooldown_s = cooldown_s
         self.breaches: list[SLOBreach] = []
-        self._tenants: dict[str, _TenantWindow] = {}
+        #: One 0/1 badness series per tenant, named by the tenant.
+        self.store = SeriesStore()
+        #: tenant -> when its last breach fired (the cooldown's anchor).
+        self._last_fired: dict[str, float] = {}
         self._drained = 0
 
     def tenants(self) -> tuple[str, ...]:
         """Tenants with at least one recorded settlement, sorted —
         what the scrape loop iterates to gauge per-tenant burn."""
-        return tuple(sorted(self._tenants))
+        return self.store.names()
 
     def record(
         self, tenant: str, at: float, latency_s: float, ok: bool = True
     ) -> None:
-        """Fold one settlement into the tenant's window."""
-        window = self._tenants.get(tenant)
-        if window is None:
-            window = self._tenants[tenant] = _TenantWindow()
-        bad = (not ok) or latency_s > self.latency_slo_s
-        window.samples.append((at, bad))
-        window.bad += int(bad)
-
-    def _prune(self, window: _TenantWindow, now: float) -> None:
-        cutoff = now - self.window_s
-        samples = window.samples
-        while samples and samples[0][0] < cutoff:
-            _, bad = samples.popleft()
-            window.bad -= int(bad)
+        """Fold one settlement into the tenant's series; ``at`` must not
+        precede the tenant's previous settlement."""
+        if tenant not in self._last_fired:
+            self._last_fired[tenant] = -math.inf
+            self.store.retain(tenant, self.window_s)
+        self.store.record(tenant, at, (not ok) or latency_s > self.latency_slo_s)
 
     def burn_rate(self, tenant: str, now: float) -> float | None:
         """Current burn-rate multiple, ``None`` below ``min_samples``."""
-        window = self._tenants.get(tenant)
-        if window is None:
-            return None
-        self._prune(window, now)
-        if len(window.samples) < self.min_samples:
-            return None
-        fraction = window.bad / len(window.samples)
-        return fraction / (1.0 - self.objective)
+        return self._burn(tenant, now)[0]
+
+    def _burn(self, tenant: str, now: float) -> tuple[float | None, int]:
+        """The burn rate over ``[now - window_s, now]`` and how many
+        settlements that window holds."""
+        if tenant not in self._last_fired:
+            return None, 0
+        samples = self.store.window(tenant, self.window_s, now)
+        if len(samples) < self.min_samples:
+            return None, len(samples)
+        fraction = sum(bad for _, bad in samples) / len(samples)
+        return fraction / (1.0 - self.objective), len(samples)
 
     def check(self, now: float) -> list[SLOBreach]:
         """Evaluate every tenant; returns (and logs) fresh breaches."""
         fired = []
-        for tenant in sorted(self._tenants):
-            window = self._tenants[tenant]
-            if now - window.last_fired < self.cooldown_s:
+        for tenant in self.tenants():
+            if now - self._last_fired[tenant] < self.cooldown_s:
                 continue
-            burn = self.burn_rate(tenant, now)
+            burn, samples = self._burn(tenant, now)
             if burn is None or burn < self.burn_threshold:
                 continue
-            window.last_fired = now
+            self._last_fired[tenant] = now
             breach = SLOBreach(
                 time=now,
                 tenant=tenant,
                 burn_rate=burn,
                 bad_fraction=burn * (1.0 - self.objective),
                 window_s=self.window_s,
-                samples=len(window.samples),
+                samples=samples,
             )
             self.breaches.append(breach)
             fired.append(breach)

@@ -187,6 +187,7 @@ class ServingGateway:
         self._serve_log: list[RequestRecord] = []
         self._serving = False
         runtime.attach_ingress(self)
+        runtime.queue.subscribe_dead_letter(self._on_dead_letter)
 
     # -- live slot budget -----------------------------------------------------------
     def _derive_budget(self) -> None:
@@ -619,6 +620,27 @@ class ServingGateway:
         instead re-runs the requests (at-least-once delivery; callers
         dedupe by ``task_uuid``).
         """
+        self._settle_batches(settled)
+        self._pump()
+
+    def _on_dead_letter(self, message) -> None:
+        """Queue hook: an admitted request whose message dead-lettered
+        will never settle through the runtime, so it settles here,
+        failed at ``now``, through the same accounting as any batch.
+        Freed slots are pumped at the next :meth:`on_tick` (the runtime
+        wakes the ingress for it): a dead-letter listener must not
+        touch the queue."""
+        record = self._open.get(message.body.task_uuid)
+        if record is None:
+            return  # not ours, or already settled
+        record.fail(f"dead-lettered after {message.deliveries} deliveries", 0.0)
+        record.completed_at = self.runtime.clock.now()
+        self._settle_batches([[record]])
+
+    def _settle_batches(self, settled: list[list[RequestRecord]]) -> None:
+        """Per-batch settlement accounting (see :meth:`on_settled`):
+        completions, SLO samples, WFQ slots, in-flight charges and the
+        journal's ``settle`` record."""
         delivered = []
         open_records = self._open
         record_completion = self.metrics.record_completion
@@ -645,7 +667,6 @@ class ServingGateway:
                 self.admission.release(tenant, head.servable_name, mine)
         if delivered and self.journal is not None:
             self.journal.settle(delivered)
-        self._pump()
 
     def next_event(self) -> float:
         """Earliest future instant the gateway needs the serve loop awake.

@@ -6,7 +6,6 @@ container cold starts, placement rebalancing, and Fig. 7 replica
 scaling — all audited through the :class:`FleetEvent` log.
 """
 
-import math
 
 import pytest
 
@@ -722,24 +721,36 @@ class TestImbalanceDerate:
         recovered = controller.observe().demands[0].per_copy_capacity_rps
         assert recovered == baseline
 
-    def test_own_cursor_survives_replica_scaling_reads(self):
-        """The derate view and the replica-scaling view window the same
-        cumulative gauge through separate cursors — one consumer reading
-        first must not blind the other."""
-        testbed, zoo, runtime, controller = build_controlled_fleet()
-        controller.observe()
-        runtime.stage_metrics.record_pod_share("noop", "w0/pod-0", 3.0)
-        runtime.stage_metrics.record_pod_share("noop", "w0/pod-1", 1.0)
-        # The replica-scaling window consumes its cursor first...
-        assert controller._pod_busy_window("noop", "w0") == {
+    def test_replica_events_judge_the_derate_window(self):
+        """A ``replicas_scaled`` event judges chunk imbalance on the
+        derate's per-observe pod window, restricted to the scaled
+        worker's pods: one cursor over the gauge, not two."""
+        testbed, zoo, runtime, controller = build_controlled_fleet(
+            servables=("inception",),
+            autoscale_replicas=True,
+            max_replicas_per_host=4,
+            ewma_alpha=1.0,
+        )
+        gauge = runtime.stage_metrics
+        gauge.record_pod_share("inception", "w0/pod-0", 10.0)
+        controller.observe()  # consumes the history before the window
+        for _ in range(100):
+            runtime.submit(TaskRequest("inception", args=sample_input("inception")))
+        gauge.record_pod_share("inception", "w0/pod-0", 3.0)
+        gauge.record_pod_share("inception", "w0/pod-1", 1.0)
+        gauge.record_pod_share("inception", "w9/pod-0", 50.0)  # another host
+        testbed.clock.advance(1.0)
+        controller.reconcile()
+        assert controller._pod_windows["inception"] == {
             "w0/pod-0": 3.0,
             "w0/pod-1": 1.0,
+            "w9/pod-0": 50.0,
         }
-        # ...and the derate still sees the full interval through its own.
-        obs = controller.observe()
-        assert obs.demands[0].per_copy_capacity_rps < per_copy_capacity_rps(
-            zoo["noop"].inference_cost_s, runtime.max_batch_size
-        )
+        events = {e.detail["worker"]: e for e in controller.events_of("replicas_scaled")}
+        assert events["w0"].detail["chunk_imbalance"] == 1.5  # 3 s over a 2 s mean
+        # A freshly provisioned host has no chunks in the window.
+        assert "chunk_imbalance" not in events["fleet-w1"].detail
+        runtime.drain()
 
     def test_the_constants_are_not_options(self):
         for option in (

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bench.fleet_autoscaling import _waits
 from repro.core.metrics import (
     StageLatencyCollector,
     TenantUsageCollector,
     TimingSummary,
 )
+from repro.core.record import RequestRecord
+from repro.core.tasks import TaskRequest
 
 
 class TestTimingSummaryOf:
@@ -170,27 +173,37 @@ class TestSamplesSince:
 
 
 class TestWindowedSamples:
+    """Stage samples carry no timestamps; a window over queue waits by
+    arrival reads the settled records (``claimed_at - enqueued_at``,
+    filtered on ``enqueued_at``), as the fleet bench does."""
+
     def _collector(self):
         collector = StageLatencyCollector()
-        for t, wait in ((1.0, 0.010), (2.0, 0.020), (3.0, 0.030)):
-            collector.record("queue_wait", "noop", wait, at=t)
-        collector.record("queue_wait", "noop", 0.999)  # untimestamped
+        for wait in (0.010, 0.020, 0.030, 0.999):
+            collector.record("queue_wait", "noop", wait)
         return collector
 
+    @staticmethod
+    def _records():
+        records = []
+        for at, wait in ((1.0, 0.010), (2.0, 0.020), (3.0, 0.030)):
+            record = RequestRecord(TaskRequest("noop"))
+            record.enqueued_at, record.claimed_at = at, at + wait
+            records.append(record)
+        return records
+
     def test_window_is_half_open(self):
-        collector = self._collector()
-        assert collector.samples_in_window("queue_wait", "noop", 1.0, 3.0) == [
-            0.010,
-            0.020,
+        assert _waits(self._records(), 1.0, 3.0) == [
+            pytest.approx(0.010),
+            pytest.approx(0.020),
         ]
 
     def test_untimestamped_samples_fall_outside_every_window(self):
+        # No sample is timestamped, so the collector offers no window.
         collector = self._collector()
-        everything = collector.samples_in_window(
-            "queue_wait", "noop", -1e9, 1e9
-        )
-        assert 0.999 not in everything
-        assert len(everything) == 3
+        with pytest.raises(TypeError):
+            collector.record("queue_wait", "noop", 0.5, at=1.0)
+        assert not hasattr(collector, "samples_in_window")
 
     def test_plain_reads_still_see_all_samples(self):
         collector = self._collector()
@@ -199,7 +212,7 @@ class TestWindowedSamples:
     def test_unknown_stage_rejected(self):
         collector = self._collector()
         with pytest.raises(ValueError):
-            collector.samples_in_window("teleport", "noop", 0.0, 1.0)
+            collector.samples_since("teleport", "noop", 0)
 
 
 class TestPodUtilizationGauge:
@@ -228,6 +241,9 @@ class TestPodUtilizationGauge:
     def test_prefix_restricts_to_one_host(self):
         collector = self._collector()
         assert set(collector.pod_busy("m", prefix="w0/")) == {"w0/m-1", "w0/m-2"}
+        # A windowed map is restricted the same way.
+        window = {"w0/m-1": 3.0, "w0/m-2": 1.0, "w1/m-1": 50.0}
+        assert collector.pod_imbalance("m", prefix="w0/", busy=window) == 1.5
 
     def test_imbalance_is_max_over_mean(self):
         collector = self._collector()

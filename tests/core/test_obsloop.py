@@ -2,7 +2,10 @@
 store, alert rules and lifecycle engine, adaptive trace sampling, the
 reactive SLO policy, and the loop controller itself."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fleet import FleetObservation, FleetPlan, FleetPolicy, ServableDemand
 from repro.core.obsloop import (
@@ -43,16 +46,25 @@ class TestSeriesStore:
             store.record("s", 4.9, 3.0)
 
     def test_ring_evicts_oldest(self):
-        store = SeriesStore(capacity=3)
-        _fill(store, "s", [(float(i), float(i)) for i in range(5)])
-        assert store.window("s", 100.0, 5.0) == [
+        """A series keeps its declared window behind its newest sample,
+        plus the newest sample before it; an undeclared one keeps its
+        newest two."""
+        store = SeriesStore()
+        store.retain("s", 2.0)
+        _fill(store, "s", [(float(i), float(i)) for i in range(6)])
+        _fill(store, "undeclared", [(float(i), float(i)) for i in range(6)])
+        assert list(store._series["s"]) == [
             (2.0, 2.0),
             (3.0, 3.0),
             (4.0, 4.0),
+            (5.0, 5.0),
         ]
+        assert store.window("s", 2.0, 5.0) == [(3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]
+        assert list(store._series["undeclared"]) == [(4.0, 4.0), (5.0, 5.0)]
 
     def test_window_queries(self):
         store = SeriesStore()
+        store.retain("s", 2.0)
         _fill(store, "s", [(float(i), 10.0 + i) for i in range(6)])
         # Window [3, 5]: values 13, 14, 15.
         assert store.avg("s", 2.0, 5.0) == pytest.approx(14.0)
@@ -62,6 +74,7 @@ class TestSeriesStore:
 
     def test_queries_degrade_to_none(self):
         store = SeriesStore()
+        store.retain("s", 1.0)
         assert store.avg("s", 1.0, 0.0) is None
         assert store.percentile("s", 1.0, 0.0, 95) is None
         store.record("s", 0.0, 1.0)
@@ -70,13 +83,74 @@ class TestSeriesStore:
         assert store.rate("s", 1.0, 0.0) is None
 
     def test_validation(self):
-        with pytest.raises(ObsLoopError):
-            SeriesStore(capacity=1)
         store = SeriesStore()
+        with pytest.raises(ObsLoopError):
+            store.retain("s", 0.0)
+        store.retain("s", 1.0)
         with pytest.raises(ObsLoopError):
             store.window("s", 0.0, 1.0)
         with pytest.raises(ObsLoopError):
             store.percentile("s", 1.0, 1.0, 101)
+        # A window longer than any reader declared would answer from
+        # samples the store already dropped.
+        with pytest.raises(ObsLoopError, match="declared"):
+            store.avg("s", 1.5, 1.0)
+
+    def test_a_rule_bounds_its_series_by_its_window(self):
+        """10k samples 0.1 s apart under a 2 s rule: the series holds the
+        window's 21 samples and the one before it, not the run."""
+        store = SeriesStore()
+        AlertEngine(store, rules=[ThresholdRule("r", "s", 1.0, window_s=2.0)])
+        samples = [(i / 10, float(i)) for i in range(10_000)]
+        _fill(store, "s", samples)
+        assert len(store._series["s"]) <= 22
+        now = samples[-1][0]
+        assert store.window("s", 2.0, now) == [s for s in samples if now - 2.0 <= s[0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.0, 2.5]), min_size=1, max_size=60
+        ),
+        values=st.lists(st.integers(-50, 50), min_size=60, max_size=60),
+        horizon=st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]),
+        fraction=st.floats(0.01, 1.0),
+        lag=st.sampled_from([0.0, 0.05, 0.5]),
+        q=st.sampled_from([0.0, 50.0, 95.0, 100.0]),
+    )
+    def test_retained_store_answers_as_the_whole_history(
+        self, gaps, values, horizon, fraction, lag, q
+    ):
+        """For any window up to the declared one, queried at or after
+        the newest sample, the pruned series answers every windowed
+        query exactly as filtering the unbounded history does."""
+        store = SeriesStore()
+        store.retain("s", horizon)
+        history = []
+        t = 0.0
+        for gap, value in zip(gaps, values):
+            t += gap
+            store.record("s", t, value)
+            history.append((t, float(value)))
+        window_s, now = horizon * fraction, t + lag
+        cutoff = now - window_s
+        expected = [(at, v) for at, v in history if cutoff <= at <= now]
+        assert store.window("s", window_s, now) == expected
+        vals = [v for _, v in expected]
+        assert store.avg("s", window_s, now) == (
+            sum(vals) / len(vals) if vals else None
+        )
+        assert store.percentile("s", window_s, now, q) == (
+            float(np.percentile(vals, q)) if vals else None
+        )
+        two = len(expected) >= 2
+        assert store.delta("s", window_s, now) == (
+            expected[-1][1] - expected[0][1] if two else None
+        )
+        elapsed = expected[-1][0] - expected[0][0] if two else 0.0
+        assert store.rate("s", window_s, now) == (
+            (expected[-1][1] - expected[0][1]) / elapsed if elapsed > 0 else None
+        )
 
     def test_scrape_flattens_every_instrument_kind(self):
         """Every numeric leaf a source returns — counter, gauge, or a
@@ -132,24 +206,28 @@ class TestSeriesStore:
 class TestThresholdRule:
     def test_avg_over_threshold(self):
         store = SeriesStore()
-        _fill(store, "s", [(0.0, 1.0), (0.5, 9.0), (1.0, 9.0)])
         rule = ThresholdRule("r", "s", threshold=5.0, window_s=0.6)
+        AlertEngine(store, rules=[rule])
+        _fill(store, "s", [(0.0, 1.0), (0.5, 9.0), (1.0, 9.0)])
         hit, detail = rule.active(store, now=1.0)
         assert hit and detail["value"] == pytest.approx(9.0)
 
     def test_percentile_and_last_aggregates(self):
         store = SeriesStore()
-        _fill(store, "s", [(float(i) / 10, float(i)) for i in range(10)])
         p90 = ThresholdRule("p", "s", threshold=8.0, window_s=1.0, agg="p90")
-        assert p90.active(store, now=0.9)[0]
         last = ThresholdRule(
             "l", "s", threshold=9.0, window_s=1.0, agg="last", op=">="
         )
+        AlertEngine(store, rules=[p90, last])
+        _fill(store, "s", [(float(i) / 10, float(i)) for i in range(10)])
+        assert p90.active(store, now=0.9)[0]
         assert last.active(store, now=0.9)[0]
 
     def test_missing_data_is_inactive(self):
         rule = ThresholdRule("r", "absent", threshold=0.0)
-        assert rule.active(SeriesStore(), now=0.0) == (False, {})
+        store = SeriesStore()
+        AlertEngine(store, rules=[rule])
+        assert rule.active(store, now=0.0) == (False, {})
 
     def test_validation(self):
         with pytest.raises(ObsLoopError):
@@ -168,11 +246,12 @@ class TestBurnRateRule:
     def test_needs_both_windows_hot(self):
         store = SeriesStore()
         series = burn_series("hot")
+        rule = BurnRateRule("b", "hot", fast_window_s=0.3, slow_window_s=2.0)
+        AlertEngine(store, rules=[rule])
         # Long cold history, then a short spike: fast window clears the
         # threshold, the slow window still averages below it.
         _fill(store, series, [(t / 10, 0.0) for t in range(20)])
         _fill(store, series, [(2.0 + t / 10, 10.0) for t in range(3)])
-        rule = BurnRateRule("b", "hot", fast_window_s=0.3, slow_window_s=2.0)
         hit, _ = rule.active(store, now=2.2)
         assert not hit  # a blip is not a burn
         # Sustained burn: both windows now average above threshold.

@@ -3,9 +3,13 @@ span-tree geometry, hostile settlement paths (partial chunk failure,
 memo hits, dead letters), the SLO burn monitor, and the hub."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.metrics import ObsLoopError
 from repro.core.tasks import TaskRequest
 from repro.core.telemetry import (
     MemberRecord,
@@ -457,6 +461,69 @@ class TestSLOBurnMonitor:
         monitor.record("beta", at=0.0, latency_s=0.01)
         monitor.record("alpha", at=0.0, latency_s=0.01)
         assert monitor.tenants() == ("alpha", "beta")
+
+    def test_settlements_must_not_go_back_in_time(self):
+        """The store's non-decreasing check guards each tenant's series;
+        another tenant's series is its own."""
+        monitor = self._monitor()
+        monitor.record("t", at=2.0, latency_s=0.01)
+        monitor.record("t", at=2.0, latency_s=0.5)  # same instant is fine
+        monitor.record("u", at=1.0, latency_s=0.01)
+        with pytest.raises(ObsLoopError, match="before"):
+            monitor.record("t", at=1.9, latency_s=0.01)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "check"]),
+                st.sampled_from([0.0, 0.0, 0.05, 0.2, 0.7, 1.5]),
+                st.floats(0.0, 0.3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=120,
+        ),
+        window_s=st.sampled_from([0.25, 1.0, 2.0]),
+        min_samples=st.integers(1, 8),
+        cooldown_s=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_burn_and_check_match_a_brute_force_recount(
+        self, steps, window_s, min_samples, cooldown_s
+    ):
+        """Over a random non-decreasing settlement stream, every burn
+        rate and every breach is what recounting the whole history over
+        ``[now - window_s, now]`` gives."""
+        monitor = self._monitor(
+            window_s=window_s, min_samples=min_samples, cooldown_s=cooldown_s
+        )
+        history = {"a": [], "b": []}
+        last_fired = {}
+        now = 0.0
+
+        def recount(tenant):
+            seen = [bad for at, bad in history[tenant] if at >= now - window_s]
+            if len(seen) < min_samples:
+                return None, len(seen)
+            return sum(seen) / len(seen) / (1.0 - monitor.objective), len(seen)
+
+        for who, gap, latency, ok in steps:
+            now += gap
+            if who != "check":
+                monitor.record(who, at=now, latency_s=latency, ok=ok)
+                history[who].append((now, (not ok) or latency > monitor.latency_slo_s))
+                continue
+            expected = []
+            for tenant in sorted(t for t in history if history[t]):
+                burn, samples = recount(tenant)
+                assert monitor.burn_rate(tenant, now) == burn
+                if now - last_fired.get(tenant, -math.inf) < cooldown_s:
+                    continue
+                if burn is not None and burn >= monitor.burn_threshold:
+                    last_fired[tenant] = now
+                    expected.append((tenant, burn, samples))
+            fired = monitor.check(now)
+            assert [(b.tenant, b.burn_rate, b.samples) for b in fired] == expected
 
     def test_validation(self):
         for bad in (

@@ -94,3 +94,35 @@ def test_a_crash_at_every_injection_point_conserves_its_requests(zoo, point, mon
         assert record.arrived_at == first.arrived_at
         rebuilt += record is not first
     assert rebuilt == outcome.recoveries[0]["restored_open"]
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "journaled"])
+def test_a_dead_lettered_request_settles_failed(zoo, durable):
+    """An admitted request whose claimed message is dropped to the
+    dead-letter list settles failed through the gateway's settlement
+    accounting: its open entry, WFQ slot, in-flight charge and journal
+    entry all close, so recovery would not bring it back."""
+    gateway, tokens = gateway_stack(zoo, durable)
+    arrivals = alternating_arrivals(tokens, n=6, rate_rps=300.0)
+    records = [gateway.offer(request, token=token) for _, token, request in arrivals]
+    victim = records[0]
+    queue = gateway.runtime.queue
+    (claimed,) = queue.claim_many(victim.topic, 1)
+    assert claimed is victim
+    queue.nack(claimed.delivery_tag, requeue=False)
+    gateway.runtime.drain()
+    settled = sum(
+        gateway.metrics.counters(t).completed + gateway.metrics.counters(t).failed
+        for t in ("alice", "bob")
+    )
+    assert_conserved(
+        [request for _, _, request in arrivals],
+        records,
+        gateway,
+        dead_letters=queue.dead_letters,
+        settles=settled,
+    )
+    assert victim.completed and not victim.ok
+    assert gateway.metrics.counters(victim.request.tenant).failed == 1
+    if durable:
+        assert gateway.journal.settled == settled

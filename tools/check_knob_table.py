@@ -90,7 +90,6 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         "repro.core.obsloop.ObservabilityLoop",
         ["scrape_interval_s"],
     ),
-    "`capacity`": ("repro.core.obsloop.SeriesStore", ["capacity"]),
     "`fast_window_s` / `slow_window_s` / `threshold`": (
         "repro.core.obsloop.BurnRateRule",
         ["fast_window_s", "slow_window_s", "threshold"],

@@ -39,7 +39,7 @@ def run_ablation():
     unbatched_total = ctx.clock.now() - t0
 
     # Whole-queue batch.
-    whole = executor.invoke_batch("matminer_featurize", workload)
+    whole = executor.invoke_batch("matminer_featurize", [(item, {}) for item in workload])
 
     # Adaptive.
     batcher = AdaptiveBatcher(

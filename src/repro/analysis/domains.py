@@ -100,9 +100,11 @@ ACCUMULATION_MODULES: frozenset[str] = frozenset(
 #: kernel made a serve-loop wake-up cost what is due, not what exists —
 #: the loop, settlement, routing and the gateway hooks it calls no
 #: longer rebuild a list or walk the fleet per wake-up. A request's one
-#: record is made at the gateway's door (``_enter``), written into at
-#: dispatch (``_dispatch_topic``, ``_split_batch``) and settled once per
-#: batch (``_settle``, ``on_settled``). HOT001 flags new
+#: record is made at the gateway's door (``_enter``), claimed at
+#: dispatch (``_dispatch_topic``), written into by the Task Manager
+#: (``TaskManager.process``, whose misses take one executor trip,
+#: ``ParslServableExecutor.invoke_batch``) and settled once per batch
+#: (``_settle``, ``on_settled``). HOT001 flags new
 #: list/dict/set comprehensions and ``.copy()`` calls inside them so
 #: allocation creep needs a written justification, not just a quiet diff.
 HOT_FUNCTIONS: dict[str, frozenset[str]] = {
@@ -113,9 +115,10 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingRuntime._settle",
             "ServingRuntime._route",
             "ServingRuntime._dispatch_topic",
-            "ServingRuntime._split_batch",
         }
     ),
+    "core/task_manager.py": frozenset({"TaskManager.process"}),
+    "core/executors.py": frozenset({"ParslServableExecutor.invoke_batch"}),
     "gateway/gateway.py": frozenset(
         {
             "ServingGateway._pump",

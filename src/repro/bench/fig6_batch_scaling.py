@@ -32,7 +32,7 @@ def run_experiment(
         fixed = ctx.fixed_input(name)
         series: dict[int, float] = {}
         for n in request_counts:
-            outcome = executor.invoke_batch(name, [fixed] * n)
+            outcome = executor.invoke_batch(name, [(fixed, {})] * n)
             assert len(outcome.value) == n
             series[n] = outcome.invocation_time * 1e3
         xs = np.array(sorted(series))

@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.workloads import build_fleet
-from repro.core.tasks import TaskRequest
+from repro.core.record import RequestRecord
+from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.zoo import sample_input
 
 ARRIVAL_RATES_RPS = (50.0, 200.0, 1000.0, 4000.0)
@@ -75,7 +76,8 @@ def _run_client_batched(
     rate_rps: float, n_requests: int, servable: str, batch_size: int, seed: int
 ) -> dict:
     """The Fig. 5/6 path: the client groups arrivals into pre-formed
-    batch tasks, dispatching each batch once its last member arrives."""
+    batches, handing each to the Task Manager once its last member
+    arrives."""
     _, runtime = build_fleet(servable, 1, batch_size, 0.0, shared_clock=True, seed=seed)
     (worker,) = runtime.workers
     schedule = _schedule(rate_rps, n_requests, servable)
@@ -88,11 +90,9 @@ def _run_client_batched(
         last_arrival = start + chunk[-1][0]
         if last_arrival > clock.now():
             clock.advance_to(last_arrival)
-        batch_request = TaskRequest(
-            servable, batch=[(req.args, req.kwargs) for _, req in chunk]
-        )
-        result = worker.process(batch_request)
-        assert result.ok, result.error
+        records = [RequestRecord(request) for _, request in chunk]
+        _, _, _, error = worker.process(records)
+        assert error is None and all(r.status is TaskStatus.SUCCEEDED for r in records)
         batches += 1
         done = clock.now()
         latencies.extend(done - (start + offset) for offset, _ in chunk)

@@ -20,14 +20,14 @@ history a controller's ``observe`` loop already collects.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.core.executors import ExecutorError, ParslServableExecutor
+from repro.core.tasks import normalize_batch_item
 from repro.sim import calibration as cal
 
 
@@ -217,44 +217,6 @@ class ArrivalForecaster:
         return sorted(self._state)
 
 
-def plan_replica_chunks(
-    n_items: int,
-    ready_at: Sequence[float],
-    per_item_cost_s: float,
-    start_at: float = 0.0,
-) -> list[list[int]]:
-    """Shard ``n_items`` equal-cost items across replicas, greedy by load.
-
-    ``ready_at[r]`` is when replica ``r`` frees up (its ``busy_until``);
-    a replica still busy at ``start_at`` starts its chunk late. Items
-    are assigned in order, each to the replica whose projected finish
-    time (``max(ready_at, start_at)`` plus its chunk so far, per the
-    calibrated per-item cost model) is earliest — the classic greedy
-    makespan heuristic, which for equal-cost items balances chunk sizes
-    while letting an already-busy replica take a smaller share.
-
-    Returns one (possibly empty) list of item indices per replica;
-    indices within a chunk are in submission order, so per-chunk results
-    concatenate back into input order by index.
-    """
-    if n_items < 0:
-        raise ValueError("n_items must be >= 0")
-    if not ready_at:
-        raise ValueError("at least one replica is required")
-    if per_item_cost_s < 0:
-        raise ValueError("per_item_cost_s must be >= 0")
-    chunks: list[list[int]] = [[] for _ in ready_at]
-    heap = [
-        (max(float(free), start_at), idx) for idx, free in enumerate(ready_at)
-    ]
-    heapq.heapify(heap)
-    for item in range(n_items):
-        finish, idx = heapq.heappop(heap)
-        chunks[idx].append(item)
-        heapq.heappush(heap, (finish + per_item_cost_s, idx))
-    return chunks
-
-
 @dataclass
 class ServableProfile:
     """A measured latency profile for one servable.
@@ -341,8 +303,9 @@ class AdaptiveBatcher:
         self._bootstrap_flushes = 0
 
     def submit(self, item: Any) -> None:
-        """Queue one input (an args tuple or a single argument)."""
-        self._pending.append(item if isinstance(item, tuple) else (item,))
+        """Queue one input: a single argument, an args tuple or an
+        ``(args, kwargs)`` pair (see :func:`normalize_batch_item`)."""
+        self._pending.append(normalize_batch_item(item))
 
     def _chunk_size(self) -> int:
         try:

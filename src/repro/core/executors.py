@@ -18,8 +18,9 @@ inference-time decomposition the Task Manager records.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.cluster.cluster import KubernetesCluster
 from repro.cluster.deployment import Deployment
@@ -45,12 +46,49 @@ class InvocationOutcome:
     value: Any
     inference_time: float
     invocation_time: float
-    #: For batch invocations on a replica-aware executor: how the batch
-    #: was sharded across pods (item indices are into the ``inputs``
-    #: list handed to ``invoke_batch``), with per-chunk timing and
-    #: per-chunk failures. Empty for single invocations and for
-    #: executors without replica-aware batching.
+    #: For batch invocations: how the batch was sharded across pods
+    #: (item indices are into the ``calls`` list handed to
+    #: ``invoke_batch``), with per-chunk timing and per-chunk failures;
+    #: every call is in exactly one chunk. Empty for single invocations.
     chunks: tuple[BatchChunk, ...] = ()
+
+
+def plan_replica_chunks(
+    n_items: int,
+    ready_at: Sequence[float],
+    per_item_cost_s: float,
+    start_at: float = 0.0,
+) -> list[list[int]]:
+    """Shard ``n_items`` equal-cost items across replicas, greedy by load.
+
+    ``ready_at[r]`` is when replica ``r`` frees up (its ``busy_until``);
+    a replica still busy at ``start_at`` starts its chunk late. Items
+    are assigned in order, each to the replica whose projected finish
+    time (``max(ready_at, start_at)`` plus its chunk so far, per the
+    calibrated per-item cost model) is earliest — the classic greedy
+    makespan heuristic, which for equal-cost items balances chunk sizes
+    while letting an already-busy replica take a smaller share.
+
+    Returns one (possibly empty) list of item indices per replica;
+    indices within a chunk are in submission order, so per-chunk results
+    concatenate back into input order by index.
+    """
+    if n_items < 0:
+        raise ValueError("n_items must be >= 0")
+    if not ready_at:
+        raise ValueError("at least one replica is required")
+    if per_item_cost_s < 0:
+        raise ValueError("per_item_cost_s must be >= 0")
+    chunks: list[list[int]] = [[] for _ in ready_at]
+    heap = [
+        (max(float(free), start_at), idx) for idx, free in enumerate(ready_at)
+    ]
+    heapq.heapify(heap)
+    for item in range(n_items):
+        finish, idx = heapq.heappop(heap)
+        chunks[idx].append(item)
+        heapq.heappush(heap, (finish + per_item_cost_s, idx))
+    return chunks
 
 
 class DLHubExecutor:
@@ -69,13 +107,11 @@ class DLHubExecutor:
     #: Whether :meth:`invoke_batch` dispatches a whole batch in one trip.
     supports_batching = False
 
-    def invoke_batch(self, servable_name: str, inputs: list[Any]) -> InvocationOutcome:
-        """Dispatch a batch of inputs in one executor round trip.
-
-        Each ``inputs`` entry is normalized via
-        :func:`repro.core.tasks.normalize_batch_item`, so items may be
-        single values, args tuples, or ``(args, kwargs)`` pairs.
-        """
+    def invoke_batch(
+        self, servable_name: str, calls: list[tuple[tuple, dict]]
+    ) -> InvocationOutcome:
+        """Dispatch a batch of ``(args, kwargs)`` calls in one executor
+        round trip; the outcome reports the chunks the calls ran in."""
         raise ExecutorError(f"executor {self.label!r} does not support batching")
 
     def supports(self, servable: Servable) -> bool:
@@ -105,6 +141,7 @@ class ParslServableExecutor(DLHubExecutor):
 
     # -- deployment ----------------------------------------------------------------
     def deploy(self, servable: Servable, image, replicas: int = 1) -> None:
+        """Create the servable's Kubernetes deployment and its IPP pool."""
         if servable.name in self._deployments:
             raise ExecutorError(f"servable {servable.name!r} already deployed")
         deployment = self.cluster.create_deployment(
@@ -115,11 +152,13 @@ class ParslServableExecutor(DLHubExecutor):
         self._pools[servable.name] = IPPEnginePool(self.clock, deployment.ready_pods())
 
     def scale(self, servable_name: str, replicas: int) -> None:
+        """Scale the servable's deployment; the pool follows its ready pods."""
         deployment = self._require_deployment(servable_name)
         deployment.scale(replicas)
         self._pools[servable_name].set_pods(deployment.ready_pods())
 
     def undeploy(self, servable_name: str) -> None:
+        """Delete the servable's deployment and forget its pool."""
         self._require_deployment(servable_name)
         self.cluster.delete_deployment(f"parsl-{servable_name}")
         del self._deployments[servable_name]
@@ -133,12 +172,15 @@ class ParslServableExecutor(DLHubExecutor):
         return deployment
 
     def replicas(self, servable_name: str) -> int:
+        """How many of the servable's pods are ready."""
         return len(self._require_deployment(servable_name).ready_pods())
 
     def deployed(self) -> list[str]:
+        """Names of the deployed servables, sorted."""
         return sorted(self._deployments)
 
     def get_servable(self, servable_name: str) -> Servable:
+        """The deployed servable named ``servable_name``."""
         servable = self._servables.get(servable_name)
         if servable is None:
             raise ExecutorError(f"servable {servable_name!r} is not deployed")
@@ -146,6 +188,8 @@ class ParslServableExecutor(DLHubExecutor):
 
     # -- synchronous invocation --------------------------------------------------------
     def invoke(self, servable_name: str, args: tuple, kwargs: dict) -> InvocationOutcome:
+        """One request, one round trip: dispatch, ship, run on the
+        least-busy pod, ship back and collect."""
         servable = self._servables.get(servable_name)
         pool = self._pools.get(servable_name)
         if servable is None or pool is None:
@@ -174,97 +218,96 @@ class ParslServableExecutor(DLHubExecutor):
         )
 
     # -- batched invocation (SS V-B3 + Fig. 7) --------------------------------------------
-    def invoke_batch(self, servable_name: str, inputs: list[Any]) -> InvocationOutcome:
-        """One dispatch for a whole batch, sharded across replica pods.
+    def invoke_batch(
+        self, servable_name: str, calls: list[tuple[tuple, dict]]
+    ) -> InvocationOutcome:
+        """One dispatch for a whole batch of ``(args, kwargs)`` calls,
+        sharded across replica pods.
 
-        Items may be single values, args tuples, or ``(args, kwargs)``
-        pairs (see :func:`repro.core.tasks.normalize_batch_item`) —
-        keyword arguments are passed through to the servable, not dropped.
-        Returns an outcome whose ``value`` is the list of per-item results
-        (in input order) and whose times cover the entire batch.
+        Each call reaches the servable as ``handler(*args, **kwargs)``,
+        exactly as :meth:`invoke` would make it. Returns an outcome
+        whose ``value`` is the list of per-call results (in call order)
+        and whose times cover the entire batch.
 
         The dispatch/shim overheads are paid once (the SS V-B3
         amortization); the batch body is then cut into per-pod chunks —
         greedy by ``busy_until`` under the calibrated per-item cost model
-        (:func:`repro.core.adaptive.plan_replica_chunks`) — that execute
-        concurrently (``VirtualClock.concurrent``), so replicas shorten
-        the coalesced path exactly as they shorten the Fig. 7 streaming
-        path. With one ready pod the timing reduces to the single-pod
-        model. A chunk whose pod dies mid-execution fails alone: its
-        error rides :attr:`InvocationOutcome.chunks` while sibling
-        chunks' results survive; only when *every* chunk fails does the
-        invocation raise.
+        (:func:`plan_replica_chunks`) — that execute concurrently
+        (``VirtualClock.concurrent``), so replicas shorten the coalesced
+        path exactly as they shorten the Fig. 7 streaming path. With one
+        ready pod the timing reduces to the single-pod model. A chunk
+        whose pod dies mid-execution fails alone: its error rides
+        :attr:`InvocationOutcome.chunks` while sibling chunks' results
+        survive; only when *every* chunk fails does the invocation raise.
         """
         servable = self._servables.get(servable_name)
         pool = self._pools.get(servable_name)
         if servable is None or pool is None:
             raise ExecutorError(f"servable {servable_name!r} is not deployed")
-        if not inputs:
+        n = len(calls)
+        if not n:
             raise ExecutorError("invoke_batch requires at least one input")
-        from repro.core.adaptive import plan_replica_chunks
-
-        start = self.clock.now()
+        clock = self.clock
+        start = clock.now()
         # One dispatch + one shim entry for the whole batch — this is the
         # amortization batching buys (SS V-B3).
-        self.clock.advance(cal.PARSL_DISPATCH_S)
-        self.link.charge_send(self.clock, servable.request_bytes * len(inputs))
-        self.clock.advance(cal.SERVABLE_SHIM_S)
+        clock.advance(cal.PARSL_DISPATCH_S)
+        self.link.charge_send(clock, servable.request_bytes * n)
+        clock.advance(cal.SERVABLE_SHIM_S)
         pods = sorted(
             (p for p in pool.pods if p.ready), key=lambda p: (p.busy_until, p.name)
         )
         if not pods:
             raise ExecutorError(f"servable {servable_name!r} has no ready pods")
         per_item = servable.inference_cost_s + cal.BATCH_ITEM_MARGINAL_S
-        infer_start = self.clock.now()
+        infer_start = clock.now()
         plan = plan_replica_chunks(
-            len(inputs),
-            [p.busy_until for p in pods],
-            per_item,
-            start_at=infer_start,
+            # detlint: allow[HOT001] — the pods' free times, one list per batch
+            n, [p.busy_until for p in pods], per_item, start_at=infer_start
         )
-        values: list[Any] = [None] * len(inputs)
+        values: list[Any] = [None] * n
         chunks: list[BatchChunk] = []
-        with self.clock.concurrent() as region:
+        served = 0
+        with clock.concurrent() as region:
             for pod, indices in zip(pods, plan):
                 if not indices:
                     continue
                 with region.branch():
-                    chunk_start = self.clock.now()
+                    chunk_start = clock.now()
                     if pod.busy_until > chunk_start:
-                        self.clock.advance_to(pod.busy_until)
+                        clock.advance_to(pod.busy_until)
                     error = None
                     try:
                         for i in indices:
-                            args, kwargs = normalize_batch_item(inputs[i])
+                            args, kwargs = calls[i]
                             values[i] = pod.exec(*args, **kwargs)
-                        self.clock.advance(len(indices) * per_item)
+                        clock.advance(len(indices) * per_item)
+                        served += len(indices)
                     except Exception as exc:
                         error = f"{type(exc).__name__}: {exc}"
                         for i in indices:
                             values[i] = None
-                    pod.busy_until = max(pod.busy_until, self.clock.now())
+                    pod.busy_until = max(pod.busy_until, clock.now())
                     chunks.append(
                         BatchChunk(
                             items=tuple(indices),
                             pod=pod.name,
-                            inference_time=self.clock.now() - chunk_start,
+                            inference_time=clock.now() - chunk_start,
                             error=error,
                         )
                     )
-        if all(chunk.error is not None for chunk in chunks):
+        if not served:
             raise ExecutorError(
                 f"all {len(chunks)} replica chunk(s) failed: {chunks[0].error}"
             )
-        inference_time = self.clock.now() - infer_start
-        self.link.charge_send(self.clock, servable.response_bytes * len(inputs))
-        self.clock.advance(cal.PARSL_COLLECT_S)
-        self.requests_served += sum(
-            len(chunk.items) for chunk in chunks if chunk.ok
-        )
+        inference_time = clock.now() - infer_start
+        self.link.charge_send(clock, servable.response_bytes * n)
+        clock.advance(cal.PARSL_COLLECT_S)
+        self.requests_served += served
         return InvocationOutcome(
             value=values,
             inference_time=inference_time,
-            invocation_time=self.clock.now() - start,
+            invocation_time=clock.now() - start,
             chunks=tuple(chunks),
         )
 
@@ -301,11 +344,13 @@ class _BackendExecutor(DLHubExecutor):
         self._servables: dict[str, Servable] = {}
 
     def deploy(self, servable: Servable, image, replicas: int = 1) -> None:
+        """Deploy the servable's model on the backend."""
         spec = ModelSpec.from_calibration(servable.name, servable.key, servable.handler)
         self.backend.deploy(spec, replicas)
         self._servables[servable.name] = servable
 
     def invoke(self, servable_name: str, args: tuple, kwargs: dict) -> InvocationOutcome:
+        """One request through the backend, with its timings."""
         if servable_name not in self._servables:
             raise ExecutorError(
                 f"servable {servable_name!r} is not deployed on {self.label}"
@@ -318,9 +363,11 @@ class _BackendExecutor(DLHubExecutor):
         )
 
     def deployed(self) -> list[str]:
+        """Names of the deployed servables, sorted."""
         return sorted(self._servables)
 
     def get_servable(self, servable_name: str) -> Servable:
+        """The deployed servable named ``servable_name``."""
         servable = self._servables.get(servable_name)
         if servable is None:
             raise ExecutorError(
@@ -329,6 +376,7 @@ class _BackendExecutor(DLHubExecutor):
         return servable
 
     def undeploy(self, servable_name: str) -> None:
+        """Stop serving the servable from this executor."""
         if servable_name not in self._servables:
             raise ExecutorError(
                 f"servable {servable_name!r} is not deployed on {self.label}"
@@ -344,6 +392,7 @@ class TFServingExecutor(_BackendExecutor):
         self.label = backend.name
 
     def supports(self, servable: Servable) -> bool:
+        """TF Serving serves TensorFlow-exportable models only."""
         from repro.serving.tfserving import TF_EXPORTABLE_KEYS
 
         return servable.key in TF_EXPORTABLE_KEYS

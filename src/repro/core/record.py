@@ -4,8 +4,8 @@
 admitted request (denials get one too), :meth:`ServingRuntime.submit`
 for gateway-less traffic. The same object is then the item of the
 request's WFQ lane entry, the queue's message (the record *is* a
-:class:`QueuedMessage`), the micro-batch member the runtime writes the
-outcome into, and what settlement hands the ingress and ``serve``
+:class:`QueuedMessage`), the micro-batch member the Task Manager writes
+the outcome into, and what settlement hands the ingress and ``serve``
 returns. Nothing is copied from one layer's object into the next; the
 readings the layers' old result objects offered stay as properties.
 """
@@ -60,17 +60,8 @@ class RequestRecord(QueuedMessage):
         self.cache_hit = False
         self.batch_size = 0
 
-    def take(self, result: TaskResult) -> None:
-        """Write a Task Manager's result for this one request in."""
-        self.status = result.status
-        self.value = result.value
-        self.error = result.error
-        self.inference_time = result.inference_time
-        self.invocation_time = result.invocation_time
-        self.cache_hit = result.cache_hit
-
     def fail(self, error: str | None, invocation_time: float) -> None:
-        """Write a failed outcome in: its batch, or its chunk, died."""
+        """Write a failed outcome in: its dispatch, or its chunk, died."""
         self.status = TaskStatus.FAILED
         self.value = None
         self.error = error

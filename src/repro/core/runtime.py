@@ -45,7 +45,7 @@ from repro.core.metrics import StageLatencyCollector
 from repro.core.record import RequestRecord
 from repro.core.servable import Servable
 from repro.core.task_manager import TaskManager
-from repro.core.tasks import TaskRequest, TaskResult, TaskStatus
+from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.telemetry import MemberRecord
 from repro.messaging.queue import QueuedMessage, TaskQueue, servable_topic
 from repro.sim.clock import VirtualClock
@@ -1164,72 +1164,6 @@ class ServingRuntime:
                     next_event = min(next_event, flush_at)
         return (due[2] if due else None), next_event
 
-    def _split_batch(
-        self,
-        records: list[RequestRecord],
-        batch_result: TaskResult,
-        worker: TaskManager,
-    ) -> None:
-        """Write a batch TaskResult's per-item outcomes into its members'
-        records.
-
-        Memo-hit items keep their per-item identity (``cache_hit=True``,
-        zero inference). Dispatched misses are attributed their replica
-        chunk's inference share (``chunk.inference_time / chunk items``)
-        when the executor reported chunk metadata, falling back to an
-        equal split of the batch's inference otherwise (items of one
-        servable cost the same per the calibrated model).
-        ``invocation_time`` is the whole batch's trip — items in a batch
-        complete together.
-
-        Failure recovery is per chunk: a batch whose chunks partially
-        failed settles surviving chunks and memo hits normally and
-        FAILs only the dead chunk's items. A batch that failed before
-        any chunk dispatched (routing error, no ready pods, every chunk
-        dead) dooms all misses, while memo-hit items are re-served as
-        single requests (a ~1 ms cache hit at the worker).
-        """
-        hit_set = set(batch_result.batch_hits)
-        invocation = batch_result.invocation_time
-        if not batch_result.ok and not batch_result.batch_chunks:
-            # Pre-dispatch (or total) failure: only memo hits survive.
-            for i, record in enumerate(records):
-                if i in hit_set:
-                    record.take(worker.process(record.body))
-                else:
-                    record.fail(batch_result.error, invocation)
-            return
-        shares: dict[int, float] = {}
-        chunk_errors: dict[int, str] = {}
-        # A miss no chunk names gets this share: nothing, unless the
-        # executor reported no chunks at all (then an equal split).
-        unattributed = 0.0
-        for chunk in batch_result.batch_chunks:
-            if chunk.error is not None:
-                for i in chunk.items:
-                    chunk_errors[i] = chunk.error
-                continue
-            per_item = chunk.inference_time / len(chunk.items) if chunk.items else 0.0
-            for i in chunk.items:
-                shares[i] = per_item
-        if not batch_result.batch_chunks:
-            n_misses = len(records) - len(hit_set)
-            if n_misses:
-                unattributed = batch_result.inference_time / n_misses
-        values = batch_result.value or [None] * len(records)
-        for i, record in enumerate(records):
-            error = chunk_errors.get(i)
-            if error is not None:
-                record.fail(error, invocation)
-                continue
-            hit = i in hit_set
-            record.status = TaskStatus.SUCCEEDED
-            record.value = values[i]
-            record.error = None
-            record.inference_time = 0.0 if hit else shares.get(i, unattributed)
-            record.invocation_time = invocation
-            record.cache_hit = hit
-
     def _dispatch_topic(self, topic: str) -> None:
         """Claim a micro-batch off ``topic`` and dispatch it to a free host.
 
@@ -1274,44 +1208,26 @@ class ServingRuntime:
         if worker.clock is not self.clock and worker.clock.now() < now:
             worker.clock.advance_to(now)
         dispatch_start = worker.clock.now()
-        if size == 1:
-            batch_result = worker.process(records[0].body)
-        else:
-            # A coalesced batch may mix identities (and, on the default
-            # lane, requests put with no tenant); the envelope carries
-            # the head's tags and sequence (it is no submission of its
-            # own), while per-item outcomes land in the members' records.
-            first = records[0].body
-            batch_request = TaskRequest(
-                servable_name=servable_name,
-                # detlint: allow[HOT001] — the envelope's inputs, one list per batch
-                batch=[(r.body.args, r.body.kwargs) for r in records],
-                identity_id=first.identity_id,
-                tenant=first.tenant,
-                sequence=first.sequence,
-            )
-            batch_result = worker.process(batch_request)
-        # Stage timing is captured before any failure-recovery re-serves
-        # in _split_batch — those are neither dispatch nor inference.
+        inference, chunks, hits, failed = worker.process(records)
+        # Stage timing is captured before a failed batch's memo hits are
+        # re-served below — those are neither dispatch nor inference.
         elapsed = worker.clock.now() - dispatch_start
-        record_stage(
-            "dispatch",
-            servable_name,
-            max(0.0, elapsed - batch_result.inference_time),
-        )
-        record_stage("inference", servable_name, batch_result.inference_time)
+        record_stage("dispatch", servable_name, max(0.0, elapsed - inference))
+        record_stage("inference", servable_name, inference)
         # Per-pod utilization: each surviving replica chunk's busy time
         # lands on its pod's gauge, so the replica autoscaler can see
         # chunk imbalance instead of only the aggregate inference rate.
-        for chunk in batch_result.batch_chunks:
+        for chunk in chunks:
             if chunk.ok:
                 self.stage_metrics.record_pod_share(
                     servable_name, f"{worker_name}/{chunk.pod}", chunk.inference_time
                 )
-        if size == 1:
-            records[0].take(batch_result)
-        else:
-            self._split_batch(records, batch_result, worker)
+        if failed is not None and hits:
+            # Nothing was dispatched: the misses failed, and each memo hit
+            # is re-served as a single request (a ~1 ms cache hit).
+            for record in records:
+                if record.cache_hit:
+                    worker.process([record])
         if self.chaos is not None:
             self.chaos.trip("mid_batch")
         # detlint: allow[HOT001] — the batch's delivery tags, one list per batch
@@ -1319,31 +1235,28 @@ class ServingRuntime:
 
         self.batches_dispatched += 1
         self.items_served += size
-        if size == 1:
-            self.memo_hits += int(batch_result.cache_hit)
-        else:
-            self.memo_hits += batch_result.batch_cache_hits
+        self.memo_hits += hits
         seq = next(self._seq)
         trace_ctx = None
         if self.tracer is not None:
             # Tracing adds nothing per-member here: stash the batch's
             # timings once and record spans at settlement, where each
             # member's trace has to be touched anyway.
-            infer_start = dispatch_start + max(
-                0.0, elapsed - batch_result.inference_time
-            )
-            chunks = batch_result.batch_chunks
-            if len(chunks) == 1:
-                pods, only_pod = None, chunks[0].pod
-            else:
+            infer_start = dispatch_start + max(0.0, elapsed - inference)
+            if len(chunks) > 1:
+                # Chunk items index the dispatched misses, in batch order.
+                # detlint: allow[HOT001] — traced runs only, one list per batch
+                misses = [i for i, record in enumerate(records) if not record.cache_hit]
                 # detlint: allow[HOT001] — traced runs only, one map per batch
-                pods = {i: c.pod for c in chunks for i in c.items}
+                pods = {misses[j]: c.pod for c in chunks for j in c.items}
                 only_pod = None
+            else:
+                pods, only_pod = None, chunks[0].pod if chunks else None
             trace_ctx = (
                 now,
                 dispatch_start,
                 infer_start,
-                batch_result.inference_time,
+                inference,
                 pods,
                 only_pod,
                 records[0].enqueued_at,

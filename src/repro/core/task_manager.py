@@ -2,10 +2,12 @@
 
 Deployed near compute, the Task Manager executes DLHub tasks: it routes
 each to the right executor (inference tasks to serving executors,
-everything else to the general Parsl executor) and returns results. The
+everything else to the general Parsl executor) and writes each outcome
+into the request's record. The
 :class:`~repro.core.runtime.ServingRuntime` claims tasks off the queue
 (and acks them) on its Task Managers' behalf, coalescing compatible
-ones into micro-batches. The Task Manager also hosts the Parsl
+ones into micro-batches, and hands :meth:`TaskManager.process` the
+records it claimed. The Task Manager also hosts the Parsl
 memoization cache whose placement gives DLHub its ~1 ms memoized
 invocation time (SS V-B5).
 """
@@ -14,15 +16,18 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.executors import DLHubExecutor
 from repro.core.memo import MemoCache
 from repro.core.servable import Servable
-from repro.core.tasks import BatchChunk, TaskRequest, TaskResult, TaskStatus
+from repro.core.tasks import BatchChunk, TaskStatus
 from repro.messaging.queue import TaskQueue
 from repro.sim import calibration as cal
 from repro.sim.clock import VirtualClock
+
+if TYPE_CHECKING:
+    from repro.core.record import RequestRecord
 
 
 class TaskManagerError(RuntimeError):
@@ -150,189 +155,148 @@ class TaskManager:
         return sorted(self._registrations)
 
     # -- task processing ------------------------------------------------------------------
-    def process(self, request: TaskRequest) -> TaskResult:
-        """Execute one request: unpackage, memo-check, route, invoke."""
+    def process(
+        self, records: list[RequestRecord]
+    ) -> tuple[float, tuple[BatchChunk, ...], int, str | None]:
+        """Execute claimed requests of one servable: one alone, or many
+        as one micro-batch, writing each outcome into its record.
+
+        Every record is looked up in the memo cache under its request's
+        :meth:`~repro.core.tasks.TaskRequest.input_signature`, so a batch
+        member and a lone request share one entry, and only the misses
+        go to the executor: a lone request through ``invoke``, a batch's
+        misses in one ``invoke_batch`` trip as ``(args, kwargs)`` calls.
+        Status, value, error, inference share, invocation time and cache
+        hit are written into every record.
+
+        Returns the batch's own facts, ``(inference_time, chunks, hits,
+        error)``: the executor's inference time, its replica chunks
+        (indices into the dispatched misses), how many records the cache
+        answered, and the error when nothing could be dispatched (routing,
+        capability or executor failure), else ``None``. A dead chunk
+        fails only its own records; a failure before any chunk ran fails
+        every miss and leaves the hits written as hits.
+        """
         if not self.alive:
             raise TaskManagerError(f"task manager {self.name!r} is down")
-        self.clock.advance(cal.TASK_MANAGER_HANDLING_S)
+        clock = self.clock
+        clock.advance(cal.TASK_MANAGER_HANDLING_S)
         # Invocation time starts when the TM makes a request to the
         # executor (SS V-A) — i.e. after unpackaging. A memo hit's
         # "invocation" is just the cache lookup (the Fig. 8 ~1 ms).
-        start = self.clock.now()
-        if request.is_batch:
-            return self._process_batch(request, start)
-
-        if self.memoize:
-            # One key per request, for the lookup and the store alike.
-            key = self.cache.make_key(request.input_signature())
-            cached = self.cache.lookup(key)
-            if cached is not self.cache.MISSING:
-                self.tasks_processed += 1
-                return TaskResult(
-                    task_uuid=request.task_uuid,
-                    status=TaskStatus.SUCCEEDED,
-                    value=cached,
-                    inference_time=0.0,
-                    invocation_time=self.clock.now() - start,
-                    cache_hit=True,
-                )
-
-        self.clock.advance(cal.TASK_MANAGER_ROUTING_S)
-        try:
-            servable, executor = self.route(request.servable_name)
-        except TaskManagerError as exc:
-            self.tasks_processed += 1
-            return TaskResult(
-                task_uuid=request.task_uuid,
-                status=TaskStatus.FAILED,
-                error=str(exc),
-                invocation_time=self.clock.now() - start,
-            )
-        invoke_start = self.clock.now()
-        try:
-            outcome = executor.invoke(request.servable_name, request.args, request.kwargs)
-        except Exception as exc:
-            self.tasks_processed += 1
-            return TaskResult(
-                task_uuid=request.task_uuid,
-                status=TaskStatus.FAILED,
-                error=f"{type(exc).__name__}: {exc}",
-                invocation_time=self.clock.now() - start,
-            )
-        if self.memoize:
-            self.cache.store(key, outcome.value)
+        start = clock.now()
         self.tasks_processed += 1
-        return TaskResult(
-            task_uuid=request.task_uuid,
-            status=TaskStatus.SUCCEEDED,
-            value=outcome.value,
-            inference_time=outcome.inference_time,
-            # Invocation time is "from when a request is made to the
-            # executor to when the result is received" (SS V-A).
-            invocation_time=self.clock.now() - invoke_start,
-        )
-
-    def _process_batch(self, request: TaskRequest, start: float) -> TaskResult:
-        """Batch path: memo-check every item, dispatch only the misses.
-
-        Each item is looked up (and each miss's result stored) under the
-        same signature an equivalent single-item request would use, so
-        batches and singles share one cache. A fully-memoized batch never
-        touches the cluster — the Fig. 8 placement win now applies per
-        batch item, not just to single requests.
-        """
-        items = list(request.batch or [])
-        values: list[Any] = [None] * len(items)
-        keys: list[bytes | None] = [None] * len(items)
-        misses: list[int] = []
-        for i, item in enumerate(items):
-            if self.memoize:
-                keys[i] = self.cache.make_key(request.item_signature(item))
-                cached = self.cache.lookup(keys[i])
-                if cached is not self.cache.MISSING:
-                    values[i] = cached
+        hits = 0
+        keys = None
+        if self.memoize:
+            cache = self.cache
+            missing = cache.MISSING
+            # The misses and their keys: one list each per batch.
+            misses, keys = [], []
+            for record in records:
+                # One key per request, for the lookup and the store alike.
+                key = cache.make_key(record.body.input_signature())
+                value = cache.lookup(key)
+                if value is missing:
+                    misses.append(record)
+                    keys.append(key)
                     continue
-            misses.append(i)
-        miss_set = set(misses)
-        hit_indices = tuple(i for i in range(len(items)) if i not in miss_set)
-        hits = len(hit_indices)
-
-        # All-hit batches never dispatch: their invocation is the cache
-        # lookup pass from ``start``, as in the single-item hit path.
-        invoke_start = start
-        inference_time = 0.0
-        if misses:
-            # Routing (like the executor trip) is only paid when something
-            # must be dispatched — an all-hit batch returns from cache
-            # exactly as all-hit single requests would.
-            self.clock.advance(cal.TASK_MANAGER_ROUTING_S)
-            try:
-                servable, executor = self.route(request.servable_name)
-            except TaskManagerError as exc:
-                self.tasks_processed += 1
-                return TaskResult(
-                    task_uuid=request.task_uuid,
-                    status=TaskStatus.FAILED,
-                    error=str(exc),
-                    invocation_time=self.clock.now() - start,
-                    batch_cache_hits=hits,
-                    batch_hits=hit_indices,
-                )
-            if not executor.supports_batching:
-                self.tasks_processed += 1
-                return TaskResult(
-                    task_uuid=request.task_uuid,
-                    status=TaskStatus.FAILED,
-                    error=f"executor {executor.label!r} does not support batching",
-                    invocation_time=self.clock.now() - start,
-                    batch_cache_hits=hits,
-                    batch_hits=hit_indices,
-                )
-            invoke_start = self.clock.now()
-            try:
-                outcome = executor.invoke_batch(
-                    request.servable_name, [items[i] for i in misses]
-                )
-            except Exception as exc:
-                self.tasks_processed += 1
-                return TaskResult(
-                    task_uuid=request.task_uuid,
-                    status=TaskStatus.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                    invocation_time=self.clock.now() - start,
-                    batch_cache_hits=hits,
-                    batch_hits=hit_indices,
-                )
-            inference_time = outcome.inference_time
-            # Rebase the executor's chunk map (indices into the miss
-            # list) onto the original batch items, so downstream fan-out
-            # can attribute per-chunk shares and per-chunk failures.
-            chunks = tuple(
-                BatchChunk(
-                    items=tuple(misses[j] for j in chunk.items),
-                    pod=chunk.pod,
-                    inference_time=chunk.inference_time,
-                    error=chunk.error,
-                )
-                for chunk in outcome.chunks
-            )
-            failed_items = {i for c in chunks if c.error for i in c.items}
-            for i, value in zip(misses, outcome.value):
-                if i in failed_items:
-                    continue  # a failed chunk produced no usable value
-                values[i] = value
-                if keys[i] is not None:
-                    self.cache.store(keys[i], value)
-            if failed_items:
-                # Some replica chunks died while siblings finished: the
-                # batch envelope is FAILED, but per-chunk metadata lets
-                # the serving runtime settle surviving chunks (and memo
-                # hits) normally — only the failed chunk's items are
-                # doomed.
-                first_error = next(c.error for c in chunks if c.error)
-                self.tasks_processed += 1
-                return TaskResult(
-                    task_uuid=request.task_uuid,
-                    status=TaskStatus.FAILED,
-                    value=values,
-                    error=first_error,
-                    inference_time=inference_time,
-                    invocation_time=self.clock.now() - invoke_start,
-                    batch_cache_hits=hits,
-                    batch_hits=hit_indices,
-                    batch_chunks=chunks,
-                )
+                record.status = TaskStatus.SUCCEEDED
+                record.value = value
+                record.error = None
+                record.inference_time = 0.0
+                record.cache_hit = True
+                hits += 1
+            if not misses:
+                # Answered whole from the cache: no routing, no trip.
+                invocation = clock.now() - start
+                for record in records:
+                    record.invocation_time = invocation
+                return 0.0, (), hits, None
         else:
-            chunks = ()
-        self.tasks_processed += 1
-        return TaskResult(
-            task_uuid=request.task_uuid,
-            status=TaskStatus.SUCCEEDED,
-            value=values,
-            inference_time=inference_time,
-            invocation_time=self.clock.now() - invoke_start,
-            cache_hit=bool(items) and not misses,
-            batch_cache_hits=hits,
-            batch_hits=hit_indices,
-            batch_chunks=chunks,
-        )
+            misses = records
+
+        # Routing (like the executor trip) is only paid when something
+        # must be dispatched.
+        clock.advance(cal.TASK_MANAGER_ROUTING_S)
+        name = records[0].body.servable_name
+        try:
+            _, executor = self.route(name)
+        except TaskManagerError as exc:
+            return self._fail(records, misses, str(exc), start, hits)
+        single = len(records) == 1
+        if not single and not executor.supports_batching:
+            error = f"executor {executor.label!r} does not support batching"
+            return self._fail(records, misses, error, start, hits)
+        invoke_start = clock.now()
+        try:
+            if single:
+                request = records[0].body
+                outcome = executor.invoke(name, request.args, request.kwargs)
+            else:
+                outcome = executor.invoke_batch(
+                    # detlint: allow[HOT001] — the misses' calls, one list per batch
+                    name, [(r.body.args, r.body.kwargs) for r in misses]
+                )
+        except Exception as exc:
+            return self._fail(records, misses, f"{type(exc).__name__}: {exc}", start, hits)
+        # Invocation time is "from when a request is made to the
+        # executor to when the result is received" (SS V-A); items in a
+        # batch complete together.
+        invocation = clock.now() - invoke_start
+        if single:
+            record = records[0]
+            record.status = TaskStatus.SUCCEEDED
+            record.value = outcome.value
+            record.error = None
+            record.inference_time = outcome.inference_time
+            record.invocation_time = invocation
+            record.cache_hit = False
+            if keys is not None:
+                self.cache.store(keys[0], outcome.value)
+            return outcome.inference_time, (), 0, None
+
+        # Each dispatched miss is charged its replica chunk's share of
+        # inference; a dead chunk's misses fail alone.
+        values = outcome.value
+        chunks = outcome.chunks
+        for chunk in chunks:
+            error = chunk.error
+            if error is not None:
+                for i in chunk.items:
+                    misses[i].fail(error, invocation)
+                continue
+            share = chunk.inference_time / len(chunk.items)
+            for i in chunk.items:
+                record = misses[i]
+                record.status = TaskStatus.SUCCEEDED
+                record.value = values[i]
+                record.error = None
+                record.inference_time = share
+                record.cache_hit = False
+        if keys is not None:
+            # Stored in miss order, which the LRU eviction order follows;
+            # a dead chunk produced no value to store.
+            store = self.cache.store
+            for record, key in zip(misses, keys):
+                if record.error is None:
+                    store(key, record.value)
+        for record in records:
+            record.invocation_time = invocation
+        return outcome.inference_time, chunks, hits, None
+
+    def _fail(
+        self,
+        records: list[RequestRecord],
+        misses: list[RequestRecord],
+        error: str,
+        start: float,
+        hits: int,
+    ) -> tuple[float, tuple[BatchChunk, ...], int, str]:
+        """Nothing could be dispatched: every miss fails with ``error``."""
+        invocation = self.clock.now() - start
+        for record in records:
+            record.invocation_time = invocation
+        for record in misses:
+            record.fail(error, invocation)
+        return 0.0, (), hits, error

@@ -9,6 +9,8 @@ from typing import Any
 
 
 class TaskStatus(Enum):
+    """Where a task is in its life: queued, running, or finished."""
+
     PENDING = "pending"
     RUNNING = "running"
     SUCCEEDED = "succeeded"
@@ -73,30 +75,22 @@ class TaskRequest:
     #: Batch of inputs (mutually exclusive with args for batched tasks).
     batch: list | None = None
     #: Trace context (a :class:`repro.core.telemetry.Trace`) riding the
-    #: request envelope end-to-end: it survives queueing, WFQ reclaim /
-    #: re-release, and batch coalescing (batch envelopes are transient —
-    #: per-item traces stay on the original requests). ``None`` when no
-    #: tracer is attached.
+    #: request end-to-end: it survives queueing, WFQ reclaim /
+    #: re-release, and batch coalescing (a micro-batch is its members'
+    #: records, each with its own request). ``None`` when no tracer is
+    #: attached.
     trace: Any = None
     task_uuid: str = field(default_factory=lambda: f"task-{next(_uuid_counter):010d}")
     sequence: int = field(default_factory=lambda: next(_task_counter))
 
     @property
     def is_batch(self) -> bool:
+        """Whether the request carries a client-formed batch of inputs."""
         return self.batch is not None
 
     def input_signature(self) -> tuple:
         """Hashable-ish signature of the inputs, used for memoization."""
         return (self.servable_name, self.args, tuple(sorted(self.kwargs.items())))
-
-    def item_signature(self, item: Any) -> tuple:
-        """Memo signature for one batch item.
-
-        Built exactly like :meth:`input_signature` so a batch item and an
-        equivalent single-item request share one cache entry.
-        """
-        args, kwargs = normalize_batch_item(item)
-        return (self.servable_name, args, tuple(sorted(kwargs.items())))
 
 
 @dataclass(frozen=True)
@@ -105,11 +99,9 @@ class BatchChunk:
 
     A replica-aware executor shards a batch across ready pods; each
     chunk runs concurrently on one pod and succeeds or fails on its
-    own. ``items`` indexes into the batch the chunk was cut from — the
-    executor reports indices into the dispatched (miss) list, and the
-    Task Manager rebases them onto the original batch items so callers
-    fanning results back out (``ServingRuntime._split_batch``) can
-    charge per-chunk inference shares and fail only the chunk that
+    own. ``items`` indexes into the calls the executor was handed (the
+    Task Manager's memo misses, in batch order), so the Task Manager
+    can charge per-chunk inference shares and fail only the chunk that
     actually failed.
     """
 
@@ -122,6 +114,7 @@ class BatchChunk:
 
     @property
     def ok(self) -> bool:
+        """Whether the chunk's pod ran every item of it."""
         return self.error is None
 
 
@@ -145,14 +138,10 @@ class TaskResult:
     batch_cache_hits: int = 0
     #: For batch tasks: the indices of the memo-hit items.
     batch_hits: tuple[int, ...] = ()
-    #: For batch tasks: how the dispatched misses were sharded across
-    #: replica pods, with per-chunk timing and per-chunk failures
-    #: (indices are into the original batch items). Empty when nothing
-    #: was dispatched or the executor predates replica-aware batching.
-    batch_chunks: tuple[BatchChunk, ...] = ()
 
     @property
     def ok(self) -> bool:
+        """Whether the task succeeded."""
         return self.status is TaskStatus.SUCCEEDED
 
 
@@ -168,22 +157,27 @@ class TaskStore:
         self._results: dict[str, TaskResult] = {}
 
     def create(self, task_uuid: str) -> None:
+        """Register a new task as pending."""
         self._status[task_uuid] = TaskStatus.PENDING
 
     def mark_running(self, task_uuid: str) -> None:
+        """Mark a registered task as running."""
         self._require(task_uuid)
         self._status[task_uuid] = TaskStatus.RUNNING
 
     def complete(self, result: TaskResult) -> None:
+        """Store a task's result; its status becomes the result's."""
         self._require(result.task_uuid)
         self._status[result.task_uuid] = result.status
         self._results[result.task_uuid] = result
 
     def status(self, task_uuid: str) -> TaskStatus:
+        """The task's current status (``KeyError`` if unknown)."""
         self._require(task_uuid)
         return self._status[task_uuid]
 
     def result(self, task_uuid: str) -> TaskResult:
+        """The completed task's result (``KeyError`` until it completes)."""
         self._require(task_uuid)
         result = self._results.get(task_uuid)
         if result is None:

@@ -75,10 +75,11 @@ class TestHOT001:
                         "_settle",
                         "_route",
                         "_dispatch_topic",
-                        "_split_batch",
                     ),
                 ),
             ),
+            "core/task_manager.py": (("TaskManager", ("process",)),),
+            "core/executors.py": (("ParslServableExecutor", ("invoke_batch",)),),
             "gateway/gateway.py": (
                 (
                     "ServingGateway",

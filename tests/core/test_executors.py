@@ -47,7 +47,7 @@ class TestParslExecutor:
         executor = testbed.parsl_executor
         fixed = sample_input("matminer_featurize")
         single = executor.invoke("matminer_featurize", fixed, {})
-        batch = executor.invoke_batch("matminer_featurize", [fixed] * 10)
+        batch = executor.invoke_batch("matminer_featurize", [(fixed, {})] * 10)
         assert len(batch.value) == 10
         # 10 batched items cost less than 10 singles.
         assert batch.invocation_time < 10 * single.invocation_time
@@ -80,13 +80,15 @@ class TestBatchingCapability:
         testbed, _ = env
         executor = testbed.sagemaker_executor("flask")
         with pytest.raises(ExecutorError, match="does not support batching"):
-            executor.invoke_batch("anything", [(1,)])
+            executor.invoke_batch("anything", [((1,), {})])
 
     def test_batch_on_non_batching_executor_fails_gracefully(self, env):
         """The Task Manager's capability check turns a batch routed to a
         batch-less executor into a FAILED result, not a crash."""
         testbed, zoo = env
-        from repro.core.tasks import TaskRequest, TaskStatus
+        from repro.core.tasks import TaskStatus
+
+        from tests.processing import batch_of
 
         testbed.tfserving_executor("rest")
         image = testbed.repository.resolve("cifar10").build.image
@@ -94,15 +96,15 @@ class TestBatchingCapability:
         testbed.task_manager.register_servable(
             zoo["cifar10"], image, executor_name="tfserving-rest"
         )
-        result = testbed.task_manager.process(
-            TaskRequest("cifar10", batch=[sample_input("cifar10")])
-        )
-        assert result.status is TaskStatus.FAILED
-        assert "does not support batching" in result.error
+        records = batch_of("cifar10", sample_input("cifar10"), sample_input("cifar10"))
+        testbed.task_manager.process(records)
+        for result in (record.result for record in records):
+            assert result.status is TaskStatus.FAILED
+            assert "does not support batching" in result.error
 
     def test_invoke_batch_honours_kwargs(self, env):
-        """Batch items may carry kwargs as (args, kwargs) pairs — they
-        reach the servable instead of being silently dropped."""
+        """Batch calls are (args, kwargs) pairs — the kwargs reach the
+        servable instead of being silently dropped."""
         testbed, _ = env
         from repro.core.servable import PythonFunctionServable
         from repro.core.toolbox import MetadataBuilder
@@ -122,7 +124,7 @@ class TestBatchingCapability:
         testbed.publish_and_deploy(servable)
         outcome = testbed.parsl_executor.invoke_batch(
             "scaler",
-            [((2,), {"scale": 3}), (4,), 5],
+            [((2,), {"scale": 3}), ((4,), {}), ((5,), {})],
         )
         assert outcome.value == [6, 4, 5]
 
@@ -162,6 +164,8 @@ class TestBackendExecutors:
         testbed, zoo = env
         from repro.core.tasks import TaskRequest
 
+        from tests.processing import process_one
+
         executor = testbed.tfserving_executor("grpc")
         # cifar10 was registered on parsl in the fixture; register the
         # inception servable on TF Serving instead.
@@ -169,8 +173,8 @@ class TestBackendExecutors:
         testbed.task_manager.register_servable(
             zoo["inception"], published.build.image, executor_name="tfserving-grpc"
         )
-        result = testbed.task_manager.process(
-            TaskRequest("inception", args=sample_input("inception"))
+        result = process_one(
+            testbed.task_manager, TaskRequest("inception", args=sample_input("inception"))
         )
         assert result.ok
         assert len(result.value) == 5  # top-5 output via TF Serving path

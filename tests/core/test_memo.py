@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.memo import MemoCache
-from repro.core.tasks import TaskRequest
 from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
 from repro.sim.clock import VirtualClock
+
+from tests.processing import batch_of
 
 #: A signature's cache key: lookups and stores take keys, built once.
 key = MemoCache.make_key
@@ -126,22 +127,22 @@ class TestTaskManagerKeysOnce:
         testbed.publish_and_deploy(build_zoo(oqmd_entries=50, n_estimators=4)["noop"])
         return testbed.task_manager
 
-    def run_counting_keys(self, task_manager, request):
+    def run_counting_keys(self, task_manager, records):
         with mock.patch.object(MemoCache, "make_key", wraps=MemoCache.make_key) as make_key:
-            result = task_manager.process(request)
-        assert result.ok
+            task_manager.process(records)
+        assert all(record.result.ok for record in records)
         return make_key.call_count
 
     def test_a_request_is_keyed_once_hit_or_miss(self, task_manager):
         cache = task_manager.cache
-        assert self.run_counting_keys(task_manager, TaskRequest("noop", args=(7,))) == 1
+        assert self.run_counting_keys(task_manager, batch_of("noop", (7,))) == 1
         assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
-        assert self.run_counting_keys(task_manager, TaskRequest("noop", args=(7,))) == 1
+        assert self.run_counting_keys(task_manager, batch_of("noop", (7,))) == 1
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
     def test_a_batch_keys_each_item_once(self, task_manager):
         cache = task_manager.cache
-        task_manager.process(TaskRequest("noop", args=(1,)))
-        batch = TaskRequest("noop", batch=[(1,), (2,), (3,)])
+        task_manager.process(batch_of("noop", (1,)))
+        batch = batch_of("noop", (1,), (2,), (3,))
         assert self.run_counting_keys(task_manager, batch) == 3
         assert (cache.hits, cache.misses, len(cache)) == (1, 3, 3)

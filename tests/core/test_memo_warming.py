@@ -15,6 +15,8 @@ from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
 from repro.sim.clock import VirtualClock
 
+from tests.processing import process_one
+
 key = MemoCache.make_key
 
 
@@ -65,7 +67,7 @@ class TestMemoCacheExportAbsorb:
 class TestAddCopyWarming:
     def warm_host(self, runtime, value=41):
         host = runtime.hosts("noop")[0]
-        result = host.process(TaskRequest("noop", args=(value,)))
+        result = process_one(host, TaskRequest("noop", args=(value,)))
         assert result.ok and not result.cache_hit
         return host
 
@@ -75,7 +77,7 @@ class TestAddCopyWarming:
         target = next(w for w in workers if w not in runtime.hosts("noop"))
         runtime.add_copy("noop", target)
         assert runtime.memo_entries_warmed >= 1
-        hit = target.process(TaskRequest("noop", args=(41,)))
+        hit = process_one(target, TaskRequest("noop", args=(41,)))
         assert hit.ok and hit.cache_hit
         assert hit.inference_time == 0.0
 
@@ -89,7 +91,7 @@ class TestAddCopyWarming:
         runtime.mark_down(donor.name)
         target = next(w for w in workers if w.name != donor.name)
         runtime.add_copy("noop", target)
-        hit = target.process(TaskRequest("noop", args=(41,)))
+        hit = process_one(target, TaskRequest("noop", args=(41,)))
         assert hit.cache_hit
 
     def test_richest_live_donor_preferred(self, fleet):
@@ -99,14 +101,14 @@ class TestAddCopyWarming:
         runtime.add_copy("noop", second)
         # Make the second copy richer, then crash the first.
         for value in (1, 2, 3):
-            second.process(TaskRequest("noop", args=(value,)))
+            process_one(second, TaskRequest("noop", args=(value,)))
         third = next(
             w for w in workers if w.name not in (first.name, second.name)
         )
         runtime.add_copy("noop", third)
         # The third host got the richer (live) donor's entries.
         for value in (1, 2, 3):
-            assert third.process(TaskRequest("noop", args=(value,))).cache_hit
+            assert process_one(third, TaskRequest("noop", args=(value,))).cache_hit
 
     def test_memoize_off_target_is_not_warmed(self):
         testbed = build_testbed(jitter=False, memoize_tm=True)
@@ -120,7 +122,7 @@ class TestAddCopyWarming:
         runtime.place(zoo["noop"], published.build.image, copies=1)
         host = runtime.hosts("noop")[0]
         assert host is warm_worker  # placement order is deterministic
-        host.process(TaskRequest("noop", args=(9,)))
+        process_one(host, TaskRequest("noop", args=(9,)))
         runtime.add_copy("noop", cold_worker)
         assert runtime.memo_entries_warmed == 0
         assert len(cold_worker.cache) == 0
@@ -140,11 +142,11 @@ class TestControllerMigrationWarming:
             runtime, interval_s=0.1, autoscale_replicas=False
         )
         host = runtime.hosts("noop")[0]
-        host.process(TaskRequest("noop", args=(7,)))
+        process_one(host, TaskRequest("noop", args=(7,)))
         host.crash()
         testbed.clock.advance(0.2)
         controller.reconcile()
         migrated = [e for e in controller.events if e.kind == "servable_migrated"]
         assert migrated
         new_host = runtime.worker(migrated[0].detail["target"])
-        assert new_host.process(TaskRequest("noop", args=(7,))).cache_hit
+        assert process_one(new_host, TaskRequest("noop", args=(7,))).cache_hit

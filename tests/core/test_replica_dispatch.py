@@ -1,16 +1,16 @@
 """Replica-aware batch dispatch: sharding, per-chunk recovery, budgets.
 
 The coalesced hot path shards each micro-batch across a deployment's
-ready pods (``ParslServableExecutor.invoke_batch``), the runtime fans
-results back out with per-chunk inference shares and per-chunk failure
-granularity (``ServingRuntime._split_batch``), and the gateway's
+ready pods (``ParslServableExecutor.invoke_batch``), the Task Manager
+writes results into the members' records with per-chunk inference
+shares and per-chunk failure granularity (``TaskManager.process``), and
+the gateway's
 dispatch-slot budget tracks live fleet capacity.
 """
 
 import pytest
 
-from repro.core.adaptive import plan_replica_chunks
-from repro.core.executors import ExecutorError
+from repro.core.executors import ExecutorError, plan_replica_chunks
 from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.zoo import build_zoo, sample_input
 
@@ -76,11 +76,11 @@ class TestExecutorReplicaBatch:
         fixed = sample_input("matminer_util")
         testbed.publish_and_deploy(zoo["matminer_util"], replicas=1)
         single = testbed.parsl_executor.invoke_batch(
-            "matminer_util", [fixed] * 16
+            "matminer_util", [(fixed, {})] * 16
         )
         testbed.parsl_executor.scale("matminer_util", 4)
         sharded = testbed.parsl_executor.invoke_batch(
-            "matminer_util", [fixed] * 16
+            "matminer_util", [(fixed, {})] * 16
         )
         assert sharded.invocation_time < single.invocation_time / 2
         assert sharded.value == single.value
@@ -92,7 +92,7 @@ class TestExecutorReplicaBatch:
     def test_chunk_indices_partition_inputs_in_order(self, env):
         testbed, zoo = env
         testbed.publish_and_deploy(zoo["noop"], replicas=3)
-        outcome = testbed.parsl_executor.invoke_batch("noop", [()] * 7)
+        outcome = testbed.parsl_executor.invoke_batch("noop", [((), {})] * 7)
         flat = sorted(i for c in outcome.chunks for i in c.items)
         assert flat == list(range(7))
         assert all(list(c.items) == sorted(c.items) for c in outcome.chunks)
@@ -101,7 +101,7 @@ class TestExecutorReplicaBatch:
         testbed, zoo = env
         testbed.publish_and_deploy(zoo["cifar10"], replicas=5)
         fixed = sample_input("cifar10")
-        outcome = testbed.parsl_executor.invoke_batch("cifar10", [fixed] * 2)
+        outcome = testbed.parsl_executor.invoke_batch("cifar10", [(fixed, {})] * 2)
         assert len(outcome.chunks) == 2
         assert all(len(c.items) == 1 for c in outcome.chunks)
 
@@ -113,7 +113,7 @@ class TestExecutorReplicaBatch:
             pod.fail()
         fixed = sample_input("matminer_util")
         outcome = testbed.parsl_executor.invoke_batch(
-            "matminer_util", [fixed] * 6
+            "matminer_util", [(fixed, {})] * 6
         )
         assert len(outcome.chunks) == 1
         assert len(outcome.chunks[0].items) == 6
@@ -130,7 +130,7 @@ class TestExecutorReplicaBatch:
         victim.exec = explode
         fixed = sample_input("matminer_util")
         outcome = testbed.parsl_executor.invoke_batch(
-            "matminer_util", [fixed] * 6
+            "matminer_util", [(fixed, {})] * 6
         )
         failed = [c for c in outcome.chunks if c.error]
         ok = [c for c in outcome.chunks if c.ok]
@@ -148,7 +148,7 @@ class TestExecutorReplicaBatch:
         for pod in pool.pods:
             pod.exec = lambda *a, **k: (_ for _ in ()).throw(RuntimeError("dead"))
         with pytest.raises(ExecutorError, match="replica chunk"):
-            testbed.parsl_executor.invoke_batch("noop", [()] * 4)
+            testbed.parsl_executor.invoke_batch("noop", [((), {})] * 4)
 
 
 class TestRuntimeReplicaDispatch:
@@ -231,11 +231,11 @@ class TestRuntimeReplicaDispatch:
         pool = worker.executors["parsl"]._pools["noop"]
         original_process = worker.process
 
-        def crash_then_process(request):
+        def crash_then_process(records):
             for pod in pool.pods:
                 if pod.ready:
                     pod.fail()
-            return original_process(request)
+            return original_process(records)
 
         worker.process = crash_then_process
         requests = [

@@ -9,29 +9,32 @@ caller's ``TaskRequest`` objects are built before the call, so they
 are not counted.
 
 At the commit before the request record, the same two stacks counted
-(seed 0, per settled request; after it, in brackets)::
+(seed 0, per settled request; after it, then after the Task Manager
+took the records, in brackets)::
 
-    class               steady-shaped      lane_churn-shaped
-    TaskResult           1.238 [0.393]      1.000 [1.000]
-    AdmissionDecision    1.000 [0.040]      1.000 [0.500]
-    GatewayResult        1.000 [-]          1.000 [-]
-    ScheduledItem        1.000 [-]          1.000 [-]
-    QueuedMessage        1.000 [-]          1.000 [-]
-    RuntimeResult        1.000 [-]          1.000 [-]
-    RequestRecord        -     [1.000]      -     [1.000]
-    BatchChunk           0.465 [0.465]      -
-    _PendingBatch        0.393 [-]          1.000 [-]
-    InvocationOutcome    0.375 [0.375]      1.000 [1.000]
-    TaskRequest          0.237 [0.237]      -
-    ConcurrentRegion     0.233 [0.233]      -
-    _Branch              0.233 [0.233]      -
-    TenantCounters       0.040 [0.040]      0.500 [0.500]
-    total                8.213 [3.015]      8.500 [4.000]
+    class               steady-shaped          lane_churn-shaped
+    TaskResult           1.238 [0.393 | -]      1.000 [1.000 | -]
+    AdmissionDecision    1.000 [0.040 | 0.040]  1.000 [0.500 | 0.500]
+    GatewayResult        1.000 [-]              1.000 [-]
+    ScheduledItem        1.000 [-]              1.000 [-]
+    QueuedMessage        1.000 [-]              1.000 [-]
+    RuntimeResult        1.000 [-]              1.000 [-]
+    RequestRecord        -     [1.000 | 1.000]  -     [1.000 | 1.000]
+    BatchChunk           0.465 [0.465 | 0.233]  -
+    _PendingBatch        0.393 [-]              1.000 [-]
+    InvocationOutcome    0.375 [0.375 | 0.375]  1.000 [1.000 | 1.000]
+    TaskRequest          0.237 [0.237 | -]      -
+    ConcurrentRegion     0.233 [0.233 | 0.233]  -
+    _Branch              0.233 [0.233 | 0.233]  -
+    TenantCounters       0.040 [0.040 | 0.040]  0.500 [0.500 | 0.500]
+    total                8.213 [3.015 | 2.152]  8.500 [4.000 | 3.000]
 
 The record replaces the gateway result, the lane entry object, the
 queue message, the runtime result, the per-item task result and the
 parked-batch object; an admitted decision is one shared value per
-``(tenant, servable)``.
+``(tenant, servable)``. The Task Manager then writes outcomes straight
+into the claimed records, so the batch envelope ``TaskRequest``, every
+``TaskResult`` and the rebased copy of each ``BatchChunk`` are gone.
 """
 
 from __future__ import annotations
@@ -197,16 +200,19 @@ def test_a_steady_shaped_stack_builds_at_most_half_the_objects(zoo):
     gateway, tokens = gateway_stack(zoo, "matminer_util", 16, memoize=True)
     counts, settled = per_settled(gateway, steady_arrivals(tokens))
     assert counts["RequestRecord"] == settled  # one record per request
-    assert sum(counts.values()) / settled <= 4.1, counts
+    assert sum(counts.values()) / settled <= 2.2, counts
     assert set(counts) - {"RequestRecord"} <= PARENT_CLASSES, counts
+    # No batch envelope, and no result object on any path.
+    assert counts["TaskRequest"] == counts["TaskResult"] == 0, counts
 
 
-def test_a_lane_churn_shaped_stack_builds_at_most_four_and_a_half(zoo):
+def test_a_lane_churn_shaped_stack_builds_at_most_three(zoo):
     gateway, tokens = gateway_stack(zoo, "noop", 100, memoize=False)
     counts, settled = per_settled(gateway, lane_churn_arrivals(tokens))
     assert counts["RequestRecord"] == settled
-    assert sum(counts.values()) / settled <= 4.5, counts
+    assert sum(counts.values()) / settled <= 3.0, counts
     assert set(counts) - {"RequestRecord"} <= PARENT_CLASSES, counts
+    assert counts["TaskRequest"] == counts["TaskResult"] == 0, counts
 
 
 def test_the_record_is_the_message_lane_item_and_result(zoo):

@@ -253,6 +253,31 @@ class TestServerSideMemo:
         assert not by_formula["SiO2"].ok
         assert "no ready pods" in by_formula["SiO2"].error
 
+    def test_a_coalesced_member_is_called_and_keyed_as_alone(self):
+        """A request whose ``args`` is a list gets the same servable call
+        and the same memo key whether it rides a micro-batch or goes
+        alone."""
+
+        def list_args():
+            return TaskRequest("matminer_util", args=["NaCl"])
+
+        _, _, alone = build_fleet(n_workers=1, servables=("matminer_util",))
+        (lone,) = alone.serve([(0.0, list_args())])
+        assert lone.result.ok, lone.error
+        _, _, runtime = build_fleet(n_workers=1, servables=("matminer_util",))
+        member, other = runtime.serve(
+            [(0.0, list_args()), (0.0, TaskRequest("matminer_util", args=("SiO2",)))]
+        )
+        assert runtime.batches_dispatched == 1 and member.batch_size == 2
+        assert member.result.ok, member.error
+        assert member.value == lone.value and other.result.ok
+        (alone_host,) = alone.hosts("matminer_util")
+        (host,) = runtime.hosts("matminer_util")
+        lone_keys = {key for key, _ in alone_host.cache.export_entries()}
+        assert lone_keys <= {key for key, _ in host.cache.export_entries()}
+        (again,) = runtime.serve([(0.0, list_args())])
+        assert again.result.cache_hit
+
     def test_fully_cached_batch_serves_in_cache_time(self):
         testbed, _, runtime = build_fleet(
             servables=("matminer_util",), memoize=True, max_batch_size=8

@@ -6,6 +6,8 @@ from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.task_manager import TaskManagerError
 from repro.core.zoo import build_zoo, sample_input
 
+from tests.processing import batch_of, process_one
+
 
 @pytest.fixture(scope="module")
 def deployed():
@@ -22,19 +24,19 @@ def deployed():
 
 class TestRouting:
     def test_process_executes_servable(self, deployed):
-        result = deployed.task_manager.process(TaskRequest("noop"))
+        result = process_one(deployed.task_manager, TaskRequest("noop"))
         assert result.ok
         assert result.value == "hello world"
         assert result.invocation_time > result.inference_time > 0
 
     def test_unknown_servable_fails_gracefully(self, deployed):
-        result = deployed.task_manager.process(TaskRequest("ghost"))
+        result = process_one(deployed.task_manager, TaskRequest("ghost"))
         assert result.status is TaskStatus.FAILED
         assert "not registered" in result.error
 
     def test_handler_exception_becomes_failed_result(self, deployed):
-        result = deployed.task_manager.process(
-            TaskRequest("matminer_util", args=("NotAFormula!!",))
+        result = process_one(
+            deployed.task_manager, TaskRequest("matminer_util", args=("NotAFormula!!",))
         )
         assert result.status is TaskStatus.FAILED
         assert "CompositionError" in result.error
@@ -58,8 +60,8 @@ class TestMemoization:
         tm = deployed.task_manager
         tm.cache.clear()
         args = sample_input("matminer_util")
-        first = tm.process(TaskRequest("matminer_util", args=args))
-        second = tm.process(TaskRequest("matminer_util", args=args))
+        first = process_one(tm, TaskRequest("matminer_util", args=args))
+        second = process_one(tm, TaskRequest("matminer_util", args=args))
         assert not first.cache_hit and second.cache_hit
         assert second.value == first.value
         assert second.invocation_time < first.invocation_time / 10
@@ -67,8 +69,8 @@ class TestMemoization:
     def test_different_inputs_miss(self, deployed):
         tm = deployed.task_manager
         tm.cache.clear()
-        tm.process(TaskRequest("matminer_util", args=("NaCl",)))
-        result = tm.process(TaskRequest("matminer_util", args=("SiO2",)))
+        process_one(tm, TaskRequest("matminer_util", args=("NaCl",)))
+        result = process_one(tm, TaskRequest("matminer_util", args=("SiO2",)))
         assert not result.cache_hit
 
     def test_memo_disabled(self):
@@ -78,8 +80,8 @@ class TestMemoization:
         zoo = build_zoo(oqmd_entries=50, n_estimators=4)
         testbed.publish_and_deploy(zoo["noop"])
         tm = testbed.task_manager
-        tm.process(TaskRequest("noop"))
-        repeat = tm.process(TaskRequest("noop"))
+        process_one(tm, TaskRequest("noop"))
+        repeat = process_one(tm, TaskRequest("noop"))
         assert not repeat.cache_hit
 
     def test_batch_memoized_per_item(self, deployed):
@@ -88,33 +90,33 @@ class TestMemoization:
         tm = deployed.task_manager
         tm.cache.clear()
         executor = deployed.parsl_executor
-        seen = tm.process(TaskRequest("matminer_util", args=("NaCl",)))
+        seen = process_one(tm, TaskRequest("matminer_util", args=("NaCl",)))
         assert seen.ok and not seen.cache_hit
         served_before = executor.requests_served
-        result = tm.process(
-            TaskRequest("matminer_util", batch=[("NaCl",), ("SiO2",), ("MgO",)])
-        )
-        assert result.ok
-        assert result.batch_cache_hits == 1
-        assert result.batch_hits == (0,)  # NaCl was the seen item
-        assert not result.cache_hit  # two items still missed
+        records = batch_of("matminer_util", ("NaCl",), ("SiO2",), ("MgO",))
+        _, _, hits, error = tm.process(records)
+        assert error is None and all(r.result.ok for r in records)
+        assert hits == 1
+        assert [r.cache_hit for r in records] == [True, False, False]  # NaCl was seen
         # Only the two misses reached the executor.
         assert executor.requests_served - served_before == 2
-        assert result.value[0] == seen.value
+        assert records[0].value == seen.value
 
     def test_fully_cached_batch_never_dispatches(self, deployed):
         tm = deployed.task_manager
         tm.cache.clear()
         executor = deployed.parsl_executor
-        first = tm.process(TaskRequest("matminer_util", batch=[("NaCl",), ("SiO2",)]))
+        first = batch_of("matminer_util", ("NaCl",), ("SiO2",))
+        tm.process(first)
         served_before = executor.requests_served
-        again = tm.process(TaskRequest("matminer_util", batch=[("NaCl",), ("SiO2",)]))
-        assert again.ok
-        assert again.cache_hit
-        assert again.batch_cache_hits == 2
+        again = batch_of("matminer_util", ("NaCl",), ("SiO2",))
+        _, _, hits, error = tm.process(again)
+        assert error is None and all(r.result.ok for r in again)
+        assert all(r.cache_hit for r in again)
+        assert hits == 2
         assert executor.requests_served == served_before
-        assert again.value == first.value
-        assert again.invocation_time < first.invocation_time / 10
+        assert [r.value for r in again] == [r.value for r in first]
+        assert again[0].invocation_time < first[0].invocation_time / 10
 
     def test_all_hit_batch_skips_routing(self, deployed):
         """A fully-memoized batch returns from cache even when the
@@ -122,22 +124,23 @@ class TestMemoization:
         path, which also answers before routing."""
         tm = deployed.task_manager
         tm.cache.clear()
-        tm.process(TaskRequest("matminer_util", args=("NaCl",)))
+        process_one(tm, TaskRequest("matminer_util", args=("NaCl",)))
         registration = tm._registrations.pop("matminer_util")
         try:
-            result = tm.process(TaskRequest("matminer_util", batch=[("NaCl",)]))
+            records = batch_of("matminer_util", ("NaCl",), ("NaCl",))
+            _, _, hits, error = tm.process(records)
         finally:
             tm._registrations["matminer_util"] = registration
-        assert result.ok
-        assert result.cache_hit and result.batch_hits == (0,)
+        assert error is None and all(r.result.ok for r in records)
+        assert all(r.cache_hit for r in records) and hits == 2
 
     def test_batch_misses_stored_individually(self, deployed):
         """Each batch miss lands in the cache under its single-item
         signature, so a later single request hits."""
         tm = deployed.task_manager
         tm.cache.clear()
-        tm.process(TaskRequest("matminer_util", batch=[("NaCl",), ("SiO2",)]))
-        single = tm.process(TaskRequest("matminer_util", args=("SiO2",)))
+        tm.process(batch_of("matminer_util", ("NaCl",), ("SiO2",)))
+        single = process_one(tm, TaskRequest("matminer_util", args=("SiO2",)))
         assert single.cache_hit
 
     def test_batch_memo_disabled(self):
@@ -147,10 +150,13 @@ class TestMemoization:
         zoo = build_zoo(oqmd_entries=50, n_estimators=4)
         testbed.publish_and_deploy(zoo["noop"])
         served_before = testbed.parsl_executor.requests_served
-        result = testbed.task_manager.process(TaskRequest("noop", batch=[(), ()]))
-        repeat = testbed.task_manager.process(TaskRequest("noop", batch=[(), ()]))
-        assert result.ok and repeat.ok
-        assert repeat.batch_cache_hits == 0
+        result = batch_of("noop", (), ())
+        repeat = batch_of("noop", (), ())
+        assert testbed.task_manager.process(result)[3] is None
+        _, _, hits, error = testbed.task_manager.process(repeat)
+        assert error is None
+        assert all(r.result.ok for r in result) and all(r.result.ok for r in repeat)
+        assert hits == 0
         assert testbed.parsl_executor.requests_served - served_before == 4
 
 
@@ -174,9 +180,9 @@ class TestLiveness:
         testbed.publish_and_deploy(zoo["noop"])
         testbed.task_manager.crash()
         with pytest.raises(TaskManagerError, match="down"):
-            testbed.task_manager.process(TaskRequest("noop"))
+            process_one(testbed.task_manager, TaskRequest("noop"))
         testbed.task_manager.recover()
-        assert testbed.task_manager.process(TaskRequest("noop")).ok
+        assert process_one(testbed.task_manager, TaskRequest("noop")).ok
 
 
 class TestUnregistration:
@@ -190,7 +196,7 @@ class TestUnregistration:
         testbed.task_manager.unregister_servable("noop")
         assert "noop" not in testbed.parsl_executor.deployed()
         assert "noop" not in testbed.task_manager.registered_servables()
-        result = testbed.task_manager.process(TaskRequest("noop"))
+        result = process_one(testbed.task_manager, TaskRequest("noop"))
         assert not result.ok and "not registered" in result.error
 
     def test_unregister_unknown_rejected(self):

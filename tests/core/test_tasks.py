@@ -88,8 +88,3 @@ class TestBatchItemNormalization:
 
         assert normalize_batch_item("NaCl") == (("NaCl",), {})
         assert normalize_batch_item([1, 2]) == (([1, 2],), {})
-
-    def test_item_signature_matches_single_request_signature(self):
-        single = TaskRequest("m", args=(1, 2), kwargs={"k": 3})
-        batch = TaskRequest("m", batch=[((1, 2), {"k": 3})])
-        assert batch.item_signature(batch.batch[0]) == single.input_signature()

@@ -11,6 +11,8 @@ import pytest
 from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.zoo import build_zoo
 
+from tests.processing import process_one
+
 
 @pytest.fixture
 def deployment():
@@ -35,7 +37,7 @@ class TestQueueRedelivery:
         testbed.clock.advance(queue.visibility_timeout_s)
         assert queue.expire_inflight() == 1
         message = queue.claim()
-        result = testbed.task_manager.process(message.body)
+        result = process_one(testbed.task_manager, message.body)
         queue.ack(message.delivery_tag)
         assert result is not None and result.ok
         assert queue.total_redelivered == 1
@@ -67,7 +69,7 @@ class TestPodFailure:
         testbed, _ = deployment
         for pod in testbed.parsl_executor._deployments["noop"].ready_pods():
             pod.fail()
-        result = testbed.task_manager.process(TaskRequest("noop"))
+        result = process_one(testbed.task_manager, TaskRequest("noop"))
         assert result.status is TaskStatus.FAILED
         assert result.error
 
@@ -88,9 +90,9 @@ class TestHandlerErrors:
         testbed.publish_and_deploy(zoo["cifar10"])
         tm = testbed.task_manager
         bad_request = TaskRequest("cifar10", args=("not an image",))
-        first = tm.process(bad_request)
+        first = process_one(tm, bad_request)
         assert first.status is TaskStatus.FAILED
-        again = tm.process(TaskRequest("cifar10", args=("not an image",)))
+        again = process_one(tm, TaskRequest("cifar10", args=("not an image",)))
         assert not again.cache_hit  # failure was never cached
 
     def test_failure_then_success_isolated_across_inputs(self, deployment):

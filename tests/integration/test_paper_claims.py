@@ -108,7 +108,7 @@ class TestSectionVB3:
         fixed = ctx.fixed_input("noop")
         xs = [10, 50, 100, 200]
         ys = [
-            executor.invoke_batch("noop", [fixed] * n).invocation_time for n in xs
+            executor.invoke_batch("noop", [(fixed, {})] * n).invocation_time for n in xs
         ]
         slope, intercept = np.polyfit(xs, ys, 1)
         predicted = np.polyval([slope, intercept], xs)

@@ -186,7 +186,7 @@ def _run_dispatch_cycles(
             if topic is None:
                 break
             runtime._dispatch_topic(topic)
-            runtime._settle(runtime.clock.now(), {})
+            runtime._settle(runtime.clock.now())
             cycle_elapsed += time.perf_counter() - start
             completed += 1
     finally:

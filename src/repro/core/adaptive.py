@@ -2,7 +2,10 @@
 
 * "we intend to use such servable profiles to design adaptive batching
   algorithms that intelligently distribute serving requests to reduce
-  latency" -> :class:`ServableProfile` + :class:`AdaptiveBatcher`.
+  latency" -> :class:`ServableProfile`, whose fitted line sizes the
+  serving runtime's ``max_batch_size`` to a per-batch latency budget
+  (:meth:`ServableProfile.max_batch_for_latency`); the runtime's
+  coalescing window stays the one batching mechanism.
 * "optimization techniques for automated tuning of servable execution"
   -> :class:`Autoscaler`, which inverts the Fig. 7 saturation model to
   pick replica counts for a target arrival rate.
@@ -11,7 +14,7 @@
   controller provision capacity one cold-start lead time *ahead* of a
   spike instead of after it.
 
-All of these work from *measured* signals: the batcher fits the Fig. 6
+All of these work from *measured* signals: the profile fits the Fig. 6
 linear model (invocation = intercept + slope * n) from observed batch
 timings, the autoscaler and :func:`per_copy_capacity_rps` share one
 replica-aware batch cost model, and the forecaster consumes the arrival
@@ -27,7 +30,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.executors import ExecutorError, ParslServableExecutor
-from repro.core.tasks import normalize_batch_item
 from repro.sim import calibration as cal
 
 
@@ -223,6 +225,8 @@ class ServableProfile:
 
     Fits ``invocation_time(n) = intercept + slope * n`` over observed
     (batch size, invocation time) samples — exactly the Fig. 6 line.
+    The samples come from served requests' records (``batch_size``,
+    ``invocation_time``), e.g. a warm-up run at two batch caps.
     """
 
     servable_name: str
@@ -248,104 +252,20 @@ class ServableProfile:
         slope, intercept = np.polyfit(xs, ys, 1)
         return float(intercept), float(max(slope, 1e-9))
 
-    def predict(self, batch_size: int) -> float:
-        """Predicted invocation time for ``batch_size`` items."""
-        intercept, slope = self.fit()
-        return intercept + slope * batch_size
-
     def max_batch_for_latency(self, latency_budget_s: float) -> int:
-        """Largest batch whose predicted invocation fits the budget."""
+        """Largest batch whose predicted invocation fits the budget.
+
+        This is the serving runtime's ``max_batch_size`` under a
+        per-batch latency objective; a budget at or below the fitted
+        intercept still admits one item per batch.
+        """
+        if latency_budget_s <= 0:
+            raise ValueError("latency_budget_s must be > 0")
         intercept, slope = self.fit()
         if latency_budget_s <= intercept:
             return 1
         # Epsilon guards against float error shaving an exact fit by one.
         return max(1, int((latency_budget_s - intercept) / slope + 1e-9))
-
-
-@dataclass
-class BatchDecision:
-    """What the batcher did with one flush."""
-
-    batch_size: int
-    predicted_time_s: float
-    actual_time_s: float
-    outputs: list[Any]
-
-
-class AdaptiveBatcher:
-    """Latency-budgeted batching over the Parsl executor.
-
-    Requests accumulate in a pending list; :meth:`flush` dispatches them
-    in profile-sized chunks so each chunk's predicted invocation time
-    stays within ``latency_budget_s``. Every flush feeds the profile, so
-    sizing adapts as the servable's behaviour drifts.
-
-    Until the profile has enough data (a cold start), flushes use
-    ``bootstrap_batch`` and simply record what they see.
-    """
-
-    def __init__(
-        self,
-        executor: ParslServableExecutor,
-        servable_name: str,
-        latency_budget_s: float = 0.100,
-        bootstrap_batch: int = 8,
-    ) -> None:
-        if latency_budget_s <= 0:
-            raise ValueError("latency_budget_s must be > 0")
-        self.executor = executor
-        self.servable_name = servable_name
-        self.latency_budget_s = latency_budget_s
-        self.bootstrap_batch = bootstrap_batch
-        self.profile = ServableProfile(servable_name)
-        self._pending: list[Any] = []
-        self.decisions: list[BatchDecision] = []
-        self._bootstrap_flushes = 0
-
-    def submit(self, item: Any) -> None:
-        """Queue one input: a single argument, an args tuple or an
-        ``(args, kwargs)`` pair (see :func:`normalize_batch_item`)."""
-        self._pending.append(normalize_batch_item(item))
-
-    def _chunk_size(self) -> int:
-        try:
-            return self.profile.max_batch_for_latency(self.latency_budget_s)
-        except ProfileError:
-            # Cold start: vary the batch size across bootstrap flushes so
-            # the profile sees >= 2 distinct sizes and can fit its line.
-            self._bootstrap_flushes += 1
-            return max(1, self.bootstrap_batch * self._bootstrap_flushes)
-
-    def flush(self) -> list[BatchDecision]:
-        """Dispatch all pending inputs in adaptively-sized chunks."""
-        decisions = []
-        while self._pending:
-            size = min(self._chunk_size(), len(self._pending))
-            chunk, self._pending = self._pending[:size], self._pending[size:]
-            try:
-                predicted = self.profile.predict(len(chunk))
-            except ProfileError:
-                predicted = float("nan")
-            outcome = self.executor.invoke_batch(self.servable_name, chunk)
-            self.profile.observe(len(chunk), outcome.invocation_time)
-            decision = BatchDecision(
-                batch_size=len(chunk),
-                predicted_time_s=predicted,
-                actual_time_s=outcome.invocation_time,
-                outputs=outcome.value,
-            )
-            decisions.append(decision)
-            self.decisions.append(decision)
-        return decisions
-
-    def run(self, items: list[Any]) -> list[Any]:
-        """Submit + flush; returns outputs in submission order."""
-        for item in items:
-            self.submit(item)
-        outputs: list[Any] = []
-        for decision in self.flush():
-            outputs.extend(decision.outputs)
-        return outputs
 
 
 @dataclass

@@ -460,24 +460,28 @@ class Tracer:
         self.started += 1
         return trace
 
+    def _retain(self, sampled: bool, error: bool, duration: float) -> bool:
+        """The one retention rule, counted: keep when head-sampled, else
+        when errored or at least ``slow_threshold_s`` old, else drop."""
+        if sampled:
+            self.kept_sampled += 1
+            return True
+        if error or (
+            self.slow_threshold_s is not None and duration >= self.slow_threshold_s
+        ):
+            self.kept_tail += 1
+            return True
+        self.dropped += 1
+        return False
+
     def finish(self, trace: Trace, at: float, error: bool = False) -> None:
         """Close a trace and decide retention (idempotent)."""
         if trace.finished:
             return
         trace.finish(at, error=error)
         self.finished += 1
-        tail = trace.error or (
-            self.slow_threshold_s is not None
-            and trace.duration >= self.slow_threshold_s
-        )
-        if trace.sampled:
-            self.kept_sampled += 1
+        if self._retain(trace.sampled, trace.error, trace.duration):
             self.retained.append(trace)
-        elif tail:
-            self.kept_tail += 1
-            self.retained.append(trace)
-        else:
-            self.dropped += 1
 
     def settle_member(self, trace: Trace, member: MemberRecord) -> None:
         """Record one batch member's whole runtime path and finish.
@@ -503,17 +507,8 @@ class Tracer:
         trace.end = trace._max_end
         trace.finished = True
         self.finished += 1
-        if trace.sampled:
-            self.kept_sampled += 1
+        if self._retain(trace.sampled, trace.error, trace.duration):
             self.retained.append(trace)
-        elif trace.error or (
-            self.slow_threshold_s is not None
-            and trace.end - trace.start >= self.slow_threshold_s
-        ):
-            self.kept_tail += 1
-            self.retained.append(trace)
-        else:
-            self.dropped += 1
 
     def settle_request(self, request, member: MemberRecord) -> None:
         """Settle a request that never opened a trace — allocation-free
@@ -531,11 +526,7 @@ class Tracer:
         self.started += 1
         self.finished += 1
         failed = member.status != "ok"
-        if not sampled and not failed and (
-            self.slow_threshold_s is None
-            or member.settle_end - member.enqueued_at < self.slow_threshold_s
-        ):
-            self.dropped += 1
+        if not self._retain(sampled, failed, member.settle_end - member.enqueued_at):
             return
         trace = Trace(
             trace_id=request.task_uuid,
@@ -549,10 +540,6 @@ class Tracer:
         trace.error = failed
         trace.end = trace._max_end = member.settle_end
         trace.finished = True
-        if sampled:
-            self.kept_sampled += 1
-        else:
-            self.kept_tail += 1
         self.retained.append(trace)
 
     def stats(self) -> dict:

@@ -1,11 +1,10 @@
-"""Unit tests for the adaptive batching + autoscaling extensions."""
+"""Unit tests for the servable profile, autoscaling and forecasting extensions."""
 
 import math
 
 import pytest
 
 from repro.core.adaptive import (
-    AdaptiveBatcher,
     ArrivalForecaster,
     Autoscaler,
     ProfileError,
@@ -55,47 +54,13 @@ class TestServableProfile:
         with pytest.raises(ValueError):
             ServableProfile("m").observe(0, 0.1)
 
-
-class TestAdaptiveBatcher:
-    def test_outputs_preserve_order_and_values(self, env):
-        testbed, zoo = env
-        batcher = AdaptiveBatcher(
-            testbed.parsl_executor, "matminer_featurize", latency_budget_s=0.2
-        )
-        inputs = [({"Na": 0.5, "Cl": 0.5},), ({"Mg": 0.5, "O": 0.5},)] * 6
-        outputs = batcher.run(inputs)
-        assert len(outputs) == 12
-        direct = zoo["matminer_featurize"].run({"Na": 0.5, "Cl": 0.5})
-        import numpy as np
-
-        assert np.allclose(outputs[0], direct)
-
-    def test_batch_sizes_respect_budget_after_warmup(self, env):
-        testbed, _ = env
-        budget = 0.050
-        batcher = AdaptiveBatcher(
-            testbed.parsl_executor, "noop", latency_budget_s=budget, bootstrap_batch=4
-        )
-        # Warm-up flushes build the profile.
-        batcher.run([()] * 40)
-        warm_decisions = batcher.decisions[-3:]
-        for decision in warm_decisions:
-            if not math.isnan(decision.predicted_time_s):
-                assert decision.predicted_time_s <= budget * 1.25
-
-    def test_adaptive_sizes_grow_for_cheap_servables(self, env):
-        testbed, _ = env
-        batcher = AdaptiveBatcher(
-            testbed.parsl_executor, "noop", latency_budget_s=0.5, bootstrap_batch=2
-        )
-        batcher.run([()] * 8)  # bootstrap
-        batcher.run([()] * 300)
-        assert max(d.batch_size for d in batcher.decisions) > 2
-
-    def test_invalid_budget(self, env):
-        testbed, _ = env
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(testbed.parsl_executor, "noop", latency_budget_s=0)
+    def test_invalid_budget(self):
+        profile = ServableProfile("m")
+        for n in (1, 10):
+            profile.observe(n, 0.002 + 0.001 * n)
+        for budget in (0, -0.01):
+            with pytest.raises(ValueError):
+                profile.max_batch_for_latency(budget)
 
 
 class TestAutoscaler:

@@ -7,6 +7,7 @@ exercised through their underlying harnesses elsewhere and are sampled
 here with reduced work via their module mains only if fast.
 """
 
+import re
 import runpy
 from pathlib import Path
 
@@ -45,6 +46,17 @@ class TestExamplesRun:
         assert "placement (servable -> workers):" in out
         assert "micro-batches dispatched:" in out
         assert "hot-input memo hits on matminer_util:" in out
+
+    def test_adaptive_serving(self, capsys):
+        out = run_example("adaptive_serving.py", capsys)
+        cap = re.search(r"-> profiled cap (\d+)", out)
+        assert cap is not None
+        # The profiled row batches at that cap and its slowest batch
+        # fits the 60 ms budget the profile was sized to.
+        row = re.search(r"profiled\s+cap=(\d+) .*slowest\s+([\d.]+) ms", out)
+        assert row is not None and row.group(1) == cap.group(1)
+        assert float(row.group(2)) <= 60.0
+        assert "saturation knee" in out
 
     def test_hpc_singularity(self, capsys):
         out = run_example("hpc_singularity.py", capsys)

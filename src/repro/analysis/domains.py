@@ -104,7 +104,9 @@ ACCUMULATION_MODULES: frozenset[str] = frozenset(
 #: dispatch (``_dispatch_topic``), written into by the Task Manager
 #: (``TaskManager.process``, whose misses take one executor trip,
 #: ``ParslServableExecutor.invoke_batch``) and settled once per batch
-#: (``_settle``, ``on_settled``). HOT001 flags new
+#: (``_settle``, ``on_settled``); a traced one passes the tracer's one
+#: settle path (``_settle_traces``, ``Tracer.settle_request``), which
+#: builds nothing for a request it drops. HOT001 flags new
 #: list/dict/set comprehensions and ``.copy()`` calls inside them so
 #: allocation creep needs a written justification, not just a quiet diff.
 HOT_FUNCTIONS: dict[str, frozenset[str]] = {
@@ -113,6 +115,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingRuntime._next_window",
             "ServingRuntime.serve",
             "ServingRuntime._settle",
+            "ServingRuntime._settle_traces",
             "ServingRuntime._route",
             "ServingRuntime._dispatch_topic",
         }
@@ -141,7 +144,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "SeriesStore.record",
         }
     ),
-    "core/telemetry.py": frozenset({"SLOBurnMonitor.record"}),
+    "core/telemetry.py": frozenset({"SLOBurnMonitor.record", "Tracer.settle_request"}),
 }
 
 

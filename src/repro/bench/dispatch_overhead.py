@@ -28,9 +28,9 @@ A third arm prices *request tracing*: full pick -> dispatch -> settle
 cycles on a shared-clock worker (serial, always free — so repeated
 dispatches never starve for a host), timed with the runtime's tracer
 detached vs attached at the production head-sampling rate. Tracing is
-deferred recording by design — the dispatch path stashes one tuple of
-batch timings and all per-member span recording rides the settlement
-pass — so the *scheduling decision* never touches the tracer. The arm
+deferred recording by design — the dispatch path stashes one set of
+batch timings and the settlement pass builds spans for the kept
+members only — so the *scheduling decision* never touches the tracer. The arm
 gates on exactly that: per-decision (pick) cost measured amid fully
 traced cycles must stay within 5% of tracing-off at 10k lanes; the
 whole-cycle overhead (span recording and retention included) is
@@ -86,7 +86,7 @@ def _populated_runtime(
 
     A ``shared_clock`` worker runs full dispatch cycles back to back
     (processing advances the one timeline and frees the worker at
-    once); with a ``tracer``, each request's trace opens here, untimed.
+    once); with a ``tracer``, nothing is traced until settlement.
     """
     _, runtime = build_fleet(SERVABLE, 1, 8, 0.0, tracer=tracer, shared_clock=shared_clock)
     tag = 0.0
@@ -235,7 +235,7 @@ def _measure_tracing(n_lanes: int, cycles: int, repeats: int) -> dict:
                     sample_rate=TRACE_SAMPLE_RATE, slow_threshold_s=None
                 )
                 # Escalate the hot lane as a firing burn alert would,
-                # before population opens any trace: the override's
+                # before population submits any request: the override's
                 # dedicated accumulator is live for the whole arm. The
                 # sampler is stepped manually (not by the loop) so the
                 # escalation holds instead of decaying scrape-over-

@@ -8,6 +8,10 @@ request's WFQ lane entry, the queue's message (the record *is* a
 the outcome into, and what settlement hands the ingress and ``serve``
 returns. Nothing is copied from one layer's object into the next; the
 readings the layers' old result objects offered stay as properties.
+
+A traced door writes onto the record the few facts a trace would need
+and nothing else; settlement builds the request's trace from the record
+only if the tracer keeps it (:meth:`~repro.core.telemetry.Tracer.settle_request`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,13 @@ class RequestRecord(QueuedMessage):
     arrival (``None`` for a plain submit, which arrives as it enqueues).
     The outcome slots keep their defaults until dispatch writes them;
     ``completed_at`` is ``None`` until the request settles.
+
+    The door facts a traced gateway writes: ``sampled`` is its
+    head-sampling decision (``None`` when no traced door saw the
+    request, which is then sampled at settlement), ``decided_at`` when
+    admission was decided (the ``admission`` span's end), and
+    ``reclaims`` is ``None`` until a reclaim, then each reclaim time
+    followed by the time the request was released again.
     """
 
     __slots__ = (
@@ -39,6 +50,9 @@ class RequestRecord(QueuedMessage):
         "worker",
         "batch_size",
         "completed_at",
+        "sampled",
+        "decided_at",
+        "reclaims",
     )
 
     # Records are compared by identity: two requests are never equal.
@@ -59,6 +73,7 @@ class RequestRecord(QueuedMessage):
         self.inference_time = self.invocation_time = 0.0
         self.cache_hit = False
         self.batch_size = 0
+        self.sampled = self.decided_at = self.reclaims = None
 
     def fail(self, error: str | None, invocation_time: float) -> None:
         """Write a failed outcome in: its dispatch, or its chunk, died."""

@@ -46,7 +46,7 @@ from repro.core.record import RequestRecord
 from repro.core.servable import Servable
 from repro.core.task_manager import TaskManager
 from repro.core.tasks import TaskRequest, TaskStatus
-from repro.core.telemetry import MemberRecord
+from repro.core.telemetry import BatchTiming
 from repro.messaging.queue import QueuedMessage, TaskQueue, servable_topic
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventLoop
@@ -155,12 +155,13 @@ class ServingRuntime:
         O(lanes actually past the TTL), so there is no bound to tune.
     tracer:
         Optional :class:`~repro.core.telemetry.Tracer`. When attached,
-        every request gets a span tree (``dispatch_window`` →
-        ``coalesce`` → ``dispatch`` → per-item ``inference`` or
-        ``cache`` → ``settle``) stamped on the virtual clock; a gateway
-        sharing the same tracer contributes the ``admission`` and
-        ``lane_wait`` spans upstream. Traces of dead-lettered messages
-        are closed out as errors via the queue's dead-letter feed.
+        every settled request passes its retention rule, and each kept
+        one gets a span tree (``dispatch_window`` → ``coalesce`` →
+        ``dispatch`` → per-item ``inference`` or ``cache`` →
+        ``settle``) on the virtual clock; a gateway sharing the same
+        tracer head-samples at its door and adds the ``admission`` and
+        ``lane_wait`` spans. Dead-lettered messages settle as errors
+        via the queue's dead-letter feed.
     """
 
     def __init__(
@@ -226,9 +227,9 @@ class ServingRuntime:
         self._next_warm = math.inf
         #: Parked micro-batches as a heap of ``(completed_at, seq,
         #: records, trace_ctx)``: popping it in order *is* the settlement
-        #: order. ``trace_ctx`` is the batch's dispatch timings, fanned
-        #: onto member traces at settlement (``None`` untraced).
-        self._pending: list[tuple[float, int, list[RequestRecord], tuple | None]] = []
+        #: order. ``trace_ctx`` is the batch's dispatch timings, built
+        #: into its kept members' traces at settlement (``None`` untraced).
+        self._pending: list[tuple[float, int, list[RequestRecord], BatchTiming | None]] = []
         #: topic -> batches claimed off it that are parked on
         #: ``_pending``; moved where ``_pending`` gains and loses them.
         self._pending_by_topic: dict[str, int] = {}
@@ -830,11 +831,6 @@ class ServingRuntime:
             entry = self._track_lane(name, request.tenant)
         lane, topic = entry
         self._touch_lane(name, lane)
-        # Gateway-less traffic gets its trace opened lazily at
-        # settlement (or dead-letter), keyed off the message's enqueue
-        # time — no per-request tracer work or live Trace object while
-        # the request waits. Admitted requests already carry a trace
-        # the gateway began (with admission/lane-wait spans on it).
         return self.queue.put(record, topic=topic, enqueued_at=enqueued_at)
 
     def adopt(self, record: RequestRecord) -> None:
@@ -894,20 +890,21 @@ class ServingRuntime:
 
     def _on_dead_letter(self, message: QueuedMessage) -> None:
         """A message will never settle: wake the ingress, whose request
-        may have just settled failed and freed a slot, and close out
-        its trace."""
+        may have just settled failed and freed a slot, and settle its
+        trace as an error (so tail-keep retains the drop)."""
         self._raised |= _INGRESS
         if self.tracer is None:
             return
-        request = message.body
-        trace = getattr(request, "trace", None)
-        if trace is None:
-            # Gateway-less requests trace lazily; open one here so the
-            # drop is visible in the retained set (error => tail-keep).
-            trace = self.tracer.begin(request, at=message.enqueued_at)
+        record = message
+        if record.__class__ is not RequestRecord:
+            # A plain message (put straight on the queue, or replayed)
+            # arrived as it enqueued.
+            record = RequestRecord(message.body)
+            record.enqueued_at = message.enqueued_at
         now = self.clock.now()
-        trace.mark("dead_letter", at=now, deliveries=message.deliveries)
-        self.tracer.finish(trace, at=now, error=True)
+        self.tracer.settle_request(
+            record, now, True, mark=("dead_letter", now, {"deliveries": message.deliveries})
+        )
 
     # -- tenant lane lifecycle ------------------------------------------------------
     def gc_lanes(self, now: float | None = None) -> int:
@@ -1237,11 +1234,12 @@ class ServingRuntime:
         self.items_served += size
         self.memo_hits += hits
         seq = next(self._seq)
+        completed = worker.clock.now()
         trace_ctx = None
         if self.tracer is not None:
             # Tracing adds nothing per-member here: stash the batch's
-            # timings once and record spans at settlement, where each
-            # member's trace has to be touched anyway.
+            # timings once; settlement builds spans only for the members
+            # the tracer keeps.
             infer_start = dispatch_start + max(0.0, elapsed - inference)
             if len(chunks) > 1:
                 # Chunk items index the dispatched misses, in batch order.
@@ -1252,79 +1250,34 @@ class ServingRuntime:
                 only_pod = None
             else:
                 pods, only_pod = None, chunks[0].pod if chunks else None
-            trace_ctx = (
+            trace_ctx = BatchTiming(
+                seq,
                 now,
+                records[0].enqueued_at,
                 dispatch_start,
                 infer_start,
+                completed,
                 inference,
                 pods,
                 only_pod,
-                records[0].enqueued_at,
             )
         self._pending_by_topic[topic] = self._pending_by_topic.get(topic, 0) + 1
-        heapq.heappush(self._pending, (worker.clock.now(), seq, records, trace_ctx))
+        heapq.heappush(self._pending, (completed, seq, records, trace_ctx))
         # Only an earlier completion moves the settle timer; a later one
         # waits its turn behind the top.
         self.timers.reschedule(self._settle_timer, self._pending[0][0])
 
     def _settle_traces(
-        self, records: list[RequestRecord], completed: float, seq: int, trace_ctx: tuple, now: float
+        self, records: list[RequestRecord], batch: BatchTiming, now: float
     ) -> None:
-        """Record every traced member's span tree and finish it.
-
-        All spans are complete at record time: ``dispatch_window`` is
-        exactly the request's queue-wait sample, ``coalesce`` the
-        window hold anchored on the batch head (deduplicable by the
-        ``batch`` attr — it is one per-batch quantity fanned onto each
-        member), ``dispatch`` the pre-inference overhead on the
-        worker's timeline, ``inference`` the item's attributed share,
-        with the whole batch's concurrent-region inference carried in
-        ``batch_inference_s``, and ``settle`` the gap between the
-        worker finishing and the serve loop noticing. Memo hits get a
-        zero-width ``cache`` span instead of ``inference``;
-        chunk-failed items get an error-status ``inference`` span,
-        which tail-keep retention latches onto.
-        """
-        tracer = self.tracer
-        (
-            claimed_at,
-            dispatch_start,
-            infer_start,
-            batch_inference_s,
-            pods,
-            only_pod,
-            head_enqueued,
-        ) = trace_ctx
-        settle_end = now if now > completed else completed
+        """Settle every member of a traced batch through the tracer; the
+        batch's timings build the spans of the members it keeps."""
+        settle_request = self.tracer.settle_request
+        settle_end = now if now > batch.completed_at else batch.completed_at
         for i, record in enumerate(records):
-            ok = record.status is TaskStatus.SUCCEEDED
-            member = MemberRecord(
-                record.enqueued_at,
-                claimed_at,
-                head_enqueued,
-                dispatch_start,
-                infer_start,
-                infer_start + record.inference_time,
-                completed,
-                settle_end,
-                seq,
-                record.batch_size,
-                record.worker,
-                only_pod if pods is None else pods.get(i),
-                batch_inference_s,
-                "ok" if ok else "error",
-                record.error,
-                record.cache_hit,
+            settle_request(
+                record, settle_end, record.status is not TaskStatus.SUCCEEDED, batch, i
             )
-            request = record.body
-            trace = request.trace
-            if trace is None:
-                # Gateway-less traffic: the retention decision runs
-                # before any Trace exists — dropped requests never
-                # allocate one (see Tracer.settle_request).
-                tracer.settle_request(request, member)
-            else:
-                tracer.settle_member(trace, member)
 
     def _settle(self, now: float) -> list[list[RequestRecord]]:
         """Settle the dispatched batches whose completion time the global
@@ -1360,7 +1313,7 @@ class ServingRuntime:
                 record.completed_at = completed_at
             settled.append(records)
             if trace_ctx is not None and self.tracer is not None:
-                self._settle_traces(records, completed_at, seq, trace_ctx, now)
+                self._settle_traces(records, trace_ctx, now)
         return settled
 
     def serve(

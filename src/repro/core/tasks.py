@@ -74,11 +74,8 @@ class TaskRequest:
     dispatch_tag: float | None = None
     #: Batch of inputs (mutually exclusive with args for batched tasks).
     batch: list | None = None
-    #: Trace context (a :class:`repro.core.telemetry.Trace`) riding the
-    #: request end-to-end: it survives queueing, WFQ reclaim /
-    #: re-release, and batch coalescing (a micro-batch is its members'
-    #: records, each with its own request). ``None`` when no tracer is
-    #: attached.
+    #: The request's :class:`repro.core.telemetry.Trace`, set when it
+    #: settles and the tracer keeps it; ``None`` otherwise.
     trace: Any = None
     task_uuid: str = field(default_factory=lambda: f"task-{next(_uuid_counter):010d}")
     sequence: int = field(default_factory=lambda: next(_task_counter))

@@ -2,16 +2,16 @@
 
 Three observability primitives the serving stack composes:
 
-* :class:`Tracer` — per-request span trees on the virtual clock. Every
-  stage boundary the runtime already measures (admission, WFQ lane
-  wait, dispatch-window wait, coalescing, dispatch, inference or memo
-  hit, settlement) is recorded as a *complete* span — start and end
-  are both known at the single instrumentation point that records it,
-  so the hot path never tracks open spans. Head sampling picks a
-  deterministic 1-in-N subset of requests up front; tail-keep retains
-  errored and slow outliers regardless, so the interesting traces
-  survive even at 1% sampling. Retained traces export to the Chrome
-  trace-event format (``chrome://tracing`` / Perfetto waterfalls).
+* :class:`Tracer` — per-request span trees on the virtual clock. The
+  door head-samples a deterministic 1-in-N subset of requests and
+  records nothing else while they wait; settlement keeps the sampled
+  ones plus errored and slow outliers (tail-keep, so the interesting
+  traces survive even at 1% sampling) and builds a :class:`Trace` for
+  those alone. Every stage (admission, WFQ lane wait, dispatch-window
+  wait, coalescing, dispatch, inference or memo hit, settlement) is a
+  *complete* span built from times the stack already keeps. Kept
+  traces export to the Chrome trace-event format (``chrome://tracing``
+  / Perfetto waterfalls).
 * :class:`TelemetryHub` — a pull-only registry of named sources over
   the collectors that own the numbers
   (:class:`~repro.core.metrics.StageLatencyCollector`,
@@ -37,6 +37,7 @@ from typing import NamedTuple
 from repro.core.metrics import SeriesStore
 
 __all__ = [
+    "BatchTiming",
     "MemberRecord",
     "SLOBreach",
     "SLOBurnMonitor",
@@ -59,25 +60,21 @@ class TelemetryError(ValueError):
 #: Stage spans every settled request must carry (``inference`` is
 #: replaced by ``cache`` for memo hits); gateway-admitted requests
 #: additionally carry ``admission`` and ``lane_wait``.
-REQUEST_STAGES = (
-    "admission",
-    "lane_wait",
-    "dispatch_window",
-    "coalesce",
-    "dispatch",
-    "inference",
-    "settle",
-)
-
 _RUNTIME_REQUIRED = frozenset({"dispatch_window", "coalesce", "dispatch", "settle"})
 _GATEWAY_REQUIRED = frozenset({"admission", "lane_wait"})
 
 
 class MemberRecord(NamedTuple):
-    """One batch member's whole runtime path, as the serve loop's
-    settlement pass measured it: a single compact entry in a trace's
-    raw span list that :attr:`Trace.spans` expands into the five
-    canonical stage spans (see :meth:`Tracer.settle_member`)."""
+    """One batch member's whole runtime path, as its batch's settlement
+    measured it: a single compact entry in a kept trace's raw span list
+    that :attr:`Trace.spans` expands into the five canonical stage
+    spans. ``dispatch_window`` is exactly the member's queue-wait
+    sample, ``coalesce`` the batch's window hold (one per-batch quantity,
+    deduplicable by its ``batch`` attr), ``dispatch`` the pre-inference
+    overhead, ``inference`` the member's share (a memo hit gets a
+    zero-width ``cache`` span; a failed chunk an error-status one) and
+    ``settle`` the gap between the worker finishing and the serve loop
+    noticing."""
 
     enqueued_at: float
     claimed_at: float
@@ -97,6 +94,47 @@ class MemberRecord(NamedTuple):
     cache: bool
 
 
+class BatchTiming(NamedTuple):
+    """What the members of one traced batch share, stashed once at its
+    dispatch; a kept member's :class:`MemberRecord` is built from it at
+    settlement (:meth:`member`), a dropped member's never is."""
+
+    seq: int
+    claimed_at: float
+    head_enqueued: float
+    dispatch_start: float
+    infer_start: float
+    completed_at: float
+    batch_inference_s: float
+    #: Member index -> pod when the batch ran as several chunks, else
+    #: ``None`` and :attr:`pod` ran all of it.
+    pods: dict | None
+    pod: str | None
+
+    def member(self, record, index: int, settle_end: float, error: bool) -> MemberRecord:
+        """The :class:`MemberRecord` of ``record``, the batch's
+        ``index``-th member (a :class:`~repro.core.record.RequestRecord`
+        its dispatch wrote the outcome into)."""
+        return MemberRecord(
+            record.enqueued_at,
+            self.claimed_at,
+            self.head_enqueued,
+            self.dispatch_start,
+            self.infer_start,
+            self.infer_start + record.inference_time,
+            self.completed_at,
+            settle_end,
+            self.seq,
+            record.batch_size,
+            record.worker,
+            self.pod if self.pods is None else self.pods.get(index),
+            self.batch_inference_s,
+            "error" if error else "ok",
+            record.error,
+            record.cache_hit,
+        )
+
+
 @dataclass
 class Span:
     """One timed stage of a request, complete at record time."""
@@ -114,14 +152,15 @@ class Span:
 
 
 class Trace:
-    """The span tree of one request: a root covering its whole life,
-    with the stage spans as children.
+    """The span tree of one kept request: a root covering its whole life,
+    from its arrival to its settlement, with the stage spans as children.
 
-    The tree is one level deep by construction — every stage span is a
-    child of the request root, ordered by start time — which makes
-    *well-nested* checkable as plain containment (see
-    :meth:`well_formed`). Point annotations (reclaims, restores,
-    dead-letter drops) land as instant marks rather than spans.
+    :meth:`Tracer.settle_request` builds one, complete, for each request
+    it keeps and for no other. The tree is one level deep by
+    construction — every stage span is a child of the request root —
+    which makes *well-nested* checkable as plain containment (see
+    :meth:`well_formed`). Point annotations (reclaims, dead-letter
+    drops) land as instant marks rather than spans.
     """
 
     __slots__ = (
@@ -132,12 +171,10 @@ class Trace:
         "end",
         "sampled",
         "error",
-        "finished",
         "attrs",
         "marks",
         "_raw",
         "_spans",
-        "_max_end",
     )
 
     def __init__(
@@ -145,7 +182,9 @@ class Trace:
         trace_id: str,
         name: str,
         start: float,
+        end: float,
         sampled: bool,
+        error: bool = False,
         tenant: str | None = None,
         attrs: dict | None = None,
     ) -> None:
@@ -153,18 +192,15 @@ class Trace:
         self.name = name
         self.tenant = tenant
         self.start = start
-        self.end = start
+        self.end = end
         self.sampled = sampled
-        self.error = False
-        self.finished = False
+        self.error = error
         self.attrs = attrs
         self.marks: list[tuple[str, float, dict | None]] = []
-        #: Spans as raw tuples on the hot path; :class:`Span` objects
-        #: are materialized lazily — only retained or inspected traces
-        #: (a few percent of all requests) ever pay for them.
+        #: Spans as raw tuples and member records; :class:`Span` objects
+        #: are materialized only when someone reads :attr:`spans`.
         self._raw: list[tuple[str, float, float, str, dict | None] | MemberRecord] = []
         self._spans: list[Span] | None = None
-        self._max_end = start
 
     @property
     def spans(self) -> list[Span]:
@@ -243,25 +279,13 @@ class Trace:
         status: str = "ok",
         **attrs,
     ) -> None:
-        """Record one complete stage span; errors taint the trace."""
+        """Record one complete stage span."""
         self._raw.append((name, start, end, status, attrs or None))
         self._spans = None
-        if end > self._max_end:
-            self._max_end = end
-        if status != "ok":
-            self.error = True
 
     def mark(self, name: str, at: float, **attrs) -> None:
-        """Record a point annotation (reclaim, restore, dead-letter)."""
+        """Record a point annotation (reclaim, dead-letter)."""
         self.marks.append((name, at, attrs or None))
-
-    def finish(self, at: float, error: bool = False) -> None:
-        """Close the root span; idempotent (first close wins)."""
-        if self.finished:
-            return
-        self.end = self._max_end if self._max_end > at else at
-        self.error = self.error or error
-        self.finished = True
 
     @property
     def duration(self) -> float:
@@ -293,9 +317,7 @@ class Trace:
         return missing
 
     def well_formed(self, tol: float = 1e-9) -> bool:
-        """Finished, with every child span inside the root's bounds."""
-        if not self.finished:
-            return False
+        """Every child span inside the root's bounds."""
         for span in self.spans:
             if span.end < span.start - tol:
                 return False
@@ -334,15 +356,22 @@ class Trace:
 # ---------------------------------------------------------------------------
 # Tracer
 # ---------------------------------------------------------------------------
+#: Bound on :attr:`Tracer.retained`; the oldest kept trace is evicted first.
+MAX_RETAINED = 4096
+
+
 class Tracer:
-    """Creates, samples, and retains per-request traces.
+    """Samples requests, keeps the interesting ones, and builds their traces.
 
     Head sampling is deterministic (an error-diffusion accumulator
     keeps exactly ``sample_rate`` of begins, evenly spaced — no RNG, so
-    runs replay bit-for-bit on the virtual clock). Spans are recorded
-    for *every* request while the tracer is attached; retention is
-    decided at finish — kept when head-sampled, errored, or slower than
-    ``slow_threshold_s`` (tail-keep) — into a bounded ring.
+    runs replay bit-for-bit on the virtual clock). The door only
+    samples (:meth:`begin`); nothing is recorded while a request waits.
+    Its settlement — by its batch, a denial or a dead letter — decides
+    retention from scalars (:meth:`settle_request`): kept when
+    head-sampled, errored, or slower than ``slow_threshold_s``
+    (tail-keep), into a ring of the last :data:`MAX_RETAINED`. Only a
+    kept request ever gets a :class:`Trace`.
 
     Parameters
     ----------
@@ -350,29 +379,23 @@ class Tracer:
         Fraction of requests head-sampled into the retained set, in
         ``[0, 1]``.
     slow_threshold_s:
-        Tail-keep latency threshold: any request whose settled trace is
-        at least this old is retained regardless of head sampling.
+        Tail-keep latency threshold: any request settled at least this
+        long after its arrival is retained regardless of head sampling.
         ``None`` disables the slow path (errors are always kept).
-    max_retained:
-        Bound on the retained-trace ring; the oldest retained trace is
-        evicted first.
     """
 
     def __init__(
         self,
         sample_rate: float = 0.01,
         slow_threshold_s: float | None = 0.5,
-        max_retained: int = 4096,
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise TelemetryError("sample_rate must be in [0, 1]")
         if slow_threshold_s is not None and slow_threshold_s < 0:
             raise TelemetryError("slow_threshold_s must be >= 0")
-        if max_retained < 1:
-            raise TelemetryError("max_retained must be >= 1")
         self.sample_rate = sample_rate
         self.slow_threshold_s = slow_threshold_s
-        self.retained: deque[Trace] = deque(maxlen=max_retained)
+        self.retained: deque[Trace] = deque(maxlen=MAX_RETAINED)
         self.started = 0
         self.finished = 0
         self.kept_sampled = 0
@@ -414,8 +437,11 @@ class Tracer:
         """Copy of the active per-tenant rate overrides."""
         return dict(self._tenant_rates)
 
-    def _sample(self, tenant: str | None) -> bool:
-        """One error-diffusion head-sampling decision for ``tenant``."""
+    def begin(self, tenant: str | None = None) -> bool:
+        """Head-sample one request of ``tenant`` at its door: one
+        error-diffusion decision, counted as started. Builds nothing;
+        the caller keeps the flag for :meth:`settle_request`."""
+        self.started += 1
         if self._tenant_rates and tenant in self._tenant_rates:
             rate = self._tenant_rates[tenant]
             acc = self._tenant_accs.get(tenant, 0.0) + rate
@@ -429,36 +455,6 @@ class Tracer:
         if sampled:
             self._acc -= 1.0
         return sampled
-
-    def begin(
-        self,
-        request,
-        at: float,
-        tenant: str | None = None,
-        **attrs,
-    ) -> Trace:
-        """Open (or return) the trace riding ``request``.
-
-        Idempotent per request: a request already carrying a trace
-        (e.g. re-submitted after a gateway reclaim) keeps it, so span
-        history survives requeues.
-        """
-        trace = getattr(request, "trace", None)
-        if trace is not None:
-            return trace
-        owner = tenant if tenant is not None else request.tenant
-        sampled = self._sample(owner)
-        trace = Trace(
-            trace_id=request.task_uuid,
-            name=request.servable_name,
-            start=at,
-            sampled=sampled,
-            tenant=owner,
-            attrs=attrs or None,
-        )
-        request.trace = trace
-        self.started += 1
-        return trace
 
     def _retain(self, sampled: bool, error: bool, duration: float) -> bool:
         """The one retention rule, counted: keep when head-sampled, else
@@ -474,73 +470,75 @@ class Tracer:
         self.dropped += 1
         return False
 
-    def finish(self, trace: Trace, at: float, error: bool = False) -> None:
-        """Close a trace and decide retention (idempotent)."""
-        if trace.finished:
-            return
-        trace.finish(at, error=error)
-        self.finished += 1
-        if self._retain(trace.sampled, trace.error, trace.duration):
-            self.retained.append(trace)
+    def settle_request(
+        self,
+        record,
+        end: float,
+        error: bool = False,
+        batch: BatchTiming | None = None,
+        index: int = 0,
+        mark: tuple[str, float, dict | None] | None = None,
+    ) -> None:
+        """Settle one request at ``end``: the one settle path, for a
+        batch member (``batch`` and its ``index`` in it), a denial at
+        the door and a dead letter (its ``mark``) alike.
 
-    def settle_member(self, trace: Trace, member: MemberRecord) -> None:
-        """Record one batch member's whole runtime path and finish.
-
-        The serve loop's settlement pass calls this once per traced
-        request: a single compact record covers ``dispatch_window`` /
-        ``coalesce`` / ``dispatch`` / ``inference``-or-``cache`` /
-        ``settle`` (expanded into :class:`Span` objects only when
-        :attr:`Trace.spans` is read), followed by the finish/retention
-        decision. One call and one append per request lifetime keeps
-        tracing off the dispatch hot path entirely — the runtime
-        defers all per-member recording to here, where the trace
-        object has to be touched anyway.
+        ``record`` is the request's
+        :class:`~repro.core.record.RequestRecord`. Retention runs on
+        scalars before anything is built: the door's sample (a request
+        no traced door saw is sampled here), ``error``, and the time
+        from the record's arrival to ``end``. Only a kept request gets
+        a :class:`Trace`, rooted at its arrival and built complete —
+        the door's ``admission`` and ``lane_wait`` spans, then its
+        :class:`MemberRecord`, then its marks — and set on its request.
         """
-        if trace.finished:
-            return
-        trace._raw.append(member)
-        trace._spans = None
-        if member.status != "ok":
-            trace.error = True
-        if member.settle_end > trace._max_end:
-            trace._max_end = member.settle_end
-        trace.end = trace._max_end
-        trace.finished = True
+        request = record.body
+        sampled = record.sampled
+        if sampled is None:
+            sampled = self.begin(request.tenant)
         self.finished += 1
-        if self._retain(trace.sampled, trace.error, trace.duration):
-            self.retained.append(trace)
-
-    def settle_request(self, request, member: MemberRecord) -> None:
-        """Settle a request that never opened a trace — allocation-free
-        unless retained.
-
-        Gateway-less traffic traces lazily: nothing is recorded while
-        the request waits, and here — the one point where sampling,
-        error, and slowness are all already known — the retention
-        decision runs *before* any :class:`Trace` exists. A dropped
-        request's tracing cost here is the sampling accumulator and a
-        few counters; only the retained few materialize a trace, which
-        keeps the same member record :meth:`settle_member` would.
-        """
-        sampled = self._sample(request.tenant)
-        self.started += 1
-        self.finished += 1
-        failed = member.status != "ok"
-        if not self._retain(sampled, failed, member.settle_end - member.enqueued_at):
+        start = record.arrival_time
+        if end < start:  # the clock read a rounding hair before the arrival
+            end = start
+        if not self._retain(sampled, error, end - start):
             return
         trace = Trace(
-            trace_id=request.task_uuid,
-            name=request.servable_name,
-            start=member.enqueued_at,
-            sampled=sampled,
-            tenant=request.tenant,
+            request.task_uuid,
+            request.servable_name,
+            start,
+            end,
+            sampled,
+            error,
+            request.tenant,
         )
+        reclaims = record.reclaims or ()
+        if record.decided_at is not None:
+            trace.span(
+                "admission",
+                start,
+                record.decided_at,
+                "ok" if record.admitted else "error",
+                outcome=record.decision.outcome.value,
+            )
+            if record.enqueued_at is not None:
+                # One lane stay per release: from arrival to the first,
+                # then from each reclaim to the re-release after it.
+                trace.span("lane_wait", start, record.enqueued_at)
+                for reclaimed, released in zip(reclaims[::2], reclaims[1::2]):
+                    trace.span("lane_wait", reclaimed, released)
+        if batch is not None:
+            trace._raw.append(batch.member(record, index, end, error))
+        for reclaimed in reclaims[::2]:
+            trace.mark(
+                "reclaim", reclaimed, tenant=request.tenant, servable=request.servable_name
+            )
+        if mark is not None:
+            trace.marks.append(mark)
         request.trace = trace
-        trace._raw.append(member)
-        trace.error = failed
-        trace.end = trace._max_end = member.settle_end
-        trace.finished = True
         self.retained.append(trace)
+
+    #: The name the end-to-end benchmark's layer tracer wraps as well.
+    settle_member = settle_request
 
     def stats(self) -> dict:
         """Lifetime tracer counters (a hub source)."""

@@ -29,8 +29,8 @@ client, open-loop benchmark drivers) and the
 There is one door: a single arrival (``offer``), a pre-split batch
 (``invoke_sync_many``) and a pipeline chain (``admit_chain``, then
 ``invoke_sync_admitted`` per step) are three shapes of one group
-admission (``_admit``), and every admitted request is tagged, traced,
-handed to the journal and put in its lane by the same ``_enter``. Each
+admission (``_admit``), and every admitted request is tagged, handed to
+the journal, head-sampled and put in its lane by the same ``_enter``. Each
 door call then pumps and closes through ``_close_door``: the journal
 writes the admissions of the requests their lanes kept (a released
 request's ``put`` carried its own), and every admitted request passes
@@ -316,15 +316,13 @@ class ServingGateway:
                     self.runtime.queue.restore(foreign)
                 if record is None:
                     continue
-                request: TaskRequest = record.body
-                request.dispatch_tag = None
-                if request.trace is not None:
-                    request.trace.mark(
-                        "reclaim",
-                        at=self.runtime.clock.now(),
-                        tenant=tenant,
-                        servable=servable,
-                    )
+                record.body.dispatch_tag = None
+                if record.sampled is not None:
+                    # A traced request's trace gets a reclaim mark and a
+                    # second lane stay, up to its re-release.
+                    if record.reclaims is None:
+                        record.reclaims = []
+                    record.reclaims.append(self.runtime.clock.now())
                 # Front of the lane, original WFQ charge: the reclaimed
                 # request is the tenant's oldest in-system work and must
                 # re-release before younger lane-mates, not behind them.
@@ -385,15 +383,13 @@ class ServingGateway:
                 self.metrics.record_denied(
                     UNAUTHENTICATED, AdmissionOutcome.REJECTED_AUTH.value
                 )
-                self._trace_denial(
-                    request, arrived, now, AdmissionOutcome.REJECTED_AUTH
-                )
-                return RequestRecord(
+                return self._deny(
                     request,
                     AdmissionDecision(
                         AdmissionOutcome.REJECTED_AUTH, None, servable, str(exc)
                     ),
                     arrived,
+                    now,
                 )
         if identity is None:
             raise GatewayError("offer() needs an identity or a token")
@@ -401,8 +397,7 @@ class ServingGateway:
             raise GatewayError(f"request {request.task_uuid!r} is already admitted")
         policy, decision = self._admit(identity, (servable,))
         if not decision.admitted:
-            self._trace_denial(request, arrived, now, decision.outcome)
-            return RequestRecord(request, decision, arrived)
+            return self._deny(request, decision, arrived, now)
         record = self._enter(request, policy, identity, decision, arrived)
         self._pump()
         self._close_door(1)
@@ -451,8 +446,8 @@ class ServingGateway:
         arrived: float,
     ) -> RequestRecord:
         """The one way an admitted request gets in: tagged with its
-        tenant, given its trace and ``admission`` span, its admission
-        handed to the journal, then its record made and put in its lane.
+        tenant, its admission handed to the journal, then its record
+        made, head-sampled and put in its lane.
         The caller pumps and then calls :meth:`_close_door`, which makes
         the admission durable before the call returns. ``identity`` is
         ``None`` for a chain step, which the Management Service stamped
@@ -460,12 +455,11 @@ class ServingGateway:
         request.tenant = policy.name
         if identity is not None:
             request.identity_id = request.identity_id or identity.identity_id
-        if self.tracer is not None:
-            trace = self.tracer.begin(request, at=arrived, tenant=policy.name)
-            now = self.runtime.clock.now()
-            trace.span("admission", arrived, now, outcome=decision.outcome.value)
         self._journal_admit(request, policy, arrived)
         record = RequestRecord(request, decision, arrived)
+        if self.tracer is not None:
+            record.sampled = self.tracer.begin(policy.name)
+            record.decided_at = self.runtime.clock.now()
         self._enter_lane(record, policy)
         return record
 
@@ -508,20 +502,18 @@ class ServingGateway:
              self.journal.encode_body(request)],
         )
 
-    def _trace_denial(self, request, arrived, now, outcome) -> None:
-        """Record a denied request as an immediately finished error trace.
-
-        Denials never settle, so their traces close here; tail-keep
-        retention means every denial is visible in the waterfall even
-        under heavy head-sampling.
-        """
-        if self.tracer is None:
-            return
-        trace = self.tracer.begin(request, at=arrived)
-        trace.span(
-            "admission", arrived, now, status="error", outcome=outcome.value
-        )
-        self.tracer.finish(trace, at=now, error=True)
+    def _deny(
+        self, request: TaskRequest, decision: AdmissionDecision, arrived: float, now: float
+    ) -> RequestRecord:
+        """The record of a request denied at ``now``. Denials never reach
+        the runtime, so a traced one settles here, as an error: tail-keep
+        retention keeps every denial visible even under heavy
+        head-sampling."""
+        record = RequestRecord(request, decision, arrived)
+        if self.tracer is not None:
+            record.decided_at = now
+            self.tracer.settle_request(record, now, error=True)
+        return record
 
     def _pump(self) -> None:
         """Drain lanes into the runtime while the scheduler releases work.
@@ -537,8 +529,8 @@ class ServingGateway:
             finish_tag, _, _, record = entry
             request: TaskRequest = record.body
             self._queued_by_servable[request.servable_name] -= 1
-            if self.tracer is not None:
-                self._trace_release(record)
+            if record.reclaims is not None:
+                record.reclaims.append(self.runtime.clock.now())
             # Carry the WFQ virtual-finish tag into the runtime: when
             # several coalescing windows are due at once, dispatch
             # arbitration follows these tags instead of oldest-head
@@ -546,24 +538,6 @@ class ServingGateway:
             # budget tightly against the fleet's in-flight capacity.
             request.dispatch_tag = finish_tag
             self.runtime.submit(record)
-
-    def _trace_release(self, record: RequestRecord) -> None:
-        """Record the ``lane_wait`` span for a request leaving its lane.
-
-        The span runs from the moment the request last entered the lane
-        — its admission, or its latest reclaim (a ``reclaim`` mark on
-        the trace) — to this release, so a request the over-commit
-        drain pulled back gets one ``lane_wait`` span per lane stay
-        rather than overlapping double-counted waits.
-        """
-        trace = record.body.trace
-        if trace is None:
-            return
-        start = record.arrived_at
-        for name, at, _ in trace.marks:
-            if name == "reclaim" and at > start:
-                start = at
-        trace.span("lane_wait", start, self.runtime.clock.now())
 
     # -- ingress protocol (driven by ServingRuntime.serve) --------------------------
     def on_tick(self, now: float) -> None:

@@ -73,6 +73,7 @@ class TestHOT001:
                         "_next_window",
                         "serve",
                         "_settle",
+                        "_settle_traces",
                         "_route",
                         "_dispatch_topic",
                     ),
@@ -102,7 +103,10 @@ class TestHOT001:
                 ("TenantUsageCollector", ("record_completion",)),
                 ("SeriesStore", ("record",)),
             ),
-            "core/telemetry.py": (("SLOBurnMonitor", ("record",)),),
+            "core/telemetry.py": (
+                ("SLOBurnMonitor", ("record",)),
+                ("Tracer", ("settle_request",)),
+            ),
         }
         assert {
             relpath: frozenset(

@@ -55,7 +55,7 @@ def polled_settle(runtime, now: float) -> list[list[RequestRecord]]:
         for record in records:
             record.completed_at = completed_at
         if trace_ctx is not None and runtime.tracer is not None:
-            runtime._settle_traces(records, completed_at, seq, trace_ctx, now)
+            runtime._settle_traces(records, trace_ctx, now)
     return [entry[2] for entry in done]
 
 

@@ -52,6 +52,7 @@ import pytest
 import repro
 from repro.core.record import RequestRecord
 from repro.core.tasks import TaskRequest
+from repro.core.telemetry import Tracer
 from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
 from repro.gateway import TenantPolicy, TenantPolicyTable
@@ -213,6 +214,19 @@ def test_a_lane_churn_shaped_stack_builds_at_most_three(zoo):
     assert sum(counts.values()) / settled <= 3.0, counts
     assert set(counts) - {"RequestRecord"} <= PARENT_CLASSES, counts
     assert counts["TaskRequest"] == counts["TaskResult"] == 0, counts
+
+
+def test_a_traced_stack_builds_a_trace_only_for_the_requests_it_keeps(zoo):
+    """The door only head-samples: a request the tracer drops costs no
+    ``Trace`` and no ``MemberRecord``, and a kept one costs one each."""
+    gateway, tokens = gateway_stack(zoo, "matminer_util", 16, memoize=True)
+    tracer = Tracer(sample_rate=0.05)
+    gateway.tracer = gateway.runtime.tracer = tracer
+    counts, settled = per_settled(gateway, steady_arrivals(tokens))
+    kept = tracer.kept_sampled + tracer.kept_tail
+    assert 0 < kept < settled and tracer.dropped == settled - kept
+    assert counts["Trace"] == counts["MemberRecord"] == kept, counts
+    assert len(tracer.retained) == kept
 
 
 def test_the_record_is_the_message_lane_item_and_result(zoo):

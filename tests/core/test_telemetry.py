@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import build_fleet
 from repro.core.metrics import ObsLoopError
-from repro.core.tasks import TaskRequest
+from repro.core.record import RequestRecord
+from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.telemetry import (
-    MemberRecord,
+    MAX_RETAINED,
+    BatchTiming,
     SLOBurnMonitor,
     TelemetryError,
     TelemetryHub,
@@ -23,74 +26,83 @@ from repro.core.telemetry import (
 from repro.core.zoo import build_zoo, sample_input
 
 
-def _request(i=0):
-    return TaskRequest("noop", args=(i,))
+def _record(i=0, at=1.0, tenant=None):
+    """A gateway-less request's record that arrived (and enqueued) at ``at``."""
+    record = RequestRecord(TaskRequest("noop", args=(i,), tenant=tenant))
+    record.enqueued_at = at
+    return record
 
 
-def _member(**overrides):
-    """A plausible settled batch member, overridable per test."""
+def _member(i=0, at=1.0, error=None, cache=False, tenant=None):
+    """A plausible settled batch member's record, overridable per test."""
+    record = _record(i, at, tenant)
+    record.status = TaskStatus.FAILED if error else TaskStatus.SUCCEEDED
+    record.error = error
+    record.inference_time = 0.044
+    record.batch_size = 3
+    record.worker = "w0"
+    record.cache_hit = cache
+    return record
+
+
+def _batch(**overrides):
+    """The timings of a plausible batch the members settle in."""
     base = dict(
-        enqueued_at=1.0,
+        seq=7,
         claimed_at=1.005,
         head_enqueued=1.0,
         dispatch_start=1.005,
         infer_start=1.006,
-        infer_end=1.05,
         completed_at=1.05,
-        settle_end=1.051,
-        seq=7,
-        batch_size=3,
-        worker="w0",
-        pod="w0/noop-0",
         batch_inference_s=0.044,
-        status="ok",
-        error=None,
-        cache=False,
+        pods=None,
+        pod="w0/noop-0",
     )
     base.update(overrides)
-    return MemberRecord(**base)
+    return BatchTiming(**base)
+
+
+def _settle(tracer, record, batch=None, end=1.051, settle=None):
+    """Settle ``record`` as the first member of ``batch`` at ``end``."""
+    settle = settle or tracer.settle_request
+    settle(record, end, record.error is not None, batch or _batch(), 0)
+    return record.request.trace
 
 
 class TestHeadSampling:
     def test_error_diffusion_keeps_exactly_floor_n_rate(self):
         tracer = Tracer(sample_rate=0.25, slow_threshold_s=None)
         for i in range(103):
-            trace = tracer.begin(_request(i), at=float(i))
-            tracer.finish(trace, at=float(i) + 0.001)
+            tracer.settle_request(_record(i, at=float(i)), float(i) + 0.001)
         assert tracer.kept_sampled == int(103 * 0.25)
         assert tracer.dropped == 103 - tracer.kept_sampled
         assert len(tracer.retained) == tracer.kept_sampled
 
     def test_sampling_is_evenly_spaced_not_bursty(self):
         tracer = Tracer(sample_rate=0.25, slow_threshold_s=None)
-        flags = []
-        for i in range(16):
-            trace = tracer.begin(_request(i), at=0.0)
-            flags.append(trace.sampled)
-            tracer.finish(trace, at=0.0)
+        flags = [tracer.begin() for _ in range(16)]
         # Exactly every fourth request, deterministically.
         assert flags == [False, False, False, True] * 4
+        assert tracer.started == 16 and not tracer.retained
 
     def test_rate_edges(self):
         all_on = Tracer(sample_rate=1.0, slow_threshold_s=None)
         all_off = Tracer(sample_rate=0.0, slow_threshold_s=None)
         for i in range(10):
-            tracer_on = all_on.begin(_request(i), at=0.0)
-            all_on.finish(tracer_on, at=0.0)
-            tracer_off = all_off.begin(_request(i), at=0.0)
-            all_off.finish(tracer_off, at=0.0)
+            all_on.settle_request(_record(i, at=0.0), 0.0)
+            all_off.settle_request(_record(i, at=0.0), 0.0)
         assert all_on.kept_sampled == 10
         assert all_off.kept_sampled == 0 and all_off.dropped == 10
 
-    def test_begin_is_idempotent_per_request(self):
-        """A reclaimed/re-submitted request keeps its trace (and burns
-        no extra sampling budget)."""
+    def test_a_door_sampled_request_is_not_sampled_again(self):
+        """The door's flag rides the record; settlement burns no second
+        sampling decision for it."""
         tracer = Tracer(sample_rate=1.0)
-        request = _request()
-        first = tracer.begin(request, at=0.0)
-        again = tracer.begin(request, at=5.0)
-        assert again is first
-        assert tracer.started == 1
+        record = _record()
+        record.sampled = tracer.begin()
+        tracer.settle_request(record, 1.5)
+        assert tracer.started == 1 and tracer.kept_sampled == 1
+        assert record.request.trace.sampled
 
     def test_validation(self):
         with pytest.raises(TelemetryError):
@@ -99,72 +111,67 @@ class TestHeadSampling:
             Tracer(sample_rate=-0.1)
         with pytest.raises(TelemetryError):
             Tracer(slow_threshold_s=-1.0)
-        with pytest.raises(TelemetryError):
-            Tracer(max_retained=0)
 
 
 class TestTailKeep:
     def test_errors_survive_zero_sampling(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
-        trace = tracer.begin(_request(), at=0.0)
-        tracer.finish(trace, at=0.1, error=True)
+        record = _record(at=0.0)
+        tracer.settle_request(record, 0.1, error=True)
         assert tracer.kept_tail == 1
-        assert list(tracer.retained) == [trace]
-
-    def test_error_spans_taint_the_trace(self):
-        tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
-        trace = tracer.begin(_request(), at=0.0)
-        trace.span("inference", 0.0, 0.1, status="error", error="boom")
-        tracer.finish(trace, at=0.1)  # no explicit error flag
-        assert trace.error
-        assert tracer.kept_tail == 1
+        assert list(tracer.retained) == [record.request.trace]
+        assert record.request.trace.error
 
     def test_slow_requests_survive_zero_sampling(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=0.5)
-        fast = tracer.begin(_request(0), at=0.0)
-        tracer.finish(fast, at=0.4)
-        slow = tracer.begin(_request(1), at=1.0)
-        tracer.finish(slow, at=1.6)
+        fast, slow = _record(0, at=0.0), _record(1, at=1.0)
+        tracer.settle_request(fast, 0.4)
+        tracer.settle_request(slow, 1.6)
         assert tracer.dropped == 1 and tracer.kept_tail == 1
-        assert list(tracer.retained) == [slow]
+        assert list(tracer.retained) == [slow.request.trace]
+        assert fast.request.trace is None
+
+    def test_slowness_counts_from_arrival_not_enqueue(self):
+        """A gateway-less request the serve loop enqueued late (the fleet
+        was busy) is as slow as its arrival says: every request with
+        ``latency >= slow_threshold_s`` is kept, and its trace's root
+        starts at the arrival."""
+        tracer = Tracer(sample_rate=0.0)
+        _, runtime = build_fleet(
+            "matminer_featurize", 1, 1, 0.0, shared_clock=True, tracer=tracer
+        )
+        args = sample_input("matminer_featurize")
+        records = runtime.serve(
+            [(i * 0.001, TaskRequest("matminer_featurize", args=args)) for i in range(200)]
+        )
+        slow = [r for r in records if r.latency >= tracer.slow_threshold_s]
+        late = [r for r in slow if r.completed_at - r.enqueued_at < tracer.slow_threshold_s]
+        assert slow and late
+        kept = {trace.trace_id: trace for trace in tracer.retained}
+        assert {r.request.task_uuid for r in slow} <= set(kept)
+        for record in late:
+            assert kept[record.request.task_uuid].start == record.arrived_at
 
     def test_none_threshold_disables_the_slow_path(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
-        trace = tracer.begin(_request(), at=0.0)
-        tracer.finish(trace, at=1e9)
+        tracer.settle_request(_record(at=0.0), 1e9)
         assert tracer.dropped == 1 and len(tracer.retained) == 0
 
     def test_retained_ring_evicts_oldest(self):
-        tracer = Tracer(sample_rate=1.0, max_retained=3)
-        traces = []
-        for i in range(5):
-            trace = tracer.begin(_request(i), at=float(i))
-            tracer.finish(trace, at=float(i))
-            traces.append(trace)
-        assert list(tracer.retained) == traces[2:]
-        assert tracer.kept_sampled == 5  # counters are lifetime
-
-    def test_finish_is_idempotent(self):
         tracer = Tracer(sample_rate=1.0)
-        trace = tracer.begin(_request(), at=0.0)
-        tracer.finish(trace, at=1.0)
-        tracer.finish(trace, at=2.0)
-        assert trace.end == 1.0
-        assert tracer.finished == 1 and len(tracer.retained) == 1
+        records = [_record(i, at=float(i)) for i in range(MAX_RETAINED + 2)]
+        for record in records:
+            tracer.settle_request(record, record.enqueued_at)
+        assert list(tracer.retained) == [r.request.trace for r in records[2:]]
+        assert tracer.kept_sampled == MAX_RETAINED + 2  # counters are lifetime
 
 
 class TestSettlementPaths:
     def test_settle_member_and_settle_request_build_identical_trees(self):
-        member = _member()
-        eager = Tracer(sample_rate=1.0)
-        request_a = _request()
-        trace_a = eager.begin(request_a, at=member.enqueued_at)
-        eager.settle_member(trace_a, member)
-
-        lazy = Tracer(sample_rate=1.0)
-        request_b = _request()
-        lazy.settle_request(request_b, member)
-        trace_b = request_b.trace
+        """``settle_member`` is the one settle path under its old name."""
+        eager, lazy = Tracer(sample_rate=1.0), Tracer(sample_rate=1.0)
+        trace_a = _settle(eager, _member(), settle=eager.settle_member)
+        trace_b = _settle(lazy, _member())
 
         def shape(trace):
             return [
@@ -179,38 +186,27 @@ class TestSettlementPaths:
 
     def test_settle_request_drops_without_allocating_a_trace(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
-        request = _request()
-        tracer.settle_request(request, _member())
-        assert request.trace is None
+        assert _settle(tracer, _member()) is None
         assert tracer.dropped == 1 and tracer.started == 1
 
     def test_settle_request_keeps_failures(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
-        request = _request()
-        tracer.settle_request(
-            request, _member(status="error", error="boom")
-        )
-        assert request.trace is not None
-        assert request.trace.error
+        trace = _settle(tracer, _member(error="boom"))
+        assert trace is not None
+        assert trace.error
         assert tracer.kept_tail == 1
 
     def test_settle_member_records_failure_as_error_inference_span(self):
         tracer = Tracer(sample_rate=1.0)
-        member = _member(status="error", error="pod crashed")
-        request = _request()
-        trace = tracer.begin(request, at=member.enqueued_at)
-        tracer.settle_member(trace, member)
+        trace = _settle(tracer, _member(error="pod crashed"))
         (inference,) = trace.stages("inference")
         assert inference.status == "error"
         assert inference.attrs["error"] == "pod crashed"
-        assert trace.error and trace.finished
+        assert trace.error
 
     def test_memo_hit_gets_cache_span_instead_of_inference(self):
         tracer = Tracer(sample_rate=1.0)
-        member = _member(cache=True)
-        request = _request()
-        trace = tracer.begin(request, at=member.enqueued_at)
-        tracer.settle_member(trace, member)
+        trace = _settle(tracer, _member(cache=True))
         assert trace.stages("inference") == []
         (cache,) = trace.stages("cache")
         assert cache.duration == 0.0
@@ -225,59 +221,45 @@ class TestSpanGeometry:
         stays well-nested) while ``window_s`` carries the full window
         for reconciliation."""
         tracer = Tracer(sample_rate=1.0)
-        member = _member(head_enqueued=0.9, enqueued_at=1.0)
-        request = _request()
-        trace = tracer.begin(request, at=member.enqueued_at)
-        tracer.settle_member(trace, member)
+        trace = _settle(tracer, _member(at=1.0), _batch(head_enqueued=0.9))
         (coalesce,) = trace.stages("coalesce")
         assert coalesce.start == 1.0  # not 0.9: clamped to the member
-        assert coalesce.attrs["window_s"] == pytest.approx(
-            member.claimed_at - 0.9
-        )
+        assert coalesce.attrs["window_s"] == pytest.approx(1.005 - 0.9)
         assert trace.well_formed()
 
     def test_head_member_coalesce_spans_the_whole_window(self):
         tracer = Tracer(sample_rate=1.0)
-        member = _member()  # head_enqueued == enqueued_at
-        request = _request()
-        trace = tracer.begin(request, at=member.enqueued_at)
-        tracer.settle_member(trace, member)
+        trace = _settle(tracer, _member())  # head_enqueued == enqueued_at
         (coalesce,) = trace.stages("coalesce")
         assert coalesce.duration == pytest.approx(coalesce.attrs["window_s"])
 
     def test_missing_stages_flags_gateway_stages_only_when_asked(self):
         tracer = Tracer(sample_rate=1.0)
-        request = _request()
-        trace = tracer.begin(request, at=1.0)
-        tracer.settle_member(trace, _member())
+        trace = _settle(tracer, _member())
         assert trace.missing_stages() == set()
         assert trace.missing_stages(gateway=True) == {
             "admission",
             "lane_wait",
         }
 
-    def test_well_formed_requires_finish_and_containment(self):
-        trace = Trace("id", "noop", start=1.0, sampled=True)
+    def test_well_formed_is_containment(self):
+        trace = Trace("id", "noop", start=1.0, end=1.1, sampled=True)
         trace.span("settle", 1.0, 1.1)
-        assert not trace.well_formed()  # unfinished
-        trace.finish(at=1.1)
         assert trace.well_formed()
-        escaping = Trace("id2", "noop", start=1.0, sampled=True)
+        escaping = Trace("id2", "noop", start=1.0, end=1.1, sampled=True)
         escaping.span("settle", 0.5, 1.1)  # starts before the root
-        escaping.finish(at=1.1)
         assert not escaping.well_formed()
 
     def test_tree_is_json_able_and_ordered(self):
         tracer = Tracer(sample_rate=1.0)
-        request = _request()
-        trace = tracer.begin(request, at=1.0, tenant="t")
-        trace.mark("reclaim", at=1.2, tenant="t")
-        tracer.settle_member(trace, _member())
+        record = _member(at=1.0, tenant="t")
+        record.reclaims = [1.2, 1.3]
+        trace = _settle(tracer, record)
         tree = json.loads(json.dumps(trace.tree()))
         starts = [child["start"] for child in tree["children"]]
         assert starts == sorted(starts)
         assert tree["marks"] == [
-            {"name": "reclaim", "at": 1.2, "attrs": {"tenant": "t"}}
+            {"name": "reclaim", "at": 1.2, "attrs": {"tenant": "t", "servable": "noop"}}
         ]
 
 
@@ -337,7 +319,7 @@ class TestHostileSettlements:
         assert failed, "expected a partial chunk failure"
         assert len(tracer.retained) == len(failed)
         for trace in tracer.retained:
-            assert trace.error and trace.finished
+            assert trace.error
             assert trace.well_formed()
             assert trace.missing_stages() == set()
             (inference,) = trace.stages("inference")
@@ -377,7 +359,7 @@ class TestHostileSettlements:
         assert queue.dead_letters
         (trace,) = tracer.retained
         assert trace.trace_id == request.task_uuid
-        assert trace.finished and trace.error
+        assert trace.error
         ((name, _, attrs),) = trace.marks
         assert name == "dead_letter"
         assert attrs["deliveries"] == 1
@@ -598,11 +580,9 @@ class TestTenantSamplingOverrides:
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
         tracer.set_tenant_rate("hot", 1.0)
         for i in range(4):
-            trace = tracer.begin(_request(i), at=0.0, tenant="hot")
-            tracer.finish(trace, at=0.0)
+            tracer.settle_request(_record(i, at=0.0, tenant="hot"), 0.0)
         for i in range(4, 8):
-            trace = tracer.begin(_request(i), at=0.0, tenant="cold")
-            tracer.finish(trace, at=0.0)
+            tracer.settle_request(_record(i, at=0.0, tenant="cold"), 0.0)
         # Every hot request kept, every cold one dropped at rate 0.
         assert tracer.kept_sampled == 4
         assert tracer.dropped == 4
@@ -614,12 +594,9 @@ class TestTenantSamplingOverrides:
         tracer = Tracer(sample_rate=0.25, slow_threshold_s=None)
         tracer.set_tenant_rate("hot", 1.0)
         flags = []
-        for i in range(16):
-            hot = tracer.begin(_request(2 * i), at=0.0, tenant="hot")
-            tracer.finish(hot, at=0.0)
-            base = tracer.begin(_request(2 * i + 1), at=0.0, tenant="base")
-            flags.append(base.sampled)
-            tracer.finish(base, at=0.0)
+        for _ in range(16):
+            assert tracer.begin("hot")
+            flags.append(tracer.begin("base"))
         assert flags == [False, False, False, True] * 4
 
     def test_set_clear_and_effective_rate(self):
@@ -637,28 +614,18 @@ class TestTenantSamplingOverrides:
     def test_clear_drops_the_override_accumulator(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
         tracer.set_tenant_rate("hot", 0.5)
-        first = tracer.begin(_request(0), at=0.0, tenant="hot")
-        tracer.finish(first, at=0.0)
-        assert not first.sampled  # diffusion at 0.5: [drop, keep, ...]
+        assert not tracer.begin("hot")  # diffusion at 0.5: [drop, keep, ...]
         tracer.clear_tenant_rate("hot")
         tracer.set_tenant_rate("hot", 0.5)
         # Fresh episode, fresh accumulator: the cadence restarts.
-        flags = []
-        for i in range(1, 5):
-            trace = tracer.begin(_request(i), at=0.0, tenant="hot")
-            flags.append(trace.sampled)
-            tracer.finish(trace, at=0.0)
+        flags = [tracer.begin("hot") for _ in range(4)]
         assert flags == [False, True, False, True]
 
     def test_lazy_settlement_path_honors_the_override(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=None)
         tracer.set_tenant_rate("hot", 1.0)
-        kept = TaskRequest("noop", args=(0,), tenant="hot")
-        tracer.settle_request(kept, _member())
-        assert kept.trace is not None
-        dropped = TaskRequest("noop", args=(1,), tenant="cold")
-        tracer.settle_request(dropped, _member())
-        assert dropped.trace is None
+        assert _settle(tracer, _member(0, tenant="hot")) is not None
+        assert _settle(tracer, _member(1, tenant="cold")) is None
 
 
 class TestHubChurn:

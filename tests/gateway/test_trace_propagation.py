@@ -5,8 +5,8 @@ covered by the fairness bench's telemetry arm; these tests pin the
 paths that historically lose context: over-commit reclaims that pull a
 released request back out of the runtime queue (withdraw_newest /
 restore / requeue_front), re-release after recovery, and admission
-denials that never settle at all. In every case the request must end
-the run with one finished, well-nested span tree.
+denials that never settle at all. In every case a kept request must
+end the run with one complete, well-nested span tree.
 """
 
 import pytest
@@ -53,24 +53,22 @@ class TestReclaimPropagation:
         testbed.clock.advance(1.0)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
-        marked = [
-            result.request.trace
-            for result in gateway._open.values()
-            if any(m[0] == "reclaim" for m in result.request.trace.marks)
-        ]
+        # Nothing is built while a request is open: the reclaim is a
+        # time on its record, its re-release still to come.
+        assert all(record.request.trace is None for record in gateway._open.values())
+        marked = [record for record in gateway._open.values() if record.reclaims]
         assert len(marked) == gateway.requests_reclaimed
-        for trace in marked:
+        for record in marked:
+            assert record.reclaims == [testbed.clock.now()]
+        gateway.runtime.mark_up("w1")
+        gateway.runtime.mark_up("w2")
+        gateway.runtime.drain()
+        for record in marked:
             # The reclaim is a point annotation, not a span, and it
             # carries enough context to read the waterfall alone.
-            ((name, at, attrs),) = [
-                m for m in trace.marks if m[0] == "reclaim"
-            ]
-            assert at == testbed.clock.now()
+            ((name, at, attrs),) = record.request.trace.marks
+            assert (name, at) == ("reclaim", record.reclaims[0])
             assert attrs == {"tenant": "t", "servable": "noop"}
-            # Reclaim closed the first lane stay's span already; the
-            # trace itself is still open (the request will settle).
-            assert not trace.finished
-            assert len(trace.stages("lane_wait")) == 1
 
     def test_reclaimed_requests_settle_with_complete_trees(self):
         testbed, gateway, tokens, tracer = _overcommitted_traced_gateway()
@@ -89,7 +87,7 @@ class TestReclaimPropagation:
         assert len(tracer.retained) == offered
         twice_waited = 0
         for trace in tracer.retained:
-            assert trace.finished and not trace.error
+            assert not trace.error
             assert trace.missing_stages(gateway=True) == set()
             assert trace.well_formed()
             lane_waits = trace.stages("lane_wait")
@@ -131,9 +129,9 @@ class TestReclaimPropagation:
             assert second_stay.start == reclaim_at
 
     def test_second_lane_wait_even_when_unsampled(self):
-        """Span recording is retention-independent: an unsampled trace
-        opened by the gateway still accumulates both lane stays (it
-        just gets dropped at finish)."""
+        """The door facts are retention-independent: an unsampled
+        request's record still holds its reclaim and re-release times
+        (its second lane stay), yet a dropped request builds no trace."""
         testbed, gateway, tokens, tracer = _overcommitted_traced_gateway(
             sample_rate=0.0
         )
@@ -142,20 +140,16 @@ class TestReclaimPropagation:
         assert gateway.requests_reclaimed > 0
         gateway.runtime.mark_up("w1")
         gateway.runtime.mark_up("w2")
-        results = {
-            uuid: result.request for uuid, result in gateway._open.items()
-        }
+        records = list(gateway._open.values())
         gateway.runtime.drain()
         assert len(tracer.retained) == 0  # nothing sampled, nothing slow
-        assert tracer.dropped == len(results)
-        twice = [
-            r
-            for r in results.values()
-            if len(r.trace.stages("lane_wait")) == 2
-        ]
-        assert len(twice) > 0
-        for request in twice:
-            assert request.trace.well_formed()
+        assert tracer.dropped == len(records)
+        twice = [record for record in records if record.reclaims]
+        assert len(twice) == gateway.requests_reclaimed
+        for record in twice:
+            reclaimed, released = record.reclaims
+            assert record.arrived_at <= record.enqueued_at <= reclaimed <= released
+        assert all(record.request.trace is None for record in records)
 
 
 class TestDenialTraces:
@@ -170,7 +164,7 @@ class TestDenialTraces:
         denied = gateway.offer(TaskRequest("noop", args=(2,)), token=tokens["u"])
         assert not denied.admitted
         trace = denied.request.trace
-        assert trace.finished and trace.error
+        assert trace.error
         (admission,) = trace.stages("admission")
         assert admission.status == "error"
         assert admission.attrs["outcome"] == denied.decision.outcome.value
@@ -188,13 +182,13 @@ class TestDenialTraces:
         )
         assert not rejected.admitted
         trace = rejected.request.trace
-        assert trace.finished and trace.error
+        assert trace.error
         assert trace.tenant is None
         assert trace in tracer.retained
 
     def test_denials_never_leak_open_traces(self):
-        """A burst past max_queued sheds; every shed request's trace is
-        closed (no unfinished traces dangling off the tracer)."""
+        """A burst past max_queued sheds; every shed request settles at
+        the door, and only settlement builds a trace."""
         tracer = Tracer(sample_rate=1.0, slow_threshold_s=None)
         testbed, gateway, tokens = build_gateway(
             {"u": TenantPolicy(name="t", max_queued=2)},
@@ -210,13 +204,12 @@ class TestDenialTraces:
         shed = [r for r in results if not r.admitted]
         assert shed
         for result in shed:
-            assert result.request.trace.finished
             assert result.request.trace.error
         assert tracer.finished == len(shed)
-        # Admitted requests' traces stay open until settlement.
+        # Admitted requests get no trace until they settle.
         for result in results:
             if result.admitted:
-                assert not result.request.trace.finished
+                assert result.request.trace is None
 
 
 class TestGatewayTracerWiring:
@@ -289,7 +282,7 @@ class TestSyncPathsEnterThroughTheSameDoor:
 
         assert len(tracer.retained) == 6
         for trace in tracer.retained:
-            assert trace.finished and not trace.error
+            assert not trace.error
             assert trace.missing_stages(gateway=True) == set()
             assert trace.well_formed()
             assert trace.tenant == "public"

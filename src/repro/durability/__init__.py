@@ -5,8 +5,8 @@ The serving data plane (:class:`~repro.messaging.queue.TaskQueue`,
 state — a runtime restart mid-traffic silently loses every admitted
 request. This package makes that state durable and *recoverable*:
 
-* :mod:`repro.durability.codec` — CRC-checked journal record lines and
-  the request-body pickle codec;
+* :mod:`repro.durability.codec` — CRC-framed journal records and
+  snapshot documents, and the request-body pickle codec;
 * :mod:`repro.durability.store` — the pluggable :class:`DurableStore`
   contract (in-memory default, file-backed for chaos tests);
 * :mod:`repro.durability.state` — :class:`SystemState`, the replayable

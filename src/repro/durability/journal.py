@@ -3,13 +3,14 @@
 One :class:`Journal` fronts one :class:`~repro.durability.store.
 DurableStore`. :meth:`Journal.append` assigns the next sequence number,
 encodes the record's values — which the queue and gateway pass already
-in :data:`~repro.durability.codec.FIELDS` order — and hands the line to
-the store. Nothing is folded: :class:`~repro.durability.state.
-SystemState` runs only in replay. The journal keeps just what its own
-records and snapshots need: the *open admissions* (an entry added at
-admit, updated at put, dropped at settle — how :meth:`Journal.put`
-knows a request's body is already on the journal), the messages
-withdrawn and not restored, and a settle count.
+in :data:`~repro.durability.codec.FIELDS` order — into one framed
+pickle and hands the bytes to the store. Nothing is folded:
+:class:`~repro.durability.state.SystemState` runs only in replay. The
+journal keeps just what its own records and snapshots need: the *open
+admissions* (an entry added at admit, updated at put, dropped at
+settle — how :meth:`Journal.put` knows a request's body is already on
+the journal), the messages withdrawn and not restored, and a settle
+count.
 
 A snapshot is *due* once ``snapshot_every_records`` appends have passed
 since the last one. The gateway's ``on_tick`` writes a due snapshot
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from repro.core.tasks import TaskRequest
 from repro.durability import codec
-from repro.durability.state import COUNTERS, DOC_VERSION, MESSAGE_FIELDS, SystemState
+from repro.durability.state import COUNTERS, MESSAGE_FIELDS, SystemState
 
 #: The :data:`~repro.durability.state.COUNTERS` of a fresh queue.
 _FRESH_COUNTERS = SystemState().counters()
@@ -131,9 +132,12 @@ class Journal:
             self._open[task_uuid] = [admit, seq, None, None, False]
 
     def settle(self, task_uuids: list[str]) -> int:
-        """Record one ``settle``: the open requests one call delivered
-        (a request not open raises ``KeyError`` before anything is
-        written)."""
+        """Record one ``settle``: the open requests one call delivered.
+        Unless every one is open and none repeats, ``KeyError`` is
+        raised before anything changes or is written."""
+        uuids = set(task_uuids)
+        if len(uuids) != len(task_uuids) or not self._open.keys() >= uuids:
+            raise KeyError(f"settle of a request not open, or named twice: {task_uuids!r}")
         for task_uuid in task_uuids:
             del self._open[task_uuid]
         self.settled += len(task_uuids)
@@ -250,7 +254,6 @@ class Journal:
         dead = [add(m) for m in live["dead"]]
         dead_uuids = {messages[mid]["task_uuid"] for mid in dead}
         return {
-            "v": DOC_VERSION,
             "messages": [messages[mid] for mid in sorted(messages)],
             "ready": ready,
             "inflight": inflight,

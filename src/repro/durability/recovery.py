@@ -2,11 +2,11 @@
 
 The recovery pipeline, in order:
 
-1. :func:`load_state` — parse the snapshot (if any), replay the journal
-   tail, dedupe the snapshot/journal seam by sequence number, tolerate
-   (and flag) exactly one torn final record, and fail loudly on
-   anything else: CRC mismatches, sequence gaps, conflicting duplicate
-   records.
+1. :func:`load_state` — check and unpickle the snapshot (if any),
+   replay the journal tail, dedupe the snapshot/journal seam by
+   sequence number, tolerate (and flag) exactly one torn final record,
+   and fail loudly on anything else: CRC mismatches, sequence gaps,
+   conflicting duplicate records.
 2. :func:`begin_recovery` — resume a :class:`~repro.durability.journal.
    Journal` after the replayed sequence and append one ``recover`` record
    carrying the release plan (:func:`plan_recover`): every claimed-but-
@@ -40,7 +40,6 @@ Recovery invariants (asserted by ``tests/durability``):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.durability import codec
@@ -56,7 +55,7 @@ class RecoveryReport:
 
     snapshot_used: bool = False
     records_replayed: int = 0
-    #: The journal ended in an unparseable line — a torn final write.
+    #: The journal ended in an unparseable record — a torn final write.
     #: The record never took effect (its CRC/structure check failed),
     #: so recovery proceeds without it; the flag is surfaced so
     #: operators see the tear instead of a silent repair.
@@ -79,38 +78,34 @@ class RecoveryReport:
 def load_state(store) -> tuple[SystemState, RecoveryReport]:
     """Fold the store's snapshot + journal into a :class:`SystemState`.
 
-    Loud-failure contract: a mid-journal undecodable record, a CRC
-    mismatch, a sequence gap, another format version, or two *different*
-    records claiming the same sequence all raise
-    :class:`JournalCorruption`. Only a torn final line is tolerated
-    (flagged on the report) — it is the one corruption a crash
-    legitimately produces.
+    Loud-failure contract: a snapshot or mid-journal record that is
+    undecodable or fails its CRC, a sequence gap, another format
+    version, or two *different* records claiming the same sequence all
+    raise :class:`JournalCorruption`. Only a torn final record is
+    tolerated (flagged on the report) — it is the one corruption a
+    crash legitimately produces.
     """
     report = RecoveryReport()
     raw_snapshot = store.read_snapshot()
     if raw_snapshot is not None:
-        try:
-            doc = json.loads(raw_snapshot)
-        except ValueError as exc:
-            raise JournalCorruption(f"unparseable snapshot: {exc}") from exc
-        state = SystemState.from_doc(doc)
+        state = SystemState.from_doc(codec.decode_doc(raw_snapshot))
         report.snapshot_used = True
     else:
         state = SystemState()
-    lines = store.read_journal()
-    seen: dict[int, str] = {}
-    for i, line in enumerate(lines):
+    records = store.read_journal()
+    seen: dict[int, bytes] = {}
+    for i, record in enumerate(records):
         try:
-            seq, op, data = codec.decode_record(line)
+            seq, op, data = codec.decode_record(record)
         except FormatMismatch:
             raise  # an intact record of another version is no torn write
         except JournalCorruption:
-            if i == len(lines) - 1:
+            if i == len(records) - 1:
                 report.truncated_tail = True
                 break
             raise
         if seq in seen:
-            if seen[seq] != line:
+            if seen[seq] != record:
                 raise JournalCorruption(
                     f"conflicting duplicate records at seq={seq}"
                 )
@@ -128,7 +123,7 @@ def load_state(store) -> tuple[SystemState, RecoveryReport]:
                 f"journal gap: expected seq={state.last_seq + 1}, got {seq}"
             )
         state.apply(seq, op, data)
-        seen[seq] = line
+        seen[seq] = record
         report.records_replayed += 1
     return state, report
 
@@ -175,7 +170,7 @@ def begin_recovery(
     flight) and folding it into the returned state. A torn tail is
     repaired by snapshotting that state immediately — the snapshot
     durably covers every applied record and the store drops the
-    unparseable line on truncation."""
+    unparseable record on truncation."""
     state, report = load_state(store)
     journal = Journal(
         store,

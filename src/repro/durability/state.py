@@ -52,9 +52,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.durability.codec import FormatMismatch, JournalCorruption
-
-DOC_VERSION = 4  # since bodies became field tuples (codec format 5)
+from repro.durability.codec import JournalCorruption
 
 #: The queue's counters and id cursors, named as ``TaskQueue.dump_state``,
 #: a ``baseline`` record and a snapshot name them.
@@ -252,9 +250,9 @@ class SystemState:
 
     # -- snapshot format ----------------------------------------------------------
     def to_doc(self) -> dict:
-        """The state as one JSON-able document (the snapshot payload)."""
+        """The state as one document (the snapshot payload, framed by
+        :func:`repro.durability.codec.encode_doc`)."""
         return {
-            "v": DOC_VERSION,
             "messages": [self.messages[mid] for mid in sorted(self.messages)],
             "ready": {t: list(m) for t, m in sorted(self.ready.items()) if m},
             "inflight": [[tag, list(e)] for tag, e in self.inflight.items()],
@@ -269,11 +267,6 @@ class SystemState:
     @classmethod
     def from_doc(cls, doc: dict) -> SystemState:
         """Rebuild a state from :meth:`to_doc` output."""
-        if doc.get("v") != DOC_VERSION:
-            raise FormatMismatch(
-                f"snapshot has format version {doc.get('v')!r}, "
-                f"expected {DOC_VERSION}"
-            )
         state = cls()
         state.messages = {m["message_id"]: dict(m) for m in doc["messages"]}
         state.ready = {t: deque(m) for t, m in doc["ready"].items()}

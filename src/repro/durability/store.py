@@ -1,22 +1,23 @@
 """Pluggable durable media for the write-ahead journal.
 
-A :class:`DurableStore` persists two things: an append-only journal of
-record lines and one snapshot document. The snapshot protocol is
-two-phase — persist the new snapshot *first*, then truncate the journal
-records it covers — so a crash between the phases leaves a snapshot
-plus an overlapping journal tail, which recovery dedupes by record
-sequence number (every snapshot carries the last sequence it folded).
+A :class:`DurableStore` persists two things, both encoded ``bytes``
+(:mod:`repro.durability.codec`): an append-only journal of records and
+one snapshot document. The snapshot protocol is two-phase — persist the
+new snapshot *first*, then truncate the journal records it covers — so
+a crash between the phases leaves a snapshot plus an overlapping
+journal tail, which recovery dedupes by record sequence number (every
+snapshot carries the last sequence it folded).
 
-:class:`InMemoryDurableStore` is the zero-cost default (bit-for-bit
-legacy behaviour, state dies with the process — useful for tests that
-simulate a crash by keeping the store object while discarding the
-serving objects). :class:`FileDurableStore` writes a JSONL journal and
-a JSON snapshot under a directory, with the snapshot replaced
-atomically via a temp file + ``os.replace``.
+:class:`InMemoryDurableStore` is the zero-cost default: it keeps the
+bytes as they are, and they die with the process (tests simulate a
+crash by keeping the store object while discarding the serving
+objects). :class:`FileDurableStore` writes them under a directory.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import os
 
 
@@ -29,8 +30,8 @@ class StoreCorruption(RuntimeError):
 class DurableStore:
     """Contract every durable medium implements.
 
-    ``append(seq, line)`` durably appends one encoded journal record;
-    ``read_journal()`` returns every persisted line in append order;
+    ``append(seq, record)`` durably appends one encoded journal record;
+    ``read_journal()`` returns every persisted record in append order;
     ``read_snapshot()`` returns the persisted snapshot document or
     ``None``; ``write_snapshot(doc, last_seq, chaos)`` persists ``doc``,
     then drops the records with ``seq <= last_seq``. It takes the chaos
@@ -43,38 +44,50 @@ class InMemoryDurableStore(DurableStore):
     """Journal + snapshot held in plain Python structures."""
 
     def __init__(self) -> None:
-        self._records: list[tuple[int, str]] = []
-        self._snapshot: str | None = None
+        self._records: list[tuple[int, bytes]] = []
+        self._snapshot: bytes | None = None
         self.appends = 0
         self.snapshots = 0
 
-    def append(self, seq: int, line: str) -> None:
-        self._records.append((seq, line))
+    def append(self, seq: int, record: bytes) -> None:
+        self._records.append((seq, record))
         self.appends += 1
 
-    def read_journal(self) -> list[str]:
-        return [line for _, line in self._records]
+    def read_journal(self) -> list[bytes]:
+        return [record for _, record in self._records]
 
-    def write_snapshot(self, doc: str, last_seq: int, chaos=None) -> None:
+    def write_snapshot(self, doc: bytes, last_seq: int, chaos=None) -> None:
         self._snapshot = doc
         self.snapshots += 1
         if chaos is not None:
             chaos.trip("mid_snapshot")
-        self._records = [(seq, line) for seq, line in self._records if seq > last_seq]
+        self._records = [(seq, record) for seq, record in self._records if seq > last_seq]
 
-    def read_snapshot(self) -> str | None:
+    def read_snapshot(self) -> bytes | None:
         return self._snapshot
 
 
-class FileDurableStore(DurableStore):
-    """JSONL journal + JSON snapshot under one directory.
+def _unline(line: bytes) -> bytes:
+    """The record a journal line holds. A line that is no base64 is a
+    JSON line of an older format, handed on for the codec to refuse by
+    its version, or garbage or a torn write: no record at all."""
+    try:
+        return base64.b64decode(line, validate=True)
+    except binascii.Error:
+        return line if line[:1] == b"{" else b""
 
-    Layout: ``<dir>/journal.jsonl`` (one record line per append) and
-    ``<dir>/snapshot.json`` (replaced atomically). A leftover
-    ``snapshot.json.tmp`` from a crash mid-write is ignored on read and
-    overwritten on the next snapshot. The journal is appended through
-    one handle, opened by the first append and flushed per record;
-    :meth:`close` releases it (a later append reopens).
+
+class FileDurableStore(DurableStore):
+    """Base64-line journal + raw snapshot under one directory.
+
+    Layout: ``<dir>/journal.jsonl``, one base64 line per record (a torn
+    write is an unterminated last line, mid-file damage one bad line
+    among good ones), and ``<dir>/snapshot.json``, the raw snapshot
+    bytes replaced atomically via a temp file + ``os.replace`` (a
+    leftover ``.tmp`` is ignored). The names predate format 6, so an
+    older format's directory is read and refused. The journal is
+    appended through one handle, opened by the first append and flushed
+    per record; :meth:`close` releases it (a later append reopens).
     """
 
     JOURNAL = "journal.jsonl"
@@ -89,10 +102,10 @@ class FileDurableStore(DurableStore):
         self.appends = 0
         self.snapshots = 0
 
-    def append(self, seq: int, line: str) -> None:
+    def append(self, seq: int, record: bytes) -> None:
         if self._journal_fh is None:
-            self._journal_fh = open(self._journal_path, "a", encoding="utf-8")
-        self._journal_fh.write(line + "\n")
+            self._journal_fh = open(self._journal_path, "ab")
+        self._journal_fh.write(base64.b64encode(record) + b"\n")
         self._journal_fh.flush()
         self.appends += 1
 
@@ -102,23 +115,23 @@ class FileDurableStore(DurableStore):
             self._journal_fh.close()
             self._journal_fh = None
 
-    def read_journal(self) -> list[str]:
+    def read_journal(self) -> list[bytes]:
         try:
-            with open(self._journal_path, encoding="utf-8") as fh:
+            with open(self._journal_path, "rb") as fh:
                 raw = fh.read()
         except FileNotFoundError:
             return []
         except OSError as exc:
             raise StoreCorruption(f"unreadable journal: {exc}") from exc
         # A torn final append may leave a line without its newline; the
-        # record-level CRC (not this split) decides whether it is valid.
-        return [line for line in raw.split("\n") if line]
+        # codec (not this split) decides whether its record is valid.
+        return [_unline(line) for line in raw.split(b"\n") if line]
 
-    def write_snapshot(self, doc: str, last_seq: int, chaos=None) -> None:
-        from repro.durability.codec import decode_record
+    def write_snapshot(self, doc: bytes, last_seq: int, chaos=None) -> None:
+        from repro.durability.codec import JournalCorruption, decode_record
 
         tmp = self._snapshot_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(doc)
             fh.flush()
             os.fsync(fh.fileno())
@@ -127,29 +140,28 @@ class FileDurableStore(DurableStore):
         if chaos is not None:
             chaos.trip("mid_snapshot")
         kept = []
-        for line in self.read_journal():
+        for record in self.read_journal():
             try:
-                seq, _, _ = decode_record(line)
-            except Exception:
-                # An undecodable line is a torn write that never took
+                seq, _, _ = decode_record(record)
+            except JournalCorruption:
+                # An undecodable record is a torn write that never took
                 # effect; the snapshot now durably covers everything
                 # that did, so dropping it is the repair, not a loss.
                 continue
             if seq > last_seq:
-                kept.append(line)
+                kept.append(base64.b64encode(record) + b"\n")
         journal_tmp = self._journal_path + ".tmp"
-        with open(journal_tmp, "w", encoding="utf-8") as fh:
-            for line in kept:
-                fh.write(line + "\n")
+        with open(journal_tmp, "wb") as fh:
+            fh.write(b"".join(kept))
             fh.flush()
             os.fsync(fh.fileno())
         # The held handle would keep appending to the replaced file.
         self.close()
         os.replace(journal_tmp, self._journal_path)
 
-    def read_snapshot(self) -> str | None:
+    def read_snapshot(self) -> bytes | None:
         try:
-            with open(self._snapshot_path, encoding="utf-8") as fh:
+            with open(self._snapshot_path, "rb") as fh:
                 return fh.read()
         except FileNotFoundError:
             return None

@@ -5,15 +5,19 @@ loudly — never silently serves from a wrong state.
 Tolerated (recover + flag): a torn final line, a byte-identical
 duplicate record, a snapshot/journal seam overlap. Fatal
 (:class:`JournalCorruption`): mid-journal garbage, a CRC/content
-mismatch, a sequence gap, two different records claiming one sequence,
-an unparseable snapshot document, a record written in an older format
-version (1 to 4) or a snapshot in an older document version (1 to 3).
+mismatch in a record or in the snapshot, a sequence gap, two different
+records claiming one sequence, an unparseable snapshot document, a
+record written in an older format version (the JSON lines of 1 to 5)
+or a snapshot in an older document version (the JSON of 1 to 4).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import pickle
+import zlib
 
 import pytest
 
@@ -29,13 +33,14 @@ from repro.durability import (
     load_state,
 )
 from repro.durability.codec import (
+    DOC_VERSION,
     FORMAT_VERSION,
     FormatMismatch,
+    decode_doc,
     decode_record,
     encode_doc,
     encode_record,
 )
-from repro.durability.state import DOC_VERSION
 from repro.messaging.queue import TaskQueue
 from repro.sim.clock import VirtualClock
 
@@ -62,21 +67,44 @@ def journal_path(store):
     return os.path.join(store.directory, FileDurableStore.JOURNAL)
 
 
+def snapshot_path(store):
+    return os.path.join(store.directory, FileDurableStore.SNAPSHOT)
+
+
 def read_lines(store):
-    with open(journal_path(store), encoding="utf-8") as fh:
+    with open(journal_path(store), encoding="ascii") as fh:
         return fh.read().splitlines()
 
 
 def write_lines(store, lines, *, trailing_newline=True):
     text = "\n".join(lines) + ("\n" if trailing_newline else "")
-    with open(journal_path(store), "w", encoding="utf-8") as fh:
+    with open(journal_path(store), "w", encoding="ascii") as fh:
         fh.write(text)
 
 
+def as_line(record):
+    """A record as the file store writes it."""
+    return base64.b64encode(record).decode("ascii")
+
+
+def flip(blob, i):
+    damaged = bytearray(blob)
+    damaged[i] ^= 0x01
+    return bytes(damaged)
+
+
 def test_torn_tail_is_tolerated_flagged_and_repaired(tmp_path):
+    # A write torn anywhere: inside the first base64 quantum, at one,
+    # or inside the header or the payload of the record it held.
+    for cut in (1, 3, 8, 17, 40):
+        assert_torn_tail_is_tolerated_flagged_and_repaired(tmp_path / str(cut), cut)
+
+
+def assert_torn_tail_is_tolerated_flagged_and_repaired(tmp_path, cut):
     store, journal, queue = seeded_store(tmp_path)
-    with open(journal_path(store), "a", encoding="utf-8") as fh:
-        fh.write('{"crc": 123, "rec": [99, "pu')  # torn mid-write, no newline
+    torn = as_line(encode_record(journal.last_seq + 1, "put", [None] * 8))[:cut]
+    with open(journal_path(store), "a", encoding="ascii") as fh:
+        fh.write(torn)  # torn mid-write, no newline
 
     state, report = load_state(store)
     assert report.truncated_tail
@@ -98,19 +126,44 @@ def test_mid_journal_garbage_fails_loud(tmp_path):
     lines = read_lines(store)
     lines[len(lines) // 2] = "not a journal record"
     write_lines(store, lines)
-    with pytest.raises(JournalCorruption, match="unparseable journal line"):
+    with pytest.raises(JournalCorruption, match="unparseable journal record"):
         load_state(store)
 
 
 def test_content_tamper_fails_crc(tmp_path):
     store, _, _ = seeded_store(tmp_path)
     lines = read_lines(store)
-    victim = json.loads(lines[2])
-    assert victim["rec"][1] == "put"
-    victim["rec"][2][0] = "hijacked"  # re-point a put's topic, keep old CRC
-    lines[2] = json.dumps(victim, sort_keys=True, separators=(",", ":"))
+    record = base64.b64decode(lines[2])
+    assert decode_record(record)[1] == "put"
+    topic = record.index(b"\x8c\x01t") + 2  # the put's topic, "t"; keep the old CRC
+    lines[2] = as_line(record[:topic] + b"u" + record[topic + 1:])
     write_lines(store, lines)
-    with pytest.raises(JournalCorruption, match="crc mismatch"):
+    with pytest.raises(JournalCorruption, match="crc mismatch on journal record"):
+        load_state(store)
+
+
+def test_one_flipped_byte_in_a_snapshot_or_a_record_fails_loud(tmp_path):
+    # Format 5 snapshots had no checksum: a changed digit loaded as a
+    # different state. Now the snapshot and every record fail alike.
+    store, journal, queue = seeded_store(tmp_path)
+    journal.snapshot_now(queue)
+    for i in range(3):
+        queue.put(request(100 + i), topic="t")
+    with open(snapshot_path(store), "rb") as fh:
+        snapshot = fh.read()
+    with open(snapshot_path(store), "wb") as fh:
+        fh.write(flip(snapshot, len(snapshot) // 2))
+    with pytest.raises(JournalCorruption, match="crc mismatch on snapshot"):
+        load_state(store)
+
+    with open(snapshot_path(store), "wb") as fh:
+        fh.write(snapshot)
+    lines = read_lines(store)
+    assert len(lines) == 3
+    record = base64.b64decode(lines[1])
+    lines[1] = as_line(flip(record, len(record) // 2))
+    write_lines(store, lines)
+    with pytest.raises(JournalCorruption, match="crc mismatch on journal record"):
         load_state(store)
 
 
@@ -127,9 +180,9 @@ def test_identical_duplicate_is_skipped_and_counted(tmp_path):
 def test_conflicting_duplicate_fails_loud(tmp_path):
     store, _, _ = seeded_store(tmp_path)
     lines = read_lines(store)
-    seq, _, _ = decode_record(lines[3])
+    seq, _, _ = decode_record(base64.b64decode(lines[3]))
     # A *valid* record (correct CRC) that disagrees with seq's history.
-    lines.insert(4, encode_record(seq, "settle", [["task-evil"]]))
+    lines.insert(4, as_line(encode_record(seq, "settle", [["task-evil"]])))
     write_lines(store, lines)
     with pytest.raises(JournalCorruption, match="conflicting duplicate"):
         load_state(store)
@@ -147,26 +200,36 @@ def test_sequence_gap_fails_loud(tmp_path):
 def test_unparseable_snapshot_fails_loud(tmp_path):
     store, journal, queue = seeded_store(tmp_path)
     journal.snapshot_now(queue)
-    snap = os.path.join(store.directory, FileDurableStore.SNAPSHOT)
-    with open(snap, "w", encoding="utf-8") as fh:
-        fh.write('{"v": 1, "messages": [truncated')
-    with pytest.raises(JournalCorruption, match="unparseable snapshot"):
-        load_state(store)
+    with open(snapshot_path(store), "rb") as fh:
+        doc = fh.read()
+    for damaged, error in (
+        (doc[: len(doc) // 2], "crc mismatch on snapshot"),
+        (doc[:3], "unparseable snapshot"),
+        (b'{"v": 1, "messages": [truncated', "unparseable snapshot"),
+    ):
+        with open(snapshot_path(store), "wb") as fh:
+            fh.write(damaged)
+        with pytest.raises(JournalCorruption, match=error):
+            load_state(store)
+
+
+def json_default(value):
+    return base64.b64encode(value).decode("ascii")
 
 
 def as_format(line, version):
-    """``line`` as an older writer would have left it: intact, CRC
-    valid (the CRC covers ``rec`` only), version field ``version``."""
-    doc = json.loads(line)
-    doc["v"] = version
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """``line`` as a JSON writer of format ``version`` would have left
+    it: intact, CRC valid over the canonical ``rec``."""
+    rec = pickle.loads(base64.b64decode(line)[5:])  # (seq, op, values), unnamed
+    canonical = {"sort_keys": True, "separators": (",", ":"), "default": json_default}
+    crc = zlib.crc32(json.dumps(rec, **canonical).encode("utf-8"))
+    return json.dumps({"crc": crc, "rec": rec, "v": version}, **canonical)
 
 
-#: Lines are at format 5 (a body is a pickled field tuple), so a
-#: version-4 line is refused too; snapshots carry bodies, so the
-#: snapshot document moved to 4 with them.
-OLD_LINE_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3, 4])
-OLD_SNAPSHOT_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3])
+#: Lines of formats 1 to 5 were JSON text, and so were snapshot
+#: documents of versions 1 to 4: each is refused by the version it names.
+OLD_LINE_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+OLD_SNAPSHOT_VERSIONS = pytest.mark.parametrize("version", [1, 2, 3, 4])
 
 
 def refused(version, current):
@@ -200,12 +263,10 @@ def test_old_format_final_record_is_not_mistaken_for_a_torn_tail(tmp_path, versi
 def test_old_format_snapshot_fails_loud_naming_both_versions(tmp_path, version):
     store, journal, queue = seeded_store(tmp_path)
     journal.snapshot_now(queue)
-    snap = os.path.join(store.directory, FileDurableStore.SNAPSHOT)
-    with open(snap, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["v"] = version
-    with open(snap, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    with open(snapshot_path(store), "rb") as fh:
+        doc = decode_doc(fh.read())
+    with open(snapshot_path(store), "w", encoding="utf-8") as fh:
+        json.dump({"v": version, **doc}, fh, default=json_default)
     with refused(version, DOC_VERSION):
         load_state(store)
 
@@ -238,8 +299,8 @@ def test_lost_snapshot_after_truncation_fails_loud(tmp_path):
     store, journal, _ = seeded_store(tmp_path, snapshot_every=5)
     assert journal.snapshots_taken > 0
     assert read_lines(store)  # some records survived the truncation
-    first_seq, _, _ = decode_record(read_lines(store)[0])
+    first_seq, _, _ = decode_record(base64.b64decode(read_lines(store)[0]))
     assert first_seq > 1  # the snapshot really truncated a prefix
-    os.remove(os.path.join(store.directory, FileDurableStore.SNAPSHOT))
+    os.remove(snapshot_path(store))
     with pytest.raises(JournalCorruption, match="journal gap"):
         load_state(store)

@@ -42,7 +42,7 @@ from repro.durability import (
     decode_body,
     load_state,
 )
-from repro.durability.codec import encode_doc
+from repro.durability.codec import decode_doc, encode_doc
 from repro.gateway import TenantPolicy, TenantPolicyTable
 from repro.messaging.queue import QueueEmpty, TaskQueue
 from repro.sim.clock import VirtualClock
@@ -60,16 +60,25 @@ TOPICS = ("servable/requests/alpha", "servable/tenant-t1/alpha", "beta")
 
 def decoded(doc: dict) -> dict:
     """A snapshot document with each message's body decoded and its
-    ``dispatch_tag`` applied. The fold keeps an admitted request's body
-    as admitted plus the tag; a live snapshot re-encodes the body of a
+    ``dispatch_tag`` applied, then put through JSON so that lists and
+    tuples compare alike. The fold keeps an admitted request's body as
+    admitted plus the tag; a live snapshot re-encodes the body of a
     message whose request has already settled. Both decode alike."""
-    doc = json.loads(encode_doc(doc))
+    messages = []
     for message in doc["messages"]:
+        message = dict(message)
         body = decode_body(message["body"])
         if "dispatch_tag" in message:
             body.dispatch_tag = message.pop("dispatch_tag")
-        message["body"] = body
-    return doc
+        message["body"] = vars(body)
+        messages.append(message)
+    return json.loads(json.dumps(dict(doc, messages=messages), default=bytes.hex))
+
+
+def canonical(doc: dict) -> str:
+    """A document as sorted-keys JSON, bytes as hex: pickled bytes
+    depend on dict order and object sharing, this text does not."""
+    return json.dumps(doc, sort_keys=True, default=bytes.hex)
 
 
 def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock):
@@ -272,7 +281,7 @@ class TestReplayEquivalence:
                 f"seed={seed} offset={offset}"
             )
             # ... and so does a snapshot taken at that offset.
-            reloaded = SystemState.from_doc(json.loads(json.dumps(state.to_doc())))
+            reloaded = SystemState.from_doc(decode_doc(encode_doc(state.to_doc())))
             assert reloaded.fingerprint(decode_body) == dumps[offset], (
                 f"seed={seed} offset={offset} (snapshot round trip)"
             )
@@ -315,15 +324,16 @@ class TestReplayEquivalence:
 @pytest.fixture
 def snapshots_checked(monkeypatch):
     """Check every snapshot the journal writes against the fold of the
-    records it covers — byte for byte: through the gateway, no message
-    outlives its request's settle. Returns the checked documents."""
+    records it covers — byte for byte in :func:`canonical` form, the
+    bodies' bytes included: through the gateway, no message outlives
+    its request's settle. Returns the checked documents."""
     checked = []
     snapshot_now = Journal.snapshot_now
 
     def checking_snapshot_now(journal, queue):
         folded, _ = load_state(journal.store)
-        live = encode_doc(journal.snapshot_doc(queue))
-        assert live == encode_doc(folded.to_doc())
+        live = canonical(journal.snapshot_doc(queue))
+        assert live == canonical(folded.to_doc())
         checked.append(json.loads(live))
         return snapshot_now(journal, queue)
 

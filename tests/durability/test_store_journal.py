@@ -6,12 +6,12 @@ queue's attach/dump/load surface."""
 
 from __future__ import annotations
 
-import base64
 import builtins
 import dataclasses
 import json
 import pickle
 import re
+import struct
 import zlib
 from types import SimpleNamespace
 from unittest import mock
@@ -27,6 +27,7 @@ from repro.durability import (
     InMemoryDurableStore,
     Journal,
     JournalCorruption,
+    SystemState,
     decode_body,
     encode_body,
     load_state,
@@ -34,8 +35,11 @@ from repro.durability import (
 from repro.durability.codec import (
     BODY_FIELDS,
     CARRIED_ADMIT,
+    DOC_VERSION,
     FIELDS,
     FORMAT_VERSION,
+    FormatMismatch,
+    decode_doc,
     decode_record,
     encode_doc,
     encode_record,
@@ -68,7 +72,7 @@ def put_record(**fields):
             "servable": "noop",
             "arrived_at": 0.25,
             "weight": 1.0,
-            "body": "gAWV",
+            "body": b"\x80\x05\x95",
         },
     }
     record.update(fields)
@@ -76,7 +80,7 @@ def put_record(**fields):
 
 
 def positional(op, data):
-    """``data`` as a line spells it: the values of ``op``'s field tuple
+    """``data`` as a record holds it: the values of ``op``'s field tuple
     in order, a carried admit nested the same way — or ``data`` itself,
     keyed, for an op without a field tuple."""
     if op not in FIELDS:
@@ -87,57 +91,71 @@ def positional(op, data):
     return values
 
 
+def framed(version, obj):
+    """Format 6's frame, spelled out: version byte, CRC-32 of the
+    payload (little-endian), then the protocol-5 pickle of ``obj``."""
+    payload = pickle.dumps(obj, protocol=5)
+    return struct.pack("<BI", version, zlib.crc32(payload)) + payload
+
+
 def test_record_codec_round_trips():
-    line = encode_record(7, "put", positional("put", put_record()))
-    assert decode_record(line) == (7, "put", put_record())
-    # Positional: the line spells no key of the put or of its admit.
-    assert not any(f'"{name}"' in line for name in (*FIELDS["put"], *CARRIED_ADMIT))
-    assert json.loads(line)["rec"][2][-1] == ["t1", "noop", 0.25, 1.0, "gAWV"]
+    record = encode_record(7, "put", positional("put", put_record()))
+    assert decode_record(record) == (7, "put", put_record())
 
 
 def test_record_codec_rejects_stale_crc():
-    line = encode_record(7, "put", positional("put", put_record(admit=None)))
-    doc = json.loads(line)
-    doc["rec"][2][1] = 8  # the message id
-    tampered = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with pytest.raises(JournalCorruption, match="crc mismatch"):
+    values = positional("put", put_record(admit=None))
+    record = encode_record(7, "put", values)
+    values[1] = 8  # the message id
+    tampered = record[:5] + pickle.dumps((7, "put", values), protocol=5)
+    with pytest.raises(JournalCorruption, match="crc mismatch on journal record"):
         decode_record(tampered)
 
 
 @pytest.mark.parametrize(
     "rec, error",
     [
-        ([1, "ack", {"delivery_tags": [1]}], "malformed journal record fields"),
-        ([1, "settle", [["u1"], "extra"]], "malformed journal record fields"),
-        ([1, "put", [*positional("put", put_record())[:-1], ["t1"]]], "carried admit"),
+        ((1, "ack", {"delivery_tags": [1]}), "malformed journal record fields"),
+        ((1, "settle", [["u1"], "extra"]), "malformed journal record fields"),
+        ((1, "put", [*positional("put", put_record())[:-1], ["t1"]]), "carried admit"),
+        (("1", "settle", [["u1"]]), "malformed journal record fields"),
+        ([1, "ack", [[1]]], "malformed journal record"),
+        ((1, "ack"), "malformed journal record"),
     ],
 )
 def test_a_positional_record_of_the_wrong_shape_fails_loud(rec, error):
-    # Well-formed JSON with a valid CRC, but not the shape its op's
-    # field tuple says.
-    text = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    line = json.dumps(
-        {"crc": zlib.crc32(text.encode("utf-8")), "rec": rec, "v": FORMAT_VERSION}
-    )
+    # Framed with a valid CRC, but not the shape a record has.
     with pytest.raises(JournalCorruption, match=error):
-        decode_record(line)
+        decode_record(framed(FORMAT_VERSION, rec))
 
 
-def two_dump_line(seq, op, data):
-    """The reference form of a record line: dump ``rec`` for the CRC,
-    then dump the whole envelope (which serializes ``rec`` again)."""
-    rec = [seq, op, positional(op, data)]
-    crc = zlib.crc32(
-        json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
-    return json.dumps(
-        {"crc": crc, "rec": rec, "v": FORMAT_VERSION},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def test_a_frame_that_is_no_pickle_or_too_short_fails_loud():
+    payload = b"not a pickle"
+    record = struct.pack("<BI", FORMAT_VERSION, zlib.crc32(payload)) + payload
+    with pytest.raises(JournalCorruption, match="unparseable journal record"):
+        decode_record(record)
+    for short in (b"", record[:4]):
+        with pytest.raises(JournalCorruption, match="no whole header"):
+            decode_record(short)
 
 
-GOLDEN_CORPUS = [
+@pytest.mark.parametrize(
+    "blob, decode, found, expected",
+    [
+        (b'{"crc":1,"rec":[1,"ack",[[1]]],"v":5}', decode_record, 5, 6),
+        (b'{"crc":1,"rec":[1,"ack",{"delivery_tags":[1]}],"v":1}', decode_record, 1, 6),
+        (framed(7, (1, "ack", [[1]])), decode_record, 7, 6),
+        (b'{"v":4,"messages":[]}', decode_doc, 4, 5),
+        (framed(6, {}), decode_doc, 6, 5),
+    ],
+    ids=["json-line-5", "json-line-1", "binary-7", "json-snapshot-4", "binary-snapshot-6"],
+)
+def test_another_format_version_is_refused_naming_both(blob, decode, found, expected):
+    with pytest.raises(FormatMismatch, match=f"format version {found}, expected {expected}"):
+        decode(blob)
+
+
+CORPUS = [
     (1, "ack", {"delivery_tags": [43, 44]}),
     (2, "settle", {"task_uuids": ["tâche-é-日本語-\U0001f600", "u2"]}),
     (3, "claim", {"topic": "t", "claims": [[1, 2], [3, 4]], "claimed_at": 1e-07}),
@@ -149,7 +167,7 @@ GOLDEN_CORPUS = [
         put_record(
             topic="quote\"d\\topic",
             task_uuid="line\nbreak\ttab",
-            body="gAWV8AAAAA+/==",
+            body=encode_body(TaskRequest("noop", args=(1,), task_uuid="u6", sequence=6)),
             dispatch_tag=-0.0,
             admit=None,
         ),
@@ -158,22 +176,52 @@ GOLDEN_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("seq, op, data", GOLDEN_CORPUS)
-def test_record_line_equals_the_two_dump_form(seq, op, data):
-    # Non-ASCII text, exponent floats and dicts in unsorted insertion
-    # order: the spliced single dump must match the sorted-keys dump of
-    # the whole envelope byte for byte (the CRC contract rides on it).
-    line = encode_record(seq, op, positional(op, data))
-    assert line == two_dump_line(seq, op, data)
-    assert decode_record(line) == (seq, op, data)
+@pytest.mark.parametrize("seq, op, data", CORPUS)
+def test_every_single_byte_change_is_refused(seq, op, data):
+    # The version byte names another format; a change anywhere else
+    # breaks the CRC, which catches every burst of up to 32 bits. No
+    # change decodes, let alone into some other record.
+    record = encode_record(seq, op, positional(op, data))
+    assert decode_record(record) == (seq, op, data)
+    for i in range(len(record)):
+        for mask in range(1, 256):
+            damaged = bytearray(record)
+            damaged[i] ^= mask
+            with pytest.raises(JournalCorruption):
+                decode_record(bytes(damaged))
 
 
-JSON_VALUES = st.recursive(
+def test_every_single_byte_change_of_a_snapshot_is_refused(chaos_zoo):
+    store = InMemoryDurableStore()
+    harness, tokens = build_chaos_harness(chaos_zoo, store, snapshot_every_records=10**9)
+    harness.run(alternating_arrivals(tokens, n=4))
+    harness.journal.snapshot_now(harness.queue)
+    snapshot = store.read_snapshot()
+    assert SystemState.from_doc(decode_doc(snapshot)).settled == 4
+    for i in range(len(snapshot)):
+        for mask in (0x01, 0x80, 0xFF):
+            damaged = bytearray(snapshot)
+            damaged[i] ^= mask
+            with pytest.raises(JournalCorruption):
+                decode_doc(bytes(damaged))
+
+
+#: Any value a record or document may hold (NaN aside: it equals nothing).
+VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False)
-    | st.text(),
+    | st.text()
+    | st.binary(max_size=16),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+#: What a keyed record holds: ``baseline`` counters, a ``recover`` plan.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(), children, max_size=4),
     max_leaves=12,
@@ -187,9 +235,7 @@ JSON_VALUES = st.recursive(
 )
 def test_record_codec_round_trips_any_json_data(seq, op, data):
     # An op without a field tuple (``baseline``, ``recover``) is keyed.
-    line = encode_record(seq, op, positional(op, data))
-    assert decode_record(line) == (seq, op, data)
-    assert line == two_dump_line(seq, op, data)
+    assert decode_record(encode_record(seq, op, data)) == (seq, op, data)
 
 
 def positional_records():
@@ -197,10 +243,10 @@ def positional_records():
     carried admit."""
 
     def record(op):
-        values = {name: JSON_VALUES for name in FIELDS[op]}
+        values = {name: VALUES for name in FIELDS[op]}
         if op == "put":
             values["admit"] = st.none() | st.fixed_dictionaries(
-                {name: JSON_VALUES for name in CARRIED_ADMIT}
+                {name: VALUES for name in CARRIED_ADMIT}
             )
         return st.tuples(st.just(op), st.fixed_dictionaries(values))
 
@@ -210,61 +256,28 @@ def positional_records():
 @given(seq=st.integers(min_value=1), record=positional_records())
 def test_positional_record_codec_round_trips_any_values(seq, record):
     op, data = record
-    line = encode_record(seq, op, positional(op, data))
-    assert decode_record(line) == (seq, op, data)
-    assert line == two_dump_line(seq, op, data)
+    assert decode_record(encode_record(seq, op, positional(op, data))) == (seq, op, data)
 
 
-CANONICAL = {"sort_keys": True, "separators": (",", ":")}
-
-#: Any JSON value the encoder may meet, NaN and the infinities included
-#: (``json.dumps`` spells them ``NaN`` / ``Infinity``; so must the line).
-ANY_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=12,
+@given(
+    seq=st.integers(min_value=0),
+    record=positional_records()
+    | st.tuples(st.sampled_from(["baseline", "recover"]), st.dictionaries(st.text(), VALUES)),
 )
+def test_the_encoder_frames_one_pickle_of_the_record(seq, record):
+    # Format 6, spelled out by :func:`framed`: no other encoding of a
+    # record decodes.
+    op, data = record
+    values = positional(op, data)
+    assert FORMAT_VERSION == 6
+    assert encode_record(seq, op, values) == framed(6, (seq, op, values))
 
 
-def line_values():
-    """``(op, values)`` as the write path hands them to
-    :func:`encode_record`: a positional list for every op of
-    :data:`FIELDS` (a put's carried admit nested or ``None``), keyed
-    ``data`` for ``baseline`` and ``recover``."""
-
-    def values(op):
-        if op not in FIELDS:
-            return st.dictionaries(st.text(), ANY_JSON, max_size=5)
-        n = len(FIELDS[op])
-        if op != "put":
-            return st.lists(ANY_JSON, min_size=n, max_size=n)
-        admit = st.none() | st.lists(
-            ANY_JSON, min_size=len(CARRIED_ADMIT), max_size=len(CARRIED_ADMIT)
-        )
-        return st.tuples(st.lists(ANY_JSON, min_size=n - 1, max_size=n - 1), admit).map(
-            lambda parts: [*parts[0], parts[1]]
-        )
-
-    ops = [*sorted(FIELDS), "baseline", "recover"]
-    return st.sampled_from(ops).flatmap(lambda op: st.tuples(st.just(op), values(op)))
-
-
-@given(seq=st.integers(min_value=0), record=line_values())
-def test_the_shared_encoder_writes_json_dumps_of_the_envelope(seq, record):
-    # The encoder is built once from the C encoder's parts, not by
-    # ``json.dumps``: each line must still be byte for byte the
-    # canonical dump of its whole envelope, on every Python CI tests.
-    op, values = record
-    rec = [seq, op, values]
-    crc = zlib.crc32(json.dumps(rec, **CANONICAL).encode("utf-8"))
-    envelope = {"crc": crc, "rec": rec, "v": FORMAT_VERSION}
-    assert encode_record(seq, op, values) == json.dumps(envelope, **CANONICAL)
-
-
-@given(doc=st.dictionaries(st.text(), ANY_JSON, max_size=6))
-def test_the_shared_encoder_writes_json_dumps_of_a_document(doc):
-    assert encode_doc(doc) == json.dumps(doc, **CANONICAL)
+@given(doc=st.dictionaries(st.text(), VALUES, max_size=6))
+def test_the_encoder_frames_one_pickle_of_a_document(doc):
+    assert DOC_VERSION == 5
+    assert encode_doc(doc) == framed(5, doc)
+    assert decode_doc(encode_doc(doc)) == doc
 
 
 ARG = st.recursive(
@@ -322,7 +335,7 @@ def test_body_codec_round_trips_requests():
 
 def test_a_body_is_the_pickled_tuple_of_its_field_values():
     request = TaskRequest("noop", args=(1,), task_uuid="u1", sequence=3)
-    values = pickle.loads(base64.b64decode(encode_body(request)))
+    values = pickle.loads(encode_body(request))
     assert values == ("noop", (1,), {}, None, None, None, None, None, "u1", 3)
 
 
@@ -347,7 +360,7 @@ def test_body_codec_strips_trace_context():
 
 def test_corrupt_body_fails_loud():
     with pytest.raises(JournalCorruption, match="undecodable message body"):
-        decode_body("definitely-not-a-base64-pickle")
+        decode_body(b"definitely not a pickle")
 
 
 @pytest.mark.parametrize(
@@ -357,9 +370,8 @@ def test_corrupt_body_fails_loud():
 )
 def test_a_body_that_is_not_a_request_field_tuple_fails_loud(value):
     # A version-4 body pickled the request itself, not its field tuple.
-    text = base64.b64encode(pickle.dumps(value)).decode("ascii")
     with pytest.raises(JournalCorruption, match="undecodable message body"):
-        decode_body(text)
+        decode_body(pickle.dumps(value))
 
 
 # -- journal write path -------------------------------------------------------
@@ -427,6 +439,29 @@ def test_a_bad_restore_or_settle_is_refused_before_it_is_journaled():
     assert journal.settled == 0
 
 
+@pytest.mark.parametrize("uuids", [["a", "missing"], ["a", "a"]], ids=["unknown", "repeated"])
+def test_a_refused_settle_changes_nothing(uuids):
+    # A settle naming one open request and one it may not settle must
+    # not drop the open one: the next snapshot would lose a request
+    # that was admitted and never settled.
+    store = InMemoryDurableStore()
+    journal = Journal(store)
+    queue = fresh_queue()
+    queue.attach_journal(journal)
+    journal.hold_admit("a", ["t1", "noop", 0.0, 1.0, encode_body(request(0))])
+    journal.flush_admits()
+    records = store.read_journal()
+    with pytest.raises(KeyError):
+        journal.settle(uuids)
+    assert store.read_journal() == records
+    assert journal.settled == 0
+    journal.snapshot_now(queue)
+    state, _ = load_state(store)
+    assert list(state.open) == ["a"]
+    journal.settle(["a"])
+    assert load_state(store)[0].open == {}
+
+
 def admit_record(uuid):
     return {
         "task_uuid": uuid,
@@ -479,10 +514,10 @@ def assert_refused_whole(op, data, error):
     queue.put(request(2), topic="t")
     queue.claim_many("t", 2)
     state, _ = load_state(store)
-    before = json.dumps(state.to_doc(), sort_keys=True)
+    before = json.dumps(state.to_doc(), sort_keys=True, default=bytes.hex)
     with pytest.raises(JournalCorruption, match=error):
         state.apply(state.last_seq + 1, op, data)
-    assert json.dumps(state.to_doc(), sort_keys=True) == before
+    assert json.dumps(state.to_doc(), sort_keys=True, default=bytes.hex) == before
     assert list(state.open) == ["u1"]
 
 
@@ -544,9 +579,11 @@ def test_quiescent_snapshot_does_not_grow_with_run_length(chaos_zoo):
         return store.read_snapshot()
 
     short, long = drain_and_snapshot(30), drain_and_snapshot(300)
-    assert json.loads(long)["settled"] == 330
-    assert re.sub(r"\d+", "0", long) == re.sub(r"\d+", "0", short)
-    assert len(long) - len(short) <= len(re.findall(r"\d+", short))
+    texts = [json.dumps(decode_doc(doc), sort_keys=True) for doc in (short, long)]
+    assert decode_doc(long)["settled"] == 330
+    assert re.sub(r"\d+", "0", texts[1]) == re.sub(r"\d+", "0", texts[0])
+    # A pickled int takes 1, 2 or 4 bytes.
+    assert len(long) - len(short) <= 3 * len(re.findall(r"\d+", texts[0]))
 
 
 def test_snapshot_cadence_must_be_positive():
@@ -578,7 +615,7 @@ def test_file_store_opens_its_journal_once_per_snapshot_interval(tmp_path):
     with mock.patch.object(builtins, "open", wraps=open) as opened:
 
         def append_opens():
-            return sum(c.args[1:2] == ("a",) for c in opened.call_args_list)
+            return sum(c.args[1:2] == ("ab",) for c in opened.call_args_list)
 
         for seq in range(1, 6):
             store.append(seq, encode_record(seq, "settle", [[f"u{seq}"]]))
@@ -586,10 +623,10 @@ def test_file_store_opens_its_journal_once_per_snapshot_interval(tmp_path):
         assert append_opens() == 1
 
         # The snapshot swaps the journal file; the handle must follow it.
-        store.write_snapshot("{}", 3)
+        store.write_snapshot(encode_doc({}), 3)
         store.append(6, encode_record(6, "settle", [["u6"]]))
         assert append_opens() == 2
-    assert [decode_record(line)[0] for line in store.read_journal()] == [4, 5, 6]
+    assert [decode_record(record)[0] for record in store.read_journal()] == [4, 5, 6]
     store.close()
     store.close()  # idempotent; a later append reopens
     store.append(7, encode_record(7, "settle", [["u7"]]))

@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.metrics import StageLatencyCollector
@@ -57,9 +56,7 @@ _EPS = 1e-12
 
 #: The serve loop's phases, in the order one wake-up runs them; also the
 #: ``phase`` of each wake-up source's timer on :attr:`ServingRuntime.timers`
-#: (see "The serve loop's contract" in docs/ARCHITECTURE.md). Lane GC
-#: sits between the controller and settle phases but is a guard, not a
-#: timer, so it has no number.
+#: (see "The serve loop's contract" in docs/ARCHITECTURE.md).
 PHASE_EXPIRE = 0  # visibility expiry of claims a consumer abandoned
 PHASE_CONTROLLER = 1  # one timer per attached controller
 PHASE_SETTLE = 2  # completion of the earliest parked batch
@@ -146,13 +143,6 @@ class ServingRuntime:
     stage_metrics:
         Optional collector for per-stage latencies; a fresh
         :class:`StageLatencyCollector` is created if omitted.
-    lane_idle_ttl_s:
-        How long (virtual time) a tenant lane may sit empty and idle
-        before it is garbage-collected from the per-servable topic scan.
-        Thousands of churning tenants would otherwise grow
-        ``_lanes`` forever. Collection runs whenever a new lane is
-        tracked and on a half-TTL sweep of the serve loop; either costs
-        O(lanes actually past the TTL), so there is no bound to tune.
     tracer:
         Optional :class:`~repro.core.telemetry.Tracer`. When attached,
         every settled request passes its retention rule, and each kept
@@ -172,7 +162,6 @@ class ServingRuntime:
         max_batch_size: int = 32,
         max_coalesce_delay_s: float = 0.010,
         stage_metrics: StageLatencyCollector | None = None,
-        lane_idle_ttl_s: float = 5.0,
         tracer=None,
     ) -> None:
         if not workers:
@@ -184,8 +173,6 @@ class ServingRuntime:
             raise ServingRuntimeError("max_batch_size must be >= 1")
         if max_coalesce_delay_s < 0:
             raise ServingRuntimeError("max_coalesce_delay_s must be >= 0")
-        if lane_idle_ttl_s <= 0:
-            raise ServingRuntimeError("lane_idle_ttl_s must be > 0")
         self.clock = clock
         self.queue = queue
         self.workers = list(workers)
@@ -193,21 +180,7 @@ class ServingRuntime:
         self.max_coalesce_delay_s = max_coalesce_delay_s
         self.stage_metrics = stage_metrics or StageLatencyCollector()
         self._hosts: dict[str, list[TaskManager]] = {}
-        #: Queue lanes seen per servable. Untagged requests ride the
-        #: default lane; tenant-tagged requests get their own lane, so
-        #: coalesced micro-batches are tenant-pure — a light tenant's
-        #: single request never pays the inference time of a hot
-        #: tenant's batchmates.
-        self._lanes: dict[str, set[str]] = {}
-        self.lane_idle_ttl_s = lane_idle_ttl_s
-        #: Last submit/claim activity per (servable, tenant lane) — the
-        #: idle clock that lane GC reads, kept **in idle order**: every
-        #: write moves the lane to the young end (:meth:`_touch_lane`)
-        #: and the virtual clock is monotone, so the old end holds the
-        #: longest-idle lane and GC stops at the first one whose TTL has
-        #: not lapsed. The never-collected default lane is not tracked.
-        self._lane_active: OrderedDict[tuple[str, str], float] = OrderedDict()
-        self._next_lane_gc = clock.now() + lane_idle_ttl_s
+        #: Always 0: lanes are never collected (see :meth:`gc_lanes`).
         self.lanes_collected = 0
         #: Per worker: the virtual time its last provisioning/placement
         #: cold start completes (see :meth:`is_warming`).
@@ -230,9 +203,6 @@ class ServingRuntime:
         #: order. ``trace_ctx`` is the batch's dispatch timings, built
         #: into its kept members' traces at settlement (``None`` untraced).
         self._pending: list[tuple[float, int, list[RequestRecord], BatchTiming | None]] = []
-        #: topic -> batches claimed off it that are parked on
-        #: ``_pending``; moved where ``_pending`` gains and loses them.
-        self._pending_by_topic: dict[str, int] = {}
         self._seq = itertools.count(1)
         # -- event indices (see "The serve loop's contract" in
         # docs/ARCHITECTURE.md). The queue's ready-set listener marks
@@ -255,15 +225,20 @@ class ServingRuntime:
         #: O(1) ready-depth counter per servable (replaces summing
         #: `ready_count` over every lane).
         self._ready_depth: dict[str, int] = {}
-        #: Every topic this runtime owns -> its ``(servable, lane)``,
-        #: maintained incrementally (place/submit add, lane GC removes).
+        #: Every topic this runtime owns -> its ``(servable, lane)``. A
+        #: placed servable's default lane carries untagged requests; each
+        #: tenant gets its own lane on its first submit, so coalesced
+        #: micro-batches are tenant-pure — a light tenant's single
+        #: request never pays the inference time of a hot tenant's
+        #: batchmates. A lane lives as long as the runtime, like the
+        #: queue topic under it and the gateway's WFQ lane above it.
         #: Membership is the queue listener's ownership test, and the
         #: value saves the hot path from taking topic strings apart.
         self._owned_topics: dict[str, tuple[str, str]] = {}
-        #: ``(servable, tenant)`` -> ``(lane, topic)`` for every tracked
-        #: lane (tenant ``None`` is the default lane), so a submit names
-        #: its lane and topic with one lookup. Never outlives the lane.
-        self._submit_lane: dict[tuple[str, str | None], tuple[str, str]] = {}
+        #: ``(servable, tenant)`` -> topic for every lane a submit has
+        #: named (tenant ``None`` is the default lane), so a submit finds
+        #: its topic with one lookup.
+        self._submit_lane: dict[tuple[str, str | None], str] = {}
         #: task uuid -> a record whose request the queue holds as a
         #: replayed plain message (crash recovery; see :meth:`adopt`).
         self._adopted: dict[str, RequestRecord] = {}
@@ -464,7 +439,6 @@ class ServingRuntime:
         # before placement predate the queue listener's visibility filter
         # (unplaced servables are not ours), so baseline the depth
         # counter from the queue and mark the topic dirty.
-        self._lanes.setdefault(servable.name, {"requests"})
         default_topic = self._own_lane(servable.name, None, "requests")
         self._ready_depth[servable.name] = self.queue.ready_count(default_topic)
         if self._ready_depth[servable.name]:
@@ -523,7 +497,6 @@ class ServingRuntime:
         # Re-track the tenant lanes whose messages survived into the
         # recovered queue; lanes that were empty at the crash re-create
         # themselves on the next submit.
-        lanes = self._lanes.setdefault(servable.name, {"requests"})
         for topic in sorted(self.queue.topics()):
             parts = topic.split("/", 2)
             if len(parts) != 3 or parts[0] != "servable":
@@ -531,9 +504,7 @@ class ServingRuntime:
             lane, name = parts[1], parts[2]
             if name != servable.name or lane == "requests":
                 continue
-            lanes.add(lane)
             self._owned_topics[topic] = (name, lane)
-            self._touch_lane(name, lane)
             depth += self.queue.ready_count(topic)
             self._dirty.add(topic)
         self._ready_depth[servable.name] = depth
@@ -826,11 +797,9 @@ class ServingRuntime:
                 "individually instead of pre-formed batches"
             )
         name = request.servable_name
-        entry = self._submit_lane.get((name, request.tenant))
-        if entry is None:
-            entry = self._track_lane(name, request.tenant)
-        lane, topic = entry
-        self._touch_lane(name, lane)
+        topic = self._submit_lane.get((name, request.tenant))
+        if topic is None:
+            topic = self._track_lane(name, request.tenant)
         return self.queue.put(record, topic=topic, enqueued_at=enqueued_at)
 
     def adopt(self, record: RequestRecord) -> None:
@@ -858,23 +827,17 @@ class ServingRuntime:
         returns its topic."""
         topic = servable_topic(name, lane=lane)
         self._owned_topics[topic] = (name, lane)
-        self._submit_lane[(name, tenant)] = (lane, topic)
+        self._submit_lane[(name, tenant)] = topic
         return topic
 
-    def _track_lane(self, name: str, tenant: str | None) -> tuple[str, str]:
+    def _track_lane(self, name: str, tenant: str | None) -> str:
         """First submit onto a lane the tables do not know: start
-        tracking it and return its ``(lane, topic)``."""
+        tracking it and return its topic."""
         # Reject unplaced servables at the door: once enqueued they would
         # poison the serve loop for every other topic.
         self.check_placed(name)
         lane = "requests" if tenant is None else f"tenant-{tenant}"
-        lanes = self._lanes.setdefault(name, {"requests"})
-        fresh = lane not in lanes
-        if fresh:
-            # Tenant churn pays for its own cleanup: tracking a new lane
-            # first drops whatever lanes have idled out.
-            self._collect_idle_lanes(self.clock.now())
-            lanes.add(lane)
+        fresh = servable_topic(name, lane=lane) not in self._owned_topics
         topic = self._own_lane(name, tenant, lane)
         if fresh:
             # A newly tracked lane makes its topic visible to the
@@ -886,7 +849,7 @@ class ServingRuntime:
                     self._ready_depth.get(name, 0) + preexisting
                 )
                 self._dirty.add(topic)
-        return lane, topic
+        return topic
 
     def _on_dead_letter(self, message: QueuedMessage) -> None:
         """A message will never settle: wake the ingress, whose request
@@ -906,72 +869,24 @@ class ServingRuntime:
             record, now, True, mark=("dead_letter", now, {"deliveries": message.deliveries})
         )
 
-    # -- tenant lane lifecycle ------------------------------------------------------
     def gc_lanes(self, now: float | None = None) -> int:
-        """Drop tenant lanes that are empty, settled, and idle past TTL.
-
-        A lane is collectable when its topic holds no ready messages,
-        nothing claimed off it is still in flight (queued or parked on
-        the pending list), and its last submit/claim activity is older
-        than ``lane_idle_ttl_s``. The default ``"requests"`` lane is
-        never collected. Returns the number of lanes dropped. Costs
-        O(lanes idle past the TTL), however many are tracked.
-        """
-        return self._collect_idle_lanes(self.clock.now() if now is None else now)
-
-    def _touch_lane(self, name: str, lane: str) -> None:
-        """Stamp submit/claim activity on a tenant lane: restart its idle
-        clock and move it to the young end of the idle order."""
-        if lane == "requests":
-            return
-        key = (name, lane)
-        self._lane_active[key] = self.clock.now()
-        self._lane_active.move_to_end(key)
-
-    def _collect_idle_lanes(self, now: float) -> int:
-        """Walk lanes from the longest idle, dropping the collectable
-        ones, and stop at the first lane still inside its TTL.
-
-        O(lanes past the TTL): an idle-out lane that is still blocked —
-        ready work, a parked batch, or a claim stranded in flight by a
-        crashed consumer — is stepped over, so it neither goes nor
-        shields the collectable lanes queued behind it.
-        """
-        collectable = []
-        for (name, lane), active in self._lane_active.items():
-            if now - active < self.lane_idle_ttl_s:
-                break
-            topic = servable_topic(name, lane=lane)
-            if (
-                self.queue.ready_count(topic)
-                or topic in self._pending_by_topic
-                or self.queue.inflight_count_for(topic)
-            ):
-                continue
-            collectable.append((name, lane, topic))
-        for name, lane, topic in collectable:
-            self._lanes[name].discard(lane)
-            del self._lane_active[(name, lane)]
-            # A collected lane is empty and settled, so the indices hold
-            # no live state for it — only drop it from the topic tables.
-            del self._owned_topics[topic]
-            self._submit_lane.pop((name, lane.removeprefix("tenant-")), None)
-        self.lanes_collected += len(collectable)
-        return len(collectable)
+        """Collect nothing and return 0: a tenant lane lives from its
+        first submit until the runtime is dropped, as the queue topic
+        under it and the gateway's WFQ lane above it do. Kept for
+        callers that still name it."""
+        return 0
 
     def queue_depth(self, servable_name: str) -> int:
         """Ready requests for a servable across all of its queue lanes.
 
         O(1) for placed servables: the queue's ready-set listener keeps
-        a per-servable counter current. Unplaced names fall back to the
-        lane scan (they are outside the listener's visibility filter).
+        a per-servable counter current. An unplaced name (outside the
+        listener's visibility filter) has only its default lane, since
+        no tenant lane is tracked before placement.
         """
         if servable_name in self._hosts:
             return self._ready_depth.get(servable_name, 0)
-        return sum(
-            self.queue.ready_count(servable_topic(servable_name, lane=lane))
-            for lane in self._lanes.get(servable_name, {"requests"})
-        )
+        return self.queue.ready_count(servable_topic(servable_name))
 
     # -- coalescing loop ----------------------------------------------------------
     def _flush_due(self, topic: str, head: QueuedMessage) -> float:
@@ -1014,9 +929,7 @@ class ServingRuntime:
             return
         for topic in self._dirty:
             head = self.queue.oldest_ready(topic)
-            owned = self._owned_topics.get(topic)
-            if head is None or owned is None:
-                # Drained — or collected with its last event unrefreshed.
+            if head is None:
                 self._win.pop(topic, None)
                 continue
             tag = getattr(head.body, "dispatch_tag", None)
@@ -1025,7 +938,7 @@ class ServingRuntime:
             if self._win.get(topic) == state:
                 continue
             self._win[topic] = state
-            name = owned[0]
+            name = self._owned_topics[topic][0]
             if state[1] <= now + _EPS:
                 heap = self._due.get(name)
                 if heap is None:
@@ -1112,7 +1025,7 @@ class ServingRuntime:
         The reference linear implementation of :meth:`_next_window`,
         retained for property tests (the index must agree with it on
         every randomized workload) and for measuring the index's win
-        (``bench_dispatch_overhead``). O(servables x lanes) per call.
+        (``bench_dispatch_overhead``). O(servables x owned topics) per call.
 
         A topic is dispatchable when its window is due *and* a live host
         is free. A due window whose hosts are all busy contributes the
@@ -1134,8 +1047,8 @@ class ServingRuntime:
         for name in self._hosts:
             routed = False  # routing is per servable, not per lane
             worker, earliest_free = None, math.inf
-            for lane in sorted(self._lanes.get(name, {"requests"})):
-                topic = servable_topic(name, lane=lane)
+            owned = self._owned_topics.items()
+            for topic in sorted(t for t, (owner, _) in owned if owner == name):
                 head = self.queue.oldest_ready(topic)
                 if head is None:
                     continue
@@ -1175,8 +1088,6 @@ class ServingRuntime:
         assert head is not None
         servable_name = head.body.servable_name
         now = self.clock.now()
-        # Claiming is lane activity: an active tenant's lane never GCs.
-        self._touch_lane(servable_name, self._owned_topics[topic][1])
         # Resolve routing before claiming so a routing failure leaves the
         # messages ready (not stranded in flight awaiting expiry).
         worker, _ = self._route(servable_name, now)
@@ -1261,7 +1172,6 @@ class ServingRuntime:
                 pods,
                 only_pod,
             )
-        self._pending_by_topic[topic] = self._pending_by_topic.get(topic, 0) + 1
         heapq.heappush(self._pending, (completed, seq, records, trace_ctx))
         # Only an earlier completion moves the settle timer; a later one
         # waits its turn behind the top.
@@ -1288,14 +1198,7 @@ class ServingRuntime:
         horizon = now + _EPS
         done = []
         while pending and pending[0][0] <= horizon:
-            entry = heapq.heappop(pending)
-            done.append(entry)
-            topic = entry[2][0].topic
-            left = self._pending_by_topic[topic] - 1
-            if left:
-                self._pending_by_topic[topic] = left
-            else:
-                del self._pending_by_topic[topic]
+            done.append(heapq.heappop(pending))
         # The settle timer follows the heap's top whatever happened here
         # — also after a pass that was cut short between the timer
         # firing and this call.
@@ -1342,10 +1245,10 @@ class ServingRuntime:
         that instant, and runs only the phases that have a due timer or
         were raised by an event (a dirty topic, a fleet change, a
         dispatch) — always in the same order: expire → controllers →
-        lane GC → settle → ingress → arrivals → dispatch, and again
-        from the top after each dispatch. Conditions that are not
-        wake-up sources (lane GC's sweep, a worker warming up) are O(1)
-        guards checked on whatever wake-up comes next. The contract is
+        warm-up → settle → ingress → arrivals → dispatch, and again
+        from the top after each dispatch. A worker warming up is not a
+        wake-up source: its deadline is an O(1) guard checked on
+        whatever wake-up comes next. The contract is
         spelled out in docs/ARCHITECTURE.md, "The serve loop's
         contract".
         """
@@ -1382,11 +1285,6 @@ class ServingRuntime:
                 # shared-clock worker): take in what became due.
                 self._raised |= timers.due_phases(clock.now() + _EPS)
             now = clock.now()
-            if now >= self._next_lane_gc:
-                # Amortized: one full lane sweep per half-TTL keeps the
-                # per-servable topic scan bounded by *active* tenants.
-                self.gc_lanes(now)
-                self._next_lane_gc = now + self.lane_idle_ttl_s / 2
             if now + _EPS >= self._next_warm:
                 self._warmed(now)
             # From here on anything raised is for the next pass: a phase

@@ -112,9 +112,6 @@ class TaskQueue:
         #: the newest. The expiry sweep and the next-expiry peek walk
         #: from the front and stop early instead of filtering the table.
         self._inflight: dict[int, QueuedMessage] = {}
-        #: topic -> claimed-but-unsettled messages on it; moved wherever
-        #: ``_inflight`` gains or loses an entry.
-        self._inflight_by_topic: dict[str, int] = {}
         self._dead: list[QueuedMessage] = []
         # Plain-int id cursors (not itertools.count): dump_state must
         # export them and load_state re-seed them for crash recovery.
@@ -248,9 +245,6 @@ class TaskQueue:
         msg.delivery_tag = self._next_tag
         self._next_tag += 1
         self._inflight[msg.delivery_tag] = msg
-        self._inflight_by_topic[msg.topic] = (
-            self._inflight_by_topic.get(msg.topic, 0) + 1
-        )
         self._notify(msg.topic, -1)
         return msg
 
@@ -260,11 +254,6 @@ class TaskQueue:
         msg = self._inflight.pop(delivery_tag, None)
         if msg is None:
             raise UnknownDelivery(delivery_tag)
-        left = self._inflight_by_topic[msg.topic] - 1
-        if left:
-            self._inflight_by_topic[msg.topic] = left
-        else:
-            del self._inflight_by_topic[msg.topic]
         return msg
 
     def _journal_claim(self, topic: str, msgs: list[QueuedMessage]) -> None:
@@ -527,16 +516,6 @@ class TaskQueue:
         :meth:`next_inflight_expiry` nothing to report, which is the
         O(1) test the serve loop makes before calling either."""
         return len(self._inflight)
-
-    def inflight_count_for(self, topic: str) -> int:
-        """Claimed-but-unsettled messages on one topic.
-
-        Lane lifecycle management uses this: a lane whose topic still
-        has claims outstanding (a consumer crashed mid-batch and the
-        visibility timeout hasn't lapsed) must not be garbage-collected,
-        or the redelivered messages would land on an unscanned topic.
-        """
-        return self._inflight_by_topic.get(topic, 0)
 
     @property
     def dead_letters(self) -> list[QueuedMessage]:

@@ -41,13 +41,6 @@ def polled_settle(runtime, now: float) -> list[list[RequestRecord]]:
     done_seqs = {entry[1] for entry in done}
     runtime._pending = [e for e in runtime._pending if e[1] not in done_seqs]
     heapq.heapify(runtime._pending)
-    for entry in done:
-        topic = entry[2][0].topic
-        left = runtime._pending_by_topic[topic] - 1
-        if left:
-            runtime._pending_by_topic[topic] = left
-        else:
-            del runtime._pending_by_topic[topic]
     done.sort(key=lambda entry: (entry[0], entry[1]))
     if runtime.chaos is not None:
         runtime.chaos.trip("pre_settle")
@@ -116,9 +109,6 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
         for controller in runtime._controllers:
             controller.on_tick()
         now = clock.now()
-        if now >= runtime._next_lane_gc:
-            runtime.gc_lanes(now)
-            runtime._next_lane_gc = now + runtime.lane_idle_ttl_s / 2
         settled = polled_settle(runtime, now)
         for records in settled:
             results.extend(records)

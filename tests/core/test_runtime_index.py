@@ -12,6 +12,7 @@ step, plus targeted cases for the lazy-invalidation edges.
 
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -239,8 +240,9 @@ class TestIndexEdges:
 
         def scan_depth():
             return sum(
-                runtime.queue.ready_count(servable_topic("noop", lane=lane))
-                for lane in runtime._lanes["noop"]
+                runtime.queue.ready_count(topic)
+                for topic, (name, _) in runtime._owned_topics.items()
+                if name == "noop"
             )
 
         for tenant in (None, "alpha", "beta", "alpha"):
@@ -287,3 +289,26 @@ class TestIndexEdges:
         runtime.submit(late)
         assert runtime.queue_depth("noop") == 2
         assert_agree(runtime, testbed.clock.now())
+
+    def test_tenant_lanes_outlive_an_idle_spell(self, zoo):
+        """A tenant lane lives as long as the runtime: after a minute of
+        idle virtual time the same tenants submit straight onto the lanes
+        they had, and the runtime's tenant topics stay the queue's."""
+        testbed, runtime = build_runtime(zoo, servables=("noop",))
+        tenants = [f"t{i}" for i in range(6)]
+
+        def round_of_requests():
+            return [(0.0, TaskRequest("noop", args=("x",), tenant=t)) for t in tenants]
+
+        def tenant_topics(topics):
+            return {t for t in topics if t.startswith("servable/tenant-") and t.endswith("/noop")}
+
+        first = runtime.serve(round_of_requests())
+        testbed.clock.advance_to(max(r.completed_at for r in first) + 60.0)
+        with mock.patch.object(runtime, "_track_lane", wraps=runtime._track_lane) as track:
+            second = runtime.serve(round_of_requests())
+        assert len(first) == len(second) == len(tenants)
+        track.assert_not_called()
+        queue_topics = runtime.queue.dump_state()["topic_enqueued"]
+        assert tenant_topics(runtime._owned_topics) == tenant_topics(queue_topics)
+        assert len(tenant_topics(queue_topics)) == len(tenants)

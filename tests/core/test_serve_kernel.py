@@ -1,6 +1,6 @@
 """The timer-heap serve loop against the polled loop it replaced.
 
-A random scenario — two servables, tenant lanes that churn, own- and
+A random scenario — two servables, a lane per tenant, own- and
 shared-clock workers, a scripted controller that crashes / recovers /
 ``mark_down``s workers, ``add_copy``s a cold one and drops copies
 mid-run, a second controller that only watches, a claim stranded until
@@ -8,8 +8,7 @@ its visibility timeout, a drain deadline short enough to fire — is built twice
 served once by ``ServingGateway.serve`` and once by the polled oracle in
 :mod:`tests.core.serve_oracles`. Both must wake at the same virtual
 instants, hold the same budget and over-commit state at each of them,
-settle the same requests on the same workers in the same order, and
-collect the same lanes.
+and settle the same requests on the same workers in the same order.
 """
 
 import math
@@ -36,7 +35,6 @@ N_TENANTS = 6
 #: ``add_copy`` action.
 WORKERS = ("w0", "w1", "s0", "cold")
 TICK_S = 1e-4  # offsets are whole ticks, so arrivals, actions and deadlines collide
-LANE_TTL_S = 0.04
 VISIBILITY_S = 0.06
 DRAIN_DEADLINE_S = 0.015
 WATCH_INTERVAL_S = 0.025
@@ -176,7 +174,6 @@ def build(zoo, arrivals, actions, strand):
         workers,
         max_batch_size=3,
         max_coalesce_delay_s=0.004,
-        lane_idle_ttl_s=LANE_TTL_S,
     )
     # noop on w0 + w1, matminer_util on all three: the two own-clock
     # workers pay identical cold starts, so their clocks tie and routing
@@ -248,7 +245,6 @@ def outcome(zoo, arrivals, actions, strand, serve):
         "settled": gateway.settle_log,
         "wakeups": wakeups,
         "watched": watcher.seen,
-        "lanes_collected": runtime.lanes_collected,
         "reclaimed": gateway.requests_reclaimed,
         "redelivered": runtime.queue.total_redelivered,
         "budget": (gateway.max_dispatch_slots, gateway.slot_reserve),
@@ -268,8 +264,7 @@ def test_kernel_and_polled_loop_serve_identically(zoo, arrivals, actions, strand
 
 def test_scenarios_reach_the_paths_they_are_for(zoo):
     """One hand-written scenario, to show the generator's ingredients do
-    what the property relies on: lanes are collected, the stranded claim
-    is redelivered, a shrunk budget outlasts the drain deadline, and the
+    what the property relies on: the stranded claim is redelivered, a shrunk budget outlasts the drain deadline, and the
     cold copy's warm-up grows the budget back to where it started."""
     burst = [(i, i % N_TENANTS, i % 2, i % 3) for i in range(30)]
     spread = [(100 + i * 80, i % N_TENANTS, i % 2, i % 3) for i in range(24)]
@@ -281,7 +276,7 @@ def test_scenarios_reach_the_paths_they_are_for(zoo):
     assert result == outcome(zoo, arrivals, actions, True, polled_gateway_serve)
     assert result["error"] is None and result["left_in_queue"] == 0
     assert len(result["settled"]) == 61 and result["redelivered"] == 1
-    assert result["lanes_collected"] > 0 and result["reclaimed"] > 0
+    assert result["reclaimed"] > 0
     budgets = [budget for budget, _ in groupby(w[2] for w in result["wakeups"])]
     # Two workers marked down and the cold one warming, the script's
     # heal, then — 2.2 s in — the cold copy's warm-up.

@@ -45,8 +45,8 @@ def store(request, tmp_path):
 
 
 def assert_indices_consistent(harness):
-    """The queue's in-flight index and the runtime's lane-lifecycle
-    index agree with brute-force passes over the state they summarize."""
+    """The queue's in-flight index agrees with a brute-force pass over
+    the state it summarizes, and the runtime's lane tables agree."""
     queue, runtime = harness.queue, harness.runtime
     assert_inflight_index_consistent(queue, topic_sets=[runtime._owned_topics])
     assert_lane_index_consistent(runtime)

@@ -72,7 +72,6 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         "repro.core.runtime.ServingRuntime",
         ["max_coalesce_delay_s"],
     ),
-    "`lane_idle_ttl_s`": ("repro.core.runtime.ServingRuntime", ["lane_idle_ttl_s"]),
     "`drain_deadline_s`": (
         "repro.gateway.gateway.ServingGateway",
         ["drain_deadline_s"],

@@ -206,8 +206,9 @@ def _measure_tracing(n_lanes: int, cycles: int, repeats: int) -> dict:
     steady state the overhead claim is about.
 
     Both arms carry the closed observability loop (an
-    :class:`~repro.core.obsloop.ObservabilityLoop` scraping the hub
-    between passes) — production runs the loop whether or not tracing
+    :class:`~repro.core.obsloop.ObservabilityLoop` scraping between
+    passes; no reader declares a hub series, so a scrape pulls no
+    source) — production runs the loop whether or not tracing
     is on, and attaching it asymmetrically would fold its allocator
     side effects into the ratio. The tracing-on arm additionally has
     an :class:`~repro.core.obsloop.AdaptiveSampler` escalation on one

@@ -372,13 +372,14 @@ class SeriesStore:
     """Every time window in the stack: ``(time, value)`` samples per
     series, each kept as long as its readers' longest window.
 
-    Fed by :meth:`scrape` (one flattened
-    :meth:`~repro.core.telemetry.TelemetryHub.snapshot` per scrape
-    interval) or :meth:`record` directly. Every numeric leaf of every
-    pull-source payload lands as ``src:<source>.<dotted.path>``, so
-    whatever a source reports is queryable over a window. Sources
-    report cumulative counts and sums, not summaries: a windowed mean
-    is ``rate(<x>.sum_s) / rate(<x>.count)``.
+    Fed by :meth:`scrape` (once per scrape interval) or :meth:`record`
+    directly. A numeric leaf of a hub pull source is named
+    ``src:<source>.<dotted.path>``, and a scrape records the ones a
+    reader declared (:meth:`retain`), pulling only the sources they
+    name: whatever a source reports is queryable over a window once
+    someone asks for it, and costs nothing until then. Sources report
+    cumulative counts and sums, not summaries: a windowed mean is
+    ``rate(<x>.sum_s) / rate(<x>.count)``.
 
     Readers declare the windows they will query when they register
     (:meth:`retain`): an alert rule at
@@ -426,19 +427,30 @@ class SeriesStore:
             buf.popleft()
 
     def scrape(self, hub, now: float) -> int:
-        """Flatten one hub snapshot into the store; returns series touched.
+        """Record every declared ``src:`` series from the sources they
+        name (:meth:`~repro.core.telemetry.TelemetryHub.pull`: a source
+        that raises mid-churn is an error stub); returns series touched.
 
-        Pull sources are snapshot non-strictly: a source that raises
-        mid-churn contributes an error stub (never scraped, since it
-        has no numeric leaves) instead of poisoning the scrape.
+        A declared series naming no registered source raises; one whose
+        source does not report that leaf now records nothing.
         """
+        names = hub.source_names()
+        pulled = set()
+        for series in self._horizon:
+            if series.startswith("src:"):
+                named = [n for n in names if f"{series}.".startswith(f"src:{n}.")]
+                if not named:
+                    raise ObsLoopError(
+                        f"declared series {series!r} names no source on the hub"
+                    )
+                pulled.update(named)
         return sum(
             self._flatten(f"src:{name}", payload, now)
-            for name, payload in hub.snapshot(strict=False)["sources"].items()
+            for name, payload in hub.pull(pulled).items()
         )
 
     def _flatten(self, prefix: str, payload, now: float) -> int:
-        """Record every numeric leaf of a nested source payload.
+        """Record every declared numeric leaf of a nested source payload.
 
         ``str`` / ``bool`` / ``None`` leaves are labels, not numbers,
         and are skipped; a list is a source breaking its contract
@@ -448,6 +460,8 @@ class SeriesStore:
         if isinstance(payload, bool):
             return 0
         if isinstance(payload, (int, float)):
+            if prefix not in self._horizon:
+                return 0
             self.record(prefix, now, payload)
             return 1
         if isinstance(payload, dict):

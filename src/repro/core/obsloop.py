@@ -9,12 +9,13 @@ on the virtual clock:
 - :class:`~repro.core.metrics.SeriesStore` (re-exported here) — the
   windowed time-series store, fed by periodic hub scrapes, with
   windowed queries (``avg`` / ``rate`` / ``percentile`` / ``delta``)
-  over every number a hub source returns.
+  over any number a hub source returns that a reader declared.
 - :class:`AlertEngine` + rule classes — a declarative alert rules
   engine: :class:`ThresholdRule` (windowed aggregate vs bound) and
   :class:`BurnRateRule` (multi-window SLO burn), each with a
   pending → firing → resolved lifecycle. Registering a rule declares
-  its window to the store, which keeps each series that long.
+  its series and window to the store, which scrapes a declared hub
+  series and keeps each series that long.
 - :class:`ReactiveSLOPolicy` — a :class:`~repro.core.fleet.FleetPolicy`
   wrapper that *acts* on firing burn alerts: a scale-out boost while
   the fleet has headroom (capacity-shaped burn), admission tightening
@@ -583,7 +584,9 @@ class ObservabilityLoop:
     of a :class:`~repro.core.fleet.FleetController`). Every
     ``scrape_interval_s`` of virtual time it:
 
-    1. scrapes the hub into the :class:`SeriesStore`,
+    1. scrapes into the :class:`SeriesStore` the hub series its
+       readers declared (none, with only burn rules: no source is
+       pulled),
     2. gauges every known tenant's SLO burn into ``slo_burn_rate{...}``
        series (0.0 below the monitor's ``min_samples`` — cold is not
        burning),

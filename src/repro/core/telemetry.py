@@ -623,7 +623,8 @@ class TelemetryHub:
     maintains where it records (counts, running sums, gauges), never a
     distribution summary or a history list — so a snapshot costs
     O(keys) however long the run, and every number in it is a series
-    the :class:`~repro.core.metrics.SeriesStore` can store.
+    the :class:`~repro.core.metrics.SeriesStore` can store once a
+    reader declares it.
     Distributions are computed where someone asks for one
     (:meth:`~repro.core.metrics.TimingSummary.of`, a windowed store
     query). There is no push half (labeled counters/gauges/histograms)
@@ -645,27 +646,30 @@ class TelemetryHub:
             raise TelemetryError(f"source {name!r} must be callable")
         self._sources[name] = source
 
-    def snapshot(self, strict: bool = True) -> dict:
-        """Every source's current payload, as one JSON-able document.
+    def source_names(self) -> tuple[str, ...]:
+        """Registered source names, sorted."""
+        return tuple(sorted(self._sources))
 
-        With ``strict=False`` a pull source that raises contributes an
-        ``{"error": ...}`` stub instead of poisoning the snapshot —
-        the scrape loop uses this so one mid-churn collector (a worker
-        torn down between registration and scrape) cannot corrupt the
-        whole observation.
-        """
-        if strict:
-            sources = {
+    def snapshot(self) -> dict:
+        """Every source's current payload, as one JSON-able document; a
+        source that raises propagates (:meth:`pull` isolates it)."""
+        return {
+            "sources": {
                 name: source() for name, source in sorted(self._sources.items())
             }
-        else:
-            sources = {}
-            for name, source in sorted(self._sources.items()):
-                try:
-                    sources[name] = source()
-                except Exception as exc:  # noqa: BLE001 — churn isolation
-                    sources[name] = {"error": repr(exc)}
-        return {"sources": sources}
+        }
+
+    def pull(self, names) -> dict:
+        """The named sources' payloads, in sorted name order. A source
+        that raises (a collector torn down mid-churn) becomes an
+        ``{"error": ...}`` stub instead of poisoning the whole pull."""
+        payloads = {}
+        for name in sorted(names):
+            try:
+                payloads[name] = self._sources[name]()
+            except Exception as exc:  # noqa: BLE001 — churn isolation
+                payloads[name] = {"error": repr(exc)}
+        return payloads
 
 
 def build_hub(

@@ -153,13 +153,14 @@ class TestSeriesStore:
         )
 
     def test_scrape_flattens_every_instrument_kind(self):
-        """Every numeric leaf a source returns — counter, gauge, or a
-        ``{count, sum_s}`` pair, at any depth — becomes a series."""
+        """Every declared numeric leaf a source returns — counter,
+        gauge, or a ``{count, sum_s}`` pair, at any depth — becomes a
+        series; an undeclared leaf does not."""
         hub = TelemetryHub()
         hub.register_source(
             "stack",
             lambda: {
-                "reqs": {"a": 3},
+                "reqs": {"a": 3, "b": 1},
                 "depth": 7.0,
                 "lat": {"count": 2, "sum_s": 0.5},
                 "flag": True,
@@ -169,15 +170,61 @@ class TestSeriesStore:
         )
         hub.register_source("bare", lambda: 4)
         store = SeriesStore()
-        assert store.scrape(hub, now=1.0) == 5
-        assert store.names() == (
+        declared = (
             "src:bare",
             "src:stack.depth",
             "src:stack.lat.count",
             "src:stack.lat.sum_s",
             "src:stack.reqs.a",
         )
+        for series in declared + ("src:stack.flag", "src:stack.name"):
+            store.retain(series, 1.0)
+        assert store.scrape(hub, now=1.0) == 5
+        assert store.names() == declared
         assert store.latest("src:stack.lat.sum_s") == (1.0, 0.5)
+
+    def test_scrape_with_nothing_declared_calls_no_source(self):
+        hub = TelemetryHub()
+        calls = []
+        hub.register_source("stack", lambda: calls.append(1) or {"n": 1})
+        store = SeriesStore()
+        store.retain("not_a_source_series", 1.0)
+        assert store.scrape(hub, now=0.0) == 0
+        assert calls == [] and store.names() == ()
+
+    def test_scrape_pulls_only_the_sources_declared_series_name(self):
+        hub = TelemetryHub()
+        calls = []
+        for name in ("a", "a.b", "ab"):
+            hub.register_source(name, lambda name=name: calls.append(name) or {"n": 1})
+        store = SeriesStore()
+        store.retain("src:a.b.n", 1.0)
+        assert store.scrape(hub, now=0.0) == 1
+        # "a" is pulled too: its payload could hold a "b" dict.
+        assert calls == ["a", "a.b"]
+        assert store.names() == ("src:a.b.n",)
+
+    def test_scrape_raises_on_a_declared_series_nothing_feeds(self):
+        hub = TelemetryHub()
+        hub.register_source("runtime", lambda: {"items_served": 1})
+        store = SeriesStore()
+        store.retain("src:runtime.items_served", 1.0)
+        store.retain("src:runtme.items_served", 1.0)
+        with pytest.raises(ObsLoopError, match=r"src:runtme\.items_served"):
+            store.scrape(hub, now=0.0)
+
+    def test_scrape_records_nothing_for_an_unreported_leaf(self):
+        """A registered source that omits a declared leaf this scrape
+        (an empty lane's depth) is not an error."""
+        depths = {}
+        hub = TelemetryHub()
+        hub.register_source("wfq_lanes", lambda: {"depths": dict(depths)})
+        store = SeriesStore()
+        store.retain("src:wfq_lanes.depths.a", 1.0)
+        assert store.scrape(hub, now=0.0) == 0
+        depths["a"] = 3
+        assert store.scrape(hub, now=0.1) == 1
+        assert store.latest("src:wfq_lanes.depths.a") == (0.1, 3.0)
 
     def test_scrape_survives_a_raising_source(self):
         hub = TelemetryHub()
@@ -188,7 +235,9 @@ class TestSeriesStore:
 
         hub.register_source("broken", _broken)
         store = SeriesStore()
-        store.scrape(hub, now=0.0)
+        store.retain("src:ok.n", 1.0)
+        store.retain("src:broken.n", 1.0)
+        assert store.scrape(hub, now=0.0) == 1
         assert store.latest("src:ok.n") == (0.0, 1.0)
         assert not any(n.startswith("src:broken") for n in store.names())
 
@@ -196,11 +245,13 @@ class TestSeriesStore:
     def test_scrape_rejects_a_list_payload_by_path(self, history):
         """A list in a payload used to be dropped without a word — how
         stage latencies, fleet events and SLO breaches never reached
-        the store."""
+        the store. Any list in a pulled source raises, declared or not."""
         hub = TelemetryHub()
-        hub.register_source("stack", lambda: {"a": {"events": history}})
+        hub.register_source("stack", lambda: {"a": {"events": history}, "n": 1})
+        store = SeriesStore()
+        store.retain("src:stack.n", 1.0)
         with pytest.raises(ObsLoopError, match=r"src:stack\.a\.events"):
-            SeriesStore().scrape(hub, now=0.0)
+            store.scrape(hub, now=0.0)
 
 
 class TestThresholdRule:
@@ -616,56 +667,90 @@ def _numeric_leaves(prefix, payload):
         yield prefix
 
 
+def serve_full_stack(store=None, rules=(), sampler=False):
+    """Two tenants at 400 rps for 1.5 s through a gateway, a fleet
+    controller and an :class:`ObservabilityLoop` over a full
+    ``build_hub`` hub, under an SLO nothing meets (so breaches, fleet
+    events and burn alerts exist). ``rules`` go to the loop's engine;
+    ``sampler`` adds an :class:`AdaptiveSampler` on the tracer."""
+    from types import SimpleNamespace
+
+    from repro.core.fleet import FleetController
+    from repro.core.telemetry import SLOBurnMonitor, build_hub
+    from repro.gateway import TenantPolicy
+    from tests.gateway.test_gateway import build_gateway, requests_at
+
+    tracer = Tracer(sample_rate=0.05)
+    monitor = SLOBurnMonitor(latency_slo_s=1e-6, min_samples=5)
+    testbed, gateway, tokens = build_gateway(
+        {"a": TenantPolicy(name="a"), "b": TenantPolicy(name="b", weight=2.0)},
+        tracer=tracer,
+        slo_monitor=monitor,
+    )
+    runtime = gateway.runtime
+    store = store if store is not None else SeriesStore()
+    engine = AlertEngine(store, rules=rules)
+    controller = FleetController(
+        runtime,
+        provision_worker=testbed.add_fleet_worker,
+        min_workers=2,
+        max_workers=2,
+        gateway=gateway,
+        slo_monitor=monitor,
+        alert_engine=engine,
+    )
+    hub = build_hub(
+        runtime=runtime,
+        gateway=gateway,
+        controller=controller,
+        tracer=tracer,
+        monitor=monitor,
+    )
+    loop = ObservabilityLoop(
+        testbed.clock,
+        hub,
+        store=store,
+        engine=engine,
+        monitor=monitor,
+        sampler=AdaptiveSampler(tracer) if sampler else None,
+    )
+    runtime.attach_controller(loop, controller)
+    results = gateway.serve(
+        requests_at(400.0, 1.5, tokens["a"]) + requests_at(400.0, 1.5, tokens["b"])
+    )
+    assert sum(r.completed for r in results) >= 1000
+    return SimpleNamespace(
+        clock=testbed.clock,
+        runtime=runtime,
+        hub=hub,
+        loop=loop,
+        controller=controller,
+        monitor=monitor,
+    )
+
+
 class TestScrapeIsHistoryIndependent:
     """A scrape reads cumulative state, never the sample history: on a
     full ``build_hub`` stack with a thousand settled requests behind it
-    the loop neither computes a percentile nor copies a sample list,
-    and every number a source reports reaches the store."""
+    and every number its sources report declared, the loop neither
+    computes a percentile nor copies a sample list, and every declared
+    number reaches the store."""
 
     def test_full_stack_scrape_touches_no_history_and_drops_nothing(
         self, monkeypatch
     ):
         import numpy
 
-        from repro.core.fleet import FleetController
         from repro.core.metrics import StageLatencyCollector
-        from repro.core.telemetry import SLOBurnMonitor, build_hub
-        from repro.gateway import TenantPolicy
-        from tests.gateway.test_gateway import build_gateway, requests_at
 
-        tracer = Tracer(sample_rate=0.05)
-        # An SLO nothing meets: breaches (and their fleet events) exist.
-        monitor = SLOBurnMonitor(latency_slo_s=1e-6, min_samples=5)
-        testbed, gateway, tokens = build_gateway(
-            {"a": TenantPolicy(name="a"), "b": TenantPolicy(name="b", weight=2.0)},
-            tracer=tracer,
-            slo_monitor=monitor,
-        )
-        runtime = gateway.runtime
-        controller = FleetController(
-            runtime,
-            provision_worker=testbed.add_fleet_worker,
-            min_workers=2,
-            max_workers=2,
-            gateway=gateway,
-            slo_monitor=monitor,
-        )
-        hub = build_hub(
-            runtime=runtime,
-            gateway=gateway,
-            controller=controller,
-            tracer=tracer,
-            monitor=monitor,
-        )
-        loop = ObservabilityLoop(testbed.clock, hub, monitor=monitor)
-        runtime.attach_controller(loop, controller)
-        results = gateway.serve(
-            requests_at(400.0, 1.5, tokens["a"]) + requests_at(400.0, 1.5, tokens["b"])
-        )
-        assert sum(r.completed for r in results) >= 1000
-        assert monitor.breaches and controller.events
-        stages = runtime.stage_metrics
+        stack = serve_full_stack()
+        hub, loop, monitor = stack.hub, stack.loop, stack.monitor
+        assert monitor.breaches and stack.controller.events
+        stages = stack.runtime.stage_metrics
         queue_wait_s = stages.stage_sum("queue_wait", "noop")
+        for source, payload in hub.snapshot()["sources"].items():
+            for leaf in _numeric_leaves(f"src:{source}", payload):
+                loop.store.retain(leaf, 1.0)
 
         def _history(*args, **kwargs):
             raise AssertionError("a scrape must not read sample history")
@@ -676,7 +761,7 @@ class TestScrapeIsHistoryIndependent:
             (StageLatencyCollector, "samples"),
         ):
             monkeypatch.setattr(owner, name, _history)
-        loop.scrape(testbed.clock.now())
+        loop.scrape(stack.clock.now())
 
         names = set(loop.store.names())
         payloads = hub.snapshot()["sources"]
@@ -702,4 +787,28 @@ class TestScrapeIsHistoryIndependent:
             "sum_s": pytest.approx(queue_wait_s),
         }
         assert payloads["slo_burn"] == {"count": len(monitor.breaches)}
-        assert payloads["fleet_events"] == {"count": len(controller.events)}
+        assert payloads["fleet_events"] == {"count": len(stack.controller.events)}
+
+
+class TestDeclaredSourceSeries:
+    def test_a_threshold_rule_over_a_src_series_fires_under_load(self):
+        """The rule's declaration alone makes the loop record its
+        ``src:`` series; nothing records it by hand."""
+        rule = ThresholdRule(
+            "serving",
+            "src:runtime.items_served",
+            threshold=100.0,
+            window_s=0.5,
+            agg="rate",
+        )
+        stack = serve_full_stack(rules=[rule])
+        store = stack.loop.store
+        assert store.names() == (
+            burn_series("a"),
+            burn_series("b"),
+            "src:runtime.items_served",
+        )
+        assert store.rate(rule.series, rule.window_s, stack.clock.now()) is not None
+        assert ("serving", "firing") in {
+            (t.rule, t.state) for t in stack.loop.engine.transitions
+        }

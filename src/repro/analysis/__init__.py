@@ -14,6 +14,8 @@ This package turns the invariant into CI-enforced rules:
 - **DET003** — no unordered iteration in scheduling/settlement modules.
 - **DET004** — no ``sum()`` over unordered collections in metric /
   forecast accumulation paths (float addition is order-sensitive).
+- **DET005** — no ``itertools.count`` bound outside a function: a
+  process-wide counter makes a run depend on the runs before it.
 - **HOT001** — no new comprehensions / ``.copy()`` allocations inside
   the registered per-tick hot functions (protects the O(log n) work).
 

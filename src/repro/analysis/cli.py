@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="detlint",
         description=(
             "AST-based determinism and hot-path lint enforcing this repo's "
-            "bit-for-bit invariants (rules DET001-DET004, HOT001)."
+            "bit-for-bit invariants (rules DET001-DET005, HOT001)."
         ),
     )
     parser.add_argument(

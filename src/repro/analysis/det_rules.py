@@ -1,4 +1,4 @@
-"""Determinism rules DET001-DET004.
+"""Determinism rules DET001-DET005.
 
 Each rule is an AST visitor scoped by the domain tables. They share a
 small "set-ish" expression classifier: an expression whose iteration
@@ -408,7 +408,49 @@ class FloatOrderRule(Rule):
                     )
 
 
+# ---------------------------------------------------------------------------
+# DET005 — process-wide counters
+
+
+class ProcessCounterRule(Rule):
+    """DET005: no ``itertools.count`` bound outside a function.
+
+    A counter bound at module (or class) level is shared by everything
+    the process builds, so what it hands one run depends on how many
+    things earlier runs drew from it. An id drawn from it that reaches
+    modelled time (a pickled width, an order) makes a run depend on its
+    process rather than its seed. Bind the counter on the instance that
+    owns the ids instead.
+    """
+
+    id = "DET005"
+    title = "process-wide itertools.count"
+
+    def applies_to(self, relpath: str) -> bool:
+        return True
+
+    def check(self, tree: ast.AST, relpath: str) -> Iterable[tuple[int, int, str]]:
+        imports = _import_map(tree)
+        stack: list[ast.AST] = [tree]
+        while stack:
+            for node in ast.iter_child_nodes(stack.pop()):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                if (
+                    isinstance(node, ast.Call)
+                    and imports.resolve(node.func) == "itertools.count"
+                ):
+                    yield (
+                        node.lineno,
+                        node.col_offset,
+                        "itertools.count bound outside a function is shared by "
+                        "every run in the process — own it on an instance",
+                    )
+                stack.append(node)
+
+
 register(WallClockRule())
 register(RandomnessRule())
 register(UnorderedIterationRule())
 register(FloatOrderRule())
+register(ProcessCounterRule())

@@ -252,7 +252,7 @@ def _run_telemetry_arm(seed: int) -> dict:
     # records.
     batches: dict[int, tuple[float, float, float]] = {}
     for result in results:
-        trace = result.request.trace
+        trace = result.trace
         assert trace is not None
         if not trace.missing_stages(gateway=True) and trace.well_formed():
             complete += 1

@@ -355,9 +355,7 @@ class ManagementService:
         per request), so the batch is split into tenant-tagged items;
         they land on one servable topic together and the runtime
         coalesces them back into micro-batches, preserving the SS V-B3
-        amortization. Admission is all-or-nothing for the batch. The
-        items are the batch's own submission, so they keep its
-        ``sequence``.
+        amortization. Admission is all-or-nothing for the batch.
         """
         gateway = self._route()
         self._charge_dispatch_send(request)
@@ -367,7 +365,6 @@ class ManagementService:
                 args=args,
                 kwargs=kwargs,
                 identity_id=request.identity_id,
-                sequence=request.sequence,
             )
             for args, kwargs in map(normalize_batch_item, request.batch or [])
         ]

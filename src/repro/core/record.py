@@ -36,6 +36,8 @@ class RequestRecord(QueuedMessage):
     admission was decided (the ``admission`` span's end), and
     ``reclaims`` is ``None`` until a reclaim, then each reclaim time
     followed by the time the request was released again.
+    ``trace`` is the kept request's :class:`~repro.core.telemetry.Trace`
+    (else ``None``): this incarnation's, so never on a journaled body.
     """
 
     __slots__ = (
@@ -53,6 +55,7 @@ class RequestRecord(QueuedMessage):
         "sampled",
         "decided_at",
         "reclaims",
+        "trace",
     )
 
     # Records are compared by identity: two requests are never equal.
@@ -73,7 +76,7 @@ class RequestRecord(QueuedMessage):
         self.inference_time = self.invocation_time = 0.0
         self.cache_hit = False
         self.batch_size = 0
-        self.sampled = self.decided_at = self.reclaims = None
+        self.sampled = self.decided_at = self.reclaims = self.trace = None
 
     def fail(self, error: str | None, invocation_time: float) -> None:
         """Write a failed outcome in: its dispatch, or its chunk, died."""

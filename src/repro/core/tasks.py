@@ -17,12 +17,13 @@ class TaskStatus(Enum):
     FAILED = "failed"
 
 
-_task_counter = itertools.count(1)
 #: Task ids come from a process-local counter, not ``uuid.uuid4()``:
 #: random ids made every replayed run's traces, journals, and Chrome
 #: trace exports incomparable to the original. Uniqueness within one
-#: simulated deployment is all the id is for.
-_uuid_counter = itertools.count(1)
+#: simulated deployment is all the id is for. Its width is fixed, so a
+#: request's pickled size (its modelled transfer time) never depends on
+#: how many requests the process built before it.
+_uuid_counter = itertools.count(1)  # detlint: allow[DET005] — fixed width; never priced
 
 
 def normalize_batch_item(item: Any) -> tuple[tuple, dict]:
@@ -74,11 +75,7 @@ class TaskRequest:
     dispatch_tag: float | None = None
     #: Batch of inputs (mutually exclusive with args for batched tasks).
     batch: list | None = None
-    #: The request's :class:`repro.core.telemetry.Trace`, set when it
-    #: settles and the tracer keeps it; ``None`` otherwise.
-    trace: Any = None
     task_uuid: str = field(default_factory=lambda: f"task-{next(_uuid_counter):010d}")
-    sequence: int = field(default_factory=lambda: next(_task_counter))
 
     @property
     def is_batch(self) -> bool:

@@ -490,7 +490,7 @@ class Tracer:
         from the record's arrival to ``end``. Only a kept request gets
         a :class:`Trace`, rooted at its arrival and built complete —
         the door's ``admission`` and ``lane_wait`` spans, then its
-        :class:`MemberRecord`, then its marks — and set on its request.
+        :class:`MemberRecord`, then its marks — and set on its record.
         """
         request = record.body
         sampled = record.sampled
@@ -534,7 +534,7 @@ class Tracer:
             )
         if mark is not None:
             trace.marks.append(mark)
-        request.trace = trace
+        record.trace = trace
         self.retained.append(trace)
 
     #: The name the end-to-end benchmark's layer tracer wraps as well.

@@ -1,6 +1,6 @@
 """Journal records, snapshot documents and the request-body codec.
 
-Format 6 frames a record and a snapshot document alike: a five-byte
+Format 7 frames a record and a snapshot document alike: a five-byte
 header — the format version and the CRC-32 of the payload — then the
 payload, ``pickle.dumps(obj, protocol=5)`` of ``(seq, op, values)`` or
 of the document (under :data:`DOC_VERSION`). A reader checks version
@@ -15,8 +15,8 @@ admit's values less the uuid (:data:`CARRIED_ADMIT`) in its last
 field, or ``None``; ``baseline``, ``recover`` and any op without a
 field tuple keep a keyed ``data`` dict. :func:`decode_record` names
 the values again, so replay folds keyed ``dict`` records. A body is
-the pickled tuple of its request's :data:`BODY_FIELDS` values, trace
-``None`` (:func:`encode_body`), held as ``bytes``.
+the pickled tuple of its request's 8 :data:`BODY_FIELDS` values
+(:func:`encode_body`), held as ``bytes``; format 6's had 10.
 
 Formats 1 to 5 were JSON text lines, and snapshot documents 1 to 4
 JSON objects; like any other version they are refused
@@ -36,13 +36,12 @@ import zlib
 
 from repro.core.tasks import TaskRequest
 
-FORMAT_VERSION = 6
-DOC_VERSION = 5  # the snapshot document's, since documents are framed
+FORMAT_VERSION = 7
+DOC_VERSION = 6  # the snapshot document's, since documents are framed
 _HEADER = struct.Struct("<BI")  # version, CRC-32 of the payload
 
 #: A body's values, in pickled-tuple order.
 BODY_FIELDS = tuple(f.name for f in dataclasses.fields(TaskRequest))
-_TRACE = BODY_FIELDS.index("trace")
 _body_values = operator.attrgetter(*BODY_FIELDS)
 
 #: op -> the names of its record's values, in order.
@@ -160,14 +159,10 @@ def decode_doc(blob: bytes) -> dict:
 def encode_body(body: TaskRequest) -> bytes:
     """Encode a request: its :data:`BODY_FIELDS` values, pickled.
 
-    The trace context is written as ``None``: it is per-incarnation
-    observability state, never needed to re-serve the request, and may
-    reference live tracer internals.
+    A body is exactly the request's fields: its trace, per-incarnation
+    state, is on its :class:`~repro.core.record.RequestRecord`.
     """
-    values = _body_values(body)
-    if values[_TRACE] is not None:
-        values = (*values[:_TRACE], None, *values[_TRACE + 1:])
-    return pickle.dumps(values, protocol=5)
+    return pickle.dumps(_body_values(body), protocol=5)
 
 
 def decode_body(data: bytes) -> TaskRequest:

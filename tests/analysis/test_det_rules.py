@@ -217,3 +217,40 @@ class TestDET004FloatOrder:
             "    return sum(set(samples))\n"
         )
         assert not live(analyze_source(src, "core/metrics.py"), "DET004")
+
+
+class TestDET005ProcessCounter:
+    def test_flags_module_level_count(self):
+        src = "import itertools\n_ids = itertools.count(1)\n"
+        findings = live(analyze_source(src, "core/tasks.py"), "DET005")
+        assert len(findings) == 1 and findings[0].line == 2
+
+    def test_flags_from_imported_and_wrapped_count(self):
+        src = "from itertools import count\nnext_id = count().__next__\n"
+        assert live(analyze_source(src, "gateway/gateway.py"), "DET005")
+
+    def test_flags_class_level_count(self):
+        src = "import itertools\nclass Pool:\n    ids = itertools.count()\n"
+        assert live(analyze_source(src, "cluster/hpc.py"), "DET005")
+
+    def test_count_in_a_function_or_on_an_instance_is_clean(self):
+        src = (
+            "import itertools\n"
+            "def fresh():\n"
+            "    return itertools.count(1)\n"
+            "class Pool:\n"
+            "    def __init__(self):\n"
+            "        self._ids = itertools.count(1)\n"
+            "    factory = staticmethod(lambda: itertools.count(1))\n"
+        )
+        assert not analyze_source(src, "core/runtime.py")
+
+    def test_pragma_suppresses_with_reason(self):
+        src = (
+            "import itertools\n"
+            "_ids = itertools.count(1)  # detlint: allow[DET005] — fixed width; never priced\n"
+        )
+        findings = analyze_source(src, "core/tasks.py")
+        assert not live(findings, "DET005")
+        assert any(f.rule == "DET005" and f.suppressed for f in findings)
+

@@ -133,9 +133,9 @@ class TestReports:
 
 
 class TestRegistryAndPaths:
-    def test_all_five_rules_plus_framework_registered(self):
+    def test_all_six_rules_plus_framework_registered(self):
         ids = [rule.id for rule in all_rules()]
-        assert ids == ["DET001", "DET002", "DET003", "DET004", "HOT001"]
+        assert ids == ["DET001", "DET002", "DET003", "DET004", "DET005", "HOT001"]
 
     def test_analyze_paths_maps_package_relpath(self, tmp_path):
         pkg = tmp_path / "repro" / "core"
@@ -166,7 +166,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "DET004", "HOT001"):
+        for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005", "HOT001"):
             assert rule_id in out
 
     def test_missing_tree_exits_two(self, tmp_path):

@@ -55,9 +55,7 @@ class Stack:
         requests = []
         for value in inputs:
             n = len(self.offered) + 1
-            request = TaskRequest(
-                "noop", args=(value,), task_uuid=f"task-pin-{n:05d}", sequence=n
-            )
+            request = TaskRequest("noop", args=(value,), task_uuid=f"task-pin-{n:05d}")
             requests.append(request)
             self.offered.append(request)
         records = self.gateway.serve([(0.0, self.token, r) for r in requests])

@@ -10,7 +10,6 @@ class TestTaskRequest:
         a = TaskRequest("m")
         b = TaskRequest("m")
         assert a.task_uuid != b.task_uuid
-        assert b.sequence > a.sequence
 
     def test_input_signature_stable(self):
         a = TaskRequest("m", args=(1, 2), kwargs={"k": 3})

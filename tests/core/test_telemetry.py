@@ -66,7 +66,7 @@ def _settle(tracer, record, batch=None, end=1.051, settle=None):
     """Settle ``record`` as the first member of ``batch`` at ``end``."""
     settle = settle or tracer.settle_request
     settle(record, end, record.error is not None, batch or _batch(), 0)
-    return record.request.trace
+    return record.trace
 
 
 class TestHeadSampling:
@@ -102,7 +102,7 @@ class TestHeadSampling:
         record.sampled = tracer.begin()
         tracer.settle_request(record, 1.5)
         assert tracer.started == 1 and tracer.kept_sampled == 1
-        assert record.request.trace.sampled
+        assert record.trace.sampled
 
     def test_validation(self):
         with pytest.raises(TelemetryError):
@@ -119,8 +119,8 @@ class TestTailKeep:
         record = _record(at=0.0)
         tracer.settle_request(record, 0.1, error=True)
         assert tracer.kept_tail == 1
-        assert list(tracer.retained) == [record.request.trace]
-        assert record.request.trace.error
+        assert list(tracer.retained) == [record.trace]
+        assert record.trace.error
 
     def test_slow_requests_survive_zero_sampling(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_s=0.5)
@@ -128,8 +128,8 @@ class TestTailKeep:
         tracer.settle_request(fast, 0.4)
         tracer.settle_request(slow, 1.6)
         assert tracer.dropped == 1 and tracer.kept_tail == 1
-        assert list(tracer.retained) == [slow.request.trace]
-        assert fast.request.trace is None
+        assert list(tracer.retained) == [slow.trace]
+        assert fast.trace is None
 
     def test_slowness_counts_from_arrival_not_enqueue(self):
         """A gateway-less request the serve loop enqueued late (the fleet
@@ -162,7 +162,7 @@ class TestTailKeep:
         records = [_record(i, at=float(i)) for i in range(MAX_RETAINED + 2)]
         for record in records:
             tracer.settle_request(record, record.enqueued_at)
-        assert list(tracer.retained) == [r.request.trace for r in records[2:]]
+        assert list(tracer.retained) == [r.trace for r in records[2:]]
         assert tracer.kept_sampled == MAX_RETAINED + 2  # counters are lifetime
 
 

@@ -77,7 +77,7 @@ def request(i, servable="noop", **fields):
     """A body for tests that drive a journaled queue directly: only a
     ``TaskRequest`` is journaled. Its ids are explicit, so building one
     moves no task counter."""
-    return TaskRequest(servable, args=(i,), task_uuid=f"req-{i}", sequence=i, **fields)
+    return TaskRequest(servable, args=(i,), task_uuid=f"req-{i}", **fields)
 
 
 def snapshot_if_due(journal, queue):

@@ -143,10 +143,13 @@ def test_recovered_queue_carries_the_pre_crash_dispatch_tags(chaos_zoo):
     gateway = harness.start()
     live_trace = object()  # unpicklable, like a live tracer's internals
     for i in range(6):
-        request = TaskRequest("noop", args=(i,))
-        request.trace = live_trace
         tenant = ("alice", "bob")[i % 2]
-        assert gateway.offer(request, token=tokens[tenant]).admitted
+        record = gateway.offer(TaskRequest("noop", args=(i,)), token=tokens[tenant])
+        assert record.admitted
+        record.trace = live_trace
+    # A trace lives on its record, never on the request, so a snapshot
+    # of the live queue (its records' bodies) pickles no trace.
+    harness.journal.snapshot_now(harness.queue)
 
     # Nothing is serving, so every release sits ready: three WFQ-tagged
     # requests per tenant lane of the one servable.
@@ -169,7 +172,6 @@ def test_recovered_queue_carries_the_pre_crash_dispatch_tags(chaos_zoo):
         ]
         for msg in msgs:
             assert msg["body"].dispatch_tag == tags[msg["body"].task_uuid]
-            assert msg["body"].trace is None
 
     # The gateway's own restore list is for lanes and slots, where the
     # new scheduler re-stamps: it hands requests back untagged.
@@ -177,4 +179,3 @@ def test_recovered_queue_carries_the_pre_crash_dispatch_tags(chaos_zoo):
     assert sorted(e["task_uuid"] for e in entries) == sorted(tags)
     assert all(e["in_queue"] for e in entries)
     assert all(e["request"].dispatch_tag is None for e in entries)
-    assert all(e["request"].trace is None for e in entries)

@@ -271,6 +271,28 @@ def test_old_format_snapshot_fails_loud_naming_both_versions(tmp_path, version):
         load_state(store)
 
 
+def test_format_6_journal_and_snapshot_fail_loud_naming_both_versions(tmp_path):
+    # Format 6 is this one's frame over a 10-field body (the request's
+    # old ``trace`` and ``sequence``); its snapshot documents were
+    # version 5. Each is refused by the version it names before any
+    # body is decoded. The CRC covers the payload only, so a frame
+    # re-labelled with another version byte is intact.
+    store, journal, queue = seeded_store(tmp_path)
+    journal.snapshot_now(queue)
+    with open(snapshot_path(store), "rb") as fh:
+        snapshot = fh.read()
+    with open(snapshot_path(store), "wb") as fh:
+        fh.write(bytes([5]) + snapshot[1:])
+    with refused(5, DOC_VERSION):
+        load_state(store)
+
+    store, _, _ = seeded_store(tmp_path / "journal")
+    lines = [base64.b64decode(line) for line in read_lines(store)]
+    write_lines(store, [as_line(bytes([6]) + record[1:]) for record in lines])
+    with refused(6, FORMAT_VERSION):
+        load_state(store)
+
+
 def test_seam_overlap_is_deduped_by_sequence(tmp_path):
     """A crash between the snapshot write and the journal truncation
     leaves every record both inside the snapshot and on the journal;

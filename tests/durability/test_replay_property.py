@@ -108,7 +108,6 @@ def random_walk(seed: int, n_ops: int, journal: Journal, queue: TaskQueue, clock
             "alpha",
             args=(body_i,),
             task_uuid=f"walk-{seed}-{body_i}",
-            sequence=body_i,
             **fields,
         )
 
@@ -310,7 +309,7 @@ class TestReplayEquivalence:
 
     def test_settled_and_open_survive_replay(self, seed):
         store, journal, queue, _, _ = build_walk(seed, n_ops=40)
-        body = journal.encode_body(TaskRequest("alpha", task_uuid="task-x", sequence=0))
+        body = journal.encode_body(TaskRequest("alpha", task_uuid="task-x"))
         journal.hold_admit("task-x", ["t1", "alpha", 1.25, 2.0, body])
         journal.flush_admits()
         settled_before = journal.settled

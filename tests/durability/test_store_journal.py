@@ -92,7 +92,7 @@ def positional(op, data):
 
 
 def framed(version, obj):
-    """Format 6's frame, spelled out: version byte, CRC-32 of the
+    """Format 7's frame, spelled out: version byte, CRC-32 of the
     payload (little-endian), then the protocol-5 pickle of ``obj``."""
     payload = pickle.dumps(obj, protocol=5)
     return struct.pack("<BI", version, zlib.crc32(payload)) + payload
@@ -142,13 +142,23 @@ def test_a_frame_that_is_no_pickle_or_too_short_fails_loud():
 @pytest.mark.parametrize(
     "blob, decode, found, expected",
     [
-        (b'{"crc":1,"rec":[1,"ack",[[1]]],"v":5}', decode_record, 5, 6),
-        (b'{"crc":1,"rec":[1,"ack",{"delivery_tags":[1]}],"v":1}', decode_record, 1, 6),
-        (framed(7, (1, "ack", [[1]])), decode_record, 7, 6),
-        (b'{"v":4,"messages":[]}', decode_doc, 4, 5),
-        (framed(6, {}), decode_doc, 6, 5),
+        (b'{"crc":1,"rec":[1,"ack",[[1]]],"v":5}', decode_record, 5, 7),
+        (b'{"crc":1,"rec":[1,"ack",{"delivery_tags":[1]}],"v":1}', decode_record, 1, 7),
+        (framed(6, (1, "ack", [[1]])), decode_record, 6, 7),
+        (framed(8, (1, "ack", [[1]])), decode_record, 8, 7),
+        (b'{"v":4,"messages":[]}', decode_doc, 4, 6),
+        (framed(5, {}), decode_doc, 5, 6),
+        (framed(7, {}), decode_doc, 7, 6),
     ],
-    ids=["json-line-5", "json-line-1", "binary-7", "json-snapshot-4", "binary-snapshot-6"],
+    ids=[
+        "json-line-5",
+        "json-line-1",
+        "binary-6",
+        "binary-8",
+        "json-snapshot-4",
+        "binary-snapshot-5",
+        "binary-snapshot-7",
+    ],
 )
 def test_another_format_version_is_refused_naming_both(blob, decode, found, expected):
     with pytest.raises(FormatMismatch, match=f"format version {found}, expected {expected}"):
@@ -167,7 +177,7 @@ CORPUS = [
         put_record(
             topic="quote\"d\\topic",
             task_uuid="line\nbreak\ttab",
-            body=encode_body(TaskRequest("noop", args=(1,), task_uuid="u6", sequence=6)),
+            body=encode_body(TaskRequest("noop", args=(1,), task_uuid="u6")),
             dispatch_tag=-0.0,
             admit=None,
         ),
@@ -265,18 +275,18 @@ def test_positional_record_codec_round_trips_any_values(seq, record):
     | st.tuples(st.sampled_from(["baseline", "recover"]), st.dictionaries(st.text(), VALUES)),
 )
 def test_the_encoder_frames_one_pickle_of_the_record(seq, record):
-    # Format 6, spelled out by :func:`framed`: no other encoding of a
+    # Format 7, spelled out by :func:`framed`: no other encoding of a
     # record decodes.
     op, data = record
     values = positional(op, data)
-    assert FORMAT_VERSION == 6
-    assert encode_record(seq, op, values) == framed(6, (seq, op, values))
+    assert FORMAT_VERSION == 7
+    assert encode_record(seq, op, values) == framed(7, (seq, op, values))
 
 
 @given(doc=st.dictionaries(st.text(), VALUES, max_size=6))
 def test_the_encoder_frames_one_pickle_of_a_document(doc):
-    assert DOC_VERSION == 5
-    assert encode_doc(doc) == framed(5, doc)
+    assert DOC_VERSION == 6
+    assert encode_doc(doc) == framed(6, doc)
     assert decode_doc(encode_doc(doc)) == doc
 
 
@@ -290,8 +300,8 @@ ARRAY = st.lists(st.floats(allow_nan=False), max_size=5).map(np.array)
 
 @st.composite
 def requests(draw):
-    """A request as the stack builds one, ids explicit (so no task
-    counter moves) and a trace that will not pickle."""
+    """A request as the stack builds one, its id explicit (so no task
+    counter moves)."""
     maybe_text = st.none() | st.text(max_size=8)
     return TaskRequest(
         draw(st.text(min_size=1, max_size=8)),
@@ -301,9 +311,7 @@ def requests(draw):
         tenant=draw(maybe_text),
         dispatch_tag=draw(st.none() | st.floats(allow_nan=False)),
         batch=draw(st.none() | st.lists(ARG, max_size=3)),
-        trace=draw(st.none() | st.just(object())),
         task_uuid=draw(st.text(min_size=1, max_size=12)),
-        sequence=draw(st.integers(min_value=0)),
     )
 
 
@@ -317,14 +325,13 @@ def same(a, b):
 @given(request=requests())
 def test_body_codec_round_trips_any_request(request):
     decoded = decode_body(encode_body(request))
-    expected = dict(vars(request), trace=None)
     assert type(decoded) is TaskRequest
-    assert list(vars(decoded)) == list(expected) == list(BODY_FIELDS)
-    for name, value in expected.items():
+    assert list(vars(decoded)) == list(vars(request)) == list(BODY_FIELDS)
+    for name, value in vars(request).items():
         assert same(getattr(decoded, name), value), name
     # The Management Service models transfer time from a request's
     # pickled size, so the decoded request must pickle as the original.
-    assert same(decoded, dataclasses.replace(request, trace=None))
+    assert same(decoded, request)
 
 
 def test_body_codec_round_trips_requests():
@@ -334,9 +341,9 @@ def test_body_codec_round_trips_requests():
 
 
 def test_a_body_is_the_pickled_tuple_of_its_field_values():
-    request = TaskRequest("noop", args=(1,), task_uuid="u1", sequence=3)
+    request = TaskRequest("noop", args=(1,), task_uuid="u1")
     values = pickle.loads(encode_body(request))
-    assert values == ("noop", (1,), {}, None, None, None, None, None, "u1", 3)
+    assert values == ("noop", (1,), {}, None, None, None, None, "u1")
 
 
 def test_decoding_a_body_moves_no_task_counter():
@@ -344,18 +351,7 @@ def test_decoding_a_body_moves_no_task_counter():
     before = TaskRequest("noop")
     decode_body(body)
     after = TaskRequest("noop")
-    assert after.sequence == before.sequence + 1
     assert int(after.task_uuid[5:]) == int(before.task_uuid[5:]) + 1
-
-
-def test_body_codec_strips_trace_context():
-    # Traces can hold live (unpicklable) tracer internals; the codec
-    # must drop them rather than fail — they are observability state.
-    request = TaskRequest("noop", args=(1,))
-    request.trace = object()  # not picklable
-    decoded = decode_body(encode_body(request))
-    assert decoded.trace is None
-    assert request.trace is not None  # the caller's request is untouched
 
 
 def test_corrupt_body_fails_loud():
@@ -365,7 +361,7 @@ def test_corrupt_body_fails_loud():
 
 @pytest.mark.parametrize(
     "value",
-    [TaskRequest("noop", task_uuid="u", sequence=0), ("noop", (1,))],
+    [TaskRequest("noop", task_uuid="u"), ("noop", (1,))],
     ids=["version-4 body", "short tuple"],
 )
 def test_a_body_that_is_not_a_request_field_tuple_fails_loud(value):
@@ -399,7 +395,7 @@ SubRequest = dataclasses.make_dataclass("SubRequest", [], bases=(TaskRequest,))
     [
         "payload",
         SimpleNamespace(task_uuid="req-0", dispatch_tag=None),
-        SubRequest("noop", task_uuid="s", sequence=0),
+        SubRequest("noop", task_uuid="s"),
     ],
     ids=["str", "look-alike", "subclass"],
 )

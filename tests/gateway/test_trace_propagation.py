@@ -9,8 +9,6 @@ denials that never settle at all. In every case a kept request must
 end the run with one complete, well-nested span tree.
 """
 
-import pytest
-
 from repro.core.pipeline import Pipeline
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
@@ -55,7 +53,7 @@ class TestReclaimPropagation:
         assert gateway.requests_reclaimed > 0
         # Nothing is built while a request is open: the reclaim is a
         # time on its record, its re-release still to come.
-        assert all(record.request.trace is None for record in gateway._open.values())
+        assert all(record.trace is None for record in gateway._open.values())
         marked = [record for record in gateway._open.values() if record.reclaims]
         assert len(marked) == gateway.requests_reclaimed
         for record in marked:
@@ -66,7 +64,7 @@ class TestReclaimPropagation:
         for record in marked:
             # The reclaim is a point annotation, not a span, and it
             # carries enough context to read the waterfall alone.
-            ((name, at, attrs),) = record.request.trace.marks
+            ((name, at, attrs),) = record.trace.marks
             assert (name, at) == ("reclaim", record.reclaims[0])
             assert attrs == {"tenant": "t", "servable": "noop"}
 
@@ -149,7 +147,7 @@ class TestReclaimPropagation:
         for record in twice:
             reclaimed, released = record.reclaims
             assert record.arrived_at <= record.enqueued_at <= reclaimed <= released
-        assert all(record.request.trace is None for record in records)
+        assert all(record.trace is None for record in records)
 
 
 class TestDenialTraces:
@@ -163,7 +161,7 @@ class TestDenialTraces:
         assert first.admitted
         denied = gateway.offer(TaskRequest("noop", args=(2,)), token=tokens["u"])
         assert not denied.admitted
-        trace = denied.request.trace
+        trace = denied.trace
         assert trace.error
         (admission,) = trace.stages("admission")
         assert admission.status == "error"
@@ -181,7 +179,7 @@ class TestDenialTraces:
             TaskRequest("noop", args=(1,)), token="not-a-token"
         )
         assert not rejected.admitted
-        trace = rejected.request.trace
+        trace = rejected.trace
         assert trace.error
         assert trace.tenant is None
         assert trace in tracer.retained
@@ -204,12 +202,12 @@ class TestDenialTraces:
         shed = [r for r in results if not r.admitted]
         assert shed
         for result in shed:
-            assert result.request.trace.error
+            assert result.trace.error
         assert tracer.finished == len(shed)
         # Admitted requests get no trace until they settle.
         for result in results:
             if result.admitted:
-                assert result.request.trace is None
+                assert result.trace is None
 
 
 class TestGatewayTracerWiring:

@@ -6,7 +6,6 @@ through the SDK client."""
 
 import pytest
 
-from repro.core import tasks
 from repro.core.client import DLHubClient
 from repro.core.management import ManagementError
 from repro.core.pipeline import Pipeline, PipelineStep
@@ -191,17 +190,3 @@ class TestDefaultRoute:
         testbed.management.publish(testbed.token, zoo["noop"])
         with pytest.raises(ManagementError, match="no serving gateway"):
             testbed.management.run(testbed.token, "noop", 1)
-
-    def test_run_batch_advances_the_sequence_counter_by_one(self, bare):
-        """Items split from a batch, and the envelope the runtime
-        coalesces them into, keep the batch's ``sequence``: a request's
-        pickled size never depends on how many batches came before."""
-        ms = bare.management
-
-        def minted(call) -> int:
-            before = next(tasks._task_counter)
-            call()
-            return next(tasks._task_counter) - before - 1
-
-        assert minted(lambda: ms.run(bare.token, "noop", 1)) == 1
-        assert minted(lambda: ms.run_batch(bare.token, "noop", [1, 2, 3, 4])) == 1

@@ -130,9 +130,8 @@ class ServableDemand:
     arrival_rate_rps: float
     live_copies: int
     per_copy_capacity_rps: float
-    #: p95 of queue-wait samples recorded since the previous observation
-    #: (None when no new samples landed).
-    recent_p95_queue_wait_s: float | None
+    #: Queue-wait samples recorded since the previous observation.
+    recent_queue_waits_s: tuple[float, ...] = ()
     #: Tenant-weight-adjusted arrival rate (only when a serving gateway
     #: feeds the controller): each tenant's rate is scaled by its fair
     #: weight relative to the mean, so a heavy-weight tenant's traffic
@@ -140,6 +139,13 @@ class ServableDemand:
     weighted_arrival_rate_rps: float | None = None
     #: Per-tenant EWMA arrival rates behind the weighted figure.
     tenant_rates: tuple[tuple[str, float], ...] = ()
+
+    @property
+    def recent_p95_queue_wait_s(self) -> float | None:
+        """p95 of the recent queue waits; None when no new samples landed."""
+        if not self.recent_queue_waits_s:
+            return None
+        return float(np.percentile(self.recent_queue_waits_s, 95.0))
 
     @property
     def effective_rate_rps(self) -> float:
@@ -725,9 +731,7 @@ class FleetController:
                         if host.name in alive
                     ),
                     per_copy_capacity_rps=capacity,
-                    recent_p95_queue_wait_s=(
-                        float(np.percentile(fresh, 95.0)) if fresh else None
-                    ),
+                    recent_queue_waits_s=tuple(fresh),
                     weighted_arrival_rate_rps=weighted,
                     tenant_rates=tenant_rates,
                 )

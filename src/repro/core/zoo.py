@@ -27,7 +27,7 @@ from repro.core.servable import (
     SklearnLikeServable,
 )
 from repro.core.toolbox import MetadataBuilder
-from repro.matsci.composition import Composition
+from repro.matsci.composition import Composition, formula_fractions
 from repro.matsci.featurize import MagpieFeaturizer
 from repro.matsci.oqmd import generate_oqmd_dataset
 from repro.ml.models.cifar10 import build_cifar10_cnn
@@ -122,11 +122,7 @@ def _matminer_util_servable() -> Servable:
         .dependency("pymatgen")
         .build()
     )
-
-    def parse(formula: str) -> dict[str, float]:
-        return Composition.parse(formula).fractions()
-
-    return PythonFunctionServable(metadata, parse, key="matminer_util")
+    return PythonFunctionServable(metadata, formula_fractions, key="matminer_util")
 
 
 def _matminer_featurize_servable(featurizer: MagpieFeaturizer) -> Servable:

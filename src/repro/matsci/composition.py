@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import gcd
 
 from repro.matsci.elements import ELEMENTS, Element, element
 
@@ -18,12 +19,17 @@ class CompositionError(ValueError):
     """Raised for unparsable or chemically-invalid formulas."""
 
 
+#: Every character starts one of these tokens, so ``findall`` covers the
+#: formula. An element or ``)`` carries its subscript; a stray number or
+#: inner whitespace ends the parse, so it captures the rest of the text.
 _TOKEN_RE = re.compile(
-    r"(?P<element>[A-Z][a-z]?)"
-    r"|(?P<open>\()"
-    r"|(?P<close>\))"
-    r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<junk>\S)"
+    r"([A-Z][a-z]?)(\d+(?:\.\d+)?)?"
+    r"|(\()"
+    r"|(\))(\d+(?:\.\d+)?)?"
+    r"|(\d.*)"
+    r"|(\s.*)"
+    r"|(\S)",
+    re.DOTALL,
 )
 
 
@@ -37,17 +43,11 @@ class Composition:
     @classmethod
     def parse(cls, formula: str) -> "Composition":
         """Parse a chemical formula string."""
-        if not formula or not formula.strip():
-            raise CompositionError("empty formula")
-        text = formula.strip().replace(" ", "")
-        amounts = _parse_group(text)
-        if not amounts:
-            raise CompositionError(f"no elements found in {formula!r}")
-        ordered = tuple(sorted(amounts.items()))
-        return cls(amounts=ordered)
+        return cls(amounts=_parse_sorted(formula))
 
     @classmethod
     def from_dict(cls, mapping: dict[str, float]) -> "Composition":
+        """Build from an element -> amount mapping of known, positive amounts."""
         for sym, amt in mapping.items():
             if sym not in ELEMENTS:
                 raise CompositionError(f"unknown element {sym!r}")
@@ -57,36 +57,33 @@ class Composition:
 
     # -- accessors ----------------------------------------------------------------
     def as_dict(self) -> dict[str, float]:
+        """The amounts as a dict, keys in symbol order."""
         return dict(self.amounts)
 
     @property
     def elements(self) -> list[Element]:
+        """The :class:`Element` of each symbol, in symbol order."""
         return [element(sym) for sym, _ in self.amounts]
 
     @property
     def n_elements(self) -> int:
+        """How many distinct elements the formula holds."""
         return len(self.amounts)
 
     @property
     def total_atoms(self) -> float:
+        """The sum of the amounts (atoms per formula unit)."""
         return sum(amt for _, amt in self.amounts)
 
     def fractions(self) -> dict[str, float]:
         """Normalized atomic fractions (sum to 1)."""
-        total = self.total_atoms
-        return {sym: amt / total for sym, amt in self.amounts}
+        return _fractions(self.amounts)
 
     def reduced_formula(self) -> str:
         """Canonical formula with integer-reduced subscripts where possible."""
-        from math import gcd
-
         amounts = dict(self.amounts)
         if all(float(a).is_integer() for a in amounts.values()):
-            ints = [int(a) for a in amounts.values()]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            g = max(g, 1)
+            g = max(gcd(*(int(a) for a in amounts.values())), 1)
             amounts = {s: a / g for s, a in amounts.items()}
         parts = []
         for sym in sorted(amounts):
@@ -100,50 +97,54 @@ class Composition:
         return "".join(parts)
 
 
-def _parse_group(text: str) -> dict[str, float]:
-    """Recursive-descent parse of a formula body into raw amounts."""
-    pos = 0
+def formula_fractions(formula: str) -> dict[str, float]:
+    """``Composition.parse(formula).fractions()`` without the Composition."""
+    return _fractions(_parse_sorted(formula))
+
+
+def _fractions(items: tuple[tuple[str, float], ...]) -> dict[str, float]:
+    """Normalise sorted ``(symbol, amount)`` pairs to atomic fractions."""
+    total = sum(amt for _, amt in items)
+    return {sym: amt / total for sym, amt in items}
+
+
+def _parse_sorted(formula: str) -> tuple[tuple[str, float], ...]:
+    """A formula's ``(symbol, amount)`` pairs, sorted, from one left-to-right pass."""
+    if not formula or not formula.strip():
+        raise CompositionError("empty formula")
+    text = formula.strip().replace(" ", "")
     amounts: dict[str, float] = {}
-
-    def merge(target: dict[str, float], source: dict[str, float], factor: float) -> None:
-        for sym, amt in source.items():
-            target[sym] = target.get(sym, 0.0) + amt * factor
-
-    stack: list[dict[str, float]] = [amounts]
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:  # pragma: no cover - regex matches any non-space char
-            raise CompositionError(f"cannot tokenize at position {pos} in {text!r}")
-        pos = m.end()
-        if m.lastgroup == "element":
-            sym = m.group("element")
+    stack = [amounts]
+    top = amounts  # the innermost open group; ``)`` folds it into its parent
+    for sym, count, open_, close, factor, number, space, junk in _TOKEN_RE.findall(text):
+        if sym:
             if sym not in ELEMENTS:
                 raise CompositionError(f"unknown element {sym!r} in {text!r}")
-            count, pos = _read_number(text, pos)
-            stack[-1][sym] = stack[-1].get(sym, 0.0) + count
-        elif m.lastgroup == "open":
-            stack.append({})
-        elif m.lastgroup == "close":
+            top[sym] = top.get(sym, 0.0) + (float(count) if count else 1.0)
+        elif open_:
+            top = {}
+            stack.append(top)
+        elif close:
             if len(stack) == 1:
                 raise CompositionError(f"unbalanced ')' in {text!r}")
             group = stack.pop()
-            count, pos = _read_number(text, pos)
-            merge(stack[-1], group, count)
-        elif m.lastgroup == "number":
-            raise CompositionError(f"unexpected number at position {m.start()} in {text!r}")
+            top = stack[-1]
+            scale = float(factor) if factor else 1.0
+            for member, amt in group.items():
+                top[member] = top.get(member, 0.0) + amt * scale
+        elif number:
+            at = len(text) - len(number)
+            raise CompositionError(f"unexpected number at position {at} in {text!r}")
+        elif space:
+            at = len(text) - len(space)
+            raise CompositionError(f"cannot tokenize at position {at} in {text!r}")
         else:
-            raise CompositionError(f"unexpected character {m.group()!r} in {text!r}")
+            raise CompositionError(f"unexpected character {junk!r} in {text!r}")
     if len(stack) != 1:
         raise CompositionError(f"unbalanced '(' in {text!r}")
     for sym, amt in amounts.items():
         if amt <= 0:
             raise CompositionError(f"non-positive amount for {sym!r} in {text!r}")
-    return amounts
-
-
-def _read_number(text: str, pos: int) -> tuple[float, int]:
-    """Read an optional subscript at ``pos``; defaults to 1."""
-    m = re.match(r"\d+(?:\.\d+)?", text[pos:])
-    if m is None:
-        return 1.0, pos
-    return float(m.group()), pos + m.end()
+    if not amounts:
+        raise CompositionError(f"no elements found in {formula!r}")
+    return tuple(sorted(amounts.items()))

@@ -48,9 +48,7 @@ class MagpieFeaturizer:
             if isinstance(composition, str)
             else composition
         )
-        fracs_map = comp.fractions()
-        symbols = list(fracs_map)
-        fracs = np.array([fracs_map[s] for s in symbols])
+        fracs = np.array(list(comp.fractions().values()))
         # Property matrix: rows = elements in composition, cols = properties.
         props = np.array([el.property_vector() for el in comp.elements], dtype=np.float64)
         # comp.elements is sorted by symbol, same as fractions() iteration order

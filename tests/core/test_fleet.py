@@ -82,7 +82,6 @@ def demand(**overrides):
         arrival_rate_rps=0.0,
         live_copies=1,
         per_copy_capacity_rps=100.0,
-        recent_p95_queue_wait_s=None,
     )
     base.update(overrides)
     return ServableDemand(**base)
@@ -183,7 +182,7 @@ class TestQueueLatencySLOPolicy:
         policy = QueueLatencySLOPolicy(slo_s=0.05)
         plan = policy.plan(
             observation(
-                [demand(recent_p95_queue_wait_s=0.2, live_copies=2)],
+                [demand(recent_queue_waits_s=(0.2,), live_copies=2)],
                 max_workers=8,
             )
         )
@@ -192,11 +191,11 @@ class TestQueueLatencySLOPolicy:
     def test_scale_down_needs_comfortable_tail(self):
         policy = QueueLatencySLOPolicy(slo_s=0.1)
         uneasy = policy.plan(
-            observation([demand(live_copies=3, recent_p95_queue_wait_s=0.05)])
+            observation([demand(live_copies=3, recent_queue_waits_s=(0.05,))])
         )
         assert uneasy.copies["noop"] == 3
         comfy = policy.plan(
-            observation([demand(live_copies=3, recent_p95_queue_wait_s=0.01)])
+            observation([demand(live_copies=3, recent_queue_waits_s=(0.01,))])
         )
         assert comfy.copies["noop"] == 2
         # A fully idle servable (no fresh samples, empty queue) drains too.

@@ -56,7 +56,6 @@ class TestEffectiveRate:
             arrival_rate_rps=50.0,
             live_copies=1,
             per_copy_capacity_rps=100.0,
-            recent_p95_queue_wait_s=None,
         )
         assert demand.effective_rate_rps == 50.0
 
@@ -67,7 +66,6 @@ class TestEffectiveRate:
             arrival_rate_rps=50.0,
             live_copies=1,
             per_copy_capacity_rps=100.0,
-            recent_p95_queue_wait_s=None,
             weighted_arrival_rate_rps=80.0,
             tenant_rates=(("a", 30.0), ("b", 20.0)),
         )
@@ -80,7 +78,6 @@ class TestEffectiveRate:
             arrival_rate_rps=10.0,
             live_copies=1,
             per_copy_capacity_rps=100.0,
-            recent_p95_queue_wait_s=None,
         )
         obs_kwargs = dict(
             time=0.0,

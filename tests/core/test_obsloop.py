@@ -484,7 +484,6 @@ def _demand(rate=100.0, weighted=None, tenant_rates=()):
         arrival_rate_rps=rate,
         live_copies=1,
         per_copy_capacity_rps=100.0,
-        recent_p95_queue_wait_s=None,
         weighted_arrival_rate_rps=weighted,
         tenant_rates=tuple(tenant_rates),
     )

@@ -1,11 +1,13 @@
 """Unit tests for chemical-formula parsing."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.zoo import build_zoo
 from repro.matsci.composition import Composition, CompositionError
 from repro.matsci.elements import ELEMENTS
+from tests.matsci.composition_oracle import oracle
 
 
 class TestParsing:
@@ -50,6 +52,12 @@ class TestErrors:
     def test_invalid_formulas(self, bad):
         with pytest.raises(CompositionError):
             Composition.parse(bad)
+
+    def test_inner_tab_cannot_tokenize(self):
+        # ``parse`` strips the ends and drops spaces; a tab inside stays.
+        with pytest.raises(CompositionError) as info:
+            Composition.parse("Fe\t2O3")
+        assert str(info.value) == "cannot tokenize at position 2 in 'Fe\\t2O3'"
 
     def test_from_dict_validation(self):
         with pytest.raises(CompositionError):
@@ -106,3 +114,73 @@ class TestProperties:
     def test_fractions_sum_to_one_property(self, amounts):
         comp = Composition.from_dict(amounts)
         assert sum(comp.fractions().values()) == pytest.approx(1.0)
+
+
+# A formula grammar wide enough to reach every branch of the parser:
+# well-formed formulas (nested groups with multipliers, integer, decimal
+# and Unicode-digit subscripts, repeated elements), and noisy ones that
+# add unknown symbols, zero amounts and stray characters.
+_KNOWN = st.sampled_from(["H", "O", "C", "Fe", "Na", "Cl"])
+_COUNTS = st.sampled_from(
+    ["", "", "2", "3", "12", "0.5", "0.1", "0.7", "2.25", "\u0663", "2.\u0665"]
+)
+_BAD_COUNTS = st.sampled_from(["0", "0.0", "1."])
+_STRAYS = st.sampled_from(
+    ["-", "\u00b2", "\t", "\n", " ", "(", ")", "7", "1.5", ".", "Xx", "J"]
+)
+
+
+def _formulas(atoms, counts):
+    pieces = st.recursive(
+        atoms,
+        lambda inner: st.builds(
+            lambda body, count: "(" + "".join(body) + ")" + count,
+            st.lists(inner, max_size=3),
+            counts,
+        ),
+        max_leaves=8,
+    )
+    return st.lists(pieces, max_size=6).map("".join)
+
+
+_CLEAN = _formulas(st.builds(str.__add__, _KNOWN, _COUNTS), _COUNTS)
+_NOISY = _formulas(
+    st.builds(str.__add__, _KNOWN, _COUNTS | _BAD_COUNTS) | _STRAYS, _COUNTS | _BAD_COUNTS
+)
+_FORMULAS = _CLEAN | _NOISY | st.sampled_from(["", " ", "  ", "\t", " \n "])
+
+
+def _outcome(fn, formula):
+    """``fn(formula)`` as comparable data: ``(symbol, float.hex)`` pairs in
+    key order, or the exception's type and message."""
+    try:
+        result = fn(formula)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    items = result.amounts if hasattr(result, "amounts") else result.items()
+    return [(sym, amt.hex()) for sym, amt in items]
+
+
+@pytest.fixture(scope="module")
+def matminer_util():
+    return build_zoo(oqmd_entries=50, n_estimators=4)["matminer_util"]
+
+
+class TestAgainstOracle:
+    """The one-pass parser against the token-at-a-time scan it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_FORMULAS)
+    @example("Ba(NO3)2")
+    @example("Ca(Al(OH)4)2")
+    @example("(H2O)0.5Fe\u06632")
+    @example("O0O2")
+    @example("Fe\t2O3")
+    def test_parse_matches_oracle(self, formula):
+        assert _outcome(Composition.parse, formula) == _outcome(oracle, formula)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_FORMULAS)
+    def test_handler_matches_oracle_fractions(self, matminer_util, formula):
+        expected = _outcome(lambda f: oracle(f).fractions(), formula)
+        assert _outcome(matminer_util.run, formula) == expected

@@ -76,10 +76,7 @@ def main() -> None:
         provision_worker=testbed.add_fleet_worker,
         # Predictive wrapper: plan on demand projected one provisioning
         # lead time ahead, so capacity lands before the spike peaks.
-        policy=PredictiveScaling(
-            QueueLatencySLOPolicy(slo_s=0.080),
-            reconcile_interval_s=INTERVAL_S,
-        ),
+        policy=PredictiveScaling(QueueLatencySLOPolicy(slo_s=0.080)),
         interval_s=INTERVAL_S,
         min_workers=1,
         max_workers=3,

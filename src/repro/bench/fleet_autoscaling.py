@@ -209,10 +209,7 @@ def run_experiment(servable: str = SERVABLE, seed: int = 0) -> dict:
     predictive, predictive_controller = _run_autoscaled(
         servable,
         seed=seed,
-        policy=PredictiveScaling(
-            TargetUtilizationPolicy(),
-            reconcile_interval_s=RECONCILE_INTERVAL_S,
-        ),
+        policy=PredictiveScaling(TargetUtilizationPolicy()),
     )
     offered = sum(int(rate * duration) for rate, duration in ARRIVAL_PHASES)
     return {
@@ -264,10 +261,7 @@ def run_drain_experiment(servable: str = SERVABLE, seed: int = 0) -> dict:
     predictive, predictive_controller = _run_autoscaled(
         servable,
         seed=seed,
-        policy=PredictiveScaling(
-            TargetUtilizationPolicy(),
-            reconcile_interval_s=RECONCILE_INTERVAL_S,
-        ),
+        policy=PredictiveScaling(TargetUtilizationPolicy()),
         phases=DRAIN_PHASES,
     )
     offered = sum(int(rate * duration) for rate, duration in DRAIN_PHASES)

@@ -208,7 +208,7 @@ def _run_telemetry_arm(seed: int) -> dict:
     must reconcile against the :class:`StageLatencyCollector`
     aggregates the untraced path records anyway — the end-to-end proof
     that the deferred settlement-time recording loses nothing. An
-    :class:`SLOBurnMonitor` (default knobs: 250 ms SLO, 1 s window,
+    :class:`SLOBurnMonitor` (its constants: 250 ms SLO, 1 s window,
     burn >= 4x) is shared between the gateway, which feeds it
     settlements, and an observe-only :class:`FleetController`, which
     drains its breaches into ``slo_burn`` events during the induced

@@ -117,6 +117,12 @@ class Forecast:
     trend_per_s: float
 
 
+#: Holt level smoothing: how hard a sample pulls the smoothed rate.
+FORECAST_ALPHA = 0.5
+#: Holt trend smoothing: how hard a prediction error swings the slope.
+FORECAST_BETA = 0.35
+
+
 @dataclass
 class _TrendState:
     """Per-key Holt-style level/trend state over irregular samples."""
@@ -141,25 +147,12 @@ class ArrivalForecaster:
     its one-step prediction error. A step spike therefore swings the
     trend hard (the error is large), which is exactly the property that
     beats a pure EWMA to the punch; flat traffic keeps the trend near
-    zero so the forecast never over-provisions a steady fleet.
-
-    Parameters
-    ----------
-    alpha:
-        Level smoothing in ``(0, 1]`` — how hard a sample pulls the
-        smoothed rate.
-    beta:
-        Trend smoothing in ``(0, 1]`` — how hard a prediction error
-        swings the slope.
+    zero so the forecast never over-provisions a steady fleet. The
+    smoothing gains are :data:`FORECAST_ALPHA` and
+    :data:`FORECAST_BETA`.
     """
 
-    def __init__(self, alpha: float = 0.5, beta: float = 0.35) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0 < beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self) -> None:
         self._state: dict[Any, _TrendState] = {}
 
     def observe(self, key: Any, time_s: float, rate_rps: float) -> None:
@@ -181,16 +174,18 @@ class ArrivalForecaster:
         if dt < 0:
             raise ValueError("samples must be time-ordered per key")
         if dt == 0:
-            state.level = self.alpha * rate_rps + (1 - self.alpha) * state.level
+            state.level = (
+                FORECAST_ALPHA * rate_rps + (1 - FORECAST_ALPHA) * state.level
+            )
             return
         predicted = state.level + state.trend_per_s * dt
         error = rate_rps - predicted
-        state.level = max(predicted + self.alpha * error, 0.0)
+        state.level = max(predicted + FORECAST_ALPHA * error, 0.0)
         # dt-scaled trend gain (Wright's irregular-interval smoothing):
-        # the correction is ~beta * error for small dt, so two
+        # the correction is ~FORECAST_BETA * error for small dt, so two
         # near-coincident samples differing by noise cannot explode the
-        # slope the way a raw ``beta * error / dt`` term would.
-        gain = 1.0 - (1.0 - self.beta) ** dt
+        # slope the way a raw ``FORECAST_BETA * error / dt`` term would.
+        gain = 1.0 - (1.0 - FORECAST_BETA) ** dt
         state.trend_per_s += gain * error / dt
         state.last_time = time_s
 

@@ -91,6 +91,19 @@ IMBALANCE_DERATE_CAP = 2.0
 #: drain. One interval for the transient chunks to land, one for the
 #: windowed gauge to flush them.
 IMBALANCE_SETTLE_INTERVALS = 2
+#: Smoothing of the controller's EWMA arrival-rate estimates: how much
+#: one interval's instant rate moves the estimate.
+EWMA_ALPHA = 0.5
+#: :class:`TargetUtilizationPolicy`: the copy-utilization setpoint, the
+#: utilization the remaining copies must sit below before one is shed
+#: (the hysteresis band), and the horizon the backlog is drained over.
+TARGET_UTILIZATION = 0.65
+SCALE_DOWN_UTILIZATION = 0.30
+BACKLOG_HORIZON_S = 0.5
+#: How far ahead :class:`PredictiveScaling` projects demand: the
+#: provisioning cold start of :data:`WORKER_IMAGE_BYTES` plus one
+#: 0.25 s reconcile, the soonest newly ordered capacity could serve.
+FORECAST_LEAD_TIME_S = cold_start_cost_s(WORKER_IMAGE_BYTES) + 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +218,14 @@ class TargetUtilizationPolicy(FleetPolicy):
     """Keep each servable's copy utilization near a setpoint.
 
     Demand pressure is the arrival rate plus the backlog drained over
-    ``backlog_horizon_s``; desired copies put that pressure at
-    ``target_utilization`` of the copies' combined capacity. Scale-down
-    is hysteretic and gradual: copies shrink one step per reconcile, and
-    only when the remaining copies would still sit below
-    ``scale_down_utilization``.
+    :data:`BACKLOG_HORIZON_S`; desired copies put that pressure at
+    :data:`TARGET_UTILIZATION` of the copies' combined capacity.
+    Scale-down is hysteretic and gradual: copies shrink one step per
+    reconcile, and only when the remaining copies would still sit below
+    :data:`SCALE_DOWN_UTILIZATION`.
     """
 
     name = "target-utilization"
-
-    def __init__(
-        self,
-        target_utilization: float = 0.65,
-        scale_down_utilization: float = 0.30,
-        backlog_horizon_s: float = 0.5,
-    ) -> None:
-        if not 0 < target_utilization <= 1:
-            raise ValueError("target_utilization must be in (0, 1]")
-        if not 0 <= scale_down_utilization < target_utilization:
-            raise ValueError(
-                "scale_down_utilization must be in [0, target_utilization)"
-            )
-        if backlog_horizon_s <= 0:
-            raise ValueError("backlog_horizon_s must be > 0")
-        self.target_utilization = target_utilization
-        self.scale_down_utilization = scale_down_utilization
-        self.backlog_horizon_s = backlog_horizon_s
 
     def plan(self, observation: FleetObservation) -> FleetPlan:
         """Derive the desired fleet state from one observation."""
@@ -238,20 +233,20 @@ class TargetUtilizationPolicy(FleetPolicy):
         for demand in observation.demands:
             pressure = (
                 demand.effective_rate_rps
-                + demand.queue_depth / self.backlog_horizon_s
+                + demand.queue_depth / BACKLOG_HORIZON_S
             )
             desired = max(
                 1,
                 math.ceil(
                     pressure
-                    / (self.target_utilization * demand.per_copy_capacity_rps)
+                    / (TARGET_UTILIZATION * demand.per_copy_capacity_rps)
                 ),
             )
             if desired < demand.live_copies:
                 remaining = max(demand.live_copies - 1, 1)
                 if (
                     pressure
-                    > self.scale_down_utilization
+                    > SCALE_DOWN_UTILIZATION
                     * remaining
                     * demand.per_copy_capacity_rps
                 ):
@@ -330,7 +325,8 @@ class PredictiveScaling(FleetPolicy):
     1. feeds the observation's per-servable effective arrival rate into
        an :class:`~repro.core.adaptive.ArrivalForecaster` (Holt
        trend),
-    2. projects the rate at ``observation.time + lead_time_s``, and
+    2. projects the rate at ``observation.time + lead_time_s``
+       (:data:`FORECAST_LEAD_TIME_S`), and
     3. re-plans the observation with each demand's rate raised to
        ``max(current, forecast)`` before delegating to the base policy.
 
@@ -341,37 +337,17 @@ class PredictiveScaling(FleetPolicy):
     Scale-*down* decisions are untouched: a decaying forecast below the
     current rate defers to the base policy's own hysteresis.
 
-    Parameters
-    ----------
-    base:
-        The reactive policy to wrap (default
-        :class:`TargetUtilizationPolicy`).
-    forecaster:
-        The projection engine (default ``ArrivalForecaster()``); pass
-        one to tune ``alpha`` / ``beta``.
-    lead_time_s:
-        How far ahead to project. Defaults to the provisioning cold
-        start of :data:`WORKER_IMAGE_BYTES` plus
-        ``reconcile_interval_s`` — the soonest newly ordered capacity
-        could possibly serve.
+    ``base`` is the reactive policy to wrap (default
+    :class:`TargetUtilizationPolicy`).
     """
 
     name = "predictive"
+    #: Read by the controller for ``demand_forecast`` events.
+    lead_time_s = FORECAST_LEAD_TIME_S
 
-    def __init__(
-        self,
-        base: FleetPolicy | None = None,
-        forecaster: ArrivalForecaster | None = None,
-        lead_time_s: float | None = None,
-        reconcile_interval_s: float = 0.25,
-    ) -> None:
-        if lead_time_s is None:
-            lead_time_s = cold_start_cost_s(WORKER_IMAGE_BYTES) + reconcile_interval_s
-        if lead_time_s <= 0:
-            raise ValueError("lead_time_s must be > 0")
+    def __init__(self, base: FleetPolicy | None = None) -> None:
         self.base = base or TargetUtilizationPolicy()
-        self.forecaster = forecaster or ArrivalForecaster()
-        self.lead_time_s = lead_time_s
+        self.forecaster = ArrivalForecaster()
         #: Most recent per-servable projections (read by the controller
         #: for ``demand_forecast`` events).
         self.last_forecasts: dict[str, Forecast] = {}
@@ -388,7 +364,7 @@ class PredictiveScaling(FleetPolicy):
             rate = demand.effective_rate_rps
             self.forecaster.observe(demand.name, observation.time, rate)
             forecast = self.forecaster.forecast(
-                demand.name, observation.time + self.lead_time_s
+                demand.name, observation.time + FORECAST_LEAD_TIME_S
             )
             planning_rate = max(rate, forecast.rate_rps)
             self.last_forecasts[demand.name] = forecast
@@ -488,7 +464,6 @@ class FleetController:
         max_workers: int = 8,
         autoscale_replicas: bool = True,
         max_replicas_per_host: int = 8,
-        ewma_alpha: float = 0.5,
         gateway=None,
         slo_monitor=None,
         alert_engine=None,
@@ -497,8 +472,6 @@ class FleetController:
             raise FleetControllerError("interval_s must be > 0")
         if not 1 <= min_workers <= max_workers:
             raise FleetControllerError("need 1 <= min_workers <= max_workers")
-        if not 0 < ewma_alpha <= 1:
-            raise FleetControllerError("ewma_alpha must be in (0, 1]")
         self.runtime = runtime
         self.provision_worker = provision_worker
         self.policy = policy or TargetUtilizationPolicy()
@@ -507,7 +480,6 @@ class FleetController:
         self.max_workers = max_workers
         self.autoscale_replicas = autoscale_replicas
         self.max_replicas_per_host = max_replicas_per_host
-        self.ewma_alpha = ewma_alpha
         self.gateway = gateway
         #: Optional :class:`~repro.core.telemetry.SLOBurnMonitor` (fed
         #: by the gateway): each reconcile checks it and drains fresh
@@ -616,8 +588,8 @@ class FleetController:
             instant = max(total - seen[key], 0) / dt
             seen[key] = total
             rate = (
-                self.ewma_alpha * instant
-                + (1 - self.ewma_alpha) * rates.get(key, instant)
+                EWMA_ALPHA * instant
+                + (1 - EWMA_ALPHA) * rates.get(key, instant)
             )
         else:
             rate = rates.get(key, 0.0)

@@ -384,7 +384,7 @@ class SeriesStore:
     Readers declare the windows they will query when they register
     (:meth:`retain`): an alert rule at
     :meth:`~repro.core.obsloop.AlertEngine.add_rule`, the
-    :class:`~repro.core.telemetry.SLOBurnMonitor` its ``window_s``. A
+    :class:`~repro.core.telemetry.SLOBurnMonitor` its ``SLO_WINDOW_S``. A
     series keeps every sample inside the longest window declared on it,
     measured back from its newest sample, plus the newest sample before
     that window; a series no reader declared keeps only its newest

@@ -60,6 +60,25 @@ __all__ = [
 ]
 
 
+#: :class:`BurnRateRule`: the burn-rate multiple both windows must clear
+#: (1.0 spends the error budget exactly).
+BURN_RULE_THRESHOLD = 4.0
+#: :class:`AdaptiveSampler`: the multiple of the base sample rate a
+#: burning tenant is raised to, the ceiling on any raised rate, and the
+#: geometric factor per tick pulling a cooled tenant's excess back
+#: toward base.
+SAMPLER_ESCALATION = 10.0
+SAMPLER_MAX_RATE = 0.5
+SAMPLER_DECAY = 0.5
+#: :class:`ReactiveSLOPolicy`: the planning-rate multiplier under a
+#: capacity-shaped burn, the fraction of a burning tenant's EWMA arrival
+#: rate its admission is capped at under an overload-shaped burn, and
+#: the floor under any such cap.
+REACTIVE_BOOST = 1.5
+REACTIVE_SHED_FRACTION = 0.5
+REACTIVE_MIN_SHED_RATE_RPS = 1.0
+
+
 def burn_series(tenant: str) -> str:
     """Series name the loop records a tenant's SLO burn gauge under."""
     return f"slo_burn_rate{{tenant={tenant}}}"
@@ -200,11 +219,12 @@ class BurnRateRule(AlertRule):
 
     The SRE-standard shape: fire only when the burn gauge (recorded by
     the loop from :meth:`SLOBurnMonitor.burn_rate` each scrape) runs at
-    or above ``threshold`` averaged over *both* a fast and a slow
-    window — the fast window proves the budget is burning *now*, the
-    slow one that it is not a blip. Resolution is just as responsive:
-    the moment the fast window cools below threshold the condition
-    drops and the alert resolves.
+    or above :data:`BURN_RULE_THRESHOLD` averaged over *both* a fast
+    and a slow window — the fast window proves the budget is burning
+    *now*, the slow one that it is not a blip, so the rule needs no
+    extra hold time (its ``for_s`` is 0). Resolution is just as
+    responsive: the moment the fast window cools below threshold the
+    condition drops and the alert resolves.
 
     Parameters
     ----------
@@ -212,10 +232,6 @@ class BurnRateRule(AlertRule):
         Rule name and the tenant whose burn gauge to watch.
     fast_window_s / slow_window_s:
         The two averaging windows (fast < slow).
-    threshold:
-        Burn-rate multiple (1.0 spends the error budget exactly).
-    for_s:
-        Extra hold time before firing, on top of the window debounce.
     """
 
     def __init__(
@@ -224,21 +240,14 @@ class BurnRateRule(AlertRule):
         tenant: str,
         fast_window_s: float = 0.5,
         slow_window_s: float = 2.0,
-        threshold: float = 4.0,
-        for_s: float = 0.0,
     ) -> None:
-        super().__init__(
-            name, for_s=for_s, labels={"kind": "burn", "tenant": tenant}
-        )
+        super().__init__(name, labels={"kind": "burn", "tenant": tenant})
         if fast_window_s <= 0 or slow_window_s <= fast_window_s:
             raise ObsLoopError("need 0 < fast_window_s < slow_window_s")
-        if threshold <= 0:
-            raise ObsLoopError("threshold must be > 0")
         self.tenant = tenant
         self.series = burn_series(tenant)
         self.fast_window_s = fast_window_s
         self.slow_window_s = self.window_s = slow_window_s
-        self.threshold = threshold
 
     def active(self, store: SeriesStore, now: float) -> tuple[bool, dict]:
         """Both windows of the burn gauge must clear the threshold."""
@@ -246,12 +255,12 @@ class BurnRateRule(AlertRule):
         slow = store.avg(self.series, self.slow_window_s, now)
         if fast is None or slow is None:
             return False, {}
-        hit = fast >= self.threshold and slow >= self.threshold
+        hit = fast >= BURN_RULE_THRESHOLD and slow >= BURN_RULE_THRESHOLD
         return hit, {
             "tenant": self.tenant,
             "fast_burn": fast,
             "slow_burn": slow,
-            "threshold": self.threshold,
+            "threshold": BURN_RULE_THRESHOLD,
         }
 
 
@@ -365,42 +374,18 @@ class AdaptiveSampler:
     A fleet tracing 1% of requests is cheap but nearly blind during an
     incident — exactly when traces are worth the most. Each loop tick
     this controller escalates every tenant with a firing burn alert to
-    ``min(max_rate, sample_rate * escalation)`` via the tracer's
-    per-tenant override (its own error-diffusion accumulator, so the
-    escalation is deterministic and other tenants' cadence is
-    untouched), then decays cooled-down tenants geometrically back
-    toward the base rate, dropping the override once it lands.
+    ``min(SAMPLER_MAX_RATE, sample_rate * SAMPLER_ESCALATION)`` via the
+    tracer's per-tenant override (its own error-diffusion accumulator,
+    so the escalation is deterministic and other tenants' cadence is
+    untouched), then decays cooled-down tenants geometrically (by
+    :data:`SAMPLER_DECAY` per tick) back toward the base rate, dropping
+    the override once it lands.
 
-    Parameters
-    ----------
-    tracer:
-        The :class:`~repro.core.telemetry.Tracer` to steer.
-    escalation:
-        Multiple of the base ``sample_rate`` applied while burning.
-    max_rate:
-        Hard ceiling on any escalated rate.
-    decay:
-        Geometric factor per tick pulling a cooled tenant's excess
-        rate back toward base (smaller = faster revert).
+    ``tracer`` is the :class:`~repro.core.telemetry.Tracer` to steer.
     """
 
-    def __init__(
-        self,
-        tracer,
-        escalation: float = 10.0,
-        max_rate: float = 0.5,
-        decay: float = 0.5,
-    ) -> None:
-        if escalation <= 1.0:
-            raise ObsLoopError("escalation must be > 1")
-        if not 0.0 < max_rate <= 1.0:
-            raise ObsLoopError("max_rate must be in (0, 1]")
-        if not 0.0 < decay < 1.0:
-            raise ObsLoopError("decay must be in (0, 1)")
+    def __init__(self, tracer) -> None:
         self.tracer = tracer
-        self.escalation = escalation
-        self.max_rate = max_rate
-        self.decay = decay
         #: Tenants currently holding an escalated (or decaying) override.
         self.active: dict[str, float] = {}
         #: Highest effective rate ever applied per tenant.
@@ -411,7 +396,7 @@ class AdaptiveSampler:
     def update(self, now: float, burning) -> None:
         """One control step: escalate ``burning``, decay the rest."""
         base = self.tracer.sample_rate
-        target = min(self.max_rate, base * self.escalation)
+        target = min(SAMPLER_MAX_RATE, base * SAMPLER_ESCALATION)
         for tenant in sorted(burning):
             if target <= base:
                 break
@@ -424,7 +409,7 @@ class AdaptiveSampler:
                 self.peak_rates.get(tenant, base), target
             )
         for tenant in sorted(set(self.active) - set(burning)):
-            decayed = base + (self.active[tenant] - base) * self.decay
+            decayed = base + (self.active[tenant] - base) * SAMPLER_DECAY
             if decayed - base <= max(base * 0.05, 1e-6):
                 self.tracer.clear_tenant_rate(tenant)
                 del self.active[tenant]
@@ -449,15 +434,15 @@ class ReactiveSLOPolicy(FleetPolicy):
 
     - **capacity-shaped** — the fleet can still grow
       (``routable_workers < max_workers``): every demand's planning
-      rate is boosted by ``boost`` before delegating, so the base
-      policy provisions *ahead* of its EWMA view and capacity lands
-      sooner. The boost disappears the moment no burn alert fires.
+      rate is boosted by :data:`REACTIVE_BOOST` before delegating, so
+      the base policy provisions *ahead* of its EWMA view and capacity
+      lands sooner. The boost disappears the moment no burn alert fires.
     - **overload-shaped** — the fleet is already at ``max_workers``:
       more capacity is not coming, so the burning tenant is load-shed
       at the door. The gateway's admission bucket for that tenant is
-      tightened to ``shed_fraction`` of its observed EWMA arrival rate
-      (floored at ``min_shed_rate_rps``), and the override is lifted
-      when the tenant's alert resolves.
+      tightened to :data:`REACTIVE_SHED_FRACTION` of its observed EWMA
+      arrival rate (floored at :data:`REACTIVE_MIN_SHED_RATE_RPS`), and
+      the override is lifted when the tenant's alert resolves.
 
     Parameters
     ----------
@@ -467,36 +452,13 @@ class ReactiveSLOPolicy(FleetPolicy):
     gateway:
         The :class:`~repro.gateway.gateway.ServingGateway` whose
         admission to tighten; without it, shedding is disabled.
-    boost:
-        Planning-rate multiplier under capacity-shaped burn.
-    shed_fraction:
-        Fraction of the burning tenant's EWMA arrival rate its
-        admission is capped at under overload-shaped burn.
-    min_shed_rate_rps:
-        Floor under any imposed admission cap.
     """
 
     name = "reactive-slo"
 
-    def __init__(
-        self,
-        base: FleetPolicy | None = None,
-        gateway=None,
-        boost: float = 1.5,
-        shed_fraction: float = 0.5,
-        min_shed_rate_rps: float = 1.0,
-    ) -> None:
-        if boost < 1.0:
-            raise ObsLoopError("boost must be >= 1")
-        if not 0.0 < shed_fraction < 1.0:
-            raise ObsLoopError("shed_fraction must be in (0, 1)")
-        if min_shed_rate_rps <= 0:
-            raise ObsLoopError("min_shed_rate_rps must be > 0")
+    def __init__(self, base: FleetPolicy | None = None, gateway=None) -> None:
         self.base = base or TargetUtilizationPolicy()
         self.gateway = gateway
-        self.boost = boost
-        self.shed_fraction = shed_fraction
-        self.min_shed_rate_rps = min_shed_rate_rps
         #: Imposed admission caps, tenant -> rate_rps (live overrides).
         self.active_sheds: dict[str, float] = {}
         #: What the last plan did: None / "scale_out" / "shed".
@@ -518,9 +480,9 @@ class ReactiveSLOPolicy(FleetPolicy):
                 demands=tuple(
                     replace(
                         demand,
-                        arrival_rate_rps=demand.arrival_rate_rps * self.boost,
+                        arrival_rate_rps=demand.arrival_rate_rps * REACTIVE_BOOST,
                         weighted_arrival_rate_rps=(
-                            demand.weighted_arrival_rate_rps * self.boost
+                            demand.weighted_arrival_rate_rps * REACTIVE_BOOST
                             if demand.weighted_arrival_rate_rps is not None
                             else None
                         ),
@@ -560,7 +522,7 @@ class ReactiveSLOPolicy(FleetPolicy):
                 if measured <= 0:
                     continue
                 cap = max(
-                    self.min_shed_rate_rps, self.shed_fraction * measured
+                    REACTIVE_MIN_SHED_RATE_RPS, REACTIVE_SHED_FRACTION * measured
                 )
                 self.gateway.tighten_admission(tenant, cap)
                 self.active_sheds[tenant] = cap
@@ -588,7 +550,7 @@ class ObservabilityLoop:
        readers declared (none, with only burn rules: no source is
        pulled),
     2. gauges every known tenant's SLO burn into ``slo_burn_rate{...}``
-       series (0.0 below the monitor's ``min_samples`` — cold is not
+       series (0.0 below the monitor's ``SLO_MIN_SAMPLES`` — cold is not
        burning),
     3. runs one :class:`AlertEngine` lifecycle pass, and
     4. steps the :class:`AdaptiveSampler` with the burn-labeled firing

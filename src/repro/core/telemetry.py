@@ -720,6 +720,19 @@ def build_hub(
 # ---------------------------------------------------------------------------
 # SLO burn-rate monitoring
 # ---------------------------------------------------------------------------
+#: :class:`SLOBurnMonitor`: the per-request latency objective (settled
+#: minus arrived), the target good fraction (0.99 -> a 1% error budget),
+#: the sliding window, the burn-rate multiple at which a breach fires,
+#: the settlements a window needs before its burn is trusted, and the
+#: least virtual time between two breaches of one tenant.
+SLO_LATENCY_S = 0.250
+SLO_OBJECTIVE = 0.99
+SLO_WINDOW_S = 1.0
+SLO_BURN_THRESHOLD = 4.0
+SLO_MIN_SAMPLES = 20
+SLO_COOLDOWN_S = 1.0
+
+
 @dataclass(frozen=True)
 class SLOBreach:
     """One burn-rate threshold crossing for one tenant."""
@@ -735,59 +748,19 @@ class SLOBreach:
 class SLOBurnMonitor:
     """Windowed per-tenant SLO burn rate with threshold alerts.
 
-    A settlement is *bad* when it failed or exceeded ``latency_slo_s``.
-    Each tenant's settlements are a 0/1 badness series in the monitor's
-    own :class:`~repro.core.metrics.SeriesStore`, which keeps
-    ``window_s`` of it. The burn rate over the window is the bad
-    fraction divided by the error budget ``1 - objective`` — burn 1.0
-    spends the budget exactly, an SRE-standard multiple.
-    :meth:`check` fires at most one :class:`SLOBreach` per tenant per
-    ``cooldown_s`` once at least ``min_samples`` settlements are in
-    window and the burn rate is at or above ``burn_threshold``.
-
-    Parameters
-    ----------
-    latency_slo_s:
-        Per-request latency objective (settled minus arrived).
-    objective:
-        Target good fraction (e.g. ``0.99`` -> 1% error budget).
-    window_s:
-        Sliding-window length in virtual seconds.
-    burn_threshold:
-        Burn-rate multiple at which a breach fires.
-    min_samples:
-        Settlements required in window before burn is trusted.
-    cooldown_s:
-        Minimum virtual time between breaches for one tenant.
+    A settlement is *bad* when it failed or exceeded
+    :data:`SLO_LATENCY_S`. Each tenant's settlements are a 0/1 badness
+    series in the monitor's own :class:`~repro.core.metrics.SeriesStore`,
+    which keeps :data:`SLO_WINDOW_S` of it. The burn rate over the
+    window is the bad fraction divided by the error budget
+    ``1 - SLO_OBJECTIVE`` — burn 1.0 spends the budget exactly, an
+    SRE-standard multiple. :meth:`check` fires at most one
+    :class:`SLOBreach` per tenant per :data:`SLO_COOLDOWN_S` once at
+    least :data:`SLO_MIN_SAMPLES` settlements are in window and the burn
+    rate is at or above :data:`SLO_BURN_THRESHOLD`.
     """
 
-    def __init__(
-        self,
-        latency_slo_s: float = 0.250,
-        objective: float = 0.99,
-        window_s: float = 1.0,
-        burn_threshold: float = 4.0,
-        min_samples: int = 20,
-        cooldown_s: float = 1.0,
-    ) -> None:
-        if latency_slo_s <= 0:
-            raise TelemetryError("latency_slo_s must be > 0")
-        if not 0.0 < objective < 1.0:
-            raise TelemetryError("objective must be in (0, 1)")
-        if window_s <= 0:
-            raise TelemetryError("window_s must be > 0")
-        if burn_threshold <= 0:
-            raise TelemetryError("burn_threshold must be > 0")
-        if min_samples < 1:
-            raise TelemetryError("min_samples must be >= 1")
-        if cooldown_s < 0:
-            raise TelemetryError("cooldown_s must be >= 0")
-        self.latency_slo_s = latency_slo_s
-        self.objective = objective
-        self.window_s = window_s
-        self.burn_threshold = burn_threshold
-        self.min_samples = min_samples
-        self.cooldown_s = cooldown_s
+    def __init__(self) -> None:
         self.breaches: list[SLOBreach] = []
         #: One 0/1 badness series per tenant, named by the tenant.
         self.store = SeriesStore()
@@ -807,40 +780,40 @@ class SLOBurnMonitor:
         precede the tenant's previous settlement."""
         if tenant not in self._last_fired:
             self._last_fired[tenant] = -math.inf
-            self.store.retain(tenant, self.window_s)
-        self.store.record(tenant, at, (not ok) or latency_s > self.latency_slo_s)
+            self.store.retain(tenant, SLO_WINDOW_S)
+        self.store.record(tenant, at, (not ok) or latency_s > SLO_LATENCY_S)
 
     def burn_rate(self, tenant: str, now: float) -> float | None:
-        """Current burn-rate multiple, ``None`` below ``min_samples``."""
+        """Current burn-rate multiple, ``None`` below :data:`SLO_MIN_SAMPLES`."""
         return self._burn(tenant, now)[0]
 
     def _burn(self, tenant: str, now: float) -> tuple[float | None, int]:
-        """The burn rate over ``[now - window_s, now]`` and how many
+        """The burn rate over ``[now - SLO_WINDOW_S, now]`` and how many
         settlements that window holds."""
         if tenant not in self._last_fired:
             return None, 0
-        samples = self.store.window(tenant, self.window_s, now)
-        if len(samples) < self.min_samples:
+        samples = self.store.window(tenant, SLO_WINDOW_S, now)
+        if len(samples) < SLO_MIN_SAMPLES:
             return None, len(samples)
         fraction = sum(bad for _, bad in samples) / len(samples)
-        return fraction / (1.0 - self.objective), len(samples)
+        return fraction / (1.0 - SLO_OBJECTIVE), len(samples)
 
     def check(self, now: float) -> list[SLOBreach]:
         """Evaluate every tenant; returns (and logs) fresh breaches."""
         fired = []
         for tenant in self.tenants():
-            if now - self._last_fired[tenant] < self.cooldown_s:
+            if now - self._last_fired[tenant] < SLO_COOLDOWN_S:
                 continue
             burn, samples = self._burn(tenant, now)
-            if burn is None or burn < self.burn_threshold:
+            if burn is None or burn < SLO_BURN_THRESHOLD:
                 continue
             self._last_fired[tenant] = now
             breach = SLOBreach(
                 time=now,
                 tenant=tenant,
                 burn_rate=burn,
-                bad_fraction=burn * (1.0 - self.objective),
-                window_s=self.window_s,
+                bad_fraction=burn * (1.0 - SLO_OBJECTIVE),
+                window_s=SLO_WINDOW_S,
                 samples=samples,
             )
             self.breaches.append(breach)

@@ -46,7 +46,7 @@ from repro.durability import codec
 from repro.durability.codec import FormatMismatch, JournalCorruption
 from repro.durability.journal import Journal
 from repro.durability.state import SystemState
-from repro.messaging.queue import MAX_DELIVERIES, VISIBILITY_TIMEOUT_S, TaskQueue
+from repro.messaging.queue import MAX_DELIVERIES, TaskQueue
 
 
 @dataclass
@@ -128,23 +128,23 @@ def load_state(store) -> tuple[SystemState, RecoveryReport]:
     return state, report
 
 
-def plan_recover(state: SystemState, max_deliveries: int) -> dict:
+def plan_recover(state: SystemState) -> dict:
     """Compute the ``recover`` record for a replayed state.
 
     Claimed-but-unsettled deliveries are released to the *front* of
     their topics (ordered by message id, so the oldest work leads) with
     their original enqueue timestamps; a delivery that already burned
-    ``max_deliveries`` attempts is dead-lettered instead, exactly as a
-    live ``nack`` would. Withdrawn messages are dropped — their
-    requests live on as gateway lane entries and re-enter via
-    :func:`gateway_restore_entries`.
+    :data:`~repro.messaging.queue.MAX_DELIVERIES` attempts is
+    dead-lettered instead, exactly as a live ``nack`` would. Withdrawn
+    messages are dropped — their requests live on as gateway lane
+    entries and re-enter via :func:`gateway_restore_entries`.
     """
     released: dict[str, list[int]] = {}
     dead: list[int] = []
     for tag in sorted(state.inflight):
         mid = state.inflight[tag][0]
         msg = state.messages[mid]
-        if msg["deliveries"] >= max_deliveries:
+        if msg["deliveries"] >= MAX_DELIVERIES:
             dead.append(mid)
         else:
             released.setdefault(msg["topic"], []).append(mid)
@@ -161,7 +161,6 @@ def plan_recover(state: SystemState, max_deliveries: int) -> dict:
 def begin_recovery(
     store,
     *,
-    max_deliveries: int = MAX_DELIVERIES,
     snapshot_every_records: int = 256,
     chaos=None,
 ) -> tuple[SystemState, Journal, RecoveryReport]:
@@ -178,7 +177,7 @@ def begin_recovery(
         chaos=chaos,
         last_seq=state.last_seq,
     )
-    plan = plan_recover(state, max_deliveries)
+    plan = plan_recover(state)
     report.released = sum(len(mids) for mids in plan["released"].values())
     report.dead_lettered = len(plan["dead"])
     report.dropped_withdrawn = len(plan["dropped"])
@@ -193,13 +192,7 @@ def begin_recovery(
     return state, journal, report
 
 
-def materialize_queue(
-    state: SystemState,
-    clock,
-    *,
-    visibility_timeout_s: float = VISIBILITY_TIMEOUT_S,
-    max_deliveries: int = MAX_DELIVERIES,
-) -> TaskQueue:
+def materialize_queue(state: SystemState, clock) -> TaskQueue:
     """Build a live :class:`TaskQueue` holding the recovered state.
 
     Requires a post-``recover`` state (empty in-flight table): a queue
@@ -210,11 +203,7 @@ def materialize_queue(
             "materialize_queue needs a recovered state (in-flight not empty); "
             "run begin_recovery first"
         )
-    queue = TaskQueue(
-        clock,
-        visibility_timeout_s=visibility_timeout_s,
-        max_deliveries=max_deliveries,
-    )
+    queue = TaskQueue(clock)
     queue.load_state(state.fingerprint(codec.decode_body))
     return queue
 

@@ -65,6 +65,16 @@ from repro.gateway.scheduler import WeightedFairScheduler
 from repro.messaging.queue import servable_topic
 
 _EPS = 1e-12
+#: How long (virtual time) the gateway tolerates being *over-committed*
+#: — ``outstanding`` above a freshly shrunk live budget — before it
+#: starts reclaiming released-but-unclaimed requests from the runtime's
+#: queue back into its fair lanes (newest-released first, via
+#: :meth:`~repro.messaging.queue.TaskQueue.withdraw_newest`). Without
+#: the deadline a hard fleet downsize would close the release pump until
+#: settles caught up, leaving the downsized fleet's queue over-stuffed
+#: and WFQ fairness suspended for arbitrarily long. Already-claimed work
+#: is never clawed back.
+DRAIN_DEADLINE_S = 2.0
 
 #: Pseudo-tenant labels for denials that happen before tenant resolution.
 UNAUTHENTICATED = "(unauthenticated)"
@@ -100,7 +110,9 @@ class ServingGateway:
     fleet grows admission headroom with it. Work conservation lets a
     lone backlogged tenant overflow its weighted share, but never into
     the reserve: another tenant's first request is released at arrival
-    instead of waiting for a settle.
+    instead of waiting for a settle. A budget that shrinks below what is
+    outstanding is tolerated for :data:`DRAIN_DEADLINE_S`; then unclaimed
+    releases are reclaimed into the lanes.
 
     Parameters
     ----------
@@ -112,17 +124,6 @@ class ServingGateway:
         ingress on construction.
     policies:
         The declarative tenant table.
-    drain_deadline_s:
-        How long (virtual time) the gateway tolerates being
-        *over-committed* — ``outstanding`` above a freshly shrunk live
-        budget — before it starts reclaiming released-but-unclaimed
-        requests from the runtime's queue back into its fair lanes
-        (newest-released first, via
-        :meth:`~repro.messaging.queue.TaskQueue.withdraw_newest`).
-        Without the deadline a hard fleet downsize would close the
-        release pump until settles caught up, leaving the downsized
-        fleet's queue over-stuffed and WFQ fairness suspended for
-        arbitrarily long. Already-claimed work is never clawed back.
     """
 
     def __init__(
@@ -131,17 +132,13 @@ class ServingGateway:
         runtime: ServingRuntime,
         policies: TenantPolicyTable,
         metrics: TenantUsageCollector | None = None,
-        drain_deadline_s: float = 2.0,
         tracer=None,
         slo_monitor=None,
         journal=None,
     ) -> None:
-        if drain_deadline_s is None or drain_deadline_s <= 0:
-            raise GatewayError("drain_deadline_s must be > 0")
         self.auth = auth
         self.runtime = runtime
         self.policies = policies
-        self.drain_deadline_s = drain_deadline_s
         self._over_budget_since: float | None = None
         #: The gateway's two wake-up sources on the runtime's timer
         #: heap: the next scheduled arrival of a :meth:`serve` call, and
@@ -220,7 +217,7 @@ class ServingGateway:
         mid-run starts admitting queued lane work right away. A
         shrink never cancels claimed work; the pump stays closed while
         ``outstanding`` exceeds the new budget, but only up to
-        ``drain_deadline_s`` — past that, still-unclaimed releases are
+        :data:`DRAIN_DEADLINE_S` — past that, still-unclaimed releases are
         reclaimed into lanes (:meth:`_check_overcommit`).
         """
         self._derive_budget()
@@ -243,7 +240,7 @@ class ServingGateway:
             self._arm_drain(None)
         elif self._over_budget_since is None:
             self._arm_drain(now)
-        elif now - self._over_budget_since + _EPS >= self.drain_deadline_s:
+        elif now - self._over_budget_since + _EPS >= DRAIN_DEADLINE_S:
             self._reclaim_overcommit()
             self._arm_drain(
                 now if self.outstanding > self.max_dispatch_slots else None
@@ -258,7 +255,7 @@ class ServingGateway:
             self._drain_timer.cancel()
         else:
             self.runtime.timers.reschedule(
-                self._drain_timer, since + self.drain_deadline_s
+                self._drain_timer, since + DRAIN_DEADLINE_S
             )
 
     def _reclaim_overcommit(self) -> int:
@@ -654,7 +651,7 @@ class ServingGateway:
         if self._sched_i < len(self._schedule):
             soonest = self._schedule[self._sched_i][0]
         if self._over_budget_since is not None:
-            soonest = min(soonest, self._over_budget_since + self.drain_deadline_s)
+            soonest = min(soonest, self._over_budget_since + DRAIN_DEADLINE_S)
         return soonest
 
     def pending(self) -> int:

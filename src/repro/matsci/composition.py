@@ -22,6 +22,8 @@ class CompositionError(ValueError):
 #: Every character starts one of these tokens, so ``findall`` covers the
 #: formula. An element or ``)`` carries its subscript; a stray number or
 #: inner whitespace ends the parse, so it captures the rest of the text.
+#: ``re.ASCII``: a subscript is ASCII digits, as a symbol is ASCII
+#: letters; any other digit is an unexpected character.
 _TOKEN_RE = re.compile(
     r"([A-Z][a-z]?)(\d+(?:\.\d+)?)?"
     r"|(\()"
@@ -29,7 +31,7 @@ _TOKEN_RE = re.compile(
     r"|(\d.*)"
     r"|(\s.*)"
     r"|(\S)",
-    re.DOTALL,
+    re.ASCII | re.DOTALL,
 )
 
 
@@ -120,7 +122,10 @@ def _parse_sorted(formula: str) -> tuple[tuple[str, float], ...]:
         if sym:
             if sym not in ELEMENTS:
                 raise CompositionError(f"unknown element {sym!r} in {text!r}")
-            top[sym] = top.get(sym, 0.0) + (float(count) if count else 1.0)
+            amount = float(count) if count else 1.0
+            if not amount:
+                raise CompositionError(f"zero subscript for {sym!r} in {text!r}")
+            top[sym] = top.get(sym, 0.0) + amount
         elif open_:
             top = {}
             stack.append(top)
@@ -130,6 +135,8 @@ def _parse_sorted(formula: str) -> tuple[tuple[str, float], ...]:
             group = stack.pop()
             top = stack[-1]
             scale = float(factor) if factor else 1.0
+            if not scale:
+                raise CompositionError(f"zero subscript after ')' in {text!r}")
             for member, amt in group.items():
                 top[member] = top.get(member, 0.0) + amt * scale
         elif number:

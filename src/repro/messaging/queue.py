@@ -37,7 +37,8 @@ from repro.sim.clock import VirtualClock
 #: The redelivery policy: a claim not acked within this many seconds is
 #: redelivered, and a message is dead-lettered after this many
 #: deliveries. :class:`TaskQueue` and crash recovery (which dead-letters
-#: on replay and builds the recovered queue) both default to these.
+#: on replay and builds the recovered queue) both read these, so a
+#: crash re-releases exactly as a live nack would.
 VISIBILITY_TIMEOUT_S = 30.0
 MAX_DELIVERIES = 5
 
@@ -87,23 +88,12 @@ class QueuedMessage:
 class TaskQueue:
     """At-least-once FIFO queue with per-topic channels.
 
-    The redelivery defaults are :data:`VISIBILITY_TIMEOUT_S` and
+    Redelivery follows :data:`VISIBILITY_TIMEOUT_S` and
     :data:`MAX_DELIVERIES`, the one policy crash recovery shares.
     """
 
-    def __init__(
-        self,
-        clock: VirtualClock,
-        visibility_timeout_s: float = VISIBILITY_TIMEOUT_S,
-        max_deliveries: int = MAX_DELIVERIES,
-    ) -> None:
-        if visibility_timeout_s <= 0:
-            raise ValueError("visibility_timeout_s must be > 0")
-        if max_deliveries < 1:
-            raise ValueError("max_deliveries must be >= 1")
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.visibility_timeout_s = visibility_timeout_s
-        self.max_deliveries = max_deliveries
         self._ready: dict[str, deque[QueuedMessage]] = {}
         #: delivery tag -> claimed message, **in claim order**: entries
         #: are only ever appended (under a fresh tag, stamped with the
@@ -131,7 +121,7 @@ class TaskQueue:
         #: of rescanning every topic per tick.
         self._listeners: list = []
         #: Dead-letter listeners, ``cb(message)`` — fired when a message
-        #: exhausts ``max_deliveries`` (or is nacked with
+        #: exhausts :data:`MAX_DELIVERIES` (or is nacked with
         #: ``requeue=False``) and drops out of circulation. A message
         #: parked on the dead-letter list will never settle, so anything
         #: holding per-request state keyed on settlement (open gateway
@@ -289,10 +279,10 @@ class TaskQueue:
         msg = self._settle_claim(delivery_tag)
         msg.claimed_at = None
         msg.delivery_tag = None
-        requeued = requeue and msg.deliveries < self.max_deliveries
+        requeued = requeue and msg.deliveries < MAX_DELIVERIES
         if self.journal is not None:
             # The record carries the live outcome so a replay needs no
-            # knowledge of this queue's max_deliveries configuration.
+            # knowledge of the redelivery policy.
             self.journal.append(
                 "nack", (delivery_tag, "requeued" if requeued else "dead")
             )
@@ -349,7 +339,7 @@ class TaskQueue:
         now = self.clock.now()
         # Small epsilon guards against float accumulation on the virtual
         # clock making `now - claimed_at` land just under the timeout.
-        threshold = self.visibility_timeout_s - 1e-9
+        threshold = VISIBILITY_TIMEOUT_S - 1e-9
         expired = []
         for tag, msg in self._inflight.items():
             # Claim order is expiry order: nothing past the first live
@@ -506,7 +496,7 @@ class TaskQueue:
         """
         for msg in self._inflight.values():
             if topics is None or msg.topic in topics:
-                return msg.claimed_at + self.visibility_timeout_s
+                return msg.claimed_at + VISIBILITY_TIMEOUT_S
         return None
 
     @property

@@ -12,7 +12,7 @@ runtime's two lane tables describe the same lanes.
 
 from __future__ import annotations
 
-from repro.messaging.queue import servable_topic
+from repro.messaging.queue import VISIBILITY_TIMEOUT_S, servable_topic
 
 #: The slack ``TaskQueue.expire_inflight`` allows for float accumulation.
 EXPIRY_EPSILON = 1e-9
@@ -48,7 +48,7 @@ def assert_inflight_index_consistent(queue, topic_sets=()) -> None:
             for claimed_at, topic in claims
             if topic_filter is None or topic in topic_filter
         ]
-        expected = min(relevant) + queue.visibility_timeout_s if relevant else None
+        expected = min(relevant) + VISIBILITY_TIMEOUT_S if relevant else None
         assert queue.next_inflight_expiry(topic_filter) == expected
 
 
@@ -60,7 +60,7 @@ def checked_expire_inflight(queue) -> int:
     lapsed = {
         tag
         for tag, doc in before
-        if now - doc["claimed_at"] >= queue.visibility_timeout_s - EXPIRY_EPSILON
+        if now - doc["claimed_at"] >= VISIBILITY_TIMEOUT_S - EXPIRY_EPSILON
     }
     expired = queue.expire_inflight()
     after = {tag for tag, _ in queue.dump_state()["inflight"]}

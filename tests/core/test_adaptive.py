@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core.adaptive import (
+    FORECAST_ALPHA,
+    FORECAST_BETA,
     ArrivalForecaster,
     Autoscaler,
     ProfileError,
@@ -317,17 +319,22 @@ class TestArrivalForecaster:
             ArrivalForecaster().observe("m", 0.0, -1.0)
 
     def test_parameter_validation(self):
-        for kwargs in ({"alpha": 0.0}, {"beta": 1.5}):
-            with pytest.raises(ValueError):
+        # The smoothing gains are constants in the ranges Holt's method
+        # needs; the forecaster takes no keyword to move them.
+        assert 0 < FORECAST_ALPHA <= 1 and 0 < FORECAST_BETA <= 1
+        for kwargs in ({"alpha": 0.3}, {"beta": 0.05}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
                 ArrivalForecaster(**kwargs)
 
     def test_repeated_timestamp_refreshes_level_only(self):
-        forecaster = ArrivalForecaster(alpha=0.5)
+        forecaster = ArrivalForecaster()
         forecaster.observe("m", 1.0, 100.0)
         forecaster.observe("m", 1.0, 200.0)
         forecast = forecaster.forecast("m", 1.0)
         assert forecast.trend_per_s == 0.0
-        assert forecast.rate_rps == pytest.approx(150.0)
+        assert forecast.rate_rps == pytest.approx(
+            FORECAST_ALPHA * 200.0 + (1 - FORECAST_ALPHA) * 100.0
+        )
 
 
 class TestHoltTrendOnly:

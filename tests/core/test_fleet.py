@@ -9,8 +9,13 @@ scaling — all audited through the :class:`FleetEvent` log.
 
 import pytest
 
-from repro.core.adaptive import ArrivalForecaster, replicas_for_rate
+from repro.core.adaptive import replicas_for_rate
 from repro.core.fleet import (
+    BACKLOG_HORIZON_S,
+    EWMA_ALPHA,
+    FORECAST_LEAD_TIME_S,
+    SCALE_DOWN_UTILIZATION,
+    TARGET_UTILIZATION,
     FleetController,
     FleetControllerError,
     FleetObservation,
@@ -120,28 +125,30 @@ class TestCapacityModel:
 
 class TestTargetUtilizationPolicy:
     def test_scales_copies_with_pressure(self):
-        policy = TargetUtilizationPolicy(target_utilization=0.5)
+        policy = TargetUtilizationPolicy()
         plan = policy.plan(
             observation([demand(arrival_rate_rps=150.0)], max_workers=8)
         )
-        # 150 rps at 50% of 100 rps/copy -> 3 copies.
+        # 150 rps at 65% of 100 rps/copy -> 3 copies.
+        assert TARGET_UTILIZATION == 0.65
         assert plan.copies["noop"] == 3
         assert plan.target_workers == 3
 
     def test_backlog_counts_as_pressure(self):
-        policy = TargetUtilizationPolicy(
-            target_utilization=0.5, backlog_horizon_s=1.0
-        )
+        policy = TargetUtilizationPolicy()
+        # 75 queued, drained over 0.5 s, is 150 rps of pressure.
         plan = policy.plan(
-            observation([demand(queue_depth=150)], max_workers=8)
+            observation(
+                [demand(queue_depth=round(150 * BACKLOG_HORIZON_S))], max_workers=8
+            )
         )
         assert plan.copies["noop"] == 3
 
     def test_scale_down_is_gradual_and_hysteretic(self):
-        policy = TargetUtilizationPolicy(
-            target_utilization=0.5, scale_down_utilization=0.3
-        )
-        # Busy enough that 3 copies stay (100 rps > 0.3 * 2 * 100).
+        policy = TargetUtilizationPolicy()
+        # Busy enough that 3 copies stay (100 rps > 0.3 * 2 * 100), though
+        # 2 copies would carry it under the setpoint.
+        assert 100.0 > SCALE_DOWN_UTILIZATION * 2 * 100.0
         hold = policy.plan(
             observation([demand(arrival_rate_rps=100.0, live_copies=3)])
         )
@@ -153,7 +160,7 @@ class TestTargetUtilizationPolicy:
         assert shrink.copies["noop"] == 2
 
     def test_copies_clamped_to_max_workers(self):
-        policy = TargetUtilizationPolicy(target_utilization=0.5)
+        policy = TargetUtilizationPolicy()
         plan = policy.plan(
             observation([demand(arrival_rate_rps=1e5)], max_workers=4)
         )
@@ -161,12 +168,14 @@ class TestTargetUtilizationPolicy:
         assert plan.target_workers == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TargetUtilizationPolicy(target_utilization=0.0)
-        with pytest.raises(ValueError):
-            TargetUtilizationPolicy(scale_down_utilization=0.9)
-        with pytest.raises(ValueError):
-            TargetUtilizationPolicy(backlog_horizon_s=0)
+        # The setpoints are constants in the ranges the policy needs, and
+        # it takes no keyword to move them.
+        assert 0 < TARGET_UTILIZATION <= 1
+        assert 0 <= SCALE_DOWN_UTILIZATION < TARGET_UTILIZATION
+        assert BACKLOG_HORIZON_S > 0
+        for option in ("target_utilization", "scale_down_utilization", "backlog_horizon_s"):
+            with pytest.raises(TypeError):
+                TargetUtilizationPolicy(**{option: 0.5})
 
 
 class TestQueueLatencySLOPolicy:
@@ -221,8 +230,9 @@ class TestControllerConstruction:
             FleetController(runtime, interval_s=0)
         with pytest.raises(FleetControllerError):
             FleetController(runtime, min_workers=3, max_workers=2)
-        with pytest.raises(FleetControllerError):
-            FleetController(runtime, ewma_alpha=0)
+        assert 0 < EWMA_ALPHA <= 1
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            FleetController(runtime, ewma_alpha=1.0)
 
     def test_default_policy(self):
         testbed, zoo, runtime, controller = build_controlled_fleet()
@@ -231,16 +241,22 @@ class TestControllerConstruction:
 
 class TestObservation:
     def test_arrival_rate_estimated_from_enqueue_deltas(self):
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            ewma_alpha=1.0
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         controller.observe()
         for _ in range(50):
             runtime.submit(TaskRequest("noop"))
         testbed.clock.advance(0.5)
         obs = controller.observe()
-        assert obs.demands[0].arrival_rate_rps == pytest.approx(100.0)
+        # 100 rps in the interval: the estimate moves EWMA_ALPHA of the
+        # way there from its zero baseline...
+        assert obs.demands[0].arrival_rate_rps == pytest.approx(EWMA_ALPHA * 100.0)
         assert obs.demands[0].queue_depth == 50
+        for _ in range(50):
+            runtime.submit(TaskRequest("noop"))
+        testbed.clock.advance(0.5)
+        # ...and as much of the rest after a second interval at that rate.
+        estimate = EWMA_ALPHA * 100.0 + (1 - EWMA_ALPHA) * EWMA_ALPHA * 100.0
+        assert controller.observe().demands[0].arrival_rate_rps == pytest.approx(estimate)
         runtime.drain()
 
     def test_recent_p95_windows_not_all_time(self):
@@ -385,15 +401,14 @@ class TestReplicaScaling:
             servables=("inception",),
             autoscale_replicas=True,
             max_replicas_per_host=4,
-            ewma_alpha=1.0,
         )
         worker = runtime.hosts("inception")[0]
         executor = worker.route("inception")[1]
         assert executor.replicas("inception") == 1
         controller.observe()
-        for _ in range(100):
+        for _ in range(round(100 / EWMA_ALPHA)):
             runtime.submit(TaskRequest("inception", args=sample_input("inception")))
-        testbed.clock.advance(1.0)  # ~100 rps observed
+        testbed.clock.advance(1.0)  # estimated at 100 rps: EWMA_ALPHA of the instant rate
         controller.reconcile()
         events = controller.events_of("replicas_scaled")
         assert events and events[0].subject == "inception"
@@ -475,16 +490,14 @@ class TestServeIntegration:
     def test_zero_dt_sample_does_not_swallow_arrivals(self):
         """Back-to-back samples at the same virtual time must not consume
         enqueue deltas without feeding the rate estimator."""
-        testbed, zoo, runtime, controller = build_controlled_fleet(
-            ewma_alpha=1.0
-        )
+        testbed, zoo, runtime, controller = build_controlled_fleet()
         controller.observe()
         for _ in range(50):
             runtime.submit(TaskRequest("noop"))
         testbed.clock.advance(0.5)
         controller.observe()  # consumes the 50-arrival delta at 100 rps
         obs = controller.observe()  # dt == 0: keeps the estimate
-        assert obs.demands[0].arrival_rate_rps == pytest.approx(100.0)
+        assert obs.demands[0].arrival_rate_rps == pytest.approx(EWMA_ALPHA * 100.0)
         runtime.drain()
 
 
@@ -504,7 +517,7 @@ class TestProvisionerGuard:
 class TestPredictiveScaling:
     def test_flat_traffic_matches_base_policy(self):
         base = TargetUtilizationPolicy()
-        policy = PredictiveScaling(TargetUtilizationPolicy(), lead_time_s=2.0)
+        policy = PredictiveScaling(TargetUtilizationPolicy())
         flat = demand(arrival_rate_rps=100.0, live_copies=2)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             obs = FleetObservation(
@@ -524,7 +537,7 @@ class TestPredictiveScaling:
 
     def test_rising_edge_plans_ahead_of_base(self):
         base = TargetUtilizationPolicy()
-        policy = PredictiveScaling(TargetUtilizationPolicy(), lead_time_s=2.0)
+        policy = PredictiveScaling(TargetUtilizationPolicy())
         rates = [100.0, 100.0, 100.0, 220.0, 380.0]
         for i, rate in enumerate(rates):
             obs = observation([demand(arrival_rate_rps=rate)], max_workers=8)
@@ -546,7 +559,7 @@ class TestPredictiveScaling:
         assert predictive_plan.copies["noop"] > base_plan.copies["noop"]
 
     def test_weighted_rate_carries_the_boost(self):
-        policy = PredictiveScaling(TargetUtilizationPolicy(), lead_time_s=2.0)
+        policy = PredictiveScaling(TargetUtilizationPolicy())
         for i, rate in enumerate((50.0, 150.0, 300.0)):
             obs = FleetObservation(
                 time=i * 0.25,
@@ -572,17 +585,22 @@ class TestPredictiveScaling:
 
         policy = PredictiveScaling()
         assert policy.lead_time_s >= cold_start_cost_s(WORKER_IMAGE_BYTES)
+        # The cold start plus one 0.25 s reconcile, as the
+        # demand_forecast events record it.
+        assert policy.lead_time_s == FORECAST_LEAD_TIME_S
+        assert round(FORECAST_LEAD_TIME_S, 3) == 2.064
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictiveScaling(lead_time_s=0.0)
+        # The horizon and the forecaster are fixed: no keyword moves them.
+        for option in ("lead_time_s", "forecaster", "reconcile_interval_s"):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                PredictiveScaling(**{option: 1.0})
 
-    def test_custom_forecaster_plugs_in(self):
-        forecaster = ArrivalForecaster(alpha=0.3, beta=0.05)
-        policy = PredictiveScaling(forecaster=forecaster, lead_time_s=1.0)
+    def test_forecaster_sees_every_planned_servable(self):
+        policy = PredictiveScaling()
         obs = observation([demand(arrival_rate_rps=10.0)])
         policy.plan(obs)
-        assert forecaster.keys() == ["noop"]
+        assert policy.forecaster.keys() == ["noop"]
 
 
 class TestPredictiveController:
@@ -590,9 +608,7 @@ class TestPredictiveController:
         """A spiking schedule under PredictiveScaling logs demand_forecast
         events and provisions no later than the forecast fires."""
         testbed, zoo, runtime, controller = build_controlled_fleet(
-            policy=PredictiveScaling(
-                TargetUtilizationPolicy(), reconcile_interval_s=INTERVAL
-            ),
+            policy=PredictiveScaling(TargetUtilizationPolicy()),
             max_workers=4,
         )
         spike = flat_rate("noop", 150.0, 1.0) + flat_rate(
@@ -728,12 +744,11 @@ class TestImbalanceDerate:
             servables=("inception",),
             autoscale_replicas=True,
             max_replicas_per_host=4,
-            ewma_alpha=1.0,
         )
         gauge = runtime.stage_metrics
         gauge.record_pod_share("inception", "w0/pod-0", 10.0)
         controller.observe()  # consumes the history before the window
-        for _ in range(100):
+        for _ in range(round(100 / EWMA_ALPHA)):
             runtime.submit(TaskRequest("inception", args=sample_input("inception")))
         gauge.record_pod_share("inception", "w0/pod-0", 3.0)
         gauge.record_pod_share("inception", "w0/pod-1", 1.0)

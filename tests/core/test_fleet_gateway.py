@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.core.fleet import (
+    EWMA_ALPHA,
     FleetController,
     QueueLatencySLOPolicy,
     ServableDemand,
@@ -107,7 +108,6 @@ class TestGatewayObservation:
             gateway=gateway,
             interval_s=0.25,
             autoscale_replicas=False,
-            ewma_alpha=1.0,
         )
         controller.observe()  # baseline the counters
         # 60 heavy + 20 light admissions in one virtual second; throttle
@@ -125,15 +125,16 @@ class TestGatewayObservation:
         testbed.clock.advance(1.0)
         observation = controller.observe()
         demand = observation.demands[0]
-        # Raw rate comes from admitted counters (80 over 1 s)...
-        assert demand.arrival_rate_rps == pytest.approx(80.0)
+        # Raw rate comes from admitted counters (80 over 1 s; the
+        # estimate's first step from zero is EWMA_ALPHA of that)...
+        assert demand.arrival_rate_rps == pytest.approx(EWMA_ALPHA * 80.0)
         # ...the lane-held backlog counts as queue depth...
         assert demand.queue_depth >= gateway.queued_count("noop") > 0
         # ...and the weighted rate amplifies the heavy tenant:
         # mean weight (4+1)/2 = 2.5 -> 60*4/2.5 + 20*1/2.5 = 104.
-        assert demand.weighted_arrival_rate_rps == pytest.approx(104.0)
+        assert demand.weighted_arrival_rate_rps == pytest.approx(EWMA_ALPHA * 104.0)
         assert dict(demand.tenant_rates) == pytest.approx(
-            {"heavy": 60.0, "light": 20.0}
+            {"heavy": EWMA_ALPHA * 60.0, "light": EWMA_ALPHA * 20.0}
         )
 
     def test_equal_weights_leave_rate_unchanged(self):
@@ -145,7 +146,6 @@ class TestGatewayObservation:
             gateway=gateway,
             interval_s=0.25,
             autoscale_replicas=False,
-            ewma_alpha=1.0,
         )
         controller.observe()
         identity = {
@@ -210,14 +210,13 @@ class TestBusyWorkerReplicaScaling:
             interval_s=0.25,
             autoscale_replicas=True,
             max_replicas_per_host=4,
-            ewma_alpha=1.0,
         )
         controller.observe()
-        for _ in range(100):
+        for _ in range(round(100 / EWMA_ALPHA)):
             runtime.submit(
                 TaskRequest("inception", args=sample_input("inception"))
             )
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(1.0)  # estimated at 100 rps
         # Make the worker busy: its own clock runs ahead of global time.
         worker.clock.advance(5.0)
         assert runtime.free_at(worker) > testbed.clock.now()

@@ -15,7 +15,7 @@ from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
 from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
-from repro.messaging.queue import servable_topic
+from repro.messaging.queue import VISIBILITY_TIMEOUT_S, servable_topic
 from tests.core.lane_oracles import (
     assert_inflight_index_consistent,
     checked_expire_inflight,
@@ -23,10 +23,17 @@ from tests.core.lane_oracles import (
 
 SERVABLES = ("noop", "matminer_util")
 N_TENANTS = 10
-VISIBILITY_S = 2.0
 #: Clock steps: inside a coalescing window, and around the visibility
-#: timeout.
-ADVANCES = (0.0, 0.004, 0.2, 0.5, 0.7, VISIBILITY_S, 2.5)
+#: timeout (fractions of it, all of it, and more).
+ADVANCES = (
+    0.0,
+    0.004,
+    0.2,
+    VISIBILITY_TIMEOUT_S / 4,
+    VISIBILITY_TIMEOUT_S * 0.35,
+    VISIBILITY_TIMEOUT_S,
+    VISIBILITY_TIMEOUT_S * 1.25,
+)
 
 SUBMIT = st.tuples(
     st.just("submit"),
@@ -56,7 +63,6 @@ def zoo():
 def build_runtime(zoo):
     testbed = build_testbed(jitter=False, memoize_tm=False)
     queue = testbed.management.queue
-    queue.visibility_timeout_s = VISIBILITY_S
     # Fleet workers run on private clocks, so a dispatched batch parks
     # on the pending list until global time reaches its completion.
     workers = [testbed.add_fleet_worker(f"w{i}") for i in range(2)]

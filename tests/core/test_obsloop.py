@@ -9,6 +9,13 @@ from hypothesis import strategies as st
 
 from repro.core.fleet import FleetObservation, FleetPlan, FleetPolicy, ServableDemand
 from repro.core.obsloop import (
+    BURN_RULE_THRESHOLD,
+    REACTIVE_BOOST,
+    REACTIVE_MIN_SHED_RATE_RPS,
+    REACTIVE_SHED_FRACTION,
+    SAMPLER_DECAY,
+    SAMPLER_ESCALATION,
+    SAMPLER_MAX_RATE,
     AdaptiveSampler,
     Alert,
     AlertEngine,
@@ -309,8 +316,9 @@ class TestBurnRateRule:
         _fill(store, series, [(2.3 + t / 10, 10.0) for t in range(18)])
         hit, detail = rule.active(store, now=4.0)
         assert hit
-        assert detail["fast_burn"] >= rule.threshold
-        assert detail["slow_burn"] >= rule.threshold
+        assert detail["fast_burn"] >= BURN_RULE_THRESHOLD
+        assert detail["slow_burn"] >= BURN_RULE_THRESHOLD
+        assert detail["threshold"] == BURN_RULE_THRESHOLD
 
     def test_labels_identify_tenant_and_kind(self):
         rule = BurnRateRule("b", "hot")
@@ -319,8 +327,12 @@ class TestBurnRateRule:
     def test_validation(self):
         with pytest.raises(ObsLoopError):
             BurnRateRule("b", "t", fast_window_s=2.0, slow_window_s=1.0)
-        with pytest.raises(ObsLoopError):
-            BurnRateRule("b", "t", threshold=0.0)
+        # The threshold is a constant and there is no extra hold: the
+        # slow window is the debounce.
+        assert BURN_RULE_THRESHOLD > 0 and BurnRateRule("b", "t").for_s == 0.0
+        for option in ("threshold", "for_s"):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                BurnRateRule("b", "t", **{option: 1.0})
 
 
 class _FlagRule(ThresholdRule):
@@ -397,8 +409,10 @@ class TestAlertEngine:
 class TestAdaptiveSampler:
     def test_escalates_only_burning_tenants(self):
         tracer = Tracer(sample_rate=0.01)
-        sampler = AdaptiveSampler(tracer, escalation=10.0, max_rate=0.5)
+        sampler = AdaptiveSampler(tracer)
         sampler.update(0.0, ("hot",))
+        # 10x the base rate, under the 0.5 ceiling.
+        assert SAMPLER_ESCALATION == 10.0 and SAMPLER_MAX_RATE == 0.5
         assert tracer.effective_rate("hot") == pytest.approx(0.1)
         assert tracer.effective_rate("light") == pytest.approx(0.01)
         assert sampler.peak_rates == {"hot": pytest.approx(0.1)}
@@ -406,16 +420,17 @@ class TestAdaptiveSampler:
 
     def test_max_rate_caps_the_escalation(self):
         tracer = Tracer(sample_rate=0.2)
-        sampler = AdaptiveSampler(tracer, escalation=10.0, max_rate=0.5)
+        sampler = AdaptiveSampler(tracer)
         sampler.update(0.0, ("hot",))
-        assert tracer.effective_rate("hot") == pytest.approx(0.5)
+        assert tracer.effective_rate("hot") == pytest.approx(SAMPLER_MAX_RATE)
 
     def test_decay_steps_back_and_clears_override(self):
         tracer = Tracer(sample_rate=0.01)
-        sampler = AdaptiveSampler(tracer, escalation=10.0, decay=0.5)
+        sampler = AdaptiveSampler(tracer)
         sampler.update(0.0, ("hot",))
         sampler.update(1.0, ())
         # Geometric step toward base: 0.01 + (0.1 - 0.01) * 0.5.
+        assert SAMPLER_DECAY == 0.5
         assert tracer.effective_rate("hot") == pytest.approx(0.055)
         for tick in range(2, 12):
             sampler.update(float(tick), ())
@@ -436,13 +451,12 @@ class TestAdaptiveSampler:
         assert sampler.escalations == {"hot": 2}
 
     def test_validation(self):
-        tracer = Tracer()
-        with pytest.raises(ObsLoopError):
-            AdaptiveSampler(tracer, escalation=1.0)
-        with pytest.raises(ObsLoopError):
-            AdaptiveSampler(tracer, max_rate=0.0)
-        with pytest.raises(ObsLoopError):
-            AdaptiveSampler(tracer, decay=1.0)
+        # The constants sit in the ranges the control step needs, and
+        # the sampler takes no keyword to move them.
+        assert SAMPLER_ESCALATION > 1 and 0 < SAMPLER_MAX_RATE <= 1 and 0 < SAMPLER_DECAY < 1
+        for option in ("escalation", "max_rate", "decay"):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                AdaptiveSampler(Tracer(), **{option: 0.5})
 
 
 class _RecordingPolicy(FleetPolicy):
@@ -512,7 +526,7 @@ class TestReactiveSLOPolicy:
 
     def test_capacity_shaped_burn_boosts_planning_rates(self):
         base = _RecordingPolicy()
-        policy = ReactiveSLOPolicy(base=base, boost=1.5)
+        policy = ReactiveSLOPolicy(base=base)
         observation = _obs(
             routable=2,
             max_workers=4,
@@ -521,15 +535,14 @@ class TestReactiveSLOPolicy:
         )
         policy.plan(observation)
         planned = base.seen[-1].demands[0]
+        assert REACTIVE_BOOST == 1.5
         assert planned.arrival_rate_rps == pytest.approx(150.0)
         assert planned.weighted_arrival_rate_rps == pytest.approx(120.0)
         assert policy.last_mode == "scale_out" and policy.boosts == 1
 
     def test_overload_shaped_burn_sheds_at_the_door(self):
         gateway = _FakeGateway()
-        policy = ReactiveSLOPolicy(
-            base=_RecordingPolicy(), gateway=gateway, shed_fraction=0.5
-        )
+        policy = ReactiveSLOPolicy(base=_RecordingPolicy(), gateway=gateway)
         observation = _obs(
             routable=4,
             max_workers=4,
@@ -537,6 +550,8 @@ class TestReactiveSLOPolicy:
             demands=[_demand(tenant_rates=[("hot", 600.0), ("light", 40.0)])],
         )
         policy.plan(observation)
+        # Half the burner's measured 600 rps.
+        assert REACTIVE_SHED_FRACTION == 0.5
         assert gateway.tightened == {"hot": pytest.approx(300.0)}
         assert policy.active_sheds == {"hot": pytest.approx(300.0)}
         assert policy.last_mode == "shed" and policy.sheds == 1
@@ -577,12 +592,26 @@ class TestReactiveSLOPolicy:
         assert policy.active_sheds == {}
 
     def test_validation(self):
-        with pytest.raises(ObsLoopError):
-            ReactiveSLOPolicy(boost=0.9)
-        with pytest.raises(ObsLoopError):
-            ReactiveSLOPolicy(shed_fraction=1.0)
-        with pytest.raises(ObsLoopError):
-            ReactiveSLOPolicy(min_shed_rate_rps=0.0)
+        # The constants sit in the ranges the reactions need, and the
+        # policy takes no keyword to move them.
+        assert REACTIVE_BOOST >= 1 and 0 < REACTIVE_SHED_FRACTION < 1
+        assert REACTIVE_MIN_SHED_RATE_RPS > 0
+        for option in ("boost", "shed_fraction", "min_shed_rate_rps"):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                ReactiveSLOPolicy(**{option: 0.5})
+
+    def test_a_shed_cap_never_falls_below_the_floor(self):
+        gateway = _FakeGateway()
+        policy = ReactiveSLOPolicy(base=_RecordingPolicy(), gateway=gateway)
+        trickle = REACTIVE_MIN_SHED_RATE_RPS  # half of it is under the floor
+        policy.plan(
+            _obs(
+                routable=4,
+                alerts=[_burn_alert("hot")],
+                demands=[_demand(tenant_rates=[("hot", trickle)])],
+            )
+        )
+        assert gateway.tightened == {"hot": REACTIVE_MIN_SHED_RATE_RPS}
 
 
 class _FakeMonitor:
@@ -667,11 +696,13 @@ def _numeric_leaves(prefix, payload):
 
 
 def serve_full_stack(store=None, rules=(), sampler=False):
-    """Two tenants at 400 rps for 1.5 s through a gateway, a fleet
-    controller and an :class:`ObservabilityLoop` over a full
-    ``build_hub`` hub, under an SLO nothing meets (so breaches, fleet
-    events and burn alerts exist). ``rules`` go to the loop's engine;
-    ``sampler`` adds an :class:`AdaptiveSampler` on the tracer."""
+    """Two tenants at 400 rps of ``matminer_util`` for 1.5 s — about twice
+    what the two workers serve — through a gateway, a fleet controller
+    and an :class:`ObservabilityLoop` over a full ``build_hub`` hub. The
+    backlog this builds puts latency past the monitor's 250 ms SLO, so
+    breaches, fleet events and burn alerts exist. ``rules`` go to the
+    loop's engine; ``sampler`` adds an :class:`AdaptiveSampler` on the
+    tracer."""
     from types import SimpleNamespace
 
     from repro.core.fleet import FleetController
@@ -680,7 +711,7 @@ def serve_full_stack(store=None, rules=(), sampler=False):
     from tests.gateway.test_gateway import build_gateway, requests_at
 
     tracer = Tracer(sample_rate=0.05)
-    monitor = SLOBurnMonitor(latency_slo_s=1e-6, min_samples=5)
+    monitor = SLOBurnMonitor()
     testbed, gateway, tokens = build_gateway(
         {"a": TenantPolicy(name="a"), "b": TenantPolicy(name="b", weight=2.0)},
         tracer=tracer,
@@ -715,7 +746,13 @@ def serve_full_stack(store=None, rules=(), sampler=False):
     )
     runtime.attach_controller(loop, controller)
     results = gateway.serve(
-        requests_at(400.0, 1.5, tokens["a"]) + requests_at(400.0, 1.5, tokens["b"])
+        [
+            request
+            for tenant in ("a", "b")
+            for request in requests_at(
+                400.0, 1.5, tokens[tenant], servable="matminer_util", args=("Fe2O3",)
+            )
+        ]
     )
     assert sum(r.completed for r in results) >= 1000
     return SimpleNamespace(
@@ -746,7 +783,7 @@ class TestScrapeIsHistoryIndependent:
         hub, loop, monitor = stack.hub, stack.loop, stack.monitor
         assert monitor.breaches and stack.controller.events
         stages = stack.runtime.stage_metrics
-        queue_wait_s = stages.stage_sum("queue_wait", "noop")
+        queue_wait_s = stages.stage_sum("queue_wait", "matminer_util")
         for source, payload in hub.snapshot()["sources"].items():
             for leaf in _numeric_leaves(f"src:{source}", payload):
                 loop.store.retain(leaf, 1.0)
@@ -781,8 +818,8 @@ class TestScrapeIsHistoryIndependent:
         assert len(leaves) > 30
         assert [leaf for leaf in leaves if leaf not in names] == []
         # The cumulative pair is the collector's own ledger.
-        assert payloads["stage_latency"]["stages"]["noop.queue_wait"] == {
-            "count": stages.count("queue_wait", "noop"),
+        assert payloads["stage_latency"]["stages"]["matminer_util.queue_wait"] == {
+            "count": stages.count("queue_wait", "matminer_util"),
             "sum_s": pytest.approx(queue_wait_s),
         }
         assert payloads["slo_burn"] == {"count": len(monitor.breaches)}

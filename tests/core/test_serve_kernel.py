@@ -3,8 +3,9 @@
 A random scenario — two servables, a lane per tenant, own- and
 shared-clock workers, a scripted controller that crashes / recovers /
 ``mark_down``s workers, ``add_copy``s a cold one and drops copies
-mid-run, a second controller that only watches, a claim stranded until
-its visibility timeout, a drain deadline short enough to fire — is built twice and
+over the first seconds, a second controller that only watches, a claim
+stranded until the queue's visibility timeout lapses, fleets that stay
+shrunk past the gateway's drain deadline — is built twice and
 served once by ``ServingGateway.serve`` and once by the polled oracle in
 :mod:`tests.core.serve_oracles`. Both must wake at the same virtual
 instants, hold the same budget and over-commit state at each of them,
@@ -24,7 +25,8 @@ from repro.core.tasks import TaskRequest
 from repro.core.testbed import build_testbed
 from repro.core.zoo import build_zoo
 from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
-from repro.messaging.queue import servable_topic
+from repro.gateway.gateway import DRAIN_DEADLINE_S
+from repro.messaging.queue import VISIBILITY_TIMEOUT_S, servable_topic
 from tests.core.serve_oracles import polled_gateway_serve
 
 SERVABLES = ("noop", "matminer_util")
@@ -35,9 +37,11 @@ N_TENANTS = 6
 #: ``add_copy`` action.
 WORKERS = ("w0", "w1", "s0", "cold")
 TICK_S = 1e-4  # offsets are whole ticks, so arrivals, actions and deadlines collide
-VISIBILITY_S = 0.06
-DRAIN_DEADLINE_S = 0.015
 WATCH_INTERVAL_S = 0.025
+#: When the script heals the fleet: after its last action (3.5 s), so a
+#: fleet shrunk in the opening burst can stay shrunk past the drain
+#: deadline.
+HEAL_TICKS = 36_000
 
 def _arrivals(first_tick: int, last_tick: int, max_size: int):
     return st.lists(
@@ -55,12 +59,17 @@ def _arrivals(first_tick: int, last_tick: int, max_size: int):
 #: enough to fill the slot budget, which a `mark_down` soon after then
 #: shrinks below what is outstanding; and a few stragglers seconds
 #: later, so the run outlives an `add_copy` cold start (2.2 s a copy).
+#: A stranded claim keeps the loop running until its 30 s visibility
+#: timeout lapses.
 ARRIVALS = st.tuples(
     _arrivals(0, 3000, 40), _arrivals(0, 30, 40), _arrivals(20_000, 50_000, 6)
 ).map(lambda parts: parts[0] + parts[1] + parts[2])
+#: Scripted actions over the first 3.5 s, some inside the opening burst:
+#: a fleet that loses its hosts there and gets none back for 2 s outlasts
+#: the drain deadline.
 ACTIONS = st.lists(
     st.tuples(
-        st.one_of(st.integers(0, 3500), st.integers(10, 120)),
+        st.one_of(st.integers(0, 35_000), st.integers(10, 120)),
         st.sampled_from(
             ("crash", "recover", "mark_down", "mark_down", "mark_up", "add_copy", "drop_copy")
         ),
@@ -83,7 +92,7 @@ class ScriptedController:
             sorted((start + ticks * TICK_S, kind, WORKERS[w], SERVABLES[s])
                    for ticks, kind, w, s in actions)
         )
-        self.heal_at = start + 3600 * TICK_S
+        self.heal_at = start + HEAL_TICKS * TICK_S
 
     def next_wakeup(self):
         if self.plan:
@@ -162,7 +171,6 @@ def build(zoo, arrivals, actions, strand):
     function of the arguments alone."""
     testbed = build_testbed(jitter=False, memoize_tm=True)
     clock, queue = testbed.clock, testbed.management.queue
-    queue.visibility_timeout_s = VISIBILITY_S
     workers = [
         testbed.add_fleet_worker("w0"),
         testbed.add_fleet_worker("w1"),
@@ -191,9 +199,7 @@ def build(zoo, arrivals, actions, strand):
         identity, token = testbed.new_user(f"user{i}")
         policies.bind_identity(identity, f"t{i}")
         tokens.append(token)
-    gateway = RecordingGateway(
-        testbed.auth, runtime, policies, drain_deadline_s=DRAIN_DEADLINE_S
-    )
+    gateway = RecordingGateway(testbed.auth, runtime, policies)
     gateway.settle_log = []
     watcher = Watcher(testbed, gateway)
     runtime.attach_controller(ScriptedController(testbed, runtime, actions), watcher)
@@ -264,24 +270,36 @@ def test_kernel_and_polled_loop_serve_identically(zoo, arrivals, actions, strand
 
 def test_scenarios_reach_the_paths_they_are_for(zoo):
     """One hand-written scenario, to show the generator's ingredients do
-    what the property relies on: the stranded claim is redelivered, a shrunk budget outlasts the drain deadline, and the
-    cold copy's warm-up grows the budget back to where it started."""
+    what the property relies on: the stranded claim is redelivered, a
+    shrunk budget outlasts the drain deadline, and the cold copy's
+    warm-up grows the budget."""
     burst = [(i, i % N_TENANTS, i % 2, i % 3) for i in range(30)]
     spread = [(100 + i * 80, i % N_TENANTS, i % 2, i % 3) for i in range(24)]
     late = [(25_000 + i * 500, i % N_TENANTS, i % 2, i % 3) for i in range(6)]
     arrivals = burst + spread + late
+    # w0 and w1 marked down and s0 crashed inside the burst: no worker
+    # counts (the one-worker floor), nothing settles, and the over-commit
+    # outlasts the drain deadline. w0 comes back after it has fired.
     actions = [(40, "mark_down", 0, 0), (45, "mark_down", 1, 0), (60, "add_copy", 3, 0),
-               (900, "crash", 2, 0), (1500, "mark_up", 0, 0)]
+               (100, "crash", 2, 0), (21_000, "mark_up", 0, 0)]
     result = outcome(zoo, arrivals, actions, True, ServingGateway.serve)
     assert result == outcome(zoo, arrivals, actions, True, polled_gateway_serve)
     assert result["error"] is None and result["left_in_queue"] == 0
     assert len(result["settled"]) == 61 and result["redelivered"] == 1
     assert result["reclaimed"] > 0
+    start = result["wakeups"][0][0]
+    over = [(target, since) for _, target, _, _, since in result["wakeups"] if since]
+    # Over-committed from the first mark_down on; the loop's last sleep
+    # in that state ends exactly at the drain deadline, which fires.
+    assert [since for _, since in over] == [pytest.approx(start + 40 * TICK_S)] * len(over)
+    assert over[-1][0] == pytest.approx(over[-1][1] + DRAIN_DEADLINE_S)
+    # The stranded claim came back when its visibility timeout lapsed.
+    assert result["clock"] > start + VISIBILITY_TIMEOUT_S
     budgets = [budget for budget, _ in groupby(w[2] for w in result["wakeups"])]
-    # Two workers marked down and the cold one warming, the script's
-    # heal, then — 2.2 s in — the cold copy's warm-up.
-    assert budgets == [13, 10, 4, 10, 13]
-    assert any(since is not None for *_, since in result["wakeups"])
+    # w0 marked down; then no countable worker (the floor: one worker's
+    # slots); w0 back, still one worker; the cold copy's warm-up, 2.2 s
+    # in (two workers); the script's heal.
+    assert budgets == [13, 10, 4, 7, 13]
 
 
 def test_a_crash_mid_serve_shrinks_the_budget_at_the_instant_it_happens(zoo):

@@ -15,6 +15,12 @@ from repro.core.record import RequestRecord
 from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.telemetry import (
     MAX_RETAINED,
+    SLO_BURN_THRESHOLD,
+    SLO_COOLDOWN_S,
+    SLO_LATENCY_S,
+    SLO_MIN_SAMPLES,
+    SLO_OBJECTIVE,
+    SLO_WINDOW_S,
     BatchTiming,
     SLOBurnMonitor,
     TelemetryError,
@@ -365,160 +371,161 @@ class TestHostileSettlements:
         assert attrs["deliveries"] == 1
 
 
-class TestSLOBurnMonitor:
-    def _monitor(self, **overrides):
-        kwargs = dict(
-            latency_slo_s=0.1,
-            objective=0.99,
-            window_s=1.0,
-            burn_threshold=4.0,
-            min_samples=5,
-            cooldown_s=1.0,
-        )
-        kwargs.update(overrides)
-        return SLOBurnMonitor(**kwargs)
+#: Settlement latencies either side of the SLO.
+FAST_S = SLO_LATENCY_S / 10
+SLOW_S = SLO_LATENCY_S * 2
+#: Enough settlements in one window for the burn to be trusted.
+ENOUGH = 2 * SLO_MIN_SAMPLES
 
+
+class TestSLOBurnMonitor:
     def test_burn_rate_is_bad_fraction_over_error_budget(self):
-        monitor = self._monitor()
-        for i in range(10):
-            monitor.record("t", at=1.0, latency_s=0.2 if i < 5 else 0.01)
+        monitor = SLOBurnMonitor()
+        for i in range(ENOUGH):
+            monitor.record("t", at=1.0, latency_s=SLOW_S if i % 2 else FAST_S)
         # 50% bad over a 1% budget: burn 50x.
+        assert SLO_OBJECTIVE == 0.99
         assert monitor.burn_rate("t", now=1.0) == pytest.approx(50.0)
 
     def test_failures_count_as_bad_regardless_of_latency(self):
-        monitor = self._monitor()
-        for _ in range(5):
-            monitor.record("t", at=1.0, latency_s=0.01, ok=False)
+        monitor = SLOBurnMonitor()
+        for _ in range(SLO_MIN_SAMPLES):
+            monitor.record("t", at=1.0, latency_s=FAST_S, ok=False)
         assert monitor.burn_rate("t", now=1.0) == pytest.approx(100.0)
 
     def test_below_min_samples_is_trustless(self):
-        monitor = self._monitor()
-        for _ in range(4):
-            monitor.record("t", at=1.0, latency_s=0.5)
+        monitor = SLOBurnMonitor()
+        for _ in range(SLO_MIN_SAMPLES - 1):
+            monitor.record("t", at=1.0, latency_s=SLOW_S)
         assert monitor.burn_rate("t", now=1.0) is None
         assert monitor.check(now=1.0) == []
         assert monitor.burn_rate("unknown", now=1.0) is None
+        monitor.record("t", at=1.0, latency_s=SLOW_S)
+        assert monitor.burn_rate("t", now=1.0) == pytest.approx(100.0)
 
     def test_check_fires_once_per_cooldown(self):
-        monitor = self._monitor()
-        for _ in range(10):
-            monitor.record("t", at=1.0, latency_s=0.5)
+        monitor = SLOBurnMonitor()
+        for _ in range(ENOUGH):
+            monitor.record("t", at=1.0, latency_s=SLOW_S)
         first = monitor.check(now=1.0)
         assert len(first) == 1
         breach = first[0]
-        assert breach.tenant == "t" and breach.burn_rate >= 4.0
+        assert breach.tenant == "t" and breach.burn_rate >= SLO_BURN_THRESHOLD
         assert breach.bad_fraction == pytest.approx(1.0)
+        assert breach.window_s == SLO_WINDOW_S
         # Still burning, but inside the cooldown: silent.
-        assert monitor.check(now=1.5) == []
+        assert monitor.check(now=1.0 + SLO_COOLDOWN_S / 2) == []
         # Keep the window populated past the cooldown: fires again.
-        for _ in range(10):
-            monitor.record("t", at=2.0, latency_s=0.5)
-        assert len(monitor.check(now=2.0)) == 1
+        later = 1.0 + SLO_COOLDOWN_S
+        for _ in range(ENOUGH):
+            monitor.record("t", at=later, latency_s=SLOW_S)
+        assert len(monitor.check(now=later)) == 1
         assert len(monitor.breaches) == 2
 
     def test_window_slides_old_badness_out(self):
-        monitor = self._monitor(cooldown_s=0.0)
-        for _ in range(10):
-            monitor.record("t", at=0.0, latency_s=0.5)
-        assert monitor.check(now=0.5)
-        # 2 s later the bad samples are out of window entirely.
-        assert monitor.burn_rate("t", now=2.0) is None
-        assert monitor.check(now=2.0) == []
+        monitor = SLOBurnMonitor()
+        for _ in range(ENOUGH):
+            monitor.record("t", at=0.0, latency_s=SLOW_S)
+        assert monitor.check(now=SLO_WINDOW_S / 2)
+        # Two windows later the bad samples are out of window entirely.
+        assert monitor.burn_rate("t", now=2 * SLO_WINDOW_S) is None
+        assert monitor.check(now=2 * SLO_WINDOW_S) == []
 
     def test_drain_returns_only_fresh_breaches(self):
-        monitor = self._monitor(cooldown_s=0.0)
-        for _ in range(10):
-            monitor.record("t", at=1.0, latency_s=0.5)
+        monitor = SLOBurnMonitor()
+        for _ in range(ENOUGH):
+            monitor.record("t", at=1.0, latency_s=SLOW_S)
         monitor.check(now=1.0)
         assert len(monitor.drain()) == 1
         assert monitor.drain() == []
-        for _ in range(10):
-            monitor.record("t", at=2.0, latency_s=0.5)
-        monitor.check(now=2.0)
+        later = 1.0 + SLO_COOLDOWN_S
+        for _ in range(ENOUGH):
+            monitor.record("t", at=later, latency_s=SLOW_S)
+        monitor.check(now=later)
         assert len(monitor.drain()) == 1
 
     def test_tenants_lists_everyone_recorded_sorted(self):
-        monitor = self._monitor()
+        monitor = SLOBurnMonitor()
         assert monitor.tenants() == ()
-        monitor.record("beta", at=0.0, latency_s=0.01)
-        monitor.record("alpha", at=0.0, latency_s=0.01)
+        monitor.record("beta", at=0.0, latency_s=FAST_S)
+        monitor.record("alpha", at=0.0, latency_s=FAST_S)
         assert monitor.tenants() == ("alpha", "beta")
 
     def test_settlements_must_not_go_back_in_time(self):
         """The store's non-decreasing check guards each tenant's series;
         another tenant's series is its own."""
-        monitor = self._monitor()
-        monitor.record("t", at=2.0, latency_s=0.01)
-        monitor.record("t", at=2.0, latency_s=0.5)  # same instant is fine
-        monitor.record("u", at=1.0, latency_s=0.01)
+        monitor = SLOBurnMonitor()
+        monitor.record("t", at=2.0, latency_s=FAST_S)
+        monitor.record("t", at=2.0, latency_s=SLOW_S)  # same instant is fine
+        monitor.record("u", at=1.0, latency_s=FAST_S)
         with pytest.raises(ObsLoopError, match="before"):
-            monitor.record("t", at=1.9, latency_s=0.01)
+            monitor.record("t", at=1.9, latency_s=FAST_S)
 
     @settings(max_examples=150, deadline=None)
     @given(
         steps=st.lists(
             st.tuples(
                 st.sampled_from(["a", "b", "check"]),
-                st.sampled_from([0.0, 0.0, 0.05, 0.2, 0.7, 1.5]),
-                st.floats(0.0, 0.3),
+                st.sampled_from([0.0, 0.05, 0.2, 0.7, 1.5]),
+                st.floats(0.0, 3 * SLO_LATENCY_S),
                 st.booleans(),
+                # Settlements landing together: enough of them fill a
+                # window past the trust floor.
+                st.integers(1, SLO_MIN_SAMPLES),
             ),
             min_size=1,
             max_size=120,
         ),
-        window_s=st.sampled_from([0.25, 1.0, 2.0]),
-        min_samples=st.integers(1, 8),
-        cooldown_s=st.sampled_from([0.0, 0.5, 1.0]),
     )
-    def test_burn_and_check_match_a_brute_force_recount(
-        self, steps, window_s, min_samples, cooldown_s
-    ):
+    def test_burn_and_check_match_a_brute_force_recount(self, steps):
         """Over a random non-decreasing settlement stream, every burn
         rate and every breach is what recounting the whole history over
-        ``[now - window_s, now]`` gives."""
-        monitor = self._monitor(
-            window_s=window_s, min_samples=min_samples, cooldown_s=cooldown_s
-        )
+        ``[now - SLO_WINDOW_S, now]`` gives."""
+        monitor = SLOBurnMonitor()
         history = {"a": [], "b": []}
         last_fired = {}
         now = 0.0
 
         def recount(tenant):
-            seen = [bad for at, bad in history[tenant] if at >= now - window_s]
-            if len(seen) < min_samples:
+            seen = [bad for at, bad in history[tenant] if at >= now - SLO_WINDOW_S]
+            if len(seen) < SLO_MIN_SAMPLES:
                 return None, len(seen)
-            return sum(seen) / len(seen) / (1.0 - monitor.objective), len(seen)
+            return sum(seen) / len(seen) / (1.0 - SLO_OBJECTIVE), len(seen)
 
-        for who, gap, latency, ok in steps:
+        for who, gap, latency, ok, count in steps:
             now += gap
             if who != "check":
-                monitor.record(who, at=now, latency_s=latency, ok=ok)
-                history[who].append((now, (not ok) or latency > monitor.latency_slo_s))
+                for _ in range(count):
+                    monitor.record(who, at=now, latency_s=latency, ok=ok)
+                    history[who].append((now, (not ok) or latency > SLO_LATENCY_S))
                 continue
             expected = []
             for tenant in sorted(t for t in history if history[t]):
                 burn, samples = recount(tenant)
                 assert monitor.burn_rate(tenant, now) == burn
-                if now - last_fired.get(tenant, -math.inf) < cooldown_s:
+                if now - last_fired.get(tenant, -math.inf) < SLO_COOLDOWN_S:
                     continue
-                if burn is not None and burn >= monitor.burn_threshold:
+                if burn is not None and burn >= SLO_BURN_THRESHOLD:
                     last_fired[tenant] = now
                     expected.append((tenant, burn, samples))
             fired = monitor.check(now)
             assert [(b.tenant, b.burn_rate, b.samples) for b in fired] == expected
 
     def test_validation(self):
-        for bad in (
-            dict(latency_slo_s=0.0),
-            dict(objective=1.0),
-            dict(objective=0.0),
-            dict(window_s=0.0),
-            dict(burn_threshold=0.0),
-            dict(min_samples=0),
-            dict(cooldown_s=-1.0),
+        # The objective's numbers are constants in the ranges the burn
+        # arithmetic needs, and the monitor takes no keyword to move them.
+        assert SLO_LATENCY_S > 0 and 0 < SLO_OBJECTIVE < 1 and SLO_WINDOW_S > 0
+        assert SLO_BURN_THRESHOLD > 0 and SLO_MIN_SAMPLES >= 1 and SLO_COOLDOWN_S >= 0
+        for option in (
+            "latency_slo_s",
+            "objective",
+            "window_s",
+            "burn_threshold",
+            "min_samples",
+            "cooldown_s",
         ):
-            with pytest.raises(TelemetryError):
-                SLOBurnMonitor(**bad)
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                SLOBurnMonitor(**{option: 1})
 
 
 class TestTelemetryHub:
@@ -534,13 +541,14 @@ class TestTelemetryHub:
 
     def test_build_hub_wires_whatever_exists(self):
         tracer = Tracer(sample_rate=1.0)
-        monitor = SLOBurnMonitor(min_samples=1)
+        monitor = SLOBurnMonitor()
         hub = build_hub(tracer=tracer, monitor=monitor)
         sources = hub.snapshot()["sources"]
         assert set(sources) == {"tracer", "slo_burn"}
         assert sources["tracer"]["sample_rate"] == 1.0
         assert sources["slo_burn"] == {"count": 0}
-        monitor.record("hot", at=0.0, latency_s=9.0)
+        for _ in range(SLO_MIN_SAMPLES):
+            monitor.record("hot", at=0.0, latency_s=9.0)
         monitor.check(now=0.0)
         assert hub.snapshot()["sources"]["slo_burn"] == {"count": 1}
 

@@ -52,7 +52,7 @@ def seeded_store(tmp_path, n_puts=8, snapshot_every=10**9):
     clock = VirtualClock()
     store = FileDurableStore(str(tmp_path / "wal"))
     journal = Journal(store, snapshot_every_records=snapshot_every)
-    queue = TaskQueue(clock, visibility_timeout_s=1e9, max_deliveries=3)
+    queue = TaskQueue(clock)
     queue.attach_journal(journal)
     for i in range(n_puts):
         clock.advance(0.01)
@@ -113,7 +113,7 @@ def assert_torn_tail_is_tolerated_flagged_and_repaired(tmp_path, cut):
 
     # begin_recovery repairs the tear by snapshotting: the snapshot
     # covers every applied record and truncation drops the garbage.
-    _, _, report2 = begin_recovery(store, max_deliveries=3)
+    _, _, report2 = begin_recovery(store)
     state3, report3 = load_state(store)
     assert report2.truncated_tail  # surfaced, not hidden
     assert not report3.truncated_tail

@@ -16,7 +16,7 @@ from repro.durability import (
     begin_recovery,
     materialize_queue,
 )
-from repro.messaging.queue import TaskQueue
+from repro.messaging.queue import MAX_DELIVERIES, VISIBILITY_TIMEOUT_S, TaskQueue
 from repro.sim.clock import VirtualClock
 from tests.core.lane_oracles import (
     assert_inflight_index_consistent,
@@ -26,12 +26,8 @@ from tests.core.lane_oracles import (
 from .conftest import request
 
 
-def build_queue(clock, store, *, visibility_timeout_s=5.0, max_deliveries=3):
-    queue = TaskQueue(
-        clock,
-        visibility_timeout_s=visibility_timeout_s,
-        max_deliveries=max_deliveries,
-    )
+def build_queue(clock, store):
+    queue = TaskQueue(clock)
     queue.attach_journal(Journal(store))
     return queue
 
@@ -49,13 +45,11 @@ def test_replayed_release_is_idempotent_with_visibility_reclaim():
     # Downtime far exceeds the visibility timeout, so a naive restart
     # would *also* reclaim the delivery the replay already released.
     del queue
-    clock.advance(60.0)
+    clock.advance(2 * VISIBILITY_TIMEOUT_S)
 
-    state, _journal, report = begin_recovery(store, max_deliveries=3)
+    state, _journal, report = begin_recovery(store)
     assert report.released == 1
-    recovered = materialize_queue(
-        state, clock, visibility_timeout_s=5.0, max_deliveries=3
-    )
+    recovered = materialize_queue(state, clock)
 
     # The reclaim pass finds a clean in-flight table — zero re-releases —
     # and the rebuilt queue's in-flight index agrees that it is empty.
@@ -75,29 +69,27 @@ def test_replayed_release_is_idempotent_with_visibility_reclaim():
 
 
 def test_recovery_honours_the_delivery_budget():
-    """A claim that already burned ``max_deliveries`` attempts is
+    """A claim that already burned ``MAX_DELIVERIES`` attempts is
     dead-lettered by recovery, exactly as a live nack would do —
-    never silently re-released for a fourth attempt."""
+    never silently re-released for one attempt more."""
     clock = VirtualClock()
     store = InMemoryDurableStore()
     queue = build_queue(clock, store)
     payload = request(0)
     queue.put(payload, topic="t")
-    for _ in range(2):
+    for _ in range(MAX_DELIVERIES - 1):
         msg = queue.claim("t")
         queue.nack(msg.delivery_tag, requeue=True)
     final = queue.claim("t")
-    assert final.deliveries == 3  # budget exhausted mid-flight
+    assert final.deliveries == MAX_DELIVERIES  # budget exhausted mid-flight
 
     del queue
-    clock.advance(60.0)
+    clock.advance(2 * VISIBILITY_TIMEOUT_S)
 
-    state, _journal, report = begin_recovery(store, max_deliveries=3)
+    state, _journal, report = begin_recovery(store)
     assert report.released == 0
     assert report.dead_lettered == 1
-    recovered = materialize_queue(
-        state, clock, visibility_timeout_s=5.0, max_deliveries=3
-    )
+    recovered = materialize_queue(state, clock)
     assert recovered.expire_inflight() == 0
     assert recovered.ready_count("t") == 0
     assert [m.body for m in recovered.dead_letters] == [payload]

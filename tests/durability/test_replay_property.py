@@ -44,6 +44,7 @@ from repro.durability import (
 )
 from repro.durability.codec import decode_doc, encode_doc
 from repro.gateway import TenantPolicy, TenantPolicyTable
+from repro.gateway.gateway import DRAIN_DEADLINE_S
 from repro.messaging.queue import QueueEmpty, TaskQueue
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import generator_from_seed
@@ -225,7 +226,7 @@ def build_walk(seed: int, n_ops: int = 240, snapshot_every: int = 10**9):
     clock = VirtualClock()
     store = InMemoryDurableStore()
     journal = Journal(store, snapshot_every_records=snapshot_every)
-    queue = TaskQueue(clock, visibility_timeout_s=1e9, max_deliveries=3)
+    queue = TaskQueue(clock)
     queue.attach_journal(journal)
     dumps, docs = random_walk(seed, n_ops, journal, queue, clock)
     return store, journal, queue, dumps, docs
@@ -386,7 +387,7 @@ def test_gateway_walk_snapshots_equal_the_fold(chaos_zoo, snapshots_checked, see
                 runtime.submit(request)
                 runtime.mark_down("w1")
                 runtime.mark_down("w2")
-                testbed.clock.advance(gateway.drain_deadline_s)
+                testbed.clock.advance(DRAIN_DEADLINE_S)
                 gateway.on_tick(testbed.clock.now())
             elif step == "grow":
                 runtime.mark_up("w1")

@@ -50,10 +50,8 @@ from repro.sim.clock import VirtualClock
 from .conftest import alternating_arrivals, build_chaos_harness, request, snapshot_if_due
 
 
-def fresh_queue(clock=None, **kwargs):
-    kwargs.setdefault("visibility_timeout_s", 1e9)
-    kwargs.setdefault("max_deliveries", 3)
-    return TaskQueue(clock or VirtualClock(), **kwargs)
+def fresh_queue(clock=None):
+    return TaskQueue(clock or VirtualClock())
 
 
 # -- codec --------------------------------------------------------------------

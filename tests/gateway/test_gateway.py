@@ -18,6 +18,7 @@ from repro.gateway import (
     TenantPolicy,
     TenantPolicyTable,
 )
+from repro.gateway.gateway import DRAIN_DEADLINE_S
 
 
 def build_gateway(tenant_policies, n_workers=2, max_batch_size=8, **gateway_kwargs):
@@ -420,15 +421,14 @@ class TestServeGuards:
 
 class TestDrainDeadline:
     """A live budget that shrinks below ``outstanding`` must not suspend
-    fairness forever: past ``drain_deadline_s`` the gateway reclaims
+    fairness forever: past ``DRAIN_DEADLINE_S`` the gateway reclaims
     released-but-unclaimed requests back into its WFQ lanes."""
 
-    def _overcommitted_gateway(self, drain_deadline_s=1.0):
+    def _overcommitted_gateway(self):
         testbed, gateway, tokens = build_gateway(
             {"u": TenantPolicy(name="t")},
             n_workers=3,
             max_batch_size=8,
-            drain_deadline_s=drain_deadline_s,
         )
         # Fill the releasable budget (a lone tenant never eats the slot
         # reserve): every admitted request is released straight into
@@ -452,7 +452,7 @@ class TestDrainDeadline:
         testbed, gateway, tokens = self._overcommitted_gateway()
         assert gateway.requests_reclaimed == 0
         excess = gateway.outstanding - gateway.max_dispatch_slots
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed == excess
         assert gateway.outstanding == gateway.max_dispatch_slots
@@ -464,7 +464,7 @@ class TestDrainDeadline:
     def test_reclaimed_requests_complete_when_capacity_returns(self):
         testbed, gateway, tokens = self._overcommitted_gateway()
         offered = gateway.outstanding
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
         gateway.runtime.mark_up("w1")
@@ -476,17 +476,15 @@ class TestDrainDeadline:
         assert gateway.outstanding == 0
 
     def test_deadline_not_fired_before_it_lapses(self):
-        testbed, gateway, tokens = self._overcommitted_gateway(
-            drain_deadline_s=5.0
-        )
-        testbed.clock.advance(1.0)
+        testbed, gateway, tokens = self._overcommitted_gateway()
+        testbed.clock.advance(DRAIN_DEADLINE_S - 0.001)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed == 0
 
     def test_next_event_wakes_the_loop_at_the_deadline(self):
         testbed, gateway, tokens = self._overcommitted_gateway()
         armed_at = testbed.clock.now()
-        assert gateway.next_event() == pytest.approx(armed_at + 1.0)
+        assert gateway.next_event() == pytest.approx(armed_at + DRAIN_DEADLINE_S)
 
     def test_recovery_before_deadline_disarms_the_timer(self):
         testbed, gateway, tokens = self._overcommitted_gateway()
@@ -494,35 +492,33 @@ class TestDrainDeadline:
         gateway.runtime.mark_up("w2")
         # Budget is back above outstanding: the timer must clear.
         assert gateway.next_event() == float("inf")
-        testbed.clock.advance(5.0)
+        testbed.clock.advance(2 * DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed == 0
 
     def test_validation(self):
-        """Must be positive; the deadline is always on, so there is no
-        ``None`` = "never reclaim" mode to ask for either."""
-        for deadline in (0.0, None):
-            with pytest.raises(GatewayError):
-                build_gateway(
-                    {"u": TenantPolicy(name="t")}, drain_deadline_s=deadline
-                )
+        """The deadline is a positive constant, always on: there is no
+        ``None`` = "never reclaim" mode, and no keyword to ask for one."""
+        assert DRAIN_DEADLINE_S > 0
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build_gateway({"u": TenantPolicy(name="t")}, drain_deadline_s=None)
 
     def test_reclaimed_requests_keep_their_enqueue_age(self):
         """Re-released reclaimed work must not look freshly arrived to
         the queue-wait metric: the original enqueue timestamp rides
         along, so waits include the over-commit stall."""
         testbed, gateway, tokens = self._overcommitted_gateway()
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
         gateway.runtime.mark_up("w1")
         gateway.runtime.mark_up("w2")
         gateway.runtime.drain()
         waits = gateway.runtime.stage_metrics.samples("queue_wait", "noop")
-        # The reclaimed requests stalled >= 1 s (the drain deadline)
-        # before re-release; an un-anchored re-submit would record
-        # only the few-ms post-re-release wait.
-        assert max(waits) >= 1.0
+        # The reclaimed requests stalled for the drain deadline before
+        # re-release; an un-anchored re-submit would record only the
+        # few-ms post-re-release wait.
+        assert max(waits) >= DRAIN_DEADLINE_S
 
     def test_reclaim_round_robins_across_tenants(self):
         """No tenant's queue positions are sacrificed wholesale: the
@@ -531,7 +527,6 @@ class TestDrainDeadline:
             {"a": TenantPolicy(name="ta"), "z": TenantPolicy(name="tz")},
             n_workers=3,
             max_batch_size=8,
-            drain_deadline_s=1.0,
         )
         # Alternate offers so both tenants fill their slot shares.
         for i in range(40):
@@ -541,7 +536,7 @@ class TestDrainDeadline:
         assert before["ta"] > 4 and before["tz"] > 4
         gateway.runtime.mark_down("w1")
         gateway.runtime.mark_down("w2")
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
         after = gateway.scheduler.outstanding_by_tenant
@@ -558,7 +553,6 @@ class TestDrainDeadline:
             {"u": TenantPolicy(name="t")},
             n_workers=3,
             max_batch_size=8,
-            drain_deadline_s=1.0,
         )
         releasable = gateway.max_dispatch_slots - gateway.slot_reserve
         for i in range(releasable):
@@ -572,7 +566,7 @@ class TestDrainDeadline:
         gateway.runtime.mark_down("w1")
         gateway.runtime.mark_down("w2")
         excess = gateway.outstanding - gateway.max_dispatch_slots
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         # Full reclamation despite the foreign shield...
         assert gateway.requests_reclaimed == excess
@@ -594,7 +588,6 @@ class TestDrainDeadline:
             {"u": TenantPolicy(name="t")},
             n_workers=3,
             max_batch_size=8,
-            drain_deadline_s=1.0,
         )
         releasable = gateway.max_dispatch_slots - gateway.slot_reserve
         # Fill the releasable budget, then three younger lane-queued.
@@ -605,7 +598,7 @@ class TestDrainDeadline:
         gateway.runtime.mark_down("w1")
         gateway.runtime.mark_down("w2")
         excess = gateway.outstanding - gateway.max_dispatch_slots
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed == excess
         lane = [entry[3].request.args[0] for entry in gateway.scheduler._lanes["t"]]

@@ -19,6 +19,7 @@ from repro.durability import FaultInjector
 from tests.gateway.test_gateway import build_gateway
 
 from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
+from repro.gateway.gateway import DRAIN_DEADLINE_S
 
 
 def _overcommitted_traced_gateway(sample_rate=1.0):
@@ -28,7 +29,6 @@ def _overcommitted_traced_gateway(sample_rate=1.0):
         {"u": TenantPolicy(name="t")},
         n_workers=3,
         max_batch_size=8,
-        drain_deadline_s=1.0,
         tracer=tracer,
     )
     releasable = gateway.max_dispatch_slots - gateway.slot_reserve
@@ -48,7 +48,7 @@ def _overcommitted_traced_gateway(sample_rate=1.0):
 class TestReclaimPropagation:
     def test_reclaim_marks_the_trace_in_place(self):
         testbed, gateway, tokens, tracer = _overcommitted_traced_gateway()
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
         # Nothing is built while a request is open: the reclaim is a
@@ -71,7 +71,7 @@ class TestReclaimPropagation:
     def test_reclaimed_requests_settle_with_complete_trees(self):
         testbed, gateway, tokens, tracer = _overcommitted_traced_gateway()
         offered = gateway.outstanding
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         reclaimed = gateway.requests_reclaimed
         assert reclaimed > 0
@@ -101,7 +101,7 @@ class TestReclaimPropagation:
         the re-release (mirrors the queue-wait metric guarantee)."""
         testbed, gateway, tokens, tracer = _overcommitted_traced_gateway()
         armed_at = testbed.clock.now()
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
         gateway.runtime.mark_up("w1")
@@ -116,9 +116,9 @@ class TestReclaimPropagation:
         for trace in reclaimed_traces:
             (window,) = trace.stages("dispatch_window")
             # Released before the workers went down, claimed after the
-            # >= 1 s drain-deadline stall.
+            # drain-deadline stall.
             assert window.start <= armed_at
-            assert window.duration >= 1.0
+            assert window.duration >= DRAIN_DEADLINE_S
             # And the second lane stay starts at the reclaim mark.
             ((_, reclaim_at, _),) = [
                 m for m in trace.marks if m[0] == "reclaim"
@@ -133,7 +133,7 @@ class TestReclaimPropagation:
         testbed, gateway, tokens, tracer = _overcommitted_traced_gateway(
             sample_rate=0.0
         )
-        testbed.clock.advance(1.0)
+        testbed.clock.advance(DRAIN_DEADLINE_S)
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed > 0
         gateway.runtime.mark_up("w1")

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.zoo import build_zoo
+from repro.messaging.queue import MAX_DELIVERIES, VISIBILITY_TIMEOUT_S
 
 from tests.processing import process_one
 
@@ -34,7 +35,7 @@ class TestQueueRedelivery:
         queue.claim()
         assert queue.inflight_count == 1
         # Visibility timeout lapses; the message is redelivered.
-        testbed.clock.advance(queue.visibility_timeout_s)
+        testbed.clock.advance(VISIBILITY_TIMEOUT_S)
         assert queue.expire_inflight() == 1
         message = queue.claim()
         result = process_one(testbed.task_manager, message.body)
@@ -46,9 +47,9 @@ class TestQueueRedelivery:
         testbed, _ = deployment
         queue = testbed.management.queue
         queue.put(TaskRequest("noop"))
-        for _ in range(queue.max_deliveries):
+        for _ in range(MAX_DELIVERIES):
             queue.claim()  # the worker claims, then dies before acking
-            testbed.clock.advance(queue.visibility_timeout_s)
+            testbed.clock.advance(VISIBILITY_TIMEOUT_S)
             queue.expire_inflight()
         assert len(queue) == 0
         assert len(queue.dead_letters) == 1

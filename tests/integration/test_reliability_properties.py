@@ -5,7 +5,12 @@ hold under all of them."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.messaging.queue import QueueEmpty, TaskQueue
+from repro.messaging.queue import (
+    MAX_DELIVERIES,
+    VISIBILITY_TIMEOUT_S,
+    QueueEmpty,
+    TaskQueue,
+)
 from repro.search.index import SearchIndex
 from repro.sim.clock import VirtualClock
 
@@ -16,11 +21,11 @@ class TestQueueAtLeastOnce:
         crash_pattern=st.lists(st.booleans(), min_size=1, max_size=8),
     )
     def test_task_survives_any_crash_pattern_property(self, crash_pattern):
-        """For any interleaving of crash/ack attempts (with at least one
-        eventual success within the delivery budget), the task is either
-        processed exactly once or dead-lettered — never silently lost."""
+        """For any interleaving of crash/ack attempts — within the
+        delivery budget or past it — the task is either processed
+        exactly once or dead-lettered, never silently lost."""
         clock = VirtualClock()
-        queue = TaskQueue(clock, visibility_timeout_s=5.0, max_deliveries=20)
+        queue = TaskQueue(clock)
         queue.put("the-task")
         processed = 0
         for crashes in crash_pattern:
@@ -29,7 +34,7 @@ class TestQueueAtLeastOnce:
             except QueueEmpty:
                 break
             if crashes:
-                clock.advance(5.0)
+                clock.advance(VISIBILITY_TIMEOUT_S)
                 queue.expire_inflight()
             else:
                 queue.ack(msg.delivery_tag)
@@ -46,12 +51,13 @@ class TestQueueAtLeastOnce:
         assert accounted == 1
 
     @settings(max_examples=30, deadline=None)
-    @given(n_tasks=st.integers(1, 20), n_crashes=st.integers(0, 5))
+    @given(n_tasks=st.integers(1, 20), n_crashes=st.integers(0, MAX_DELIVERIES - 1))
     def test_all_tasks_eventually_processed_property(self, n_tasks, n_crashes):
         """A worker that crashes n times then behaves still drains the
-        queue completely (within the delivery budget)."""
+        queue completely (n within the delivery budget: the crashes all
+        land on the head task, which still has a delivery left)."""
         clock = VirtualClock()
-        queue = TaskQueue(clock, visibility_timeout_s=1.0, max_deliveries=n_crashes + 2)
+        queue = TaskQueue(clock)
         for i in range(n_tasks):
             queue.put(i)
         crashes_left = n_crashes
@@ -62,12 +68,12 @@ class TestQueueAtLeastOnce:
             except QueueEmpty:
                 if queue.inflight_count == 0:
                     break
-                clock.advance(1.0)
+                clock.advance(VISIBILITY_TIMEOUT_S)
                 queue.expire_inflight()
                 continue
             if crashes_left > 0:
                 crashes_left -= 1
-                clock.advance(1.0)
+                clock.advance(VISIBILITY_TIMEOUT_S)
                 queue.expire_inflight()
             else:
                 seen.append(msg.body)

@@ -3,7 +3,7 @@
 The at-least-once contract must survive server-side batching: a worker
 that claims a micro-batch and dies never loses the work — the visibility
 timeout lapses and the requests are redelivered to a *different* Task
-Manager; poisoned work dead-letters after ``max_deliveries``.
+Manager; poisoned work dead-letters after ``MAX_DELIVERIES``.
 """
 
 
@@ -11,23 +11,23 @@ from repro.core.runtime import ServingRuntime
 from repro.core.task_manager import TaskManager
 from repro.core.tasks import TaskRequest
 from repro.core.zoo import build_zoo
-from repro.messaging.queue import TaskQueue, servable_topic
+from repro.messaging.queue import (
+    MAX_DELIVERIES,
+    VISIBILITY_TIMEOUT_S,
+    TaskQueue,
+    servable_topic,
+)
 
 
-def build_fleet(visibility_timeout_s=5.0, max_deliveries=2):
-    """Two workers, noop replicated on both, over a short-fuse queue."""
+def build_fleet():
+    """Two workers, noop replicated on both, over their own queue."""
     from repro.cluster.cluster import petrelkube
     from repro.core.executors import ParslServableExecutor
     from repro.core.testbed import build_testbed
 
     testbed = build_testbed(jitter=False)
     zoo = build_zoo(oqmd_entries=50, n_estimators=4)
-    # A dedicated queue so the test controls timeout/delivery bounds.
-    queue = TaskQueue(
-        testbed.clock,
-        visibility_timeout_s=visibility_timeout_s,
-        max_deliveries=max_deliveries,
-    )
+    queue = TaskQueue(testbed.clock)
     workers = []
     for i in range(2):
         cluster = petrelkube(testbed.clock, testbed.registry)
@@ -58,7 +58,7 @@ class TestWorkerCrashRedelivery:
         assert len(doomed) == 3 and queue.inflight_count == 3
         runtime.mark_down(crashed.name)
         # Visibility timeout lapses; drain redelivers and re-dispatches.
-        testbed.clock.advance(queue.visibility_timeout_s)
+        testbed.clock.advance(VISIBILITY_TIMEOUT_S)
         results = runtime.drain()
         assert len(results) == 3
         assert all(r.result.ok for r in results)
@@ -73,7 +73,7 @@ class TestWorkerCrashRedelivery:
             runtime.submit(TaskRequest("noop"))
         queue.claim_many(servable_topic("noop"), runtime.max_batch_size)
         runtime.mark_down(runtime.workers[0].name)
-        testbed.clock.advance(queue.visibility_timeout_s)
+        testbed.clock.advance(VISIBILITY_TIMEOUT_S)
         results = runtime.drain()
         assert {r.batch_size for r in results} == {4}
         assert all(r.result.ok for r in results)
@@ -104,27 +104,28 @@ class TestWorkerCrashRedelivery:
 
 class TestDeadLetter:
     def test_poisoned_work_dead_letters_after_max_deliveries(self):
-        """Every delivery crashes its claimant; after ``max_deliveries``
+        """Every delivery crashes its claimant; after ``MAX_DELIVERIES``
         the message parks in the dead-letter list instead of looping."""
-        testbed, runtime, queue = build_fleet(max_deliveries=2)
+        testbed, runtime, queue = build_fleet()
         runtime.submit(TaskRequest("noop"))
-        for _ in range(queue.max_deliveries):
+        for _ in range(MAX_DELIVERIES):
             claimed = queue.claim_many(servable_topic("noop"), 8)
             assert len(claimed) == 1  # still being redelivered
-            testbed.clock.advance(queue.visibility_timeout_s)
+            testbed.clock.advance(VISIBILITY_TIMEOUT_S)
             queue.expire_inflight()
         assert len(queue) == 0
         assert len(queue.dead_letters) == 1
-        assert queue.dead_letters[0].deliveries == queue.max_deliveries
+        assert queue.dead_letters[0].deliveries == MAX_DELIVERIES
         # The runtime has nothing left to serve — the loop terminates.
         assert runtime.drain() == []
 
     def test_dead_letter_does_not_block_healthy_traffic(self):
-        testbed, runtime, queue = build_fleet(max_deliveries=1)
+        testbed, runtime, queue = build_fleet()
         runtime.submit(TaskRequest("noop"))
-        queue.claim_many(servable_topic("noop"), 8)
-        testbed.clock.advance(queue.visibility_timeout_s)
-        queue.expire_inflight()  # dead-letters immediately (max_deliveries=1)
+        for _ in range(MAX_DELIVERIES):  # the last expiry dead-letters it
+            queue.claim_many(servable_topic("noop"), 8)
+            testbed.clock.advance(VISIBILITY_TIMEOUT_S)
+            queue.expire_inflight()
         assert len(queue.dead_letters) == 1
         runtime.submit(TaskRequest("noop"))
         results = runtime.drain()

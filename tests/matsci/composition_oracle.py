@@ -8,6 +8,11 @@ it matches one token at a time and reads each subscript with a second
 ``test_composition.py`` require the two to agree on every formula, down
 to the bits of each amount, the order of the keys and the text of every
 ``CompositionError``.
+
+Since the rewrite both parsers refuse a zero subscript at its token
+(after an element or after ``)``) and read only ASCII digits as a
+subscript; the oracle carries the same two rules, so it still pins
+everything else.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<open>\()"
     r"|(?P<close>\))"
     r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<junk>\S)"
+    r"|(?P<junk>\S)",
+    re.ASCII,
 )
 
 
@@ -40,7 +46,8 @@ class OracleComposition:
 
 
 def oracle(formula: str) -> OracleComposition:
-    """What ``Composition.parse(formula)`` returned before the rewrite."""
+    """What ``Composition.parse(formula)`` returned before the rewrite,
+    with the zero-subscript and ASCII-digit rules added since."""
     if not formula or not formula.strip():
         raise CompositionError("empty formula")
     text = formula.strip().replace(" ", "")
@@ -70,6 +77,8 @@ def _parse_group(text: str) -> dict[str, float]:
             if sym not in ELEMENTS:
                 raise CompositionError(f"unknown element {sym!r} in {text!r}")
             count, pos = _read_number(text, pos)
+            if count == 0:
+                raise CompositionError(f"zero subscript for {sym!r} in {text!r}")
             stack[-1][sym] = stack[-1].get(sym, 0.0) + count
         elif m.lastgroup == "open":
             stack.append({})
@@ -78,6 +87,8 @@ def _parse_group(text: str) -> dict[str, float]:
                 raise CompositionError(f"unbalanced ')' in {text!r}")
             group = stack.pop()
             count, pos = _read_number(text, pos)
+            if count == 0:
+                raise CompositionError(f"zero subscript after ')' in {text!r}")
             merge(stack[-1], group, count)
         elif m.lastgroup == "number":
             raise CompositionError(f"unexpected number at position {m.start()} in {text!r}")
@@ -93,7 +104,7 @@ def _parse_group(text: str) -> dict[str, float]:
 
 def _read_number(text: str, pos: int) -> tuple[float, int]:
     """Read an optional subscript at ``pos``; defaults to 1."""
-    m = re.match(r"\d+(?:\.\d+)?", text[pos:])
+    m = re.match(r"\d+(?:\.\d+)?", text[pos:], re.ASCII)
     if m is None:
         return 1.0, pos
     return float(m.group()), pos + m.end()

@@ -59,6 +59,38 @@ class TestErrors:
             Composition.parse("Fe\t2O3")
         assert str(info.value) == "cannot tokenize at position 2 in 'Fe\\t2O3'"
 
+    @pytest.mark.parametrize(
+        ("formula", "message"),
+        [
+            ("O0", "zero subscript for 'O' in 'O0'"),
+            ("O0O2", "zero subscript for 'O' in 'O0O2'"),
+            ("(O0)2O", "zero subscript for 'O' in '(O0)2O'"),
+            ("Fe2O0.0", "zero subscript for 'O' in 'Fe2O0.0'"),
+            ("(OH)0Na", "zero subscript after ')' in '(OH)0Na'"),
+            ("Na(OH)0.0(OH)2", "zero subscript after ')' in 'Na(OH)0.0(OH)2'"),
+        ],
+    )
+    def test_zero_subscript_refused_at_its_token(self, formula, message):
+        # Refused where it is written, not only when a total comes to zero:
+        # a later mention of the element cannot make it good.
+        with pytest.raises(CompositionError) as info:
+            Composition.parse(formula)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        ("formula", "message"),
+        [
+            ("Fe\u0663", "unexpected character '\u0663' in 'Fe\u0663'"),
+            ("O2.\u0665", "unexpected character '.' in 'O2.\u0665'"),
+        ],
+    )
+    def test_subscripts_are_ascii_digits(self, formula, message):
+        # Element symbols are ASCII letters; subscripts are ASCII digits
+        # too, so an Arabic-Indic three is not a 3.
+        with pytest.raises(CompositionError) as info:
+            Composition.parse(formula)
+        assert str(info.value) == message
+
     def test_from_dict_validation(self):
         with pytest.raises(CompositionError):
             Composition.from_dict({"Zz": 1.0})
@@ -117,14 +149,12 @@ class TestProperties:
 
 
 # A formula grammar wide enough to reach every branch of the parser:
-# well-formed formulas (nested groups with multipliers, integer, decimal
-# and Unicode-digit subscripts, repeated elements), and noisy ones that
-# add unknown symbols, zero amounts and stray characters.
+# well-formed formulas (nested groups with multipliers, integer and
+# decimal subscripts, repeated elements), and noisy ones that add
+# unknown symbols, zero and Unicode-digit subscripts and stray characters.
 _KNOWN = st.sampled_from(["H", "O", "C", "Fe", "Na", "Cl"])
-_COUNTS = st.sampled_from(
-    ["", "", "2", "3", "12", "0.5", "0.1", "0.7", "2.25", "\u0663", "2.\u0665"]
-)
-_BAD_COUNTS = st.sampled_from(["0", "0.0", "1."])
+_COUNTS = st.sampled_from(["", "", "2", "3", "12", "0.5", "0.1", "0.7", "2.25"])
+_BAD_COUNTS = st.sampled_from(["0", "0.0", "00", "1.", "\u0663", "2.\u0665"])
 _STRAYS = st.sampled_from(
     ["-", "\u00b2", "\t", "\n", " ", "(", ")", "7", "1.5", ".", "Xx", "J"]
 )
@@ -175,6 +205,8 @@ class TestAgainstOracle:
     @example("Ca(Al(OH)4)2")
     @example("(H2O)0.5Fe\u06632")
     @example("O0O2")
+    @example("(O0)2O")
+    @example("Fe\u0663")
     @example("Fe\t2O3")
     def test_parse_matches_oracle(self, formula):
         assert _outcome(Composition.parse, formula) == _outcome(oracle, formula)

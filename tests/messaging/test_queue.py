@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.messaging.queue import QueueEmpty, TaskQueue, UnknownDelivery, servable_topic
+from repro.messaging.queue import (
+    MAX_DELIVERIES,
+    VISIBILITY_TIMEOUT_S,
+    QueueEmpty,
+    TaskQueue,
+    UnknownDelivery,
+    servable_topic,
+)
 from repro.sim.clock import VirtualClock
 
 
 @pytest.fixture
 def queue():
-    return TaskQueue(VirtualClock(), visibility_timeout_s=10.0, max_deliveries=3)
+    return TaskQueue(VirtualClock())
 
 
 class TestBasicFlow:
@@ -118,11 +125,11 @@ class TestPeek:
         queue.claim()
         # Earliest claim governs the next expiry.
         assert queue.next_inflight_expiry() == pytest.approx(
-            first.claimed_at + queue.visibility_timeout_s
+            first.claimed_at + VISIBILITY_TIMEOUT_S
         )
         queue.ack(first.delivery_tag)
         assert queue.next_inflight_expiry() == pytest.approx(
-            2.0 + queue.visibility_timeout_s
+            2.0 + VISIBILITY_TIMEOUT_S
         )
 
 
@@ -163,12 +170,13 @@ class TestAckNack:
 
     def test_max_deliveries_dead_letters(self, queue):
         queue.put("flaky")
-        for _ in range(3):  # max_deliveries = 3
-            msg = queue.claim()
-            queue.nack(msg.delivery_tag)
+        for _ in range(MAX_DELIVERIES - 1):
+            queue.nack(queue.claim().delivery_tag)
+        assert len(queue) == 1 and not queue.dead_letters
+        queue.nack(queue.claim().delivery_tag)  # the last delivery
         assert len(queue) == 0
         assert len(queue.dead_letters) == 1
-        assert queue.dead_letters[0].deliveries == 3
+        assert queue.dead_letters[0].deliveries == MAX_DELIVERIES
 
 
 class TestVisibilityTimeout:
@@ -178,7 +186,7 @@ class TestVisibilityTimeout:
         queue.put("important")
         msg = queue.claim()
         assert queue.inflight_count == 1
-        queue.clock.advance(10.0)
+        queue.clock.advance(VISIBILITY_TIMEOUT_S)
         redelivered = queue.expire_inflight()
         assert redelivered == 1
         again = queue.claim()
@@ -189,25 +197,25 @@ class TestVisibilityTimeout:
     def test_unexpired_not_redelivered(self, queue):
         queue.put("x")
         queue.claim()
-        queue.clock.advance(5.0)  # < timeout
+        queue.clock.advance(VISIBILITY_TIMEOUT_S - 0.001)
         assert queue.expire_inflight() == 0
         assert queue.inflight_count == 1
 
     def test_redelivery_counter(self, queue):
         queue.put("x")
         queue.claim()
-        queue.clock.advance(10.0)
+        queue.clock.advance(VISIBILITY_TIMEOUT_S)
         queue.expire_inflight()
         assert queue.total_redelivered == 1
 
 
 class TestValidation:
     def test_bad_construction(self):
-        clock = VirtualClock()
-        with pytest.raises(ValueError):
-            TaskQueue(clock, visibility_timeout_s=0)
-        with pytest.raises(ValueError):
-            TaskQueue(clock, max_deliveries=0)
+        # The redelivery policy is not the constructor's to change: it is
+        # the one pair of constants crash recovery shares.
+        assert VISIBILITY_TIMEOUT_S > 0 and MAX_DELIVERIES >= 1
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            TaskQueue(VirtualClock(), max_deliveries=2)
 
     def test_unknown_nack(self, queue):
         with pytest.raises(UnknownDelivery):
@@ -234,7 +242,7 @@ class TestTopicCounters:
         so rate estimators reading deltas never double-count."""
         queue.put("a", topic="x")
         queue.claim("x")
-        queue.clock.advance(10.0)
+        queue.clock.advance(VISIBILITY_TIMEOUT_S)
         queue.expire_inflight()
         assert queue.enqueued_count("x") == 1
         queue.claim("x")  # redelivered message

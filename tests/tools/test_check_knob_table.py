@@ -1,5 +1,6 @@
-"""The knob-table gate: a Bench cell must cite files that exist and
-that really mention the row's knobs."""
+"""The knob-table gate: a Bench cell must cite files that exist, that
+really mention the row's knobs, and at least one of which lies outside
+``tests/``."""
 
 import importlib.util
 from pathlib import Path
@@ -52,6 +53,27 @@ def test_a_cell_naming_no_file_fails(tool, tmp_path):
     )
     (error,) = tool.check_evidence(readme)
     assert "names no file" in error
+
+
+def test_a_row_citing_only_tests_fails(tool, tmp_path):
+    # A knob only tests set is a constant: the row must cite a bench or
+    # an example, however many test files it names.
+    readme = readme_with(
+        tmp_path,
+        "| `slo_s` / `safety` | `QueueLatencySLOPolicy` | 50 ms / 0.8 | x "
+        "| `tests/core/test_fleet.py::TestQueueLatencySLOPolicy`, "
+        "`tests/core/test_fleet.py` |",
+    )
+    (error,) = tool.check_evidence(readme)
+    assert "cites only tests/ files" in error and "`slo_s` / `safety`" in error
+
+
+def test_an_example_counts_as_evidence(tool, tmp_path):
+    readme = readme_with(
+        tmp_path,
+        "| `slo_s` | `QueueLatencySLOPolicy` | 50 ms | x | `examples/autoscaled_serving.py` |",
+    )
+    assert tool.check_evidence(readme) == []
 
 
 def test_a_row_citing_the_files_that_set_its_knobs_passes(tool, tmp_path):

@@ -19,7 +19,9 @@ deliberately unregistered — there is no machine-checkable fact behind
 them.
 
 **Evidence.** Every row's Bench cell must name at least one file, every
-file it names must exist, and across those files every back-ticked
+file it names must exist, at least one of them must lie outside
+``tests/`` (a knob only tests set is a constant waiting to happen;
+benches and examples count), and across those files every back-ticked
 knob of the row must occur as a word. A back-ticked ``bench_x``
 resolves to ``benchmarks/bench_x.py`` and ``src/repro/bench/x.py``
 (either may be absent, not both), ``tests/...::Class`` to its file, and
@@ -45,19 +47,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: quotes, in cell order). ``None`` entries skip a number the cell
 #: carries that is not a plain constructor default (derived values).
 REGISTRY: dict[str, tuple[str, list[str]]] = {
-    "`alpha` / `beta`": (
-        "repro.core.adaptive.ArrivalForecaster",
-        ["alpha", "beta"],
-    ),
     "`interval_s`": ("repro.core.fleet.FleetController", ["interval_s"]),
     "`min_workers` / `max_workers`": (
         "repro.core.fleet.FleetController",
         ["min_workers", "max_workers"],
-    ),
-    "`ewma_alpha`": ("repro.core.fleet.FleetController", ["ewma_alpha"]),
-    "`target_utilization` / `scale_down_utilization`": (
-        "repro.core.fleet.TargetUtilizationPolicy",
-        ["target_utilization", "scale_down_utilization"],
     ),
     "`slo_s` / `safety`": (
         "repro.core.fleet.QueueLatencySLOPolicy",
@@ -72,34 +65,18 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
         "repro.core.runtime.ServingRuntime",
         ["max_coalesce_delay_s"],
     ),
-    "`drain_deadline_s`": (
-        "repro.gateway.gateway.ServingGateway",
-        ["drain_deadline_s"],
-    ),
     "`sample_rate`": ("repro.core.telemetry.Tracer", ["sample_rate"]),
     "`slow_threshold_s`": (
         "repro.core.telemetry.Tracer",
         ["slow_threshold_s"],
     ),
-    "`latency_slo_s` / `objective` / `window_s` / `burn_threshold`": (
-        "repro.core.telemetry.SLOBurnMonitor",
-        ["latency_slo_s", "objective", "window_s", "burn_threshold"],
-    ),
     "`scrape_interval_s`": (
         "repro.core.obsloop.ObservabilityLoop",
         ["scrape_interval_s"],
     ),
-    "`fast_window_s` / `slow_window_s` / `threshold`": (
+    "`fast_window_s` / `slow_window_s`": (
         "repro.core.obsloop.BurnRateRule",
-        ["fast_window_s", "slow_window_s", "threshold"],
-    ),
-    "`boost` / `shed_fraction`": (
-        "repro.core.obsloop.ReactiveSLOPolicy",
-        ["boost", "shed_fraction"],
-    ),
-    "`escalation` / `max_rate` / `decay`": (
-        "repro.core.obsloop.AdaptiveSampler",
-        ["escalation", "max_rate", "decay"],
+        ["fast_window_s", "slow_window_s"],
     ),
     "`snapshot_every_records`": (
         "repro.durability.journal.Journal",
@@ -108,10 +85,6 @@ REGISTRY: dict[str, tuple[str, list[str]]] = {
     "`restart_cost_s`": (
         "repro.durability.chaos.ChaosHarness",
         ["restart_cost_s"],
-    ),
-    "`visibility_timeout_s` / `max_deliveries`": (
-        "repro.messaging.queue.TaskQueue",
-        ["visibility_timeout_s", "max_deliveries"],
     ),
     # `durable_store` (unset/None default) is a prose cell with no
     # machine-checkable number, deliberately unregistered.
@@ -211,7 +184,9 @@ def evidence_paths(span: str) -> list[Path]:
 
 def check_evidence(readme: Path) -> list[str]:
     """One error per row whose Bench cell names a missing file, names no
-    file at all, or names files that never mention one of its knobs."""
+    file at all, names only ``tests/`` files, or names files that never
+    mention one of its knobs."""
+    tests_dir = REPO_ROOT / "tests"
     errors: list[str] = []
     for cells in table_rows(readme):
         knob_cell, bench_cell = cells[0], cells[-1]
@@ -243,6 +218,12 @@ def check_evidence(readme: Path) -> list[str]:
             errors.append(
                 f"{readme}: knob {knob_cell!r} names no file in its Bench cell "
                 f"({bench_cell!r})"
+            )
+        elif all(path.is_relative_to(tests_dir) for path in files):
+            errors.append(
+                f"{readme}: knob {knob_cell!r} cites only tests/ files "
+                f"({bench_cell!r}) — cite the bench or example that sets it, "
+                "or make it a constant and delete the row"
             )
         elif unmentioned:
             errors.append(

@@ -130,10 +130,15 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "ServingGateway.on_settled",
             "ServingGateway._settle_batches",
             "ServingGateway._enter",
+            "ServingGateway._release",
         }
     ),
     "gateway/scheduler.py": frozenset(
-        {"WeightedFairScheduler._pick_under_share", "WeightedFairScheduler.pop_next"}
+        {
+            "WeightedFairScheduler._pick_under_share",
+            "WeightedFairScheduler.pop_next",
+            "WeightedFairScheduler.enqueue_or_release",
+        }
     ),
     "core/fleet.py": frozenset({"FleetController.observe"}),
     # The per-request recorders: every settlement passes through them.

@@ -30,7 +30,9 @@ There is one door: a single arrival (``offer``), a pre-split batch
 (``invoke_sync_many``) and a pipeline chain (``admit_chain``, then
 ``invoke_sync_admitted`` per step) are three shapes of one group
 admission (``_admit``), and every admitted request is tagged, handed to
-the journal, head-sampled and put in its lane by the same ``_enter``. Each
+the journal, head-sampled and put in its lane by the same ``_enter`` —
+or, when every lane is empty and the budget has room above the reserve,
+released on the spot, as the pump would release it first. Each
 door call then pumps and closes through ``_close_door``: the journal
 writes the admissions of the requests their lanes kept (a released
 request's ``put`` carried its own), and every admitted request passes
@@ -444,7 +446,10 @@ class ServingGateway:
     ) -> RequestRecord:
         """The one way an admitted request gets in: tagged with its
         tenant, its admission handed to the journal, then its record
-        made, head-sampled and put in its lane.
+        made, head-sampled and either released at once or put in its
+        lane. It is released when every lane is empty and the budget
+        has room above the reserve — what the pump would do first
+        (:meth:`WeightedFairScheduler.enqueue_or_release`).
         The caller pumps and then calls :meth:`_close_door`, which makes
         the admission durable before the call returns. ``identity`` is
         ``None`` for a chain step, which the Management Service stamped
@@ -457,7 +462,14 @@ class ServingGateway:
         if self.tracer is not None:
             record.sampled = self.tracer.begin(policy.name)
             record.decided_at = self.runtime.clock.now()
-        self._enter_lane(record, policy)
+        entry = self.scheduler.enqueue_or_release(
+            policy.name, policy.weight, record, self.max_dispatch_slots, self.slot_reserve
+        )
+        if entry is None:
+            self._lane_kept(record)
+        else:
+            self._open[request.task_uuid] = record
+            self._release(record, entry[0])
         return record
 
     def _close_door(self, admitted: int) -> None:
@@ -473,11 +485,15 @@ class ServingGateway:
                 self.chaos.trip("post_admission")
 
     def _enter_lane(self, record: RequestRecord, policy: TenantPolicy) -> None:
-        """An admitted request's record enters its tenant's lane:
-        WFQ-tagged, counted against its servable's lane backlog, and
-        open until the runtime settles it."""
-        request = record.body
+        """A recovered request's record enters its tenant's lane,
+        WFQ-tagged, to wait for the next pump."""
         self.scheduler.enqueue(policy.name, policy.weight, record)
+        self._lane_kept(record)
+
+    def _lane_kept(self, record: RequestRecord) -> None:
+        """A laned request is counted against its servable's lane
+        backlog, and open until the runtime settles it."""
+        request = record.body
         servable = request.servable_name
         self._queued_by_servable[servable] = (
             self._queued_by_servable.get(servable, 0) + 1
@@ -524,17 +540,21 @@ class ServingGateway:
             entry := self.scheduler.pop_next(self.max_dispatch_slots, self.slot_reserve)
         ) is not None:
             finish_tag, _, _, record = entry
-            request: TaskRequest = record.body
-            self._queued_by_servable[request.servable_name] -= 1
-            if record.reclaims is not None:
-                record.reclaims.append(self.runtime.clock.now())
-            # Carry the WFQ virtual-finish tag into the runtime: when
-            # several coalescing windows are due at once, dispatch
-            # arbitration follows these tags instead of oldest-head
-            # order, so fairness no longer depends on sizing the slot
-            # budget tightly against the fleet's in-flight capacity.
-            request.dispatch_tag = finish_tag
-            self.runtime.submit(record)
+            self._queued_by_servable[record.body.servable_name] -= 1
+            self._release(record, finish_tag)
+
+    def _release(self, record: RequestRecord, finish_tag: float) -> None:
+        """Hand a request the scheduler released to the runtime — from
+        its lane (the pump) or at admission (the door)."""
+        if record.reclaims is not None:
+            record.reclaims.append(self.runtime.clock.now())
+        # Carry the WFQ virtual-finish tag into the runtime: when
+        # several coalescing windows are due at once, dispatch
+        # arbitration follows these tags instead of oldest-head
+        # order, so fairness no longer depends on sizing the slot
+        # budget tightly against the fleet's in-flight capacity.
+        record.body.dispatch_tag = finish_tag
+        self.runtime.submit(record)
 
     # -- ingress protocol (driven by ServingRuntime.serve) --------------------------
     def on_tick(self, now: float) -> None:

@@ -31,10 +31,19 @@ room again. When only over-share tenants have work they still run
 ``reserve`` slots, so a newly active tenant's first request always
 finds instant headroom.
 
+An arrival that finds every lane empty with fewer than ``budget -
+reserve`` items outstanding never enters a lane:
+:meth:`~WeightedFairScheduler.enqueue_or_release` tags and releases it
+in one step, exactly as ``enqueue`` then ``pop_next`` would (WFQ is
+work-conserving: a lone head goes at once). Any other arrival is laned
+and waits for the pump, and so is everything crash recovery puts back.
+
 A lane entry is the plain tuple ``(finish_tag, seq, tenant, item)``:
-what :meth:`WeightedFairScheduler.enqueue`, :meth:`~WeightedFairScheduler.dequeue`
-and :meth:`~WeightedFairScheduler.pop_next` return. ``seq`` breaks
-finish-tag ties in enqueue order (front re-queues take negative ones).
+what :meth:`WeightedFairScheduler.enqueue`, :meth:`~WeightedFairScheduler.dequeue`,
+:meth:`~WeightedFairScheduler.pop_next` and a release by
+:meth:`~WeightedFairScheduler.enqueue_or_release` return. ``seq``
+breaks finish-tag ties in enqueue order (front re-queues take negative
+ones).
 """
 
 from __future__ import annotations
@@ -144,15 +153,7 @@ class WeightedFairScheduler:
         count-proportional). ``weight`` must be the one the tenant was
         first seen with.
         """
-        if weight <= 0:
-            raise SchedulerError("weight must be > 0")
-        if cost <= 0:
-            raise SchedulerError("cost must be > 0")
-        self._pin_weight(tenant, weight)
-        start = max(self._virtual_time, self._last_finish.get(tenant, 0.0))
-        finish = start + cost / weight
-        self._last_finish[tenant] = finish
-        self.charges[tenant] = self.charges.get(tenant, 0) + 1
+        finish = self._charge(tenant, weight, cost)
         seq = next(self._seq)
         entry = (finish, seq, tenant, item)
         lane = self._lanes.get(tenant)
@@ -165,6 +166,52 @@ class WeightedFairScheduler:
         self.enqueued += 1
         self._note(tenant)
         return entry
+
+    def enqueue_or_release(
+        self, tenant: str, weight: float, item: Any, budget: int, reserve: int
+    ) -> LaneEntry | None:
+        """Release ``item`` (at unit cost) at once when :meth:`enqueue`
+        followed by :meth:`pop_next` would release exactly it; otherwise
+        :meth:`enqueue` it and return ``None`` (the caller pumps).
+
+        That pair can only release the new item when every lane is
+        empty, and it surely does below ``budget - reserve``: the
+        tenant under its share or not, one of the pick's two branches
+        takes the lone head. Then nothing is parked and every heap
+        entry is stale, so the lane, the heap and the share are
+        skipped. The returned entry and every ledger the pair moves —
+        ``seq``, last finish, charges, virtual time, flow counters,
+        outstanding, the contending set, budget and reserve — come out
+        the same; a refused weight raises before anything changes.
+        """
+        outstanding = self.outstanding
+        if self._size or outstanding >= budget - reserve:
+            self.enqueue(tenant, weight, item)
+            return None
+        finish = self._charge(tenant, weight, 1.0)
+        self._budget, self._reserve = budget, reserve  # nothing parked to return
+        entry = (finish, next(self._seq), tenant, item)
+        self._virtual_time = finish  # never below it: finish >= start >= virtual time
+        self.enqueued += 1
+        self.dequeued += 1
+        self.outstanding_by_tenant[tenant] += 1
+        self.outstanding = outstanding + 1
+        self._note(tenant)
+        return entry
+
+    def _charge(self, tenant: str, weight: float, cost: float) -> float:
+        """Bill one enqueue to the tenant and return its finish tag;
+        a refused weight or cost raises before anything changes."""
+        if weight <= 0:
+            raise SchedulerError("weight must be > 0")
+        if cost <= 0:
+            raise SchedulerError("cost must be > 0")
+        self._pin_weight(tenant, weight)
+        start = max(self._virtual_time, self._last_finish.get(tenant, 0.0))
+        finish = start + cost / weight
+        self._last_finish[tenant] = finish
+        self.charges[tenant] = self.charges.get(tenant, 0) + 1
+        return finish
 
     def requeue_front(self, tenant: str, item: Any) -> LaneEntry:
         """Re-insert previously dequeued work at the *head* of its lane.
@@ -294,20 +341,22 @@ class WeightedFairScheduler:
         """Release the next item under a ``budget`` of outstanding
         slots, or ``None`` when nothing may go now.
 
-        The pick is :meth:`dequeue_eligible`, the smallest tag among
-        tenants below their share of this budget; with no such work the
-        global :meth:`dequeue` runs instead unless that would eat into
-        the last ``reserve`` slots. The released item counts as
-        outstanding until :meth:`settle` or :meth:`reclaim`. A budget
-        or reserve other than the last one returns every parked head.
+        The pick is :meth:`dequeue_eligible`'s, made in one walk of the
+        head heap: the smallest tag among tenants below their share of
+        this budget; with no such work the global :meth:`dequeue` runs
+        instead unless that would eat into the last ``reserve`` slots.
+        The released item counts as outstanding until :meth:`settle` or
+        :meth:`reclaim`. A budget or reserve other than the last one
+        returns every parked head.
         """
         if budget != self._budget or reserve != self._reserve:
             self._budget, self._reserve = budget, reserve
             self._unpark()
         if not self._size or self.outstanding >= budget:
             return None
-        if self.has_eligible_work():
-            entry = self.dequeue_eligible()
+        tenant = self._pick_under_share(True)
+        if tenant is not None:
+            entry = self._pop_head(tenant)
         elif self.outstanding >= budget - reserve:
             return None
         else:

@@ -91,11 +91,15 @@ class TestHOT001:
                         "on_settled",
                         "_settle_batches",
                         "_enter",
+                        "_release",
                     ),
                 ),
             ),
             "gateway/scheduler.py": (
-                ("WeightedFairScheduler", ("_pick_under_share", "pop_next")),
+                (
+                    "WeightedFairScheduler",
+                    ("_pick_under_share", "pop_next", "enqueue_or_release"),
+                ),
             ),
             "core/fleet.py": (("FleetController", ("observe",)),),
             "core/metrics.py": (

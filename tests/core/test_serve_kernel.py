@@ -5,9 +5,11 @@ shared-clock workers, a scripted controller that crashes / recovers /
 ``mark_down``s workers, ``add_copy``s a cold one and drops copies
 over the first seconds, a second controller that only watches, a claim
 stranded until the queue's visibility timeout lapses, fleets that stay
-shrunk past the gateway's drain deadline — is built twice and
-served once by ``ServingGateway.serve`` and once by the polled oracle in
-:mod:`tests.core.serve_oracles`. Both must wake at the same virtual
+shrunk past the gateway's drain deadline, and (drawn on purpose) a
+squeeze that fills the budget and then leaves one worker up past that
+deadline, so the gateway reclaims released work into its lanes — is
+built twice and served once by ``ServingGateway.serve`` and once by the
+polled oracle in :mod:`tests.core.serve_oracles`. Both must wake at the same virtual
 instants, hold the same budget and over-commit state at each of them,
 and settle the same requests on the same workers in the same order.
 """
@@ -78,6 +80,39 @@ ACTIONS = st.lists(
     ),
     max_size=12,
 )
+
+#: A squeeze, or ``None``: ``(burst, kept, down_tick, up_after)`` — a
+#: one-per-tick burst of ``burst`` arrivals over every tenant and both
+#: servables, which fills the slot budget; then every worker but
+#: ``WORKERS[kept]`` (``cold`` hosts nothing: then nothing serves)
+#: marked down at ``down_tick`` and back up ``up_after`` ticks past the
+#: drain deadline. Random scripts alone
+#: rarely stay shrunk that long (2 reclaiming examples in 450), and a
+#: reclaim is where lanes refill while the fleet is short.
+SQUEEZE = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(13, 30),
+        st.integers(0, len(WORKERS) - 1),
+        st.integers(10, 40),
+        st.integers(1, 5000),
+    ),
+)
+DRAIN_TICKS = round(DRAIN_DEADLINE_S / TICK_S)
+
+
+def squeezed(arrivals, actions, squeeze):
+    """``arrivals`` and ``actions`` with the squeeze's burst and host
+    moves appended (unchanged for ``None``)."""
+    if squeeze is None:
+        return arrivals, actions
+    burst, kept, down_tick, up_after = squeeze
+    arrivals = arrivals + [(i, i % N_TENANTS, i % 2, i % 3) for i in range(burst)]
+    up_tick = down_tick + DRAIN_TICKS + up_after
+    for host in range(len(WORKERS)):
+        if host != kept:
+            actions = actions + [(down_tick, "mark_down", host, 0), (up_tick, "mark_up", host, 0)]
+    return arrivals, actions
 
 
 class ScriptedController:
@@ -260,8 +295,9 @@ def outcome(zoo, arrivals, actions, strand, serve):
 
 
 @settings(max_examples=250, deadline=None)
-@given(arrivals=ARRIVALS, actions=ACTIONS, strand=st.booleans())
-def test_kernel_and_polled_loop_serve_identically(zoo, arrivals, actions, strand):
+@given(arrivals=ARRIVALS, actions=ACTIONS, strand=st.booleans(), squeeze=SQUEEZE)
+def test_kernel_and_polled_loop_serve_identically(zoo, arrivals, actions, strand, squeeze):
+    arrivals, actions = squeezed(arrivals, actions, squeeze)
     kernel = outcome(zoo, arrivals, actions, strand, ServingGateway.serve)
     polled = outcome(zoo, arrivals, actions, strand, polled_gateway_serve)
     for key in polled:

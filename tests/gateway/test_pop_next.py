@@ -19,12 +19,18 @@ after every step ``snapshot()`` must report the fresh eligible count.
 * Beside ``FreshSlotShares`` any order goes: settles, enqueues,
   reclaims and restores may fall between a budget change and the next
   release.
+
+A third property drives ``enqueue_or_release`` beside ``enqueue`` then
+``pop_next`` (what the gateway's door did for every admission before it
+could release one on the spot): the same entries, and the same state
+after every step.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.gateway.scheduler import WeightedFairScheduler
+from repro.gateway.scheduler import SchedulerError, WeightedFairScheduler
 from tests.gateway.scheduler_oracles import FreshSlotShares, ParentSlotShares, under_share
 
 TENANTS = ("t0", "t1", "t2", "t3")
@@ -185,3 +191,143 @@ def test_pop_next_matches_fresh_shares_in_any_order(weights, ops):
     drive = _Drive(weights, FreshSlotShares(WeightedFairScheduler()), check)
     for n, op in enumerate(ops):
         drive.step(n, op, any_order=True)
+
+
+#: Fresh admissions outnumber the rest; settles are as common as
+#: enqueues so the budget keeps reopening, and lanes fill and drain.
+_door_ops = st.one_of(
+    st.tuples(st.just("fresh"), st.sampled_from(TENANTS)),
+    st.tuples(st.just("fresh"), st.sampled_from(TENANTS[:2])),
+    st.tuples(st.just("enqueue"), st.sampled_from(TENANTS)),
+    st.tuples(st.just("release")),
+    st.tuples(st.just("budget"), st.integers(1, 8), st.integers(0, 3)),
+    st.tuples(st.just("settle"), st.integers(0, 20)),
+    st.tuples(st.just("settle"), st.integers(0, 20)),
+    st.tuples(st.just("reclaim"), st.integers(0, 20)),
+)
+
+
+def _state(scheduler: WeightedFairScheduler) -> dict:
+    """Everything ``enqueue_or_release`` must leave as ``enqueue`` then
+    ``pop_next`` would. Left out: the heap, where the two may differ
+    only by stale entries, and the cached weight sum, which is summed
+    again from the contending set on demand."""
+    return {
+        "lanes": {t: list(lane) for t, lane in scheduler._lanes.items() if lane},
+        "size": len(scheduler),
+        "parked": scheduler._parked,
+        "last_finish": scheduler._last_finish,
+        "charges": scheduler.charges,
+        "virtual_time": scheduler.virtual_time,
+        "flow": (scheduler.enqueued, scheduler.dequeued),
+        "outstanding": (dict(scheduler.outstanding_by_tenant), scheduler.outstanding),
+        "contending": scheduler._contending,
+        "weights": scheduler._weights,
+        "budget": (scheduler._budget, scheduler._reserve),
+        "snapshot": scheduler.snapshot(),
+    }
+
+
+class _Door:
+    """Two schedulers under one op list: ``fast`` takes each fresh item
+    through ``enqueue_or_release`` (pumping once if it was laned), as the
+    gateway's door does; ``pair`` through ``enqueue`` then ``pop_next``."""
+
+    def __init__(self, weights) -> None:
+        self.weight = dict(zip(TENANTS, weights))
+        self.fast = WeightedFairScheduler()
+        self.pair = WeightedFairScheduler()
+        self.released: dict[str, list] = {t: [] for t in TENANTS}
+        self.budget = (6, 1)
+        self.at_once = 0
+
+    def step(self, n: int, op) -> None:
+        fast, pair = self.fast, self.pair
+        busy = sorted(t for t in TENANTS if self.released[t])
+        got = want = None
+        if op[0] == "fresh":
+            tenant = op[1]
+            got = fast.enqueue_or_release(tenant, self.weight[tenant], f"r{n}", *self.budget)
+            self.at_once += got is not None
+            if got is None:
+                got = fast.pop_next(*self.budget)
+            pair.enqueue(tenant, self.weight[tenant], f"r{n}")
+            want = pair.pop_next(*self.budget)
+        elif op[0] == "enqueue":
+            got = fast.enqueue(op[1], self.weight[op[1]], f"r{n}")
+            want = pair.enqueue(op[1], self.weight[op[1]], f"r{n}")
+        elif op[0] == "release":
+            got, want = fast.pop_next(*self.budget), pair.pop_next(*self.budget)
+        elif op[0] == "budget":
+            self.budget = (op[1] + op[2], op[2])
+        elif op[0] == "settle" and busy:
+            tenant = busy[op[1] % len(busy)]
+            self.released[tenant].pop(0)
+            fast.settle(tenant)
+            pair.settle(tenant)
+        elif op[0] == "reclaim" and busy:
+            tenant = busy[op[1] % len(busy)]
+            item = self.released[tenant].pop()
+            fast.reclaim(tenant, item)
+            pair.reclaim(tenant, item)
+        assert got == want
+        if op[0] != "enqueue" and got is not None:
+            self.released[got[2]].append(got[3])
+        assert _state(fast) == _state(pair)
+
+
+@settings(max_examples=300, deadline=None)
+# A budget change with nothing to release, then an admission released
+# at once under it: the release must record the new budget.
+@example(weights=_EQUAL, ops=[("budget", 3, 2), ("fresh", "t0"), ("settle", 0)])
+# Lanes back up, drain, and the next admission finds them empty again.
+@example(
+    weights=[1.0, 2.0, 0.5, 3.0],
+    ops=[("fresh", "t0")] * 6
+    + [("fresh", "t1"), ("settle", 0), ("settle", 1), ("release",), ("release",)]
+    + [("settle", 0)] * 6
+    + [("fresh", "t2"), ("fresh", "t2"), ("fresh", "t1")],
+)
+@given(weights=_weights, ops=st.lists(_door_ops, max_size=120))
+def test_enqueue_or_release_matches_enqueue_then_pop_next(weights, ops):
+    door = _Door(weights)
+    for n, op in enumerate(ops):
+        door.step(n, op)
+
+
+def test_the_property_releases_at_once_and_lanes_too():
+    """The example walks reach both sides of the method."""
+    door = _Door(_EQUAL)
+    # Budget 6, reserve 1: five go at once and the sixth waits in its
+    # lane until a release after the settles; then the lanes are empty
+    # again and t1's goes at once.
+    ops = (
+        [("fresh", "t0")] * 6
+        + [("settle", 0)] * 5
+        + [("release",), ("settle", 0), ("fresh", "t1")]
+    )
+    for n, op in enumerate(ops):
+        door.step(n, op)
+    assert door.at_once == 6
+    assert door.fast.enqueued - door.at_once == 1
+
+
+@pytest.mark.parametrize(
+    "laned, weight",
+    [(False, 0.0), (False, -1.0), (False, 2.0), (True, 0.0), (True, 2.0)],
+)
+def test_a_refused_weight_changes_nothing(laned, weight):
+    """A weight that is not positive or not the pinned one raises
+    before anything moves — whether the item would have been released
+    at once or laned."""
+    scheduler = WeightedFairScheduler()
+    released = scheduler.enqueue_or_release("t0", 1.0, "first", 6, 1)
+    assert released is not None and released[:3] == (1.0, 1, "t0")
+    if laned:
+        scheduler.enqueue("t1", 1.0, "waiting")
+    before = _state(scheduler)
+    with pytest.raises(SchedulerError):
+        scheduler.enqueue_or_release("t0", weight, "refused", 6, 1)
+    assert _state(scheduler) == before
+    # The seq counter did not move either.
+    assert scheduler.enqueue("t2", 1.0, "next")[1] == (3 if laned else 2)

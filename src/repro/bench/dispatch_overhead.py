@@ -125,7 +125,7 @@ def _run_decisions(
     try:
         for _ in range(decisions):
             start = time.perf_counter()
-            topic, _ = fn(now)
+            topic, _, _ = fn(now)
             elapsed += time.perf_counter() - start
             if topic is None:
                 break
@@ -180,12 +180,12 @@ def _run_dispatch_cycles(
         for _ in range(cycles):
             now = runtime.clock.now()
             start = time.perf_counter()
-            topic, _ = runtime._next_window(now)
+            topic, host, _ = runtime._next_window(now)
             picked = time.perf_counter()
             pick_elapsed += picked - start
             if topic is None:
                 break
-            runtime._dispatch_topic(topic)
+            runtime._dispatch_topic(topic, host)
             runtime._settle(runtime.clock.now())
             cycle_elapsed += time.perf_counter() - start
             completed += 1

@@ -212,16 +212,18 @@ class ServingRuntime:
         # `_win` on pop (the same lazy-invalidation idiom the WFQ
         # scheduler's lane heap uses). Scheduling decisions then cost
         # O(log n) in tenant lanes instead of a full rescan.
-        #: topic -> (tag_rank, flush_at) for topics with a ready head.
-        self._win: dict[str, tuple[float, float]] = {}
+        #: topic -> (tag_rank, flush_at, topic) for topics with a ready
+        #: head; a due-heap entry is valid only while it is this object.
+        self._win: dict[str, tuple[float, float, str]] = {}
         #: Topics whose ready set changed since their last refresh.
         self._dirty: set[str] = set()
-        #: Per-servable heap of due windows, keyed (tag_rank, flush_at,
-        #: topic) — the dispatch arbitration order.
-        self._due: dict[str, list[tuple[float, float, str]]] = {}
-        #: Per-servable heap of future flush deadlines, keyed
-        #: (flush_at, topic); entries migrate to `_due` as time passes.
-        self._future: dict[str, list[tuple[float, str]]] = {}
+        #: Per servable, a heap of due windows keyed (tag_rank, flush_at,
+        #: topic) — the dispatch arbitration order — and a heap of future
+        #: flush deadlines keyed (flush_at, topic), whose entries migrate
+        #: to the first as time passes.
+        self._window_heaps: dict[
+            str, tuple[list[tuple[float, float, str]], list[tuple[float, str]]]
+        ] = {}
         #: O(1) ready-depth counter per servable (replaces summing
         #: `ready_count` over every lane).
         self._ready_depth: dict[str, int] = {}
@@ -681,11 +683,13 @@ class ServingRuntime:
         )
 
     def _live_hosts_of(self, servable_name: str) -> list[TaskManager]:
-        """Rebuild one servable's live-host list (copy order) after a
-        fleet event dropped it."""
-        self.check_placed(servable_name)
-        live = [w for w in self._hosts[servable_name] if self._is_live(w)]
-        self._live_hosts[servable_name] = live
+        """One servable's live hosts in copy order: the cached list,
+        rebuilt only after a fleet event dropped it."""
+        live = self._live_hosts.get(servable_name)
+        if live is None:
+            self.check_placed(servable_name)
+            live = [w for w in self._hosts[servable_name] if self._is_live(w)]
+            self._live_hosts[servable_name] = live
         return live
 
     def _route(self, servable_name: str, now: float) -> tuple[TaskManager | None, float]:
@@ -697,9 +701,7 @@ class ServingRuntime:
         walk is over the servable's cached live-host list, which every
         event that could change it invalidates (:meth:`_fleet_changed`).
         """
-        hosts = self._live_hosts.get(servable_name)
-        if hosts is None:
-            hosts = self._live_hosts_of(servable_name)
+        hosts = self._live_hosts_of(servable_name)
         horizon = now + _EPS
         best = None
         best_free = earliest_free = math.inf
@@ -916,111 +918,97 @@ class ServingRuntime:
         self._ready_depth[name] = self._ready_depth.get(name, 0) + delta
         self._dirty.add(topic)
 
-    def _refresh_dirty(self, now: float) -> None:
-        """Re-derive ``_win`` for every dirty topic and index the result.
+    def _next_window(
+        self, now: float
+    ) -> tuple[str | None, TaskManager | None, float]:
+        """Returns ``(dispatchable_topic_or_None, its_host_or_None,
+        earliest_future_event)``: the whole dispatch decision, one call.
 
-        A changed window state is pushed onto the owning servable's due
-        heap (already due) or future heap (flush deadline ahead); stale
-        heap entries are invalidated lazily by comparing against
-        ``_win`` on pop. An unchanged state pushes nothing — the entry
-        already indexed is still the valid one.
+        Bit-for-bit the answers of :meth:`_next_window_scan` (see its
+        docstring for the arbitration), served from the event indices:
+        dirty topics are re-derived into ``_win`` and pushed onto their
+        servable's due or future heap, then each servable's heap tops
+        are cleaned (a due entry is valid while it *is* its topic's
+        ``_win`` record) and due deadlines migrate. Only a servable with
+        a due window is routed, once; one with only future windows just
+        needs a live host, so it reads no clock.
         """
-        if not self._dirty:
-            return
-        for topic in self._dirty:
-            head = self.queue.oldest_ready(topic)
-            if head is None:
-                self._win.pop(topic, None)
-                continue
-            tag = getattr(head.body, "dispatch_tag", None)
-            rank = (-math.inf) if tag is None else tag
-            state = (rank, self._flush_due(topic, head))
-            if self._win.get(topic) == state:
-                continue
-            self._win[topic] = state
-            name = self._owned_topics[topic][0]
-            if state[1] <= now + _EPS:
-                heap = self._due.get(name)
-                if heap is None:
-                    heap = self._due[name] = []
-                heapq.heappush(heap, (state[0], state[1], topic))
-            else:
-                heap = self._future.get(name)
-                if heap is None:
-                    heap = self._future[name] = []
-                heapq.heappush(heap, (state[1], topic))
-        self._dirty.clear()
-
-    def _clean_window_heaps(self, name: str, now: float) -> None:
-        """Drop stale tops and migrate newly due windows for ``name``.
-
-        After this, the due heap's top (if any) is the servable's valid
-        min-rank due window and the future heap's top its valid earliest
-        future flush deadline.
-        """
-        due = self._due.get(name)
-        future = self._future.get(name)
-        while due:
-            rank, flush_at, topic = due[0]
-            if self._win.get(topic) != (rank, flush_at):
-                heapq.heappop(due)
-            elif flush_at > now + _EPS:
-                # Only reachable if time ran backwards between calls
-                # (tests may probe with arbitrary nows): demote.
-                heapq.heappop(due)
-                if future is None:
-                    future = self._future[name] = []
-                heapq.heappush(future, (flush_at, topic))
-            else:
-                break
-        while future:
-            flush_at, topic = future[0]
-            win = self._win.get(topic)
-            if win is None or win[1] != flush_at:
-                heapq.heappop(future)
-            elif flush_at <= now + _EPS:
-                heapq.heappop(future)
-                if due is None:
-                    due = self._due[name] = []
-                heapq.heappush(due, (win[0], flush_at, topic))
-            else:
-                break
-
-    def _next_window(self, now: float) -> tuple[str | None, float]:
-        """Returns ``(dispatchable_topic_or_None, earliest_future_event)``.
-
-        Same contract and bit-for-bit the same answers as
-        :meth:`_next_window_scan` (the retained reference
-        implementation), but served from the incrementally maintained
-        event indices: per call this touches the topics dirtied since
-        the last call plus one heap peek per placed servable, instead of
-        rescanning every tenant lane. See the scan's docstring for the
-        arbitration semantics.
-        """
-        self._refresh_dirty(now)
+        horizon = now + _EPS
+        win = self._win
+        all_heaps = self._window_heaps
+        dirty = self._dirty
+        if dirty:
+            oldest_ready = self.queue.oldest_ready
+            owned = self._owned_topics
+            for topic in dirty:
+                head = oldest_ready(topic)
+                if head is None:
+                    win.pop(topic, None)
+                    continue
+                tag = getattr(head.body, "dispatch_tag", None)
+                flush_at = self._flush_due(topic, head)
+                state = ((-math.inf) if tag is None else tag, flush_at, topic)
+                if win.get(topic) == state:
+                    continue
+                win[topic] = state
+                name = owned[topic][0]
+                heaps = all_heaps.get(name)
+                if heaps is None:
+                    heaps = all_heaps[name] = ([], [])
+                if flush_at <= horizon:
+                    heapq.heappush(heaps[0], state)
+                else:
+                    heapq.heappush(heaps[1], (flush_at, topic))
+            dirty.clear()
         due: tuple[float, float, str] | None = None
+        host = None
         next_event = math.inf
         for name in self._hosts:
-            self._clean_window_heaps(name, now)
-            due_heap = self._due.get(name)
-            future_heap = self._future.get(name)
-            if not due_heap and not future_heap:
+            heaps = all_heaps.get(name)
+            if heaps is None:
                 continue
-            worker, earliest_free = self._route(name, now)
-            if worker is None and math.isinf(earliest_free):
-                continue  # no live host: invisible until revival
+            due_heap, future_heap = heaps
+            while due_heap:
+                entry = due_heap[0]
+                if win.get(entry[2]) is not entry:
+                    heapq.heappop(due_heap)
+                elif entry[1] > horizon:
+                    # Only reachable if time ran backwards between calls
+                    # (tests may probe with arbitrary nows): demote.
+                    heapq.heappop(due_heap)
+                    heapq.heappush(future_heap, (entry[1], entry[2]))
+                else:
+                    break
+            while future_heap:
+                flush_at, topic = future_heap[0]
+                state = win.get(topic)
+                if state is None or state[1] != flush_at:
+                    heapq.heappop(future_heap)
+                elif flush_at <= horizon:
+                    heapq.heappop(future_heap)
+                    heapq.heappush(due_heap, state)
+                else:
+                    break
             if due_heap:
+                worker, earliest_free = self._route(name, now)
                 if worker is not None:
                     if due is None or due_heap[0] < due:
-                        due = due_heap[0]
-                else:
-                    next_event = min(next_event, earliest_free)
-            if future_heap:
-                next_event = min(next_event, future_heap[0][0])
-        return (due[2] if due else None), next_event
+                        due, host = due_heap[0], worker
+                elif earliest_free == math.inf:
+                    continue  # no live host: invisible until revival
+                elif earliest_free < next_event:
+                    next_event = earliest_free
+            elif not future_heap or not self._live_hosts_of(name):
+                continue  # nothing open, or no live host until revival
+            if future_heap and future_heap[0][0] < next_event:
+                next_event = future_heap[0][0]
+        return (due[2] if due else None), host, next_event
 
-    def _next_window_scan(self, now: float) -> tuple[str | None, float]:
-        """Returns ``(dispatchable_topic_or_None, earliest_future_event)``.
+    def _next_window_scan(
+        self, now: float
+    ) -> tuple[str | None, TaskManager | None, float]:
+        """Returns ``(dispatchable_topic_or_None, its_host_or_None,
+        earliest_future_event)``.
 
         The reference linear implementation of :meth:`_next_window`,
         retained for property tests (the index must agree with it on
@@ -1043,6 +1031,7 @@ class ServingRuntime:
         gateway-less deployment is bit-for-bit unchanged).
         """
         due: tuple[float, float, str] | None = None
+        host = None
         next_event = math.inf
         for name in self._hosts:
             routed = False  # routing is per servable, not per lane
@@ -1067,15 +1056,17 @@ class ServingRuntime:
                             topic,
                         )
                         if due is None or rank < due:
-                            due = rank
+                            due, host = rank, worker
                     else:
                         next_event = min(next_event, earliest_free)
                 else:
                     next_event = min(next_event, flush_at)
-        return (due[2] if due else None), next_event
+        return (due[2] if due else None), host, next_event
 
-    def _dispatch_topic(self, topic: str) -> None:
-        """Claim a micro-batch off ``topic`` and dispatch it to a free host.
+    def _dispatch_topic(self, topic: str, worker: TaskManager) -> None:
+        """Claim a micro-batch off ``topic`` and dispatch it to ``worker``,
+        the free host :meth:`_next_window` routed it to (nothing between
+        that decision and this call moves the global clock).
 
         The claimed messages are the members' records; the batch's
         outcome is written into them and the batch parks on the pending
@@ -1084,17 +1075,8 @@ class ServingRuntime:
         shared-clock worker that advances global time (serial), for an
         own-clock worker only the worker's clock moves.
         """
-        head = self.queue.oldest_ready(topic)
-        assert head is not None
-        servable_name = head.body.servable_name
+        servable_name = self._owned_topics[topic][0]
         now = self.clock.now()
-        # Resolve routing before claiming so a routing failure leaves the
-        # messages ready (not stranded in flight awaiting expiry).
-        worker, _ = self._route(servable_name, now)
-        if worker is None:
-            raise ServingRuntimeError(
-                f"no free live worker hosts servable {servable_name!r}"
-            )
         records = self.queue.claim_many(topic, self.max_batch_size)
         if self.chaos is not None:
             self.chaos.trip("post_claim")
@@ -1309,10 +1291,10 @@ class ServingRuntime:
                 if i < len(schedule):
                     timers.reschedule(self._arrival_timer, schedule[i][0])
             if self._dirty or raised & _DISPATCH:
-                due_topic, window_wake = self._next_window(now)
+                due_topic, host, window_wake = self._next_window(now)
                 if due_topic is not None:
                     stalled_wakeups = 0
-                    self._dispatch_topic(due_topic)
+                    self._dispatch_topic(due_topic, host)
                     self._raised |= _DISPATCH
                     continue
                 if window_wake < math.inf:

@@ -98,27 +98,6 @@ class EventLoop:
             heapq.heappop(heap)
         return None
 
-    def pop_due(self, horizon: float) -> Event | None:
-        """Take the earliest live event with ``when <= horizon`` off the
-        heap and return it (``None`` when nothing is due).
-
-        No clock moves: the caller decides what "now" is by the
-        horizon it passes.
-        """
-        heap = self._heap
-        while heap:
-            when, _, sequence, event = heap[0]
-            if not event.live or event.sequence != sequence:
-                heapq.heappop(heap)
-                continue
-            if when > horizon:
-                return None
-            heapq.heappop(heap)
-            event.live = False
-            self._live -= 1
-            return event
-        return None
-
     def due_phases(self, horizon: float) -> int:
         """Take *every* live event with ``when <= horizon`` off the heap
         and return the phases they belong to, as the bitwise OR of
@@ -127,10 +106,19 @@ class EventLoop:
         This is how a phased loop collects one instant's work: what is
         due is popped in one sweep, and the caller then runs the phases
         named in the mask in its own fixed order.
+
+        No clock moves: the caller decides what "now" is by the
+        horizon it passes.
         """
         phases = 0
-        event = self.pop_due(horizon)
-        while event is not None:
-            phases |= 1 << event.phase
-            event = self.pop_due(horizon)
+        heap = self._heap
+        while heap:
+            when, phase, sequence, event = heap[0]
+            if event.live and event.sequence == sequence:
+                if when > horizon:
+                    break
+                event.live = False
+                self._live -= 1
+                phases |= 1 << phase
+            heapq.heappop(heap)  # fired now, or a stale entry
         return phases

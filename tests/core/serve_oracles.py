@@ -68,6 +68,12 @@ def polled_route(runtime, servable_name: str, now: float):
     return (best[2] if best else None), earliest_free
 
 
+def polled_live_hosts(runtime, servable_name: str):
+    """Liveness by probing: every host of the servable, in copy order,
+    that answers live now."""
+    return [w for w in runtime.hosts(servable_name) if runtime._is_live(w)]
+
+
 def polled_gateway_tick(gateway, now: float) -> None:
     """``ServingGateway.on_tick`` as it ran once per loop iteration: the
     budget re-derived from the whole fleet, the over-commit state machine
@@ -94,8 +100,11 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
     ingress, when attached, must be a ``ServingGateway``.
     """
     clock, queue, ingress = runtime.clock, runtime.queue, runtime._ingress
-    # The window index and the dispatch both route through this.
+    # The window index routes through this, and the dispatch takes the
+    # host it routed; a servable with only future windows is not routed,
+    # just checked for a live host, through the second.
     runtime._route = functools.partial(polled_route, runtime)
+    runtime._live_hosts_of = functools.partial(polled_live_hosts, runtime)
     start = clock.now()
     schedule = sorted(
         ((start + offset, request) for offset, request in arrivals or []),
@@ -120,10 +129,10 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
             intended, request = schedule[i]
             i += 1
             runtime.submit(RequestRecord(request, arrived_at=intended))
-        due_topic, next_event = runtime._next_window(now)
+        due_topic, host, next_event = runtime._next_window(now)
         if due_topic is not None:
             stalled_wakeups = 0
-            runtime._dispatch_topic(due_topic)
+            runtime._dispatch_topic(due_topic, host)
             continue
         next_arrival = schedule[i][0] if i < len(schedule) else math.inf
         expiry = queue.next_inflight_expiry(runtime._owned_topics)

@@ -93,10 +93,10 @@ def test_inflight_table_matches_its_oracles(zoo, ops):
             runtime.submit(request)
         elif op == "dispatch":
             for _ in range(params[0]):
-                topic, _ = runtime._next_window(clock.now())
+                topic, host, _ = runtime._next_window(clock.now())
                 if topic is None:
                     break
-                runtime._dispatch_topic(topic)
+                runtime._dispatch_topic(topic, host)
         elif op == "settle":
             runtime._settle(clock.now())
         elif op == "advance":

@@ -3,8 +3,8 @@
 ``ServingRuntime._next_window`` answers dispatch decisions from
 incrementally maintained heaps; ``_next_window_scan`` is the retained
 linear reference. Semantics must be bit-for-bit identical — same
-dispatchable topic (including tag/flush/topic tie-breaks), same
-next-event horizon — under any interleaving of enqueues, claims,
+dispatchable topic (including tag/flush/topic tie-breaks), same host
+routed to it, same next-event horizon — under any interleaving of enqueues, claims,
 settles, withdrawals, lane churn, and fleet churn. These tests drive
 randomized op sequences and compare the two implementations after every
 step, plus targeted cases for the lazy-invalidation edges.
@@ -44,12 +44,24 @@ def build_runtime(zoo, n_workers=2, servables=("noop", "matminer_util"), **kw):
     return testbed, runtime
 
 
+def build_fleet_runtime(zoo, n_workers=3, **kw):
+    """Like :func:`build_runtime`, on own-clock workers: a host is busy
+    until its clock (cold start, then each batch) is reached, so hosts
+    differ in when they free up."""
+    from repro.core.testbed import build_testbed
+
+    testbed = build_testbed(jitter=False, memoize_tm=False)
+    workers = [testbed.add_fleet_worker(f"w{i}") for i in range(n_workers)]
+    kw.setdefault("max_coalesce_delay_s", 0.0)
+    runtime = ServingRuntime(testbed.clock, testbed.management.queue, workers, **kw)
+    published = testbed.management.publish(testbed.token, zoo["noop"])
+    runtime.place(zoo["noop"], published.build.image, copies=n_workers)
+    return testbed, runtime
+
+
 def assert_agree(runtime, now):
     """The index and the scan give identical answers at ``now``."""
-    heap_pick, heap_event = runtime._next_window(now)
-    scan_pick, scan_event = runtime._next_window_scan(now)
-    assert heap_pick == scan_pick
-    assert heap_event == scan_event
+    assert runtime._next_window(now) == runtime._next_window_scan(now)
 
 
 class TestRandomizedEquivalence:
@@ -71,7 +83,7 @@ class TestRandomizedEquivalence:
                     request.dispatch_tag = rng.uniform(0.0, 10.0)
                 runtime.submit(request)
             elif op < 0.65:
-                pick, _ = runtime._next_window_scan(now)
+                pick, _, _ = runtime._next_window_scan(now)
                 if pick is not None:
                     claimed.extend(
                         runtime.queue.claim_many(pick, n=rng.randint(1, 3))
@@ -116,7 +128,7 @@ class TestRandomizedEquivalence:
                     runtime.mark_down(name)
                     downed.add(name)
             elif op < 0.75:
-                pick, _ = runtime._next_window_scan(testbed.clock.now())
+                pick, _, _ = runtime._next_window_scan(testbed.clock.now())
                 if pick is not None:
                     for msg in runtime.queue.claim_many(pick, n=1):
                         runtime.queue.ack(msg.delivery_tag)
@@ -130,6 +142,42 @@ class TestRandomizedEquivalence:
             else:
                 testbed.clock.advance(rng.uniform(0.0, 0.05))
             assert_agree(runtime, testbed.clock.now())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_routed_host_matches_scan_on_busy_hosts(self, zoo, seed):
+        """Real dispatches onto own-clock hosts leave them free at
+        different times; index and scan route every pick to the same
+        host and see the same host-free horizon behind a due window."""
+        rng = random.Random(3000 + seed)
+        testbed, runtime = build_fleet_runtime(zoo, max_batch_size=2)
+        clock = testbed.clock
+        names = [w.name for w in runtime.workers]
+        hosts_seen = set()
+        for _ in range(200):
+            op = rng.random()
+            now = clock.now()
+            if op < 0.45:
+                request = TaskRequest("noop", args=("x",))
+                request.tenant = rng.choice((None, "alpha", "beta"))
+                request.dispatch_tag = rng.uniform(0.0, 5.0)
+                runtime.submit(request)
+            elif op < 0.7:
+                topic, host, _ = runtime._next_window(now)
+                if topic is not None:
+                    hosts_seen.add(host.name)
+                    runtime._dispatch_topic(topic, host)
+            elif op < 0.8:
+                runtime._settle(now)
+            elif op < 0.85:
+                name = rng.choice(names)
+                if name in runtime._down:
+                    runtime.mark_up(name)
+                elif len(runtime._down) < len(names) - 1:
+                    runtime.mark_down(name)
+            else:
+                clock.advance(rng.uniform(0.0, 0.01))
+            assert_agree(runtime, clock.now())
+        assert len(hosts_seen) > 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_serve_matches_scan_results(self, zoo, seed):
@@ -178,12 +226,12 @@ class TestIndexEdges:
             request.tenant = tenant
             request.dispatch_tag = tag
             runtime.submit(request)
-        pick, _ = runtime._next_window(now)
+        pick, _, _ = runtime._next_window(now)
         assert pick == servable_topic("noop", lane="tenant-beta")
         assert_agree(runtime, now)
         # Claim beta's head: alpha (tag 5.0) becomes the only window.
         runtime.queue.claim(pick)
-        pick, _ = runtime._next_window(now)
+        pick, _, _ = runtime._next_window(now)
         assert pick == servable_topic("noop", lane="tenant-alpha")
         assert_agree(runtime, now)
 
@@ -197,7 +245,7 @@ class TestIndexEdges:
         tagged.dispatch_tag = 0.0
         runtime.submit(tagged)
         runtime.submit(TaskRequest("noop", args=("x",)))  # untagged default lane
-        pick, _ = runtime._next_window(now)
+        pick, _, _ = runtime._next_window(now)
         assert pick == servable_topic("noop")
         assert_agree(runtime, now)
 
@@ -209,13 +257,13 @@ class TestIndexEdges:
         )
         runtime.submit(TaskRequest("noop", args=("x",)))
         now = testbed.clock.now()
-        pick, next_event = runtime._next_window(now)
+        pick, _, next_event = runtime._next_window(now)
         assert pick is None
         assert next_event == pytest.approx(now + 0.5)
         assert_agree(runtime, now)
         testbed.clock.advance(0.5)
         later = testbed.clock.now()
-        pick, _ = runtime._next_window(later)
+        pick, _, _ = runtime._next_window(later)
         assert pick == servable_topic("noop")
         assert_agree(runtime, later)
 
@@ -226,12 +274,50 @@ class TestIndexEdges:
         runtime.submit(TaskRequest("noop", args=("x",)))
         runtime.mark_down(runtime.workers[0].name)
         now = testbed.clock.now()
-        assert runtime._next_window(now) == (None, math.inf)
+        assert runtime._next_window(now) == (None, None, math.inf)
         assert_agree(runtime, now)
         runtime.mark_up(runtime.workers[0].name)
-        pick, _ = runtime._next_window(now)
+        pick, _, _ = runtime._next_window(now)
         assert pick == servable_topic("noop")
         assert_agree(runtime, now)
+
+    def test_future_windows_with_every_host_down_add_no_horizon(self, zoo):
+        """A servable whose windows are all still open and whose hosts
+        are all down is invisible: no pick, nothing on the horizon."""
+        testbed, runtime = build_runtime(
+            zoo, servables=("noop",), max_coalesce_delay_s=0.5
+        )
+        runtime.submit(TaskRequest("noop", args=("x",)))
+        for worker in runtime.workers:
+            runtime.mark_down(worker.name)
+        now = testbed.clock.now()
+        assert runtime._next_window(now) == (None, None, math.inf)
+        assert_agree(runtime, now)
+        for worker in runtime.workers:
+            runtime.mark_up(worker.name)
+        assert runtime._next_window(now) == (None, None, now + 0.5)
+        assert_agree(runtime, now)
+
+    def test_due_window_on_busy_hosts_waits_for_the_first_free(self, zoo):
+        """A due window whose live hosts are all busy yields no topic,
+        and the horizon is the earliest time one of them frees up."""
+        testbed, runtime = build_fleet_runtime(zoo)
+        now = testbed.clock.now()
+        # One batch per host: each dispatch leaves its host busy.
+        for tenant in ("a", "b", "c"):
+            runtime.submit(TaskRequest("noop", args=("x",), tenant=tenant))
+        for _ in runtime.workers:
+            topic, host, _ = runtime._next_window(now)
+            runtime._dispatch_topic(topic, host)
+        runtime.submit(TaskRequest("noop", args=("x",)))
+        free_at = [w.clock.now() for w in runtime.workers]
+        assert min(free_at) > now
+        assert runtime._next_window(now) == (None, None, min(free_at))
+        assert_agree(runtime, now)
+        topic, host, _ = runtime._next_window(min(free_at))
+        assert topic == servable_topic("noop")
+        assert host.clock.now() == min(free_at)
+        assert_agree(runtime, min(free_at))
 
     def test_queue_depth_tracks_events_o1(self, zoo):
         """The listener-maintained depth equals the lane-scan answer
@@ -272,7 +358,7 @@ class TestIndexEdges:
         runtime.queue.put(TaskRequest("noop", args=("x",)), topic="default")
         now = testbed.clock.now()
         assert runtime.queue_depth("noop") == 0
-        assert runtime._next_window(now) == (None, math.inf)
+        assert runtime._next_window(now) == (None, None, math.inf)
         assert_agree(runtime, now)
 
     def test_direct_put_baselined_when_lane_appears(self, zoo):

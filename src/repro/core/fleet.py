@@ -222,7 +222,11 @@ class TargetUtilizationPolicy(FleetPolicy):
     :data:`TARGET_UTILIZATION` of the copies' combined capacity.
     Scale-down is hysteretic and gradual: copies shrink one step per
     reconcile, and only when the remaining copies would still sit below
-    :data:`SCALE_DOWN_UTILIZATION`.
+    :data:`SCALE_DOWN_UTILIZATION`. The rate it reads is the
+    controller's EWMA, seeded by the first measured interval; a plan
+    made before any interval was measured (its rates read 0) is held
+    to grow-only by :meth:`FleetController.reconcile`, so this policy
+    never sheds on the zero it sees at first sight.
     """
 
     name = "target-utilization"
@@ -576,25 +580,24 @@ class FleetController:
     ) -> float:
         """EWMA arrival-rate update from a monotonic counter sample.
 
-        First sight baselines the counter with no interval to rate over;
-        a zero-length interval (back-to-back samples) leaves the counter
-        unconsumed so the delta lands in the next real interval instead
-        of vanishing from the estimator.
+        First sight baselines the counter and stores no rate: with no
+        interval to rate over it reads 0.0, and the first measured
+        interval seeds the estimate with its instant rate rather than
+        averaging it against that unmeasured zero. A zero-length
+        interval (back-to-back samples) leaves the counter unconsumed so
+        the delta lands in the next real interval instead of vanishing
+        from the estimator.
         """
-        if key not in seen:
-            seen[key] = total
-            rate = rates.get(key, 0.0)
-        elif dt:
+        if key in seen and dt:
             instant = max(total - seen[key], 0) / dt
             seen[key] = total
-            rate = (
+            rates[key] = (
                 EWMA_ALPHA * instant
                 + (1 - EWMA_ALPHA) * rates.get(key, instant)
             )
         else:
-            rate = rates.get(key, 0.0)
-        rates[key] = rate
-        return rate
+            seen.setdefault(key, total)
+        return rates.get(key, 0.0)
 
     def observe(self, now: float | None = None) -> FleetObservation:
         """Sample the data plane (advances the rate-estimator state)."""
@@ -747,17 +750,37 @@ class FleetController:
 
     # -- reconciliation -----------------------------------------------------------
     def reconcile(self) -> FleetPlan:
-        """One control-loop pass: health -> observe -> plan -> actuate."""
+        """One control-loop pass: health -> observe -> plan -> actuate.
+
+        A pass whose observation measures no interval (the first, or one
+        at the same instant as the last) reads arrival rates it has not
+        measured, so its plan only grows: every live copy and routable
+        worker is kept, whatever the policy, while a backlog may still
+        add capacity. Replica pods are sized from the rate alone, so
+        such a pass leaves them as they are.
+        """
         now = self.runtime.clock.now()
         self._next_at = now + self.interval_s
         self.reconciles += 1
         self._check_health(now)
+        measured = self._last_sample_at is not None and now > self._last_sample_at
         observation = self.observe(now)
         plan = self.policy.plan(observation)
+        if not measured:
+            live = {d.name: d.live_copies for d in observation.demands}
+            plan = FleetPlan(
+                target_workers=max(
+                    plan.target_workers, observation.routable_workers
+                ),
+                copies={
+                    name: max(copies, live.get(name, 0))
+                    for name, copies in plan.copies.items()
+                },
+            )
         self._record_forecasts(observation)
         self._scale_workers(plan, now)
         self._rebalance(plan, now)
-        if self.autoscale_replicas:
+        if self.autoscale_replicas and measured:
             self._scale_replicas(observation, now)
         self.peak_routable_workers = max(
             self.peak_routable_workers, len(self.runtime.alive_workers())

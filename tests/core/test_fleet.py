@@ -27,6 +27,7 @@ from repro.core.fleet import (
     TargetUtilizationPolicy,
     per_copy_capacity_rps,
 )
+from repro.core.obsloop import ReactiveSLOPolicy
 from repro.core.runtime import ServingRuntime
 from repro.core.tasks import TaskRequest
 from repro.core.zoo import build_zoo, sample_input
@@ -41,6 +42,7 @@ def build_controlled_fleet(
     n_workers=1,
     max_workers=4,
     policy=None,
+    copies=1,
     **controller_kwargs,
 ):
     """A concurrent (own-clock) fleet with an attached controller."""
@@ -58,7 +60,7 @@ def build_controlled_fleet(
     )
     for name in servables:
         published = testbed.management.publish(testbed.token, zoo[name])
-        runtime.place(zoo[name], published.build.image)
+        runtime.place(zoo[name], published.build.image, copies=copies)
     controller_kwargs.setdefault("autoscale_replicas", False)
     controller_kwargs.setdefault("min_workers", 1)
     controller = FleetController(
@@ -247,15 +249,16 @@ class TestObservation:
             runtime.submit(TaskRequest("noop"))
         testbed.clock.advance(0.5)
         obs = controller.observe()
-        # 100 rps in the interval: the estimate moves EWMA_ALPHA of the
-        # way there from its zero baseline...
-        assert obs.demands[0].arrival_rate_rps == pytest.approx(EWMA_ALPHA * 100.0)
+        # 100 rps in the first measured interval: that interval seeds
+        # the estimate (the unmeasured first sight stored no rate)...
+        assert obs.demands[0].arrival_rate_rps == pytest.approx(100.0)
         assert obs.demands[0].queue_depth == 50
-        for _ in range(50):
+        for _ in range(25):
             runtime.submit(TaskRequest("noop"))
         testbed.clock.advance(0.5)
-        # ...and as much of the rest after a second interval at that rate.
-        estimate = EWMA_ALPHA * 100.0 + (1 - EWMA_ALPHA) * EWMA_ALPHA * 100.0
+        # ...and the next interval's 50 rps (its own 25 arrivals only)
+        # moves it EWMA_ALPHA of the way there.
+        estimate = EWMA_ALPHA * 50.0 + (1 - EWMA_ALPHA) * 100.0
         assert controller.observe().demands[0].arrival_rate_rps == pytest.approx(estimate)
         runtime.drain()
 
@@ -406,9 +409,9 @@ class TestReplicaScaling:
         executor = worker.route("inception")[1]
         assert executor.replicas("inception") == 1
         controller.observe()
-        for _ in range(round(100 / EWMA_ALPHA)):
+        for _ in range(100):
             runtime.submit(TaskRequest("inception", args=sample_input("inception")))
-        testbed.clock.advance(1.0)  # estimated at 100 rps: EWMA_ALPHA of the instant rate
+        testbed.clock.advance(1.0)  # the first measured interval: 100 rps
         controller.reconcile()
         events = controller.events_of("replicas_scaled")
         assert events and events[0].subject == "inception"
@@ -497,7 +500,89 @@ class TestServeIntegration:
         testbed.clock.advance(0.5)
         controller.observe()  # consumes the 50-arrival delta at 100 rps
         obs = controller.observe()  # dt == 0: keeps the estimate
-        assert obs.demands[0].arrival_rate_rps == pytest.approx(EWMA_ALPHA * 100.0)
+        assert obs.demands[0].arrival_rate_rps == pytest.approx(100.0)
+        runtime.drain()
+
+
+class TestFirstReconcile:
+    """The controller plans no shrink from demand it has not measured:
+    first sight stores no rate, the first measured interval seeds the
+    estimate, and a reconcile that measured no interval only grows."""
+
+    POLICIES = {
+        "target-utilization": TargetUtilizationPolicy,
+        "queue-latency-slo": QueueLatencySLOPolicy,
+        "predictive": PredictiveScaling,
+        "reactive-slo": ReactiveSLOPolicy,
+    }
+
+    @staticmethod
+    def shrinks(controller):
+        return controller.events_of(
+            "copy_removed", "worker_draining", "worker_retired"
+        )
+
+    @pytest.mark.parametrize("min_workers", [1, 3])
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_first_reconcile_keeps_a_warm_idle_fleet(self, policy, min_workers):
+        testbed, zoo, runtime, controller = build_controlled_fleet(
+            n_workers=3,
+            max_workers=3,
+            copies=3,
+            min_workers=min_workers,
+            policy=self.POLICIES[policy](),
+        )
+        now = testbed.clock.now()
+        # Warm: every worker could be drained now.
+        assert all(runtime.free_at(w) <= now for w in runtime.workers)
+        plan = controller.reconcile()
+        assert plan.copies == {"noop": 3}
+        assert plan.target_workers == 3
+        assert not self.shrinks(controller)
+        assert len(runtime.hosts("noop")) == 3
+        assert len(runtime.alive_workers()) == 3
+
+    def test_first_reconcile_keeps_replica_pods(self):
+        testbed, zoo, runtime, controller = build_controlled_fleet(
+            servables=("inception",), autoscale_replicas=True
+        )
+        executor = runtime.hosts("inception")[0].route("inception")[1]
+        executor.scale("inception", 2)
+        controller.reconcile()
+        assert executor.replicas("inception") == 2
+        assert not controller.events_of("replicas_scaled")
+
+    def test_first_measured_interval_seeds_the_estimate(self):
+        """At one copy's capacity, three copies hold (the shed copy's
+        remainder would sit above the hysteresis band); half of it, the
+        old zero-seeded first estimate, would shed one."""
+        testbed, zoo, runtime, controller = build_controlled_fleet(
+            n_workers=3, max_workers=3, copies=3
+        )
+        capacity = per_copy_capacity_rps(
+            zoo["noop"].inference_cost_s, runtime.max_batch_size
+        )
+        assert capacity / 2 <= SCALE_DOWN_UTILIZATION * 2 * capacity < capacity
+        runtime.serve(flat_rate("noop", capacity, 3 * INTERVAL))
+        assert controller.reconciles >= 3
+        assert not self.shrinks(controller)
+        assert len(runtime.hosts("noop")) == 3
+        assert len(runtime.alive_workers()) == 3
+
+    def test_first_reconcile_still_grows_for_a_backlog(self):
+        testbed, zoo, runtime, controller = build_controlled_fleet(
+            servables=("noop", "cifar10"), n_workers=2, copies=2
+        )
+        runtime.remove_copy("cifar10", runtime.hosts("cifar10")[1].name)
+        fixed = sample_input("cifar10")
+        for _ in range(400):
+            runtime.submit(TaskRequest("cifar10", args=fixed))
+        controller.reconcile()
+        # The backlogged servable grows; the idle one keeps both copies.
+        assert controller.events_of("worker_provisioned")
+        assert len(runtime.hosts("cifar10")) > 1
+        assert len(runtime.hosts("noop")) == 2
+        assert not self.shrinks(controller)
         runtime.drain()
 
 
@@ -748,7 +833,7 @@ class TestImbalanceDerate:
         gauge = runtime.stage_metrics
         gauge.record_pod_share("inception", "w0/pod-0", 10.0)
         controller.observe()  # consumes the history before the window
-        for _ in range(round(100 / EWMA_ALPHA)):
+        for _ in range(100):
             runtime.submit(TaskRequest("inception", args=sample_input("inception")))
         gauge.record_pod_share("inception", "w0/pod-0", 3.0)
         gauge.record_pod_share("inception", "w0/pod-1", 1.0)

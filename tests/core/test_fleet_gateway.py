@@ -12,7 +12,6 @@ import math
 import pytest
 
 from repro.core.fleet import (
-    EWMA_ALPHA,
     FleetController,
     QueueLatencySLOPolicy,
     ServableDemand,
@@ -125,16 +124,16 @@ class TestGatewayObservation:
         testbed.clock.advance(1.0)
         observation = controller.observe()
         demand = observation.demands[0]
-        # Raw rate comes from admitted counters (80 over 1 s; the
-        # estimate's first step from zero is EWMA_ALPHA of that)...
-        assert demand.arrival_rate_rps == pytest.approx(EWMA_ALPHA * 80.0)
+        # Raw rate comes from admitted counters (80 over 1 s, the first
+        # measured interval, which seeds the estimate)...
+        assert demand.arrival_rate_rps == pytest.approx(80.0)
         # ...the lane-held backlog counts as queue depth...
         assert demand.queue_depth >= gateway.queued_count("noop") > 0
         # ...and the weighted rate amplifies the heavy tenant:
         # mean weight (4+1)/2 = 2.5 -> 60*4/2.5 + 20*1/2.5 = 104.
-        assert demand.weighted_arrival_rate_rps == pytest.approx(EWMA_ALPHA * 104.0)
+        assert demand.weighted_arrival_rate_rps == pytest.approx(104.0)
         assert dict(demand.tenant_rates) == pytest.approx(
-            {"heavy": EWMA_ALPHA * 60.0, "light": EWMA_ALPHA * 20.0}
+            {"heavy": 60.0, "light": 20.0}
         )
 
     def test_equal_weights_leave_rate_unchanged(self):
@@ -212,11 +211,11 @@ class TestBusyWorkerReplicaScaling:
             max_replicas_per_host=4,
         )
         controller.observe()
-        for _ in range(round(100 / EWMA_ALPHA)):
+        for _ in range(100):
             runtime.submit(
                 TaskRequest("inception", args=sample_input("inception"))
             )
-        testbed.clock.advance(1.0)  # estimated at 100 rps
+        testbed.clock.advance(1.0)  # the first measured interval: 100 rps
         # Make the worker busy: its own clock runs ahead of global time.
         worker.clock.advance(5.0)
         assert runtime.free_at(worker) > testbed.clock.now()

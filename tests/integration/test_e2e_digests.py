@@ -11,9 +11,10 @@ them) and compares each round's digest with a golden.
 The goldens were generated from the parent of the commit that replaced
 the polled serve loop with the timer-heap kernel, before any source
 edit, so they state what the *polled* loop did. A change that is meant
-to alter modelled behaviour regenerates them (``measure.run_round`` per
-workload and sub-seed) and says so; anything else that moves one has
-changed what the simulator computes. The ``crash_recovery`` goldens were
+to alter modelled behaviour regenerates them
+(``python tools/e2e_goldens.py <workload> ...`` prints the entries) and
+says so; anything else that moves one has changed what the simulator
+computes. The ``crash_recovery`` goldens were
 regenerated so when recovery began restoring the WFQ clock past the
 tags of the requests it finds still queued: after a restart, fresh
 releases now rank behind that restored backlog at dispatch instead of
@@ -21,7 +22,10 @@ ahead of it. They were regenerated again when the ``post_admission``
 crash point moved to the end of the admitting call: a crash there now
 finds the request already released, and recovery restores it in queue
 rather than to its lane. (With the point left where it was, the
-journal's other format-4 changes reproduce the earlier goldens.)
+journal's other format-4 changes reproduce the earlier goldens.) The
+``incident`` goldens moved when the fleet controller stopped shrinking
+on demand it had not measured: its first reconcile no longer removes
+the copy on ``w3`` and adds it back one interval later.
 
 The second test serves the same rounds with the polled loop itself
 (:mod:`tests.core.serve_oracles`) patched in: the oracle is only worth
@@ -64,10 +68,10 @@ GOLDEN_DIGESTS = {
         "402ab225142d8e1eeb336ac3d2c73edbf6cdd7671edbed3f56730b734deef238",
     ),
     "incident": (
-        "7c8792bc15f6dcd69bc9a382d7889ee427cf14569ed5f680e844d65aafe0029d",
-        "8ffb11d7b299b5c466145f5326173e32de7c919c49b7495f45288b984826bfa1",
-        "cb7abb8b19acba5401a7f7fef26800d9416cc45dc46d39b93006a8f78a363b87",
-        "4784a3cf6fae5d87c846560abfc785d3df4095e616460fb4b3fcb50f39f86441",
+        "32420535687eb83424aeee378936695fd334c809b51f2a8fe33d84ad1ac6b457",
+        "1cdc787b50933d2f29fddc07152a118706c43dab8f5fae39a9b3d51258de27b7",
+        "ec911a37047be31ae71387e8ea1ad2677253cbf62c45f263d222dd7874fa58b7",
+        "3719cc14e70b307d2699dcac435e894f06cbd6f508f879f076c840ca2b278090",
     ),
     "lane_churn": (
         "5a9226942601b6a6de51319412e360beda82f4dcb893665d7f33112a33c992e4",
@@ -84,8 +88,7 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def zoo_and_oracle():
+def build_zoo_and_oracle():
     """The zoo ``measure.run`` builds, and its served-value oracle."""
     zoo = build_zoo(seed=0, oqmd_entries=50, n_estimators=4)
     expected: dict = {}
@@ -96,6 +99,11 @@ def zoo_and_oracle():
         return expected[servable, args]
 
     return zoo, oracle
+
+
+@pytest.fixture(scope="module")
+def zoo_and_oracle():
+    return build_zoo_and_oracle()
 
 
 def round_digests(workload: str, zoo, oracle) -> tuple[str, ...]:

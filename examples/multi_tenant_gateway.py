@@ -4,8 +4,8 @@ Three labs share one DLHub deployment:
 
 * ``astro_lab`` — a bulk-inference pipeline (hot, weight 1);
 * ``chem_lab`` — an interactive notebook user (light, weight 2);
-* ``guest`` — an unvetted account on a strict policy (5 req/s token
-  bucket, 4 requests in flight, a 2-in-flight quota on ``cifar10``).
+* ``guest`` — an unvetted account on a strict policy (weight 0.5 and a
+  5 req/s token bucket holding 5 tokens).
 
 The walkthrough shows the request path
 ``client -> gateway -> WFQ lanes -> runtime -> fleet``:
@@ -13,8 +13,7 @@ The walkthrough shows the request path
 1. every Management Service invocation passes tenant admission (the
    testbed's own Task Manager, outside this fleet, serves nothing);
 2. the guest's over-limit traffic gets *typed* denials
-   (``rejected_rate_limit``, ``rejected_servable_quota``) instead of
-   silent queueing;
+   (``rejected_rate_limit``) instead of silent queueing;
 3. under a 10:1 open-loop skew, weighted fair queuing keeps the light
    tenant's tail latency close to its isolated baseline while the hot
    tenant absorbs its own backlog.
@@ -59,8 +58,6 @@ def main() -> None:
             weight=0.5,
             rate_limit_rps=5.0,
             burst=5,
-            max_in_flight=4,
-            servable_quotas={"cifar10": 2},
         )
     )
     policies.bind_identity(astro, "astro")

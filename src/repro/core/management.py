@@ -439,8 +439,6 @@ class ManagementService:
             )
             result = gateway.invoke_sync_admitted(request, policy)
             if not result.ok:
-                # Refund the unexecuted tail's in-flight charges.
-                gateway.release_chain(policy.name, step_names[i + 1 :])
                 result.request_time = self.clock.now() - start
                 return result
             value = result.value

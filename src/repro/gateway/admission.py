@@ -5,16 +5,17 @@ chain, three shapes of the one group :meth:`AdmissionController.admit`
 decides all or nothing — is resolved against its tenant's
 :class:`~repro.gateway.policy.TenantPolicy` and receives a *typed*
 :class:`AdmissionDecision` — admitted into a scheduler lane, rejected
-(bad token, unknown tenant, rate limit, in-flight cap, servable quota),
-or shed (lane full under overload). Decisions are never exceptions at
-this layer: the gateway's open-loop serve path records them per tenant
-and keeps going, while the Management Service's synchronous path
-converts non-admitted decisions into a raised
-:class:`~repro.gateway.gateway.AdmissionRejected`.
+(bad token, unknown tenant, rate limit), or shed (lane full under
+overload). Decisions are never exceptions at this layer: the gateway's
+open-loop serve path records them per tenant and keeps going, while the
+Management Service's synchronous path converts non-admitted decisions
+into a raised :class:`~repro.gateway.gateway.AdmissionRejected`.
 
-The controller also owns the in-flight ledger: a tenant's admitted
-requests count against ``max_in_flight`` (and any per-servable quota)
-until the gateway observes their completion and calls :meth:`release`.
+The controller holds no count of open requests: a tenant is bounded by
+its lane cap (``max_queued``) and, past the lane, by its weighted share
+of the gateway's dispatch slots, both of which the gateway's scheduler
+counts. What admission keeps is the token buckets, the temporary rate
+overrides and the shared admitted decisions.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class AdmissionOutcome(Enum):
     REJECTED_UNKNOWN_TENANT = "rejected_unknown_tenant"
     #: The tenant's token bucket is empty.
     REJECTED_RATE_LIMIT = "rejected_rate_limit"
-    #: The tenant is at its global in-flight cap.
-    REJECTED_MAX_IN_FLIGHT = "rejected_max_in_flight"
-    #: The tenant is at its per-servable in-flight quota.
-    REJECTED_SERVABLE_QUOTA = "rejected_servable_quota"
     #: The tenant's gateway lane is full (overload backpressure).
     SHED_LANE_FULL = "shed_lane_full"
 
@@ -66,12 +63,10 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Per-tenant token buckets plus the in-flight ledger.
+    """Per-tenant token buckets and their temporary overrides.
 
     One instance guards one gateway. Buckets are created lazily per
-    tenant from its policy; in-flight counts are tracked globally and
-    per ``(tenant, servable)`` so both ``max_in_flight`` and
-    ``servable_quotas`` can bind independently.
+    tenant from its policy.
     """
 
     def __init__(
@@ -81,18 +76,11 @@ class AdmissionController:
         self.metrics = metrics or TenantUsageCollector()
         self._buckets: dict[str, TokenBucket] = {}
         self._override_buckets: dict[str, TokenBucket] = {}
-        self._in_flight: dict[str, int] = {}
-        self._in_flight_by_servable: dict[tuple[str, str], int] = {}
         #: ``(tenant, servable)`` -> the one admitted decision for it:
         #: an admission is the same immutable value every time.
         self._admitted: dict[tuple[str, str], AdmissionDecision] = {}
 
     # -- introspection ------------------------------------------------------------
-    def in_flight(self, tenant: str, servable: str | None = None) -> int:
-        if servable is not None:
-            return self._in_flight_by_servable.get((tenant, servable), 0)
-        return self._in_flight.get(tenant, 0)
-
     def bucket(self, policy: TenantPolicy) -> TokenBucket | None:
         """The tenant's *effective* token bucket.
 
@@ -166,11 +154,9 @@ class AdmissionController:
         is charged, so a denial never strands half a batch in a lane or
         lets a rate-limited tenant burn steps ``1..k-1`` of a chain
         only to be denied at step ``k``. Check order: shed on lane
-        overflow first (overload backpressure), then the free in-flight
-        caps — ``max_in_flight`` must absorb every request, per-servable
-        quotas each servable's multiplicity in the group — and the token
-        bucket last, one token per request, so a group denied by a cap
-        or a full lane burns no rate-limit token.
+        overflow first (overload backpressure), then the token bucket,
+        one token per request, so a group shed by a full lane burns no
+        rate-limit token.
 
         ``sequential`` marks a chain, whose steps run one at a time.
         It changes two things: only one step occupies the tenant's lane
@@ -179,9 +165,8 @@ class AdmissionController:
         into debt and refills at the sustained rate — see
         :meth:`TokenBucket.try_take`), so a chain longer than the
         tenant's burst is slow but never permanently denied — a batch
-        larger than the burst still is, atomically. On admission the
-        caller settles each request's charge through :meth:`release`
-        (an aborted chain's unexecuted steps included).
+        larger than the burst still is, atomically. Tokens are never
+        refunded, not even for an aborted chain's unexecuted steps.
         """
         if isinstance(servables, str):
             raise TypeError("servables is a sequence of names, not one str")
@@ -199,28 +184,6 @@ class AdmissionController:
                 f"lane holds {lane_depth} + {lane_cost} > "
                 f"max_queued={policy.max_queued}",
             )
-        if (
-            policy.max_in_flight is not None
-            and self.in_flight(tenant) + n > policy.max_in_flight
-        ):
-            return self._deny(
-                AdmissionOutcome.REJECTED_MAX_IN_FLIGHT,
-                tenant,
-                first,
-                f"{self.in_flight(tenant)} + {n} in flight > "
-                f"{policy.max_in_flight}",
-            )
-        # Each distinct servable once, in first-occurrence order.
-        for name in dict.fromkeys(servables) if policy.servable_quotas else ():
-            quota, count = policy.servable_quota(name), servables.count(name)
-            if quota is not None and self.in_flight(tenant, name) + count > quota:
-                return self._deny(
-                    AdmissionOutcome.REJECTED_SERVABLE_QUOTA,
-                    tenant,
-                    name,
-                    f"{self.in_flight(tenant, name)} + {count} in flight on "
-                    f"{name!r} > quota {quota}",
-                )
         bucket = self.bucket(policy)
         if bucket is not None and not bucket.try_take(n, allow_debt=sequential):
             return self._deny(
@@ -229,12 +192,7 @@ class AdmissionController:
                 first,
                 f"bucket lacks {n} token(s) at {bucket.rate_rps:g} rps",
             )
-        self._in_flight[tenant] = self.in_flight(tenant) + n
         for name in servables:
-            key = (tenant, name)
-            self._in_flight_by_servable[key] = (
-                self._in_flight_by_servable.get(key, 0) + 1
-            )
             self.metrics.record_admitted(tenant, name)
         return self.granted(tenant, first)
 
@@ -259,34 +217,11 @@ class AdmissionController:
         self.metrics.record_denied(tenant, outcome.value)
         return AdmissionDecision(outcome, tenant, servable_name, detail)
 
-    def restore_charge(self, tenant: str, servable_name: str) -> None:
-        """Re-impose one recovered request's in-flight charge.
-
-        Crash recovery only: the request was admitted (and its metrics
-        recorded) by a previous process incarnation, so no checks run
-        and nothing is re-counted — the ledger just regains the charge
-        the old process held, to be released by the normal settlement
-        path.
-        """
-        self._in_flight[tenant] = self.in_flight(tenant) + 1
-        key = (tenant, servable_name)
-        self._in_flight_by_servable[key] = (
-            self._in_flight_by_servable.get(key, 0) + 1
-        )
-
     def release(self, tenant: str, servable_name: str, count: int = 1) -> None:
-        """Settle the in-flight charges of ``count`` admitted requests of
-        one tenant on one servable (a settled micro-batch is one lane's).
+        """Does nothing: admission keeps no count that a settle moves,
+        and nothing in the serving stack calls it.
 
-        Both counts are checked before either moves, so a refused
-        release leaves the ledger balanced.
+        The stub stays only because the end-to-end benchmark's tracer
+        wraps this name; ROADMAP's benchmark-only queue drops it from
+        the tracer's layer table and then deletes the stub.
         """
-        if self.in_flight(tenant) < count:
-            raise ValueError(f"tenant {tenant!r} has fewer than {count} in flight")
-        key = (tenant, servable_name)
-        if self._in_flight_by_servable.get(key, 0) < count:
-            raise ValueError(
-                f"tenant {tenant!r} has fewer than {count} in flight on {servable_name!r}"
-            )
-        self._in_flight[tenant] -= count
-        self._in_flight_by_servable[key] -= count

@@ -13,8 +13,8 @@ client, open-loop benchmark drivers) and the
 2. **tenant resolution** — the identity maps to a
    :class:`~repro.gateway.policy.TenantPolicy` via the declarative
    :class:`~repro.gateway.policy.TenantPolicyTable`;
-3. **admission control** — token-bucket rate limit, in-flight caps and
-   per-servable quotas produce a typed
+3. **admission control** — the token-bucket rate limit and the lane
+   cap produce a typed
    :class:`~repro.gateway.admission.AdmissionDecision` (reject/shed,
    never an untyped drop), with per-tenant metrics;
 4. **weighted fair scheduling** — admitted requests wait in per-tenant
@@ -42,7 +42,7 @@ The gateway registers itself as the runtime's *ingress* (see
 :meth:`ServingRuntime.attach_ingress`): it keeps its next arrival and
 its drain deadline as timers on the runtime's heap, and the serve loop
 calls it when one is due, when requests settle, or when the fleet
-changed — which is when lanes drain, in-flight charges release, and
+changed — which is when lanes drain, dispatch slots free, and
 per-tenant latency is recorded.
 """
 
@@ -268,10 +268,10 @@ class ServingGateway:
         per tenant lane per sweep — round-robin, so no tenant's queue
         positions are sacrificed wholesale while another's survive —
         until ``outstanding`` fits the budget or nothing ready remains.
-        Reclaimed requests keep their admission (the ledger charge
-        stands — they *are* still in the system) and their original
-        enqueue timestamp, and re-enter their tenant's lane to be
-        re-released in WFQ order when capacity returns.
+        Reclaimed requests keep their admission (they *are* still in
+        the system) and their original enqueue timestamp, and re-enter
+        their tenant's lane to be re-released in WFQ order when
+        capacity returns.
         """
         excess = self.outstanding - self.max_dispatch_slots
         reclaimed = 0
@@ -599,9 +599,8 @@ class ServingGateway:
 
         ``settled`` is the micro-batches that just settled, each the
         list of its members' completed records. A batch is one lane's —
-        one tenant on one servable — so its slots and in-flight charges
-        are freed once, with a count; latency and SLO samples are per
-        request.
+        one tenant on one servable — so its dispatch slots are freed
+        once, with a count; latency and SLO samples are per request.
 
         Deliver, then settle, per call: every gateway-owned record in
         ``settled`` is complete before the one ``settle`` record naming
@@ -630,15 +629,14 @@ class ServingGateway:
 
     def _settle_batches(self, settled: list[list[RequestRecord]]) -> None:
         """Per-batch settlement accounting (see :meth:`on_settled`):
-        completions, SLO samples, WFQ slots, in-flight charges and the
-        journal's ``settle`` record."""
+        completions, SLO samples, WFQ slots and the journal's ``settle``
+        record."""
         delivered = []
         open_records = self._open
         record_completion = self.metrics.record_completion
         slo_monitor = self.slo_monitor
         for records in settled:
-            head = records[0].body
-            tenant = head.tenant
+            tenant = records[0].body.tenant
             mine = 0
             for record in records:
                 uuid = record.body.task_uuid
@@ -655,7 +653,6 @@ class ServingGateway:
                     )
             if mine:
                 self.scheduler.settle(tenant, mine)
-                self.admission.release(tenant, head.servable_name, mine)
         if delivered and self.journal is not None:
             self.journal.settle(delivered)
 
@@ -694,10 +691,9 @@ class ServingGateway:
           never-released work alike), back-dated via ``enqueued_at`` so
           its re-release keeps the true in-system age.
 
-        Nothing is re-journaled (the ``admit`` records already persist)
-        and no admission metrics are recorded (the request was counted
-        at its original admission) — only the in-flight ledger charges
-        are re-imposed, because the ledger died with the old process.
+        Nothing is re-journaled (the ``admit`` records already persist),
+        no admission metrics are recorded and no token is taken (the
+        request was counted and charged at its original admission).
         Returns the rebuilt records, which keep each request's uuid,
         tenant and arrival and complete at settlement, as for any
         admitted request.
@@ -720,7 +716,6 @@ class ServingGateway:
             record = RequestRecord(
                 request, self.admission.granted(tenant, servable), entry["arrived_at"]
             )
-            self.admission.restore_charge(tenant, servable)
             if entry["in_queue"]:
                 self._open[request.task_uuid] = record
                 self.runtime.adopt(record)
@@ -797,17 +792,17 @@ class ServingGateway:
         """Serve a pre-split batch synchronously, all-or-nothing.
 
         Admission is decided for the whole batch up front (every item
-        charges the token bucket and in-flight ledger), so a denial
-        rejects the batch without stranding half of it in a lane. The
-        items land on one servable topic together and coalesce into
-        micro-batches downstream.
+        takes a token from the bucket), so a denial rejects the batch
+        without stranding half of it in a lane. The items land on one
+        servable topic together and coalesce into micro-batches
+        downstream.
         """
         if not requests:
             raise GatewayError("invoke_sync_many requires at least one request")
         servable = requests[0].servable_name
         # Same deployment-bug guard as offer(): an unplaced servable
-        # must fail before admission charges the ledger, or the denial
-        # would strand lane entries and in-flight charges forever.
+        # must fail before admission takes tokens or fills the lane, or
+        # the denial would strand lane entries forever.
         self.runtime.check_placed(servable)
         identity = identity or self._request_identity(requests[0])
         self._refuse_open(tuple(request.task_uuid for request in requests))
@@ -834,13 +829,14 @@ class ServingGateway:
         *before* anything executes, so a rate-limited tenant's chain can
         no longer burn steps ``1..k-1`` and then fail at step ``k``.
         Returns the resolved policy; the caller runs each step through
-        :meth:`invoke_sync_admitted` and must :meth:`release_chain` the
-        unexecuted tail if a step fails mid-chain.
+        :meth:`invoke_sync_admitted`. A step that fails ends the chain:
+        the unexecuted tail holds no lane entry or slot, so it has
+        nothing to give back (its tokens stay spent).
         """
         if not servable_names:
             raise GatewayError("admit_chain requires at least one step")
         for name in servable_names:
-            # Unplaced steps are deployment bugs; fail before charging.
+            # Unplaced steps are deployment bugs; fail before admitting.
             self.runtime.check_placed(name)
         policy, decision = self._admit(identity, servable_names, sequential=True)
         if not decision.admitted:
@@ -852,10 +848,10 @@ class ServingGateway:
     ) -> TaskResult:
         """Serve one pre-admitted chain step synchronously.
 
-        Admission (and its ledger charge) already happened in
+        Admission (and its token charge) already happened in
         :meth:`admit_chain`; the step enters like any admitted request,
-        is pumped and drained. Its in-flight charge releases through
-        the normal settlement path (:meth:`on_settled`).
+        is pumped and drained. Its dispatch slot frees through the
+        normal settlement path (:meth:`on_settled`).
         """
         self._refuse_open((request.task_uuid,))
         decision = self.admission.granted(policy.name, request.servable_name)
@@ -866,17 +862,6 @@ class ServingGateway:
         if not record.completed:  # pragma: no cover - drain settles all
             raise GatewayError(f"request {request.task_uuid} did not complete")
         return record.result
-
-    def release_chain(self, tenant: str, servable_names: list[str]) -> None:
-        """Refund the in-flight charges of a chain's unexecuted steps.
-
-        Called when a step fails mid-chain: steps ``k+1..n`` were
-        admitted (and charged) up front but will never run, so their
-        ledger charges must not leak. Rate-limit tokens are *not*
-        refunded — the tenant spent its budget on a chain that failed.
-        """
-        for name in servable_names:
-            self.admission.release(tenant, name)
 
     def _request_identity(self, request: TaskRequest) -> Identity:
         if request.identity_id is None:

@@ -4,9 +4,8 @@ The paper's service is shared by many scientists publishing and invoking
 servables through one Management Service, but DLHub proper has no tenant
 concept past authentication. This module adds one: a
 :class:`TenantPolicy` declares how much of the shared serving fleet a
-tenant may consume (token-bucket rate limit, in-flight cap, weighted
-fair share, optional per-servable quotas), and a
-:class:`TenantPolicyTable` resolves an authenticated
+tenant may consume (token-bucket rate limit, weighted fair share, lane
+cap), and a :class:`TenantPolicyTable` resolves an authenticated
 :class:`~repro.auth.identity.Identity` to its tenant — by explicit
 identity binding, by auth-service group membership, or by falling back
 to a default policy.
@@ -14,9 +13,7 @@ to a default policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.auth.identity import Identity
 from repro.sim.clock import VirtualClock
@@ -45,27 +42,17 @@ class TenantPolicy:
     burst:
         Bucket depth; defaults to ``max(1, rate_limit_rps)`` so a tenant
         can always burst about one second of its sustained rate.
-    max_in_flight:
-        Cap on requests admitted but not yet completed (queued in the
-        tenant's lane, in the runtime's queue, or being served).
-        ``None`` means unlimited.
     max_queued:
         Cap on the tenant's gateway lane depth; arrivals beyond it are
         *shed* (typed outcome, not an error) — the backpressure valve
         that bounds gateway memory under overload. ``None`` = unbounded.
-    servable_quotas:
-        Optional per-servable in-flight caps, e.g. ``{"cifar10": 4}``:
-        the tenant may have at most 4 ``cifar10`` requests in flight
-        even when its global ``max_in_flight`` still has room.
     """
 
     name: str
     weight: float = 1.0
     rate_limit_rps: float | None = None
     burst: float | None = None
-    max_in_flight: int | None = None
     max_queued: int | None = None
-    servable_quotas: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -76,20 +63,8 @@ class TenantPolicy:
             raise PolicyError("rate_limit_rps must be > 0 (or None)")
         if self.burst is not None and self.burst < 1:
             raise PolicyError("burst must be >= 1 (or None)")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise PolicyError("max_in_flight must be >= 1 (or None)")
         if self.max_queued is not None and self.max_queued < 1:
             raise PolicyError("max_queued must be >= 1 (or None)")
-        for servable, quota in self.servable_quotas.items():
-            if quota < 1:
-                raise PolicyError(
-                    f"servable quota for {servable!r} must be >= 1, got {quota}"
-                )
-        # Freeze the mapping so a shared policy cannot drift after
-        # registration (the dataclass itself is frozen).
-        object.__setattr__(
-            self, "servable_quotas", MappingProxyType(dict(self.servable_quotas))
-        )
 
     @property
     def effective_burst(self) -> float:
@@ -97,9 +72,6 @@ class TenantPolicy:
         if self.burst is not None:
             return self.burst
         return max(1.0, self.rate_limit_rps or 1.0)
-
-    def servable_quota(self, servable_name: str) -> int | None:
-        return self.servable_quotas.get(servable_name)
 
 
 class TokenBucket:

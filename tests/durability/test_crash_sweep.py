@@ -94,13 +94,16 @@ def assert_invariants(harness, outcome, point):
     assert outcome.exactly_once
     assert len(outcome.settled) + len(outcome.denied) == N_ARRIVALS
 
-    # The admission ledger balanced back to zero: every restored charge
-    # (and every live one) was released by exactly one settlement.
-    admission = harness.gateway.admission
+    # The slot ledger balanced back to zero: every slot
+    # ``restore_released`` re-imposed (and every live one) was freed by
+    # exactly one settlement, and nothing is left open or laned.
+    gateway = harness.gateway
+    scheduler = gateway.scheduler
+    assert gateway._open == {}
     for result in outcome.settled.values():
         tenant = result.request.tenant
-        assert admission.in_flight(tenant) == 0
-        assert admission.in_flight(tenant, "noop") == 0
+        assert scheduler.outstanding_by_tenant[tenant] == 0
+        assert scheduler.depth(tenant) == 0
 
     # No double WFQ charge: in the post-crash incarnation, lane charges
     # are exactly one per lane entry — restored-to-queue requests never

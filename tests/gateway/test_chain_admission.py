@@ -4,8 +4,8 @@ With per-step admission, a rate-limited tenant's chain could pass steps
 ``1..k-1`` — burning fleet time and rate-limit tokens — and then fail
 admission at step ``k``. Chains are now admitted up front with cost =
 number of steps (``AdmissionController.admit(..., sequential=True)``):
-a denial executes nothing, and a mid-chain *execution* failure refunds
-the unexecuted tail's in-flight charges.
+a denial executes nothing, and a mid-chain *execution* failure leaves
+nothing open behind it.
 """
 
 import pytest
@@ -38,6 +38,13 @@ def deployment(policy: TenantPolicy):
     return testbed, gateway
 
 
+def assert_nothing_open(gateway, tenant):
+    """No request of ``tenant`` is open, laned or holding a slot."""
+    assert gateway._open == {}
+    assert gateway.scheduler.outstanding_by_tenant[tenant] == 0
+    assert gateway.scheduler.depth(tenant) == 0
+
+
 class TestChainAdmission:
     def test_underfunded_chain_is_denied_before_step_one(self):
         """A drained bucket cannot afford a two-step chain: the denial
@@ -55,7 +62,7 @@ class TestChainAdmission:
         assert exc.value.decision.outcome is AdmissionOutcome.REJECTED_RATE_LIMIT
         # Only the earlier single request ran — the chain burned nothing.
         assert gateway.runtime.items_served == 1
-        assert gateway.admission.in_flight("lab") == 0
+        assert_nothing_open(gateway, "lab")
         assert gateway.metrics.counters("lab").admitted == 1
 
     def test_funded_chain_runs_every_step(self):
@@ -67,8 +74,8 @@ class TestChainAdmission:
         )
         assert result.ok
         assert gateway.runtime.items_served == 2
-        # Both steps' ledger charges settled on completion.
-        assert gateway.admission.in_flight("lab") == 0
+        # Both steps settled on completion.
+        assert_nothing_open(gateway, "lab")
         assert gateway.metrics.counters("lab").admitted == 2
         # The chain consumed exactly its cost: a third token does not
         # exist, so an immediate second chain is denied.
@@ -76,25 +83,6 @@ class TestChainAdmission:
             testbed.management.run_pipeline(
                 testbed.token, "featurize-predict", "Fe2O3"
             )
-
-    def test_chain_checks_in_flight_cap_up_front(self):
-        testbed, gateway = deployment(
-            TenantPolicy(
-                name="lab", max_in_flight=1, rate_limit_rps=0.001, burst=5
-            )
-        )
-        with pytest.raises(AdmissionRejected) as exc:
-            testbed.management.run_pipeline(
-                testbed.token, "featurize-predict", "Fe2O3"
-            )
-        assert (
-            exc.value.decision.outcome is AdmissionOutcome.REJECTED_MAX_IN_FLIGHT
-        )
-        assert gateway.runtime.items_served == 0
-        # A denial further down the check chain burns no rate-limit
-        # tokens: the full burst is still available.
-        policy = gateway.policies.policy("lab")
-        assert gateway.admission.bucket(policy).tokens == pytest.approx(5.0)
 
     def test_chain_longer_than_burst_runs_at_the_sustained_rate(self):
         """A 2-step chain against burst=1 must not be denied forever:
@@ -117,15 +105,14 @@ class TestChainAdmission:
             testbed.token, "matminer_featurize", "Fe2O3"
         ).ok
 
-    def test_chain_checks_servable_quota_with_multiplicity(self):
+    def test_a_chain_may_call_one_servable_twice(self):
+        """Nothing counts a servable's multiplicity in a chain: a
+        pipeline that runs the model twice is admitted whole, pays four
+        tokens and settles every step."""
         testbed, gateway = deployment(
-            TenantPolicy(name="lab", servable_quotas={"matminer_model": 1})
+            # A rate so low that nothing refills during the run.
+            TenantPolicy(name="lab", rate_limit_rps=1e-9, burst=5)
         )
-        # Quota 1 on the model step: a single chain fits...
-        assert testbed.management.run_pipeline(
-            testbed.token, "featurize-predict", "Fe2O3"
-        ).ok
-        # ...but a pipeline hitting that servable twice does not.
         double = Pipeline(
             name="model-twice",
             steps=[
@@ -136,13 +123,56 @@ class TestChainAdmission:
             ],
         )
         testbed.management.register_pipeline(testbed.token, double)
-        with pytest.raises(AdmissionRejected) as exc:
-            testbed.management.run_pipeline(testbed.token, "model-twice", "Fe2O3")
-        assert (
-            exc.value.decision.outcome is AdmissionOutcome.REJECTED_SERVABLE_QUOTA
-        )
+        assert testbed.management.run_pipeline(
+            testbed.token, "model-twice", "Fe2O3"
+        ).ok
+        assert gateway.runtime.items_served == 4
+        assert gateway.tenant_admissions("matminer_model") == {"lab": 2}
+        policy = gateway.policies.policy("lab")
+        assert gateway.admission.bucket(policy).tokens == pytest.approx(1.0)
+        assert_nothing_open(gateway, "lab")
 
-    def test_mid_chain_failure_refunds_unexecuted_tail(self):
+    def test_back_to_back_chains_leave_nothing_charged(self):
+        """A settled chain holds nothing that the next one meets: ten
+        chains in a row are each admitted and run."""
+        testbed, gateway = deployment(TenantPolicy(name="lab"))
+        for _ in range(10):
+            assert testbed.management.run_pipeline(
+                testbed.token, "featurize-predict", "Fe2O3"
+            ).ok
+            assert_nothing_open(gateway, "lab")
+        assert gateway.metrics.counters("lab").admitted == 20
+        assert gateway.runtime.items_served == 20
+
+    def test_mid_chain_failure_keeps_the_whole_chain_paid(self):
+        """The chain was admitted whole, so its unexecuted tail's token
+        stays spent: a failure refunds nothing."""
+        testbed, gateway = deployment(
+            TenantPolicy(name="lab", rate_limit_rps=1e-9, burst=5)
+        )
+        bad = Pipeline(
+            name="bad-handoff",
+            steps=[
+                PipelineStep("matminer_featurize"),
+                PipelineStep("noop"),
+                PipelineStep("matminer_model"),
+            ],
+        )
+        testbed.management.register_pipeline(testbed.token, bad)
+        worker = gateway.runtime.hosts("noop")[0]
+        for pod in worker.executors["parsl"]._pools["noop"].pods:
+            pod.fail()
+        result = testbed.management.run_pipeline(
+            testbed.token, "bad-handoff", "Fe2O3"
+        )
+        assert not result.ok
+        assert gateway.runtime.items_served == 2
+        policy = gateway.policies.policy("lab")
+        assert gateway.admission.bucket(policy).tokens == pytest.approx(2.0)
+        assert gateway.metrics.counters("lab").admitted == 3
+        assert_nothing_open(gateway, "lab")
+
+    def test_mid_chain_failure_leaves_nothing_open(self):
         testbed, gateway = deployment(TenantPolicy(name="lab"))
         # An adapter that corrupts the intermediate makes step 2 fail at
         # execution time (not admission time).
@@ -165,7 +195,11 @@ class TestChainAdmission:
             testbed.token, "bad-handoff", "Fe2O3"
         )
         assert not result.ok
-        # Step 1 settled, step 2 failed-and-settled, step 3 never ran —
-        # and its up-front in-flight charge was refunded, not leaked.
-        assert gateway.admission.in_flight("lab") == 0
-        assert gateway.admission.in_flight("lab", "matminer_model") == 0
+        # Step 1 settled, step 2 failed-and-settled, step 3 never ran:
+        # it holds no lane entry or slot, so nothing is left to refund.
+        assert gateway.runtime.items_served == 2
+        assert_nothing_open(gateway, "lab")
+        # The tenant's next chain is admitted and runs.
+        assert testbed.management.run_pipeline(
+            testbed.token, "featurize-predict", "Fe2O3"
+        ).ok

@@ -85,9 +85,10 @@ class TestAdmissionFailurePaths:
         ):
             with pytest.raises(GatewayError, match="already admitted"):
                 door()
-        # Refused before admission: nothing more was charged, and the
-        # first admission still settles once.
-        assert gateway.admission.in_flight("t") == 1
+        # Refused before admission: nothing more was admitted or
+        # opened, and the first admission still settles once.
+        assert gateway.metrics.counters("t").admitted == 1
+        assert list(gateway._open) == [request.task_uuid]
         gateway.runtime.drain()
         assert gateway.metrics.counters("t").completed == 1
 
@@ -168,18 +169,18 @@ class TestAdmissionFailurePaths:
 
     def test_unplaced_servable_batch_charges_nothing(self):
         """invoke_sync_many must fail the placement guard *before*
-        admission, or the denial would strand in-flight charges and
-        lane entries forever (regression)."""
-        testbed, gateway, tokens = build_gateway(
-            {"u": TenantPolicy(name="t", max_in_flight=8)}
-        )
+        admission, or the denial would strand lane entries forever
+        (regression)."""
+        testbed, gateway, tokens = build_gateway({"u": TenantPolicy(name="t")})
         identity = testbed._identities["u"]
         with pytest.raises(Exception):
             gateway.invoke_sync_many(
                 [TaskRequest("missing", args=(i,)) for i in range(3)],
                 identity=identity,
             )
-        assert gateway.admission.in_flight("t") == 0
+        assert gateway.metrics.tenants() == []  # nothing admitted or denied
+        assert gateway._open == {}
+        assert gateway.scheduler.depth("t") == 0
         assert gateway.pending() == 0
         # The gateway is still fully usable afterwards.
         assert gateway.invoke_sync(
@@ -382,17 +383,30 @@ class TestTenantTagging:
             by_batch.setdefault(key, set()).add(r.request.tenant)
         assert all(len(tenants) == 1 for tenants in by_batch.values())
 
-    def test_in_flight_ledger_settles_after_serve(self):
-        testbed, gateway, tokens = build_gateway(
-            {"t": TenantPolicy(name="t", max_in_flight=64)}
-        )
+    def test_open_ledgers_settle_after_serve(self):
+        testbed, gateway, tokens = build_gateway({"t": TenantPolicy(name="t")})
         results = gateway.serve(requests_at(200.0, 0.5, tokens["t"]))
         assert all(r.admitted for r in results)
-        assert gateway.admission.in_flight("t") == 0
+        assert gateway._open == {}
+        assert gateway.scheduler.outstanding_by_tenant["t"] == 0
+        assert gateway.scheduler.depth("t") == 0
         assert gateway.outstanding == 0
         assert gateway.pending() == 0
         counters = gateway.metrics.counters("t")
         assert counters.admitted == counters.completed == len(results)
+
+    def test_settles_never_call_admission_release(self, monkeypatch):
+        """Admission keeps no count that a settle moves, so serving,
+        completing and settling a whole run never reaches ``release``."""
+        testbed, gateway, tokens = build_gateway({"t": TenantPolicy(name="t")})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("admission.release was called")
+
+        monkeypatch.setattr(gateway.admission, "release", refuse)
+        results = gateway.serve(requests_at(200.0, 0.5, tokens["t"]))
+        assert results and all(r.admitted and r.ok for r in results)
+        assert gateway._open == {}
 
 
 class TestServeGuards:
@@ -657,12 +671,19 @@ class TestReactiveAdmissionTightening:
             store=None, max_deliveries=3,
         ),
         lambda: ManagementService(None, None, None, None, memoize=True),
+        lambda: TenantPolicy(name="t", max_in_flight=2),
+        lambda: TenantPolicy(name="t", servable_quotas={"noop": 1}),
     ],
-    ids=["pinned-budget", "pinned-reserve", "harness-redelivery", "ms-cache"],
+    ids=[
+        "pinned-budget", "pinned-reserve", "harness-redelivery", "ms-cache",
+        "tenant-in-flight-cap", "tenant-servable-quota",
+    ],
 )
 def test_options_nothing_passed_are_gone(call):
     """The slot budget is live, the harness uses the queue's redelivery
-    defaults and the Management Service keeps no result cache: the
-    arguments that said otherwise are not accepted."""
+    defaults, the Management Service keeps no result cache and a tenant
+    is bounded by its bucket, lane cap and slot share alone: the
+    arguments that said otherwise are not accepted, so a stale
+    declaration fails loudly instead of silently losing a limit."""
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()

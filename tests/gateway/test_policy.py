@@ -1,5 +1,7 @@
 """Unit tests: tenant policies, token buckets, and tenant resolution."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.auth.identity import Identity
@@ -21,9 +23,7 @@ class TestTenantPolicy:
         policy = TenantPolicy(name="t")
         assert policy.weight == 1.0
         assert policy.rate_limit_rps is None
-        assert policy.max_in_flight is None
         assert policy.max_queued is None
-        assert policy.servable_quota("anything") is None
 
     def test_effective_burst_defaults_to_rate(self):
         assert TenantPolicy(name="t", rate_limit_rps=7.0).effective_burst == 7.0
@@ -32,13 +32,13 @@ class TestTenantPolicy:
             TenantPolicy(name="t", rate_limit_rps=7.0, burst=3).effective_burst == 3
         )
 
-    def test_quotas_are_frozen_after_registration(self):
-        quotas = {"cifar10": 2}
-        policy = TenantPolicy(name="t", servable_quotas=quotas)
-        quotas["cifar10"] = 99  # caller's dict mutation must not leak in
-        assert policy.servable_quota("cifar10") == 2
-        with pytest.raises(TypeError):
-            policy.servable_quotas["cifar10"] = 99
+    def test_policy_is_frozen_after_registration(self):
+        policy = TenantPolicy(name="t", max_queued=4)
+        table = TenantPolicyTable()
+        table.register(policy)
+        with pytest.raises(FrozenInstanceError):
+            policy.max_queued = 99
+        assert table.policy("t").max_queued == 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,9 +47,9 @@ class TestTenantPolicy:
             dict(name="t", weight=0),
             dict(name="t", rate_limit_rps=0),
             dict(name="t", burst=0),
-            dict(name="t", max_in_flight=0),
             dict(name="t", max_queued=0),
-            dict(name="t", servable_quotas={"x": 0}),
+            dict(name="t", weight=-1.0),
+            dict(name="t", rate_limit_rps=5.0, burst=0.5),
         ],
     )
     def test_invalid_declarations(self, kwargs):

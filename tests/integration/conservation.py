@@ -44,7 +44,7 @@ def assert_conserved(offered, records, gateway, dead_letters=(), settles=None):
     if settles is not None:
         assert settles == settled, f"{settles} settlements for {settled} settled requests"
 
-    # Quiescence: nothing open, nothing charged, nothing queued.
+    # Quiescence: nothing open, no slot held, nothing queued.
     assert gateway._open == {}
     journal = gateway.journal
     if journal is not None:
@@ -52,10 +52,9 @@ def assert_conserved(offered, records, gateway, dead_letters=(), settles=None):
     scheduler = gateway.scheduler
     assert len(scheduler) == 0 and scheduler.outstanding == 0
     assert not any(scheduler.outstanding_by_tenant.values())
-    runtime = gateway.runtime
     for tenant in gateway.policies.tenants():
-        assert gateway.admission.in_flight(tenant) == 0
-        for servable in runtime.placement():
-            assert gateway.admission.in_flight(tenant, servable) == 0
+        assert scheduler.outstanding_by_tenant.get(tenant, 0) == 0
+        assert scheduler.depth(tenant) == 0
+    runtime = gateway.runtime
     assert runtime._adopted == {}
     assert len(runtime.queue) == 0 and runtime.queue.inflight_count == 0

@@ -79,8 +79,12 @@ class TestExamplesRun:
         out = run_example("multi_tenant_gateway.py", capsys)
         # Nothing is served except by the gateway's fleet.
         assert "tasks served outside the gateway's fleet: 0" in out
-        # The guest's over-limit burst got typed rate-limit denials.
-        assert "rejected_rate_limit" in out
+        # The guest's over-limit burst got typed rate-limit denials:
+        # the bucket's 5 tokens plus one refilled, then 6 denials.
+        assert (
+            "guest burst of 12: {'ok': 6, 'rejected_rate_limit': 6}"
+            in out.splitlines()
+        )
         # Both tenants' latency tables printed (fairness section ran).
         assert "astro" in out and "chem" in out
         assert "admitted per tenant" in out

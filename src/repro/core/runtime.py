@@ -46,7 +46,7 @@ from repro.core.servable import Servable
 from repro.core.task_manager import TaskManager
 from repro.core.tasks import TaskRequest, TaskStatus
 from repro.core.telemetry import BatchTiming
-from repro.messaging.queue import QueuedMessage, TaskQueue, servable_topic
+from repro.messaging.queue import VISIBILITY_TIMEOUT_S, QueuedMessage, TaskQueue, servable_topic
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventLoop
 
@@ -1230,8 +1230,9 @@ class ServingRuntime:
         warm-up → settle → ingress → arrivals → dispatch, and again
         from the top after each dispatch. A worker warming up is not a
         wake-up source: its deadline is an O(1) guard checked on
-        whatever wake-up comes next. The contract is
-        spelled out in docs/ARCHITECTURE.md, "The serve loop's
+        whatever wake-up comes next. It raises ServingRuntimeError when
+        held work waits on controllers and none wakes within the queue's
+        visibility timeout. See docs/ARCHITECTURE.md, "The serve loop's
         contract".
         """
         clock = self.clock
@@ -1255,7 +1256,7 @@ class ServingRuntime:
             timer.cancel()
         # The first pass takes nothing on trust: every phase runs.
         self._raised = _ALL_PHASES
-        stalled_wakeups = 0
+        stalled_since = math.inf
         while True:
             self._raised |= timers.due_phases(clock.now() + _EPS)
             if queue.inflight_count:
@@ -1293,7 +1294,7 @@ class ServingRuntime:
             if self._dirty or raised & _DISPATCH:
                 due_topic, host, window_wake = self._next_window(now)
                 if due_topic is not None:
-                    stalled_wakeups = 0
+                    stalled_since = math.inf
                     self._dispatch_topic(due_topic, host)
                     self._raised |= _DISPATCH
                     continue
@@ -1323,20 +1324,16 @@ class ServingRuntime:
                 if ingress is None or not ingress.pending():
                     return results
                 # Lanes hold work but no data-plane event will wake the
-                # loop. An attached controller may still heal the cause
-                # (e.g. migrate off a crashed sole host) at its next
-                # reconcile — sleep to it and retry, a bounded number of
-                # times so an unhealable fleet fails loud instead of
-                # reconciling forever.
-                if wake is None or stalled_wakeups >= 64:
-                    # No controller, or it had its chances: a throttle/
-                    # placement bug — fail loud rather than silently
-                    # dropping admitted requests.
+                # loop. A controller may yet heal the cause (e.g. migrate
+                # off a crashed sole host); if none wakes within the
+                # queue's visibility timeout of the stall's start, fail
+                # loud rather than silently drop admitted requests.
+                stalled_since = min(stalled_since, now)
+                if wake is None or wake.when > stalled_since + VISIBILITY_TIMEOUT_S:
                     raise ServingRuntimeError(
-                        f"ingress holds {ingress.pending()} pending "
-                        "request(s) but reports no next event"
+                        f"ingress holds {ingress.pending()} pending request(s) but reports "
+                        f"no next event after {now - stalled_since:.3f} s stalled"
                     )
-                stalled_wakeups += 1
             if wake.when > now:
                 clock.advance_to(wake.when)
 

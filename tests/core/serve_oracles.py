@@ -27,6 +27,7 @@ import math
 
 from repro.core.record import RequestRecord
 from repro.core.runtime import ServingRuntimeError
+from repro.messaging.queue import VISIBILITY_TIMEOUT_S
 
 _EPS = 1e-12
 
@@ -112,7 +113,7 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
     )
     results: list[RequestRecord] = []
     i = 0
-    stalled_wakeups = 0
+    stalled_since = math.inf
     while True:
         queue.expire_inflight()
         for controller in runtime._controllers:
@@ -131,7 +132,7 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
             runtime.submit(RequestRecord(request, arrived_at=intended))
         due_topic, host, next_event = runtime._next_window(now)
         if due_topic is not None:
-            stalled_wakeups = 0
+            stalled_since = math.inf
             runtime._dispatch_topic(due_topic, host)
             continue
         next_arrival = schedule[i][0] if i < len(schedule) else math.inf
@@ -146,13 +147,16 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
         wake = min((c.next_wakeup() for c in runtime._controllers), default=math.inf)
         if math.isinf(target):
             if ingress is not None and ingress.pending():
-                if runtime._controllers and stalled_wakeups < 64 and now < wake:
-                    stalled_wakeups += 1
+                # The kernel's stall rule: sleep to the controllers'
+                # wake-up unless there is none, or it lies past the
+                # queue's visibility timeout from the stall's start.
+                stalled_since = min(stalled_since, now)
+                if now < wake <= stalled_since + VISIBILITY_TIMEOUT_S:
                     clock.advance_to(wake)
                     continue
                 raise ServingRuntimeError(
-                    f"ingress holds {ingress.pending()} pending "
-                    "request(s) but reports no next event"
+                    f"ingress holds {ingress.pending()} pending request(s) but reports "
+                    f"no next event after {now - stalled_since:.3f} s stalled"
                 )
             return results
         if now < wake:

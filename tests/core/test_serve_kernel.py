@@ -12,6 +12,11 @@ built twice and served once by ``ServingGateway.serve`` and once by the
 polled oracle in :mod:`tests.core.serve_oracles`. Both must wake at the same virtual
 instants, hold the same budget and over-commit state at each of them,
 and settle the same requests on the same workers in the same order.
+The script heals the fleet in the end, so no scenario may end in the
+stall error: the loop sleeps to controller wake-ups while the gateway
+holds work that waits on a heal, and raises only when none is due
+within the queue's visibility timeout of the stall's start. Two fleets
+that nothing heals pin when that raise comes.
 """
 
 import math
@@ -201,9 +206,10 @@ def zoo():
     return build_zoo(oqmd_entries=50, n_estimators=4)
 
 
-def build(zoo, arrivals, actions, strand):
+def build(zoo, arrivals, actions, strand, watch=True):
     """One stack for the scenario; everything that happens in it is a
-    function of the arguments alone."""
+    function of the arguments alone. ``actions=None`` attaches no
+    scripted controller, ``watch=False`` no watcher."""
     testbed = build_testbed(jitter=False, memoize_tm=True)
     clock, queue = testbed.clock, testbed.management.queue
     workers = [
@@ -237,7 +243,10 @@ def build(zoo, arrivals, actions, strand):
     gateway = RecordingGateway(testbed.auth, runtime, policies)
     gateway.settle_log = []
     watcher = Watcher(testbed, gateway)
-    runtime.attach_controller(ScriptedController(testbed, runtime, actions), watcher)
+    controllers = [] if actions is None else [ScriptedController(testbed, runtime, actions)]
+    if watch:
+        controllers.append(watcher)
+    runtime.attach_controller(*controllers)
     if strand:
         # A consumer claims a message and dies: it comes back when its
         # visibility timeout lapses, mid-run.
@@ -271,9 +280,9 @@ def build(zoo, arrivals, actions, strand):
     return testbed, runtime, gateway, watcher, schedule, wakeups
 
 
-def outcome(zoo, arrivals, actions, strand, serve):
+def outcome(zoo, arrivals, actions, strand, serve, watch=True):
     testbed, runtime, gateway, watcher, schedule, wakeups = build(
-        zoo, arrivals, actions, strand
+        zoo, arrivals, actions, strand, watch
     )
     try:
         log = serve(gateway, schedule)
@@ -290,6 +299,7 @@ def outcome(zoo, arrivals, actions, strand, serve):
         "redelivered": runtime.queue.total_redelivered,
         "budget": (gateway.max_dispatch_slots, gateway.slot_reserve),
         "clock": testbed.clock.now(),
+        "held": gateway.pending(),
         "left_in_queue": len(runtime.queue),
     }
 
@@ -302,6 +312,78 @@ def test_kernel_and_polled_loop_serve_identically(zoo, arrivals, actions, strand
     polled = outcome(zoo, arrivals, actions, strand, polled_gateway_serve)
     for key in polled:
         assert kernel[key] == polled[key], key
+    # The script heals every scenario by HEAL_TICKS, so a stall error
+    # here is the loop giving up on a fleet that would have healed.
+    assert kernel["error"] is None
+
+
+#: A one-per-tick burst over every tenant and both servables.
+BURST = [(i, i % N_TENANTS, i % 2, i % 3) for i in range(30)]
+
+
+def stall_error(held, stalled_s):
+    return (f"ingress holds {held} pending request(s) but reports "
+            f"no next event after {stalled_s:.3f} s stalled")
+
+
+def test_a_heal_after_many_quiet_controller_ticks_is_waited_for(zoo):
+    """noop's two hosts go down inside the burst and come back 2.01 s
+    later. Meanwhile the watcher wakes the stalled loop some 80 times
+    and nothing changes; the loop still waits, since the heal is due
+    well within the visibility timeout, and serves everything."""
+    actions = [(25, "mark_down", 0, 0), (25, "mark_down", 1, 0),
+               (20_125, "mark_up", 0, 0), (20_125, "mark_up", 1, 0)]
+    result = outcome(zoo, BURST, actions, False, ServingGateway.serve)
+    assert result == outcome(zoo, BURST, actions, False, polled_gateway_serve)
+    assert result["error"] is None and len(result["settled"]) == 30
+    start = result["wakeups"][0][0]
+    quiet = [at for at, _, _ in result["watched"]
+             if start + 25 * TICK_S < at < start + 20_125 * TICK_S]
+    assert len(quiet) > 64
+
+
+def marked_down(serve):
+    """``serve`` on a fleet with every host marked down first."""
+
+    def run(gateway, schedule):
+        for name in ("w0", "w1", "s0"):
+            gateway.runtime.mark_down(name)
+        return serve(gateway, schedule)
+
+    return run
+
+
+def unhealable(zoo, watch):
+    """The burst on a fleet that nothing can bring back: both loops raise
+    the same error at the same instant. The stall starts when the last
+    arrival is offered; the message names what the gateway holds, and
+    with what the budget's one-worker floor released into the queue
+    that is every request: nothing is dropped."""
+    result = outcome(zoo, BURST, None, False, marked_down(ServingGateway.serve), watch)
+    assert result == outcome(zoo, BURST, None, False, marked_down(polled_gateway_serve), watch)
+    assert result["held"] + result["left_in_queue"] == len(BURST)
+    assert result["held"] == 26 and result["settled"] == []
+    start = result["wakeups"][0][0]
+    return result, start, start + (len(BURST) - 1) * TICK_S
+
+
+def test_an_unhealable_fleet_without_a_controller_raises_at_the_first_stalled_sleep(zoo):
+    result, _, stalled_since = unhealable(zoo, watch=False)
+    assert result["clock"] == stalled_since
+    assert result["error"] == stall_error(26, 0.0)
+
+
+def test_an_unhealable_fleet_under_a_watcher_raises_at_the_visibility_timeout(zoo):
+    """The watcher keeps ticking and never changes the fleet: the loop
+    sleeps to it until its next tick lies past ``stalled_since +
+    VISIBILITY_TIMEOUT_S``, and raises at the last one at or before."""
+    result, start, stalled_since = unhealable(zoo, watch=True)
+    last_tick = result["watched"][-1][0]
+    assert result["clock"] == last_tick
+    assert last_tick <= stalled_since + VISIBILITY_TIMEOUT_S < last_tick + WATCH_INTERVAL_S
+    # The watcher's 1,200th tick: 30 s after the start, 29.997 s stalled.
+    assert last_tick - start == pytest.approx(30.0)
+    assert result["error"] == stall_error(26, 29.997)
 
 
 def test_scenarios_reach_the_paths_they_are_for(zoo):
@@ -309,10 +391,9 @@ def test_scenarios_reach_the_paths_they_are_for(zoo):
     what the property relies on: the stranded claim is redelivered, a
     shrunk budget outlasts the drain deadline, and the cold copy's
     warm-up grows the budget."""
-    burst = [(i, i % N_TENANTS, i % 2, i % 3) for i in range(30)]
     spread = [(100 + i * 80, i % N_TENANTS, i % 2, i % 3) for i in range(24)]
     late = [(25_000 + i * 500, i % N_TENANTS, i % 2, i % 3) for i in range(6)]
-    arrivals = burst + spread + late
+    arrivals = BURST + spread + late
     # w0 and w1 marked down and s0 crashed inside the burst: no worker
     # counts (the one-worker floor), nothing settles, and the over-commit
     # outlasts the drain deadline. w0 comes back after it has fired.

@@ -1018,8 +1018,8 @@ class ServingRuntime:
         A topic is dispatchable when its window is due *and* a live host
         is free. A due window whose hosts are all busy contributes the
         earliest host-free time to the future-event horizon; a topic with
-        no live host at all is skipped (the work is not lost — a later
-        serve() after mark_up/revive picks it up).
+        no live host at all is skipped: its work stays queued, and
+        ``serve`` may return with it there.
 
         When several windows are due at once, arbitration is the
         dispatch-level fairness decision: heads carrying a gateway WFQ

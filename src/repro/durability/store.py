@@ -50,13 +50,16 @@ class InMemoryDurableStore(DurableStore):
         self.snapshots = 0
 
     def append(self, seq: int, record: bytes) -> None:
+        """Keep one record under its ``seq``."""
         self._records.append((seq, record))
         self.appends += 1
 
     def read_journal(self) -> list[bytes]:
+        """Every kept record, in append order."""
         return [record for _, record in self._records]
 
     def write_snapshot(self, doc: bytes, last_seq: int, chaos=None) -> None:
+        """Keep ``doc``, trip ``mid_snapshot``, drop ``seq <= last_seq``."""
         self._snapshot = doc
         self.snapshots += 1
         if chaos is not None:
@@ -64,6 +67,7 @@ class InMemoryDurableStore(DurableStore):
         self._records = [(seq, record) for seq, record in self._records if seq > last_seq]
 
     def read_snapshot(self) -> bytes | None:
+        """The last snapshot kept, or ``None``."""
         return self._snapshot
 
 
@@ -103,6 +107,7 @@ class FileDurableStore(DurableStore):
         self.snapshots = 0
 
     def append(self, seq: int, record: bytes) -> None:
+        """Append one record as a flushed base64 line."""
         if self._journal_fh is None:
             self._journal_fh = open(self._journal_path, "ab")
         self._journal_fh.write(base64.b64encode(record) + b"\n")
@@ -116,6 +121,7 @@ class FileDurableStore(DurableStore):
             self._journal_fh = None
 
     def read_journal(self) -> list[bytes]:
+        """Every line's record (:func:`_unline`), in append order."""
         try:
             with open(self._journal_path, "rb") as fh:
                 raw = fh.read()
@@ -128,6 +134,7 @@ class FileDurableStore(DurableStore):
         return [_unline(line) for line in raw.split(b"\n") if line]
 
     def write_snapshot(self, doc: bytes, last_seq: int, chaos=None) -> None:
+        """Replace the snapshot atomically, then keep records past ``last_seq``."""
         from repro.durability.codec import JournalCorruption, decode_record
 
         tmp = self._snapshot_path + ".tmp"
@@ -160,6 +167,7 @@ class FileDurableStore(DurableStore):
         os.replace(journal_tmp, self._journal_path)
 
     def read_snapshot(self) -> bytes | None:
+        """The snapshot's bytes, or ``None`` when none was written."""
         try:
             with open(self._snapshot_path, "rb") as fh:
                 return fh.read()

@@ -59,6 +59,7 @@ class AdmissionDecision:
 
     @property
     def admitted(self) -> bool:
+        """Whether the request was let in (every other outcome drops it)."""
         return self.outcome is AdmissionOutcome.ADMITTED
 
 

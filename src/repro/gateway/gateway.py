@@ -155,7 +155,6 @@ class ServingGateway:
         #: request's record keeps its original enqueue time, so its
         #: re-release keeps the true enqueue age.
         self.requests_reclaimed = 0
-        self.max_dispatch_slots = self.slot_reserve = 0  # derived just below
         self._derive_budget()
         #: Tracer contributing the gateway-side spans (``admission``,
         #: ``lane_wait``) to the request span tree. Defaults to the
@@ -180,7 +179,6 @@ class ServingGateway:
         #: task uuid -> the record of every admitted request not yet
         #: settled, in a lane or in the runtime.
         self._open: dict[str, RequestRecord] = {}
-        self._queued_by_servable: dict[str, int] = {}
         self._schedule: list[tuple[float, str, TaskRequest]] = []
         self._sched_i = 0
         self._serve_log: list[RequestRecord] = []
@@ -260,7 +258,7 @@ class ServingGateway:
                 self._drain_timer, since + DRAIN_DEADLINE_S
             )
 
-    def _reclaim_overcommit(self) -> int:
+    def _reclaim_overcommit(self) -> None:
         """Pull released-but-unclaimed requests back into their lanes.
 
         Withdraws newest-released first (oldest releases are nearest
@@ -274,9 +272,6 @@ class ServingGateway:
         capacity returns.
         """
         excess = self.outstanding - self.max_dispatch_slots
-        reclaimed = 0
-        if excess <= 0:
-            return 0
         outstanding = self.scheduler.outstanding_by_tenant
         lanes = [
             (servable, tenant)
@@ -326,14 +321,9 @@ class ServingGateway:
                 # request is the tenant's oldest in-system work and must
                 # re-release before younger lane-mates, not behind them.
                 self.scheduler.reclaim(tenant, record)
-                self._queued_by_servable[servable] = (
-                    self._queued_by_servable.get(servable, 0) + 1
-                )
                 excess -= 1
-                reclaimed += 1
+                self.requests_reclaimed += 1
                 progressed = True
-        self.requests_reclaimed += reclaimed
-        return reclaimed
 
     # -- auth / tenant resolution -------------------------------------------------
     def authenticate(self, token: str) -> Identity:
@@ -398,7 +388,6 @@ class ServingGateway:
         if not decision.admitted:
             return self._deny(request, decision, arrived, now)
         record = self._enter(request, policy, identity, decision, arrived)
-        self._pump()
         self._close_door(1)
         return record
 
@@ -450,7 +439,7 @@ class ServingGateway:
         lane. It is released when every lane is empty and the budget
         has room above the reserve — what the pump would do first
         (:meth:`WeightedFairScheduler.enqueue_or_release`).
-        The caller pumps and then calls :meth:`_close_door`, which makes
+        The caller then calls :meth:`_close_door`, which pumps and makes
         the admission durable before the call returns. ``identity`` is
         ``None`` for a chain step, which the Management Service stamped
         before the chain was admitted."""
@@ -465,40 +454,23 @@ class ServingGateway:
         entry = self.scheduler.enqueue_or_release(
             policy.name, policy.weight, record, self.max_dispatch_slots, self.slot_reserve
         )
-        if entry is None:
-            self._lane_kept(record)
-        else:
-            self._open[request.task_uuid] = record
+        self._open[request.task_uuid] = record
+        if entry is not None:
             self._release(record, entry[0])
         return record
 
     def _close_door(self, admitted: int) -> None:
-        """End a door call that admitted ``admitted`` requests and has
-        pumped: the journal writes an ``admit`` for each request its
-        lane still holds, then each admitted request passes the
-        ``post_admission`` injection point. A crash there restores a
-        released request in queue and a lane-held one to its lane."""
+        """End a door call that admitted ``admitted`` requests: pump, then
+        the journal writes an ``admit`` for each request its lane still
+        holds, then each admitted request passes the ``post_admission``
+        injection point. A crash there restores a released request in
+        queue and a lane-held one to its lane."""
+        self._pump()
         if self.journal is not None:
             self.journal.flush_admits()
         if self.chaos is not None:
             for _ in range(admitted):
                 self.chaos.trip("post_admission")
-
-    def _enter_lane(self, record: RequestRecord, policy: TenantPolicy) -> None:
-        """A recovered request's record enters its tenant's lane,
-        WFQ-tagged, to wait for the next pump."""
-        self.scheduler.enqueue(policy.name, policy.weight, record)
-        self._lane_kept(record)
-
-    def _lane_kept(self, record: RequestRecord) -> None:
-        """A laned request is counted against its servable's lane
-        backlog, and open until the runtime settles it."""
-        request = record.body
-        servable = request.servable_name
-        self._queued_by_servable[servable] = (
-            self._queued_by_servable.get(servable, 0) + 1
-        )
-        self._open[request.task_uuid] = record
 
     def _journal_admit(self, request: TaskRequest, policy, arrived: float) -> None:
         """Hand one admission grant to the journal, which holds it until
@@ -539,9 +511,7 @@ class ServingGateway:
         while (
             entry := self.scheduler.pop_next(self.max_dispatch_slots, self.slot_reserve)
         ) is not None:
-            finish_tag, _, _, record = entry
-            self._queued_by_servable[record.body.servable_name] -= 1
-            self._release(record, finish_tag)
+            self._release(entry[3], entry[0])
 
     def _release(self, record: RequestRecord, finish_tag: float) -> None:
         """Hand a request the scheduler released to the runtime — from
@@ -716,13 +686,13 @@ class ServingGateway:
             record = RequestRecord(
                 request, self.admission.granted(tenant, servable), entry["arrived_at"]
             )
+            self._open[request.task_uuid] = record
             if entry["in_queue"]:
-                self._open[request.task_uuid] = record
                 self.runtime.adopt(record)
             else:
                 # A re-release is back-dated to the last enqueue, if any.
                 record.enqueued_at = entry["enqueued_at"]
-                self._enter_lane(record, self.policies.policy(tenant))
+                self.scheduler.enqueue(tenant, self.policies.policy(tenant).weight, record)
             restored.append(record)
         return restored
 
@@ -814,7 +784,6 @@ class ServingGateway:
             self._enter(request, policy, identity, decision, arrived)
             for request in requests
         ]
-        self._pump()
         self._close_door(len(records))
         self.runtime.drain()
         return [record.result for record in records]
@@ -856,7 +825,6 @@ class ServingGateway:
         self._refuse_open((request.task_uuid,))
         decision = self.admission.granted(policy.name, request.servable_name)
         record = self._enter(request, policy, None, decision, self.runtime.clock.now())
-        self._pump()
         self._close_door(1)
         self.runtime.drain()
         if not record.completed:  # pragma: no cover - drain settles all
@@ -885,8 +853,9 @@ class ServingGateway:
 
     def queued_count(self, servable_name: str) -> int:
         """Requests for ``servable_name`` still waiting in tenant lanes
-        (backlog the runtime's queue depths cannot see)."""
-        return self._queued_by_servable.get(servable_name, 0)
+        (backlog the runtime's queue depths cannot see): an O(laned)
+        count of lane records, made at reconcile cadence."""
+        return sum(r.body.servable_name == servable_name for r in self.scheduler.laned())
 
     def tenant_weight(self, tenant_name: str) -> float:
         """The fair-share weight of one tenant."""

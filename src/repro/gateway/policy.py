@@ -96,6 +96,7 @@ class TokenBucket:
 
     @property
     def tokens(self) -> float:
+        """The balance refilled to now; below 0 while a debt is paid off."""
         self._refill()
         return self._tokens
 
@@ -143,27 +144,26 @@ class TenantPolicyTable:
 
     # -- declaration --------------------------------------------------------------
     def register(self, policy: TenantPolicy) -> TenantPolicy:
+        """Declare a tenant, once: a taken name raises :class:`PolicyError`."""
         if policy.name in self._policies:
             raise PolicyError(f"tenant {policy.name!r} already registered")
         self._policies[policy.name] = policy
         return policy
 
     def policy(self, tenant_name: str) -> TenantPolicy:
+        """The tenant's policy; an unknown name raises :class:`PolicyError`."""
         policy = self._policies.get(tenant_name)
         if policy is None:
             raise PolicyError(f"unknown tenant {tenant_name!r}")
         return policy
 
     def tenants(self) -> list[str]:
+        """Every registered tenant's name, sorted."""
         return sorted(self._policies)
-
-    def _require(self, tenant_name: str) -> None:
-        if tenant_name not in self._policies:
-            raise PolicyError(f"unknown tenant {tenant_name!r}")
 
     def bind_identity(self, identity: Identity | str, tenant_name: str) -> None:
         """Pin one identity to a tenant (strongest binding)."""
-        self._require(tenant_name)
+        self.policy(tenant_name)  # an unknown name raises
         identity_id = (
             identity.identity_id if isinstance(identity, Identity) else identity
         )
@@ -171,12 +171,12 @@ class TenantPolicyTable:
 
     def bind_group(self, group_name: str, tenant_name: str) -> None:
         """Map an auth-service group to a tenant (e.g. a project team)."""
-        self._require(tenant_name)
+        self.policy(tenant_name)  # an unknown name raises
         self._by_group[group_name] = tenant_name
 
     def set_default(self, tenant_name: str) -> None:
         """Tenant for identities with no explicit or group binding."""
-        self._require(tenant_name)
+        self.policy(tenant_name)  # an unknown name raises
         self._default = tenant_name
 
     # -- resolution ---------------------------------------------------------------

@@ -51,6 +51,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict, deque
+from collections.abc import Iterator
 from typing import Any
 
 #: One lane entry: ``(finish_tag, seq, tenant, item)``.
@@ -65,7 +66,7 @@ class WeightedFairScheduler:
     """Virtual-clock WFQ over per-tenant FIFO lanes."""
 
     def __init__(self) -> None:
-        self._lanes: dict[str, deque[LaneEntry]] = {}
+        self._lanes: defaultdict[str, deque[LaneEntry]] = defaultdict(deque)
         self._last_finish: dict[str, float] = {}
         self._virtual_time = 0.0
         self._seq = itertools.count(1)
@@ -80,7 +81,6 @@ class WeightedFairScheduler:
         #: tenant frees a slot, or every share may grow (a tenant leaves,
         #: the budget moves).
         self._parked: dict[str, tuple[float, int, str]] = {}
-        self._size = 0
         self.enqueued = 0
         self.dequeued = 0
         #: Per-tenant count of WFQ *charges* — ``_last_finish`` advances
@@ -105,19 +105,27 @@ class WeightedFairScheduler:
 
     # -- introspection ------------------------------------------------------------
     def __len__(self) -> int:
-        return self._size
+        return self.enqueued - self.dequeued
 
     def depth(self, tenant: str) -> int:
+        """How many items the tenant's lane holds, parked head included."""
         return len(self._lanes.get(tenant, ()))
 
     def depths(self) -> dict[str, int]:
+        """Lane depth per tenant, for tenants whose lane holds work."""
         return {t: len(lane) for t, lane in self._lanes.items() if lane}
 
     def tenants(self) -> list[str]:
+        """The tenants whose lane holds work, sorted by name."""
         return sorted(t for t, lane in self._lanes.items() if lane)
+
+    def laned(self) -> Iterator[Any]:
+        """Every laned item, parked heads included (an O(laned) walk)."""
+        return (entry[3] for lane in self._lanes.values() for entry in lane)
 
     @property
     def virtual_time(self) -> float:
+        """The service frontier: new finish tags start at or above it."""
         return self._virtual_time
 
     def charge_count(self, tenant: str) -> int:
@@ -156,13 +164,10 @@ class WeightedFairScheduler:
         finish = self._charge(tenant, weight, cost)
         seq = next(self._seq)
         entry = (finish, seq, tenant, item)
-        lane = self._lanes.get(tenant)
-        if lane is None:
-            lane = self._lanes[tenant] = deque()
+        lane = self._lanes[tenant]
         lane.append(entry)
         if len(lane) == 1:
             heapq.heappush(self._heap, (finish, seq, tenant))
-        self._size += 1
         self.enqueued += 1
         self._note(tenant)
         return entry
@@ -185,7 +190,7 @@ class WeightedFairScheduler:
         the same; a refused weight raises before anything changes.
         """
         outstanding = self.outstanding
-        if self._size or outstanding >= budget - reserve:
+        if self.enqueued != self.dequeued or outstanding >= budget - reserve:
             self.enqueue(tenant, weight, item)
             return None
         finish = self._charge(tenant, weight, 1.0)
@@ -226,16 +231,13 @@ class WeightedFairScheduler:
         frontier on an empty lane) with a negative sequence number, so
         it wins exactly the ties it needs to and no more.
         """
-        lane = self._lanes.get(tenant)
-        if lane is None:
-            lane = self._lanes[tenant] = deque()
+        lane = self._lanes[tenant]
         finish = lane[0][0] if lane else self._virtual_time
         seq = next(self._front_seq)
         entry = (finish, seq, tenant, item)
         lane.appendleft(entry)
         self._parked.pop(tenant, None)  # no longer the lane's head
         heapq.heappush(self._heap, (finish, seq, tenant))
-        self._size += 1
         self.enqueued += 1
         return entry
 
@@ -328,7 +330,6 @@ class WeightedFairScheduler:
         # tag below an already-served backlogged tenant's.
         if entry[0] > self._virtual_time:
             self._virtual_time = entry[0]
-        self._size -= 1
         self.dequeued += 1
         return entry
 
@@ -352,7 +353,7 @@ class WeightedFairScheduler:
         if budget != self._budget or reserve != self._reserve:
             self._budget, self._reserve = budget, reserve
             self._unpark()
-        if not self._size or self.outstanding >= budget:
+        if self.enqueued == self.dequeued or self.outstanding >= budget:
             return None
         tenant = self._pick_under_share(True)
         if tenant is not None:

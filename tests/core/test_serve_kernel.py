@@ -35,6 +35,7 @@ from repro.gateway import ServingGateway, TenantPolicy, TenantPolicyTable
 from repro.gateway.gateway import DRAIN_DEADLINE_S
 from repro.messaging.queue import VISIBILITY_TIMEOUT_S, servable_topic
 from tests.core.serve_oracles import polled_gateway_serve
+from tests.integration.conservation import assert_ledgers_agree
 
 SERVABLES = ("noop", "matminer_util")
 INPUTS = {"noop": (1, 2, 3), "matminer_util": ("Fe2O3", "NaCl", "SiO2")}
@@ -190,7 +191,12 @@ class Watcher:
 
 
 class RecordingGateway(ServingGateway):
-    """Logs every settlement the runtime hands over, in order."""
+    """Logs every settlement the runtime hands over, in order, and checks
+    after every serve-loop hook that the open-request counts agree."""
+
+    def on_tick(self, now):
+        super().on_tick(now)
+        assert_ledgers_agree(self)
 
     def on_settled(self, settled):
         self.settle_log.extend(
@@ -199,6 +205,7 @@ class RecordingGateway(ServingGateway):
             for r in records
         )
         super().on_settled(settled)
+        assert_ledgers_agree(self)
 
 
 @pytest.fixture(scope="module")

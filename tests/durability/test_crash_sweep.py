@@ -27,6 +27,7 @@ from tests.core.lane_oracles import (
     assert_inflight_index_consistent,
     assert_lane_index_consistent,
 )
+from tests.integration.conservation import assert_ledgers_agree
 
 from .conftest import alternating_arrivals, build_chaos_harness
 
@@ -99,6 +100,7 @@ def assert_invariants(harness, outcome, point):
     # exactly one settlement, and nothing is left open or laned.
     gateway = harness.gateway
     scheduler = gateway.scheduler
+    assert_ledgers_agree(gateway)
     assert gateway._open == {}
     for result in outcome.settled.values():
         tenant = result.request.tenant

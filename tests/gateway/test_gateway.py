@@ -474,6 +474,7 @@ class TestDrainDeadline:
         # counted as pending so the serve loop cannot strand them).
         assert len(gateway.scheduler) == excess
         assert gateway.pending() == excess
+        assert gateway.queued_count("noop") == excess
 
     def test_reclaimed_requests_complete_when_capacity_returns(self):
         testbed, gateway, tokens = self._overcommitted_gateway()
@@ -483,6 +484,8 @@ class TestDrainDeadline:
         assert gateway.requests_reclaimed > 0
         gateway.runtime.mark_up("w1")
         gateway.runtime.mark_up("w2")
+        # The fleet change pumped: every reclaimed request is re-released.
+        assert gateway.queued_count("noop") == 0
         gateway.runtime.drain()
         counters = gateway.metrics.counters("t")
         assert counters.completed == offered

@@ -4,7 +4,9 @@
 on every scenario: offered requests are conserved (each ends in exactly
 one record in one terminal state — denied, settled or dead-lettered —
 and none settles twice), and at quiescence every open-admission table
-and every charge ledger is back to empty.
+and every charge ledger is back to empty. :func:`assert_ledgers_agree`
+states how the gateway's open-request counts relate at any moment
+between two serve-loop hooks.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def assert_conserved(offered, records, gateway, dead_letters=(), settles=None):
         assert settles == settled, f"{settles} settlements for {settled} settled requests"
 
     # Quiescence: nothing open, no slot held, nothing queued.
+    assert_ledgers_agree(gateway)
     assert gateway._open == {}
     journal = gateway.journal
     if journal is not None:
@@ -58,3 +61,15 @@ def assert_conserved(offered, records, gateway, dead_letters=(), settles=None):
     runtime = gateway.runtime
     assert runtime._adopted == {}
     assert len(runtime.queue) == 0 and runtime.queue.inflight_count == 0
+
+
+def assert_ledgers_agree(gateway):
+    """Assert that the gateway's open-request counts agree: every open
+    request is laned or released, the released total is the sum of the
+    per-tenant counts, and the lanes' per-servable counts add up to what
+    the lanes hold. Holds whenever no door call is under way."""
+    scheduler = gateway.scheduler
+    laned = len(scheduler)
+    assert len(gateway._open) == laned + gateway.outstanding
+    assert gateway.outstanding == sum(scheduler.outstanding_by_tenant.values())
+    assert sum(gateway.queued_count(name) for name in gateway.runtime.placement()) == laned

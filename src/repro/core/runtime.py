@@ -750,9 +750,9 @@ class ServingRuntime:
           per-tenant accounting settles once per batch. Records the
           ingress did not submit ride along. Always followed by
           ``on_tick``;
-        * ``pending() -> int`` — work the ingress still holds; asked
-          only when the loop has run out of wake-ups, which it refuses
-          to treat as "drained" while this is non-zero.
+        * ``pending() -> int`` — requests it holds open: unoffered, or
+          admitted and not settled. Asked once wake-ups run out; ``serve``
+          returns only at zero, with no ready work on an owned topic.
 
         The ingress is not polled for its next wake-up: it keeps timers
         of phase :data:`PHASE_INGRESS` on :attr:`timers` and moves them
@@ -1018,8 +1018,7 @@ class ServingRuntime:
         A topic is dispatchable when its window is due *and* a live host
         is free. A due window whose hosts are all busy contributes the
         earliest host-free time to the future-event horizon; a topic with
-        no live host at all is skipped: its work stays queued, and
-        ``serve`` may return with it there.
+        no live host at all is skipped: its work stays queued.
 
         When several windows are due at once, arbitration is the
         dispatch-level fairness decision: heads carrying a gateway WFQ
@@ -1216,10 +1215,10 @@ class ServingRuntime:
         free, so concurrent workers drain a backlog in parallel.
         Arrivals whose time has already passed (the fleet was busy) are
         enqueued late — that backlog is exactly what grows batches under
-        load. Runs until the schedule, the queue, and the in-flight
-        batches are drained; expired in-flight messages are redelivered
-        along the way. Returns the record of every request that settled
-        during the call, in settlement order.
+        load. Returns only when nothing is open (no ready work on an owned
+        topic, no batch in flight, nothing the ingress holds), with the
+        record of every request that settled during the call, in
+        settlement order; expired in-flight messages are redelivered.
 
         **A wake-up costs what is due, not what exists.** Every source
         of a future wake-up keeps its next due time on :attr:`timers`;
@@ -1230,10 +1229,10 @@ class ServingRuntime:
         warm-up → settle → ingress → arrivals → dispatch, and again
         from the top after each dispatch. A worker warming up is not a
         wake-up source: its deadline is an O(1) guard checked on
-        whatever wake-up comes next. It raises ServingRuntimeError when
-        held work waits on controllers and none wakes within the queue's
-        visibility timeout. See docs/ARCHITECTURE.md, "The serve loop's
-        contract".
+        whatever wake-up comes next. Held work that no data-plane timer
+        will wake waits on controllers; if none wakes within the queue's
+        visibility timeout, ServingRuntimeError names what is held. See
+        docs/ARCHITECTURE.md, "The serve loop's contract".
         """
         clock = self.clock
         queue = self.queue
@@ -1319,20 +1318,20 @@ class ServingRuntime:
                 wake.phase == PHASE_CONTROLLER
                 and len(timers) == sum(t.live for t in self._controller_timers)
             ):
-                # No data-plane wake-up is left, and controller timers
-                # alone do not keep a drained loop running.
-                if ingress is None or not ingress.pending():
+                # No data-plane wake-up is left: return once nothing is
+                # open in the ingress or on an owned topic. Else wait for
+                # a controller to heal the cause (a crashed sole host),
+                # but no longer than the visibility timeout from the stall.
+                held = sum(self._ready_depth.values())
+                if ingress is not None:
+                    held = ingress.pending() or held
+                if not held:
                     return results
-                # Lanes hold work but no data-plane event will wake the
-                # loop. A controller may yet heal the cause (e.g. migrate
-                # off a crashed sole host); if none wakes within the
-                # queue's visibility timeout of the stall's start, fail
-                # loud rather than silently drop admitted requests.
                 stalled_since = min(stalled_since, now)
                 if wake is None or wake.when > stalled_since + VISIBILITY_TIMEOUT_S:
                     raise ServingRuntimeError(
-                        f"ingress holds {ingress.pending()} pending request(s) but reports "
-                        f"no next event after {now - stalled_since:.3f} s stalled"
+                        f"{held} request(s) held open with no next event "
+                        f"after {now - stalled_since:.3f} s stalled"
                     )
             if wake.when > now:
                 clock.advance_to(wake.when)

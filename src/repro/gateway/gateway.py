@@ -642,8 +642,8 @@ class ServingGateway:
         return soonest
 
     def pending(self) -> int:
-        """Arrivals not yet offered plus requests still waiting in lanes."""
-        return (len(self._schedule) - self._sched_i) + len(self.scheduler)
+        """Arrivals not yet offered plus every admitted request not yet settled."""
+        return (len(self._schedule) - self._sched_i) + len(self._open)
 
     # -- crash recovery ---------------------------------------------------------------
     def restore_open(self, entries: list[dict]) -> list[RequestRecord]:

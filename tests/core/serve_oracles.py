@@ -146,19 +146,27 @@ def polled_serve(runtime, arrivals=None) -> list[RequestRecord]:
         target = min(next_arrival, next_event)
         wake = min((c.next_wakeup() for c in runtime._controllers), default=math.inf)
         if math.isinf(target):
-            if ingress is not None and ingress.pending():
-                # The kernel's stall rule: sleep to the controllers'
-                # wake-up unless there is none, or it lies past the
-                # queue's visibility timeout from the stall's start.
-                stalled_since = min(stalled_since, now)
-                if now < wake <= stalled_since + VISIBILITY_TIMEOUT_S:
-                    clock.advance_to(wake)
-                    continue
-                raise ServingRuntimeError(
-                    f"ingress holds {ingress.pending()} pending request(s) but reports "
-                    f"no next event after {now - stalled_since:.3f} s stalled"
-                )
-            return results
+            # The kernel's one rule: return only when nothing is held
+            # open — neither the gateway's unoffered arrivals and
+            # admitted, unsettled requests, nor a ready message on the
+            # runtime's own topics (counted off the queue).
+            held = sum(queue.ready_count(topic) for topic in runtime._owned_topics)
+            if ingress is not None:
+                unoffered = len(ingress._schedule) - ingress._sched_i
+                held = (unoffered + len(ingress._open)) or held
+            if not held:
+                return results
+            # Otherwise sleep to the controllers' wake-up unless there is
+            # none, or it lies past the queue's visibility timeout from
+            # the stall's start.
+            stalled_since = min(stalled_since, now)
+            if now < wake <= stalled_since + VISIBILITY_TIMEOUT_S:
+                clock.advance_to(wake)
+                continue
+            raise ServingRuntimeError(
+                f"{held} request(s) held open with no next event "
+                f"after {now - stalled_since:.3f} s stalled"
+            )
         if now < wake:
             target = min(target, wake)
         if target > now:

@@ -5,12 +5,15 @@ on per-servable topics and are claimed in micro-batches bounded by
 ``max_batch_size`` and ``max_coalesce_delay_s`` on the virtual clock.
 """
 
+import math
+
 import pytest
 
 from repro.core.runtime import ServingRuntime, ServingRuntimeError
 from repro.core.tasks import TaskRequest
 from repro.core.zoo import build_zoo
 from repro.messaging.queue import servable_topic
+from tests.core.serve_oracles import polled_serve
 
 
 def build_fleet(
@@ -307,14 +310,16 @@ class TestLiveness:
         assert results[0].worker != primary
 
     def test_all_hosts_down_leaves_work_queued(self):
-        """Unroutable topics wait instead of aborting the serve loop —
-        the work is served once a host comes back."""
+        """Unroutable work is neither served nor dropped: with nothing
+        to heal the fleet, ``drain`` raises at once and leaves the
+        message queued, and it is served once a host comes back."""
         testbed, zoo, runtime = build_fleet(n_workers=2, servables=("noop",), copies=2)
         hosts = runtime.placement()["noop"]
         for name in hosts:
             runtime.mark_down(name)
         runtime.submit(TaskRequest("noop"))
-        assert runtime.drain() == []
+        with pytest.raises(ServingRuntimeError, match=r"^1 request\(s\) held open"):
+            runtime.drain()
         assert testbed.management.queue.ready_count(servable_topic("noop")) == 1
         runtime.mark_up(hosts[0])
         results = runtime.drain()
@@ -332,6 +337,75 @@ class TestLiveness:
         testbed, zoo, runtime = build_fleet()
         with pytest.raises(ServingRuntimeError, match="unknown worker"):
             runtime.mark_down("nobody")
+
+
+class Heartbeat:
+    """A controller that wakes every 0.7 s and, at ``heal_at``, recovers
+    every crashed worker."""
+
+    def __init__(self, runtime, heal_at=math.inf):
+        self.runtime = runtime
+        self.next_at = runtime.clock.now()
+        self.heal_at = heal_at
+
+    def next_wakeup(self):
+        return min(self.next_at, self.heal_at)
+
+    def on_tick(self):
+        now = self.runtime.clock.now()
+        if now + 1e-12 >= self.heal_at:
+            self.heal_at = math.inf
+            for worker in self.runtime.workers:
+                worker.recover()
+        if now + 1e-12 >= self.next_at:
+            self.next_at = now + 0.7
+
+
+class TestQuiescence:
+    """With no ingress, work queued on the runtime's own topics is open:
+    ``serve`` returns only when there is none. ``r0`` arrives 2.0 s in
+    on a fleet whose two noop hosts crashed first; the kernel and the
+    polled oracle must agree on what follows."""
+
+    def _serve_r0(self, serve, heal_at=math.inf):
+        testbed, _, runtime = build_fleet(n_workers=2, servables=("noop",), copies=2)
+        for worker in runtime.hosts("noop"):
+            worker.crash()
+        start = testbed.clock.now()
+        runtime.attach_controller(Heartbeat(runtime, start + heal_at))
+        try:
+            records = serve(runtime, [(2.0, TaskRequest("noop", task_uuid="r0"))])
+            error = None
+        except ServingRuntimeError as exc:
+            records, error = [], str(exc)
+        return {
+            "error": error,
+            "settled": [(r.body.task_uuid, r.worker, r.completed_at - start) for r in records],
+            "at": testbed.clock.now() - start,
+            "queued": runtime.queue.ready_count(servable_topic("noop")),
+        }
+
+    def test_queued_work_waits_for_a_heal(self):
+        """The heal comes 1.6 s after ``r0``: ``serve`` sleeps to it
+        instead of returning at 2.0 s, and serves ``r0``."""
+        result = self._serve_r0(ServingRuntime.serve, heal_at=3.6)
+        assert result == self._serve_r0(polled_serve, heal_at=3.6)
+        assert result["error"] is None and result["queued"] == 0
+        ((uuid, _, completed_at),) = result["settled"]
+        assert uuid == "r0" and completed_at > 3.6
+
+    def test_an_unhealable_fleet_raises_at_the_visibility_timeout(self):
+        """Nothing heals: the loop sleeps to the heartbeat until its
+        next beat lies past the visibility timeout after ``r0`` arrived
+        (32.2 s), and raises at the last beat before (31.5 s), with
+        ``r0`` still queued."""
+        result = self._serve_r0(ServingRuntime.serve)
+        assert result == self._serve_r0(polled_serve)
+        assert result["error"] == (
+            "1 request(s) held open with no next event after 29.500 s stalled"
+        )
+        assert result["at"] == pytest.approx(31.5)
+        assert result["settled"] == [] and result["queued"] == 1
 
 
 class TestTopicConvention:
@@ -423,7 +497,8 @@ class TestReviveAndStats:
         name = runtime.placement()["noop"][0]
         runtime.mark_down(name)
         runtime.submit(TaskRequest("noop"))
-        assert runtime.drain() == []
+        with pytest.raises(ServingRuntimeError, match="held open"):
+            runtime.drain()
         revived = runtime.revive(name)
         assert revived.name == name
         results = runtime.drain()

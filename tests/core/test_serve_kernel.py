@@ -15,8 +15,10 @@ and settle the same requests on the same workers in the same order.
 The script heals the fleet in the end, so no scenario may end in the
 stall error: the loop sleeps to controller wake-ups while the gateway
 holds work that waits on a heal, and raises only when none is due
-within the queue's visibility timeout of the stall's start. Two fleets
-that nothing heals pin when that raise comes.
+within the queue's visibility timeout of the stall's start. A return
+means nothing is open: no request the gateway admitted is unsettled,
+laned or released into the queue, and no message waits on a runtime
+topic. Fleets that nothing heals pin when the raise comes.
 """
 
 import math
@@ -320,8 +322,10 @@ def test_kernel_and_polled_loop_serve_identically(zoo, arrivals, actions, strand
     for key in polled:
         assert kernel[key] == polled[key], key
     # The script heals every scenario by HEAL_TICKS, so a stall error
-    # here is the loop giving up on a fleet that would have healed.
+    # here is the loop giving up on a fleet that would have healed; and
+    # a return means nothing is open, in the gateway or in the queue.
     assert kernel["error"] is None
+    assert kernel["held"] == 0 and kernel["left_in_queue"] == 0
 
 
 #: A one-per-tick burst over every tenant and both servables.
@@ -329,8 +333,7 @@ BURST = [(i, i % N_TENANTS, i % 2, i % 3) for i in range(30)]
 
 
 def stall_error(held, stalled_s):
-    return (f"ingress holds {held} pending request(s) but reports "
-            f"no next event after {stalled_s:.3f} s stalled")
+    return f"{held} request(s) held open with no next event after {stalled_s:.3f} s stalled"
 
 
 def test_a_heal_after_many_quiet_controller_ticks_is_waited_for(zoo):
@@ -363,13 +366,13 @@ def marked_down(serve):
 def unhealable(zoo, watch):
     """The burst on a fleet that nothing can bring back: both loops raise
     the same error at the same instant. The stall starts when the last
-    arrival is offered; the message names what the gateway holds, and
-    with what the budget's one-worker floor released into the queue
-    that is every request: nothing is dropped."""
+    arrival is offered; the message counts what the gateway holds open,
+    laned or released into the queue (the budget's one-worker floor let
+    four through), and that is every request: nothing is dropped."""
     result = outcome(zoo, BURST, None, False, marked_down(ServingGateway.serve), watch)
     assert result == outcome(zoo, BURST, None, False, marked_down(polled_gateway_serve), watch)
-    assert result["held"] + result["left_in_queue"] == len(BURST)
-    assert result["held"] == 26 and result["settled"] == []
+    assert result["held"] == len(BURST) and result["left_in_queue"] == 4
+    assert result["settled"] == []
     start = result["wakeups"][0][0]
     return result, start, start + (len(BURST) - 1) * TICK_S
 
@@ -377,7 +380,7 @@ def unhealable(zoo, watch):
 def test_an_unhealable_fleet_without_a_controller_raises_at_the_first_stalled_sleep(zoo):
     result, _, stalled_since = unhealable(zoo, watch=False)
     assert result["clock"] == stalled_since
-    assert result["error"] == stall_error(26, 0.0)
+    assert result["error"] == stall_error(30, 0.0)
 
 
 def test_an_unhealable_fleet_under_a_watcher_raises_at_the_visibility_timeout(zoo):
@@ -390,7 +393,77 @@ def test_an_unhealable_fleet_under_a_watcher_raises_at_the_visibility_timeout(zo
     assert last_tick <= stalled_since + VISIBILITY_TIMEOUT_S < last_tick + WATCH_INTERVAL_S
     # The watcher's 1,200th tick: 30 s after the start, 29.997 s stalled.
     assert last_tick - start == pytest.approx(30.0)
-    assert result["error"] == stall_error(26, 29.997)
+    assert result["error"] == stall_error(30, 29.997)
+
+
+#: noop's two hosts crash at tick 0, and one noop request arrives at
+#: 2.0 s: it is admitted and released into a queue no live host drains.
+CRASHED_NOOP = [(0, "crash", 0, 0), (0, "crash", 1, 0)]
+LONE = [(20_000, 0, 0, 0)]
+
+
+def test_released_work_that_waits_for_a_heal_is_waited_for(zoo):
+    """No lane holds ``r0``, but it is open in the queue: the loop
+    sleeps to the script's heal 1.6 s later instead of returning at
+    2.0 s, and ``r0`` settles on a healed host."""
+    result = outcome(zoo, LONE, CRASHED_NOOP, False, ServingGateway.serve, watch=False)
+    assert result == outcome(zoo, LONE, CRASHED_NOOP, False, polled_gateway_serve, watch=False)
+    assert result["error"] is None
+    assert result["held"] == 0 and result["left_in_queue"] == 0
+    start = result["wakeups"][0][0]
+    ((uuid, worker, _, enqueued_at, completed_at),) = result["settled"]
+    assert uuid == "r0" and worker in ("w0", "w1")
+    assert enqueued_at == pytest.approx(start + 2.0)
+    assert completed_at > start + HEAL_TICKS * TICK_S
+
+
+def crashed(serve):
+    """``serve`` on a fleet whose noop hosts crashed first."""
+
+    def run(gateway, schedule):
+        for name in ("w0", "w1"):
+            gateway.runtime.worker(name).crash()
+        return serve(gateway, schedule)
+
+    return run
+
+
+def test_released_work_on_an_unhealable_fleet_raises_at_the_visibility_timeout(zoo):
+    """``r0``'s twin with nothing to heal the fleet, only the watcher:
+    the loop sleeps to it for the visibility timeout after ``r0``
+    arrives, then raises, counting ``r0``, which is still queued."""
+    result = outcome(zoo, LONE, None, False, crashed(ServingGateway.serve))
+    assert result == outcome(zoo, LONE, None, False, crashed(polled_gateway_serve))
+    assert result["held"] == 1 and result["left_in_queue"] == 1
+    assert result["settled"] == []
+    start = result["wakeups"][0][0]
+    stalled_since = start + LONE[0][0] * TICK_S
+    last_tick = result["watched"][-1][0]
+    assert result["clock"] == last_tick
+    assert last_tick <= stalled_since + VISIBILITY_TIMEOUT_S < last_tick + WATCH_INTERVAL_S
+    assert last_tick - start == pytest.approx(32.0)
+    assert result["error"] == stall_error(1, 30.0)
+
+
+def test_work_put_past_the_gateway_is_open_too(zoo):
+    """A request submitted to the runtime directly, with the gateway
+    attached, is none of the gateway's, but it is open: on crashed
+    noop hosts with nothing to heal them, both loops raise at once
+    rather than return with it queued."""
+
+    def direct(serve):
+        def run(gateway, schedule):
+            gateway.runtime.submit(
+                TaskRequest("noop", args=(0,), tenant="t0", task_uuid="direct")
+            )
+            return serve(gateway, schedule)
+
+        return crashed(run)
+
+    result = outcome(zoo, [], None, False, direct(ServingGateway.serve), watch=False)
+    assert result == outcome(zoo, [], None, False, direct(polled_gateway_serve), watch=False)
+    assert result["error"] == stall_error(1, 0.0)
+    assert result["held"] == 0 and result["left_in_queue"] == 1
 
 
 def test_scenarios_reach_the_paths_they_are_for(zoo):

@@ -470,10 +470,11 @@ class TestDrainDeadline:
         gateway.on_tick(testbed.clock.now())
         assert gateway.requests_reclaimed == excess
         assert gateway.outstanding == gateway.max_dispatch_slots
-        # Reclaimed requests wait in lanes again (still admitted, still
-        # counted as pending so the serve loop cannot strand them).
+        # Reclaimed requests wait in lanes again. Laned or released,
+        # every admitted request is still pending, so the serve loop
+        # cannot return with any of them open.
         assert len(gateway.scheduler) == excess
-        assert gateway.pending() == excess
+        assert gateway.pending() == excess + gateway.outstanding
         assert gateway.queued_count("noop") == excess
 
     def test_reclaimed_requests_complete_when_capacity_returns(self):
